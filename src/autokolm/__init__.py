@@ -61,7 +61,6 @@ from .normality import (
     ps_ratio,
 )
 from .seqgen import (
-    SequenceSource,
     bernoulli_bits,
     champernowne_bits,
     rational_bits,

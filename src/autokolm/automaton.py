@@ -288,7 +288,7 @@ def parse_automaton_lines(lines):
         elif directive == "alphabet":
             if len(args) < 2:
                 raise FormatError(f"line {lineno}: alphabet needs tape and symbols")
-            tape = int(args[0])
+            tape = _parse_int(args[:1], 1, lineno)[0]
             alphabets[tape] = tuple(args[1:])
         elif directive == "states":
             num_states = _parse_int(args, 1, lineno)[0]
@@ -298,7 +298,7 @@ def parse_automaton_lines(lines):
             extra.append((lineno, directive, args))
     if arity is None or num_states is None:
         raise FormatError("missing arity or states line")
-    if sorted(alphabets) != list(range(arity)):
+    if len(alphabets) != arity or sorted(alphabets) != list(range(arity)):
         raise FormatError("need exactly one alphabet line per tape")
     alpha_tuple = tuple(alphabets[t] for t in range(arity))
     tables = [{s: i for i, s in enumerate(a)} for a in alpha_tuple]
@@ -306,7 +306,10 @@ def parse_automaton_lines(lines):
     for lineno, args in raw_edges:
         if len(args) != 2 + arity:
             raise FormatError(f"line {lineno}: edge needs FROM TO and {arity} labels")
-        src, dst = int(args[0]), int(args[1])
+        try:
+            src, dst = int(args[0]), int(args[1])
+        except ValueError:
+            raise FormatError(f"line {lineno}: edge endpoints must be integers") from None
         label = []
         for t, tok in enumerate(args[2:]):
             if tok == "-":

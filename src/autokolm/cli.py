@@ -24,14 +24,21 @@ def _write(path, text: str):
             fh.write(text)
 
 
+def _read_ascii(path) -> str:
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: non-ASCII byte at offset {exc.start}") from None
+
+
 def _load_mode(path):
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_mode(fh.read())
+    return parse_mode(_read_ascii(path))
 
 
 def _load_rule(path):
-    with open(path, "r", encoding="ascii") as fh:
-        return constructions.parse_rule(fh.read())
+    return constructions.parse_rule(_read_ascii(path))
 
 
 # --- commands -----------------------------------------------------------------

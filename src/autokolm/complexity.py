@@ -24,8 +24,10 @@ from .modes import UNBOUNDED, DescriptionMode, PairDescriptionMode
 
 UNREACHABLE = math.inf
 
-# Below this (|x|+1) * edge-count product the plain Python sweep wins.
-_PURE_SWEEP_LIMIT = 300_000
+# Closures with at most this many edges on every letter are swept in plain
+# Python; above it the numpy scatter-min is faster per letter (measured
+# crossover between 24 and 28 edges on carry automata and random graphs).
+_PYTHON_STEP_EDGES = 24
 _INF = 1 << 62
 _NORMALIZE_BUDGET = 5_000_000
 
@@ -40,14 +42,14 @@ def complexity(mode: DescriptionMode, word: str):
     """Minimal description length of `word`, or math.inf when unreachable."""
     _check_mode(mode)
     letters = word_to_indices(mode.automaton, 1, word)
-    return _min_cost(mode.automaton, letters)
+    return _sweep(mode.automaton, letters, [len(letters)])[0]
 
 
 def pair_complexity(mode: PairDescriptionMode, word: str):
     """Minimal |u|+|v| over pair descriptions (u,v) of `word`."""
     _check_mode(mode)
     letters = word_to_indices(mode.automaton, 2, word)
-    return _min_cost(mode.automaton, letters)
+    return _sweep(mode.automaton, letters, [len(letters)])[0]
 
 
 def superadditivity_check(mode: DescriptionMode, x: str, y: str) -> bool:
@@ -89,7 +91,7 @@ def complexity_curve(mode: DescriptionMode, source: str, n_max: int,
     if not positions:
         return ComplexityCurve(samples=(), mode_id=mode.name)
     letters = word_to_indices(mode.automaton, 1, source[:positions[-1]])
-    values = _sweep_numpy(mode.automaton, letters, positions)
+    values = _sweep(mode.automaton, letters, positions)
     samples = tuple(zip(positions, values))
     if verify:
         rng = random.Random(0x5EED)
@@ -102,7 +104,7 @@ def complexity_curve(mode: DescriptionMode, source: str, n_max: int,
     return ComplexityCurve(samples=samples, mode_id=mode.name)
 
 
-# --- shared sweep machinery ---------------------------------------------------
+# --- the sweep ----------------------------------------------------------------
 
 def _classify_edges(aut: LabeledAutomaton):
     """Split edges into intra-layer (epsilon object) and advancing groups."""
@@ -118,72 +120,89 @@ def _classify_edges(aut: LabeledAutomaton):
     return intra, advance
 
 
-def _min_cost(aut: LabeledAutomaton, letters: Sequence[int]):
+def _sweep(aut: LabeledAutomaton, letters: Sequence[int],
+           positions: List[int]) -> list:
+    """Values of K at the given prefix lengths (strictly ascending)."""
     if aut.num_states == 0:
-        return UNREACHABLE
-    if (len(letters) + 1) * max(len(aut.edges), 1) <= _PURE_SWEEP_LIMIT:
-        return _sweep_pure(aut, letters)
-    return _sweep_numpy(aut, letters, [len(letters)])[-1]
-
-
-def _sweep_pure(aut: LabeledAutomaton, letters: Sequence[int]):
-    intra, advance = _classify_edges(aut)
-    dist = [0] * aut.num_states
-    for a in letters:
-        _relax_intra(dist, intra)
-        nd = [math.inf] * aut.num_states
-        for src, dst, w in advance[a]:
-            cand = dist[src] + w
-            if cand < nd[dst]:
-                nd[dst] = cand
-        dist = nd
-    best = min(dist, default=math.inf)
-    return best if best == math.inf else int(best)
-
-
-def _relax_intra(dist, intra):
-    """Fixpoint relaxation over epsilon-object edges (weights >= 0)."""
-    changed = True
-    while changed:
-        changed = False
-        for src, dst, w in intra:
-            cand = dist[src] + w
-            if cand < dist[dst]:
-                dist[dst] = cand
-                changed = True
+        return [UNREACHABLE] * len(positions)
+    eng = _compiled(aut)
+    dist, best = eng.start, 0
+    out = []
+    done = 0
+    for n in positions:
+        if n > done and best != UNREACHABLE:
+            dist, best = eng.step(eng.by_letter, dist, letters[done:n])
+            done = n
+        out.append(best)
+    return out
 
 
 class _CompiledSweep:
-    """Per-automaton arrays for the vectorized sweep.
+    """Per-automaton closure edges and the per-letter step that walks them.
 
     Intra-layer edges are pre-composed into the advancing edges via an
     all-pairs closure of the epsilon-object subgraph, so each object
-    letter costs a single scatter-min.  Trailing intra-layer moves never
-    help (weights are nonnegative and the end state is free), so only
-    source-side closure is needed.
+    letter relaxes one edge list.  Trailing intra-layer moves never help
+    (weights are nonnegative and the end state is free), so only
+    source-side closure is needed.  The step depends on the largest
+    per-letter edge list: small ones are relaxed in plain Python over a
+    dict of reachable states, larger ones by a numpy scatter-min.
     """
 
     def __init__(self, aut: LabeledAutomaton):
         intra, advance = _classify_edges(aut)
         closure_into = _closure_into(aut.num_states, intra)
-        self.num_states = aut.num_states
-        self.by_letter = []
+        by_letter = []
         total = 0
         for group in advance:
-            srcs, dsts, ws = [], [], []
-            for t, q, w in group:
-                for s, c in closure_into[t]:
-                    srcs.append(s)
-                    dsts.append(q)
-                    ws.append(c + w)
-            total += len(srcs)
+            edges = [(s, q, c + w) for t, q, w in group for s, c in closure_into[t]]
+            total += len(edges)
             if total > _NORMALIZE_BUDGET:
                 raise BudgetExceeded(
-                    "intra-layer closure is too dense to vectorize",
+                    "intra-layer closure is too dense to sweep",
                     _NORMALIZE_BUDGET)
-            self.by_letter.append((np.asarray(srcs, dtype=np.int64),
-                                   np.asarray(dsts, dtype=np.int64),
-                                   np.asarray(ws, dtype=np.int64)))
+            by_letter.append(edges)
+        if max(map(len, by_letter), default=0) <= _PYTHON_STEP_EDGES:
+            self.by_letter = by_letter
+            self.start = dict.fromkeys(range(aut.num_states), 0)
+            self.step = _step_python
+        else:
+            self.by_letter = [
+                tuple(np.asarray(edges, dtype=np.int64).reshape(-1, 3).T.copy())
+                for edges in by_letter]
+            self.start = np.zeros(aut.num_states, dtype=np.int64)
+            self.step = _step_numpy
+
+
+def _step_python(by_letter, dist: dict, letters):
+    """Relax edge lists over a dict of reachable states; returns (dist, min)."""
+    for a in letters:
+        nd = {}
+        for s, q, w in by_letter[a]:
+            c = dist.get(s)
+            if c is not None:
+                c += w
+                if c < nd.get(q, _INF):
+                    nd[q] = c
+        if not nd:
+            # No path spells this prefix; every longer prefix fails too.
+            return nd, UNREACHABLE
+        dist = nd
+    return dist, min(dist.values())
+
+
+def _step_numpy(by_letter, dist, letters):
+    """Scatter-min over a cost per state (_INF if unreachable); returns (dist, min)."""
+    dist = dist.copy()
+    buf = np.empty_like(dist)
+    for a in letters:
+        srcs, dsts, ws = by_letter[a]
+        buf.fill(_INF)
+        np.minimum.at(buf, dsts, dist[srcs] + ws)
+        dist, buf = buf, dist
+        if dist.min() >= _INF:
+            return dist, UNREACHABLE
+    return dist, int(dist.min())
 
 
 def _closure_into(num_states: int, intra) -> list:
@@ -221,42 +240,3 @@ def _compiled(aut: LabeledAutomaton) -> _CompiledSweep:
         if len(_sweep_cache) > 64:
             _sweep_cache.pop(next(iter(_sweep_cache)))
     return hit[1]
-
-
-def _sweep_numpy(aut: LabeledAutomaton, letters: Sequence[int],
-                 positions: List[int]) -> list:
-    """Values of K at the given prefix lengths (sorted ascending)."""
-    if aut.num_states == 0:
-        return [UNREACHABLE] * len(positions)
-    try:
-        eng = _compiled(aut)
-    except BudgetExceeded:
-        # Closure too dense; fall back to the reference sweep per prefix.
-        return [_sweep_pure(aut, letters[:n]) for n in positions]
-    arr = np.asarray(letters, dtype=np.int64)
-    dist = np.zeros(eng.num_states, dtype=np.int64)
-    out = []
-    want = iter(positions)
-    next_pos = next(want, None)
-    while next_pos == 0:
-        out.append(0)
-        next_pos = next(want, None)
-    buf = np.empty(eng.num_states, dtype=np.int64)
-    for i in range(len(arr)):
-        if next_pos is None:
-            break
-        srcs, dsts, ws = eng.by_letter[arr[i]]
-        buf.fill(_INF)
-        if len(srcs):
-            np.minimum.at(buf, dsts, dist[srcs] + ws)
-        dist, buf = buf, dist
-        if dist.min() >= _INF:
-            # No path spells this prefix; every longer prefix fails too.
-            while next_pos is not None:
-                out.append(UNREACHABLE)
-                next_pos = next(want, None)
-            break
-        if i + 1 == next_pos:
-            out.append(int(dist.min()))
-            next_pos = next(want, None)
-    return out

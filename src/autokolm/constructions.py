@@ -11,17 +11,19 @@ bit is selected when the state reached on the preceding prefix accepts.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 from math import gcd
 from typing import Dict, List, Optional, Tuple
 
-from .automaton import EPSILON, LabeledAutomaton, strip_format_lines
+from .automaton import EPSILON, LabeledAutomaton, _parse_int, strip_format_lines
 from .errors import ContractError, FormatError
 from .modes import (
     BINARY,
     DescriptionMode,
     PairDescriptionMode,
     ValuednessCertificate,
+    _derived_certificate,
     _scc_ids,
     valuedness_profile,
 )
@@ -243,11 +245,7 @@ def joint(q: DescriptionMode, r: PairDescriptionMode) -> PairDescriptionMode:
         alphabets=(aq.alphabets[0], ar.alphabets[1], ar.alphabets[2]),
         num_states=aq.num_states * nr,
         edges=tuple(edges))
-    b1, b2 = q.certificate.bound, r.certificate.bound
-    if isinstance(b1, int) and isinstance(b2, int):
-        cert = ValuednessCertificate.asserted(b1 * b2, "joint")
-    else:
-        cert = ValuednessCertificate.unknown()
+    cert = _derived_certificate("joint", operator.mul, q, r)
     return PairDescriptionMode(aut, cert, name=f"joint({q.name},{r.name})")
 
 
@@ -337,15 +335,16 @@ def parse_rule(text: str) -> SelectionRule:
     trans: Dict[Tuple[int, int], int] = {}
     for lineno, directive, args in strip_format_lines(text):
         if directive == "states":
-            num_states = int(args[0])
+            num_states = _parse_int(args, 1, lineno)[0]
         elif directive == "initial":
-            initial = int(args[0])
+            initial = _parse_int(args, 1, lineno)[0]
         elif directive == "accepting":
-            accepting = frozenset(int(a) for a in args)
+            accepting = frozenset(_parse_int(args, len(args), lineno))
         elif directive == "trans":
             if len(args) != 3:
                 raise FormatError(f"line {lineno}: trans needs FROM LETTER TO")
-            frm, letter, to = int(args[0]), args[1], int(args[2])
+            frm, to = _parse_int([args[0], args[2]], 2, lineno)
+            letter = args[1]
             if letter not in ("0", "1"):
                 raise FormatError(f"line {lineno}: letter must be 0 or 1")
             key = (frm, int(letter))

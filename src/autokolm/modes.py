@@ -10,6 +10,7 @@ use two description tapes (0, 1) and an object tape (2).
 from __future__ import annotations
 
 import dataclasses
+import operator
 from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -17,6 +18,7 @@ from typing import Optional, Sequence
 from .automaton import (
     EPSILON,
     LabeledAutomaton,
+    _parse_int,
     enumerate_relation,
     parse_automaton_lines,
     reverse,
@@ -126,10 +128,13 @@ def _require_not_unbounded(*modes):
             raise ContractError(f"mode {m.name!r} has an unbounded certificate")
 
 
-def _combine_bounds(b1, b2, op):
-    if b1 == UNKNOWN or b2 == UNKNOWN:
-        return UNKNOWN
-    return op(b1, b2)
+def _derived_certificate(construction: str, combine, *modes) -> ValuednessCertificate:
+    """Asserted certificate with bound combine(*bounds) when every operand's
+    bound is an int; unknown otherwise."""
+    bounds = [m.certificate.bound for m in modes]
+    if all(isinstance(b, int) for b in bounds):
+        return ValuednessCertificate.asserted(combine(*bounds), construction)
+    return ValuednessCertificate.unknown()
 
 
 # --- constructions ----------------------------------------------------------
@@ -156,10 +161,7 @@ def union(m1: DescriptionMode, m2: DescriptionMode) -> DescriptionMode:
     edges = a1.edges + tuple((s + shift, d + shift, lab) for s, d, lab in a2.edges)
     aut = LabeledAutomaton(arity=2, alphabets=a1.alphabets,
                            num_states=a1.num_states + a2.num_states, edges=edges)
-    bound = _combine_bounds(m1.certificate.bound, m2.certificate.bound,
-                            lambda x, y: x + y)
-    cert = (ValuednessCertificate.asserted(bound, "union")
-            if isinstance(bound, int) else ValuednessCertificate.unknown())
+    cert = _derived_certificate("union", operator.add, m1, m2)
     return DescriptionMode(aut, cert, name=f"union({m1.name},{m2.name})")
 
 
@@ -198,10 +200,7 @@ def compose(m1: DescriptionMode, m2: DescriptionMode) -> DescriptionMode:
                 edges.append((state(s1, s2), state(d1, d2), (p_comp, v_comp)))
     aut = LabeledAutomaton(arity=2, alphabets=(a1.alphabets[0], a2.alphabets[1]),
                            num_states=a1.num_states * n2, edges=tuple(edges))
-    bound = _combine_bounds(m1.certificate.bound, m2.certificate.bound,
-                            lambda x, y: x * y)
-    cert = (ValuednessCertificate.asserted(bound, "compose")
-            if isinstance(bound, int) else ValuednessCertificate.unknown())
+    cert = _derived_certificate("compose", operator.mul, m1, m2)
     return DescriptionMode(aut, cert, name=f"compose({m1.name},{m2.name})")
 
 
@@ -222,10 +221,7 @@ def append_symbol(m: DescriptionMode, s: str) -> DescriptionMode:
     out = LabeledAutomaton(arity=2, alphabets=aut.alphabets,
                            num_states=aut.num_states + 1,
                            edges=aut.edges + new_edges)
-    bound = m.certificate.bound
-    bound = UNKNOWN if bound == UNKNOWN else 2 * bound
-    cert = (ValuednessCertificate.asserted(bound, "append-symbol")
-            if isinstance(bound, int) else ValuednessCertificate.unknown())
+    cert = _derived_certificate("append-symbol", lambda b: 2 * b, m)
     return DescriptionMode(out, cert, name=f"append({m.name},{s})")
 
 
@@ -291,10 +287,7 @@ def layered_concat(m: DescriptionMode, n_layers: int) -> DescriptionMode:
     # Per description: one parse per starting phase, plus the all-in-the-
     # final-copy parse; each parse splits the input in one way, so the
     # base bound enters squared.
-    bound = m.certificate.bound
-    bound = UNKNOWN if bound == UNKNOWN else (N + 2) * bound * bound
-    cert = (ValuednessCertificate.asserted(bound, "layered-concat")
-            if isinstance(bound, int) else ValuednessCertificate.unknown())
+    cert = _derived_certificate("layered-concat", lambda b: (N + 2) * b * b, m)
     return DescriptionMode(out, cert, name=f"layered({m.name},N={N})")
 
 
@@ -325,13 +318,12 @@ def eps_cycle_check(mode_or_aut):
     """
     aut = getattr(mode_or_aut, "automaton", mode_or_aut)
     obj_tape = aut.arity - 1
-    silent = [e for e in aut.edges
-              if all(e[2][t] is EPSILON for t in range(obj_tape))]
+    no_description = (EPSILON,) * obj_tape
+    silent = [e for e in aut.edges if e[2][:obj_tape] == no_description]
     comp = _scc_ids(aut.num_states, [(s, d) for s, d, _ in silent])
-    producing = [e for e in silent if e[2][obj_tape] is not EPSILON]
-    for edge in producing:
-        src, dst, _ = edge
-        if comp[src] == comp[dst]:
+    for edge in silent:
+        src, dst, label = edge
+        if label[obj_tape] is not EPSILON and comp[src] == comp[dst]:
             path = _silent_path(aut.num_states, silent, dst, src)
             return (edge, *path)
     return None
@@ -500,12 +492,15 @@ def parse_mode(text: str):
                 raise FormatError(f"line {lineno}: bad certificate bound") from None
             method = args[1] if len(args) > 1 else "asserted-by-construction"
             if method == "brute-force-up-to-L":
-                L = int(args[2]) if len(args) > 2 else None
+                L = _parse_int(args[2:3], 1, lineno)[0] if len(args) > 2 else None
                 cert = ValuednessCertificate.brute_force(bound, L)
             else:
                 construction = args[2] if len(args) > 2 else None
                 cert = ValuednessCertificate(bound=bound, method=method,
                                              construction=construction)
+    if cert.is_finite and eps_cycle_check(aut) is not None:
+        raise FormatError(f"certificate bound {cert.bound} is refuted by an "
+                          "output-producing cycle that consumes no description")
     if aut.arity == 2:
         return DescriptionMode(aut, cert)
     if aut.arity == 3:

@@ -6,9 +6,6 @@ the same stream, on every platform.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional
-
 import numpy as np
 
 from .errors import ContractError, FormatError
@@ -86,62 +83,19 @@ def bernoulli_bits(p: float, seed: int, n: int) -> str:
 
 
 def read_sequence_text(text: str, origin: str = "<input>") -> str:
-    """Extract a 0/1 string, ignoring whitespace; other bytes are errors."""
+    """Extract a 0/1 string, ignoring ASCII whitespace; other bytes are errors."""
     out = []
     for offset, ch in enumerate(text):
         if ch in "01":
             out.append(ch)
-        elif not ch.isspace():
+        elif ch not in " \t\n\r\v\f":
             raise FormatError(
                 f"{origin}: unexpected byte {ch!r} at offset {offset}")
     return "".join(out)
 
 
 def read_sequence_file(path) -> str:
-    with open(path, "r", encoding="ascii") as fh:
-        return read_sequence_text(fh.read(), origin=str(path))
-
-
-@dataclass
-class SequenceSource:
-    """A named deterministic bit stream with a read cursor.
-
-    kind is one of champernowne, rational, bernoulli, file; file sources
-    are finite, the rest unbounded.
-    """
-
-    kind: str
-    generate: Callable            # (n) -> first n bits
-    limit: Optional[int] = None   # finite length, None if unbounded
-    position: int = 0
-
-    @classmethod
-    def champernowne(cls) -> "SequenceSource":
-        return cls("champernowne", champernowne_bits)
-
-    @classmethod
-    def rational(cls, p: int, q: int) -> "SequenceSource":
-        return cls(f"rational({p}/{q})", lambda n: rational_bits(p, q, n))
-
-    @classmethod
-    def bernoulli(cls, p: float, seed: int) -> "SequenceSource":
-        return cls(f"bernoulli({p},seed={seed})",
-                   lambda n: bernoulli_bits(p, seed, n))
-
-    @classmethod
-    def from_file(cls, path) -> "SequenceSource":
-        bits = read_sequence_file(path)
-        return cls(f"file({path})", lambda n: bits[:n], limit=len(bits))
-
-    def prefix(self, n: int) -> str:
-        """First n bits, independent of the cursor."""
-        if self.limit is not None and n > self.limit:
-            raise ContractError(
-                f"source {self.kind} holds only {self.limit} bits, {n} requested")
-        return self.generate(n)
-
-    def take(self, n: int) -> str:
-        """Next n bits, advancing the cursor."""
-        chunk = self.prefix(self.position + n)[self.position:]
-        self.position += n
-        return chunk
+    # Latin-1 maps each byte to one character, so a non-ASCII byte gets the
+    # same error, at its byte offset, as any other stray byte.
+    with open(path, "rb") as fh:
+        return read_sequence_text(fh.read().decode("latin-1"), origin=str(path))

@@ -19,6 +19,7 @@ from autokolm.errors import BudgetExceeded
 from autokolm.modes import (
     BINARY,
     DescriptionMode,
+    PairDescriptionMode,
     ValuednessCertificate,
     eps_cycle_check,
 )
@@ -46,13 +47,47 @@ def random_automaton(rng: random.Random, arity: int = 2, max_states: int = 5,
 
 
 def random_finite_mode(rng: random.Random, max_states: int = 5,
-                       max_edges: int = 9) -> DescriptionMode:
-    """Random automaton that passes the structural unboundedness check."""
+                       max_edges: int = 9, arity: int = 2):
+    """Random automaton that passes the structural unboundedness check;
+    a DescriptionMode for arity 2, a PairDescriptionMode for arity 3."""
+    kind = DescriptionMode if arity == 2 else PairDescriptionMode
     while True:
-        aut = random_automaton(rng, 2, max_states, max_edges)
+        aut = random_automaton(rng, arity, max_states, max_edges)
         if eps_cycle_check(aut) is None:
-            return DescriptionMode(aut, ValuednessCertificate.unknown(),
-                                   name="random")
+            return kind(aut, ValuednessCertificate.unknown(), name="random")
+
+
+def sweep_pure(aut: LabeledAutomaton, word: str):
+    """Reference K: an uncompiled layer-by-layer fixpoint sweep.
+
+    Every state may start at cost 0; before each object letter the
+    epsilon-object edges are relaxed to a fixpoint, then the edges
+    reading that letter advance one layer.  Weight is the number of
+    non-epsilon description components on an edge.
+    """
+    if aut.num_states == 0:
+        return math.inf
+    obj = aut.arity - 1
+    symbol = {s: i for i, s in enumerate(aut.alphabets[obj])}
+    weighted = [(src, dst, label[obj],
+                 sum(1 for t in range(obj) if label[t] is not EPSILON))
+                for src, dst, label in aut.edges]
+    dist = [0] * aut.num_states
+    for ch in word:
+        changed = True
+        while changed:
+            changed = False
+            for src, dst, letter, w in weighted:
+                if letter is EPSILON and dist[src] + w < dist[dst]:
+                    dist[dst] = dist[src] + w
+                    changed = True
+        letter_here = symbol[ch]
+        nd = [math.inf] * aut.num_states
+        for src, dst, letter, w in weighted:
+            if letter == letter_here and dist[src] + w < nd[dst]:
+                nd[dst] = dist[src] + w
+        dist = nd
+    return min(dist)
 
 
 def brute_force_k_table(aut: LabeledAutomaton, obj_max: int,

@@ -206,6 +206,52 @@ def test_exit_code_on_runtime_error(tmp_path, capsys):
     assert code == 1
 
 
+VALID_MODE = ("arity 2\nalphabet 0 0 1\nalphabet 1 0 1\nstates 1\n"
+              "edge 0 0 0 0\nedge 0 0 1 1\n")
+VALID_RULE = "states 1\ninitial 0\naccepting 0\ntrans 0 0 0\ntrans 0 1 0\n"
+
+
+@pytest.mark.parametrize("kind, content", [
+    pytest.param("rule", VALID_RULE.replace("states 1", "states"), id="rule-states-empty"),
+    pytest.param("rule", VALID_RULE.replace("states 1", "states one"), id="rule-states"),
+    pytest.param("rule", VALID_RULE.replace("initial 0", "initial x"), id="rule-initial"),
+    pytest.param("rule", VALID_RULE.replace("accepting 0", "accepting 0 y"),
+                 id="rule-accepting"),
+    pytest.param("rule", VALID_RULE.replace("trans 0 1 0", "trans 0 1 z"), id="rule-trans"),
+    pytest.param("rule", VALID_RULE.encode() + b"# caf\xc3\xa9\n", id="rule-non-ascii"),
+    pytest.param("mode", VALID_MODE.replace("edge 0 0 0 0", "edge 0 x 0 0"),
+                 id="mode-edge-endpoint"),
+    pytest.param("mode", VALID_MODE.replace("alphabet 1", "alphabet one"),
+                 id="mode-alphabet-tape"),
+    pytest.param("mode", VALID_MODE + "certificate 1 brute-force-up-to-L four\n",
+                 id="mode-certificate-L"),
+    pytest.param("mode", VALID_MODE.encode() + b"# caf\xc3\xa9\n", id="mode-non-ascii"),
+    pytest.param("mode", VALID_MODE.replace("arity 2", "arity 1000000000000"),
+                 id="mode-arity-huge"),
+    pytest.param("mode", "arity 2\nalphabet 0 0 1\nalphabet 1 0 1\nstates 1\n"
+                 "edge 0 0 - 1\ncertificate 1\n", id="mode-refuted-certificate"),
+    pytest.param("sequence", b"01\xc3\xa901\n", id="sequence-non-ascii"),
+])
+def test_malformed_files_exit_1_with_one_line(tmp_path, capsys, kind, content):
+    bad = tmp_path / "bad"
+    if isinstance(content, str):
+        content = content.encode()
+    bad.write_bytes(content)
+    seq = tmp_path / "seq.txt"
+    seq.write_text("0111\n")
+    mode = tmp_path / "id.aut"
+    mode.write_text(VALID_MODE)
+    argv = {
+        "rule": ["select", "--rule", str(bad), "--input", str(seq), "--n", "4"],
+        "mode": ["complexity", "--mode", str(bad), "--word", "111"],
+        "sequence": ["complexity", "--mode", str(mode), "--input", str(bad)],
+    }[kind]
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_argparse_rejects_unknown_command(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

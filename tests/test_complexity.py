@@ -1,4 +1,6 @@
+import importlib
 import itertools
+import math
 import random
 
 import pytest
@@ -7,15 +9,13 @@ from autokolm.automaton import EPSILON, LabeledAutomaton
 from autokolm.complexity import (
     UNREACHABLE,
     ComplexityCurve,
-    _sweep_numpy,
-    _sweep_pure,
     complexity,
     complexity_curve,
     pair_complexity,
     superadditivity_check,
 )
 from autokolm.constructions import joint, splitter_mode, wall_mode
-from autokolm.errors import ContractError
+from autokolm.errors import BudgetExceeded, ContractError
 from autokolm.modes import (
     BINARY,
     DescriptionMode,
@@ -32,7 +32,25 @@ from helpers import (
     none_accepting_rule,
     random_finite_mode,
     random_word,
+    sweep_pure,
 )
+
+# The package re-exports the `complexity` function under the module's name.
+engine = importlib.import_module("autokolm.complexity")
+STEPS = {"python": engine._step_python, "numpy": engine._step_numpy}
+
+
+def force_step(monkeypatch, name):
+    """Compile every automaton with the named per-letter step, on a fresh cache."""
+    threshold = math.inf if name == "python" else -1
+    monkeypatch.setattr(engine, "_PYTHON_STEP_EDGES", threshold)
+    monkeypatch.setattr(engine, "_sweep_cache", {})
+    return STEPS[name]
+
+
+@pytest.fixture(params=sorted(STEPS))
+def forced_step(request, monkeypatch):
+    return force_step(monkeypatch, request.param)
 
 
 def all_words(max_len):
@@ -113,16 +131,56 @@ def test_reversal_duality():
             assert complexity(rev, x[::-1]) == complexity(mode, x)
 
 
-def test_pure_and_numpy_backends_agree():
-    rng = random.Random(25)
-    for _ in range(25):
-        mode = random_finite_mode(rng, max_states=5, max_edges=9)
-        from autokolm.automaton import word_to_indices
-        x = random_word(rng, 30)
-        letters = word_to_indices(mode.automaton, 1, x)
-        pure = _sweep_pure(mode.automaton, letters)
-        vec = _sweep_numpy(mode.automaton, letters, [len(letters)])[-1]
-        assert pure == vec
+def test_pure_and_numpy_backends_agree(monkeypatch):
+    for name in STEPS:
+        step = force_step(monkeypatch, name)
+        rng = random.Random(25)
+        for _ in range(25):
+            mode = random_finite_mode(rng, max_states=5, max_edges=9)
+            x = random_word(rng, 30)
+            assert complexity(mode, x) == sweep_pure(mode.automaton, x)
+            assert engine._compiled(mode.automaton).step is step
+
+
+def test_each_step_matches_oracle_on_generated_modes(forced_step):
+    rng = random.Random(28)
+    for _ in range(30):
+        mode = random_finite_mode(rng, max_states=10, max_edges=40)
+        for _ in range(4):
+            x = random_word(rng, 40)
+            assert complexity(mode, x) == sweep_pure(mode.automaton, x)
+        pair = random_finite_mode(rng, max_states=8, max_edges=30, arity=3)
+        for _ in range(4):
+            x = random_word(rng, 30)
+            assert pair_complexity(pair, x) == sweep_pure(pair.automaton, x)
+        assert engine._compiled(pair.automaton).step is forced_step
+
+
+def test_each_step_matches_oracle_on_curves(forced_step):
+    rng = random.Random(29)
+    unreachable = 0
+    for _ in range(30):
+        mode = random_finite_mode(rng, max_states=8, max_edges=24)
+        source = random_word(rng, 60, min_len=60)
+        step = rng.randint(1, 9)
+        curve = complexity_curve(mode, source, 60, step, verify=False)
+        assert [n for n, _ in curve.samples] == list(range(step, 61, step))
+        for n, k in curve.samples:
+            assert k == sweep_pure(mode.automaton, source[:n])
+            unreachable += k == UNREACHABLE
+        assert engine._compiled(mode.automaton).step is forced_step
+    assert unreachable > 0
+
+
+def test_dense_closure_raises_budget_exceeded(monkeypatch):
+    monkeypatch.setattr(engine, "_NORMALIZE_BUDGET", 1)
+    monkeypatch.setattr(engine, "_sweep_cache", {})
+    mode = identity_mode()          # two closure edges, one per letter
+    with pytest.raises(BudgetExceeded):
+        complexity(mode, "01")
+    with pytest.raises(BudgetExceeded):
+        complexity_curve(mode, "0101", 4, 2)
+    assert engine._sweep_cache == {}
 
 
 def test_pair_complexity_splitter_is_length():

@@ -10,7 +10,7 @@ from autokolm.automaton import (
     read_relation_contains,
 )
 from autokolm.complexity import complexity
-from autokolm.errors import ContractError
+from autokolm.errors import ContractError, FormatError
 from autokolm.modes import (
     BINARY,
     DescriptionMode,
@@ -255,6 +255,15 @@ def test_mode_parse_without_certificate_is_unknown():
     text = serialize_automaton(identity_mode().automaton)
     mode = parse_mode(text)
     assert mode.certificate.bound == "unknown"
+
+
+def test_mode_parse_rejects_refuted_certificate():
+    loop = ("arity 2\nalphabet 0 0 1\nalphabet 1 0 1\nstates 1\n"
+            "edge 0 0 - 1\n")
+    with pytest.raises(FormatError, match="refuted"):
+        parse_mode(loop + "certificate 1\n")
+    assert parse_mode(loop + "certificate unbounded\n").certificate.witness
+    assert not parse_mode(loop).certificate.is_finite
 
 
 def test_union_rejects_unbounded_mode():

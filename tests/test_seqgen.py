@@ -5,7 +5,6 @@ import pytest
 from autokolm.constructions import wall_oracle
 from autokolm.errors import ContractError, FormatError
 from autokolm.seqgen import (
-    SequenceSource,
     bernoulli_bits,
     champernowne_bits,
     rational_bits,
@@ -84,28 +83,3 @@ def test_read_sequence_text():
     with pytest.raises(FormatError) as exc:
         read_sequence_text("01x0")
     assert "offset 2" in str(exc.value)
-
-
-def test_sequence_source_cursor():
-    src = SequenceSource.champernowne()
-    first = src.take(10)
-    second = src.take(10)
-    assert first + second == champernowne_bits(20)
-    assert src.prefix(5) == champernowne_bits(5)
-
-
-def test_sequence_source_file(tmp_path):
-    path = tmp_path / "seq.txt"
-    path.write_text("0101\n01")
-    src = SequenceSource.from_file(path)
-    assert src.prefix(6) == "010101"
-    with pytest.raises(ContractError):
-        src.prefix(7)
-
-
-def test_sources_are_deterministic():
-    a = SequenceSource.bernoulli(0.4, 7)
-    b = SequenceSource.bernoulli(0.4, 7)
-    assert a.prefix(1000) == b.prefix(1000)
-    r1 = SequenceSource.rational(1, 7)
-    assert r1.prefix(12) == rational_bits(1, 7, 12)
