@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import BudgetExceeded, ContractError, FormatError, InputRejected
 
@@ -21,6 +21,11 @@ EPSILON = None
 Label = tuple  # tuple[Optional[int], ...], one entry per tape
 
 DEFAULT_ENUM_BUDGET = 2_000_000
+
+# Largest `states` count a file may declare: loading allocates per state, so a
+# short file could exhaust memory.  The cap sits far above the modes built at
+# the tests' and the benchmark's sizes (k=8 coder 2,303, layered 9,213).
+MAX_FILE_STATES = 2 ** 22
 
 
 @dataclass(frozen=True)
@@ -80,10 +85,6 @@ def word_to_indices(aut: LabeledAutomaton, tape: int, word: str) -> tuple:
     except KeyError as exc:
         raise InputRejected(
             f"symbol {exc.args[0]!r} not in alphabet of tape {tape}") from None
-
-
-def indices_to_word(aut: LabeledAutomaton, tape: int, indices: Iterable[int]) -> str:
-    return "".join(aut.alphabets[tape][i] for i in indices)
 
 
 def read_relation_contains(aut: LabeledAutomaton, words: Sequence[str]) -> bool:
@@ -230,6 +231,36 @@ def swap_tapes(aut: LabeledAutomaton, i: int, j: int) -> LabeledAutomaton:
     )
 
 
+def chain(a1: LabeledAutomaton, a2: LabeledAutomaton) -> LabeledAutomaton:
+    """Synchronized product joining a1's last tape to a2's first tape.
+
+    Relates (x..., z...) iff some m has (x..., m) in a1 and (m, z...) in
+    a2; the joined tapes must share one alphabet.  An edge with an
+    epsilon middle moves one coordinate of the state pair, and two edges
+    reading the same middle letter fuse into one edge.
+    """
+    n1, n2 = a1.num_states, a2.num_states
+    pad1, pad2 = (EPSILON,) * (a2.arity - 1), (EPSILON,) * (a1.arity - 1)
+    edges = []
+    for s, d, lab in a1.edges:
+        if lab[-1] is EPSILON:
+            outer = lab[:-1] + pad1
+            edges += [(s * n2 + l, d * n2 + l, outer) for l in range(n2)]
+    reading = {}
+    for s, d, lab in a2.edges:
+        if lab[0] is EPSILON:
+            outer = pad2 + lab[1:]
+            edges += [(k * n2 + s, k * n2 + d, outer) for k in range(n1)]
+        else:
+            reading.setdefault(lab[0], []).append((s, d, lab[1:]))
+    for s1, d1, lab1 in a1.edges:
+        for s2, d2, tail in reading.get(lab1[-1], ()):
+            edges.append((s1 * n2 + s2, d1 * n2 + d2, lab1[:-1] + tail))
+    return LabeledAutomaton(arity=a1.arity + a2.arity - 2, num_states=n1 * n2,
+                            alphabets=a1.alphabets[:-1] + a2.alphabets[1:],
+                            edges=tuple(edges))
+
+
 # --- text format ------------------------------------------------------------
 #
 # arity N
@@ -292,6 +323,9 @@ def parse_automaton_lines(lines):
             alphabets[tape] = tuple(args[1:])
         elif directive == "states":
             num_states = _parse_int(args, 1, lineno)[0]
+            if num_states > MAX_FILE_STATES:
+                raise FormatError(f"line {lineno}: state count {num_states} "
+                                  f"exceeds the limit {MAX_FILE_STATES}")
         elif directive == "edge":
             raw_edges.append((lineno, args))
         else:

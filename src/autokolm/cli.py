@@ -185,6 +185,13 @@ def cmd_select(args) -> int:
 
 # --- argument parsing -----------------------------------------------------------
 
+def nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="autokolm",
@@ -232,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--word")
     p.add_argument("--input")
     p.add_argument("--curve", type=int, help="sample step for a prefix curve")
-    p.add_argument("--n", type=int)
+    p.add_argument("--n", type=nonnegative_int)
     p.add_argument("--out")
     p.set_defaults(func=cmd_complexity)
 
@@ -245,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("select", help="apply a selection rule to a sequence")
     p.add_argument("--rule", required=True)
     p.add_argument("--input", required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=nonnegative_int, required=True)
     p.add_argument("--out-selected")
     p.add_argument("--out-rest")
     p.add_argument("--out-density")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Dict, List, Optional, Tuple
 
-from .automaton import EPSILON, LabeledAutomaton, _parse_int, strip_format_lines
+from .automaton import EPSILON, LabeledAutomaton, _parse_int, chain, strip_format_lines
 from .errors import ContractError, FormatError
 from .modes import (
     BINARY,
@@ -27,6 +27,7 @@ from .modes import (
     _scc_ids,
     valuedness_profile,
 )
+from .seqgen import rational_bits
 
 _WALL_PROFILE_LEN = 10
 
@@ -34,7 +35,7 @@ _WALL_PROFILE_LEN = 10
 # --- multiplication / division carry automata --------------------------------
 
 @functools.lru_cache(maxsize=None)
-def wall_mode(c: int, profile_len: int = _WALL_PROFILE_LEN) -> DescriptionMode:
+def wall_mode(c: int) -> DescriptionMode:
     """Carry automaton for y = c * x over aligned binary expansions.
 
     States are carries r in 0..c; an edge r -> r' labeled (a, b) exists
@@ -58,7 +59,7 @@ def wall_mode(c: int, profile_len: int = _WALL_PROFILE_LEN) -> DescriptionMode:
                            num_states=c + 1, edges=tuple(edges))
     probe = DescriptionMode(aut, ValuednessCertificate.unknown(),
                             name=f"wall({c})")
-    profile = valuedness_profile(probe, profile_len)
+    profile = valuedness_profile(probe, _WALL_PROFILE_LEN)
     if not profile.is_finite:
         raise AssertionError("carry automaton profiled as unbounded")
     return probe.with_certificate(profile.certificate)
@@ -101,16 +102,7 @@ def _expansion(num: int, den: int, length: int):
     """Terminating-style digits of num/den plus the dual representation."""
     g = gcd(num, den) or 1
     num, den = num // g, den // g
-    digits = []
-    r = num
-    for _ in range(length):
-        r *= 2
-        if r >= den:
-            digits.append("1")
-            r -= den
-        else:
-            digits.append("0")
-    word = "".join(digits)
+    word = rational_bits(num, den, length)
     e = den.bit_length() - 1
     dyadic = den == (1 << e)
     alt = None
@@ -213,40 +205,15 @@ def joint(q: DescriptionMode, r: PairDescriptionMode) -> PairDescriptionMode:
     """Chain a binary mode into the first description tape of a pair mode.
 
     The result relates (u', v, w) iff some u has (u', u) in q and
-    (u, v, w) in r; built as the synchronized product on the shared
-    tape, like composition lifted to three tapes.
+    (u, v, w) in r: the synchronized product on the shared tape (see
+    automaton.chain), as for composition.
     """
     aq, ar = q.automaton, r.automaton
     if aq.alphabets[1] != ar.alphabets[0]:
         raise ContractError(
             "joint requires q's object alphabet == r's first description alphabet")
-    nr = ar.num_states
-
-    def state(k, l):
-        return k * nr + l
-
-    edges = []
-    for s, d, (a, mid) in aq.edges:
-        if mid is EPSILON:
-            for l in range(nr):
-                edges.append((state(s, l), state(d, l), (a, EPSILON, EPSILON)))
-    for s, d, (mid, v, w) in ar.edges:
-        if mid is EPSILON:
-            for k in range(aq.num_states):
-                edges.append((state(k, s), state(k, d), (EPSILON, v, w)))
-    for s1, d1, (a, mid1) in aq.edges:
-        if mid1 is EPSILON:
-            continue
-        for s2, d2, (mid2, v, w) in ar.edges:
-            if mid2 == mid1:
-                edges.append((state(s1, s2), state(d1, d2), (a, v, w)))
-    aut = LabeledAutomaton(
-        arity=3,
-        alphabets=(aq.alphabets[0], ar.alphabets[1], ar.alphabets[2]),
-        num_states=aq.num_states * nr,
-        edges=tuple(edges))
     cert = _derived_certificate("joint", operator.mul, q, r)
-    return PairDescriptionMode(aut, cert, name=f"joint({q.name},{r.name})")
+    return PairDescriptionMode(chain(aq, ar), cert, name=f"joint({q.name},{r.name})")
 
 
 FINITE_ON_NORMAL = "finite-on-normal"

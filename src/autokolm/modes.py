@@ -19,6 +19,7 @@ from .automaton import (
     EPSILON,
     LabeledAutomaton,
     _parse_int,
+    chain,
     enumerate_relation,
     parse_automaton_lines,
     reverse,
@@ -32,6 +33,9 @@ UNBOUNDED = "unbounded"
 UNKNOWN = "unknown"
 
 BINARY = ("0", "1")
+
+# Enumeration budget of valuedness_profile, in visited configurations.
+_PROFILE_BUDGET = 4_000_000
 
 
 @dataclass(frozen=True)
@@ -93,14 +97,6 @@ class DescriptionMode:
     def __post_init__(self):
         if self.automaton.arity != 2:
             raise ContractError("description mode needs a 2-tape automaton")
-
-    @property
-    def description_alphabet(self) -> tuple:
-        return self.automaton.alphabets[0]
-
-    @property
-    def object_alphabet(self) -> tuple:
-        return self.automaton.alphabets[1]
 
     def with_certificate(self, cert: ValuednessCertificate) -> "DescriptionMode":
         return dataclasses.replace(self, certificate=cert)
@@ -168,40 +164,16 @@ def union(m1: DescriptionMode, m2: DescriptionMode) -> DescriptionMode:
 def compose(m1: DescriptionMode, m2: DescriptionMode) -> DescriptionMode:
     """Product-graph composition: (p,v) related iff some q chains p->q->v.
 
-    Edges of the first factor with an epsilon object component move only
-    the first coordinate, edges of the second factor with an epsilon
-    description component move only the second, and letter-synchronized
-    pairs of edges fuse into one edge carrying the outer components.
+    The graph is the synchronized product of the two automata on the
+    first's object tape and the second's description tape (see chain).
     """
     _require_not_unbounded(m1, m2)
     a1, a2 = m1.automaton, m2.automaton
     if a1.alphabets[1] != a2.alphabets[0]:
         raise ContractError(
             "compose requires first object alphabet == second description alphabet")
-    n2 = a2.num_states
-
-    def state(k, l):
-        return k * n2 + l
-
-    edges = []
-    for s, d, (p_comp, mid) in a1.edges:
-        if mid is EPSILON:
-            for l in range(n2):
-                edges.append((state(s, l), state(d, l), (p_comp, EPSILON)))
-    for s, d, (mid, v_comp) in a2.edges:
-        if mid is EPSILON:
-            for k in range(a1.num_states):
-                edges.append((state(k, s), state(k, d), (EPSILON, v_comp)))
-    for s1, d1, (p_comp, mid1) in a1.edges:
-        if mid1 is EPSILON:
-            continue
-        for s2, d2, (mid2, v_comp) in a2.edges:
-            if mid2 == mid1:
-                edges.append((state(s1, s2), state(d1, d2), (p_comp, v_comp)))
-    aut = LabeledAutomaton(arity=2, alphabets=(a1.alphabets[0], a2.alphabets[1]),
-                           num_states=a1.num_states * n2, edges=tuple(edges))
     cert = _derived_certificate("compose", operator.mul, m1, m2)
-    return DescriptionMode(aut, cert, name=f"compose({m1.name},{m2.name})")
+    return DescriptionMode(chain(a1, a2), cert, name=f"compose({m1.name},{m2.name})")
 
 
 def append_symbol(m: DescriptionMode, s: str) -> DescriptionMode:
@@ -250,9 +222,11 @@ def layered_concat(m: DescriptionMode, n_layers: int) -> DescriptionMode:
     Copies 0..N of the base automaton form the layers; description-
     consuming edges step to the next layer, epsilon-description edges
     stay.  From layer N an extra description bit either returns to layer
-    0 (bit 0) or jumps to every state of one final unrestricted copy
-    (bit 1), which is what lets a second string be described after the
-    first at an overhead of one bit per N description bits.
+    0 (bit 0) or enters a hub state (bit 1) with an (epsilon, epsilon)
+    edge to every state of one final unrestricted copy, which is what
+    lets a second string be described after the first at an overhead of
+    one bit per N description bits.  The hub gives the relation of direct
+    jumps to the final copy with 3n glue edges instead of n + n^2.
     """
     _require_not_unbounded(m)
     if n_layers < 1:
@@ -265,6 +239,7 @@ def layered_concat(m: DescriptionMode, n_layers: int) -> DescriptionMode:
     n = aut.num_states
     N = n_layers
     extra = N + 1  # index of the final copy
+    hub = (N + 2) * n
 
     def state(copy, v):
         return copy * n + v
@@ -280,10 +255,11 @@ def layered_concat(m: DescriptionMode, n_layers: int) -> DescriptionMode:
             edges.append((state(extra, s), state(extra, d), (desc, obj)))
     for v in range(n):
         edges.append((state(N, v), state(0, v), (zero, EPSILON)))
-        for w in range(n):
-            edges.append((state(N, v), state(extra, w), (one, EPSILON)))
+        edges.append((state(N, v), hub, (one, EPSILON)))
+        edges.append((hub, state(extra, v), (EPSILON, EPSILON)))
+    # A state-less base keeps an empty relation: no hub then.
     out = LabeledAutomaton(arity=2, alphabets=aut.alphabets,
-                           num_states=(N + 2) * n, edges=tuple(edges))
+                           num_states=hub + 1 if n else 0, edges=tuple(edges))
     # Per description: one parse per starting phase, plus the all-in-the-
     # final-copy parse; each parse splits the input in one way, so the
     # base bound enters squared.
@@ -419,8 +395,7 @@ class ValuednessProfile:
         return isinstance(self.max_fanout, int)
 
 
-def valuedness_profile(mode, length_bound: int,
-                       budget: int = 4_000_000) -> ValuednessProfile:
+def valuedness_profile(mode, length_bound: int) -> ValuednessProfile:
     """Exact maximum fan-out over descriptions of length <= length_bound.
 
     If an output-producing consuming-free cycle exists the fan-out is
@@ -437,7 +412,7 @@ def valuedness_profile(mode, length_bound: int,
     desc_tapes = aut.arity - 1
     obj_cap = (length_bound * desc_tapes + 1) * max(aut.num_states, 1)
     caps = (length_bound,) * desc_tapes + (obj_cap,)
-    tuples = enumerate_relation(aut, caps, budget=budget)
+    tuples = enumerate_relation(aut, caps, budget=_PROFILE_BUDGET)
     fanout = {}
     for tup in tuples:
         key = tup[:-1]

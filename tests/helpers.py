@@ -108,7 +108,8 @@ def brute_force_k_table(aut: LabeledAutomaton, obj_max: int,
 
 def compose_join_oracle(a1: LabeledAutomaton, a2: LabeledAutomaton,
                         cap: int, budget: int = 1_500_000) -> set:
-    """Brute-force relation join over an explicit middle word.
+    """Brute-force relation join of a1's last tape with a2's first tape,
+    over an explicit middle word; every other tape is capped at `cap`.
 
     The middle cap grows until the join stabilizes; a removable-cycle
     argument guarantees the true join is reached eventually, and the
@@ -116,19 +117,43 @@ def compose_join_oracle(a1: LabeledAutomaton, a2: LabeledAutomaton,
     """
     prev = None
     for mid_cap in (6, 10, 14, 18):
-        r1 = enumerate_relation(a1, (cap, mid_cap), budget=budget)
-        r2 = enumerate_relation(a2, (mid_cap, cap), budget=budget)
+        r1 = enumerate_relation(a1, (cap,) * (a1.arity - 1) + (mid_cap,),
+                                budget=budget)
+        r2 = enumerate_relation(a2, (mid_cap,) + (cap,) * (a2.arity - 1),
+                                budget=budget)
         by_mid = {}
-        for p, q in r1:
-            by_mid.setdefault(q, set()).add(p)
+        for t in r1:
+            by_mid.setdefault(t[-1], set()).add(t[:-1])
         join = set()
-        for q, v in r2:
-            for p in by_mid.get(q, ()):
-                join.add((p, v))
+        for t in r2:
+            for head in by_mid.get(t[0], ()):
+                join.add(head + t[1:])
         if prev is not None and join == prev:
             return join
         prev = join
     raise BudgetExceeded("composition join did not stabilize", 18)
+
+
+def layered_concat_quadratic(m: DescriptionMode, n_layers: int) -> LabeledAutomaton:
+    """Reference layered concatenation with direct jumps: one (1, eps)
+    edge from every layer-N state to every state of the final copy."""
+    aut = m.automaton
+    zero = aut.alphabets[0].index("0")
+    one = aut.alphabets[0].index("1")
+    n, N = aut.num_states, n_layers
+    extra = N + 1
+    edges = []
+    for s, d, (desc, obj) in aut.edges:
+        if desc is EPSILON:
+            edges += [(c * n + s, c * n + d, (desc, obj)) for c in range(N + 2)]
+        else:
+            edges += [(c * n + s, (c + 1) * n + d, (desc, obj)) for c in range(N)]
+            edges.append((extra * n + s, extra * n + d, (desc, obj)))
+    for v in range(n):
+        edges.append((N * n + v, v, (zero, EPSILON)))
+        edges += [(N * n + v, extra * n + w, (one, EPSILON)) for w in range(n)]
+    return LabeledAutomaton(arity=2, alphabets=aut.alphabets,
+                            num_states=(N + 2) * n, edges=tuple(edges))
 
 
 def wall_pair_realizable(c: int, x: str, y: str) -> bool:

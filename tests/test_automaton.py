@@ -13,7 +13,7 @@ from autokolm.automaton import (
     swap_tapes,
 )
 from autokolm.errors import BudgetExceeded, ContractError, FormatError, InputRejected
-from autokolm.modes import identity_mode, unary_compressor
+from autokolm.modes import identity_mode, parse_mode, unary_compressor
 
 from helpers import random_automaton
 
@@ -197,3 +197,11 @@ def test_format_errors():
         parse_automaton("arity 1\nalphabet 0 0 1\nstates 1\nedge 0 0 2\n")
     with pytest.raises(FormatError):
         parse_automaton("arity 1\nalphabet 0 0 1\nstates 1\nfrobnicate\n")
+
+
+def test_declared_state_count_is_capped():
+    text = serialize_automaton(IDENTITY).replace("states 1", "states 4194305")
+    with pytest.raises(FormatError):
+        parse_automaton(text)
+    with pytest.raises(FormatError):
+        parse_mode(text + "certificate 1\n")

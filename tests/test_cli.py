@@ -252,6 +252,27 @@ def test_malformed_files_exit_1_with_one_line(tmp_path, capsys, kind, content):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["complexity", "select"])
+def test_negative_n_exits_2_with_one_error_line(tmp_path, capsys, command):
+    seq = tmp_path / "seq.txt"
+    seq.write_text(champernowne_bits(64) + "\n")
+    rule = tmp_path / "rule.txt"
+    rule.write_text(VALID_RULE)
+    mode = tmp_path / "id.aut"
+    mode.write_text(VALID_MODE)
+    argv = {
+        "complexity": ["complexity", "--mode", str(mode), "--input", str(seq), "--n", "-5"],
+        "select": ["select", "--rule", str(rule), "--input", str(seq), "--n", "-3"],
+    }[command]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    errors = [line for line in out.err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and "--n" in errors[0]
+
+
 def test_argparse_rejects_unknown_command(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

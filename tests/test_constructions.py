@@ -25,7 +25,7 @@ from autokolm.constructions import (
     wall_mode,
     wall_oracle,
 )
-from autokolm.errors import ContractError, FormatError
+from autokolm.errors import BudgetExceeded, ContractError, FormatError
 from autokolm.modes import identity_mode
 from autokolm.normality import block_histogram, build_block_coder
 from autokolm.seqgen import champernowne_bits
@@ -33,9 +33,11 @@ from autokolm.seqgen import champernowne_bits
 from helpers import (
     all_accepting_rule,
     branch_rule,
+    compose_join_oracle,
     none_accepting_rule,
     parity_rule,
     prefix_shorter_than_rule,
+    random_finite_mode,
     random_rule,
     random_word,
     suffix_rule,
@@ -238,6 +240,23 @@ def test_joint_inequality_with_trained_coder():
         w = random_word(rng, 24)
         u, v = apply_selection(rule, w)
         assert pair_complexity(j, w) <= complexity(coder, u) + len(v)
+
+
+def test_joint_equals_join_on_generated_modes():
+    rng = random.Random(59)
+    accepted = 0
+    for _ in range(200):
+        q = random_finite_mode(rng, max_states=4, max_edges=8)
+        r = random_finite_mode(rng, max_states=4, max_edges=8, arity=3)
+        try:
+            expected = compose_join_oracle(q.automaton, r.automaton, 3, budget=400_000)
+        except BudgetExceeded:
+            continue
+        assert enumerate_relation(joint(q, r).automaton, 3) == expected
+        accepted += 1
+        if accepted == 40:
+            break
+    assert accepted == 40
 
 
 def test_joint_with_none_accepting_splitter():

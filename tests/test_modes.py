@@ -28,9 +28,12 @@ from autokolm.modes import (
     union,
     valuedness_profile,
 )
+from autokolm.normality import block_histogram, build_block_coder
+from autokolm.seqgen import champernowne_bits
 
 from helpers import (
     compose_join_oracle,
+    layered_concat_quadratic,
     random_finite_mode,
     random_word,
 )
@@ -166,6 +169,32 @@ def test_layered_concat_bound_exhaustive_small():
     for x in words:
         for y in words:
             assert complexity(lay2, x + y) <= len(x) + len(x) // 2 + 1 + len(y)
+
+
+def _trained_coder(k: int):
+    bits = champernowne_bits(20_000)
+    return build_block_coder(block_histogram(bits, 20_000, k, "aligned"))
+
+
+def test_layered_hub_matches_quadratic_jumps():
+    rng = random.Random(31)
+    bases = [identity_mode(), unary_compressor(2), _trained_coder(2)]
+    bases += [random_finite_mode(rng, max_states=4, max_edges=7) for _ in range(20)]
+    for base in bases:
+        for n_layers in (1, 2, 3):
+            got = layered_concat(base, n_layers).automaton
+            ref = layered_concat_quadratic(base, n_layers)
+            assert enumerate_relation(got, (5, 6)) == enumerate_relation(ref, (5, 6)), \
+                (base.name, n_layers)
+
+
+def test_layered_concat_has_linear_size():
+    coder = _trained_coder(6)
+    n, n_edges = coder.automaton.num_states, len(coder.automaton.edges)
+    for n_layers in (1, 2, 3):
+        lay = layered_concat(coder, n_layers)
+        assert len(lay.automaton.edges) <= (n_layers + 2) * n_edges + 3 * n
+        assert eps_cycle_check(lay) is None
 
 
 def test_layered_needs_binary_descriptions():
