@@ -201,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="generate a binary sequence file")
     p.add_argument("kind", choices=["champernowne", "rational", "bernoulli"])
     p.add_argument("param", nargs="?", help="P/Q for rational, probability for bernoulli")
-    p.add_argument("--bits", type=int, required=True)
+    p.add_argument("--bits", type=nonnegative_int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(func=cmd_gen)

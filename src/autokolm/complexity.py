@@ -13,6 +13,7 @@ from __future__ import annotations
 import heapq
 import math
 import random
+import weakref
 from dataclasses import dataclass
 from typing import List, Sequence
 
@@ -24,7 +25,7 @@ from .modes import UNBOUNDED, DescriptionMode, PairDescriptionMode
 
 UNREACHABLE = math.inf
 
-# Closures with at most this many edges on every letter are swept in plain
+# A per-letter step that relaxes at most this many edges runs in plain
 # Python; above it the numpy scatter-min is faster per letter (measured
 # crossover between 24 and 28 edges on carry automata and random graphs).
 _PYTHON_STEP_EDGES = 24
@@ -126,6 +127,8 @@ def _sweep(aut: LabeledAutomaton, letters: Sequence[int],
     if aut.num_states == 0:
         return [UNREACHABLE] * len(positions)
     eng = _compiled(aut)
+    if eng.step is _sweep_hubs:
+        return _sweep_hubs(eng, letters, positions)
     dist, best = eng.start, 0
     out = []
     done = 0
@@ -144,9 +147,9 @@ class _CompiledSweep:
     all-pairs closure of the epsilon-object subgraph, so each object
     letter relaxes one edge list.  Trailing intra-layer moves never help
     (weights are nonnegative and the end state is free), so only
-    source-side closure is needed.  The step depends on the largest
-    per-letter edge list: small ones are relaxed in plain Python over a
-    dict of reachable states, larger ones by a numpy scatter-min.
+    source-side closure is needed.  `_pick_step` chooses how a letter is
+    swept: plain Python over a dict of reachable states, the hub DP over
+    macro-edges (`_Hubs`), or a numpy scatter-min over the closure edges.
     """
 
     def __init__(self, aut: LabeledAutomaton):
@@ -162,16 +165,27 @@ class _CompiledSweep:
                     "intra-layer closure is too dense to sweep",
                     _NORMALIZE_BUDGET)
             by_letter.append(edges)
-        if max(map(len, by_letter), default=0) <= _PYTHON_STEP_EDGES:
+        self.step, self.hubs = _pick_step(aut.num_states, by_letter)
+        if self.step is _step_python:
             self.by_letter = by_letter
             self.start = dict.fromkeys(range(aut.num_states), 0)
-            self.step = _step_python
         else:
             self.by_letter = [
                 tuple(np.asarray(edges, dtype=np.int64).reshape(-1, 3).T.copy())
                 for edges in by_letter]
             self.start = np.zeros(aut.num_states, dtype=np.int64)
-            self.step = _step_numpy
+
+
+def _pick_step(num_states: int, by_letter):
+    """The step and its hub graph (or None): Python while a letter relaxes
+    at most _PYTHON_STEP_EDGES closure edges; else the hub DP if its worst
+    letter relaxes that few macro-edges; else numpy over the closure edges."""
+    if max(map(len, by_letter), default=0) <= _PYTHON_STEP_EDGES:
+        return _step_python, None
+    hubs = _Hubs.compile(num_states, by_letter, _PYTHON_STEP_EDGES)
+    if hubs is None:
+        return _step_numpy, None
+    return _sweep_hubs, hubs
 
 
 def _step_python(by_letter, dist: dict, letters):
@@ -205,6 +219,179 @@ def _step_numpy(by_letter, dist, letters):
     return dist, int(dist.min())
 
 
+class _Hubs:
+    """The closure graph cut into hubs joined by macro-edges.
+
+    Peeling the states that no remaining closure edge enters (Kahn's
+    algorithm) takes `depth` rounds; a state peeled in round r has no
+    finite cost from letter r on.  The states left are live, and every
+    closure edge out of a live state enters a live state.  A hub is a
+    live state whose out-degree is not 1, plus one state on each cycle
+    of out-degree-1 states.  From each out-edge of a hub, the out-degree-1
+    states lead one letter at a time to the next hub: that path is a
+    macro-edge with an object word w, a cost, and the cost of each proper
+    prefix.  `full` holds, per length L, w -> [(src hub, dst hub, cost)];
+    `part` holds, per 1 <= j < span, w[:j] -> [(src hub, prefix cost)];
+    both keep the cheapest entry per hub pair.  Chains may merge, so one
+    state can lie on many macro-edges.
+
+    From letter `lead` = depth + span - 1 on, a path that ends inside a
+    chain left its hub at most span - 1 letters earlier, at a letter no
+    earlier than `depth`; a path that ends at a hub left the previous hub
+    at most span letters earlier.  So hub costs follow from the hub costs
+    of the last span letters, and K from those plus the prefix matches.
+    """
+
+    def __init__(self, ids, depth, full, part, key):
+        self.ids = np.asarray(ids, dtype=np.int64)
+        self.full = sorted(full.items())
+        self.part = sorted(part.items())
+        self.span = max(full, default=1)
+        self.lead = depth + self.span - 1
+        self.key = key
+
+    @classmethod
+    def compile(cls, num_states: int, by_letter, limit):
+        """The hub graph, or None once a letter would relax more than
+        `limit` macro-edges or the macro-edges exceed the compile budget."""
+        out = [[] for _ in range(num_states)]    # out[s] = [(letter, q, cost)]
+        indeg = [0] * num_states
+        for a, edges in enumerate(by_letter):
+            for s, q, c in edges:
+                out[s].append((a, q, c))
+                indeg[q] += 1
+        live = [True] * num_states
+        frontier = [q for q in range(num_states) if not indeg[q]]
+        depth = 0
+        while frontier:
+            depth += 1
+            peeled = frontier
+            frontier = []
+            for s in peeled:
+                live[s] = False
+                for _, q, _ in out[s]:
+                    indeg[q] -= 1
+                    if not indeg[q]:
+                        frontier.append(q)
+        hub = [live[s] and len(out[s]) != 1 for s in range(num_states)]
+        mark = [0] * num_states                  # 1: on this walk, 2: walked
+        for v in range(num_states):
+            walk = []
+            while live[v] and not hub[v] and not mark[v]:
+                mark[v] = 1
+                walk.append(v)
+                _, v, _ = out[v][0]
+            if mark[v] == 1:                     # a cycle of single-exit states
+                hub[v] = True
+            for u in walk:
+                mark[u] = 2
+
+        ids = [s for s in range(num_states) if hub[s]]
+        index = {s: i for i, s in enumerate(ids)}
+        key = bytes if len(by_letter) <= 256 else tuple
+        full, part = {}, {}
+        widest = {}                              # length -> longest entry list
+        relaxations = 0                          # sum of widest.values()
+        budget = _NORMALIZE_BUDGET
+        for h in ids:
+            src = index[h]
+            for a, q, c in out[h]:
+                word, costs = [a], [c]
+                while not hub[q]:
+                    (a, q, c), = out[q]
+                    word.append(a)
+                    costs.append(costs[-1] + c)
+                budget -= len(word)
+                if budget < 0:
+                    return None
+                for j in range(1, len(word)):
+                    ends = part.setdefault(j, {}).setdefault(key(word[:j]), {})
+                    if costs[j - 1] < ends.get(src, _INF):
+                        ends[src] = costs[j - 1]
+                n = len(word)
+                pairs = full.setdefault(n, {}).setdefault(key(word), {})
+                dst = index[q]
+                if costs[-1] < pairs.get((src, dst), _INF):
+                    pairs[(src, dst)] = costs[-1]
+                    if len(pairs) > widest.get(n, 0):
+                        widest[n] = len(pairs)
+                        relaxations += 1
+                        if relaxations > limit:
+                            return None
+        if relaxations > limit:
+            return None
+        full = {n: {w: [(s, d, c) for (s, d), c in pairs.items()]
+                    for w, pairs in table.items()} for n, table in full.items()}
+        part = {j: {w: list(ends.items()) for w, ends in table.items()}
+                for j, table in part.items()}
+        return cls(ids, depth, full, part, key)
+
+
+def _sweep_hubs(eng: _CompiledSweep, letters: Sequence[int],
+                positions: List[int]) -> list:
+    """Values of K by the hub DP (see _Hubs).
+
+    The first `lead` letters take the numpy closure step one letter at a
+    time, keeping the hub costs of the last `span` of them; each later
+    letter relaxes the macro-edges whose word ends there, per length.
+    Only the hub costs of the last span letters are kept, in a ring
+    indexed by letter: a letter's costs are complete before they take
+    the slot of the letter span back.
+    """
+    hubs = eng.hubs
+    span, lead = hubs.span, hubs.lead
+    ring = [None] * span
+    out = []
+    dist, best = eng.start, 0
+    stop = positions[-1]
+    for t in range(min(lead, stop) + 1):
+        if t:
+            dist, best = _step_numpy(eng.by_letter, dist, letters[t - 1:t])
+            if best == UNREACHABLE:
+                break
+        if t > lead - span:
+            ring[t % span] = dist[hubs.ids].tolist()
+        if t == positions[len(out)]:
+            out.append(best)
+    if best != UNREACHABLE and stop > lead:
+        seq = hubs.key(letters)
+        full, part = hubs.full, hubs.part
+        blank = [_INF] * len(hubs.ids)
+        samples = iter(positions[len(out):])
+        want = next(samples)
+        last = lead                  # a letter at which some hub may be finite
+        for t in range(lead + 1, stop + 1):
+            new = blank.copy()
+            for n, table in full:
+                edges = table.get(seq[t - n:t])
+                if edges:
+                    old = ring[(t - n) % span]
+                    for s, d, c in edges:
+                        c += old[s]
+                        if c < new[d]:
+                            new[d] = c
+            ring[t % span] = new
+            if new != blank:
+                last = t
+            elif t - last >= span:
+                break                # no state is reachable from here on
+            if t == want:
+                best = min(new)
+                for j, table in part:
+                    ends = table.get(seq[t - j:t])
+                    if ends:
+                        old = ring[(t - j) % span]
+                        for s, c in ends:
+                            c += old[s]
+                            if c < best:
+                                best = c
+                if best >= _INF:
+                    break
+                out.append(best)
+                want = next(samples, None)
+    return out + [UNREACHABLE] * (len(positions) - len(out))
+
+
 def _closure_into(num_states: int, intra) -> list:
     """closure_into[t] = [(s, cost of cheapest intra path s -> t), ...]."""
     adj = [[] for _ in range(num_states)]
@@ -228,15 +415,15 @@ def _closure_into(num_states: int, intra) -> list:
     return into
 
 
+# Compiled sweeps by id(automaton); each entry leaves with its automaton.
 _sweep_cache: dict = {}
 
 
 def _compiled(aut: LabeledAutomaton) -> _CompiledSweep:
     key = id(aut)
-    hit = _sweep_cache.get(key)
-    if hit is None or hit[0] is not aut:
-        hit = (aut, _CompiledSweep(aut))
-        _sweep_cache[key] = hit
-        if len(_sweep_cache) > 64:
-            _sweep_cache.pop(next(iter(_sweep_cache)))
-    return hit[1]
+    eng = _sweep_cache.get(key)
+    if eng is None:
+        eng = _CompiledSweep(aut)
+        _sweep_cache[key] = eng
+        weakref.finalize(aut, _sweep_cache.pop, key, None)
+    return eng

@@ -44,6 +44,8 @@ def rational_bits(p: int, q: int, n: int) -> str:
         raise ContractError("denominator must be nonzero")
     if not 0 <= p < q:
         raise ContractError("need 0 <= p < q")
+    if n < 0:
+        raise ContractError("bit count must be nonnegative")
     digits = []
     r = p
     for _ in range(n):

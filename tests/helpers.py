@@ -58,7 +58,12 @@ def random_finite_mode(rng: random.Random, max_states: int = 5,
 
 
 def sweep_pure(aut: LabeledAutomaton, word: str):
-    """Reference K: an uncompiled layer-by-layer fixpoint sweep.
+    """Reference K: an uncompiled layer-by-layer fixpoint sweep."""
+    return sweep_pure_curve(aut, word)[-1]
+
+
+def sweep_pure_curve(aut: LabeledAutomaton, word: str) -> list:
+    """Reference K of every prefix of `word`, lengths 0 to len(word).
 
     Every state may start at cost 0; before each object letter the
     epsilon-object edges are relaxed to a fixpoint, then the edges
@@ -66,13 +71,14 @@ def sweep_pure(aut: LabeledAutomaton, word: str):
     non-epsilon description components on an edge.
     """
     if aut.num_states == 0:
-        return math.inf
+        return [math.inf] * (len(word) + 1)
     obj = aut.arity - 1
     symbol = {s: i for i, s in enumerate(aut.alphabets[obj])}
     weighted = [(src, dst, label[obj],
                  sum(1 for t in range(obj) if label[t] is not EPSILON))
                 for src, dst, label in aut.edges]
     dist = [0] * aut.num_states
+    values = [0]
     for ch in word:
         changed = True
         while changed:
@@ -87,7 +93,8 @@ def sweep_pure(aut: LabeledAutomaton, word: str):
             if letter == letter_here and dist[src] + w < nd[dst]:
                 nd[dst] = dist[src] + w
         dist = nd
-    return min(dist)
+        values.append(min(dist))
+    return values
 
 
 def brute_force_k_table(aut: LabeledAutomaton, obj_max: int,

@@ -273,6 +273,18 @@ def test_negative_n_exits_2_with_one_error_line(tmp_path, capsys, command):
     assert len(errors) == 1 and "--n" in errors[0]
 
 
+@pytest.mark.parametrize("kind", ["champernowne", "rational", "bernoulli"])
+def test_gen_negative_bits_exits_2_with_one_error_line(capsys, kind):
+    param = {"champernowne": [], "rational": ["1/3"], "bernoulli": ["0.5"]}[kind]
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", kind, *param, "--bits", "-5"])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    errors = [line for line in out.err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and "--bits" in errors[0]
+
+
 def test_argparse_rejects_unknown_command(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

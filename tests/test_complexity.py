@@ -1,11 +1,14 @@
+import gc
 import importlib
 import itertools
 import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from autokolm.automaton import EPSILON, LabeledAutomaton
+from autokolm.automaton import EPSILON, LabeledAutomaton, word_to_indices
 from autokolm.complexity import (
     UNREACHABLE,
     ComplexityCurve,
@@ -19,11 +22,14 @@ from autokolm.errors import BudgetExceeded, ContractError
 from autokolm.modes import (
     BINARY,
     DescriptionMode,
+    PairDescriptionMode,
     ValuednessCertificate,
+    eps_cycle_check,
     identity_mode,
     reverse_mode,
     unary_compressor,
 )
+from autokolm.normality import block_histogram, build_block_coder
 from autokolm.seqgen import champernowne_bits
 
 from helpers import (
@@ -33,17 +39,25 @@ from helpers import (
     random_finite_mode,
     random_word,
     sweep_pure,
+    sweep_pure_curve,
 )
 
 # The package re-exports the `complexity` function under the module's name.
 engine = importlib.import_module("autokolm.complexity")
-STEPS = {"python": engine._step_python, "numpy": engine._step_numpy}
+STEPS = {"python": engine._step_python, "hub": engine._sweep_hubs,
+         "numpy": engine._step_numpy}
+PICK_STEP = engine._pick_step
 
 
 def force_step(monkeypatch, name):
     """Compile every automaton with the named per-letter step, on a fresh cache."""
     threshold = math.inf if name == "python" else -1
     monkeypatch.setattr(engine, "_PYTHON_STEP_EDGES", threshold)
+    pick = PICK_STEP
+    if name == "hub":
+        def pick(num_states, by_letter):
+            return engine._sweep_hubs, engine._Hubs.compile(num_states, by_letter, math.inf)
+    monkeypatch.setattr(engine, "_pick_step", pick)
     monkeypatch.setattr(engine, "_sweep_cache", {})
     return STEPS[name]
 
@@ -266,3 +280,134 @@ def test_unreachable_prefix_stays_unreachable_in_curve():
     mode = DescriptionMode(ones_only, ValuednessCertificate.asserted(1, "test"))
     curve = complexity_curve(mode, "110111", 6, 2)
     assert curve.samples == ((2, 2), (4, UNREACHABLE), (6, UNREACHABLE))
+
+
+# --- the hub DP ---------------------------------------------------------------
+
+def champ_coder(k):
+    return build_block_coder(block_histogram(champernowne_bits(20_000), 10_000, k,
+                                             "aligned"))
+
+
+def one_bit_mode(edges, states):
+    aut = LabeledAutomaton(2, (BINARY, BINARY), states, edges)
+    return DescriptionMode(aut, ValuednessCertificate.asserted(3, "test"))
+
+
+def cycle_mode():
+    """A 3-cycle spelling 011 with one description bit per turn: no state
+    has two exits, so the hub compile must promote one."""
+    return one_bit_mode(((0, 1, (0, 0)), (1, 2, (EPSILON, 1)),
+                         (2, 0, (EPSILON, 1))), 3)
+
+
+def two_chain_mode():
+    """Hub 0 spells 011 or 10, one description bit each."""
+    return one_bit_mode(((0, 1, (0, 0)), (1, 2, (EPSILON, 1)), (2, 0, (EPSILON, 1)),
+                         (0, 3, (1, 1)), (3, 0, (EPSILON, 0))), 4)
+
+
+def test_trained_coder_compiles_to_one_hub():
+    eng = engine._compiled(champ_coder(8).automaton)
+    assert eng.step is engine._sweep_hubs
+    hubs = eng.hubs
+    assert len(hubs.ids) == 1 and hubs.span == 8 and hubs.lead == 8
+    [(length, table)] = hubs.full
+    assert length == 8 and len(table) == 256
+    assert all(len(edges) == 1 for edges in table.values())
+
+
+def test_pure_cycle_promotes_a_hub(forced_step):
+    mode = cycle_mode()
+    assert complexity(mode, "011011") == 2
+    assert complexity(mode, "11") == 0
+    eng = engine._compiled(mode.automaton)
+    assert eng.step is forced_step
+    if forced_step is engine._sweep_hubs:
+        assert len(eng.hubs.ids) == 1 and eng.hubs.span == 3 and eng.hubs.lead == 2
+
+
+@pytest.mark.parametrize("make,source", [
+    (cycle_mode, "011" * 20),
+    (two_chain_mode, "01110" * 12),
+    (lambda: champ_coder(4), champernowne_bits(4_000)[1_234:]),
+    (lambda: champ_coder(8), champernowne_bits(4_000)[1_234:]),
+])
+def test_hub_sweep_around_its_prologue(monkeypatch, make, source):
+    force_step(monkeypatch, "hub")
+    mode = make()
+    hubs = engine._compiled(mode.automaton).hubs
+    for n in (0, hubs.lead - 1, hubs.lead, hubs.lead + 1, 3 * hubs.span):
+        word = source[:n]
+        expected = sweep_pure_curve(mode.automaton, word)
+        assert complexity(mode, word) == expected[-1]
+        curve = complexity_curve(mode, word, n, 1, verify=False)
+        assert [k for _, k in curve.samples] == expected[1:]
+
+
+def test_unreachable_in_the_middle_of_a_chain(forced_step):
+    mode = two_chain_mode()
+    word = "011" "10" "011" "01" "0" + "10" * 20
+    expected = sweep_pure_curve(mode.automaton, word)
+    assert expected[10] < UNREACHABLE and expected[11] == UNREACHABLE
+    curve = complexity_curve(mode, word, len(word), 1, verify=False)
+    assert [k for _, k in curve.samples] == expected[1:]
+    assert complexity(mode, word) == UNREACHABLE
+    assert complexity(mode, word[:10]) == expected[10] == 4
+
+
+def test_hub_keys_cover_large_object_alphabets(forced_step):
+    # 300 object letters: hub 0 spells each pair (i, i+1) for one description bit.
+    letters = tuple(chr(0x100 + i) for i in range(300))
+    edges = []
+    for i in range(300):
+        edges += [(0, 1 + i, (1, i)), (1 + i, 0, (EPSILON, (i + 1) % 300))]
+    aut = LabeledAutomaton(2, (BINARY, letters), 301, tuple(edges))
+    mode = DescriptionMode(aut, ValuednessCertificate.asserted(1, "test"))
+    word = "".join(letters[i] + letters[(i + 1) % 300] for i in (299, 3, 260, 7))
+    assert complexity(mode, word) == 4
+    # A free end inside a chain; a letter that the open chain does not spell.
+    for text in (word + letters[5], word[:-1] + letters[5]):
+        curve = complexity_curve(mode, text, len(text), 1, verify=False)
+        assert [k for _, k in curve.samples] == sweep_pure_curve(aut, text)[1:]
+    assert engine._compiled(aut).step is forced_step
+
+
+def test_compiled_sweep_is_freed_with_its_automaton(monkeypatch):
+    monkeypatch.setattr(engine, "_sweep_cache", {})
+    mode = cycle_mode()
+    assert complexity(mode, "011") == 1
+    assert len(engine._sweep_cache) == 1
+    del mode
+    gc.collect()
+    assert engine._sweep_cache == {}
+
+
+@st.composite
+def finite_modes(draw, arity):
+    """Small random modes that pass the structural unboundedness check."""
+    states = draw(st.integers(1, 6))
+    label = st.tuples(*[st.sampled_from([EPSILON, 0, 1])] * arity)
+    edges = draw(st.lists(st.tuples(st.integers(0, states - 1),
+                                    st.integers(0, states - 1), label),
+                          min_size=1, max_size=14))
+    aut = LabeledAutomaton(arity, (BINARY,) * arity, states, tuple(edges))
+    assume(eps_cycle_check(aut) is None)
+    kind = DescriptionMode if arity == 2 else PairDescriptionMode
+    return kind(aut, ValuednessCertificate.unknown(), name="random")
+
+
+@pytest.mark.parametrize("arity", [2, 3])
+@pytest.mark.parametrize("name", sorted(STEPS))
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(data=st.data())
+def test_each_step_matches_oracle_on_hypothesis_modes(name, arity, data):
+    mode = data.draw(finite_modes(arity))
+    word = data.draw(st.text("01", max_size=30))
+    aut = mode.automaton
+    with pytest.MonkeyPatch.context() as mp:
+        step = force_step(mp, name)
+        letters = word_to_indices(aut, arity - 1, word)
+        values = engine._sweep(aut, letters, list(range(len(word) + 1)))
+        assert engine._compiled(aut).step is step
+    assert values == sweep_pure_curve(aut, word)

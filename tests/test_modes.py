@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from autokolm.automaton import (
     EPSILON,
@@ -10,6 +12,7 @@ from autokolm.automaton import (
     read_relation_contains,
 )
 from autokolm.complexity import complexity
+from autokolm.constructions import parse_rule, serialize_rule
 from autokolm.errors import ContractError, FormatError
 from autokolm.modes import (
     BINARY,
@@ -34,6 +37,7 @@ from autokolm.seqgen import champernowne_bits
 from helpers import (
     compose_join_oracle,
     layered_concat_quadratic,
+    parity_rule,
     random_finite_mode,
     random_word,
 )
@@ -301,3 +305,42 @@ def test_union_rejects_unbounded_mode():
         loop, ValuednessCertificate.unbounded(((0, 0, (EPSILON, 0)),)))
     with pytest.raises(ContractError):
         union(identity_mode(), bad)
+
+
+# Valid mode and rule files with a few lines dropped, repeated or given a
+# different field, so that draws reach every check; plus plain text.
+FORMAT_FIELD = st.one_of(st.integers(-1, 4).map(str), st.sampled_from(
+    ["-", "a", "1.5", "unknown", "unbounded", "brute-force-up-to-L", "9" * 30]))
+
+
+@st.composite
+def format_texts(draw):
+    lines = draw(st.sampled_from([
+        serialize_mode(unary_compressor(2)), serialize_mode(identity_mode()),
+        serialize_rule(parity_rule())])).splitlines()
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        fields = lines[i].split()
+        edit = draw(st.sampled_from(["drop", "repeat", "field", "extra"]))
+        if edit == "drop":
+            del lines[i]
+        elif edit == "repeat":
+            lines.insert(i, lines[i])
+        elif edit == "field":
+            fields[draw(st.integers(0, len(fields) - 1))] = draw(FORMAT_FIELD)
+            lines[i] = " ".join(fields)
+        else:
+            lines[i] = " ".join(fields + [draw(FORMAT_FIELD)])
+        if not lines:
+            break
+    return "\n".join(lines)
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(text=st.one_of(st.text(max_size=200), format_texts()))
+def test_mode_and_rule_parsers_raise_only_format_error(text):
+    for parse in (parse_mode, parse_rule):
+        try:
+            parse(text)
+        except FormatError:
+            pass

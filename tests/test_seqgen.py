@@ -33,6 +33,14 @@ def test_rational_bits():
         rational_bits(3, 2, 4)
 
 
+def test_negative_bit_counts_are_rejected():
+    for make in (champernowne_bits, lambda n: rational_bits(1, 3, n),
+                 lambda n: bernoulli_bits(0.5, 1, n)):
+        assert make(0) == ""
+        with pytest.raises(ContractError):
+            make(-5)
+
+
 def test_rational_agrees_with_expansion_oracle():
     rng = random.Random(31)
     from math import gcd
