@@ -33,7 +33,8 @@ class LabeledAutomaton:
     """Immutable multi-tape labeled graph.
 
     alphabets holds one symbol tuple per tape; symbols are single
-    characters so that plain strings can serve as words.  Edge labels
+    characters other than `-`, `#` and whitespace (which the text format
+    reserves) so that plain strings can serve as words.  Edge labels
     store letter *indices* into the tape alphabet, or EPSILON (None).
     """
 
@@ -48,8 +49,10 @@ class LabeledAutomaton:
         if len(self.alphabets) != self.arity:
             raise ContractError("one alphabet required per tape")
         for alpha in self.alphabets:
-            if any(not isinstance(s, str) or len(s) != 1 for s in alpha):
-                raise ContractError("alphabet symbols must be single characters")
+            if any(not isinstance(s, str) or len(s) != 1 or s in "-#" or s.isspace()
+                   for s in alpha):
+                raise ContractError("alphabet symbols must be single characters "
+                                    "other than '-', '#' and whitespace")
             if len(set(alpha)) != len(alpha):
                 raise ContractError("alphabet symbols must be distinct")
         if self.num_states < 0:

@@ -13,7 +13,7 @@ import sys
 from . import constructions, modes, normality, seqgen
 from .complexity import UNREACHABLE, complexity, complexity_curve
 from .errors import BudgetExceeded, ContractError, FormatError, InputRejected
-from .modes import parse_mode, serialize_mode, valuedness_profile, eps_cycle_check
+from .modes import parse_mode, serialize_mode, valuedness_profile
 
 
 def _write(path, text: str):
@@ -51,12 +51,10 @@ def cmd_gen(args) -> int:
             raise ContractError("rational source needs a P/Q argument")
         p, q = args.param.split("/", 1)
         bits = seqgen.rational_bits(int(p), int(q), args.bits)
-    elif args.kind == "bernoulli":
+    else:  # bernoulli; argparse refuses any other kind
         if args.param is None:
             raise ContractError("bernoulli source needs a probability argument")
         bits = seqgen.bernoulli_bits(float(args.param), args.seed, args.bits)
-    else:
-        raise ContractError(f"unknown source kind {args.kind!r}")
     _write(args.out, bits + "\n")
     return 0
 
@@ -101,14 +99,12 @@ def cmd_mode(args) -> int:
         if args.layers is None:
             raise ContractError("layered needs --layers")
         mode = modes.layered_concat(_load_mode(_one_operand(args)), args.layers)
-    elif kind == "build-coder":
+    else:  # build-coder; argparse refuses any other constructor
         if args.k is None or args.train is None or args.n is None:
             raise ContractError("build-coder needs --k, --train and --n")
         bits = seqgen.read_sequence_file(args.train)
         hist = normality.block_histogram(bits, args.n, args.k, "aligned")
         mode = normality.build_block_coder(hist)
-    else:
-        raise ContractError(f"unknown mode constructor {kind!r}")
     _write(args.out, serialize_mode(mode))
     return 0
 
@@ -149,13 +145,12 @@ def cmd_complexity(args) -> int:
 def cmd_check_mode(args) -> int:
     mode = _load_mode(args.mode)
     lines = [f"stored-certificate: {mode.certificate.describe()}"]
-    witness = eps_cycle_check(mode)
-    if witness is not None:
+    profile = valuedness_profile(mode, args.max_len)
+    if profile.witness is not None:
         lines.append("eps-cycle: unbounded")
-        lines.append("witness: " + " ".join(f"{s}->{d}" for s, d, _ in witness))
+        lines.append("witness: " + " ".join(f"{s}->{d}" for s, d, _ in profile.witness))
     else:
         lines.append("eps-cycle: pass")
-        profile = valuedness_profile(mode, args.max_len)
         lines.append(f"profile: max-fanout={profile.max_fanout} L={args.max_len}")
         lines.append(f"profiled-certificate: {profile.certificate.describe()}")
     _write(args.out, "\n".join(lines) + "\n")

@@ -208,11 +208,11 @@ def joint(q: DescriptionMode, r: PairDescriptionMode) -> PairDescriptionMode:
     (u, v, w) in r: the synchronized product on the shared tape (see
     automaton.chain), as for composition.
     """
+    cert = _derived_certificate("joint", operator.mul, q, r)
     aq, ar = q.automaton, r.automaton
     if aq.alphabets[1] != ar.alphabets[0]:
         raise ContractError(
             "joint requires q's object alphabet == r's first description alphabet")
-    cert = _derived_certificate("joint", operator.mul, q, r)
     return PairDescriptionMode(chain(aq, ar), cert, name=f"joint({q.name},{r.name})")
 
 

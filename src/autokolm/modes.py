@@ -114,19 +114,14 @@ class PairDescriptionMode:
         if self.automaton.arity != 3:
             raise ContractError("pair description mode needs a 3-tape automaton")
 
-    def with_certificate(self, cert: ValuednessCertificate) -> "PairDescriptionMode":
-        return dataclasses.replace(self, certificate=cert)
-
-
-def _require_not_unbounded(*modes):
-    for m in modes:
-        if m.certificate.bound == UNBOUNDED:
-            raise ContractError(f"mode {m.name!r} has an unbounded certificate")
-
 
 def _derived_certificate(construction: str, combine, *modes) -> ValuednessCertificate:
     """Asserted certificate with bound combine(*bounds) when every operand's
-    bound is an int; unknown otherwise."""
+    bound is an int; unknown otherwise.  Derived constructions call this
+    before building their graph, so it refuses an unbounded operand."""
+    for m in modes:
+        if m.certificate.bound == UNBOUNDED:
+            raise ContractError(f"mode {m.name!r} has an unbounded certificate")
     bounds = [m.certificate.bound for m in modes]
     if all(isinstance(b, int) for b in bounds):
         return ValuednessCertificate.asserted(combine(*bounds), construction)
@@ -149,7 +144,7 @@ def identity_mode(alphabet: Sequence[str] = BINARY) -> DescriptionMode:
 
 def union(m1: DescriptionMode, m2: DescriptionMode) -> DescriptionMode:
     """Disjoint union of the two graphs; K is the pointwise minimum."""
-    _require_not_unbounded(m1, m2)
+    cert = _derived_certificate("union", operator.add, m1, m2)
     a1, a2 = m1.automaton, m2.automaton
     if a1.alphabets != a2.alphabets:
         raise ContractError("union requires equal alphabets per tape")
@@ -157,7 +152,6 @@ def union(m1: DescriptionMode, m2: DescriptionMode) -> DescriptionMode:
     edges = a1.edges + tuple((s + shift, d + shift, lab) for s, d, lab in a2.edges)
     aut = LabeledAutomaton(arity=2, alphabets=a1.alphabets,
                            num_states=a1.num_states + a2.num_states, edges=edges)
-    cert = _derived_certificate("union", operator.add, m1, m2)
     return DescriptionMode(aut, cert, name=f"union({m1.name},{m2.name})")
 
 
@@ -167,12 +161,11 @@ def compose(m1: DescriptionMode, m2: DescriptionMode) -> DescriptionMode:
     The graph is the synchronized product of the two automata on the
     first's object tape and the second's description tape (see chain).
     """
-    _require_not_unbounded(m1, m2)
+    cert = _derived_certificate("compose", operator.mul, m1, m2)
     a1, a2 = m1.automaton, m2.automaton
     if a1.alphabets[1] != a2.alphabets[0]:
         raise ContractError(
             "compose requires first object alphabet == second description alphabet")
-    cert = _derived_certificate("compose", operator.mul, m1, m2)
     return DescriptionMode(chain(a1, a2), cert, name=f"compose({m1.name},{m2.name})")
 
 
@@ -182,7 +175,7 @@ def append_symbol(m: DescriptionMode, s: str) -> DescriptionMode:
     The result relates p to x and to x+s whenever m relates p to x, so
     the fan-out at most doubles.
     """
-    _require_not_unbounded(m)
+    cert = _derived_certificate("append-symbol", lambda b: 2 * b, m)
     aut = m.automaton
     alpha = aut.alphabets[1]
     if s not in alpha:
@@ -193,7 +186,6 @@ def append_symbol(m: DescriptionMode, s: str) -> DescriptionMode:
     out = LabeledAutomaton(arity=2, alphabets=aut.alphabets,
                            num_states=aut.num_states + 1,
                            edges=aut.edges + new_edges)
-    cert = _derived_certificate("append-symbol", lambda b: 2 * b, m)
     return DescriptionMode(out, cert, name=f"append({m.name},{s})")
 
 
@@ -228,7 +220,10 @@ def layered_concat(m: DescriptionMode, n_layers: int) -> DescriptionMode:
     one bit per N description bits.  The hub gives the relation of direct
     jumps to the final copy with 3n glue edges instead of n + n^2.
     """
-    _require_not_unbounded(m)
+    # Per description: one parse per starting phase, plus the all-in-the-
+    # final-copy parse; each parse splits the input in one way, so the
+    # base bound enters squared.
+    cert = _derived_certificate("layered-concat", lambda b: (n_layers + 2) * b * b, m)
     if n_layers < 1:
         raise ContractError("need at least one layer")
     aut = m.automaton
@@ -260,18 +255,18 @@ def layered_concat(m: DescriptionMode, n_layers: int) -> DescriptionMode:
     # A state-less base keeps an empty relation: no hub then.
     out = LabeledAutomaton(arity=2, alphabets=aut.alphabets,
                            num_states=hub + 1 if n else 0, edges=tuple(edges))
-    # Per description: one parse per starting phase, plus the all-in-the-
-    # final-copy parse; each parse splits the input in one way, so the
-    # base bound enters squared.
-    cert = _derived_certificate("layered-concat", lambda b: (N + 2) * b * b, m)
     return DescriptionMode(out, cert, name=f"layered({m.name},N={N})")
 
 
 def reverse_mode(m: DescriptionMode) -> DescriptionMode:
-    """Reverse all edges; valuedness carries over since fan-out is unchanged."""
+    """Reverse all edges; valuedness carries over since fan-out is unchanged,
+    and an unbounded certificate's witness cycle is flipped with the edges."""
     cert = m.certificate
     if isinstance(cert.bound, int):
         cert = ValuednessCertificate.asserted(cert.bound, "reverse")
+    elif cert.witness is not None:
+        cert = ValuednessCertificate.unbounded(
+            (d, s, label) for s, d, label in reversed(cert.witness))
     return DescriptionMode(reverse(m.automaton), cert, name=f"reverse({m.name})")
 
 
@@ -468,11 +463,16 @@ def parse_mode(text: str):
             method = args[1] if len(args) > 1 else "asserted-by-construction"
             if method == "brute-force-up-to-L":
                 L = _parse_int(args[2:3], 1, lineno)[0] if len(args) > 2 else None
+                if L is not None and L < 0:
+                    raise FormatError(f"line {lineno}: negative certificate L")
                 cert = ValuednessCertificate.brute_force(bound, L)
             else:
                 construction = args[2] if len(args) > 2 else None
                 cert = ValuednessCertificate(bound=bound, method=method,
                                              construction=construction)
+    if cert.is_finite and cert.bound < 1 and aut.num_states:
+        raise FormatError(f"certificate bound {cert.bound} is refuted: the empty "
+                          "description relates to the empty object")
     if cert.is_finite and eps_cycle_check(aut) is not None:
         raise FormatError(f"certificate bound {cert.bound} is refuted by an "
                           "output-producing cycle that consumes no description")

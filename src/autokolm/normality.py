@@ -39,9 +39,6 @@ class BlockHistogram:
     def total(self) -> int:
         return self.n // self.k if self.mode == "aligned" else self.n - self.k + 1
 
-    def frequency(self, block: str) -> float:
-        return self.counts.get(block, 0) / self.total
-
 
 def block_histogram(bits: str, n: int, k: int, mode: str) -> BlockHistogram:
     """Exact k-block counts over the first n bits, one streaming pass."""
@@ -198,8 +195,8 @@ class NormalityRow:
 def normality_report(bits: str, n: int, k_max: int) -> List[NormalityRow]:
     """Per-k statistics plus the compression ratio of a coder trained on
     the first half of the prefix and applied to the whole prefix."""
-    if k_max < 1 or k_max > 16:
-        raise ContractError("k_max must lie in 1..16")
+    if not 1 <= k_max <= _MAX_CODER_K:
+        raise ContractError(f"k_max must lie in 1..{_MAX_CODER_K}")
     rows = []
     for k in range(1, k_max + 1):
         h_al = block_histogram(bits, n, k, "aligned")

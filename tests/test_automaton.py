@@ -171,6 +171,10 @@ def test_automaton_validation():
         LabeledAutomaton(2, (("0", "1"),) * 2, 1, ((0, 0, (2, 0)),))
     with pytest.raises(ContractError):
         LabeledAutomaton(1, (("0", "1"), ("0", "1")), 1, ())
+    # Symbols that the text format reads as epsilon, comment or separator.
+    for alpha in (("-", "x"), ("#", "1"), (" ", "1"), ("0", "\t"), ("\x85",)):
+        with pytest.raises(ContractError):
+            LabeledAutomaton(2, (alpha, ("0", "1")), 1, ())
 
 
 def test_format_round_trip_structural():

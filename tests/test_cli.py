@@ -113,6 +113,30 @@ def test_check_mode_reports_unbounded(tmp_path, capsys):
     assert "witness: 0->0" in out
 
 
+def test_check_mode_output(tmp_path, capsys):
+    seq = tmp_path / "seq.txt"
+    seq.write_text(champernowne_bits(2000) + "\n")
+    coder = tmp_path / "coder.aut"
+    run(capsys, "mode", "build-coder", "--k", "2", "--train", str(seq), "--n", "1000",
+        "--out", str(coder))
+    loop = tmp_path / "loop.aut"
+    loop.write_text("arity 2\nalphabet 0 0 1\nalphabet 1 0 1\nstates 2\n"
+                    "edge 0 1 - 0\nedge 1 0 - 1\nedge 0 0 1 1\ncertificate unbounded\n")
+    code, out, _ = run(capsys, "check-mode", "--mode", str(coder), "--max-len", "3")
+    assert code == 0
+    assert out == (
+        "stored-certificate: bound=33 method=asserted-by-construction "
+        "construction=block-coder\n"
+        "eps-cycle: pass\n"
+        "profile: max-fanout=17 L=3\n"
+        "profiled-certificate: bound=17 method=brute-force-up-to-L L=3\n")
+    code, out, _ = run(capsys, "check-mode", "--mode", str(loop))
+    assert code == 0
+    assert out == ("stored-certificate: bound=unbounded method=structural-infinite-witness\n"
+                   "eps-cycle: unbounded\n"
+                   "witness: 0->1 1->0\n")
+
+
 def test_stats_row(tmp_path, capsys):
     seq = tmp_path / "seq.txt"
     seq.write_text("01" * 50)
@@ -134,6 +158,15 @@ def test_report_csv(tmp_path, capsys):
     lines = out_file.read_text().strip().split("\n")
     assert lines[0] == "k,aligned_disc,sliding_disc,entropy,ps_ratio,coder_ratio"
     assert len(lines) == 4
+
+
+def test_report_kmax_above_the_coder_limit_exits_2(tmp_path, capsys):
+    seq = tmp_path / "seq.txt"
+    seq.write_text(champernowne_bits(4000))
+    code, out, err = run(capsys, "report", "--input", str(seq), "--n", "4000",
+                         "--kmax", "13")
+    assert code == 2
+    assert out == "" and err == "error: k_max must lie in 1..12\n"
 
 
 def test_select_all_accepting(tmp_path, capsys):
@@ -230,6 +263,12 @@ VALID_RULE = "states 1\ninitial 0\naccepting 0\ntrans 0 0 0\ntrans 0 1 0\n"
                  id="mode-arity-huge"),
     pytest.param("mode", "arity 2\nalphabet 0 0 1\nalphabet 1 0 1\nstates 1\n"
                  "edge 0 0 - 1\ncertificate 1\n", id="mode-refuted-certificate"),
+    pytest.param("mode", "arity 2\nalphabet 0 0 1\nalphabet 1 - 1\nstates 1\n"
+                 "edge 0 0 1 1\n", id="mode-epsilon-symbol"),
+    pytest.param("mode", VALID_MODE + "certificate 0\n", id="mode-certificate-zero"),
+    pytest.param("mode", VALID_MODE + "certificate -3\n", id="mode-certificate-negative"),
+    pytest.param("mode", VALID_MODE + "certificate 1 brute-force-up-to-L -1\n",
+                 id="mode-certificate-negative-L"),
     pytest.param("sequence", b"01\xc3\xa901\n", id="sequence-non-ascii"),
 ])
 def test_malformed_files_exit_1_with_one_line(tmp_path, capsys, kind, content):

@@ -46,20 +46,19 @@ from helpers import (
 engine = importlib.import_module("autokolm.complexity")
 STEPS = {"python": engine._step_python, "hub": engine._sweep_hubs,
          "numpy": engine._step_numpy}
-PICK_STEP = engine._pick_step
 
 
 def force_step(monkeypatch, name):
     """Compile every automaton with the named per-letter step, on a fresh cache."""
-    threshold = math.inf if name == "python" else -1
-    monkeypatch.setattr(engine, "_PYTHON_STEP_EDGES", threshold)
-    pick = PICK_STEP
-    if name == "hub":
-        def pick(num_states, by_letter):
-            return engine._sweep_hubs, engine._Hubs.compile(num_states, by_letter, math.inf)
+    step = STEPS[name]
+
+    def pick(num_states, by_letter):
+        if step is engine._sweep_hubs:
+            return step, engine._Hubs.compile(num_states, by_letter, math.inf)
+        return step, None
     monkeypatch.setattr(engine, "_pick_step", pick)
     monkeypatch.setattr(engine, "_sweep_cache", {})
-    return STEPS[name]
+    return step
 
 
 @pytest.fixture(params=sorted(STEPS))
@@ -143,6 +142,15 @@ def test_reversal_duality():
         for _ in range(40):
             x = random_word(rng, 10)
             assert complexity(rev, x[::-1]) == complexity(mode, x)
+    # Trained coders: the reversed k=4 coder runs the hub DP, the reversed
+    # k=8 coder the numpy step.
+    bits = champernowne_bits(4_000)
+    for k, x, step in ((4, bits[1_000:3_000], engine._sweep_hubs),
+                       (8, bits[2_000:2_500], engine._step_numpy)):
+        mode = champ_coder(k)
+        rev = reverse_mode(mode)
+        assert complexity(rev, x[::-1]) == complexity(mode, x)
+        assert engine._compiled(rev.automaton).step is step
 
 
 def test_pure_and_numpy_backends_agree(monkeypatch):
@@ -197,6 +205,18 @@ def test_dense_closure_raises_budget_exceeded(monkeypatch):
     assert engine._sweep_cache == {}
 
 
+def test_closure_is_charged_as_its_entries_are_made(monkeypatch):
+    # 0 -> 1 -> 2 over epsilon-object edges; only state 1 reads letters
+    # (two edges), so each entry into 1 stands for two closure edges.
+    intra = [(0, 1, 1), (1, 2, 0)]
+    reads = [0, 2, 0]
+    monkeypatch.setattr(engine, "_NORMALIZE_BUDGET", 4)
+    assert engine._closure_into(3, intra, reads) == [[], [(0, 1), (1, 0)], []]
+    monkeypatch.setattr(engine, "_NORMALIZE_BUDGET", 3)
+    with pytest.raises(BudgetExceeded):
+        engine._closure_into(3, intra, reads)
+
+
 def test_pair_complexity_splitter_is_length():
     sp_all = splitter_mode(all_accepting_rule())
     sp_none = splitter_mode(none_accepting_rule())
@@ -223,7 +243,7 @@ def test_joint_with_identity_bounds_pair_complexity():
 
 def test_curve_identity():
     bits = champernowne_bits(50)
-    curve = complexity_curve(identity_mode(), bits, 50, 10)
+    curve = complexity_curve(identity_mode(), bits, 50, 10, verify=True)
     assert curve.samples == tuple((n, n) for n in range(10, 51, 10))
     assert curve.mode_id == "identity"
 
@@ -231,7 +251,7 @@ def test_curve_identity():
 def test_curve_matches_fresh_prefix_computations():
     bits = champernowne_bits(300)
     mode = unary_compressor(2)
-    curve = complexity_curve(mode, bits, 300, 37)
+    curve = complexity_curve(mode, bits, 300, 37, verify=True)
     for n, k in curve.samples:
         assert complexity(mode, bits[:n]) == k
 
@@ -265,7 +285,7 @@ def test_curve_with_trained_coder_on_skewed_stream():
     bits = bernoulli_bits(0.9, 7, 20_000)
     hist = block_histogram(bits, 10_000, 8, "aligned")
     coder = build_block_coder(hist)
-    curve = complexity_curve(coder, bits, 20_000, 5_000)
+    curve = complexity_curve(coder, bits, 20_000, 5_000, verify=True)
     counts = smoothed_counts(hist)
     avg = average_code_length(huffman_code(counts), counts)
     n, k = curve.samples[-1]
@@ -278,8 +298,37 @@ def test_curve_with_trained_coder_on_skewed_stream():
 def test_unreachable_prefix_stays_unreachable_in_curve():
     ones_only = LabeledAutomaton(2, (BINARY, BINARY), 1, ((0, 0, (1, 1)),))
     mode = DescriptionMode(ones_only, ValuednessCertificate.asserted(1, "test"))
-    curve = complexity_curve(mode, "110111", 6, 2)
+    curve = complexity_curve(mode, "110111", 6, 2, verify=True)
     assert curve.samples == ((2, 2), (4, UNREACHABLE), (6, UNREACHABLE))
+
+
+def counting_sweep(monkeypatch, skew=0):
+    """Patch the sweep to record its calls; values of multi-sample calls
+    are shifted by `skew`."""
+    calls = []
+    sweep = engine._sweep
+
+    def patched(aut, letters, positions):
+        calls.append(list(positions))
+        values = sweep(aut, letters, positions)
+        return [v + skew for v in values] if len(positions) > 1 else values
+    monkeypatch.setattr(engine, "_sweep", patched)
+    return calls
+
+
+def test_default_curve_is_one_sweep(monkeypatch):
+    calls = counting_sweep(monkeypatch)
+    curve = complexity_curve(unary_compressor(2), "1" * 90, 90, 10)
+    assert calls == [list(range(10, 91, 10))]
+    assert [k for _, k in curve.samples] == [
+        sweep_pure(unary_compressor(2).automaton, "1" * n) for n in range(10, 91, 10)]
+
+
+def test_verified_curve_raises_when_a_sample_disagrees(monkeypatch):
+    calls = counting_sweep(monkeypatch, skew=1)
+    with pytest.raises(RuntimeError, match="disagrees"):
+        complexity_curve(identity_mode(), "0110", 4, 1, verify=True)
+    assert len(calls) == 2
 
 
 # --- the hub DP ---------------------------------------------------------------

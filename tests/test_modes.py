@@ -12,11 +12,18 @@ from autokolm.automaton import (
     read_relation_contains,
 )
 from autokolm.complexity import complexity
-from autokolm.constructions import parse_rule, serialize_rule
+from autokolm.constructions import (
+    joint,
+    parse_rule,
+    serialize_rule,
+    splitter_mode,
+    wall_mode,
+)
 from autokolm.errors import ContractError, FormatError
 from autokolm.modes import (
     BINARY,
     DescriptionMode,
+    PairDescriptionMode,
     ValuednessCertificate,
     append_symbol,
     compose,
@@ -307,6 +314,35 @@ def test_union_rejects_unbounded_mode():
         union(identity_mode(), bad)
 
 
+@pytest.mark.parametrize("build", [
+    lambda bad: compose(identity_mode(), bad),
+    lambda bad: append_symbol(bad, "1"),
+    lambda bad: layered_concat(bad, 2),
+    lambda bad: joint(bad, splitter_mode(parity_rule())),
+], ids=["compose", "append", "layered", "joint"])
+def test_derived_constructions_reject_unbounded_mode(build):
+    loop = LabeledAutomaton(2, (BINARY, BINARY), 1, ((0, 0, (EPSILON, 0)),))
+    bad = DescriptionMode(
+        loop, ValuednessCertificate.unbounded(((0, 0, (EPSILON, 0)),)), name="loop")
+    with pytest.raises(ContractError, match="'loop' has an unbounded certificate"):
+        build(bad)
+
+
+def test_reverse_mode_flips_the_unbounded_witness():
+    # A 2-cycle that emits 0 then 1 and consumes nothing.
+    aut = LabeledAutomaton(2, (BINARY, BINARY), 2, (
+        (0, 1, (EPSILON, 0)), (1, 0, (EPSILON, 1)), (0, 0, (1, 1))))
+    witness = eps_cycle_check(aut)
+    rev = reverse_mode(DescriptionMode(aut, ValuednessCertificate.unbounded(witness)))
+    flipped = rev.certificate.witness
+    assert len(flipped) == len(witness) == 2
+    edges = set(rev.automaton.edges)
+    for (s, d, label), (after, _, _) in zip(flipped, flipped[1:] + flipped[:1]):
+        assert (s, d, label) in edges and d == after
+        assert label[0] is EPSILON
+    assert any(label[1] is not EPSILON for _, _, label in flipped)
+
+
 # Valid mode and rule files with a few lines dropped, repeated or given a
 # different field, so that draws reach every check; plus plain text.
 FORMAT_FIELD = st.one_of(st.integers(-1, 4).map(str), st.sampled_from(
@@ -334,6 +370,52 @@ def format_texts(draw):
         if not lines:
             break
     return "\n".join(lines)
+
+
+@st.composite
+def random_modes(draw):
+    """Random binary or pair modes with a certificate that fits them."""
+    arity = draw(st.sampled_from([2, 3]))
+    states = draw(st.integers(1, 5))
+    label = st.tuples(*[st.sampled_from([EPSILON, 0, 1])] * arity)
+    edges = draw(st.lists(st.tuples(st.integers(0, states - 1),
+                                    st.integers(0, states - 1), label), max_size=12))
+    aut = LabeledAutomaton(arity, (BINARY,) * arity, states, tuple(edges))
+    witness = eps_cycle_check(aut)
+    if witness is not None:
+        cert = ValuednessCertificate.unbounded(witness)
+    else:
+        bound = st.integers(1, 10 ** 6)
+        cert = draw(st.one_of(
+            st.just(ValuednessCertificate.unknown()),
+            bound.map(lambda b: ValuednessCertificate.asserted(b, "random")),
+            st.builds(ValuednessCertificate.brute_force, bound, st.integers(0, 9))))
+    kind = DescriptionMode if arity == 2 else PairDescriptionMode
+    return kind(aut, cert)
+
+
+BUILT_MODES = {
+    "coder2": lambda: _trained_coder(2),
+    "coder3": lambda: _trained_coder(3),
+    "coder4": lambda: _trained_coder(4),
+    "union": lambda: union(_trained_coder(3), unary_compressor(2)),
+    "compose": lambda: compose(_trained_coder(2), _trained_coder(3)),
+    "layered": lambda: layered_concat(_trained_coder(2), 2),
+    "reverse": lambda: reverse_mode(_trained_coder(3)),
+    "wall": lambda: wall_mode(3),
+    "splitter": lambda: splitter_mode(parity_rule()),
+    "joint": lambda: joint(identity_mode(), splitter_mode(parity_rule())),
+}
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(mode=st.one_of(random_modes(),
+                      st.sampled_from(sorted(BUILT_MODES)).map(lambda n: BUILT_MODES[n]())))
+def test_mode_files_round_trip(mode):
+    back = parse_mode(serialize_mode(mode))
+    assert type(back) is type(mode)
+    assert back.automaton == mode.automaton
+    assert back.certificate == mode.certificate
 
 
 @settings(derandomize=True, database=None, max_examples=400, deadline=None)

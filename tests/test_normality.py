@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from autokolm import normality
 from autokolm.complexity import complexity
 from autokolm.errors import BudgetExceeded, ContractError
 from autokolm.modes import eps_cycle_check, valuedness_profile
@@ -296,3 +297,12 @@ def test_report_k_max_validation():
         normality_report("01" * 50, 100, 0)
     with pytest.raises(ContractError):
         normality_report("01" * 50, 100, 17)
+
+
+@pytest.mark.parametrize("k_max", [13, 16])
+def test_report_k_max_stops_at_the_coder_limit(monkeypatch, k_max):
+    def refuse(h):
+        raise AssertionError("a coder was built")
+    monkeypatch.setattr(normality, "build_block_coder", refuse)
+    with pytest.raises(ContractError, match=r"1\.\.12"):
+        normality_report(champernowne_bits(20_000), 20_000, k_max)
