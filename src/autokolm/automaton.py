@@ -11,14 +11,14 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import BudgetExceeded, ContractError, FormatError, InputRejected
 
 # Epsilon label component: contributes no letter on its tape.
 EPSILON = None
 
-Label = tuple  # tuple[Optional[int], ...], one entry per tape
+Label = tuple  # tuple[Optional[str], ...], one entry per tape
 
 DEFAULT_ENUM_BUDGET = 2_000_000
 
@@ -34,8 +34,8 @@ class LabeledAutomaton:
 
     alphabets holds one symbol tuple per tape; symbols are single
     characters other than `-`, `#` and whitespace (which the text format
-    reserves) so that plain strings can serve as words.  Edge labels
-    store letter *indices* into the tape alphabet, or EPSILON (None).
+    reserves) so that plain strings can serve as words.  Each edge label
+    component is a symbol of its tape's alphabet, or EPSILON (None).
     """
 
     arity: int
@@ -49,6 +49,8 @@ class LabeledAutomaton:
         if len(self.alphabets) != self.arity:
             raise ContractError("one alphabet required per tape")
         for alpha in self.alphabets:
+            if not alpha:
+                raise ContractError("every tape needs a nonempty alphabet")
             if any(not isinstance(s, str) or len(s) != 1 or s in "-#" or s.isspace()
                    for s in alpha):
                 raise ContractError("alphabet symbols must be single characters "
@@ -63,14 +65,9 @@ class LabeledAutomaton:
             if len(label) != self.arity:
                 raise ContractError("edge label arity mismatch")
             for tape, comp in enumerate(label):
-                if comp is EPSILON:
-                    continue
-                if not (0 <= comp < len(self.alphabets[tape])):
+                if comp is not EPSILON and comp not in self.alphabets[tape]:
                     raise ContractError(
-                        f"label letter {comp} outside alphabet of tape {tape}")
-
-    def symbol(self, tape: int, letter: Optional[int]) -> str:
-        return "-" if letter is EPSILON else self.alphabets[tape][letter]
+                        f"label letter {comp!r} outside alphabet of tape {tape}")
 
     def out_edges(self) -> list:
         """Adjacency list: out_edges()[s] = [(dst, label), ...]."""
@@ -80,14 +77,11 @@ class LabeledAutomaton:
         return adj
 
 
-def word_to_indices(aut: LabeledAutomaton, tape: int, word: str) -> tuple:
-    """Translate a word into letter indices for the given tape."""
-    table = {s: i for i, s in enumerate(aut.alphabets[tape])}
-    try:
-        return tuple(table[ch] for ch in word)
-    except KeyError as exc:
-        raise InputRejected(
-            f"symbol {exc.args[0]!r} not in alphabet of tape {tape}") from None
+def check_word(aut: LabeledAutomaton, tape: int, word: str) -> None:
+    """Raise InputRejected on the first symbol of word not in the tape's alphabet."""
+    bad = word.translate(dict.fromkeys(map(ord, aut.alphabets[tape])))
+    if bad:
+        raise InputRejected(f"symbol {bad[0]!r} not in alphabet of tape {tape}")
 
 
 def read_relation_contains(aut: LabeledAutomaton, words: Sequence[str]) -> bool:
@@ -99,8 +93,9 @@ def read_relation_contains(aut: LabeledAutomaton, words: Sequence[str]) -> bool:
     """
     if len(words) != aut.arity:
         raise ContractError(f"expected {aut.arity} words, got {len(words)}")
-    targets = tuple(word_to_indices(aut, t, w) for t, w in enumerate(words))
-    goal = tuple(len(t) for t in targets)
+    for t, w in enumerate(words):
+        check_word(aut, t, w)
+    goal = tuple(map(len, words))
     if aut.num_states == 0:
         return False
     if goal == (0,) * aut.arity:
@@ -116,7 +111,7 @@ def read_relation_contains(aut: LabeledAutomaton, words: Sequence[str]) -> bool:
     while work:
         state, pos = work.popleft()
         for dst, label in adj[state]:
-            npos = _advance(targets, pos, label)
+            npos = _advance(words, pos, label)
             if npos is None:
                 continue
             if npos == goal:
@@ -128,7 +123,7 @@ def read_relation_contains(aut: LabeledAutomaton, words: Sequence[str]) -> bool:
     return False
 
 
-def _advance(targets, pos, label):
+def _advance(words, pos, label):
     """Next position vector after reading `label`, or None on mismatch."""
     out = []
     for t, comp in enumerate(label):
@@ -136,7 +131,7 @@ def _advance(targets, pos, label):
         if comp is EPSILON:
             out.append(p)
         else:
-            if p >= len(targets[t]) or targets[t][p] != comp:
+            if p >= len(words[t]) or words[t][p] != comp:
                 return None
             out.append(p + 1)
     return tuple(out)
@@ -177,7 +172,7 @@ def enumerate_relation(aut: LabeledAutomaton, max_len,
                     if len(w) >= caps[t]:
                         ok = False
                         break
-                    nwords.append(w + aut.alphabets[t][comp])
+                    nwords.append(w + comp)
             if not ok:
                 continue
             cfg = (dst, tuple(nwords))
@@ -279,7 +274,7 @@ def serialize_automaton(aut: LabeledAutomaton) -> str:
         lines.append(f"alphabet {t} " + " ".join(alpha))
     lines.append(f"states {aut.num_states}")
     for src, dst, label in aut.edges:
-        comps = " ".join(aut.symbol(t, c) for t, c in enumerate(label))
+        comps = " ".join("-" if c is EPSILON else c for c in label)
         lines.append(f"edge {src} {dst} {comps}")
     return "\n".join(lines) + "\n"
 
@@ -338,7 +333,6 @@ def parse_automaton_lines(lines):
     if len(alphabets) != arity or sorted(alphabets) != list(range(arity)):
         raise FormatError("need exactly one alphabet line per tape")
     alpha_tuple = tuple(alphabets[t] for t in range(arity))
-    tables = [{s: i for i, s in enumerate(a)} for a in alpha_tuple]
     edges = []
     for lineno, args in raw_edges:
         if len(args) != 2 + arity:
@@ -351,8 +345,8 @@ def parse_automaton_lines(lines):
         for t, tok in enumerate(args[2:]):
             if tok == "-":
                 label.append(EPSILON)
-            elif tok in tables[t]:
-                label.append(tables[t][tok])
+            elif tok in alpha_tuple[t]:
+                label.append(tok)
             else:
                 raise FormatError(
                     f"line {lineno}: symbol {tok!r} not in alphabet of tape {t}")

@@ -15,11 +15,11 @@ import math
 import random
 import weakref
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List
 
 import numpy as np
 
-from .automaton import EPSILON, LabeledAutomaton, word_to_indices
+from .automaton import EPSILON, LabeledAutomaton, check_word
 from .errors import BudgetExceeded, ContractError
 from .modes import UNBOUNDED, DescriptionMode, PairDescriptionMode
 
@@ -39,18 +39,17 @@ def _check_mode(mode):
             f"mode {mode.name!r} is certified unbounded; complexity is undefined")
 
 
-def complexity(mode: DescriptionMode, word: str):
-    """Minimal description length of `word`, or math.inf when unreachable."""
+def complexity(mode: DescriptionMode | PairDescriptionMode, word: str):
+    """Minimal description length of `word`, or math.inf when unreachable.
+
+    `word` is read on the mode's object tape, its last; on a pair mode the
+    value is the minimal |u|+|v| over pair descriptions (u, v).
+    """
     _check_mode(mode)
-    letters = word_to_indices(mode.automaton, 1, word)
-    return _sweep(mode.automaton, letters, [len(letters)])[0]
+    return _sweep(mode.automaton, word, [len(word)])[0]
 
 
-def pair_complexity(mode: PairDescriptionMode, word: str):
-    """Minimal |u|+|v| over pair descriptions (u,v) of `word`."""
-    _check_mode(mode)
-    letters = word_to_indices(mode.automaton, 2, word)
-    return _sweep(mode.automaton, letters, [len(letters)])[0]
+pair_complexity = complexity
 
 
 def superadditivity_check(mode: DescriptionMode, x: str, y: str) -> bool:
@@ -92,8 +91,7 @@ def complexity_curve(mode: DescriptionMode, source: str, n_max: int,
     positions = list(range(step, n_max + 1, step))
     if not positions:
         return ComplexityCurve(samples=(), mode_id=mode.name)
-    letters = word_to_indices(mode.automaton, 1, source[:positions[-1]])
-    values = _sweep(mode.automaton, letters, positions)
+    values = _sweep(mode.automaton, source[:positions[-1]], positions)
     samples = tuple(zip(positions, values))
     if verify:
         rng = random.Random(0x5EED)
@@ -109,11 +107,11 @@ def complexity_curve(mode: DescriptionMode, source: str, n_max: int,
 # --- the sweep ----------------------------------------------------------------
 
 def _classify_edges(aut: LabeledAutomaton):
-    """Split edges into intra-layer (epsilon object) and advancing groups;
-    reads[s] counts the advancing edges out of s."""
+    """Split edges into intra-layer (epsilon object) and advancing groups,
+    the latter by object letter; reads[s] counts the advancing edges out of s."""
     obj = aut.arity - 1
     intra = []
-    advance = [[] for _ in aut.alphabets[obj]]
+    advance = {a: [] for a in aut.alphabets[obj]}
     reads = [0] * aut.num_states
     for src, dst, label in aut.edges:
         w = sum(1 for t in range(obj) if label[t] is not EPSILON)
@@ -125,20 +123,21 @@ def _classify_edges(aut: LabeledAutomaton):
     return intra, advance, reads
 
 
-def _sweep(aut: LabeledAutomaton, letters: Sequence[int],
-           positions: List[int]) -> list:
-    """Values of K at the given prefix lengths (strictly ascending)."""
+def _sweep(aut: LabeledAutomaton, word: str, positions: List[int]) -> list:
+    """Values of K at the given prefix lengths (strictly ascending) of
+    `word`, read on the object tape."""
+    check_word(aut, aut.arity - 1, word)
     if aut.num_states == 0:
         return [UNREACHABLE] * len(positions)
     eng = _compiled(aut)
     if eng.step is _sweep_hubs:
-        return _sweep_hubs(eng, letters, positions)
+        return _sweep_hubs(eng, word, positions)
     dist, best = eng.start, 0
     out = []
     done = 0
     for n in positions:
         if n > done and best != UNREACHABLE:
-            dist, best = eng.step(eng.by_letter, dist, letters[done:n])
+            dist, best = eng.step(eng.by_letter, dist, word[done:n])
             done = n
         out.append(best)
     return out
@@ -159,16 +158,16 @@ class _CompiledSweep:
     def __init__(self, aut: LabeledAutomaton):
         intra, advance, reads = _classify_edges(aut)
         closure_into = _closure_into(aut.num_states, intra, reads)
-        by_letter = [[(s, q, c + w) for t, q, w in group for s, c in closure_into[t]]
-                     for group in advance]
+        by_letter = {a: [(s, q, c + w) for t, q, w in group for s, c in closure_into[t]]
+                     for a, group in advance.items()}
         self.step, self.hubs = _pick_step(aut.num_states, by_letter)
         if self.step is _step_python:
             self.by_letter = by_letter
             self.start = dict.fromkeys(range(aut.num_states), 0)
         else:
-            self.by_letter = [
-                tuple(np.asarray(edges, dtype=np.int64).reshape(-1, 3).T.copy())
-                for edges in by_letter]
+            self.by_letter = {
+                a: tuple(np.asarray(edges, dtype=np.int64).reshape(-1, 3).T.copy())
+                for a, edges in by_letter.items()}
             self.start = np.zeros(aut.num_states, dtype=np.int64)
 
 
@@ -176,7 +175,7 @@ def _pick_step(num_states: int, by_letter):
     """The step and its hub graph (or None): Python while a letter relaxes
     at most _PYTHON_STEP_EDGES closure edges; else the hub DP if its worst
     letter relaxes that few macro-edges; else numpy over the closure edges."""
-    if max(map(len, by_letter), default=0) <= _PYTHON_STEP_EDGES:
+    if max(map(len, by_letter.values()), default=0) <= _PYTHON_STEP_EDGES:
         return _step_python, None
     hubs = _Hubs.compile(num_states, by_letter, _PYTHON_STEP_EDGES)
     if hubs is None:
@@ -238,13 +237,12 @@ class _Hubs:
     of the last span letters, and K from those plus the prefix matches.
     """
 
-    def __init__(self, ids, depth, full, part, key):
+    def __init__(self, ids, depth, full, part):
         self.ids = np.asarray(ids, dtype=np.int64)
         self.full = sorted(full.items())
         self.part = sorted(part.items())
         self.span = max(full, default=1)
         self.lead = depth + self.span - 1
-        self.key = key
 
     @classmethod
     def compile(cls, num_states: int, by_letter, limit):
@@ -252,7 +250,7 @@ class _Hubs:
         `limit` macro-edges or the macro-edges exceed the compile budget."""
         out = [[] for _ in range(num_states)]    # out[s] = [(letter, q, cost)]
         indeg = [0] * num_states
-        for a, edges in enumerate(by_letter):
+        for a, edges in by_letter.items():
             for s, q, c in edges:
                 out[s].append((a, q, c))
                 indeg[q] += 1
@@ -284,7 +282,6 @@ class _Hubs:
 
         ids = [s for s in range(num_states) if hub[s]]
         index = {s: i for i, s in enumerate(ids)}
-        key = bytes if len(by_letter) <= 256 else tuple
         full, part = {}, {}
         widest = {}                              # length -> longest entry list
         relaxations = 0                          # sum of widest.values()
@@ -292,20 +289,20 @@ class _Hubs:
         for h in ids:
             src = index[h]
             for a, q, c in out[h]:
-                word, costs = [a], [c]
+                word, costs = a, [c]
                 while not hub[q]:
                     (a, q, c), = out[q]
-                    word.append(a)
+                    word += a
                     costs.append(costs[-1] + c)
                 budget -= len(word)
                 if budget < 0:
                     return None
                 for j in range(1, len(word)):
-                    ends = part.setdefault(j, {}).setdefault(key(word[:j]), {})
+                    ends = part.setdefault(j, {}).setdefault(word[:j], {})
                     if costs[j - 1] < ends.get(src, _INF):
                         ends[src] = costs[j - 1]
                 n = len(word)
-                pairs = full.setdefault(n, {}).setdefault(key(word), {})
+                pairs = full.setdefault(n, {}).setdefault(word, {})
                 dst = index[q]
                 if costs[-1] < pairs.get((src, dst), _INF):
                     pairs[(src, dst)] = costs[-1]
@@ -318,11 +315,10 @@ class _Hubs:
                     for w, pairs in table.items()} for n, table in full.items()}
         part = {j: {w: list(ends.items()) for w, ends in table.items()}
                 for j, table in part.items()}
-        return cls(ids, depth, full, part, key)
+        return cls(ids, depth, full, part)
 
 
-def _sweep_hubs(eng: _CompiledSweep, letters: Sequence[int],
-                positions: List[int]) -> list:
+def _sweep_hubs(eng: _CompiledSweep, word: str, positions: List[int]) -> list:
     """Values of K by the hub DP (see _Hubs).
 
     The first `lead` letters take the numpy closure step one letter at a
@@ -340,7 +336,7 @@ def _sweep_hubs(eng: _CompiledSweep, letters: Sequence[int],
     stop = positions[-1]
     for t in range(min(lead, stop) + 1):
         if t:
-            dist, best = _step_numpy(eng.by_letter, dist, letters[t - 1:t])
+            dist, best = _step_numpy(eng.by_letter, dist, word[t - 1:t])
             if best == UNREACHABLE:
                 break
         if t > lead - span:
@@ -348,7 +344,6 @@ def _sweep_hubs(eng: _CompiledSweep, letters: Sequence[int],
         if t == positions[len(out)]:
             out.append(best)
     if best != UNREACHABLE and stop > lead:
-        seq = hubs.key(letters)
         full, part = hubs.full, hubs.part
         blank = [_INF] * len(hubs.ids)
         samples = iter(positions[len(out):])
@@ -357,7 +352,7 @@ def _sweep_hubs(eng: _CompiledSweep, letters: Sequence[int],
         for t in range(lead + 1, stop + 1):
             new = blank.copy()
             for n, table in full:
-                edges = table.get(seq[t - n:t])
+                edges = table.get(word[t - n:t])
                 if edges:
                     old = ring[(t - n) % span]
                     for s, d, c in edges:
@@ -372,7 +367,7 @@ def _sweep_hubs(eng: _CompiledSweep, letters: Sequence[int],
             if t == want:
                 best = min(new)
                 for j, table in part:
-                    ends = table.get(seq[t - j:t])
+                    ends = table.get(word[t - j:t])
                     if ends:
                         old = ring[(t - j) % span]
                         for s, c in ends:

@@ -54,7 +54,7 @@ def wall_mode(c: int) -> DescriptionMode:
             for a in (0, 1):
                 b = c * a + r2 - 2 * r
                 if b in (0, 1):
-                    edges.append((r, r2, (a, b)))
+                    edges.append((r, r2, (BINARY[a], BINARY[b])))
     aut = LabeledAutomaton(arity=2, alphabets=(BINARY, BINARY),
                            num_states=c + 1, edges=tuple(edges))
     probe = DescriptionMode(aut, ValuednessCertificate.unknown(),
@@ -191,9 +191,8 @@ def splitter_mode(rule: SelectionRule) -> PairDescriptionMode:
     edges = []
     for s in range(rule.num_states):
         accepting = s in rule.accepting
-        for bit in (0, 1):
-            d = rule.transitions[s][bit]
-            label = (bit, EPSILON, bit) if accepting else (EPSILON, bit, bit)
+        for d, b in zip(rule.transitions[s], BINARY):
+            label = (b, EPSILON, b) if accepting else (EPSILON, b, b)
             edges.append((s, d, label))
     aut = LabeledAutomaton(arity=3, alphabets=(BINARY, BINARY, BINARY),
                            num_states=rule.num_states, edges=tuple(edges))

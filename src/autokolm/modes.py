@@ -133,9 +133,7 @@ def _derived_certificate(construction: str, combine, *modes) -> ValuednessCertif
 def identity_mode(alphabet: Sequence[str] = BINARY) -> DescriptionMode:
     """One state with a self-loop (a, a) per letter; K(x) = |x|."""
     alpha = tuple(alphabet)
-    if not alpha:
-        raise ContractError("identity mode needs a nonempty alphabet")
-    edges = tuple((0, 0, (i, i)) for i in range(len(alpha)))
+    edges = tuple((0, 0, (a, a)) for a in alpha)
     aut = LabeledAutomaton(arity=2, alphabets=(alpha, alpha),
                            num_states=1, edges=edges)
     return DescriptionMode(aut, ValuednessCertificate.asserted(1, "identity"),
@@ -177,12 +175,10 @@ def append_symbol(m: DescriptionMode, s: str) -> DescriptionMode:
     """
     cert = _derived_certificate("append-symbol", lambda b: 2 * b, m)
     aut = m.automaton
-    alpha = aut.alphabets[1]
-    if s not in alpha:
+    if s not in aut.alphabets[1]:
         raise ContractError(f"symbol {s!r} not in object alphabet")
-    idx = alpha.index(s)
     sink = aut.num_states
-    new_edges = tuple((v, sink, (EPSILON, idx)) for v in range(aut.num_states))
+    new_edges = tuple((v, sink, (EPSILON, s)) for v in range(aut.num_states))
     out = LabeledAutomaton(arity=2, alphabets=aut.alphabets,
                            num_states=aut.num_states + 1,
                            edges=aut.edges + new_edges)
@@ -197,10 +193,9 @@ def unary_compressor(c: int) -> DescriptionMode:
     """
     if c < 1:
         raise ContractError("compression factor must be >= 1")
-    one = BINARY.index("1")
-    edges = [(0, 1, (one, EPSILON))]
+    edges = [(0, 1, ("1", EPSILON))]
     for i in range(1, c + 1):
-        edges.append((i, (i + 1) % (c + 1), (EPSILON, one)))
+        edges.append((i, (i + 1) % (c + 1), (EPSILON, "1")))
     aut = LabeledAutomaton(arity=2, alphabets=(BINARY, BINARY),
                            num_states=c + 1, edges=tuple(edges))
     return DescriptionMode(
@@ -229,8 +224,6 @@ def layered_concat(m: DescriptionMode, n_layers: int) -> DescriptionMode:
     aut = m.automaton
     if set(aut.alphabets[0]) != set(BINARY):
         raise ContractError("layered concatenation needs a binary description alphabet")
-    zero = aut.alphabets[0].index("0")
-    one = aut.alphabets[0].index("1")
     n = aut.num_states
     N = n_layers
     extra = N + 1  # index of the final copy
@@ -249,8 +242,8 @@ def layered_concat(m: DescriptionMode, n_layers: int) -> DescriptionMode:
                 edges.append((state(layer, s), state(layer + 1, d), (desc, obj)))
             edges.append((state(extra, s), state(extra, d), (desc, obj)))
     for v in range(n):
-        edges.append((state(N, v), state(0, v), (zero, EPSILON)))
-        edges.append((state(N, v), hub, (one, EPSILON)))
+        edges.append((state(N, v), state(0, v), ("0", EPSILON)))
+        edges.append((state(N, v), hub, ("1", EPSILON)))
         edges.append((hub, state(extra, v), (EPSILON, EPSILON)))
     # A state-less base keeps an empty relation: no hub then.
     out = LabeledAutomaton(arity=2, alphabets=aut.alphabets,

@@ -146,9 +146,6 @@ def build_block_coder(h: BlockHistogram) -> DescriptionMode:
         raise BudgetExceeded("coder automaton would be too large", 1 << _MAX_CODER_K)
     counts = smoothed_counts(h)
     code = huffman_code(counts)
-    zero, one = BINARY.index("0"), BINARY.index("1")
-    bit_idx = {"0": zero, "1": one}
-
     edges = []
     children: Dict[tuple, int] = {}
     next_state = 1  # 0 is the root
@@ -162,14 +159,14 @@ def build_block_coder(h: BlockHistogram) -> DescriptionMode:
                 child = next_state
                 next_state += 1
                 children[key] = child
-                edges.append((node, child, (bit_idx[bit], EPSILON)))
+                edges.append((node, child, (bit, EPSILON)))
             node = child
         # Emission chain: k object letters from the leaf back to the root.
         for i, bit in enumerate(block):
             target = 0 if i == h.k - 1 else next_state
             if i < h.k - 1:
                 next_state += 1
-            edges.append((node, target, (EPSILON, bit_idx[bit])))
+            edges.append((node, target, (EPSILON, bit)))
             node = target
     aut = LabeledAutomaton(arity=2, alphabets=(BINARY, BINARY),
                            num_states=next_state, edges=tuple(edges))

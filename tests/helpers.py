@@ -39,7 +39,7 @@ def random_automaton(rng: random.Random, arity: int = 2, max_states: int = 5,
     edges = []
     for _ in range(n_edges):
         label = tuple(
-            EPSILON if rng.random() < eps_rate else rng.randrange(2)
+            EPSILON if rng.random() < eps_rate else ALPHA[rng.randrange(2)]
             for _ in range(arity))
         edges.append((rng.randrange(states), rng.randrange(states), label))
     return LabeledAutomaton(arity=arity, alphabets=(ALPHA,) * arity,
@@ -73,7 +73,6 @@ def sweep_pure_curve(aut: LabeledAutomaton, word: str) -> list:
     if aut.num_states == 0:
         return [math.inf] * (len(word) + 1)
     obj = aut.arity - 1
-    symbol = {s: i for i, s in enumerate(aut.alphabets[obj])}
     weighted = [(src, dst, label[obj],
                  sum(1 for t in range(obj) if label[t] is not EPSILON))
                 for src, dst, label in aut.edges]
@@ -87,10 +86,9 @@ def sweep_pure_curve(aut: LabeledAutomaton, word: str) -> list:
                 if letter is EPSILON and dist[src] + w < dist[dst]:
                     dist[dst] = dist[src] + w
                     changed = True
-        letter_here = symbol[ch]
         nd = [math.inf] * aut.num_states
         for src, dst, letter, w in weighted:
-            if letter == letter_here and dist[src] + w < nd[dst]:
+            if letter == ch and dist[src] + w < nd[dst]:
                 nd[dst] = dist[src] + w
         dist = nd
         values.append(min(dist))
@@ -145,8 +143,6 @@ def layered_concat_quadratic(m: DescriptionMode, n_layers: int) -> LabeledAutoma
     """Reference layered concatenation with direct jumps: one (1, eps)
     edge from every layer-N state to every state of the final copy."""
     aut = m.automaton
-    zero = aut.alphabets[0].index("0")
-    one = aut.alphabets[0].index("1")
     n, N = aut.num_states, n_layers
     extra = N + 1
     edges = []
@@ -157,8 +153,8 @@ def layered_concat_quadratic(m: DescriptionMode, n_layers: int) -> LabeledAutoma
             edges += [(c * n + s, (c + 1) * n + d, (desc, obj)) for c in range(N)]
             edges.append((extra * n + s, extra * n + d, (desc, obj)))
     for v in range(n):
-        edges.append((N * n + v, v, (zero, EPSILON)))
-        edges += [(N * n + v, extra * n + w, (one, EPSILON)) for w in range(n)]
+        edges.append((N * n + v, v, ("0", EPSILON)))
+        edges += [(N * n + v, extra * n + w, ("1", EPSILON)) for w in range(n)]
     return LabeledAutomaton(arity=2, alphabets=aut.alphabets,
                             num_states=(N + 2) * n, edges=tuple(edges))
 

@@ -320,9 +320,9 @@ def test_criterion_12_agafonov_machinery():
 
 
 def test_criterion_13_valuedness_checks():
-    loop = LabeledAutomaton(2, (BINARY, BINARY), 1, ((0, 0, (EPSILON, 0)),))
+    loop = LabeledAutomaton(2, (BINARY, BINARY), 1, ((0, 0, (EPSILON, "0")),))
     witness = eps_cycle_check(loop)
-    assert witness == ((0, 0, (EPSILON, 0)),)
+    assert witness == ((0, 0, (EPSILON, "0")),)
     mode = DescriptionMode(loop, ValuednessCertificate.unknown())
     assert valuedness_profile(mode, 4).max_fanout == "unbounded"
 

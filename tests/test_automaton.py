@@ -83,7 +83,7 @@ def test_reverse_reverses_relation():
     # Two-state chain reading ("01", "0").
     aut = LabeledAutomaton(
         2, (("0", "1"),) * 2, 3,
-        ((0, 1, (0, 0)), (1, 2, (1, EPSILON))))
+        ((0, 1, ("0", "0")), (1, 2, ("1", EPSILON))))
     assert read_relation_contains(aut, ("01", "0"))
     rev = reverse(aut)
     assert read_relation_contains(rev, ("10", "0"))
@@ -156,25 +156,41 @@ def test_path_semantics_subpath_closed():
             for j in range(i, len(path) + 1):
                 seg = path[i:j]
                 words = tuple(
-                    "".join(aut.alphabets[t][lab[t]]
-                            for lab in seg if lab[t] is not EPSILON)
+                    "".join(lab[t] for lab in seg if lab[t] is not EPSILON)
                     for t in range(aut.arity))
                 assert read_relation_contains(aut, words)
 
 
 def test_automaton_validation():
     with pytest.raises(ContractError):
-        LabeledAutomaton(2, (("0", "1"),) * 2, 1, ((0, 1, (0, 0)),))
+        LabeledAutomaton(2, (("0", "1"),) * 2, 1, ((0, 1, ("0", "0")),))
     with pytest.raises(ContractError):
-        LabeledAutomaton(2, (("0", "1"),) * 2, 1, ((0, 0, (0, 0, 0)),))
+        LabeledAutomaton(2, (("0", "1"),) * 2, 1, ((0, 0, ("0", "0", "0")),))
     with pytest.raises(ContractError):
-        LabeledAutomaton(2, (("0", "1"),) * 2, 1, ((0, 0, (2, 0)),))
+        LabeledAutomaton(2, (("0", "1"),) * 2, 1, ((0, 0, ("2", "0")),))
     with pytest.raises(ContractError):
         LabeledAutomaton(1, (("0", "1"), ("0", "1")), 1, ())
     # Symbols that the text format reads as epsilon, comment or separator.
     for alpha in (("-", "x"), ("#", "1"), (" ", "1"), ("0", "\t"), ("\x85",)):
         with pytest.raises(ContractError):
             LabeledAutomaton(2, (alpha, ("0", "1")), 1, ())
+
+
+def test_labels_are_alphabet_symbols():
+    binary = (("0", "1"),) * 2
+    aut = LabeledAutomaton(2, binary, 1, ((0, 0, ("1", EPSILON)),))
+    assert serialize_automaton(aut).endswith("edge 0 0 1 -\n")
+    # A letter index is not a symbol of the tape.
+    with pytest.raises(ContractError, match="outside alphabet of tape 0"):
+        LabeledAutomaton(2, binary, 1, ((0, 0, (1, 1)),))
+
+
+def test_empty_alphabet_is_refused():
+    # The text format cannot write a tape without symbols.
+    with pytest.raises(ContractError, match="nonempty alphabet"):
+        LabeledAutomaton(2, (("0", "1"), ()), 1, ((0, 0, ("1", EPSILON)),))
+    with pytest.raises(FormatError):
+        parse_automaton("arity 2\nalphabet 0 0 1\nalphabet 1\nstates 1\n")
 
 
 def test_format_round_trip_structural():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from autokolm.automaton import EPSILON, LabeledAutomaton, word_to_indices
+from autokolm.automaton import EPSILON, LabeledAutomaton
 from autokolm.complexity import (
     UNREACHABLE,
     ComplexityCurve,
@@ -18,7 +18,7 @@ from autokolm.complexity import (
     superadditivity_check,
 )
 from autokolm.constructions import joint, splitter_mode, wall_mode
-from autokolm.errors import BudgetExceeded, ContractError
+from autokolm.errors import BudgetExceeded, ContractError, InputRejected
 from autokolm.modes import (
     BINARY,
     DescriptionMode,
@@ -81,16 +81,16 @@ def test_complexity_examples():
 
 
 def test_complexity_unreachable_is_first_class():
-    ones_only = LabeledAutomaton(2, (BINARY, BINARY), 1, ((0, 0, (1, 1)),))
+    ones_only = LabeledAutomaton(2, (BINARY, BINARY), 1, ((0, 0, ("1", "1")),))
     mode = DescriptionMode(ones_only, ValuednessCertificate.asserted(1, "test"))
     assert complexity(mode, "0") == UNREACHABLE
     assert complexity(mode, "11") == 2
 
 
 def test_complexity_rejects_unbounded_certificate():
-    loop = LabeledAutomaton(2, (BINARY, BINARY), 1, ((0, 0, (EPSILON, 0)),))
+    loop = LabeledAutomaton(2, (BINARY, BINARY), 1, ((0, 0, (EPSILON, "0")),))
     bad = DescriptionMode(
-        loop, ValuednessCertificate.unbounded(((0, 0, (EPSILON, 0)),)))
+        loop, ValuednessCertificate.unbounded(((0, 0, (EPSILON, "0")),)))
     with pytest.raises(ContractError):
         complexity(bad, "0")
 
@@ -230,6 +230,17 @@ def test_pair_complexity_splitter_is_length():
         assert pair_complexity(sp, w) == len(w)
 
 
+def test_pair_mode_word_is_read_on_the_object_tape():
+    # Tape 1 lists its symbols in another order than the object tape.
+    aut = LabeledAutomaton(3, (("0", "1"), ("1", "0"), ("0", "1")), 1,
+                           ((0, 0, ("0", EPSILON, "0")),))
+    mode = PairDescriptionMode(aut, ValuednessCertificate.asserted(1, "test"))
+    assert complexity(mode, "00") == pair_complexity(mode, "00") == 2
+    for k in (complexity, pair_complexity):
+        with pytest.raises(InputRejected, match="'x' not in alphabet of tape 2"):
+            k(mode, "0x")
+
+
 def test_joint_with_identity_bounds_pair_complexity():
     rng = random.Random(27)
     from helpers import random_rule
@@ -296,7 +307,7 @@ def test_curve_with_trained_coder_on_skewed_stream():
 
 
 def test_unreachable_prefix_stays_unreachable_in_curve():
-    ones_only = LabeledAutomaton(2, (BINARY, BINARY), 1, ((0, 0, (1, 1)),))
+    ones_only = LabeledAutomaton(2, (BINARY, BINARY), 1, ((0, 0, ("1", "1")),))
     mode = DescriptionMode(ones_only, ValuednessCertificate.asserted(1, "test"))
     curve = complexity_curve(mode, "110111", 6, 2, verify=True)
     assert curve.samples == ((2, 2), (4, UNREACHABLE), (6, UNREACHABLE))
@@ -308,9 +319,9 @@ def counting_sweep(monkeypatch, skew=0):
     calls = []
     sweep = engine._sweep
 
-    def patched(aut, letters, positions):
+    def patched(aut, word, positions):
         calls.append(list(positions))
-        values = sweep(aut, letters, positions)
+        values = sweep(aut, word, positions)
         return [v + skew for v in values] if len(positions) > 1 else values
     monkeypatch.setattr(engine, "_sweep", patched)
     return calls
@@ -346,14 +357,14 @@ def one_bit_mode(edges, states):
 def cycle_mode():
     """A 3-cycle spelling 011 with one description bit per turn: no state
     has two exits, so the hub compile must promote one."""
-    return one_bit_mode(((0, 1, (0, 0)), (1, 2, (EPSILON, 1)),
-                         (2, 0, (EPSILON, 1))), 3)
+    return one_bit_mode(((0, 1, ("0", "0")), (1, 2, (EPSILON, "1")),
+                         (2, 0, (EPSILON, "1"))), 3)
 
 
 def two_chain_mode():
     """Hub 0 spells 011 or 10, one description bit each."""
-    return one_bit_mode(((0, 1, (0, 0)), (1, 2, (EPSILON, 1)), (2, 0, (EPSILON, 1)),
-                         (0, 3, (1, 1)), (3, 0, (EPSILON, 0))), 4)
+    return one_bit_mode(((0, 1, ("0", "0")), (1, 2, (EPSILON, "1")), (2, 0, (EPSILON, "1")),
+                         (0, 3, ("1", "1")), (3, 0, (EPSILON, "0"))), 4)
 
 
 def test_trained_coder_compiles_to_one_hub():
@@ -410,7 +421,8 @@ def test_hub_keys_cover_large_object_alphabets(forced_step):
     letters = tuple(chr(0x100 + i) for i in range(300))
     edges = []
     for i in range(300):
-        edges += [(0, 1 + i, (1, i)), (1 + i, 0, (EPSILON, (i + 1) % 300))]
+        edges += [(0, 1 + i, ("1", letters[i])),
+                  (1 + i, 0, (EPSILON, letters[(i + 1) % 300]))]
     aut = LabeledAutomaton(2, (BINARY, letters), 301, tuple(edges))
     mode = DescriptionMode(aut, ValuednessCertificate.asserted(1, "test"))
     word = "".join(letters[i] + letters[(i + 1) % 300] for i in (299, 3, 260, 7))
@@ -436,7 +448,7 @@ def test_compiled_sweep_is_freed_with_its_automaton(monkeypatch):
 def finite_modes(draw, arity):
     """Small random modes that pass the structural unboundedness check."""
     states = draw(st.integers(1, 6))
-    label = st.tuples(*[st.sampled_from([EPSILON, 0, 1])] * arity)
+    label = st.tuples(*[st.sampled_from([EPSILON, "0", "1"])] * arity)
     edges = draw(st.lists(st.tuples(st.integers(0, states - 1),
                                     st.integers(0, states - 1), label),
                           min_size=1, max_size=14))
@@ -456,7 +468,6 @@ def test_each_step_matches_oracle_on_hypothesis_modes(name, arity, data):
     aut = mode.automaton
     with pytest.MonkeyPatch.context() as mp:
         step = force_step(mp, name)
-        letters = word_to_indices(aut, arity - 1, word)
-        values = engine._sweep(aut, letters, list(range(len(word) + 1)))
+        values = engine._sweep(aut, word, list(range(len(word) + 1)))
         assert engine._compiled(aut).step is step
     assert values == sweep_pure_curve(aut, word)

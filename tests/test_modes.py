@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -216,19 +217,19 @@ def test_layered_needs_binary_descriptions():
 def test_eps_cycle_check_examples():
     assert eps_cycle_check(identity_mode()) is None
     assert eps_cycle_check(unary_compressor(3)) is None
-    loop = LabeledAutomaton(2, (BINARY, BINARY), 1, ((0, 0, (EPSILON, 0)),))
+    loop = LabeledAutomaton(2, (BINARY, BINARY), 1, ((0, 0, (EPSILON, "0")),))
     witness = eps_cycle_check(loop)
-    assert witness == ((0, 0, (EPSILON, 0)),)
+    assert witness == ((0, 0, (EPSILON, "0")),)
 
 
 def test_eps_cycle_check_finds_long_cycles():
     # 0 -(eps,1)-> 1 -(eps,eps)-> 0 pumps output despite no self-loop.
     aut = LabeledAutomaton(
         2, (BINARY, BINARY), 2,
-        ((0, 1, (EPSILON, 1)), (1, 0, (EPSILON, EPSILON))))
+        ((0, 1, (EPSILON, "1")), (1, 0, (EPSILON, EPSILON))))
     witness = eps_cycle_check(aut)
     assert witness is not None
-    assert witness[0] == (0, 1, (EPSILON, 1))
+    assert witness[0] == (0, 1, (EPSILON, "1"))
     # The witness closes into a cycle.
     assert witness[-1][1] == witness[0][0]
 
@@ -246,7 +247,7 @@ def test_valuedness_profile_unary2():
 
 
 def test_valuedness_profile_unbounded_reports_witness():
-    loop = LabeledAutomaton(2, (BINARY, BINARY), 1, ((0, 0, (EPSILON, 0)),))
+    loop = LabeledAutomaton(2, (BINARY, BINARY), 1, ((0, 0, (EPSILON, "0")),))
     mode = DescriptionMode(loop, ValuednessCertificate.unknown())
     prof = valuedness_profile(mode, 4)
     assert prof.max_fanout == "unbounded"
@@ -307,9 +308,9 @@ def test_mode_parse_rejects_refuted_certificate():
 
 
 def test_union_rejects_unbounded_mode():
-    loop = LabeledAutomaton(2, (BINARY, BINARY), 1, ((0, 0, (EPSILON, 0)),))
+    loop = LabeledAutomaton(2, (BINARY, BINARY), 1, ((0, 0, (EPSILON, "0")),))
     bad = DescriptionMode(
-        loop, ValuednessCertificate.unbounded(((0, 0, (EPSILON, 0)),)))
+        loop, ValuednessCertificate.unbounded(((0, 0, (EPSILON, "0")),)))
     with pytest.raises(ContractError):
         union(identity_mode(), bad)
 
@@ -321,9 +322,9 @@ def test_union_rejects_unbounded_mode():
     lambda bad: joint(bad, splitter_mode(parity_rule())),
 ], ids=["compose", "append", "layered", "joint"])
 def test_derived_constructions_reject_unbounded_mode(build):
-    loop = LabeledAutomaton(2, (BINARY, BINARY), 1, ((0, 0, (EPSILON, 0)),))
+    loop = LabeledAutomaton(2, (BINARY, BINARY), 1, ((0, 0, (EPSILON, "0")),))
     bad = DescriptionMode(
-        loop, ValuednessCertificate.unbounded(((0, 0, (EPSILON, 0)),)), name="loop")
+        loop, ValuednessCertificate.unbounded(((0, 0, (EPSILON, "0")),)), name="loop")
     with pytest.raises(ContractError, match="'loop' has an unbounded certificate"):
         build(bad)
 
@@ -331,7 +332,7 @@ def test_derived_constructions_reject_unbounded_mode(build):
 def test_reverse_mode_flips_the_unbounded_witness():
     # A 2-cycle that emits 0 then 1 and consumes nothing.
     aut = LabeledAutomaton(2, (BINARY, BINARY), 2, (
-        (0, 1, (EPSILON, 0)), (1, 0, (EPSILON, 1)), (0, 0, (1, 1))))
+        (0, 1, (EPSILON, "0")), (1, 0, (EPSILON, "1")), (0, 0, ("1", "1"))))
     witness = eps_cycle_check(aut)
     rev = reverse_mode(DescriptionMode(aut, ValuednessCertificate.unbounded(witness)))
     flipped = rev.certificate.witness
@@ -377,7 +378,7 @@ def random_modes(draw):
     """Random binary or pair modes with a certificate that fits them."""
     arity = draw(st.sampled_from([2, 3]))
     states = draw(st.integers(1, 5))
-    label = st.tuples(*[st.sampled_from([EPSILON, 0, 1])] * arity)
+    label = st.tuples(*[st.sampled_from([EPSILON, "0", "1"])] * arity)
     edges = draw(st.lists(st.tuples(st.integers(0, states - 1),
                                     st.integers(0, states - 1), label), max_size=12))
     aut = LabeledAutomaton(arity, (BINARY,) * arity, states, tuple(edges))
@@ -416,6 +417,41 @@ def test_mode_files_round_trip(mode):
     assert type(back) is type(mode)
     assert back.automaton == mode.automaton
     assert back.certificate == mode.certificate
+
+
+# SHA-256 of serialize_mode output for built modes: how labels are held in
+# memory must not move a byte of the text format.
+MODE_TEXT_SHA256 = {
+    "coder2": "7a0f8072a06fffa3fae3a0862c4170818cecebdad5f301d92404dedd523550ec",
+    "coder3": "5b76362aec61e72574d6c433a89d451fd2e312097e9d56cbfde47f4e55775af3",
+    "coder4": "c3cb3e85f44919556a6bc33961864a62356fb9ee74c34be1ed34224a45b594cd",
+    "coder5": "2f94c6769f68c788ead73ea7c537bf6688e4e9ea3a639a09a836bcdda12c148a",
+    "coder6": "580e2414a3a94df8e7232f294dd15e5f08436154978a5e223abbaf4720ff7d37",
+    "coder7": "4a3dab05e726d87733e4e2191b31e38d68952694aaf3e52c73d0f7c1818cc8f6",
+    "coder8": "b272e5ffe054cefd1f8f6e91bc30a5af8db220a69e3db58edfb771ac5c8601ff",
+    "layered": "7311a66866420771ac7090d4a77a4e5089b7cd8ec1916802443238c9894ae45b",
+    "compose": "06ebd60052b239ae22c01afd529a4e610037b646df6d65723c5e96131a6fea42",
+    "reverse": "d1a8b35dab79c2c33d4097f3d951d82e78f2fcf491da010ff946bd0aec80f1c9",
+    "wall3": "ec8a2c0cd74fc0c7371192848c1415ccb648ce32c0bdefa7e4c0f9bff05d65a5",
+    "splitter": "22b86fd4512dea08ea7261c1c8d4e9da4979c2fe56164be3d2784d4a7a05253d",
+    "joint": "f438d86b7b30e93d6d4023d737325c510b8d0f986eea67d331a40cc14e253276",
+}
+
+
+def test_mode_texts_are_unchanged():
+    coder4 = _trained_coder(4)
+    built = {f"coder{k}": _trained_coder(k) for k in range(2, 9)}
+    built.update(layered=layered_concat(coder4, 2), compose=compose(coder4, coder4),
+                 reverse=reverse_mode(coder4), wall3=wall_mode(3),
+                 splitter=splitter_mode(parity_rule()),
+                 joint=joint(identity_mode(), splitter_mode(parity_rule())))
+    assert serialize_mode(built["splitter"]) == (
+        "arity 3\nalphabet 0 0 1\nalphabet 1 0 1\nalphabet 2 0 1\nstates 2\n"
+        "edge 0 1 0 - 0\nedge 0 1 1 - 1\nedge 1 0 - 0 0\nedge 1 0 - 1 1\n"
+        "certificate 2 asserted-by-construction splitter\n")
+    for name, mode in built.items():
+        digest = hashlib.sha256(serialize_mode(mode).encode()).hexdigest()
+        assert digest == MODE_TEXT_SHA256[name], name
 
 
 @settings(derandomize=True, database=None, max_examples=400, deadline=None)
