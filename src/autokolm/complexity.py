@@ -29,6 +29,17 @@ UNREACHABLE = math.inf
 # Python; above it the numpy scatter-min is faster per letter (measured
 # crossover between 24 and 28 edges on carry automata and random graphs).
 _PYTHON_STEP_EDGES = 24
+# Above it, the hub DP runs while its worst letter relaxes at most one
+# macro-edge per this many closure edges of the worst letter.  A hub loop
+# relaxation costs 82-108 ns and a numpy closure edge 6-8 ns, so the break
+# even lies at 12-15 (warm in-process sweeps, alternating, slow host era):
+#   layered(coder4, 2), 48k skewed bits, 3,853 edges / 261 = 14.8:
+#     hub 1.31-1.40 s, numpy 1.47-1.73 s;
+#   reverse(k=8 coder), 20k Champernowne bits, 66,304 / 256 = 259:
+#     hub 0.37-0.49 s, numpy 8.6-9.2 s;
+#   compose(coder4, coder4), 20k Champernowne bits, 12,944 / 2,954 = 4.4:
+#     hub 4.7-5.7 s, numpy 1.4-1.7 s.
+_EDGES_PER_RELAXATION = 12
 _INF = 1 << 62
 _NORMALIZE_BUDGET = 5_000_000
 
@@ -130,8 +141,8 @@ def _sweep(aut: LabeledAutomaton, word: str, positions: List[int]) -> list:
     if aut.num_states == 0:
         return [UNREACHABLE] * len(positions)
     eng = _compiled(aut)
-    if eng.step is _sweep_hubs:
-        return _sweep_hubs(eng, word, positions)
+    if eng.hubs is not None:
+        return eng.step(eng, word, positions)
     dist, best = eng.start, 0
     out = []
     done = 0
@@ -152,7 +163,8 @@ class _CompiledSweep:
     (weights are nonnegative and the end state is free), so only
     source-side closure is needed.  `_pick_step` chooses how a letter is
     swept: plain Python over a dict of reachable states, the hub DP over
-    macro-edges (`_Hubs`), or a numpy scatter-min over the closure edges.
+    macro-edges (`_Hubs`) as prefix sums or as a loop, or a numpy
+    scatter-min over the closure edges.
     """
 
     def __init__(self, aut: LabeledAutomaton):
@@ -160,27 +172,36 @@ class _CompiledSweep:
         closure_into = _closure_into(aut.num_states, intra, reads)
         by_letter = {a: [(s, q, c + w) for t, q, w in group for s, c in closure_into[t]]
                      for a, group in advance.items()}
-        self.step, self.hubs = _pick_step(aut.num_states, by_letter)
+        self.step, self.by_letter, self.hubs = _pick_step(aut.num_states, by_letter)
         if self.step is _step_python:
-            self.by_letter = by_letter
             self.start = dict.fromkeys(range(aut.num_states), 0)
         else:
-            self.by_letter = {
-                a: tuple(np.asarray(edges, dtype=np.int64).reshape(-1, 3).T.copy())
-                for a, edges in by_letter.items()}
             self.start = np.zeros(aut.num_states, dtype=np.int64)
 
 
+def _edge_arrays(by_letter):
+    """Closure edge lists as (sources, targets, costs) int64 arrays per letter."""
+    return {a: tuple(np.asarray(edges, dtype=np.int64).reshape(-1, 3).T.copy())
+            for a, edges in by_letter.items()}
+
+
 def _pick_step(num_states: int, by_letter):
-    """The step and its hub graph (or None): Python while a letter relaxes
-    at most _PYTHON_STEP_EDGES closure edges; else the hub DP if its worst
-    letter relaxes that few macro-edges; else numpy over the closure edges."""
-    if max(map(len, by_letter.values()), default=0) <= _PYTHON_STEP_EDGES:
-        return _step_python, None
-    hubs = _Hubs.compile(num_states, by_letter, _PYTHON_STEP_EDGES)
+    """The step, the edges it reads per letter, and its hub graph (or None).
+
+    Python while every letter relaxes at most _PYTHON_STEP_EDGES closure
+    edges.  Otherwise the hub DP if its worst letter relaxes at most
+    1/_EDGES_PER_RELAXATION as many macro-edges as the worst letter has
+    closure edges: by prefix sums when the hub graph has a window cost
+    table, else by the hub loop.  Otherwise numpy over the closure edges.
+    """
+    widest = max(map(len, by_letter.values()), default=0)
+    if widest <= _PYTHON_STEP_EDGES:
+        return _step_python, by_letter, None
+    arrays = _edge_arrays(by_letter)
+    hubs = _Hubs.compile(num_states, arrays, widest / _EDGES_PER_RELAXATION)
     if hubs is None:
-        return _step_numpy, None
-    return _sweep_hubs, hubs
+        return _step_numpy, arrays, None
+    return (_sweep_hubs if hubs.costs is None else _sweep_sums), arrays, hubs
 
 
 def _step_python(by_letter, dist: dict, letters):
@@ -235,46 +256,67 @@ class _Hubs:
     earlier than `depth`; a path that ends at a hub left the previous hub
     at most span letters earlier.  So hub costs follow from the hub costs
     of the last span letters, and K from those plus the prefix matches.
+
+    One hub with one macro-edge length L also gets window tables indexed
+    by the code of a length-L word: the letters' positions in the object
+    alphabet (`rank`) read as digits in base |alphabet|, first letter
+    most significant.  `missing` marks the words that are no macro-edge;
+    `costs` holds the cost of the others (0 for the missing ones).  They
+    exist only while |alphabet|**L stays within _NORMALIZE_BUDGET;
+    otherwise both are None.
     """
 
-    def __init__(self, ids, depth, full, part):
+    def __init__(self, ids, depth, full, part, alphabet):
         self.ids = np.asarray(ids, dtype=np.int64)
         self.full = sorted(full.items())
         self.part = sorted(part.items())
         self.span = max(full, default=1)
         self.lead = depth + self.span - 1
+        rank = {a: i for i, a in enumerate(alphabet)}
+        self.costs, self.missing = _window_costs(len(ids), full, rank)
+        if self.costs is not None:
+            self.rank = {ord(a): i for a, i in rank.items()}
+            self.powers = len(rank) ** np.arange(self.span, dtype=np.intp)
 
     @classmethod
     def compile(cls, num_states: int, by_letter, limit):
-        """The hub graph, or None once a letter would relax more than
-        `limit` macro-edges or the macro-edges exceed the compile budget."""
-        out = [[] for _ in range(num_states)]    # out[s] = [(letter, q, cost)]
-        indeg = [0] * num_states
-        for a, edges in by_letter.items():
-            for s, q, c in edges:
-                out[s].append((a, q, c))
-                indeg[q] += 1
-        live = [True] * num_states
-        frontier = [q for q in range(num_states) if not indeg[q]]
+        """The hub graph of the closure edges (`_edge_arrays`), or None once
+        a letter would relax more than `limit` macro-edges or the
+        macro-edges exceed the compile budget."""
+        alphabet = list(by_letter)
+        srcs, dst, cost = (np.concatenate(col) for col in zip(*by_letter.values()))
+        letter = np.repeat(np.arange(len(alphabet)),
+                           [len(edges[0]) for edges in by_letter.values()])
+        order = np.argsort(srcs, kind="stable")
+        dst, cost, letter = dst[order], cost[order], letter[order]
+        outdeg = np.bincount(srcs, minlength=num_states)
+        first = np.cumsum(outdeg) - outdeg       # out-edges of s: first[s]:first[s] + outdeg[s]
+        indeg = np.bincount(dst, minlength=num_states)
+        live = np.ones(num_states, dtype=bool)
+        frontier = np.flatnonzero(indeg == 0)
         depth = 0
-        while frontier:
+        while frontier.size:
             depth += 1
-            peeled = frontier
-            frontier = []
-            for s in peeled:
-                live[s] = False
-                for _, q, _ in out[s]:
-                    indeg[q] -= 1
-                    if not indeg[q]:
-                        frontier.append(q)
-        hub = [live[s] and len(out[s]) != 1 for s in range(num_states)]
+            live[frontier] = False
+            counts = outdeg[frontier]
+            out = np.repeat(first[frontier] - (np.cumsum(counts) - counts), counts)
+            out += np.arange(out.size)
+            ends = dst[out]
+            np.subtract.at(indeg, ends, 1)
+            ends = np.sort(ends[indeg[ends] == 0])
+            frontier = ends[np.diff(ends, prepend=-1) != 0]
+        hub = (live & (outdeg != 1)).tolist()
+        live = live.tolist()
+        # The out-edge of each single-exit state (past the end for a state without one).
+        nxt, nletter, ncost = (np.append(col, 0)[first].tolist()
+                               for col in (dst, letter, cost))
         mark = [0] * num_states                  # 1: on this walk, 2: walked
         for v in range(num_states):
             walk = []
             while live[v] and not hub[v] and not mark[v]:
                 mark[v] = 1
                 walk.append(v)
-                _, v, _ = out[v][0]
+                v = nxt[v]
             if mark[v] == 1:                     # a cycle of single-exit states
                 hub[v] = True
             for u in walk:
@@ -282,30 +324,41 @@ class _Hubs:
 
         ids = [s for s in range(num_states) if hub[s]]
         index = {s: i for i, s in enumerate(ids)}
-        full, part = {}, {}
+        chains = {}              # state -> (word and prefix costs to the next hub, that hub)
+        full, part = {}, [{}]    # part[j] for 1 <= j < span
         widest = {}                              # length -> longest entry list
         relaxations = 0                          # sum of widest.values()
         budget = _NORMALIZE_BUDGET
         for h in ids:
             src = index[h]
-            for a, q, c in out[h]:
-                word, costs = a, [c]
-                while not hub[q]:
-                    (a, q, c), = out[q]
-                    word += a
-                    costs.append(costs[-1] + c)
-                budget -= len(word)
+            edges = slice(first[h], first[h] + outdeg[h])
+            for a, q, c in zip(letter[edges].tolist(), dst[edges].tolist(),
+                               cost[edges].tolist()):
+                tail = chains.get(q)
+                if tail is None:
+                    rest, costs, v = "", [], q
+                    while not hub[v]:
+                        rest += alphabet[nletter[v]]
+                        costs.append(ncost[v] + (costs[-1] if costs else 0))
+                        v = nxt[v]
+                    tail = chains[q] = rest, costs, index[v]
+                rest, costs, dst_hub = tail
+                word = alphabet[a] + rest
+                n = len(word)
+                budget -= n
                 if budget < 0:
                     return None
-                for j in range(1, len(word)):
-                    ends = part.setdefault(j, {}).setdefault(word[:j], {})
-                    if costs[j - 1] < ends.get(src, _INF):
-                        ends[src] = costs[j - 1]
-                n = len(word)
+                while len(part) < n:
+                    part.append({})
+                paid = c                         # the cost of word[:j]
+                for j in range(1, n):
+                    ends = part[j].setdefault(word[:j], {})
+                    if paid < ends.get(src, _INF):
+                        ends[src] = paid
+                    paid = c + costs[j - 1]
                 pairs = full.setdefault(n, {}).setdefault(word, {})
-                dst = index[q]
-                if costs[-1] < pairs.get((src, dst), _INF):
-                    pairs[(src, dst)] = costs[-1]
+                if paid < pairs.get((src, dst_hub), _INF):
+                    pairs[(src, dst_hub)] = paid
                     if len(pairs) > widest.get(n, 0):
                         widest[n] = len(pairs)
                         relaxations += 1
@@ -314,27 +367,40 @@ class _Hubs:
         full = {n: {w: [(s, d, c) for (s, d), c in pairs.items()]
                     for w, pairs in table.items()} for n, table in full.items()}
         part = {j: {w: list(ends.items()) for w, ends in table.items()}
-                for j, table in part.items()}
-        return cls(ids, depth, full, part)
+                for j, table in enumerate(part) if table}
+        return cls(ids, depth, full, part, alphabet)
 
 
-def _sweep_hubs(eng: _CompiledSweep, word: str, positions: List[int]) -> list:
-    """Values of K by the hub DP (see _Hubs).
+def _window_costs(hubs: int, full, rank):
+    """The window tables `_Hubs.costs` and `_Hubs.missing`, or (None, None)."""
+    if hubs != 1 or len(full) != 1:
+        return None, None
+    [(n, table)] = full.items()
+    if len(rank) ** n > _NORMALIZE_BUDGET:
+        return None, None
+    costs = np.zeros(len(rank) ** n, dtype=np.int64)
+    missing = np.ones(len(rank) ** n, dtype=bool)
+    for word, [(_, _, c)] in table.items():
+        code = 0
+        for a in word:
+            code = code * len(rank) + rank[a]
+        costs[code], missing[code] = c, False
+    return costs, missing
 
-    The first `lead` letters take the numpy closure step one letter at a
-    time, keeping the hub costs of the last `span` of them; each later
-    letter relaxes the macro-edges whose word ends there, per length.
-    Only the hub costs of the last span letters are kept, in a ring
-    indexed by letter: a letter's costs are complete before they take
-    the slot of the letter span back.
+
+def _prologue(eng: _CompiledSweep, word: str, positions: List[int]):
+    """The first `lead` letters of the hub DP by the numpy closure step.
+
+    Returns the values at the positions up to `lead`, the hub costs of the
+    last `span` of those letters in a ring indexed by letter, and the
+    last value (UNREACHABLE once no state is reachable).
     """
     hubs = eng.hubs
     span, lead = hubs.span, hubs.lead
     ring = [None] * span
     out = []
     dist, best = eng.start, 0
-    stop = positions[-1]
-    for t in range(min(lead, stop) + 1):
+    for t in range(min(lead, positions[-1]) + 1):
         if t:
             dist, best = _step_numpy(eng.by_letter, dist, word[t - 1:t])
             if best == UNREACHABLE:
@@ -343,6 +409,35 @@ def _sweep_hubs(eng: _CompiledSweep, word: str, positions: List[int]) -> list:
             ring[t % span] = dist[hubs.ids].tolist()
         if t == positions[len(out)]:
             out.append(best)
+    return out, ring, best
+
+
+def _free_ends(part, word: str, t: int, best, hub_costs):
+    """min(best, the cheapest path that ends inside a chain at letter t):
+    hub_costs(u) lists the hub costs at letter u."""
+    for j, table in part:
+        ends = table.get(word[t - j:t])
+        if ends:
+            old = hub_costs(t - j)
+            for s, c in ends:
+                c += old[s]
+                if c < best:
+                    best = c
+    return best
+
+
+def _sweep_hubs(eng: _CompiledSweep, word: str, positions: List[int]) -> list:
+    """Values of K by the hub loop (see _Hubs).
+
+    After the prologue each letter relaxes the macro-edges whose word
+    ends there, per length.  Only the hub costs of the last span letters
+    are kept, in a ring indexed by letter: a letter's costs are complete
+    before they take the slot of the letter span back.
+    """
+    hubs = eng.hubs
+    span, lead = hubs.span, hubs.lead
+    out, ring, best = _prologue(eng, word, positions)
+    stop = positions[-1]
     if best != UNREACHABLE and stop > lead:
         full, part = hubs.full, hubs.part
         blank = [_INF] * len(hubs.ids)
@@ -365,19 +460,51 @@ def _sweep_hubs(eng: _CompiledSweep, word: str, positions: List[int]) -> list:
             elif t - last >= span:
                 break                # no state is reachable from here on
             if t == want:
-                best = min(new)
-                for j, table in part:
-                    ends = table.get(word[t - j:t])
-                    if ends:
-                        old = ring[(t - j) % span]
-                        for s, c in ends:
-                            c += old[s]
-                            if c < best:
-                                best = c
+                best = _free_ends(part, word, t, min(new), lambda u: ring[u % span])
                 if best >= _INF:
                     break
                 out.append(best)
                 want = next(samples, None)
+    return out + [UNREACHABLE] * (len(positions) - len(out))
+
+
+def _sweep_sums(eng: _CompiledSweep, word: str, positions: List[int]) -> list:
+    """Values of K by prefix sums, for one hub with one macro-edge length L.
+
+    After the prologue, the hub cost at letter t is its cost at t - L plus
+    the cost of the window word[t - L:t]: one running sum per residue of t
+    mod L, started from the prologue's last L hub costs.  A window with no
+    macro-edge cuts its residue from there on: a separate running "or"
+    marks the cut sums, so _INF never enters a sum.  K is then read at the
+    positions only.
+    """
+    hubs = eng.hubs
+    span, lead = hubs.span, hubs.lead
+    out, ring, best = _prologue(eng, word, positions)
+    stop = positions[-1]
+    if best != UNREACHABLE and stop > lead:
+        # Row r, column i: the window that ends at letter lead + 1 + r * span + i.
+        # The last row is padded with copies of the word's first letter.
+        first, rows = lead + 1 - span, -(-(stop - lead) // span)
+        text = word[first:stop] + word[0] * (rows * span - (stop - lead))
+        codes = np.convolve(np.frombuffer(text.translate(hubs.rank).encode(
+            "utf-32-le", "surrogatepass"), dtype=np.uint32), hubs.powers, "valid")
+        sums, cut = hubs.costs[codes].reshape(rows, span), hubs.missing[codes].reshape(rows, span)
+        sums.cumsum(axis=0, out=sums)
+        np.logical_or.accumulate(cut, axis=0, out=cut)   # a window so far had no macro-edge
+        base = [ring[t % span][0] for t in range(first, lead + 1)]
+        sums += [0 if c >= _INF else c for c in base]
+        cut |= [c >= _INF for c in base]
+        sums[cut] = _INF
+        sums = sums.ravel()                      # sums[t - lead - 1]: hub cost at letter t
+
+        def hub_costs(u):
+            return [int(sums[u - lead - 1])] if u > lead else ring[u % span]
+        for t in positions[len(out):]:
+            best = _free_ends(hubs.part, word, t, hub_costs(t)[0], hub_costs)
+            if best >= _INF:
+                break
+            out.append(best)
     return out + [UNREACHABLE] * (len(positions) - len(out))
 
 

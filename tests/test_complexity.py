@@ -45,20 +45,39 @@ from helpers import (
 # The package re-exports the `complexity` function under the module's name.
 engine = importlib.import_module("autokolm.complexity")
 STEPS = {"python": engine._step_python, "hub": engine._sweep_hubs,
-         "numpy": engine._step_numpy}
+         "sums": engine._sweep_sums, "numpy": engine._step_numpy}
 
 
 def force_step(monkeypatch, name):
-    """Compile every automaton with the named per-letter step, on a fresh cache."""
+    """Compile every automaton with the named per-letter step, on a fresh cache.
+
+    The prefix sums ("sums") need a window cost table, that is one hub with
+    one macro-edge length; other hub graphs take the hub loop ("hub").
+    """
     step = STEPS[name]
 
     def pick(num_states, by_letter):
-        if step is engine._sweep_hubs:
-            return step, engine._Hubs.compile(num_states, by_letter, math.inf)
-        return step, None
+        if step is engine._step_python:
+            return step, by_letter, None
+        arrays = engine._edge_arrays(by_letter)
+        if step is engine._step_numpy:
+            return step, arrays, None
+        hubs = engine._Hubs.compile(num_states, arrays, math.inf)
+        if hubs.costs is None:
+            return engine._sweep_hubs, arrays, hubs
+        return step, arrays, hubs
     monkeypatch.setattr(engine, "_pick_step", pick)
     monkeypatch.setattr(engine, "_sweep_cache", {})
     return step
+
+
+def assert_swept_by(aut, step):
+    """`aut` compiled to the forced `step`, or to the hub loop where the
+    prefix sums were forced but have no window cost table."""
+    eng = engine._compiled(aut)
+    if step is engine._sweep_sums and eng.hubs.costs is None:
+        step = engine._sweep_hubs
+    assert eng.step is step
 
 
 @pytest.fixture(params=sorted(STEPS))
@@ -142,11 +161,10 @@ def test_reversal_duality():
         for _ in range(40):
             x = random_word(rng, 10)
             assert complexity(rev, x[::-1]) == complexity(mode, x)
-    # Trained coders: the reversed k=4 coder runs the hub DP, the reversed
-    # k=8 coder the numpy step.
+    # Trained coders: both reversed coders run the hub loop.
     bits = champernowne_bits(4_000)
     for k, x, step in ((4, bits[1_000:3_000], engine._sweep_hubs),
-                       (8, bits[2_000:2_500], engine._step_numpy)):
+                       (8, bits[2_000:2_500], engine._sweep_hubs)):
         mode = champ_coder(k)
         rev = reverse_mode(mode)
         assert complexity(rev, x[::-1]) == complexity(mode, x)
@@ -161,7 +179,7 @@ def test_pure_and_numpy_backends_agree(monkeypatch):
             mode = random_finite_mode(rng, max_states=5, max_edges=9)
             x = random_word(rng, 30)
             assert complexity(mode, x) == sweep_pure(mode.automaton, x)
-            assert engine._compiled(mode.automaton).step is step
+            assert_swept_by(mode.automaton, step)
 
 
 def test_each_step_matches_oracle_on_generated_modes(forced_step):
@@ -175,7 +193,7 @@ def test_each_step_matches_oracle_on_generated_modes(forced_step):
         for _ in range(4):
             x = random_word(rng, 30)
             assert pair_complexity(pair, x) == sweep_pure(pair.automaton, x)
-        assert engine._compiled(pair.automaton).step is forced_step
+        assert_swept_by(pair.automaton, forced_step)
 
 
 def test_each_step_matches_oracle_on_curves(forced_step):
@@ -190,7 +208,7 @@ def test_each_step_matches_oracle_on_curves(forced_step):
         for n, k in curve.samples:
             assert k == sweep_pure(mode.automaton, source[:n])
             unreachable += k == UNREACHABLE
-        assert engine._compiled(mode.automaton).step is forced_step
+        assert_swept_by(mode.automaton, forced_step)
     assert unreachable > 0
 
 
@@ -361,20 +379,27 @@ def cycle_mode():
                          (2, 0, (EPSILON, "1"))), 3)
 
 
-def two_chain_mode():
-    """Hub 0 spells 011 or 10, one description bit each."""
-    return one_bit_mode(((0, 1, ("0", "0")), (1, 2, (EPSILON, "1")), (2, 0, (EPSILON, "1")),
-                         (0, 3, ("1", "1")), (3, 0, (EPSILON, "0"))), 4)
+def two_chain_mode(second="10"):
+    """Hub 0 spells 011 or `second`, one description bit each."""
+    edges = [(0, 1, ("0", "0")), (1, 2, (EPSILON, "1")), (2, 0, (EPSILON, "1"))]
+    chain = [0, *range(3, 2 + len(second)), 0]
+    for i, a in enumerate(second):
+        edges.append((chain[i], chain[i + 1], ("1" if i == 0 else EPSILON, a)))
+    return one_bit_mode(tuple(edges), 2 + len(second))
 
 
 def test_trained_coder_compiles_to_one_hub():
     eng = engine._compiled(champ_coder(8).automaton)
-    assert eng.step is engine._sweep_hubs
+    assert eng.step is engine._sweep_sums
     hubs = eng.hubs
     assert len(hubs.ids) == 1 and hubs.span == 8 and hubs.lead == 8
     [(length, table)] = hubs.full
     assert length == 8 and len(table) == 256
     assert all(len(edges) == 1 for edges in table.values())
+    # Window codes read the block as a binary number, first letter highest.
+    assert hubs.costs.size == 256
+    for word, [(_, _, cost)] in table.items():
+        assert hubs.costs[int(word, 2)] == cost
 
 
 def test_pure_cycle_promotes_a_hub(forced_step):
@@ -383,37 +408,44 @@ def test_pure_cycle_promotes_a_hub(forced_step):
     assert complexity(mode, "11") == 0
     eng = engine._compiled(mode.automaton)
     assert eng.step is forced_step
-    if forced_step is engine._sweep_hubs:
+    if eng.hubs is not None:
         assert len(eng.hubs.ids) == 1 and eng.hubs.span == 3 and eng.hubs.lead == 2
 
 
 @pytest.mark.parametrize("make,source", [
     (cycle_mode, "011" * 20),
     (two_chain_mode, "01110" * 12),
+    (lambda: two_chain_mode("101"), "011101" * 10),
     (lambda: champ_coder(4), champernowne_bits(4_000)[1_234:]),
     (lambda: champ_coder(8), champernowne_bits(4_000)[1_234:]),
 ])
-def test_hub_sweep_around_its_prologue(monkeypatch, make, source):
-    force_step(monkeypatch, "hub")
-    mode = make()
-    hubs = engine._compiled(mode.automaton).hubs
-    for n in (0, hubs.lead - 1, hubs.lead, hubs.lead + 1, 3 * hubs.span):
-        word = source[:n]
-        expected = sweep_pure_curve(mode.automaton, word)
-        assert complexity(mode, word) == expected[-1]
-        curve = complexity_curve(mode, word, n, 1, verify=False)
-        assert [k for _, k in curve.samples] == expected[1:]
+def test_hub_sweep_around_its_prologue(make, source):
+    for name in ("hub", "sums"):
+        with pytest.MonkeyPatch.context() as mp:
+            step = force_step(mp, name)
+            mode = make()
+            assert_swept_by(mode.automaton, step)
+            hubs = engine._compiled(mode.automaton).hubs
+            for n in (0, hubs.lead - 1, hubs.lead, hubs.lead + 1, 3 * hubs.span):
+                word = source[:n]
+                expected = sweep_pure_curve(mode.automaton, word)
+                assert complexity(mode, word) == expected[-1]
+                curve = complexity_curve(mode, word, n, 1, verify=False)
+                assert [k for _, k in curve.samples] == expected[1:]
 
 
 def test_unreachable_in_the_middle_of_a_chain(forced_step):
-    mode = two_chain_mode()
-    word = "011" "10" "011" "01" "0" + "10" * 20
-    expected = sweep_pure_curve(mode.automaton, word)
-    assert expected[10] < UNREACHABLE and expected[11] == UNREACHABLE
-    curve = complexity_curve(mode, word, len(word), 1, verify=False)
-    assert [k for _, k in curve.samples] == expected[1:]
-    assert complexity(mode, word) == UNREACHABLE
-    assert complexity(mode, word[:10]) == expected[10] == 4
+    # Chains of two lengths (the hub loop) and of one (prefix sums).
+    for second, word, last in (("10", "011" "10" "011" "01" "0" + "10" * 20, 10),
+                               ("101", "011" "101" "011" "10" "0" + "101" * 13, 11)):
+        mode = two_chain_mode(second)
+        expected = sweep_pure_curve(mode.automaton, word)
+        assert expected[last] < UNREACHABLE and expected[last + 1] == UNREACHABLE
+        curve = complexity_curve(mode, word, len(word), 1, verify=False)
+        assert [k for _, k in curve.samples] == expected[1:]
+        assert complexity(mode, word) == UNREACHABLE
+        assert complexity(mode, word[:last]) == expected[last] == 4
+        assert_swept_by(mode.automaton, forced_step)
 
 
 def test_hub_keys_cover_large_object_alphabets(forced_step):
@@ -469,5 +501,67 @@ def test_each_step_matches_oracle_on_hypothesis_modes(name, arity, data):
     with pytest.MonkeyPatch.context() as mp:
         step = force_step(mp, name)
         values = engine._sweep(aut, word, list(range(len(word) + 1)))
-        assert engine._compiled(aut).step is step
+        assert_swept_by(aut, step)
     assert values == sweep_pure_curve(aut, word)
+
+
+@st.composite
+def one_hub_modes(draw):
+    """A mode whose hub graph is one hub with one macro-edge length, and a
+    word for it.
+
+    Hub 0 has one chain back to itself per word of a random block code
+    over two or three letters; with one word it is a cycle and its hub is
+    promoted.  A few states outside lead into it, which delays `lead`.
+    The word is a run of code words after a random partial block, with one
+    letter sometimes changed, which leaves the rest unreachable.
+    """
+    letters = draw(st.sampled_from([BINARY, ("0", "1", "2")]))
+    span = draw(st.integers(1, 4))
+    words = draw(st.lists(st.text(letters, min_size=span, max_size=span),
+                          min_size=1, max_size=6, unique=True))
+    bit = st.sampled_from([EPSILON, "0", "1"])
+    edges, states = [], 1
+    for word in words:
+        chain = [0, *range(states, states + span - 1), 0]
+        states += span - 1
+        for i, a in enumerate(word):
+            edges.append((chain[i], chain[i + 1], ("1" if i == 0 else draw(bit), a)))
+    for _ in range(draw(st.integers(0, 3))):
+        edges.append((states, draw(st.integers(0, states - 1)),
+                      (draw(bit), draw(st.sampled_from(letters)))))
+        states += 1
+    aut = LabeledAutomaton(2, (BINARY, letters), states, tuple(edges))
+    mode = DescriptionMode(aut, ValuednessCertificate.unknown(), name="one-hub")
+    text = draw(st.text(letters, max_size=span - 1)) + "".join(
+        draw(st.lists(st.sampled_from(words), min_size=8, max_size=16)))
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(text) - 1))
+        text = text[:i] + draw(st.sampled_from(letters)) + text[i + 1:]
+    return mode, text
+
+
+@pytest.mark.parametrize("name", ["hub", "sums"])
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(data=st.data())
+def test_one_hub_modes_match_oracle(name, data):
+    mode, text = data.draw(one_hub_modes())
+    aut = mode.automaton
+    with pytest.MonkeyPatch.context() as mp:
+        step = force_step(mp, name)
+        eng = engine._compiled(aut)
+        assert eng.step is step and len(eng.hubs.ids) == 1
+        lead = eng.hubs.lead
+        for n in sorted({max(lead - 1, 0), lead, lead + 1, len(text)}):
+            word = text[:n]
+            expected = sweep_pure_curve(aut, word)
+            assert engine._sweep(aut, word, list(range(n + 1))) == expected
+            assert complexity(mode, word) == expected[-1]
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(data=st.data())
+def test_reversal_oracle_on_hypothesis_modes(data):
+    mode = data.draw(finite_modes(2))
+    word = data.draw(st.text("01", max_size=30))
+    assert complexity(reverse_mode(mode), word) == complexity(mode, word[::-1])
