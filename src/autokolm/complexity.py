@@ -25,23 +25,36 @@ from .modes import UNBOUNDED, DescriptionMode, PairDescriptionMode
 
 UNREACHABLE = math.inf
 
-# A per-letter step that relaxes at most this many edges runs in plain
-# Python; above it the numpy scatter-min is faster per letter (measured
-# crossover between 24 and 28 edges on carry automata and random graphs).
+# Where prefix sums do not apply, a per-letter step that relaxes at most
+# this many edges runs in plain Python; above it the numpy scatter-min is
+# faster per letter (measured crossover between 24 and 28 edges on carry
+# automata and random graphs).
 _PYTHON_STEP_EDGES = 24
-# Above it, the hub DP runs while its worst letter relaxes at most one
-# macro-edge per this many closure edges of the worst letter.  A hub loop
-# relaxation costs 82-108 ns and a numpy closure edge 6-8 ns, so the break
-# even lies at 12-15 (warm in-process sweeps, alternating, slow host era):
-#   layered(coder4, 2), 48k skewed bits, 3,853 edges / 261 = 14.8:
-#     hub 1.31-1.40 s, numpy 1.47-1.73 s;
-#   reverse(k=8 coder), 20k Champernowne bits, 66,304 / 256 = 259:
-#     hub 0.37-0.49 s, numpy 8.6-9.2 s;
-#   compose(coder4, coder4), 20k Champernowne bits, 12,944 / 2,954 = 4.4:
-#     hub 4.7-5.7 s, numpy 1.4-1.7 s.
+# Above it, the hub loop runs while its worst letter relaxes at most one
+# macro-edge per _EDGES_PER_RELAXATION closure edges of the worst letter,
+# plus _NUMPY_LETTER_EDGES for numpy's fixed cost per letter.  A hub loop
+# relaxation costs about 75 ns and a numpy closure edge about 7 ns; a
+# numpy letter also costs about 4 us whatever its edges, against under
+# 1 us for a hub loop letter.  Warm in-process sweeps, hub and numpy
+# alternating, 5 runs each, per letter (E closure edges, R relaxations):
+#   wall(3), 48k Champernowne bits, E 4, R 4: hub 0.8-1.2 us, numpy 4.1-6.2 us;
+#   reverse(coder4), 48k Champernowne bits, E 160, R 16: hub 1.7-2.5 us,
+#     numpy 4.3-6.0 us;
+#   layered(coder4, 2), 48k Bernoulli(0.9) bits, E 1,827, R 257: hub 22-30 us,
+#     numpy 14-18 us;
+#   compose(coder4, coder4), 20k Champernowne bits, E 6,800, R 2,960:
+#     hub 218-291 us, numpy 33-51 us;
+#   reverse(k=8 coder), 20k Champernowne bits, E 33,792, R 256: hub 22-27 us,
+#     numpy 238-246 us.
 _EDGES_PER_RELAXATION = 12
+_NUMPY_LETTER_EDGES = 500
 _INF = 1 << 62
 _NORMALIZE_BUDGET = 5_000_000
+# Closure edges over all letters.  The largest closure any mode in the tests
+# or the benchmark needs is reverse(k=8 coder)'s 67,584.  On 2,000 bits,
+# layered(k=8 coder, 2) passes it after 1.4-1.7 s at 105 MB peak RSS
+# (2-vCPU host).
+_CLOSURE_BUDGET = 1_000_000
 
 
 def _check_mode(mode):
@@ -119,19 +132,17 @@ def complexity_curve(mode: DescriptionMode, source: str, n_max: int,
 
 def _classify_edges(aut: LabeledAutomaton):
     """Split edges into intra-layer (epsilon object) and advancing groups,
-    the latter by object letter; reads[s] counts the advancing edges out of s."""
+    the latter by object letter."""
     obj = aut.arity - 1
     intra = []
     advance = {a: [] for a in aut.alphabets[obj]}
-    reads = [0] * aut.num_states
     for src, dst, label in aut.edges:
-        w = sum(1 for t in range(obj) if label[t] is not EPSILON)
+        w = obj - label[:obj].count(EPSILON)
         if label[obj] is EPSILON:
             intra.append((src, dst, w))
         else:
             advance[label[obj]].append((src, dst, w))
-            reads[src] += 1
-    return intra, advance, reads
+    return intra, advance
 
 
 def _sweep(aut: LabeledAutomaton, word: str, positions: List[int]) -> list:
@@ -157,19 +168,19 @@ def _sweep(aut: LabeledAutomaton, word: str, positions: List[int]) -> list:
 class _CompiledSweep:
     """Per-automaton closure edges and the per-letter step that walks them.
 
-    Intra-layer edges are pre-composed into the advancing edges via an
-    all-pairs closure of the epsilon-object subgraph, so each object
-    letter relaxes one edge list.  Trailing intra-layer moves never help
-    (weights are nonnegative and the end state is free), so only
-    source-side closure is needed.  `_pick_step` chooses how a letter is
-    swept: plain Python over a dict of reachable states, the hub DP over
-    macro-edges (`_Hubs`) as prefix sums or as a loop, or a numpy
-    scatter-min over the closure edges.
+    Intra-layer edges are pre-composed into the advancing edges via a
+    closure of the epsilon-object subgraph from the states a sweep can be
+    in (`_closure_into`), so each object letter relaxes one edge list.
+    Trailing intra-layer moves never help (weights are nonnegative and
+    the end state is free), so only source-side closure is needed.
+    `_pick_step` chooses how a letter is swept: plain Python over a dict
+    of reachable states, the hub DP over macro-edges (`_Hubs`) as prefix
+    sums or as a loop, or a numpy scatter-min over the closure edges.
     """
 
     def __init__(self, aut: LabeledAutomaton):
-        intra, advance, reads = _classify_edges(aut)
-        closure_into = _closure_into(aut.num_states, intra, reads)
+        intra, advance = _classify_edges(aut)
+        closure_into = _closure_into(aut.num_states, intra, advance)
         by_letter = {a: [(s, q, c + w) for t, q, w in group for s, c in closure_into[t]]
                      for a, group in advance.items()}
         self.step, self.by_letter, self.hubs = _pick_step(aut.num_states, by_letter)
@@ -188,20 +199,27 @@ def _edge_arrays(by_letter):
 def _pick_step(num_states: int, by_letter):
     """The step, the edges it reads per letter, and its hub graph (or None).
 
-    Python while every letter relaxes at most _PYTHON_STEP_EDGES closure
-    edges.  Otherwise the hub DP if its worst letter relaxes at most
-    1/_EDGES_PER_RELAXATION as many macro-edges as the worst letter has
-    closure edges: by prefix sums when the hub graph has a window cost
-    table, else by the hub loop.  Otherwise numpy over the closure edges.
+    Prefix sums whenever the hub graph has one hub, one macro-edge length
+    and a window cost table.  Otherwise Python while every letter relaxes
+    at most _PYTHON_STEP_EDGES closure edges; else the hub loop while its
+    worst letter relaxes at most one macro-edge per _EDGES_PER_RELAXATION
+    closure edges of the worst letter, counting numpy's fixed cost per
+    letter as _NUMPY_LETTER_EDGES more edges; else numpy over the closure
+    edges.
     """
     widest = max(map(len, by_letter.values()), default=0)
-    if widest <= _PYTHON_STEP_EDGES:
-        return _step_python, by_letter, None
     arrays = _edge_arrays(by_letter)
-    hubs = _Hubs.compile(num_states, arrays, widest / _EDGES_PER_RELAXATION)
+    python = widest <= _PYTHON_STEP_EDGES
+    # A graph with one hub and one length relaxes one macro-edge per letter.
+    limit = 1 if python else (widest + _NUMPY_LETTER_EDGES) / _EDGES_PER_RELAXATION
+    hubs = _Hubs.compile(num_states, arrays, limit)
+    if hubs is not None and hubs.costs is not None:
+        return _sweep_sums, arrays, hubs
+    if python:
+        return _step_python, by_letter, None
     if hubs is None:
         return _step_numpy, arrays, None
-    return (_sweep_hubs if hubs.costs is None else _sweep_sums), arrays, hubs
+    return _sweep_hubs, arrays, hubs
 
 
 def _step_python(by_letter, dist: dict, letters):
@@ -508,10 +526,25 @@ def _sweep_sums(eng: _CompiledSweep, word: str, positions: List[int]) -> list:
     return out + [UNREACHABLE] * (len(positions) - len(out))
 
 
-def _closure_into(num_states: int, intra, reads) -> list:
-    """closure_into[t] = [(s, cost of cheapest intra path s -> t), ...] for
-    each t with reads[t] > 0 advancing out-edges, [] for the others.  Each
-    entry makes reads[t] closure edges, charged to _NORMALIZE_BUDGET at once."""
+def _closure_into(num_states: int, intra, advance) -> list:
+    """closure_into[t] = [(s, cost of the cheapest intra path s -> t), ...]
+    for each state t that reads a letter, [] for the others.
+
+    The sweep starts every state at cost 0 and costs are >= 0, so on the
+    first letter a path through t is cheapest when it starts at t itself;
+    from then on only states that some advancing edge enters hold a finite
+    cost.  So the sources are the entered states (Dijkstra over the intra
+    edges) and each reading state itself (cost 0): the distances after
+    every letter are those of the closure from all states.  Each entry
+    makes one closure edge per advancing edge out of t, charged to
+    _CLOSURE_BUDGET as the entry is made.
+    """
+    reads = [0] * num_states
+    entered = [False] * num_states
+    for group in advance.values():
+        for s, d, _ in group:
+            reads[s] += 1
+            entered[d] = True
     adj = [[] for _ in range(num_states)]
     for s, d, w in intra:
         adj[s].append((d, w))
@@ -519,23 +552,24 @@ def _closure_into(num_states: int, intra, reads) -> list:
     charged = 0
     for source in range(num_states):
         dist = {source: 0}
-        heap = [(0, source)]
-        while heap:
-            c, v = heapq.heappop(heap)
-            if c > dist.get(v, math.inf):
-                continue
-            for d, w in adj[v]:
-                nc = c + w
-                if nc < dist.get(d, math.inf):
-                    dist[d] = nc
-                    heapq.heappush(heap, (nc, d))
+        if entered[source] and adj[source]:
+            heap = [(0, source)]
+            while heap:
+                c, v = heapq.heappop(heap)
+                if c > dist[v]:
+                    continue
+                for d, w in adj[v]:
+                    nc = c + w
+                    if nc < dist.get(d, math.inf):
+                        dist[d] = nc
+                        heapq.heappush(heap, (nc, d))
         for t, c in dist.items():
             if reads[t]:
                 into[t].append((source, c))
                 charged += reads[t]
-                if charged > _NORMALIZE_BUDGET:
+                if charged > _CLOSURE_BUDGET:
                     raise BudgetExceeded("intra-layer closure is too dense to sweep",
-                                         _NORMALIZE_BUDGET)
+                                         _CLOSURE_BUDGET)
     return into
 
 

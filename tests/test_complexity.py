@@ -24,18 +24,22 @@ from autokolm.modes import (
     DescriptionMode,
     PairDescriptionMode,
     ValuednessCertificate,
+    compose,
     eps_cycle_check,
     identity_mode,
+    layered_concat,
     reverse_mode,
     unary_compressor,
+    union,
 )
 from autokolm.normality import block_histogram, build_block_coder
-from autokolm.seqgen import champernowne_bits
+from autokolm.seqgen import bernoulli_bits, champernowne_bits
 
 from helpers import (
     all_accepting_rule,
     brute_force_k_table,
     none_accepting_rule,
+    parity_rule,
     random_finite_mode,
     random_word,
     sweep_pure,
@@ -213,7 +217,7 @@ def test_each_step_matches_oracle_on_curves(forced_step):
 
 
 def test_dense_closure_raises_budget_exceeded(monkeypatch):
-    monkeypatch.setattr(engine, "_NORMALIZE_BUDGET", 1)
+    monkeypatch.setattr(engine, "_CLOSURE_BUDGET", 1)
     monkeypatch.setattr(engine, "_sweep_cache", {})
     mode = identity_mode()          # two closure edges, one per letter
     with pytest.raises(BudgetExceeded):
@@ -225,14 +229,15 @@ def test_dense_closure_raises_budget_exceeded(monkeypatch):
 
 def test_closure_is_charged_as_its_entries_are_made(monkeypatch):
     # 0 -> 1 -> 2 over epsilon-object edges; only state 1 reads letters
-    # (two edges), so each entry into 1 stands for two closure edges.
+    # (two edges, both into 0), so each of its two entries, from the
+    # entered state 0 and from 1 itself, stands for two closure edges.
     intra = [(0, 1, 1), (1, 2, 0)]
-    reads = [0, 2, 0]
-    monkeypatch.setattr(engine, "_NORMALIZE_BUDGET", 4)
-    assert engine._closure_into(3, intra, reads) == [[], [(0, 1), (1, 0)], []]
-    monkeypatch.setattr(engine, "_NORMALIZE_BUDGET", 3)
+    advance = {"0": [(1, 0, 0)], "1": [(1, 0, 1)]}
+    monkeypatch.setattr(engine, "_CLOSURE_BUDGET", 4)
+    assert engine._closure_into(3, intra, advance) == [[], [(0, 1), (1, 0)], []]
+    monkeypatch.setattr(engine, "_CLOSURE_BUDGET", 3)
     with pytest.raises(BudgetExceeded):
-        engine._closure_into(3, intra, reads)
+        engine._closure_into(3, intra, advance)
 
 
 def test_pair_complexity_splitter_is_length():
@@ -400,6 +405,74 @@ def test_trained_coder_compiles_to_one_hub():
     assert hubs.costs.size == 256
     for word, [(_, _, cost)] in table.items():
         assert hubs.costs[int(word, 2)] == cost
+
+
+def skewed_coder(k):
+    return build_block_coder(block_histogram(bernoulli_bits(0.9, 1, 20_000), 10_000, k,
+                                             "aligned"))
+
+
+@pytest.mark.parametrize("train", [champ_coder, skewed_coder])
+def test_trained_coder_closure_is_entries_from_entered_states(train):
+    # Per letter: a zero-cost entry at each of the 2^(k-1) trie leaves that
+    # read it, the root's entry into each of them, and the (k-1) 2^(k-1)
+    # emission-chain states that read it.
+    for k in range(1, 9):
+        eng = engine._compiled(train(k).automaton)
+        assert {a: len(srcs) for a, (srcs, _, _) in eng.by_letter.items()} == {
+            "0": (k + 1) << (k - 1), "1": (k + 1) << (k - 1)}
+
+
+def late_entry_mode():
+    """State 1 reads 0 and no letter enters it; hub 0 reaches it only over
+    an epsilon-object edge that costs a description bit."""
+    return one_bit_mode(((0, 1, ("1", EPSILON)), (1, 0, (EPSILON, "0")),
+                         (0, 0, ("0", "1"))), 2)
+
+
+def long_epsilon_mode():
+    """Reading 0 enters state 1, which reaches state 3, the only state that
+    reads 1, over two epsilon-object edges."""
+    return one_bit_mode(((0, 1, ("1", "0")), (1, 2, ("0", EPSILON)),
+                         (2, 3, ("0", EPSILON)), (3, 0, (EPSILON, "1"))), 4)
+
+
+@pytest.mark.parametrize("make,values", [
+    (late_entry_mode, {"0": 0, "00": 1, "10": 2, "1": 1, "01": 1}),
+    (long_epsilon_mode, {"1": 0, "01": 3, "10": 1, "0101": 6, "00": UNREACHABLE}),
+])
+def test_closure_starts_where_the_sweep_can_be(forced_step, make, values):
+    # The first letter is cheapest from a reading state itself; later
+    # letters need the epsilon paths out of the entered states.
+    mode = make()
+    for word, k in values.items():
+        assert complexity(mode, word) == k
+    for word in all_words(7):
+        assert complexity(mode, word) == sweep_pure(mode.automaton, word)
+    assert_swept_by(mode.automaton, forced_step)
+
+
+DEFAULT_PATHS = {
+    "identity": (identity_mode, "sums"),
+    "unary(3)": (lambda: unary_compressor(3), "sums"),
+    **{f"coder{k}": (lambda k=k: champ_coder(k), "sums") for k in range(1, 9)},
+    "skewed coder4": (lambda: skewed_coder(4), "sums"),
+    "union": (lambda: union(identity_mode(), unary_compressor(3)), "python"),
+    "wall(3)": (lambda: wall_mode(3), "python"),
+    "wall(5)": (lambda: wall_mode(5), "python"),
+    "joint": (lambda: joint(identity_mode(), splitter_mode(parity_rule())), "python"),
+    "reverse(coder4)": (lambda: reverse_mode(champ_coder(4)), "hub"),
+    "reverse(coder8)": (lambda: reverse_mode(champ_coder(8)), "hub"),
+    "compose(coder4, coder4)": (lambda: compose(champ_coder(4), champ_coder(4)), "numpy"),
+    "layered(coder4, 2)": (lambda: layered_concat(champ_coder(4), 2), "numpy"),
+    "layered(skewed coder4, 2)": (lambda: layered_concat(skewed_coder(4), 2), "numpy"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEFAULT_PATHS))
+def test_default_path_of_each_mode(name):
+    make, step = DEFAULT_PATHS[name]
+    assert engine._compiled(make().automaton).step is STEPS[step]
 
 
 def test_pure_cycle_promotes_a_hub(forced_step):
