@@ -14,7 +14,9 @@ import heapq
 import math
 import random
 import weakref
+from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import List
 
 import numpy as np
@@ -40,8 +42,8 @@ _PYTHON_STEP_EDGES = 24
 #   wall(3), 48k Champernowne bits, E 4, R 4: hub 0.8-1.2 us, numpy 4.1-6.2 us;
 #   reverse(coder4), 48k Champernowne bits, E 160, R 16: hub 1.7-2.5 us,
 #     numpy 4.3-6.0 us;
-#   layered(coder4, 2), 48k Bernoulli(0.9) bits, E 1,827, R 257: hub 22-30 us,
-#     numpy 14-18 us;
+#   layered(coder4, 2) before relays, 48k Bernoulli(0.9) bits, E 1,827, R 257:
+#     hub 22-30 us, numpy 14-18 us;
 #   compose(coder4, coder4), 20k Champernowne bits, E 6,800, R 2,960:
 #     hub 218-291 us, numpy 33-51 us;
 #   reverse(k=8 coder), 20k Champernowne bits, E 33,792, R 256: hub 22-27 us,
@@ -50,10 +52,10 @@ _EDGES_PER_RELAXATION = 12
 _NUMPY_LETTER_EDGES = 500
 _INF = 1 << 62
 _NORMALIZE_BUDGET = 5_000_000
-# Closure edges over all letters.  The largest closure any mode in the tests
-# or the benchmark needs is reverse(k=8 coder)'s 67,584.  On 2,000 bits,
-# layered(k=8 coder, 2) passes it after 1.4-1.7 s at 105 MB peak RSS
-# (2-vCPU host).
+# Closure edges over all letters, folded relay edges included.  The largest
+# closure any mode in the tests or the benchmark needs is reverse(k=8
+# coder)'s 67,584; layered(k=8 coder, 2), whose hub is a relay, needs about
+# 16,000.
 _CLOSURE_BUDGET = 1_000_000
 
 
@@ -172,7 +174,12 @@ class _CompiledSweep:
     closure of the epsilon-object subgraph from the states a sweep can be
     in (`_closure_into`), so each object letter relaxes one edge list.
     Trailing intra-layer moves never help (weights are nonnegative and
-    the end state is free), so only source-side closure is needed.
+    the end state is free), so only source-side closure is needed.  The
+    closure does not pass through relays, states of wide intra fan-in and
+    fan-out such as the layered hub; each letter's edge list also carries
+    the edges into the relays (`_fold_relays`), so a relay's cost after a
+    letter is closure output like any other and feeds the next letter as
+    a closure source.
     `_pick_step` chooses how a letter is swept: plain Python over a dict
     of reachable states, the hub DP over macro-edges (`_Hubs`) as prefix
     sums or as a loop, or a numpy scatter-min over the closure edges.
@@ -180,14 +187,40 @@ class _CompiledSweep:
 
     def __init__(self, aut: LabeledAutomaton):
         intra, advance = _classify_edges(aut)
-        closure_into = _closure_into(aut.num_states, intra, advance)
-        by_letter = {a: [(s, q, c + w) for t, q, w in group for s, c in closure_into[t]]
+        into, reach = _closure_into(aut.num_states, intra, advance)
+        by_letter = {a: [(s, q, c + w) for t, q, w in group for s, c in into[t]]
                      for a, group in advance.items()}
+        if reach:
+            charged = sum(map(len, by_letter.values()))
+            for edges in by_letter.values():
+                charged = _fold_relays(edges, reach, charged)
         self.step, self.by_letter, self.hubs = _pick_step(aut.num_states, by_letter)
         if self.step is _step_python:
             self.start = dict.fromkeys(range(aut.num_states), 0)
         else:
             self.start = np.zeros(aut.num_states, dtype=np.int64)
+
+
+def _fold_relays(edges, reach, charged: int) -> int:
+    """Append to a letter's closure edges (s, q, c) one edge (s, r, the
+    least c + d) per relay r that some q reaches at intra cost d (`reach`
+    of `_closure_into`); returns `charged` plus the edges appended, each
+    charged to _CLOSURE_BUDGET as it is made."""
+    folded = {}
+    for s, q, c in edges:
+        for r, d in reach.get(q, ()):
+            key = s, r
+            old = folded.get(key)
+            if old is None:
+                charged += 1
+                if charged > _CLOSURE_BUDGET:
+                    raise BudgetExceeded("intra-layer closure is too dense to sweep",
+                                         _CLOSURE_BUDGET)
+            elif old <= c + d:
+                continue
+            folded[key] = c + d
+    edges += [(s, r, c) for (s, r), c in folded.items()]
+    return charged
 
 
 def _edge_arrays(by_letter):
@@ -526,16 +559,49 @@ def _sweep_sums(eng: _CompiledSweep, word: str, positions: List[int]) -> list:
     return out + [UNREACHABLE] * (len(positions) - len(out))
 
 
-def _closure_into(num_states: int, intra, advance) -> list:
-    """closure_into[t] = [(s, cost of the cheapest intra path s -> t), ...]
-    for each state t that reads a letter, [] for the others.
+def _relays(adj, intra) -> list:
+    """The states v whose intra in-degree times out-degree, len(adj[v]),
+    exceeds their sum: closing through v would make more closure entries
+    than it saves."""
+    return [v for v, i in Counter(map(itemgetter(1), intra)).items()
+            if i > 1 and i * len(adj[v]) > i + len(adj[v])]
+
+
+def _distances(source: int, first, out) -> dict:
+    """Dijkstra from `source` over its own edges `first`, then out[v] at each v."""
+    dist = {source: 0}
+    heap = []
+    for d, w in first:
+        if w < dist.get(d, math.inf):
+            dist[d] = w
+            heapq.heappush(heap, (w, d))
+    while heap:
+        c, v = heapq.heappop(heap)
+        if c > dist[v]:
+            continue
+        for d, w in out[v]:
+            nc = c + w
+            if nc < dist.get(d, math.inf):
+                dist[d] = nc
+                heapq.heappush(heap, (nc, d))
+    return dist
+
+
+def _closure_into(num_states: int, intra, advance):
+    """(into, reach): into[t] = [(s, cost of the cheapest intra path s -> t
+    that enters no relay), ...] for each state t that reads a letter (only
+    (t, 0) if t is a relay), [] for the others; reach[q] = [(r, cost of the
+    cheapest intra path q -> r), ...] over the relays r != q, for each
+    entered state q that reaches one.
 
     The sweep starts every state at cost 0 and costs are >= 0, so on the
     first letter a path through t is cheapest when it starts at t itself;
     from then on only states that some advancing edge enters hold a finite
-    cost.  So the sources are the entered states (Dijkstra over the intra
-    edges) and each reading state itself (cost 0): the distances after
-    every letter are those of the closure from all states.  Each entry
+    cost, and a relay (`_relays`) holds the cost of its cheapest intra path
+    from one of them, which `_CompiledSweep` folds into the letter's edges.
+    So the sources are the entered states and the relays (Dijkstra over
+    the intra edges, not through a relay) and each reading state itself
+    (cost 0): a path through relays is cut at its last one.  Each entry
     makes one closure edge per advancing edge out of t, charged to
     _CLOSURE_BUDGET as the entry is made.
     """
@@ -548,21 +614,35 @@ def _closure_into(num_states: int, intra, advance) -> list:
     adj = [[] for _ in range(num_states)]
     for s, d, w in intra:
         adj[s].append((d, w))
+    relays = _relays(adj, intra)
+    closes, out = entered, adj                   # Dijkstra sources, edges past the source
+    if relays:
+        # Past its source, a Dijkstra crosses a relay only by its hops: the
+        # intra paths that end at the next relays.
+        is_relay = [False] * num_states
+        closes, out = entered.copy(), adj.copy()
+        for r in relays:
+            is_relay[r] = closes[r] = True
+            out[r] = []
+        hops = [[(v, c) for v, c in _distances(r, adj[r], out).items()
+                 if is_relay[v] and v != r] for r in relays]
+        for r, ends in zip(relays, hops):
+            out[r] = ends
     into = [[] for _ in range(num_states)]
+    reach = {}
     charged = 0
     for source in range(num_states):
-        dist = {source: 0}
-        if entered[source] and adj[source]:
-            heap = [(0, source)]
-            while heap:
-                c, v = heapq.heappop(heap)
-                if c > dist[v]:
-                    continue
-                for d, w in adj[v]:
-                    nc = c + w
-                    if nc < dist.get(d, math.inf):
-                        dist[d] = nc
-                        heapq.heappush(heap, (nc, d))
+        if closes[source] and adj[source]:
+            dist = _distances(source, adj[source], out)
+            if relays:
+                # The relays it reaches are folded in, not entries.
+                ends = [(r, c) for r, c in dist.items() if is_relay[r] and r != source]
+                for r, _ in ends:
+                    del dist[r]
+                if ends and entered[source]:
+                    reach[source] = ends
+        else:
+            dist = {source: 0}
         for t, c in dist.items():
             if reads[t]:
                 into[t].append((source, c))
@@ -570,7 +650,7 @@ def _closure_into(num_states: int, intra, advance) -> list:
                 if charged > _CLOSURE_BUDGET:
                     raise BudgetExceeded("intra-layer closure is too dense to sweep",
                                          _CLOSURE_BUDGET)
-    return into
+    return into, reach
 
 
 # Compiled sweeps by id(automaton); each entry leaves with its automaton.

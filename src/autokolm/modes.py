@@ -17,6 +17,7 @@ from typing import Optional, Sequence
 
 from .automaton import (
     EPSILON,
+    MAX_FILE_STATES,
     LabeledAutomaton,
     _parse_int,
     chain,
@@ -27,7 +28,7 @@ from .automaton import (
     strip_format_lines,
     swap_tapes,
 )
-from .errors import ContractError, FormatError
+from .errors import BudgetExceeded, ContractError, FormatError
 
 UNBOUNDED = "unbounded"
 UNKNOWN = "unknown"
@@ -228,6 +229,10 @@ def layered_concat(m: DescriptionMode, n_layers: int) -> DescriptionMode:
     N = n_layers
     extra = N + 1  # index of the final copy
     hub = (N + 2) * n
+    if hub + 1 > MAX_FILE_STATES:
+        # No mode file could hold it; refuse before building its edges.
+        raise BudgetExceeded(f"layered({m.name}, N={N}) would have {hub + 1} states",
+                             MAX_FILE_STATES)
 
     def state(copy, v):
         return copy * n + v

@@ -74,6 +74,18 @@ def test_mode_union_compose_reverse_invert_layered(tmp_path, capsys):
         parse_mode(out_file.read_text())
 
 
+def test_mode_layered_past_the_file_state_limit_exits_1(tmp_path, capsys):
+    ident = tmp_path / "id.aut"
+    run(capsys, "mode", "identity", "--out", str(ident))
+    out_file = tmp_path / "lay.aut"
+    code, out, err = run(capsys, "mode", "layered", str(ident), "--layers", "100000000",
+                         "--out", str(out_file))
+    assert code == 1 and out == ""
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and "100000003 states" in errors[0]
+    assert not out_file.exists()
+
+
 def test_build_coder_pipeline(tmp_path, capsys):
     seq = tmp_path / "seq.txt"
     seq.write_text(champernowne_bits(50_000))

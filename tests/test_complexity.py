@@ -234,10 +234,41 @@ def test_closure_is_charged_as_its_entries_are_made(monkeypatch):
     intra = [(0, 1, 1), (1, 2, 0)]
     advance = {"0": [(1, 0, 0)], "1": [(1, 0, 1)]}
     monkeypatch.setattr(engine, "_CLOSURE_BUDGET", 4)
-    assert engine._closure_into(3, intra, advance) == [[], [(0, 1), (1, 0)], []]
+    assert engine._closure_into(3, intra, advance) == ([[], [(0, 1), (1, 0)], []], {})
     monkeypatch.setattr(engine, "_CLOSURE_BUDGET", 3)
     with pytest.raises(BudgetExceeded):
         engine._closure_into(3, intra, advance)
+
+
+def test_a_relay_is_a_state_whose_closure_costs_more_than_it_saves():
+    # Intra in-degree times out-degree above their sum: (2, 3) and (3, 2)
+    # are relays, (2, 2) and (1, 9) are not.
+    ins, outs = {0: 2, 1: 3, 2: 2, 3: 1}, {0: 3, 1: 2, 2: 2, 3: 9}
+    intra = [(0, v, 0) for v, i in ins.items() for _ in range(i)]
+    adj = [[(0, 0)] * outs[v] for v in range(4)]
+    assert sorted(engine._relays(adj, intra)) == [0, 1]
+
+
+def test_folded_relay_edges_are_charged_as_they_are_made(monkeypatch):
+    # Reading 0 enters state 1, whose epsilon-object edge (one description
+    # bit) leads to relay 2, the only state that reads 1.  Relay 2 is
+    # folded into letter 0 as the edge 0 -> 2 of cost 2: the third closure
+    # edge, charged after the two that the closure itself makes.
+    mode = one_bit_mode(((0, 1, ("0", "0")), (1, 2, ("1", EPSILON)),
+                         (2, 0, (EPSILON, "1"))), 3)
+    aut = mode.automaton
+    monkeypatch.setattr(engine, "_relays", lambda adj, intra: [2])
+    intra, advance = engine._classify_edges(aut)
+    assert engine._closure_into(3, intra, advance) == (
+        [[(0, 0)], [], [(2, 0)]], {1: [(2, 1)]})
+    force_step(monkeypatch, "python")
+    monkeypatch.setattr(engine, "_CLOSURE_BUDGET", 2)
+    with pytest.raises(BudgetExceeded):
+        engine._compiled(aut)
+    monkeypatch.setattr(engine, "_CLOSURE_BUDGET", 3)
+    assert engine._compiled(aut).by_letter == {"0": [(0, 1, 1), (0, 2, 2)], "1": [(2, 0, 0)]}
+    for word in all_words(6):
+        assert complexity(mode, word) == sweep_pure(aut, word)
 
 
 def test_pair_complexity_splitter_is_length():
@@ -452,6 +483,20 @@ def test_closure_starts_where_the_sweep_can_be(forced_step, make, values):
     assert_swept_by(mode.automaton, forced_step)
 
 
+@pytest.mark.parametrize("make", [late_entry_mode, long_epsilon_mode, cycle_mode,
+                                  two_chain_mode])
+def test_every_relay_set_of_small_modes(forced_step, monkeypatch, make):
+    # Relays that no letter enters, chains of them, and relays on a chain.
+    aut = make().automaton
+    words = ["".join(w) for w in itertools.product("01", repeat=6)]
+    for k in range(aut.num_states + 1):
+        for relays in itertools.combinations(range(aut.num_states), k):
+            monkeypatch.setattr(engine, "_relays", lambda adj, intra: list(relays))
+            monkeypatch.setattr(engine, "_sweep_cache", {})
+            for word in words:
+                assert engine._sweep(aut, word, list(range(7))) == sweep_pure_curve(aut, word)
+
+
 DEFAULT_PATHS = {
     "identity": (identity_mode, "sums"),
     "unary(3)": (lambda: unary_compressor(3), "sums"),
@@ -638,3 +683,74 @@ def test_reversal_oracle_on_hypothesis_modes(data):
     mode = data.draw(finite_modes(2))
     word = data.draw(st.text("01", max_size=30))
     assert complexity(reverse_mode(mode), word) == complexity(mode, word[::-1])
+
+
+@st.composite
+def relay_modes(draw, arity):
+    """A small random mode, a set of states forced to be relays, and a word.
+
+    Besides random edges, the relays are strung on a chain of epsilon-object
+    edges that sometimes closes into a cycle of zero cost, and each relay
+    may be entered and left by epsilon-object edges and may read a letter.
+    """
+    states = draw(st.integers(1, 6))
+    relays = draw(st.lists(st.integers(0, states - 1), unique=True, max_size=states))
+    desc = st.tuples(*[st.sampled_from([EPSILON, "0", "1"])] * (arity - 1))
+    letter = st.sampled_from([EPSILON, "0", "1"])
+    state = st.integers(0, states - 1)
+    edges = draw(st.lists(st.tuples(state, state, st.tuples(desc, letter)),
+                          max_size=12))
+    edges = [(s, d, (*u, a)) for s, d, (u, a) in edges]
+    for r, nxt in zip(relays, relays[1:]):
+        edges.append((r, nxt, (*draw(desc), EPSILON)))
+    if len(relays) > 1 and draw(st.booleans()):
+        edges.append((relays[-1], relays[0], (EPSILON,) * arity))
+    for r in relays:
+        if draw(st.booleans()):
+            edges.append((draw(state), r, (*draw(desc), EPSILON)))
+        if draw(st.booleans()):
+            edges.append((r, draw(state), (*draw(desc), EPSILON)))
+        if draw(st.booleans()):
+            edges.append((r, draw(state), (*draw(desc), draw(st.sampled_from("01")))))
+    aut = LabeledAutomaton(arity, (BINARY,) * arity, states, tuple(edges))
+    return aut, sorted(relays), draw(st.text("01", max_size=24))
+
+
+@pytest.mark.parametrize("arity", [2, 3])
+@pytest.mark.parametrize("name", sorted(STEPS))
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(data=st.data())
+def test_forced_relays_match_oracle(name, arity, data):
+    aut, relays, word = data.draw(relay_modes(arity))
+    with pytest.MonkeyPatch.context() as mp:
+        step = force_step(mp, name)
+        mp.setattr(engine, "_relays", lambda adj, intra: relays)
+        values = engine._sweep(aut, word, list(range(len(word) + 1)))
+        assert_swept_by(aut, step)
+    assert values == sweep_pure_curve(aut, word)
+
+
+def test_layered_relays_match_the_relay_free_closure(monkeypatch):
+    mode = layered_concat(champ_coder(6), 2)
+    source = champernowne_bits(4_000)[1_000:3_000]
+    aut = mode.automaton
+    _, reach = engine._closure_into(aut.num_states, *engine._classify_edges(aut))
+    assert {r for ends in reach.values() for r, _ in ends} == {aut.num_states - 1}  # the hub
+    with_relays = complexity_curve(mode, source, len(source), 1).samples
+    monkeypatch.setattr(engine, "_relays", lambda adj, intra: [])
+    monkeypatch.setattr(engine, "_sweep_cache", {})
+    assert complexity_curve(mode, source, len(source), 1).samples == with_relays
+
+
+def test_layered_closure_is_linear_in_the_coder_closure():
+    # The four copies each close like the coder; the hub, a relay, adds
+    # folded edges from the states that reach it instead of n^2 entries.
+    def edges_per_letter(mode):
+        by_letter = engine._compiled(mode.automaton).by_letter
+        return {a: len(edges[0] if isinstance(edges, tuple) else edges)
+                for a, edges in by_letter.items()}
+    for k in range(2, 7):
+        coder = champ_coder(k)
+        base = edges_per_letter(coder)
+        for a, count in edges_per_letter(layered_concat(coder, 2)).items():
+            assert count <= 8 * base[a], (k, a)

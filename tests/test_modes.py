@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import autokolm.modes as modes_module
 from autokolm.automaton import (
     EPSILON,
     LabeledAutomaton,
@@ -20,7 +21,7 @@ from autokolm.constructions import (
     splitter_mode,
     wall_mode,
 )
-from autokolm.errors import ContractError, FormatError
+from autokolm.errors import BudgetExceeded, ContractError, FormatError
 from autokolm.modes import (
     BINARY,
     DescriptionMode,
@@ -198,6 +199,19 @@ def test_layered_hub_matches_quadratic_jumps():
             ref = layered_concat_quadratic(base, n_layers)
             assert enumerate_relation(got, (5, 6)) == enumerate_relation(ref, (5, 6)), \
                 (base.name, n_layers)
+
+
+def test_layered_concat_refuses_more_states_than_a_mode_file_holds(monkeypatch):
+    # (N + 2) * n + 1 states: 6 for identity (n = 1) under N = 3.
+    monkeypatch.setattr(modes_module, "MAX_FILE_STATES", 5)
+    with pytest.raises(BudgetExceeded):
+        layered_concat(identity_mode(), 3)
+    monkeypatch.setattr(modes_module, "MAX_FILE_STATES", 6)
+    assert layered_concat(identity_mode(), 3).automaton.num_states == 6
+    monkeypatch.undo()
+    # Refused before a single edge is built, not after 10^8 copies.
+    with pytest.raises(BudgetExceeded):
+        layered_concat(identity_mode(), 100_000_000)
 
 
 def test_layered_concat_has_linear_size():
