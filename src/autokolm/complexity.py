@@ -42,20 +42,30 @@ _PYTHON_STEP_EDGES = 24
 #   wall(3), 48k Champernowne bits, E 4, R 4: hub 0.8-1.2 us, numpy 4.1-6.2 us;
 #   reverse(coder4), 48k Champernowne bits, E 160, R 16: hub 1.7-2.5 us,
 #     numpy 4.3-6.0 us;
-#   layered(coder4, 2) before relays, 48k Bernoulli(0.9) bits, E 1,827, R 257:
-#     hub 22-30 us, numpy 14-18 us;
-#   compose(coder4, coder4), 20k Champernowne bits, E 6,800, R 2,960:
-#     hub 218-291 us, numpy 33-51 us;
+#   layered(coder4, 2), 48k Bernoulli(0.9) bits, E 236, R 15 (the relay
+#     and 3 chain hubs): hub 1.4-2.4 us, numpy 4.2-6.6 us;
+#   layered(k=8 coder, 2), 20k Champernowne bits, E 6,788, R 27: hub
+#     2.3-3.3 us, numpy 27-35 us;
+#   compose(coder4, coder4), 20k Champernowne bits, E 3,728, R 45 (77 hubs):
+#     hub 3.4-4.8 us, numpy 16-22 us;
 #   reverse(k=8 coder), 20k Champernowne bits, E 33,792, R 256: hub 22-27 us,
-#     numpy 238-246 us.
+#     numpy 238-246 us;
+# and two hub graphs that no mode compiles to since pruning and relay hubs:
+#   layered(coder4, 2) without relay hubs, 48k Bernoulli(0.9) bits,
+#     E 1,827, R 257: hub 22-30 us, numpy 14-18 us;
+#   compose(coder4, coder4) unpruned, 20k Champernowne bits, E 6,800,
+#     R 2,960: hub 218-291 us, numpy 33-51 us.
 _EDGES_PER_RELAXATION = 12
 _NUMPY_LETTER_EDGES = 500
+# Windows of the last span letters whose macro-edges a hub loop remembers;
+# a binary object alphabet never fills it below span 17.
+_WINDOW_MEMO = 1 << 16
 _INF = 1 << 62
 _NORMALIZE_BUDGET = 5_000_000
-# Closure edges over all letters, folded relay edges included.  The largest
-# closure any mode in the tests or the benchmark needs is reverse(k=8
-# coder)'s 67,584; layered(k=8 coder, 2), whose hub is a relay, needs about
-# 16,000.
+# Closure edges over all letters, charged before pruning, then folded relay
+# edges.  The largest closure any mode in the tests or the benchmark needs
+# is reverse(k=8 coder)'s 67,584; layered(k=8 coder, 2), whose hub is a
+# relay, makes about 13,400 (about 11,000 after pruning, plus 2,600 folded).
 _CLOSURE_BUDGET = 1_000_000
 
 
@@ -179,22 +189,30 @@ class _CompiledSweep:
     fan-out such as the layered hub; each letter's edge list also carries
     the edges into the relays (`_fold_relays`), so a relay's cost after a
     letter is closure output like any other and feeds the next letter as
-    a closure source.
+    a closure source.  Before the folding, a letter's edge into a state
+    that an intra edge from another of its targets makes no cheaper is
+    dropped (`_prune`); the glue edges between layered copies and the
+    synchronised moves of a composition make many such edges.
     `_pick_step` chooses how a letter is swept: plain Python over a dict
-    of reachable states, the hub DP over macro-edges (`_Hubs`) as prefix
-    sums or as a loop, or a numpy scatter-min over the closure edges.
+    of reachable states, the hub DP over macro-edges (`_Hubs`, the relays
+    among its hubs) as prefix sums or as a loop, or a numpy scatter-min
+    over the closure edges.
     """
 
     def __init__(self, aut: LabeledAutomaton):
         intra, advance = _classify_edges(aut)
-        into, reach = _closure_into(aut.num_states, intra, advance)
+        into, reach, dominant = _closure_into(aut.num_states, intra, advance,
+                                              dominance=True)
         by_letter = {a: [(s, q, c + w) for t, q, w in group for s, c in into[t]]
                      for a, group in advance.items()}
+        if dominant:
+            by_letter = {a: _prune(edges, dominant) for a, edges in by_letter.items()}
         if reach:
             charged = sum(map(len, by_letter.values()))
             for edges in by_letter.values():
                 charged = _fold_relays(edges, reach, charged)
-        self.step, self.by_letter, self.hubs = _pick_step(aut.num_states, by_letter)
+        relays = {r for ends in reach.values() for r, _ in ends}
+        self.step, self.by_letter, self.hubs = _pick_step(aut.num_states, by_letter, relays)
         if self.step is _step_python:
             self.start = dict.fromkeys(range(aut.num_states), 0)
         else:
@@ -223,14 +241,43 @@ def _fold_relays(edges, reach, charged: int) -> int:
     return charged
 
 
+def _prune(edges, dominant) -> list:
+    """A letter's closure edges without the dominated ones, and without
+    all but the cheapest of parallel edges.
+
+    (s, q, c) is dominated when the letter also has an edge (s, q2, c2)
+    and dominant[q] lists an intra edge (q2, w) with c2 + w <= c.  Both q2
+    and q are entered and neither is a relay, so the next letter's closure
+    from q2 covers every way on from q at w more (folded relay edges
+    included), and q2 is no dearer an end.  A dropped q2 is covered in
+    turn by a cheaper state or by a kept one of the same cost: an equally
+    cheap q2 (a zero-cost intra edge, maybe on a cycle of states that
+    dominate each other) dominates only while it is kept, so one of such
+    a cycle stays.
+    """
+    best = {}
+    for s, q, c in edges:
+        if c < best.get((s, q), _INF):
+            best[s, q] = c
+    dropped = set()
+    for (s, q), c in best.items():
+        for q2, w in dominant.get(q, ()):
+            c2 = best.get((s, q2))
+            if c2 is not None and c2 + w <= c and (c2 < c or (s, q2) not in dropped):
+                dropped.add((s, q))
+                break
+    return [(s, q, c) for (s, q), c in best.items() if (s, q) not in dropped]
+
+
 def _edge_arrays(by_letter):
     """Closure edge lists as (sources, targets, costs) int64 arrays per letter."""
     return {a: tuple(np.asarray(edges, dtype=np.int64).reshape(-1, 3).T.copy())
             for a, edges in by_letter.items()}
 
 
-def _pick_step(num_states: int, by_letter):
-    """The step, the edges it reads per letter, and its hub graph (or None).
+def _pick_step(num_states: int, by_letter, relays):
+    """The step, the edges it reads per letter, and its hub graph (or None)
+    with the `relays` as hubs.
 
     Prefix sums whenever the hub graph has one hub, one macro-edge length
     and a window cost table.  Otherwise Python while every letter relaxes
@@ -245,7 +292,7 @@ def _pick_step(num_states: int, by_letter):
     python = widest <= _PYTHON_STEP_EDGES
     # A graph with one hub and one length relaxes one macro-edge per letter.
     limit = 1 if python else (widest + _NUMPY_LETTER_EDGES) / _EDGES_PER_RELAXATION
-    hubs = _Hubs.compile(num_states, arrays, limit)
+    hubs = _Hubs.compile(num_states, arrays, limit, relays)
     if hubs is not None and hubs.costs is not None:
         return _sweep_sums, arrays, hubs
     if python:
@@ -302,6 +349,15 @@ class _Hubs:
     both keep the cheapest entry per hub pair.  Chains may merge, so one
     state can lie on many macro-edges.
 
+    The edges into relays (`_fold_relays`) stay out of the peeling and the
+    hub choice, and each relay is a hub that is never peeled.  A relay's
+    cost at a letter is that of the cheapest path into it, which left a
+    hub at most span letters earlier and took its last letter out of that
+    hub or out of a state on one of its chains: each such relay exit after
+    j letters of a macro-edge is one more macro-edge of length j + 1 into
+    the relay, in `full` with the others.  The relay's own out-edges start
+    macro-edges like any hub's.
+
     From letter `lead` = depth + span - 1 on, a path that ends inside a
     chain left its hub at most span - 1 letters earlier, at a letter no
     earlier than `depth`; a path that ends at a hub left the previous hub
@@ -330,19 +386,27 @@ class _Hubs:
             self.powers = len(rank) ** np.arange(self.span, dtype=np.intp)
 
     @classmethod
-    def compile(cls, num_states: int, by_letter, limit):
-        """The hub graph of the closure edges (`_edge_arrays`), or None once
-        a letter would relax more than `limit` macro-edges or the
-        macro-edges exceed the compile budget."""
+    def compile(cls, num_states: int, by_letter, limit, relays):
+        """The hub graph of the closure edges (`_edge_arrays`) with the
+        `relays` as hubs, or None once a letter would relax more than
+        `limit` macro-edges or the tables exceed the compile budget."""
         alphabet = list(by_letter)
         srcs, dst, cost = (np.concatenate(col) for col in zip(*by_letter.values()))
         letter = np.repeat(np.arange(len(alphabet)),
                            [len(edges[0]) for edges in by_letter.values()])
+        exits = {}                               # state -> [(letter, relay, cost)]
+        if relays:
+            into = np.isin(dst, list(relays))
+            for s, a, r, c in zip(*(col[into].tolist() for col in (srcs, letter, dst, cost))):
+                exits.setdefault(s, []).append((a, r, c))
+            srcs, dst, cost, letter = (col[~into] for col in (srcs, dst, cost, letter))
         order = np.argsort(srcs, kind="stable")
         dst, cost, letter = dst[order], cost[order], letter[order]
         outdeg = np.bincount(srcs, minlength=num_states)
         first = np.cumsum(outdeg) - outdeg       # out-edges of s: first[s]:first[s] + outdeg[s]
         indeg = np.bincount(dst, minlength=num_states)
+        for r in relays:
+            indeg[r] = dst.size + 1              # relays are never peeled
         live = np.ones(num_states, dtype=bool)
         frontier = np.flatnonzero(indeg == 0)
         depth = 0
@@ -357,6 +421,8 @@ class _Hubs:
             ends = np.sort(ends[indeg[ends] == 0])
             frontier = ends[np.diff(ends, prepend=-1) != 0]
         hub = (live & (outdeg != 1)).tolist()
+        for r in relays:
+            hub[r] = True
         live = live.tolist()
         # The out-edge of each single-exit state (past the end for a state without one).
         nxt, nletter, ncost = (np.append(col, 0)[first].tolist()
@@ -375,13 +441,17 @@ class _Hubs:
 
         ids = [s for s in range(num_states) if hub[s]]
         index = {s: i for i, s in enumerate(ids)}
-        chains = {}              # state -> (word and prefix costs to the next hub, that hub)
+        # state -> (word and prefix costs to the next hub, that hub, and the
+        # relay exits on the way as (letters before them, letter, relay, cost))
+        chains = {}
         full, part = {}, [{}]    # part[j] for 1 <= j < span
         widest = {}                              # length -> longest entry list
         relaxations = 0                          # sum of widest.values()
         budget = _NORMALIZE_BUDGET
         for h in ids:
             src = index[h]
+            made = [(alphabet[b], index[r], f) for b, r, f in exits.get(h, ())]
+            budget -= len(made)
             edges = slice(first[h], first[h] + outdeg[h])
             for a, q, c in zip(letter[edges].tolist(), dst[edges].tolist(),
                                cost[edges].tolist()):
@@ -392,8 +462,14 @@ class _Hubs:
                         rest += alphabet[nletter[v]]
                         costs.append(ncost[v] + (costs[-1] if costs else 0))
                         v = nxt[v]
-                    tail = chains[q] = rest, costs, index[v]
-                rest, costs, dst_hub = tail
+                    ways = []
+                    if exits:
+                        u = q                    # reached after j letters
+                        for j in range(1, len(rest) + 1):
+                            ways += [(j, b, r, f) for b, r, f in exits.get(u, ())]
+                            u = nxt[u]
+                    tail = chains[q] = rest, costs, index[v], ways
+                rest, costs, dst_hub, ways = tail
                 word = alphabet[a] + rest
                 n = len(word)
                 budget -= n
@@ -407,6 +483,16 @@ class _Hubs:
                     if paid < ends.get(src, _INF):
                         ends[src] = paid
                     paid = c + costs[j - 1]
+                made.append((word, dst_hub, paid))
+                # A relay exit after j letters is a macro-edge of j + 1.
+                for j, b, r, f in ways:
+                    budget -= j + 1
+                    made.append((word[:j] + alphabet[b], index[r],
+                                 c + (costs[j - 2] if j > 1 else 0) + f))
+                if budget < 0:
+                    return None
+            for word, dst_hub, paid in made:
+                n = len(word)
                 pairs = full.setdefault(n, {}).setdefault(word, {})
                 if paid < pairs.get((src, dst_hub), _INF):
                     pairs[(src, dst_hub)] = paid
@@ -481,9 +567,11 @@ def _sweep_hubs(eng: _CompiledSweep, word: str, positions: List[int]) -> list:
     """Values of K by the hub loop (see _Hubs).
 
     After the prologue each letter relaxes the macro-edges whose word
-    ends there, per length.  Only the hub costs of the last span letters
-    are kept, in a ring indexed by letter: a letter's costs are complete
-    before they take the slot of the letter span back.
+    ends there, per length, looked up once per distinct window of the
+    last span letters (at most _WINDOW_MEMO windows are kept at a time).
+    Only the hub costs of the last span letters are kept, in a ring
+    indexed by letter: a letter's costs are complete before they take the
+    slot of the letter span back.
     """
     hubs = eng.hubs
     span, lead = hubs.span, hubs.lead
@@ -495,16 +583,22 @@ def _sweep_hubs(eng: _CompiledSweep, word: str, positions: List[int]) -> list:
         samples = iter(positions[len(out):])
         want = next(samples)
         last = lead                  # a letter at which some hub may be finite
+        memo = {}                    # window -> [(length, macro-edges ending it)]
         for t in range(lead + 1, stop + 1):
+            window = word[t - span:t]
+            ends = memo.get(window)
+            if ends is None:
+                if len(memo) >= _WINDOW_MEMO:
+                    memo.clear()
+                ends = memo[window] = [(n, edges) for n, table in full
+                                       if (edges := table.get(window[span - n:]))]
             new = blank.copy()
-            for n, table in full:
-                edges = table.get(word[t - n:t])
-                if edges:
-                    old = ring[(t - n) % span]
-                    for s, d, c in edges:
-                        c += old[s]
-                        if c < new[d]:
-                            new[d] = c
+            for n, edges in ends:
+                old = ring[(t - n) % span]
+                for s, d, c in edges:
+                    c += old[s]
+                    if c < new[d]:
+                        new[d] = c
             ring[t % span] = new
             if new != blank:
                 last = t
@@ -587,12 +681,14 @@ def _distances(source: int, first, out) -> dict:
     return dist
 
 
-def _closure_into(num_states: int, intra, advance):
+def _closure_into(num_states: int, intra, advance, dominance: bool = False):
     """(into, reach): into[t] = [(s, cost of the cheapest intra path s -> t
     that enters no relay), ...] for each state t that reads a letter (only
     (t, 0) if t is a relay), [] for the others; reach[q] = [(r, cost of the
     cheapest intra path q -> r), ...] over the relays r != q, for each
-    entered state q that reaches one.
+    entered state q that reaches one.  With `dominance`, also the intra
+    edges between two entered states that are not relays, as dominant[q]
+    = [(q2, w), ...] for each edge q2 -> q != q2 of weight w (`_prune`).
 
     The sweep starts every state at cost 0 and costs are >= 0, so on the
     first letter a path through t is cheapest when it starts at t itself;
@@ -650,7 +746,14 @@ def _closure_into(num_states: int, intra, advance):
                 if charged > _CLOSURE_BUDGET:
                     raise BudgetExceeded("intra-layer closure is too dense to sweep",
                                          _CLOSURE_BUDGET)
-    return into, reach
+    if not dominance:
+        return into, reach
+    dominant = {}
+    barred = set(relays)         # dominance is never measured at or through a relay
+    for s, d, w in intra:
+        if entered[d] and entered[s] and s != d and s not in barred and d not in barred:
+            dominant.setdefault(d, []).append((s, w))
+    return into, reach, dominant
 
 
 # Compiled sweeps by id(automaton); each entry leaves with its automaton.

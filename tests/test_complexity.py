@@ -60,13 +60,13 @@ def force_step(monkeypatch, name):
     """
     step = STEPS[name]
 
-    def pick(num_states, by_letter):
+    def pick(num_states, by_letter, relays):
         if step is engine._step_python:
             return step, by_letter, None
         arrays = engine._edge_arrays(by_letter)
         if step is engine._step_numpy:
             return step, arrays, None
-        hubs = engine._Hubs.compile(num_states, arrays, math.inf)
+        hubs = engine._Hubs.compile(num_states, arrays, math.inf, relays)
         if hubs.costs is None:
             return engine._sweep_hubs, arrays, hubs
         return step, arrays, hubs
@@ -508,9 +508,9 @@ DEFAULT_PATHS = {
     "joint": (lambda: joint(identity_mode(), splitter_mode(parity_rule())), "python"),
     "reverse(coder4)": (lambda: reverse_mode(champ_coder(4)), "hub"),
     "reverse(coder8)": (lambda: reverse_mode(champ_coder(8)), "hub"),
-    "compose(coder4, coder4)": (lambda: compose(champ_coder(4), champ_coder(4)), "numpy"),
-    "layered(coder4, 2)": (lambda: layered_concat(champ_coder(4), 2), "numpy"),
-    "layered(skewed coder4, 2)": (lambda: layered_concat(skewed_coder(4), 2), "numpy"),
+    "compose(coder4, coder4)": (lambda: compose(champ_coder(4), champ_coder(4)), "hub"),
+    "layered(coder4, 2)": (lambda: layered_concat(champ_coder(4), 2), "hub"),
+    "layered(skewed coder4, 2)": (lambda: layered_concat(skewed_coder(4), 2), "hub"),
 }
 
 
@@ -692,6 +692,9 @@ def relay_modes(draw, arity):
     Besides random edges, the relays are strung on a chain of epsilon-object
     edges that sometimes closes into a cycle of zero cost, and each relay
     may be entered and left by epsilon-object edges and may read a letter.
+    A few epsilon-object edges join two states that letters enter (so one
+    may dominate the other's closure edges), sometimes both ways at zero
+    cost; they may touch relays.
     """
     states = draw(st.integers(1, 6))
     relays = draw(st.lists(st.integers(0, states - 1), unique=True, max_size=states))
@@ -701,6 +704,13 @@ def relay_modes(draw, arity):
     edges = draw(st.lists(st.tuples(state, state, st.tuples(desc, letter)),
                           max_size=12))
     edges = [(s, d, (*u, a)) for s, d, (u, a) in edges]
+    for q2, q in draw(st.lists(st.tuples(state, state), max_size=3)):
+        edges.append((q2, q, (*draw(desc), EPSILON)))
+        if draw(st.booleans()):
+            edges.append((q, q2, (EPSILON,) * arity))
+        for entered in (q2, q):
+            edges.append((draw(state), entered,
+                          (*draw(desc), draw(st.sampled_from("01")))))
     for r, nxt in zip(relays, relays[1:]):
         edges.append((r, nxt, (*draw(desc), EPSILON)))
     if len(relays) > 1 and draw(st.booleans()):
@@ -730,6 +740,26 @@ def test_forced_relays_match_oracle(name, arity, data):
     assert values == sweep_pure_curve(aut, word)
 
 
+@pytest.mark.parametrize("name", sorted(STEPS))
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(data=st.data())
+def test_layered_random_modes_match_oracle(name, data):
+    # From three base states on, the layered hub is a relay, and a hub of
+    # the hub loop; on a block code, relay exits lie all along the chains
+    # of the last layer.
+    if data.draw(st.booleans()):
+        base, word = data.draw(one_hub_modes())
+    else:
+        base, word = data.draw(finite_modes(2)), data.draw(st.text("01", max_size=40))
+    assume(base.automaton.num_states >= 3)
+    aut = layered_concat(base, data.draw(st.integers(1, 3))).automaton
+    with pytest.MonkeyPatch.context() as mp:
+        step = force_step(mp, name)
+        values = engine._sweep(aut, word, list(range(len(word) + 1)))
+        assert_swept_by(aut, step)
+    assert values == sweep_pure_curve(aut, word)
+
+
 def test_layered_relays_match_the_relay_free_closure(monkeypatch):
     mode = layered_concat(champ_coder(6), 2)
     source = champernowne_bits(4_000)[1_000:3_000]
@@ -754,3 +784,120 @@ def test_layered_closure_is_linear_in_the_coder_closure():
         base = edges_per_letter(coder)
         for a, count in edges_per_letter(layered_concat(coder, 2)).items():
             assert count <= 8 * base[a], (k, a)
+
+
+# --- dominance pruning and relay hubs -------------------------------------------
+
+def edge_lists(eng):
+    """A compiled sweep's closure edges per letter as lists of (s, q, c), in
+    the order of its edge arrays or lists."""
+    return {a: list(zip(*(col.tolist() for col in edges))) if isinstance(edges, tuple)
+            else edges for a, edges in eng.by_letter.items()}
+
+
+NO_DOMINANCE = {
+    "identity": identity_mode,
+    "unary(3)": lambda: unary_compressor(3),
+    **{f"coder{k}": (lambda k=k: champ_coder(k)) for k in range(1, 9)},
+    "wall(3)": lambda: wall_mode(3),
+    "joint": lambda: joint(identity_mode(), splitter_mode(parity_rule())),
+    "reverse(coder4)": lambda: reverse_mode(champ_coder(4)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NO_DOMINANCE))
+def test_pruning_leaves_modes_without_dominance_alone(monkeypatch, name):
+    # No intra edge joins two entered states, so there is nothing to scan,
+    # and the compiled edges are those of a compile without pruning.
+    aut = NO_DOMINANCE[name]().automaton
+    intra, advance = engine._classify_edges(aut)
+    assert engine._closure_into(aut.num_states, intra, advance, dominance=True)[2] == {}
+    pruned = edge_lists(engine._compiled(aut))
+    monkeypatch.setattr(engine, "_prune", lambda edges, dominant: edges)
+    monkeypatch.setattr(engine, "_sweep_cache", {})
+    assert edge_lists(engine._compiled(aut)) == pruned
+
+
+def twin_mode():
+    """Reading 0 from state 0 enters states 1 and 2 at one description bit
+    each; 1 and 2 reach each other over free epsilon edges, so each
+    dominates the other.  State 2 reads 1 at one more bit than state 1."""
+    return one_bit_mode(((0, 1, ("1", "0")), (0, 2, ("1", "0")),
+                         (1, 2, (EPSILON, EPSILON)), (2, 1, (EPSILON, EPSILON)),
+                         (1, 0, (EPSILON, "1")), (2, 0, ("1", "1"))), 3)
+
+
+def test_mutual_dominance_keeps_one_of_the_two_states(forced_step, monkeypatch):
+    mode = twin_mode()
+    aut = mode.automaton
+    intra, advance = engine._classify_edges(aut)
+    _, _, dominant = engine._closure_into(3, intra, advance, dominance=True)
+    assert dominant == {1: [(2, 0)], 2: [(1, 0)]}
+    assert sorted(q for s, q, _ in edge_lists(engine._compiled(aut))["0"] if s == 0) in ([1], [2])
+    values = {word: engine._sweep(aut, word, list(range(len(word) + 1)))
+              for word in all_words(7)}
+    for word, curve in values.items():
+        assert curve == sweep_pure_curve(aut, word)
+    assert_swept_by(aut, forced_step)
+    monkeypatch.setattr(engine, "_prune", lambda edges, dominant: edges)
+    monkeypatch.setattr(engine, "_sweep_cache", {})
+    assert sorted(q for s, q, _ in edge_lists(engine._compiled(aut))["0"] if s == 0) == [1, 2]
+    assert all(engine._sweep(aut, word, list(range(len(word) + 1))) == curve
+               for word, curve in values.items())
+    # Dominance is never measured at a relay.
+    monkeypatch.setattr(engine, "_relays", lambda adj, intra: [1])
+    assert engine._closure_into(3, intra, advance, dominance=True)[2] == {}
+
+
+@pytest.mark.parametrize("train", [champ_coder, skewed_coder])
+def test_layered_coder_compiles_to_three_chain_hubs_and_the_relay(train):
+    coder = train(4)
+    aut = layered_concat(coder, 2).automaton
+    eng = engine._compiled(aut)
+    assert eng.step is engine._sweep_hubs
+    hubs = eng.hubs
+    n = coder.automaton.num_states
+    # The roots of copies 1 and 2 and of the final copy, and the relay.
+    assert hubs.ids.tolist() == [n, 2 * n, 3 * n, 4 * n]
+    assert hubs.span == 4
+    assert [length for length, _ in hubs.full] == [1, 2, 3, 4]
+
+
+def test_compose_of_coders_closure_is_pruned():
+    eng = engine._compiled(compose(champ_coder(4), champ_coder(4)).automaton)
+    assert max(len(srcs) for srcs, _, _ in eng.by_letter.values()) <= 4_000
+
+
+def test_relay_tables_are_charged_to_the_compile_budget(monkeypatch):
+    # The relay 2 is a hub; its macro-edge "10" to hub 1 and the relay exit
+    # of state 0 ("1", then "0" into the relay) cost two each.
+    mode = one_bit_mode(((0, 1, ("0", "0")), (1, 2, ("1", EPSILON)),
+                         (2, 0, (EPSILON, "1"))), 3)
+    aut = mode.automaton
+    monkeypatch.setattr(engine, "_relays", lambda adj, intra: [2])
+    force_step(monkeypatch, "numpy")
+    arrays = engine._compiled(aut).by_letter
+    monkeypatch.setattr(engine, "_NORMALIZE_BUDGET", 3)
+    assert engine._Hubs.compile(3, arrays, math.inf, {2}) is None
+    monkeypatch.setattr(engine, "_NORMALIZE_BUDGET", 4)
+    hubs = engine._Hubs.compile(3, arrays, math.inf, {2})
+    assert hubs.ids.tolist() == [1, 2]
+    assert hubs.full == [(2, {"10": [(1, 0, 1), (1, 1, 2)]})]
+
+
+def test_relay_tables_past_the_budget_fall_back_to_numpy(monkeypatch):
+    # The macro-edges between the chain hubs and out of the relay fit in
+    # the budget; with the relay's tables they do not.
+    mode = layered_concat(champ_coder(4), 2)
+    aut = mode.automaton
+    relay = aut.num_states - 1
+    source = champernowne_bits(3_000)[1_000:]
+    expected = complexity_curve(mode, source, len(source), 100).samples
+    arrays = engine._compiled(aut).by_letter
+    without_exits = {a: tuple(col[dst != relay] for col in (srcs, dst, cost))
+                     for a, (srcs, dst, cost) in arrays.items()}
+    monkeypatch.setattr(engine, "_NORMALIZE_BUDGET", 400)
+    assert engine._Hubs.compile(aut.num_states, without_exits, math.inf, {relay}) is not None
+    monkeypatch.setattr(engine, "_sweep_cache", {})
+    assert engine._compiled(aut).step is engine._step_numpy
+    assert complexity_curve(mode, source, len(source), 100).samples == expected
