@@ -62,9 +62,11 @@ _NUMPY_LETTER_EDGES = 500
 _WINDOW_MEMO = 1 << 16
 _INF = 1 << 62
 _NORMALIZE_BUDGET = 5_000_000
-# Closure edges over all letters, charged before pruning, then folded relay
-# edges.  The largest closure any mode in the tests or the benchmark needs
-# is reverse(k=8 coder)'s 67,584; layered(k=8 coder, 2), whose hub is a
+# Closure edges over all letters.  The closure is charged as its entries
+# are made; the folded relay edges are charged on top of the edges left
+# after pruning (`_CompiledSweep`), not on top of that first count.  The
+# largest closure any mode in the tests or the benchmark needs is
+# reverse(k=8 coder)'s 67,584; layered(k=8 coder, 2), whose hub is a
 # relay, makes about 13,400 (about 11,000 after pruning, plus 2,600 folded).
 _CLOSURE_BUDGET = 1_000_000
 
@@ -201,8 +203,7 @@ class _CompiledSweep:
 
     def __init__(self, aut: LabeledAutomaton):
         intra, advance = _classify_edges(aut)
-        into, reach, dominant = _closure_into(aut.num_states, intra, advance,
-                                              dominance=True)
+        into, reach, dominant, relays = _closure_into(aut.num_states, intra, advance)
         by_letter = {a: [(s, q, c + w) for t, q, w in group for s, c in into[t]]
                      for a, group in advance.items()}
         if dominant:
@@ -211,7 +212,6 @@ class _CompiledSweep:
             charged = sum(map(len, by_letter.values()))
             for edges in by_letter.values():
                 charged = _fold_relays(edges, reach, charged)
-        relays = {r for ends in reach.values() for r, _ in ends}
         self.step, self.by_letter, self.hubs = _pick_step(aut.num_states, by_letter, relays)
         if self.step is _step_python:
             self.start = dict.fromkeys(range(aut.num_states), 0)
@@ -681,14 +681,15 @@ def _distances(source: int, first, out) -> dict:
     return dist
 
 
-def _closure_into(num_states: int, intra, advance, dominance: bool = False):
-    """(into, reach): into[t] = [(s, cost of the cheapest intra path s -> t
-    that enters no relay), ...] for each state t that reads a letter (only
-    (t, 0) if t is a relay), [] for the others; reach[q] = [(r, cost of the
-    cheapest intra path q -> r), ...] over the relays r != q, for each
-    entered state q that reaches one.  With `dominance`, also the intra
-    edges between two entered states that are not relays, as dominant[q]
-    = [(q2, w), ...] for each edge q2 -> q != q2 of weight w (`_prune`).
+def _closure_into(num_states: int, intra, advance):
+    """(into, reach, dominant, reached): into[t] = [(s, cost of the
+    cheapest intra path s -> t that enters no relay), ...] for each state t
+    that reads a letter (only (t, 0) if t is a relay), [] for the others;
+    reach[q] = [(r, cost of the cheapest intra path q -> r), ...] over the
+    relays r != q, for each entered state q that reaches one; dominant[q] =
+    [(q2, w), ...] for each intra edge q2 -> q != q2 of weight w between
+    two entered states that are not relays (`_prune`); reached, the set of
+    relays in reach, which the sweep keeps as hubs (`_pick_step`).
 
     The sweep starts every state at cost 0 and costs are >= 0, so on the
     first letter a path through t is cheapest when it starts at t itself;
@@ -726,6 +727,7 @@ def _closure_into(num_states: int, intra, advance, dominance: bool = False):
             out[r] = ends
     into = [[] for _ in range(num_states)]
     reach = {}
+    reached = set()
     charged = 0
     for source in range(num_states):
         if closes[source] and adj[source]:
@@ -737,6 +739,7 @@ def _closure_into(num_states: int, intra, advance, dominance: bool = False):
                     del dist[r]
                 if ends and entered[source]:
                     reach[source] = ends
+                    reached.update(r for r, _ in ends)
         else:
             dist = {source: 0}
         for t, c in dist.items():
@@ -746,14 +749,12 @@ def _closure_into(num_states: int, intra, advance, dominance: bool = False):
                 if charged > _CLOSURE_BUDGET:
                     raise BudgetExceeded("intra-layer closure is too dense to sweep",
                                          _CLOSURE_BUDGET)
-    if not dominance:
-        return into, reach
     dominant = {}
     barred = set(relays)         # dominance is never measured at or through a relay
     for s, d, w in intra:
         if entered[d] and entered[s] and s != d and s not in barred and d not in barred:
             dominant.setdefault(d, []).append((s, w))
-    return into, reach, dominant
+    return into, reach, dominant, reached
 
 
 # Compiled sweeps by id(automaton); each entry leaves with its automaton.

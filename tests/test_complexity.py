@@ -234,7 +234,8 @@ def test_closure_is_charged_as_its_entries_are_made(monkeypatch):
     intra = [(0, 1, 1), (1, 2, 0)]
     advance = {"0": [(1, 0, 0)], "1": [(1, 0, 1)]}
     monkeypatch.setattr(engine, "_CLOSURE_BUDGET", 4)
-    assert engine._closure_into(3, intra, advance) == ([[], [(0, 1), (1, 0)], []], {})
+    assert engine._closure_into(3, intra, advance) == (
+        [[], [(0, 1), (1, 0)], []], {}, {}, set())
     monkeypatch.setattr(engine, "_CLOSURE_BUDGET", 3)
     with pytest.raises(BudgetExceeded):
         engine._closure_into(3, intra, advance)
@@ -260,7 +261,7 @@ def test_folded_relay_edges_are_charged_as_they_are_made(monkeypatch):
     monkeypatch.setattr(engine, "_relays", lambda adj, intra: [2])
     intra, advance = engine._classify_edges(aut)
     assert engine._closure_into(3, intra, advance) == (
-        [[(0, 0)], [], [(2, 0)]], {1: [(2, 1)]})
+        [[(0, 0)], [], [(2, 0)]], {1: [(2, 1)]}, {}, {2})
     force_step(monkeypatch, "python")
     monkeypatch.setattr(engine, "_CLOSURE_BUDGET", 2)
     with pytest.raises(BudgetExceeded):
@@ -764,7 +765,7 @@ def test_layered_relays_match_the_relay_free_closure(monkeypatch):
     mode = layered_concat(champ_coder(6), 2)
     source = champernowne_bits(4_000)[1_000:3_000]
     aut = mode.automaton
-    _, reach = engine._closure_into(aut.num_states, *engine._classify_edges(aut))
+    _, reach, _, _ = engine._closure_into(aut.num_states, *engine._classify_edges(aut))
     assert {r for ends in reach.values() for r, _ in ends} == {aut.num_states - 1}  # the hub
     with_relays = complexity_curve(mode, source, len(source), 1).samples
     monkeypatch.setattr(engine, "_relays", lambda adj, intra: [])
@@ -811,7 +812,7 @@ def test_pruning_leaves_modes_without_dominance_alone(monkeypatch, name):
     # and the compiled edges are those of a compile without pruning.
     aut = NO_DOMINANCE[name]().automaton
     intra, advance = engine._classify_edges(aut)
-    assert engine._closure_into(aut.num_states, intra, advance, dominance=True)[2] == {}
+    assert engine._closure_into(aut.num_states, intra, advance)[2] == {}
     pruned = edge_lists(engine._compiled(aut))
     monkeypatch.setattr(engine, "_prune", lambda edges, dominant: edges)
     monkeypatch.setattr(engine, "_sweep_cache", {})
@@ -831,7 +832,7 @@ def test_mutual_dominance_keeps_one_of_the_two_states(forced_step, monkeypatch):
     mode = twin_mode()
     aut = mode.automaton
     intra, advance = engine._classify_edges(aut)
-    _, _, dominant = engine._closure_into(3, intra, advance, dominance=True)
+    _, _, dominant, _ = engine._closure_into(3, intra, advance)
     assert dominant == {1: [(2, 0)], 2: [(1, 0)]}
     assert sorted(q for s, q, _ in edge_lists(engine._compiled(aut))["0"] if s == 0) in ([1], [2])
     values = {word: engine._sweep(aut, word, list(range(len(word) + 1)))
@@ -846,7 +847,7 @@ def test_mutual_dominance_keeps_one_of_the_two_states(forced_step, monkeypatch):
                for word, curve in values.items())
     # Dominance is never measured at a relay.
     monkeypatch.setattr(engine, "_relays", lambda adj, intra: [1])
-    assert engine._closure_into(3, intra, advance, dominance=True)[2] == {}
+    assert engine._closure_into(3, intra, advance)[2] == {}
 
 
 @pytest.mark.parametrize("train", [champ_coder, skewed_coder])
