@@ -160,7 +160,8 @@ def cmd_check_mode(args) -> int:
 def cmd_select(args) -> int:
     rule = _load_rule(args.rule)
     bits = seqgen.read_sequence_file(args.input)[: args.n]
-    selected, rest = constructions.apply_selection(rule, bits)
+    marks = constructions.selection_marks(rule, bits)
+    selected, rest = constructions.split_selection(bits, marks)
     verdict = constructions.classify_selection(rule)
     if args.out_selected:
         _write(args.out_selected, selected + "\n")
@@ -168,8 +169,7 @@ def cmd_select(args) -> int:
         _write(args.out_rest, rest + "\n")
     if args.out_density:
         step = max(1, len(bits) // 100)
-        marks = list(range(step, len(bits) + 1, step))
-        trace = constructions.selection_trace(rule, bits, marks)
+        trace = constructions.selected_counts(marks, range(step, len(bits) + 1, step))
         lines = ["n,selected,density"]
         for n, count in trace:
             lines.append(f"{n},{count},{count / n:.6f}")

@@ -14,6 +14,7 @@ import heapq
 import math
 import random
 import weakref
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from operator import itemgetter
@@ -27,14 +28,22 @@ from .modes import UNBOUNDED, DescriptionMode, PairDescriptionMode
 
 UNREACHABLE = math.inf
 
-# Where prefix sums do not apply, a per-letter step that relaxes at most
-# this many edges runs in plain Python; above it the numpy scatter-min is
-# faster per letter (measured crossover between 24 and 28 edges on carry
-# automata and random graphs).
+# Where the prefix sums tail does not apply, the closure step is plain
+# Python over a dict, with no tail, while every letter relaxes at most this
+# many closure edges: above it the numpy scatter-min is faster per letter
+# (measured crossover between 24 and 28 edges on carry automata and random
+# graphs).  On closures this small the Python step also beats the hub loop
+# tail.  Warm calls on Bernoulli(0.9) bits (2-vCPU host), 5 alternating
+# runs of the min of 63 calls (1 at 48k bits), Python against the hub loop:
+# union(identity, unary(3)) 8.6-12.7 against 44-52 us at 16 bits and
+# 346-605 against 601-1,007 us at 1,024 bits; per bit on 48k bits, union
+# 0.50-0.65 against 0.67-1.05 us, joint(identity, splitter) 0.41-0.57
+# against 0.59-0.88 us, wall(3) 0.61-0.91 against 0.80-1.05 us.
 _PYTHON_STEP_EDGES = 24
-# Above it, the hub loop runs while its worst letter relaxes at most one
-# macro-edge per _EDGES_PER_RELAXATION closure edges of the worst letter,
-# plus _NUMPY_LETTER_EDGES for numpy's fixed cost per letter.  A hub loop
+# Above it, the numpy step hands over to the hub loop tail while the hub
+# loop's worst letter relaxes at most one macro-edge per
+# _EDGES_PER_RELAXATION closure edges of the worst letter, plus
+# _NUMPY_LETTER_EDGES for numpy's fixed cost per letter.  A hub loop
 # relaxation costs about 75 ns and a numpy closure edge about 7 ns; a
 # numpy letter also costs about 4 us whatever its edges, against under
 # 1 us for a hub loop letter.  Warm in-process sweeps, hub and numpy
@@ -161,22 +170,39 @@ def _classify_edges(aut: LabeledAutomaton):
 
 def _sweep(aut: LabeledAutomaton, word: str, positions: List[int]) -> list:
     """Values of K at the given prefix lengths (strictly ascending) of
-    `word`, read on the object tape."""
+    `word`, read on the object tape.
+
+    The closure step runs from the start to the hub graph's `lead` (the
+    whole word without a hub graph) in batches between positions, and one
+    letter at a time through the last `span` letters up to `lead`, whose
+    hub costs it keeps in a ring indexed by letter.  The tail answers the
+    positions past `lead` from that ring.
+    """
     check_word(aut, aut.arity - 1, word)
     if aut.num_states == 0:
         return [UNREACHABLE] * len(positions)
     eng = _compiled(aut)
-    if eng.hubs is not None:
-        return eng.step(eng, word, positions)
-    dist, best = eng.start, 0
-    out = []
-    done = 0
-    for n in positions:
-        if n > done and best != UNREACHABLE:
-            dist, best = eng.step(eng.by_letter, dist, word[done:n])
-            done = n
-        out.append(best)
-    return out
+    hubs = eng.hubs
+    stops, lead, fill, ring = positions, positions[-1], (), None
+    if hubs is not None:
+        lead = min(hubs.lead, lead)
+        fill = range(max(hubs.lead - hubs.span + 1, 0), lead + 1)
+        stops = [*positions[:bisect_left(positions, fill.start)], *fill]
+        ring = [None] * hubs.span
+    dist, best, done, out = eng.start, 0, 0, []
+    for t in stops:
+        if t > done:
+            dist, best = eng.step(eng.by_letter, dist, word[done:t])
+            done = t
+            if best == UNREACHABLE:
+                break
+        if t in fill:
+            ring[t % hubs.span] = dist[hubs.ids].tolist()
+        if t == positions[len(out)]:
+            out.append(best)
+    if best != UNREACHABLE and lead < positions[-1]:
+        out += eng.tail(hubs, word, positions[len(out):], ring)
+    return out + [UNREACHABLE] * (len(positions) - len(out))
 
 
 class _CompiledSweep:
@@ -195,10 +221,10 @@ class _CompiledSweep:
     that an intra edge from another of its targets makes no cheaper is
     dropped (`_prune`); the glue edges between layered copies and the
     synchronised moves of a composition make many such edges.
-    `_pick_step` chooses how a letter is swept: plain Python over a dict
-    of reachable states, the hub DP over macro-edges (`_Hubs`, the relays
-    among its hubs) as prefix sums or as a loop, or a numpy scatter-min
-    over the closure edges.
+    `_pick_step` chooses the closure step, plain Python over a dict of
+    reachable states or a numpy scatter-min over the closure edges, and a
+    tail, which sweeps the hub DP over macro-edges (`_Hubs`, the relays
+    among its hubs) past its `lead` as prefix sums or as a loop, or None.
     """
 
     def __init__(self, aut: LabeledAutomaton):
@@ -212,7 +238,8 @@ class _CompiledSweep:
             charged = sum(map(len, by_letter.values()))
             for edges in by_letter.values():
                 charged = _fold_relays(edges, reach, charged)
-        self.step, self.by_letter, self.hubs = _pick_step(aut.num_states, by_letter, relays)
+        self.step, self.tail, self.by_letter, self.hubs = _pick_step(
+            aut.num_states, by_letter, relays)
         if self.step is _step_python:
             self.start = dict.fromkeys(range(aut.num_states), 0)
         else:
@@ -276,16 +303,17 @@ def _edge_arrays(by_letter):
 
 
 def _pick_step(num_states: int, by_letter, relays):
-    """The step, the edges it reads per letter, and its hub graph (or None)
-    with the `relays` as hubs.
+    """The closure step, the tail, the edges the step reads per letter,
+    and the hub graph (or None) with the `relays` as hubs.
 
-    Prefix sums whenever the hub graph has one hub, one macro-edge length
-    and a window cost table.  Otherwise Python while every letter relaxes
-    at most _PYTHON_STEP_EDGES closure edges; else the hub loop while its
-    worst letter relaxes at most one macro-edge per _EDGES_PER_RELAXATION
-    closure edges of the worst letter, counting numpy's fixed cost per
-    letter as _NUMPY_LETTER_EDGES more edges; else numpy over the closure
-    edges.
+    The prefix sums tail whenever the hub graph has one hub, one
+    macro-edge length and a window cost table.  Otherwise no tail and the
+    Python step while every letter relaxes at most _PYTHON_STEP_EDGES
+    closure edges; else the hub loop tail while its worst letter relaxes
+    at most one macro-edge per _EDGES_PER_RELAXATION closure edges of the
+    worst letter, counting numpy's fixed cost per letter as
+    _NUMPY_LETTER_EDGES more edges; else no tail.  Every step but the
+    Python one is numpy's.
     """
     widest = max(map(len, by_letter.values()), default=0)
     arrays = _edge_arrays(by_letter)
@@ -294,12 +322,12 @@ def _pick_step(num_states: int, by_letter, relays):
     limit = 1 if python else (widest + _NUMPY_LETTER_EDGES) / _EDGES_PER_RELAXATION
     hubs = _Hubs.compile(num_states, arrays, limit, relays)
     if hubs is not None and hubs.costs is not None:
-        return _sweep_sums, arrays, hubs
+        return _step_numpy, _sweep_sums, arrays, hubs
     if python:
-        return _step_python, by_letter, None
+        return _step_python, None, by_letter, None
     if hubs is None:
-        return _step_numpy, arrays, None
-    return _sweep_hubs, arrays, hubs
+        return _step_numpy, None, arrays, None
+    return _step_numpy, _sweep_hubs, arrays, hubs
 
 
 def _step_python(by_letter, dist: dict, letters):
@@ -525,30 +553,6 @@ def _window_costs(hubs: int, full, rank):
     return costs, missing
 
 
-def _prologue(eng: _CompiledSweep, word: str, positions: List[int]):
-    """The first `lead` letters of the hub DP by the numpy closure step.
-
-    Returns the values at the positions up to `lead`, the hub costs of the
-    last `span` of those letters in a ring indexed by letter, and the
-    last value (UNREACHABLE once no state is reachable).
-    """
-    hubs = eng.hubs
-    span, lead = hubs.span, hubs.lead
-    ring = [None] * span
-    out = []
-    dist, best = eng.start, 0
-    for t in range(min(lead, positions[-1]) + 1):
-        if t:
-            dist, best = _step_numpy(eng.by_letter, dist, word[t - 1:t])
-            if best == UNREACHABLE:
-                break
-        if t > lead - span:
-            ring[t % span] = dist[hubs.ids].tolist()
-        if t == positions[len(out)]:
-            out.append(best)
-    return out, ring, best
-
-
 def _free_ends(part, word: str, t: int, best, hub_costs):
     """min(best, the cheapest path that ends inside a chain at letter t):
     hub_costs(u) lists the hub costs at letter u."""
@@ -563,94 +567,89 @@ def _free_ends(part, word: str, t: int, best, hub_costs):
     return best
 
 
-def _sweep_hubs(eng: _CompiledSweep, word: str, positions: List[int]) -> list:
-    """Values of K by the hub loop (see _Hubs).
+def _sweep_hubs(hubs: _Hubs, word: str, positions: List[int], ring) -> list:
+    """Values of K at the positions past `lead` by the hub loop (see
+    _Hubs), up to the first unreachable one.
 
-    After the prologue each letter relaxes the macro-edges whose word
-    ends there, per length, looked up once per distinct window of the
-    last span letters (at most _WINDOW_MEMO windows are kept at a time).
-    Only the hub costs of the last span letters are kept, in a ring
-    indexed by letter: a letter's costs are complete before they take the
-    slot of the letter span back.
+    Each letter relaxes the macro-edges whose word ends there, per length,
+    looked up once per distinct window of the last span letters (at most
+    _WINDOW_MEMO windows are kept at a time).  Only the hub costs of the
+    last span letters are kept, in the `ring` indexed by letter that
+    `_sweep` filled up to `lead`: a letter's costs are complete before
+    they take the slot of the letter span back.
     """
-    hubs = eng.hubs
-    span, lead = hubs.span, hubs.lead
-    out, ring, best = _prologue(eng, word, positions)
-    stop = positions[-1]
-    if best != UNREACHABLE and stop > lead:
-        full, part = hubs.full, hubs.part
-        blank = [_INF] * len(hubs.ids)
-        samples = iter(positions[len(out):])
-        want = next(samples)
-        last = lead                  # a letter at which some hub may be finite
-        memo = {}                    # window -> [(length, macro-edges ending it)]
-        for t in range(lead + 1, stop + 1):
-            window = word[t - span:t]
-            ends = memo.get(window)
-            if ends is None:
-                if len(memo) >= _WINDOW_MEMO:
-                    memo.clear()
-                ends = memo[window] = [(n, edges) for n, table in full
-                                       if (edges := table.get(window[span - n:]))]
-            new = blank.copy()
-            for n, edges in ends:
-                old = ring[(t - n) % span]
-                for s, d, c in edges:
-                    c += old[s]
-                    if c < new[d]:
-                        new[d] = c
-            ring[t % span] = new
-            if new != blank:
-                last = t
-            elif t - last >= span:
-                break                # no state is reachable from here on
-            if t == want:
-                best = _free_ends(part, word, t, min(new), lambda u: ring[u % span])
-                if best >= _INF:
-                    break
-                out.append(best)
-                want = next(samples, None)
-    return out + [UNREACHABLE] * (len(positions) - len(out))
-
-
-def _sweep_sums(eng: _CompiledSweep, word: str, positions: List[int]) -> list:
-    """Values of K by prefix sums, for one hub with one macro-edge length L.
-
-    After the prologue, the hub cost at letter t is its cost at t - L plus
-    the cost of the window word[t - L:t]: one running sum per residue of t
-    mod L, started from the prologue's last L hub costs.  A window with no
-    macro-edge cuts its residue from there on: a separate running "or"
-    marks the cut sums, so _INF never enters a sum.  K is then read at the
-    positions only.
-    """
-    hubs = eng.hubs
-    span, lead = hubs.span, hubs.lead
-    out, ring, best = _prologue(eng, word, positions)
-    stop = positions[-1]
-    if best != UNREACHABLE and stop > lead:
-        # Row r, column i: the window that ends at letter lead + 1 + r * span + i.
-        # The last row is padded with copies of the word's first letter.
-        first, rows = lead + 1 - span, -(-(stop - lead) // span)
-        text = word[first:stop] + word[0] * (rows * span - (stop - lead))
-        codes = np.convolve(np.frombuffer(text.translate(hubs.rank).encode(
-            "utf-32-le", "surrogatepass"), dtype=np.uint32), hubs.powers, "valid")
-        sums, cut = hubs.costs[codes].reshape(rows, span), hubs.missing[codes].reshape(rows, span)
-        sums.cumsum(axis=0, out=sums)
-        np.logical_or.accumulate(cut, axis=0, out=cut)   # a window so far had no macro-edge
-        base = [ring[t % span][0] for t in range(first, lead + 1)]
-        sums += [0 if c >= _INF else c for c in base]
-        cut |= [c >= _INF for c in base]
-        sums[cut] = _INF
-        sums = sums.ravel()                      # sums[t - lead - 1]: hub cost at letter t
-
-        def hub_costs(u):
-            return [int(sums[u - lead - 1])] if u > lead else ring[u % span]
-        for t in positions[len(out):]:
-            best = _free_ends(hubs.part, word, t, hub_costs(t)[0], hub_costs)
+    span, lead, full = hubs.span, hubs.lead, hubs.full
+    blank = [_INF] * len(hubs.ids)
+    out = []
+    samples = iter(positions)
+    want = next(samples)
+    last = lead                      # a letter at which some hub may be finite
+    memo = {}                        # window -> [(length, macro-edges ending it)]
+    for t in range(lead + 1, positions[-1] + 1):
+        window = word[t - span:t]
+        ends = memo.get(window)
+        if ends is None:
+            if len(memo) >= _WINDOW_MEMO:
+                memo.clear()
+            ends = memo[window] = [(n, edges) for n, table in full
+                                   if (edges := table.get(window[span - n:]))]
+        new = blank.copy()
+        for n, edges in ends:
+            old = ring[(t - n) % span]
+            for s, d, c in edges:
+                c += old[s]
+                if c < new[d]:
+                    new[d] = c
+        ring[t % span] = new
+        if new != blank:
+            last = t
+        elif t - last >= span:
+            break                    # no state is reachable from here on
+        if t == want:
+            best = _free_ends(hubs.part, word, t, min(new), lambda u: ring[u % span])
             if best >= _INF:
                 break
             out.append(best)
-    return out + [UNREACHABLE] * (len(positions) - len(out))
+            want = next(samples, None)
+    return out
+
+
+def _sweep_sums(hubs: _Hubs, word: str, positions: List[int], ring) -> list:
+    """Values of K at the positions past `lead` by prefix sums, for one hub
+    with one macro-edge length L, up to the first unreachable one.
+
+    The hub cost at letter t is its cost at t - L plus the cost of the
+    window word[t - L:t]: one running sum per residue of t mod L, started
+    from the last L hub costs up to `lead` in the `ring` that `_sweep`
+    filled.  A window with no macro-edge cuts its residue from there on: a
+    separate running "or" marks the cut sums, so _INF never enters a sum.
+    K is then read at the positions only.
+    """
+    span, lead, stop = hubs.span, hubs.lead, positions[-1]
+    # Row r, column i: the window that ends at letter lead + 1 + r * span + i.
+    # The last row is padded with copies of the word's first letter.
+    first, rows = lead + 1 - span, -(-(stop - lead) // span)
+    text = word[first:stop] + word[0] * (rows * span - (stop - lead))
+    codes = np.convolve(np.frombuffer(text.translate(hubs.rank).encode(
+        "utf-32-le", "surrogatepass"), dtype=np.uint32), hubs.powers, "valid")
+    sums, cut = hubs.costs[codes].reshape(rows, span), hubs.missing[codes].reshape(rows, span)
+    sums.cumsum(axis=0, out=sums)
+    np.logical_or.accumulate(cut, axis=0, out=cut)   # a window so far had no macro-edge
+    base = [ring[t % span][0] for t in range(first, lead + 1)]
+    sums += [0 if c >= _INF else c for c in base]
+    cut |= [c >= _INF for c in base]
+    sums[cut] = _INF
+    sums = sums.ravel()                      # sums[t - lead - 1]: hub cost at letter t
+
+    def hub_costs(u):
+        return [int(sums[u - lead - 1])] if u > lead else ring[u % span]
+    out = []
+    for t in positions:
+        best = _free_ends(hubs.part, word, t, hub_costs(t)[0], hub_costs)
+        if best >= _INF:
+            break
+        out.append(best)
+    return out
 
 
 def _relays(adj, intra) -> list:

@@ -13,8 +13,9 @@ from __future__ import annotations
 import functools
 import operator
 from dataclasses import dataclass
+from itertools import compress
 from math import gcd
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .automaton import EPSILON, LabeledAutomaton, _parse_int, chain, strip_format_lines
 from .errors import ContractError, FormatError
@@ -30,6 +31,7 @@ from .modes import (
 from .seqgen import rational_bits
 
 _WALL_PROFILE_LEN = 10
+_FLIP = bytes.maketrans(b"\0\1", b"\1\0")       # selected <-> non-selected marks
 
 
 # --- multiplication / division carry automata --------------------------------
@@ -142,18 +144,47 @@ class SelectionRule:
         return self.transitions[state][int(bit)]
 
 
-def apply_selection(rule: SelectionRule, w: str) -> Tuple[str, str]:
-    """Split w into (selected, non-selected) bits.
-
-    Bit i is selected iff the state reached on w[:i] accepts, i.e. the
-    prefix before it belongs to the rule's language.
-    """
-    u, v = [], []
+def selection_marks(rule: SelectionRule, w: str) -> bytearray:
+    """One run of the rule over w: byte i is 1 iff bit i is selected, that
+    is iff the state reached on w[:i] accepts (the prefix before it
+    belongs to the rule's language)."""
+    moves = [dict(zip("01", row)) for row in rule.transitions]
+    accepts = [s in rule.accepting for s in range(rule.num_states)]
+    marks = bytearray(len(w))
     state = rule.initial
-    for ch in w:
-        (u if state in rule.accepting else v).append(ch)
-        state = rule.step(state, ch)
-    return "".join(u), "".join(v)
+    for i, ch in enumerate(w):
+        marks[i] = accepts[state]
+        state = moves[state][ch]
+    return marks
+
+
+def split_selection(w: str, marks: bytes) -> Tuple[str, str]:
+    """(selected, non-selected) bits of w by its `selection_marks`."""
+    return ("".join(compress(w, marks)),
+            "".join(compress(w, marks.translate(_FLIP))))
+
+
+def selected_counts(marks: bytes, checkpoints: Iterable[int]) -> List[Tuple[int, int]]:
+    """Selected-bit counts after each checkpoint prefix length of the word
+    whose `selection_marks` these are; checkpoints past its end are
+    dropped."""
+    lengths = sorted(set(checkpoints))
+    if lengths and lengths[0] < 0:
+        raise ContractError("checkpoints must be nonnegative")
+    out = []
+    selected = done = 0
+    for n in lengths:
+        if n > len(marks):
+            break
+        selected += marks.count(1, done, n)
+        done = n
+        out.append((n, selected))
+    return out
+
+
+def apply_selection(rule: SelectionRule, w: str) -> Tuple[str, str]:
+    """Split w into (selected, non-selected) bits (`selection_marks`)."""
+    return split_selection(w, selection_marks(rule, w))
 
 
 def merge(rule: SelectionRule, u: str, v: str) -> Optional[str]:
@@ -262,23 +293,9 @@ def classify_selection(rule: SelectionRule) -> str:
 
 def selection_trace(rule: SelectionRule, bits: str,
                     checkpoints: List[int]) -> List[Tuple[int, int]]:
-    """Selected-bit counts after each checkpoint prefix length."""
-    marks = sorted(set(checkpoints))
-    out = []
-    state = rule.initial
-    selected = 0
-    mi = 0
-    for i, ch in enumerate(bits):
-        while mi < len(marks) and marks[mi] == i:
-            out.append((i, selected))
-            mi += 1
-        if state in rule.accepting:
-            selected += 1
-        state = rule.step(state, ch)
-    while mi < len(marks) and marks[mi] <= len(bits):
-        out.append((marks[mi], selected))
-        mi += 1
-    return out
+    """Selected-bit counts after each checkpoint prefix length; a negative
+    checkpoint raises ContractError."""
+    return selected_counts(selection_marks(rule, bits), checkpoints)
 
 
 # --- selection rule text format ----------------------------------------------

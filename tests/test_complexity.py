@@ -48,40 +48,47 @@ from helpers import (
 
 # The package re-exports the `complexity` function under the module's name.
 engine = importlib.import_module("autokolm.complexity")
-STEPS = {"python": engine._step_python, "hub": engine._sweep_hubs,
-         "sums": engine._sweep_sums, "numpy": engine._step_numpy}
+# Each sweep path as its (closure step, tail) pair.
+STEPS = {"python": (engine._step_python, None), "numpy": (engine._step_numpy, None),
+         "hub": (engine._step_numpy, engine._sweep_hubs),
+         "sums": (engine._step_numpy, engine._sweep_sums)}
 
 
 def force_step(monkeypatch, name):
-    """Compile every automaton with the named per-letter step, on a fresh cache.
+    """Compile every automaton to the named (closure step, tail) pair, on a
+    fresh cache; returns the pair.
 
     The prefix sums ("sums") need a window cost table, that is one hub with
     one macro-edge length; other hub graphs take the hub loop ("hub").
     """
-    step = STEPS[name]
+    step, tail = STEPS[name]
 
     def pick(num_states, by_letter, relays):
         if step is engine._step_python:
-            return step, by_letter, None
+            return step, tail, by_letter, None
         arrays = engine._edge_arrays(by_letter)
-        if step is engine._step_numpy:
-            return step, arrays, None
-        hubs = engine._Hubs.compile(num_states, arrays, math.inf, relays)
-        if hubs.costs is None:
-            return engine._sweep_hubs, arrays, hubs
-        return step, arrays, hubs
+        hubs = engine._Hubs.compile(num_states, arrays, math.inf, relays) if tail else None
+        if tail is engine._sweep_sums and hubs.costs is None:
+            return step, engine._sweep_hubs, arrays, hubs
+        return step, tail, arrays, hubs
     monkeypatch.setattr(engine, "_pick_step", pick)
     monkeypatch.setattr(engine, "_sweep_cache", {})
-    return step
+    return step, tail
 
 
-def assert_swept_by(aut, step):
-    """`aut` compiled to the forced `step`, or to the hub loop where the
-    prefix sums were forced but have no window cost table."""
+def swept_by(aut):
+    """The (closure step, tail) pair that `aut` compiles to."""
     eng = engine._compiled(aut)
-    if step is engine._sweep_sums and eng.hubs.costs is None:
-        step = engine._sweep_hubs
-    assert eng.step is step
+    return eng.step, eng.tail
+
+
+def assert_swept_by(aut, path):
+    """`aut` compiled to the forced (closure step, tail) pair `path`, or to
+    the hub loop where the prefix sums were forced but have no window cost
+    table."""
+    if path == STEPS["sums"] and engine._compiled(aut).hubs.costs is None:
+        path = STEPS["hub"]
+    assert swept_by(aut) == path
 
 
 @pytest.fixture(params=sorted(STEPS))
@@ -167,23 +174,22 @@ def test_reversal_duality():
             assert complexity(rev, x[::-1]) == complexity(mode, x)
     # Trained coders: both reversed coders run the hub loop.
     bits = champernowne_bits(4_000)
-    for k, x, step in ((4, bits[1_000:3_000], engine._sweep_hubs),
-                       (8, bits[2_000:2_500], engine._sweep_hubs)):
+    for k, x in ((4, bits[1_000:3_000]), (8, bits[2_000:2_500])):
         mode = champ_coder(k)
         rev = reverse_mode(mode)
         assert complexity(rev, x[::-1]) == complexity(mode, x)
-        assert engine._compiled(rev.automaton).step is step
+        assert swept_by(rev.automaton) == STEPS["hub"]
 
 
 def test_pure_and_numpy_backends_agree(monkeypatch):
     for name in STEPS:
-        step = force_step(monkeypatch, name)
+        path = force_step(monkeypatch, name)
         rng = random.Random(25)
         for _ in range(25):
             mode = random_finite_mode(rng, max_states=5, max_edges=9)
             x = random_word(rng, 30)
             assert complexity(mode, x) == sweep_pure(mode.automaton, x)
-            assert_swept_by(mode.automaton, step)
+            assert_swept_by(mode.automaton, path)
 
 
 def test_each_step_matches_oracle_on_generated_modes(forced_step):
@@ -409,11 +415,12 @@ def one_bit_mode(edges, states):
     return DescriptionMode(aut, ValuednessCertificate.asserted(3, "test"))
 
 
-def cycle_mode():
-    """A 3-cycle spelling 011 with one description bit per turn: no state
+def cycle_mode(word="011"):
+    """A cycle spelling `word` with one description bit per turn: no state
     has two exits, so the hub compile must promote one."""
-    return one_bit_mode(((0, 1, ("0", "0")), (1, 2, (EPSILON, "1")),
-                         (2, 0, (EPSILON, "1"))), 3)
+    n = len(word)
+    return one_bit_mode(tuple((i, (i + 1) % n, ("0" if i == 0 else EPSILON, a))
+                              for i, a in enumerate(word)), n)
 
 
 def two_chain_mode(second="10"):
@@ -427,7 +434,7 @@ def two_chain_mode(second="10"):
 
 def test_trained_coder_compiles_to_one_hub():
     eng = engine._compiled(champ_coder(8).automaton)
-    assert eng.step is engine._sweep_sums
+    assert (eng.step, eng.tail) == STEPS["sums"]
     hubs = eng.hubs
     assert len(hubs.ids) == 1 and hubs.span == 8 and hubs.lead == 8
     [(length, table)] = hubs.full
@@ -517,8 +524,8 @@ DEFAULT_PATHS = {
 
 @pytest.mark.parametrize("name", sorted(DEFAULT_PATHS))
 def test_default_path_of_each_mode(name):
-    make, step = DEFAULT_PATHS[name]
-    assert engine._compiled(make().automaton).step is STEPS[step]
+    make, path = DEFAULT_PATHS[name]
+    assert swept_by(make().automaton) == STEPS[path]
 
 
 def test_pure_cycle_promotes_a_hub(forced_step):
@@ -526,7 +533,7 @@ def test_pure_cycle_promotes_a_hub(forced_step):
     assert complexity(mode, "011011") == 2
     assert complexity(mode, "11") == 0
     eng = engine._compiled(mode.automaton)
-    assert eng.step is forced_step
+    assert (eng.step, eng.tail) == forced_step
     if eng.hubs is not None:
         assert len(eng.hubs.ids) == 1 and eng.hubs.span == 3 and eng.hubs.lead == 2
 
@@ -537,20 +544,31 @@ def test_pure_cycle_promotes_a_hub(forced_step):
     (lambda: two_chain_mode("101"), "011101" * 10),
     (lambda: champ_coder(4), champernowne_bits(4_000)[1_234:]),
     (lambda: champ_coder(8), champernowne_bits(4_000)[1_234:]),
+    # Words of a 4-cycle (lead 3) that stop being spellable at letter 2, 3
+    # and 4: lead - 1, lead and lead + 1.
+    *[(lambda: cycle_mode("0111"), cut + "0111" * 10) for cut in ("00", "010", "0110")],
 ])
 def test_hub_sweep_around_its_prologue(make, source):
+    # The closure step answers the positions up to lead and hands the hub
+    # costs of its last span letters to the tail, which answers the rest.
     for name in ("hub", "sums"):
         with pytest.MonkeyPatch.context() as mp:
-            step = force_step(mp, name)
+            path = force_step(mp, name)
             mode = make()
-            assert_swept_by(mode.automaton, step)
-            hubs = engine._compiled(mode.automaton).hubs
-            for n in (0, hubs.lead - 1, hubs.lead, hubs.lead + 1, 3 * hubs.span):
+            aut = mode.automaton
+            assert_swept_by(aut, path)
+            eng = engine._compiled(aut)
+            lead, span = eng.hubs.lead, eng.hubs.span
+            for n in (0, lead - 1, lead, lead + 1, 3 * span):
                 word = source[:n]
-                expected = sweep_pure_curve(mode.automaton, word)
+                expected = sweep_pure_curve(aut, word)
                 assert complexity(mode, word) == expected[-1]
                 curve = complexity_curve(mode, word, n, 1, verify=False)
                 assert [k for _, k in curve.samples] == expected[1:]
+            # Positions that end at lead, in a longer word, never reach the tail.
+            mp.setattr(eng, "tail", None)
+            assert engine._sweep(aut, source[:3 * span], list(range(lead + 1))) == \
+                sweep_pure_curve(aut, source[:lead])
 
 
 def test_unreachable_in_the_middle_of_a_chain(forced_step):
@@ -582,7 +600,7 @@ def test_hub_keys_cover_large_object_alphabets(forced_step):
     for text in (word + letters[5], word[:-1] + letters[5]):
         curve = complexity_curve(mode, text, len(text), 1, verify=False)
         assert [k for _, k in curve.samples] == sweep_pure_curve(aut, text)[1:]
-    assert engine._compiled(aut).step is forced_step
+    assert swept_by(aut) == forced_step
 
 
 def test_compiled_sweep_is_freed_with_its_automaton(monkeypatch):
@@ -618,9 +636,9 @@ def test_each_step_matches_oracle_on_hypothesis_modes(name, arity, data):
     word = data.draw(st.text("01", max_size=30))
     aut = mode.automaton
     with pytest.MonkeyPatch.context() as mp:
-        step = force_step(mp, name)
+        path = force_step(mp, name)
         values = engine._sweep(aut, word, list(range(len(word) + 1)))
-        assert_swept_by(aut, step)
+        assert_swept_by(aut, path)
     assert values == sweep_pure_curve(aut, word)
 
 
@@ -667,9 +685,9 @@ def test_one_hub_modes_match_oracle(name, data):
     mode, text = data.draw(one_hub_modes())
     aut = mode.automaton
     with pytest.MonkeyPatch.context() as mp:
-        step = force_step(mp, name)
+        path = force_step(mp, name)
         eng = engine._compiled(aut)
-        assert eng.step is step and len(eng.hubs.ids) == 1
+        assert (eng.step, eng.tail) == path and len(eng.hubs.ids) == 1
         lead = eng.hubs.lead
         for n in sorted({max(lead - 1, 0), lead, lead + 1, len(text)}):
             word = text[:n]
@@ -734,10 +752,10 @@ def relay_modes(draw, arity):
 def test_forced_relays_match_oracle(name, arity, data):
     aut, relays, word = data.draw(relay_modes(arity))
     with pytest.MonkeyPatch.context() as mp:
-        step = force_step(mp, name)
+        path = force_step(mp, name)
         mp.setattr(engine, "_relays", lambda adj, intra: relays)
         values = engine._sweep(aut, word, list(range(len(word) + 1)))
-        assert_swept_by(aut, step)
+        assert_swept_by(aut, path)
     assert values == sweep_pure_curve(aut, word)
 
 
@@ -755,9 +773,9 @@ def test_layered_random_modes_match_oracle(name, data):
     assume(base.automaton.num_states >= 3)
     aut = layered_concat(base, data.draw(st.integers(1, 3))).automaton
     with pytest.MonkeyPatch.context() as mp:
-        step = force_step(mp, name)
+        path = force_step(mp, name)
         values = engine._sweep(aut, word, list(range(len(word) + 1)))
-        assert_swept_by(aut, step)
+        assert_swept_by(aut, path)
     assert values == sweep_pure_curve(aut, word)
 
 
@@ -855,7 +873,7 @@ def test_layered_coder_compiles_to_three_chain_hubs_and_the_relay(train):
     coder = train(4)
     aut = layered_concat(coder, 2).automaton
     eng = engine._compiled(aut)
-    assert eng.step is engine._sweep_hubs
+    assert (eng.step, eng.tail) == STEPS["hub"]
     hubs = eng.hubs
     n = coder.automaton.num_states
     # The roots of copies 1 and 2 and of the final copy, and the relay.
@@ -900,5 +918,5 @@ def test_relay_tables_past_the_budget_fall_back_to_numpy(monkeypatch):
     monkeypatch.setattr(engine, "_NORMALIZE_BUDGET", 400)
     assert engine._Hubs.compile(aut.num_states, without_exits, math.inf, {relay}) is not None
     monkeypatch.setattr(engine, "_sweep_cache", {})
-    assert engine._compiled(aut).step is engine._step_numpy
+    assert swept_by(aut) == STEPS["numpy"]
     assert complexity_curve(mode, source, len(source), 100).samples == expected

@@ -297,6 +297,23 @@ def test_selection_trace_counts():
     assert trace == [(2, 1), (4, 2), (10, 5)]
 
 
+def test_selection_trace_counts_the_selected_part_of_each_prefix():
+    rng = random.Random(61)
+    for _ in range(20):
+        rule = random_rule(rng)
+        w = "".join(rng.choice("01") for _ in range(rng.randint(0, 40)))
+        assert selection_trace(rule, w, range(len(w) + 1)) == [
+            (n, len(apply_selection(rule, w[:n])[0])) for n in range(len(w) + 1)]
+
+
+def test_selection_trace_refuses_a_negative_checkpoint():
+    rule = parity_rule()
+    with pytest.raises(ContractError):
+        selection_trace(rule, "0101010101", [-1, 2, 4, 6])
+    assert selection_trace(rule, "0101010101", [0, 6, 2, 11, 4, 2]) == [
+        (0, 0), (2, 1), (4, 2), (6, 3)]
+
+
 # --- rule file format -----------------------------------------------------------
 
 def test_rule_round_trip():
