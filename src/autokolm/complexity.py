@@ -10,14 +10,12 @@ modes, up to 2 for pair modes).
 
 from __future__ import annotations
 
-import heapq
 import math
 import random
 import weakref
 from bisect import bisect_left
-from collections import Counter
 from dataclasses import dataclass
-from operator import itemgetter
+from itertools import repeat
 from typing import List
 
 import numpy as np
@@ -71,12 +69,15 @@ _NUMPY_LETTER_EDGES = 500
 _WINDOW_MEMO = 1 << 16
 _INF = 1 << 62
 _NORMALIZE_BUDGET = 5_000_000
-# Closure edges over all letters.  The closure is charged as its entries
-# are made; the folded relay edges are charged on top of the edges left
-# after pruning (`_CompiledSweep`), not on top of that first count.  The
-# largest closure any mode in the tests or the benchmark needs is
-# reverse(k=8 coder)'s 67,584; layered(k=8 coder, 2), whose hub is a
-# relay, makes about 13,400 (about 11,000 after pruning, plus 2,600 folded).
+# Closure edges over all letters.  The closure is charged from its entry
+# counts (each entry into t makes one edge per letter-reading edge out of
+# t) before any closure edge is made: the trivial and one-hop entries at
+# once, then each Dijkstra's entries as it ends.  The folded relay edges
+# are charged on top of the edges left after pruning (`_CompiledSweep`),
+# not on top of that first count.  The largest closure any mode in the
+# tests or the benchmark needs is reverse(k=8 coder)'s 67,584;
+# layered(k=8 coder, 2), whose hub is a relay, makes about 13,400 (about
+# 11,000 after pruning, plus 2,600 folded).
 _CLOSURE_BUDGET = 1_000_000
 
 
@@ -154,18 +155,19 @@ def complexity_curve(mode: DescriptionMode, source: str, n_max: int,
 # --- the sweep ----------------------------------------------------------------
 
 def _classify_edges(aut: LabeledAutomaton):
-    """Split edges into intra-layer (epsilon object) and advancing groups,
-    the latter by object letter."""
-    obj = aut.arity - 1
-    intra = []
-    advance = {a: [] for a in aut.alphabets[obj]}
-    for src, dst, label in aut.edges:
-        w = obj - label[:obj].count(EPSILON)
-        if label[obj] is EPSILON:
-            intra.append((src, dst, w))
-        else:
-            advance[label[obj]].append((src, dst, w))
-    return intra, advance
+    """The edges as int64 arrays (src, dst, letter, weight): letter is the
+    object letter's index in the object alphabet (-1 for epsilon), weight
+    the count of non-epsilon description components."""
+    obj, count = aut.arity - 1, len(aut.edges)
+    src, dst, labels = zip(*aut.edges) if count else ((), (), ())
+    kinds = {label: i for i, label in enumerate(dict.fromkeys(labels))}
+    index = {a: i for i, a in enumerate(aut.alphabets[obj])}
+    index[EPSILON] = -1
+    letter = np.array([index[label[obj]] for label in kinds], dtype=np.int64)
+    weight = np.array([obj - label[:obj].count(EPSILON) for label in kinds], dtype=np.int64)
+    kind = np.fromiter(map(kinds.__getitem__, labels), np.int64, count)
+    return (np.fromiter(src, np.int64, count), np.fromiter(dst, np.int64, count),
+            letter[kind], weight[kind])
 
 
 def _sweep(aut: LabeledAutomaton, word: str, positions: List[int]) -> list:
@@ -208,11 +210,14 @@ def _sweep(aut: LabeledAutomaton, word: str, positions: List[int]) -> list:
 class _CompiledSweep:
     """Per-automaton closure edges and the per-letter step that walks them.
 
-    Intra-layer edges are pre-composed into the advancing edges via a
-    closure of the epsilon-object subgraph from the states a sweep can be
-    in (`_closure_into`), so each object letter relaxes one edge list.
-    Trailing intra-layer moves never help (weights are nonnegative and
-    the end state is free), so only source-side closure is needed.  The
+    The compile is one array pipeline from the automaton's edges to the
+    hub tables, with no Python loop over states.  Intra-layer edges are
+    pre-composed into the advancing edges via a closure of the
+    epsilon-object subgraph from the states a sweep can be in
+    (`_closure_into`, whose entries `_closure_edges` joins with the
+    advancing edges), so each object letter relaxes one edge list.
+    Trailing intra-layer moves never help (weights are nonnegative and the
+    end state is free), so only source-side closure is needed.  The
     closure does not pass through relays, states of wide intra fan-in and
     fan-out such as the layered hub; each letter's edge list also carries
     the edges into the relays (`_fold_relays`), so a relay's cost after a
@@ -228,16 +233,15 @@ class _CompiledSweep:
     """
 
     def __init__(self, aut: LabeledAutomaton):
-        intra, advance = _classify_edges(aut)
-        into, reach, dominant, relays = _closure_into(aut.num_states, intra, advance)
-        by_letter = {a: [(s, q, c + w) for t, q, w in group for s, c in into[t]]
-                     for a, group in advance.items()}
-        if dominant:
-            by_letter = {a: _prune(edges, dominant) for a, edges in by_letter.items()}
-        if reach:
-            charged = sum(map(len, by_letter.values()))
-            for edges in by_letter.values():
-                charged = _fold_relays(edges, reach, charged)
+        edges = _classify_edges(aut)
+        entries, reach, dominant, relays = _closure_into(aut.num_states, *edges)
+        by_letter = _closure_edges(entries, *edges, aut.alphabets[-1])
+        if dominant[0].size:
+            by_letter = {a: _prune(closure, dominant) for a, closure in by_letter.items()}
+        if reach[0].size:
+            charged = sum(srcs.size for srcs, _, _ in by_letter.values())
+            for a, closure in by_letter.items():
+                by_letter[a], charged = _fold_relays(closure, reach, charged)
         self.step, self.tail, self.by_letter, self.hubs = _pick_step(
             aut.num_states, by_letter, relays)
         if self.step is _step_python:
@@ -246,60 +250,129 @@ class _CompiledSweep:
             self.start = np.zeros(aut.num_states, dtype=np.int64)
 
 
-def _fold_relays(edges, reach, charged: int) -> int:
-    """Append to a letter's closure edges (s, q, c) one edge (s, r, the
-    least c + d) per relay r that some q reaches at intra cost d (`reach`
-    of `_closure_into`); returns `charged` plus the edges appended, each
-    charged to _CLOSURE_BUDGET as it is made."""
-    folded = {}
-    for s, q, c in edges:
-        for r, d in reach.get(q, ()):
-            key = s, r
-            old = folded.get(key)
-            if old is None:
-                charged += 1
-                if charged > _CLOSURE_BUDGET:
-                    raise BudgetExceeded("intra-layer closure is too dense to sweep",
-                                         _CLOSURE_BUDGET)
-            elif old <= c + d:
-                continue
-            folded[key] = c + d
-    edges += [(s, r, c) for (s, r), c in folded.items()]
-    return charged
+def _ranges(first, count):
+    """The indices first[i]:first[i] + count[i] of every i, concatenated."""
+    ends = np.cumsum(count)
+    return np.repeat(first - ends + count, count) + np.arange(ends[-1] if ends.size else 0)
 
 
-def _prune(edges, dominant) -> list:
-    """A letter's closure edges without the dominated ones, and without
-    all but the cheapest of parallel edges.
+def _matches(keys, probes):
+    """The indices of the entries equal to each probe in the sorted `keys`,
+    concatenated, and their count per probe."""
+    first = np.searchsorted(keys, probes)
+    count = np.searchsorted(keys, probes, side="right") - first
+    return _ranges(first, count), count
+
+
+def _runs(key):
+    """A mask of the first entry of each run of equal values in `key`."""
+    first = np.ones(key.size, dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    return first
+
+
+def _numbered(keys):
+    """The distinct keys, sorted, and the position of each key among them."""
+    order = np.argsort(keys)
+    keys = keys[order]
+    first = _runs(keys)
+    numbers = np.empty_like(order)
+    numbers[order] = np.cumsum(first) - 1
+    return keys[first], numbers
+
+
+def _cheapest(*columns):
+    """The rows of the columns (nonnegative keys, then a cost) with the
+    least cost per distinct key, sorted by key."""
+    *keys, cost = columns
+    key = keys[0]
+    for k in keys[1:]:
+        width = int(k.max(initial=0)) + 1
+        if int(key.max(initial=0)) >= (1 << 62) // width:
+            key = _numbered(key)[1]                   # the same order, numbered densely
+        key = key * width + k
+    order = np.argsort(key)
+    first = np.flatnonzero(_runs(key[order]))
+    return (*(k[order[first]] for k in keys), np.minimum.reduceat(cost[order], first))
+
+
+def _closure_edges(entries, src, dst, letter, weight, alphabet):
+    """Each letter's closure edges (sources, targets, costs) as int64
+    arrays: (s, q, c + w) for each entry (s, t, c) of `_closure_into`
+    and each advancing edge (t, q, w) reading the letter, in edge order."""
+    into, at, paid = entries
+    advance = np.flatnonzero(letter >= 0)
+    advance = advance[np.argsort(letter[advance], kind="stable")]
+    pick, count = _matches(at, src[advance])
+    srcs, dsts = into[pick], np.repeat(dst[advance], count)
+    costs = paid[pick] + np.repeat(weight[advance], count)
+    cut = np.concatenate(([0], np.cumsum(count)))[
+        np.searchsorted(letter[advance], np.arange(len(alphabet) + 1))]
+    return {a: (srcs[i:k], dsts[i:k], costs[i:k])
+            for a, i, k in zip(alphabet, cut.tolist(), cut[1:].tolist())}
+
+
+def _fold_relays(edges, reach, charged: int):
+    """A letter's closure edges (s, q, c) plus one edge (s, r, the least
+    c + d) per relay r that some q reaches at intra cost d (`reach` of
+    `_closure_into`), and `charged` plus the edges added, which are
+    charged to _CLOSURE_BUDGET."""
+    srcs, dsts, costs = edges
+    near, relay, far = reach
+    pick, count = _matches(near, dsts)
+    folded = _cheapest(np.repeat(srcs, count), relay[pick],
+                       np.repeat(costs, count) + far[pick])
+    charged += folded[0].size
+    if charged > _CLOSURE_BUDGET:
+        raise BudgetExceeded("intra-layer closure is too dense to sweep", _CLOSURE_BUDGET)
+    return tuple(map(np.concatenate, zip(edges, folded))), charged
+
+
+def _prune(edges, dominant):
+    """A letter's closure edge arrays without the dominated edges, and
+    without all but the cheapest of parallel edges, sorted by (source,
+    target).
 
     (s, q, c) is dominated when the letter also has an edge (s, q2, c2)
-    and dominant[q] lists an intra edge (q2, w) with c2 + w <= c.  Both q2
+    and `dominant` a row (q, q2, w), an intra edge q2 -> q of weight w,
+    with c2 + w <= c.  Both q2
     and q are entered and neither is a relay, so the next letter's closure
     from q2 covers every way on from q at w more (folded relay edges
     included), and q2 is no dearer an end.  A dropped q2 is covered in
     turn by a cheaper state or by a kept one of the same cost: an equally
     cheap q2 (a zero-cost intra edge, maybe on a cycle of states that
     dominate each other) dominates only while it is kept, so one of such
-    a cycle stays.
+    a cycle stays.  Ties are settled in the order in which the letter's
+    edges first name each (s, q): q2 dominates q if (s, q2) comes later,
+    or comes earlier and was kept.
     """
-    best = {}
-    for s, q, c in edges:
-        if c < best.get((s, q), _INF):
-            best[s, q] = c
-    dropped = set()
-    for (s, q), c in best.items():
-        for q2, w in dominant.get(q, ()):
-            c2 = best.get((s, q2))
-            if c2 is not None and c2 + w <= c and (c2 < c or (s, q2) not in dropped):
-                dropped.add((s, q))
-                break
-    return [(s, q, c) for (s, q), c in best.items() if (s, q) not in dropped]
+    srcs, dsts, costs = edges
+    near, far, weight = dominant
+    n = int(max(dsts.max(initial=0), far.max(initial=0))) + 1
+    key, seen = _cheapest(srcs * n + dsts, np.arange(srcs.size))   # where (s, q) comes first
+    _, costs = _cheapest(srcs * n + dsts, costs)
+    pick, count = _matches(near, key % n)
+    edge = np.repeat(np.arange(key.size), count)
+    other = key[edge] - key[edge] % n + far[pick]
+    at = np.minimum(np.searchsorted(key, other), key.size - 1)
+    found = key[at] == other
+    edge, at, weight = edge[found], at[found], weight[pick][found]
+    covers = costs[at] + weight <= costs[edge]
+    dropped = np.zeros(key.size, dtype=bool)
+    dropped[edge[covers & ((costs[at] < costs[edge]) | (seen[at] > seen[edge]))]] = True
+    # An equally cheap (s, q2) that comes earlier dominates only if kept.
+    tie = covers & (costs[at] == costs[edge]) & (seen[at] < seen[edge])
+    order = np.argsort(seen[edge[tie]], kind="stable")
+    for e, o in zip(edge[tie][order].tolist(), at[tie][order].tolist()):
+        if not dropped[o]:
+            dropped[e] = True
+    kept = ~dropped
+    return key[kept] // n, key[kept] % n, costs[kept]
 
 
-def _edge_arrays(by_letter):
-    """Closure edge lists as (sources, targets, costs) int64 arrays per letter."""
-    return {a: tuple(np.asarray(edges, dtype=np.int64).reshape(-1, 3).T.copy())
-            for a, edges in by_letter.items()}
+def _edge_lists(by_letter):
+    """Closure edge arrays per letter as lists of (s, q, c)."""
+    return {a: list(zip(*(col.tolist() for col in edges))) for a, edges in by_letter.items()}
 
 
 def _pick_step(num_states: int, by_letter, relays):
@@ -313,21 +386,20 @@ def _pick_step(num_states: int, by_letter, relays):
     at most one macro-edge per _EDGES_PER_RELAXATION closure edges of the
     worst letter, counting numpy's fixed cost per letter as
     _NUMPY_LETTER_EDGES more edges; else no tail.  Every step but the
-    Python one is numpy's.
+    Python one is numpy's, over the closure edge arrays.
     """
-    widest = max(map(len, by_letter.values()), default=0)
-    arrays = _edge_arrays(by_letter)
+    widest = max((srcs.size for srcs, _, _ in by_letter.values()), default=0)
     python = widest <= _PYTHON_STEP_EDGES
     # A graph with one hub and one length relaxes one macro-edge per letter.
     limit = 1 if python else (widest + _NUMPY_LETTER_EDGES) / _EDGES_PER_RELAXATION
-    hubs = _Hubs.compile(num_states, arrays, limit, relays)
+    hubs = _Hubs.compile(num_states, by_letter, limit, relays)
     if hubs is not None and hubs.costs is not None:
-        return _step_numpy, _sweep_sums, arrays, hubs
+        return _step_numpy, _sweep_sums, by_letter, hubs
     if python:
-        return _step_python, None, by_letter, None
+        return _step_python, None, _edge_lists(by_letter), None
     if hubs is None:
-        return _step_numpy, None, arrays, None
-    return _step_numpy, _sweep_hubs, arrays, hubs
+        return _step_numpy, None, by_letter, None
+    return _step_numpy, _sweep_hubs, by_letter, hubs
 
 
 def _step_python(by_letter, dist: dict, letters):
@@ -369,13 +441,14 @@ class _Hubs:
     finite cost from letter r on.  The states left are live, and every
     closure edge out of a live state enters a live state.  A hub is a
     live state whose out-degree is not 1, plus one state on each cycle
-    of out-degree-1 states.  From each out-edge of a hub, the out-degree-1
-    states lead one letter at a time to the next hub: that path is a
-    macro-edge with an object word w, a cost, and the cost of each proper
-    prefix.  `full` holds, per length L, w -> [(src hub, dst hub, cost)];
-    `part` holds, per 1 <= j < span, w[:j] -> [(src hub, prefix cost)];
-    both keep the cheapest entry per hub pair.  Chains may merge, so one
-    state can lie on many macro-edges.
+    of out-degree-1 states: the first one that the walk from the lowest
+    state leading into the cycle meets.  From each out-edge of a hub, the
+    out-degree-1 states lead one letter at a time to the next hub: that
+    path is a macro-edge with an object word w, a cost, and the cost of
+    each proper prefix.  `full` holds, per length L, w -> [(src hub, dst
+    hub, cost)]; `part` holds, per 1 <= j < span, w[:j] -> [(src hub,
+    prefix cost)]; both keep the cheapest entry per hub pair.  Chains may
+    merge, so one state can lie on many macro-edges.
 
     The edges into relays (`_fold_relays`) stay out of the peeling and the
     hub choice, and each relay is a hub that is never peeled.  A relay's
@@ -401,156 +474,184 @@ class _Hubs:
     otherwise both are None.
     """
 
-    def __init__(self, ids, depth, full, part, alphabet):
-        self.ids = np.asarray(ids, dtype=np.int64)
-        self.full = sorted(full.items())
-        self.part = sorted(part.items())
-        self.span = max(full, default=1)
-        self.lead = depth + self.span - 1
-        rank = {a: i for i, a in enumerate(alphabet)}
-        self.costs, self.missing = _window_costs(len(ids), full, rank)
-        if self.costs is not None:
-            self.rank = {ord(a): i for a, i in rank.items()}
-            self.powers = len(rank) ** np.arange(self.span, dtype=np.intp)
+    def __init__(self, ids, lead, full, part, alphabet, costs, missing):
+        self.ids, self.lead, self.full, self.part = ids, lead, full, part
+        self.span = full[-1][0] if full else 1
+        self.costs, self.missing = costs, missing
+        if costs is not None:
+            self.rank = {ord(a): i for i, a in enumerate(alphabet)}
+            self.powers = len(alphabet) ** np.arange(self.span, dtype=np.intp)
 
     @classmethod
     def compile(cls, num_states: int, by_letter, limit, relays):
-        """The hub graph of the closure edges (`_edge_arrays`) with the
-        `relays` as hubs, or None once a letter would relax more than
-        `limit` macro-edges or the tables exceed the compile budget."""
+        """The hub graph of the closure edge arrays with the `relays` as
+        hubs, or None once a letter would relax more than `limit`
+        macro-edges or the tables exceed the compile budget.
+
+        All hub out-edges walk their chains at once, one letter per round
+        (`_macro_edges`); words are numbered as they grow, one number per
+        distinct prefix, and spelled once per number at the end.
+        """
         alphabet = list(by_letter)
         srcs, dst, cost = (np.concatenate(col) for col in zip(*by_letter.values()))
-        letter = np.repeat(np.arange(len(alphabet)),
-                           [len(edges[0]) for edges in by_letter.values()])
-        exits = {}                               # state -> [(letter, relay, cost)]
-        if relays:
-            into = np.isin(dst, list(relays))
-            for s, a, r, c in zip(*(col[into].tolist() for col in (srcs, letter, dst, cost))):
-                exits.setdefault(s, []).append((a, r, c))
-            srcs, dst, cost, letter = (col[~into] for col in (srcs, dst, cost, letter))
-        order = np.argsort(srcs, kind="stable")
+        letter = np.repeat(np.arange(len(alphabet)), [e[0].size for e in by_letter.values()])
+        relay = np.zeros(num_states, dtype=bool)
+        relay[np.fromiter(relays, np.int64)] = True
+        into = relay[dst]
+        # The out-edges of s are first[s]:first[s] + outdeg[s]; its relay
+        # exits (edges into relays) follow, xcount[s] of them.
+        order = np.argsort(srcs * 2 + into)
         dst, cost, letter = dst[order], cost[order], letter[order]
-        outdeg = np.bincount(srcs, minlength=num_states)
-        first = np.cumsum(outdeg) - outdeg       # out-edges of s: first[s]:first[s] + outdeg[s]
-        indeg = np.bincount(dst, minlength=num_states)
-        for r in relays:
-            indeg[r] = dst.size + 1              # relays are never peeled
+        outdeg = np.bincount(srcs[~into], minlength=num_states)
+        xcount = np.bincount(srcs[into], minlength=num_states)
+        first = np.cumsum(outdeg + xcount) - outdeg - xcount
+        indeg = np.bincount(dst[~into[order]], minlength=num_states)
+        indeg[relay] = dst.size + 1              # relays are never peeled
         live = np.ones(num_states, dtype=bool)
         frontier = np.flatnonzero(indeg == 0)
         depth = 0
         while frontier.size:
             depth += 1
             live[frontier] = False
-            counts = outdeg[frontier]
-            out = np.repeat(first[frontier] - (np.cumsum(counts) - counts), counts)
-            out += np.arange(out.size)
-            ends = dst[out]
+            ends = dst[_ranges(first[frontier], outdeg[frontier])]
             np.subtract.at(indeg, ends, 1)
             ends = np.sort(ends[indeg[ends] == 0])
-            frontier = ends[np.diff(ends, prepend=-1) != 0]
-        hub = (live & (outdeg != 1)).tolist()
-        for r in relays:
-            hub[r] = True
-        live = live.tolist()
+            frontier = ends[_runs(ends)]
+        hub = live & (outdeg != 1) | relay
         # The out-edge of each single-exit state (past the end for a state without one).
-        nxt, nletter, ncost = (np.append(col, 0)[first].tolist()
-                               for col in (dst, letter, cost))
-        mark = [0] * num_states                  # 1: on this walk, 2: walked
-        for v in range(num_states):
-            walk = []
-            while live[v] and not hub[v] and not mark[v]:
-                mark[v] = 1
-                walk.append(v)
-                v = nxt[v]
-            if mark[v] == 1:                     # a cycle of single-exit states
-                hub[v] = True
-            for u in walk:
-                mark[u] = 2
-
-        ids = [s for s in range(num_states) if hub[s]]
-        index = {s: i for i, s in enumerate(ids)}
-        # state -> (word and prefix costs to the next hub, that hub, and the
-        # relay exits on the way as (letters before them, letter, relay, cost))
-        chains = {}
-        full, part = {}, [{}]    # part[j] for 1 <= j < span
-        widest = {}                              # length -> longest entry list
-        relaxations = 0                          # sum of widest.values()
-        budget = _NORMALIZE_BUDGET
-        for h in ids:
-            src = index[h]
-            made = [(alphabet[b], index[r], f) for b, r, f in exits.get(h, ())]
-            budget -= len(made)
-            edges = slice(first[h], first[h] + outdeg[h])
-            for a, q, c in zip(letter[edges].tolist(), dst[edges].tolist(),
-                               cost[edges].tolist()):
-                tail = chains.get(q)
-                if tail is None:
-                    rest, costs, v = "", [], q
-                    while not hub[v]:
-                        rest += alphabet[nletter[v]]
-                        costs.append(ncost[v] + (costs[-1] if costs else 0))
-                        v = nxt[v]
-                    ways = []
-                    if exits:
-                        u = q                    # reached after j letters
-                        for j in range(1, len(rest) + 1):
-                            ways += [(j, b, r, f) for b, r, f in exits.get(u, ())]
-                            u = nxt[u]
-                    tail = chains[q] = rest, costs, index[v], ways
-                rest, costs, dst_hub, ways = tail
-                word = alphabet[a] + rest
-                n = len(word)
-                budget -= n
-                if budget < 0:
-                    return None
-                while len(part) < n:
-                    part.append({})
-                paid = c                         # the cost of word[:j]
-                for j in range(1, n):
-                    ends = part[j].setdefault(word[:j], {})
-                    if paid < ends.get(src, _INF):
-                        ends[src] = paid
-                    paid = c + costs[j - 1]
-                made.append((word, dst_hub, paid))
-                # A relay exit after j letters is a macro-edge of j + 1.
-                for j, b, r, f in ways:
-                    budget -= j + 1
-                    made.append((word[:j] + alphabet[b], index[r],
-                                 c + (costs[j - 2] if j > 1 else 0) + f))
-                if budget < 0:
-                    return None
-            for word, dst_hub, paid in made:
-                n = len(word)
-                pairs = full.setdefault(n, {}).setdefault(word, {})
-                if paid < pairs.get((src, dst_hub), _INF):
-                    pairs[(src, dst_hub)] = paid
-                    if len(pairs) > widest.get(n, 0):
-                        widest[n] = len(pairs)
-                        relaxations += 1
-                        if relaxations > limit:
-                            return None
-        full = {n: {w: [(s, d, c) for (s, d), c in pairs.items()]
-                    for w, pairs in table.items()} for n, table in full.items()}
-        part = {j: {w: list(ends.items()) for w, ends in table.items()}
-                for j, table in enumerate(part) if table}
-        return cls(ids, depth, full, part, alphabet)
+        nxt, nletter, ncost = (np.append(col, 0)[first] for col in (dst, letter, cost))
+        hub[_cycle_hubs(live & ~hub, nxt)] = True
+        ids = np.flatnonzero(hub)
+        index = np.zeros(num_states, dtype=np.int64)
+        index[ids] = np.arange(ids.size)
+        # A hub's exits are macro-edges of one letter.  The budget is charged
+        # for them up to the last hub with out-edges, as a walk of the hubs
+        # in turn that checks the budget after each macro-edge would.
+        busy = np.flatnonzero(outdeg[ids])
+        charged = int(xcount[ids[:busy[-1] + 1]].sum()) if busy.size else 0
+        out = _ranges(first[ids], outdeg[ids])
+        exits = _ranges(first[ids] + outdeg[ids], xcount[ids])
+        tables = _macro_edges(
+            (letter[out], np.repeat(np.arange(ids.size), outdeg[ids]), dst[out], cost[out]),
+            (letter[exits], np.repeat(np.arange(ids.size), xcount[ids]), index[dst[exits]],
+             cost[exits]),
+            (hub, index, nxt, nletter, ncost, (letter, dst, cost), first + outdeg, xcount),
+            len(alphabet), charged, limit)
+        if tables is None:
+            return None
+        full, part, prefixes = tables
+        lengths, words, _, _, paid = full
+        span, base = int(lengths[-1]) if lengths.size else 1, len(alphabet)
+        costs = missing = None
+        if ids.size == 1 and lengths[:1].tolist() == [span] and base ** span <= _NORMALIZE_BUDGET:
+            # Window codes of the words, from the (prefix, letter) pair of each number.
+            code = np.arange(base)
+            for pairs in prefixes:
+                code = code[pairs // base] * base + pairs % base
+            costs = np.zeros(base ** span, dtype=np.int64)
+            missing = np.ones(base ** span, dtype=bool)
+            costs[code[words]], missing[code[words]] = paid, False
+        spelled = [alphabet]                     # spelled[j - 1][n]: word number n of length j
+        for pairs in prefixes:
+            spelled.append([spelled[-1][p] + alphabet[a] for p, a in
+                            zip(*(col.tolist() for col in np.divmod(pairs, base)))])
+        return cls(ids, depth + span - 1, _word_tables(full, spelled),
+                   _word_tables(part, spelled), alphabet, costs, missing)
 
 
-def _window_costs(hubs: int, full, rank):
-    """The window tables `_Hubs.costs` and `_Hubs.missing`, or (None, None)."""
-    if hubs != 1 or len(full) != 1:
-        return None, None
-    [(n, table)] = full.items()
-    if len(rank) ** n > _NORMALIZE_BUDGET:
-        return None, None
-    costs = np.zeros(len(rank) ** n, dtype=np.int64)
-    missing = np.ones(len(rank) ** n, dtype=bool)
-    for word, [(_, _, c)] in table.items():
-        code = 0
-        for a in word:
-            code = code * len(rank) + rank[a]
-        costs[code], missing[code] = c, False
-    return costs, missing
+def _cycle_hubs(chain, nxt):
+    """For each cycle of the single-exit `chain` states (successor nxt),
+    the first state of it on the walk from the lowest state that leads
+    into it, by pointer jumping."""
+    n = chain.size
+    rounds = max(n - 1, 1).bit_length()              # 2**rounds >= n steps
+    end = np.where(chain, nxt, np.arange(n))
+    for _ in range(rounds):
+        end = end[end]
+    lost = np.flatnonzero(chain[end])                # states that never reach a hub
+    if not lost.size:
+        return lost
+    on_cycle = np.zeros(n, dtype=bool)
+    on_cycle[end[lost]] = True
+    entry = np.where(on_cycle | ~chain, np.arange(n), nxt)
+    name, step = np.arange(n), np.where(on_cycle, nxt, np.arange(n))
+    for _ in range(rounds):
+        entry = entry[entry]                         # the first cycle state ahead
+        name = np.minimum(name, name[step])          # the lowest state of the cycle
+        step = step[step]
+    _, lowest = np.unique(name[end[lost]], return_index=True)
+    return entry[lost[lowest]]
+
+
+def _macro_edges(rows, ends, graph, base: int, charged: int, limit):
+    """(full, part, prefixes) of the hub graph, or None past `limit`
+    relaxations or past _NORMALIZE_BUDGET letters charged.
+
+    `rows` are the hub out-edges as arrays (letter, src hub, state, cost)
+    and `ends` the relay exits of the hubs, macro-edges of one letter, as
+    arrays (letter, src hub, dst hub, cost).  Round j moves every walk
+    that is after j letters at a chain state one letter on, and numbers
+    the words of j + 1 letters: number n of length j + 1 stands for
+    prefixes[j - 1][n] = p * base + a, the word number p of length j and
+    then letter a (the numbers of length 1 are the letters).  full =
+    (lengths, words, src hubs, dst hubs, costs) and part = (lengths,
+    words, src hubs, costs) hold the cheapest entry per key, sorted by
+    key.  Each round charges the letters of its walks and relay exits, as
+    a walk of one macro-edge at a time that checks the budget after each
+    would in the end.
+    """
+    hub, index, nxt, nletter, ncost, edges, xfirst, xcount = graph
+    words, src, at, paid = rows
+    ends = [ends]                                # macro-edges of j letters
+    full, part, prefixes = [(np.zeros(0, dtype=np.int64),) * 5], [], []
+    relaxations, j, relaying = 0, 1, xcount.any()
+    while True:
+        charged += at.size
+        done = hub[at]
+        ends.append((words[done], src[done], index[at[done]], paid[done]))
+        keep = ~done
+        words, src, at, paid = words[keep], src[keep], at[keep], paid[keep]
+        part.append((np.full(at.size, j), words, src, paid))
+        keys = words * base + nletter[at]
+        if relaying:
+            # A relay exit after j letters is a macro-edge of j + 1.
+            exits = _ranges(xfirst[at], xcount[at])
+            walk = np.repeat(np.arange(at.size), xcount[at])
+            charged += (j + 1) * walk.size
+            keys = np.concatenate((keys, words[walk] * base + edges[0][exits]))
+        if charged > _NORMALIZE_BUDGET:
+            return None
+        ends = tuple(map(np.concatenate, zip(*ends)))
+        if ends[0].size:
+            table = _cheapest(*ends)
+            relaxations += np.bincount(table[0]).max()
+            if relaxations > limit:
+                return None
+            full.append((np.full(table[0].size, j), *table))
+        if not keys.size:
+            return (tuple(map(np.concatenate, zip(*full))),
+                    _cheapest(*map(np.concatenate, zip(*part))), prefixes)
+        pairs, numbers = _numbered(keys)
+        prefixes.append(pairs)
+        words = numbers[:at.size]
+        ends = [(numbers[at.size:], src[walk], index[edges[1][exits]],
+                 paid[walk] + edges[2][exits])] if relaying else []
+        paid, at = paid + ncost[at], nxt[at]
+        j += 1
+
+
+def _word_tables(table, spelled):
+    """[(length, {word: [entry, ...]}), ...] of a table (lengths, word
+    numbers, *entry columns) sorted by (length, word)."""
+    lengths, words, *cols = table
+    entries = list(zip(*(col.tolist() for col in cols)))
+    first = _runs(lengths) | _runs(words)            # the first entry of each word
+    cut = [*np.flatnonzero(first).tolist(), words.size]
+    entries = list(map(entries.__getitem__, map(slice, cut, cut[1:])))
+    lengths, words = lengths[first], words[first]
+    cut = [*np.flatnonzero(_runs(lengths)).tolist(), lengths.size]
+    return [(n, dict(zip(map(spelled[n - 1].__getitem__, words[i:k].tolist()), entries[i:k])))
+            for n, i, k in zip(lengths[cut[:-1]].tolist(), cut, cut[1:])]
 
 
 def _free_ends(part, word: str, t: int, best, hub_costs):
@@ -652,108 +753,115 @@ def _sweep_sums(hubs: _Hubs, word: str, positions: List[int], ring) -> list:
     return out
 
 
-def _relays(adj, intra) -> list:
-    """The states v whose intra in-degree times out-degree, len(adj[v]),
-    exceeds their sum: closing through v would make more closure entries
-    than it saves."""
-    return [v for v, i in Counter(map(itemgetter(1), intra)).items()
-            if i > 1 and i * len(adj[v]) > i + len(adj[v])]
+def _relays(outdeg, indeg):
+    """The states v whose intra in-degree times out-degree exceeds their
+    sum: closing through v would make more closure entries than it saves."""
+    return np.flatnonzero((indeg > 1) & (indeg * outdeg > indeg + outdeg))
 
 
-def _distances(source: int, first, out) -> dict:
-    """Dijkstra from `source` over its own edges `first`, then out[v] at each v."""
+def _distances(source: int, adj, hops) -> dict:
+    """Dijkstra from `source` over the intra edges adj[v]; past the source,
+    a relay's edges are its `hops`.  An edge weighs at most the number of
+    description tapes, so the queue is a list of buckets, one per cost."""
     dist = {source: 0}
-    heap = []
-    for d, w in first:
-        if w < dist.get(d, math.inf):
-            dist[d] = w
-            heapq.heappush(heap, (w, d))
-    while heap:
-        c, v = heapq.heappop(heap)
-        if c > dist[v]:
-            continue
-        for d, w in out[v]:
-            nc = c + w
-            if nc < dist.get(d, math.inf):
-                dist[d] = nc
-                heapq.heappush(heap, (nc, d))
+    get = dist.get
+    buckets = [[source]]
+    c = 0
+    while c < len(buckets):
+        bucket = buckets[c]
+        while bucket:
+            v = bucket.pop()
+            if dist[v] != c:
+                continue                         # reached more cheaply since
+            for d, w in hops[v] if v in hops and v != source else adj.get(v, ()):
+                if c + w < get(d, _INF):
+                    dist[d] = c + w
+                    while len(buckets) <= c + w:
+                        buckets.append([])
+                    buckets[c + w].append(d)
+        c += 1
     return dist
 
 
-def _closure_into(num_states: int, intra, advance):
-    """(into, reach, dominant, reached): into[t] = [(s, cost of the
-    cheapest intra path s -> t that enters no relay), ...] for each state t
-    that reads a letter (only (t, 0) if t is a relay), [] for the others;
-    reach[q] = [(r, cost of the cheapest intra path q -> r), ...] over the
-    relays r != q, for each entered state q that reaches one; dominant[q] =
-    [(q2, w), ...] for each intra edge q2 -> q != q2 of weight w between
-    two entered states that are not relays (`_prune`); reached, the set of
-    relays in reach, which the sweep keeps as hubs (`_pick_step`).
+def _closure_into(num_states: int, src, dst, letter, weight):
+    """(entries, reach, dominant, reached) of the edge arrays of
+    `_classify_edges`.
+
+    entries = (s, t, c) arrays sorted by (t, s): for each state t that
+    reads a letter, c is the cost of the cheapest intra path s -> t that
+    enters no relay (only s = t if t is a relay); reach = (q, r, c) arrays
+    sorted by q: c is the cost of the cheapest intra path from an entered
+    state q to a relay r != q; dominant = (q, q2, w) arrays sorted by q,
+    one per intra edge q2 -> q != q2 of weight w between two entered
+    states that are not relays (`_prune`); reached, the relays in reach,
+    which the sweep keeps as hubs (`_pick_step`).
 
     The sweep starts every state at cost 0 and costs are >= 0, so on the
     first letter a path through t is cheapest when it starts at t itself;
     from then on only states that some advancing edge enters hold a finite
     cost, and a relay (`_relays`) holds the cost of its cheapest intra path
     from one of them, which `_CompiledSweep` folds into the letter's edges.
-    So the sources are the entered states and the relays (Dijkstra over
-    the intra edges, not through a relay) and each reading state itself
-    (cost 0): a path through relays is cut at its last one.  Each entry
-    makes one closure edge per advancing edge out of t, charged to
-    _CLOSURE_BUDGET as the entry is made.
+    So the sources are each reading state itself (cost 0) and the entered
+    states and the relays with intra out-edges: a path through relays is
+    cut at its last one.  A source whose intra edges all end at states
+    without one takes that one hop; the others run Dijkstra over the intra
+    edges, not through a relay.  Each entry makes one closure edge per
+    advancing edge out of t; _CLOSURE_BUDGET is charged for those from the
+    entry counts, before any closure edge is made, and after each Dijkstra.
     """
-    reads = [0] * num_states
-    entered = [False] * num_states
-    for group in advance.values():
-        for s, d, _ in group:
-            reads[s] += 1
-            entered[d] = True
-    adj = [[] for _ in range(num_states)]
-    for s, d, w in intra:
-        adj[s].append((d, w))
-    relays = _relays(adj, intra)
-    closes, out = entered, adj                   # Dijkstra sources, edges past the source
-    if relays:
-        # Past its source, a Dijkstra crosses a relay only by its hops: the
-        # intra paths that end at the next relays.
-        is_relay = [False] * num_states
-        closes, out = entered.copy(), adj.copy()
-        for r in relays:
-            is_relay[r] = closes[r] = True
-            out[r] = []
-        hops = [[(v, c) for v, c in _distances(r, adj[r], out).items()
-                 if is_relay[v] and v != r] for r in relays]
-        for r, ends in zip(relays, hops):
-            out[r] = ends
-    into = [[] for _ in range(num_states)]
-    reach = {}
-    reached = set()
-    charged = 0
-    for source in range(num_states):
-        if closes[source] and adj[source]:
-            dist = _distances(source, adj[source], out)
-            if relays:
-                # The relays it reaches are folded in, not entries.
-                ends = [(r, c) for r, c in dist.items() if is_relay[r] and r != source]
-                for r, _ in ends:
-                    del dist[r]
-                if ends and entered[source]:
-                    reach[source] = ends
-                    reached.update(r for r, _ in ends)
-        else:
-            dist = {source: 0}
-        for t, c in dist.items():
-            if reads[t]:
-                into[t].append((source, c))
-                charged += reads[t]
-                if charged > _CLOSURE_BUDGET:
-                    raise BudgetExceeded("intra-layer closure is too dense to sweep",
-                                         _CLOSURE_BUDGET)
-    dominant = {}
-    barred = set(relays)         # dominance is never measured at or through a relay
-    for s, d, w in intra:
-        if entered[d] and entered[s] and s != d and s not in barred and d not in barred:
-            dominant.setdefault(d, []).append((s, w))
-    return into, reach, dominant, reached
+    intra = letter < 0
+    isrc, idst, iw = src[intra], dst[intra], weight[intra]
+    reads = np.bincount(src[~intra], minlength=num_states)
+    entered = np.zeros(num_states, dtype=bool)
+    entered[dst[~intra]] = True
+    outdeg = np.bincount(isrc, minlength=num_states)
+    relay = np.zeros(num_states, dtype=bool)
+    relay[np.asarray(_relays(outdeg, np.bincount(idst, minlength=num_states)),
+                     dtype=np.int64)] = True
+    adj = {}                                     # state -> [(dst, weight), ...]
+    for v, d, w in zip(isrc.tolist(), idst.tolist(), iw.tolist()):
+        adj.setdefault(v, []).append((d, w))
+    # Past its source, a Dijkstra crosses a relay only by its hops: the
+    # intra paths that end at the next relays.
+    hops = dict.fromkeys(np.flatnonzero(relay).tolist(), ())
+    hops = {r: [(v, c) for v, c in _distances(r, adj, hops).items() if v in hops and v != r]
+            for r in hops}
+    onward = outdeg.copy()                       # intra edges past the source
+    onward[relay] = [len(ends) for ends in hops.values()]
+    sources = (entered | relay) & (outdeg > 0)
+    deep = np.zeros(num_states, dtype=bool)      # some target has onward edges
+    deep[isrc[onward[idst] > 0]] = True
+    hop = sources[isrc] & ~deep[isrc]
+    paths = [_cheapest(isrc[hop], idst[hop], iw[hop])]
+    charge = np.where(relay, 0, reads)           # closure edges per entry into t
+    charged = int(reads.sum() + charge[paths[0][1]].sum())
+    if charged > _CLOSURE_BUDGET:
+        raise BudgetExceeded("intra-layer closure is too dense to sweep", _CLOSURE_BUDGET)
+    charge = charge.tolist()
+    found = [], [], []
+    for source in np.flatnonzero(sources & deep).tolist():
+        dist = _distances(source, adj, hops)
+        charged += sum(map(charge.__getitem__, dist)) - charge[source]
+        if charged > _CLOSURE_BUDGET:
+            raise BudgetExceeded("intra-layer closure is too dense to sweep", _CLOSURE_BUDGET)
+        found[0].extend(repeat(source, len(dist)))
+        found[1].extend(dist)
+        found[2].extend(dist.values())
+    paths.append(tuple(np.array(col, dtype=np.int64) for col in found))
+    s, t, c = map(np.concatenate, zip(*paths))
+    near = (s != t) & ~relay[t] & (reads[t] > 0)
+    trivial = np.flatnonzero(reads)
+    entries = [np.concatenate((col[near], own)) for col, own in
+               zip((s, t, c), (trivial, trivial, np.zeros_like(trivial)))]
+    order = np.lexsort(entries[:2])
+    far = (s != t) & relay[t] & entered[s]
+    order_far = np.argsort(s[far], kind="stable")
+    dom = entered[isrc] & entered[idst] & (isrc != idst) & ~relay[isrc] & ~relay[idst]
+    by_end = np.argsort(idst[dom], kind="stable")
+    return (tuple(col[order] for col in entries),
+            tuple(col[far][order_far] for col in (s, t, c)),
+            tuple(col[dom][by_end] for col in (idst, isrc, iw)),
+            np.flatnonzero(np.bincount(t[far], minlength=num_states)))
 
 
 # Compiled sweeps by id(automaton); each entry leaves with its automaton.

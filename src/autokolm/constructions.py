@@ -147,14 +147,18 @@ class SelectionRule:
 def selection_marks(rule: SelectionRule, w: str) -> bytearray:
     """One run of the rule over w: byte i is 1 iff bit i is selected, that
     is iff the state reached on w[:i] accepts (the prefix before it
-    belongs to the rule's language)."""
+    belongs to the rule's language).  A symbol other than 0 or 1 raises
+    ContractError."""
     moves = [dict(zip("01", row)) for row in rule.transitions]
     accepts = [s in rule.accepting for s in range(rule.num_states)]
     marks = bytearray(len(w))
     state = rule.initial
-    for i, ch in enumerate(w):
-        marks[i] = accepts[state]
-        state = moves[state][ch]
+    try:
+        for i, ch in enumerate(w):
+            marks[i] = accepts[state]
+            state = moves[state][ch]
+    except KeyError:
+        raise ContractError(f"symbol {ch!r} at position {i} is not a bit") from None
     return marks
 
 

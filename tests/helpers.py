@@ -9,6 +9,8 @@ shares nothing with them.
 import math
 import random
 
+import numpy as np
+
 from autokolm.automaton import (
     EPSILON,
     LabeledAutomaton,
@@ -254,3 +256,130 @@ def branch_rule(accept_left: bool, accept_right: bool) -> SelectionRule:
 def transient_accept_rule() -> SelectionRule:
     """Accepting states only before absorption; finite on any input."""
     return SelectionRule(3, 0, frozenset({0, 1}), ((1, 1), (2, 2), (2, 2)))
+
+
+def hub_tables_reference(num_states: int, by_letter, limit, relays, budget: int):
+    """Reference hub graph of closure edge arrays {letter: (srcs, dsts,
+    costs)}, by a walk one state and one chain letter at a time: (ids, lead,
+    full, part, costs, missing) as `hub_tables` reads them off a compiled
+    `_Hubs`, or None once a letter would relax more than `limit`
+    macro-edges or the tables charge more than `budget` letters.
+
+    Kahn peeling gives `depth` and the live states; a hub is a live state
+    whose out-degree is not 1, a relay, or the first state of a cycle of
+    single-exit states that the walk from the lowest state reaches.  Each
+    out-edge of a hub walks its chain to the next hub; each relay exit on
+    the way (an edge into a relay) is one more macro-edge.
+    """
+    alphabet, windows = list(by_letter), budget
+    srcs, dst, cost = (np.concatenate(col).tolist() for col in zip(*by_letter.values()))
+    letter = [a for a, (s, _, _) in enumerate(by_letter.values()) for _ in range(len(s))]
+    exits = {}                                   # state -> [(letter, relay, cost)]
+    out = [[] for _ in range(num_states)]        # state -> [(letter, dst, cost)]
+    for s, a, d, c in zip(srcs, letter, dst, cost):
+        if d in relays:
+            exits.setdefault(s, []).append((a, d, c))
+        else:
+            out[s].append((a, d, c))
+    indeg = [0] * num_states
+    for edges in out:
+        for _, d, _ in edges:
+            indeg[d] += 1
+    live = [True] * num_states
+    frontier = [v for v in range(num_states) if indeg[v] == 0 and v not in relays]
+    depth = 0
+    while frontier:
+        depth += 1
+        nxt_frontier = []
+        for v in frontier:
+            live[v] = False
+            for _, d, _ in out[v]:
+                indeg[d] -= 1
+                if indeg[d] == 0 and d not in relays:
+                    nxt_frontier.append(d)
+        frontier = sorted(set(nxt_frontier))
+    hub = [live[v] and len(out[v]) != 1 or v in relays for v in range(num_states)]
+    mark = [0] * num_states                      # 1: on this walk, 2: walked
+    for v in range(num_states):
+        walk = []
+        while live[v] and not hub[v] and not mark[v]:
+            mark[v] = 1
+            walk.append(v)
+            v = out[v][0][1]
+        if mark[v] == 1:
+            hub[v] = True
+        for u in walk:
+            mark[u] = 2
+    ids = [s for s in range(num_states) if hub[s]]
+    index = {s: i for i, s in enumerate(ids)}
+    full, part = {}, {}
+    widest = {}
+    relaxations = 0
+    for h in ids:
+        src = index[h]
+        made = [(alphabet[b], index[r], f) for b, r, f in exits.get(h, ())]
+        budget -= len(made)
+        for a, q, c in out[h]:
+            word, costs, v, ways = alphabet[a], [c], q, []
+            while not hub[v]:
+                ways += [(len(word), b, r, f) for b, r, f in exits.get(v, ())]
+                b, v2, w = out[v][0]
+                word += alphabet[b]
+                costs.append(costs[-1] + w)
+                v = v2
+            budget -= len(word)
+            if budget < 0:
+                return None
+            for j in range(1, len(word)):
+                ends = part.setdefault(j, {}).setdefault(word[:j], {})
+                ends[src] = min(ends.get(src, math.inf), costs[j - 1])
+            made.append((word, index[v], costs[-1]))
+            for j, b, r, f in ways:
+                budget -= j + 1
+                made.append((word[:j] + alphabet[b], index[r], costs[j - 1] + f))
+            if budget < 0:
+                return None
+        for word, dst_hub, paid in made:
+            pairs = full.setdefault(len(word), {}).setdefault(word, {})
+            if paid < pairs.get((src, dst_hub), math.inf):
+                pairs[src, dst_hub] = paid
+                if len(pairs) > widest.get(len(word), 0):
+                    widest[len(word)] = len(pairs)
+                    relaxations += 1
+                    if relaxations > limit:
+                        return None
+    span = max(full, default=1)
+    costs = missing = None
+    if len(ids) == 1 and len(full) == 1 and len(alphabet) ** span <= windows:
+        costs, missing = [0] * len(alphabet) ** span, [True] * len(alphabet) ** span
+        for word, pairs in full[span].items():
+            code = 0
+            for a in word:
+                code = code * len(alphabet) + alphabet.index(a)
+            [costs[code]] = pairs.values()
+            missing[code] = False
+    return (ids, depth + span - 1,
+            sorted((n, {w: sorted((s, d, c) for (s, d), c in pairs.items())
+                        for w, pairs in table.items()}) for n, table in full.items()),
+            sorted((j, {w: sorted(ends.items()) for w, ends in table.items()})
+                   for j, table in part.items()),
+            costs, missing)
+
+
+def prune_reference(edges, dominant) -> list:
+    """Reference dominance pruning of a letter's closure edges [(s, q, c),
+    ...], one edge at a time in the order the edges first name (s, q):
+    dominant[q] = [(q2, w), ...] lists the intra edges q2 -> q.  (s, q)
+    goes when (s, q2) is cheaper by at least w, or as cheap and not yet
+    dropped; parallel edges keep the cheapest."""
+    best = {}
+    for s, q, c in edges:
+        best[s, q] = min(best.get((s, q), math.inf), c)
+    dropped = set()
+    for (s, q), c in best.items():
+        for q2, w in dominant.get(q, ()):
+            c2 = best.get((s, q2))
+            if c2 is not None and c2 + w <= c and (c2 < c or (s, q2) not in dropped):
+                dropped.add((s, q))
+                break
+    return [(s, q, c) for (s, q), c in best.items() if (s, q) not in dropped]

@@ -1,9 +1,11 @@
 import gc
+import hashlib
 import importlib
 import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -38,8 +40,10 @@ from autokolm.seqgen import bernoulli_bits, champernowne_bits
 from helpers import (
     all_accepting_rule,
     brute_force_k_table,
+    hub_tables_reference,
     none_accepting_rule,
     parity_rule,
+    prune_reference,
     random_finite_mode,
     random_word,
     sweep_pure,
@@ -65,12 +69,11 @@ def force_step(monkeypatch, name):
 
     def pick(num_states, by_letter, relays):
         if step is engine._step_python:
-            return step, tail, by_letter, None
-        arrays = engine._edge_arrays(by_letter)
-        hubs = engine._Hubs.compile(num_states, arrays, math.inf, relays) if tail else None
+            return step, tail, engine._edge_lists(by_letter), None
+        hubs = engine._Hubs.compile(num_states, by_letter, math.inf, relays) if tail else None
         if tail is engine._sweep_sums and hubs.costs is None:
-            return step, engine._sweep_hubs, arrays, hubs
-        return step, tail, arrays, hubs
+            return step, engine._sweep_hubs, by_letter, hubs
+        return step, tail, by_letter, hubs
     monkeypatch.setattr(engine, "_pick_step", pick)
     monkeypatch.setattr(engine, "_sweep_cache", {})
     return step, tail
@@ -233,27 +236,79 @@ def test_dense_closure_raises_budget_exceeded(monkeypatch):
     assert engine._sweep_cache == {}
 
 
+def edge_columns(intra, advance):
+    """Edge arrays as `_classify_edges` makes them, from intra edges
+    (src, dst, weight) and advancing ones {letter index: [(src, dst,
+    weight), ...]}."""
+    rows = [(s, d, -1, w) for s, d, w in intra]
+    rows += [(s, d, a, w) for a, edges in advance.items() for s, d, w in edges]
+    return tuple(np.array(col, dtype=np.int64) for col in zip(*rows))
+
+
+def closure_lists(closure):
+    """`_closure_into` with its arrays as lists: entries, reach and dominant
+    as rows, reached as a set."""
+    entries, reach, dominant, reached = closure
+    return (*(list(zip(*(col.tolist() for col in cols))) for cols in (entries, reach, dominant)),
+            set(reached.tolist()))
+
+
 def test_closure_is_charged_as_its_entries_are_made(monkeypatch):
     # 0 -> 1 -> 2 over epsilon-object edges; only state 1 reads letters
     # (two edges, both into 0), so each of its two entries, from the
     # entered state 0 and from 1 itself, stands for two closure edges.
-    intra = [(0, 1, 1), (1, 2, 0)]
-    advance = {"0": [(1, 0, 0)], "1": [(1, 0, 1)]}
+    edges = edge_columns([(0, 1, 1), (1, 2, 0)], {0: [(1, 0, 0)], 1: [(1, 0, 1)]})
     monkeypatch.setattr(engine, "_CLOSURE_BUDGET", 4)
-    assert engine._closure_into(3, intra, advance) == (
-        [[], [(0, 1), (1, 0)], []], {}, {}, set())
+    assert closure_lists(engine._closure_into(3, *edges)) == (
+        [(0, 1, 1), (1, 1, 0)], [], [], set())
     monkeypatch.setattr(engine, "_CLOSURE_BUDGET", 3)
     with pytest.raises(BudgetExceeded):
-        engine._closure_into(3, intra, advance)
+        engine._closure_into(3, *edges)
+
+
+@pytest.mark.parametrize("arity", [2, 3])
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(data=st.data())
+def test_closure_is_charged_exactly_its_closure_edges(arity, data):
+    aut, relays, _ = data.draw(relay_modes(arity))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "_relays", lambda outdeg, indeg: relays)
+        edges = engine._classify_edges(aut)
+        entries = engine._closure_into(aut.num_states, *edges)[0]
+        made = sum(srcs.size for srcs, _, _ in
+                   engine._closure_edges(entries, *edges, aut.alphabets[-1]).values())
+        mp.setattr(engine, "_CLOSURE_BUDGET", made)
+        engine._closure_into(aut.num_states, *edges)
+        mp.setattr(engine, "_CLOSURE_BUDGET", made - 1)
+        if made:
+            with pytest.raises(BudgetExceeded):
+                engine._closure_into(aut.num_states, *edges)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(data=st.data())
+def test_prune_settles_ties_as_the_reference(data):
+    # Costs of 0-2 and weights of 0-1 over a few states make many ties,
+    # and cycles of states that dominate each other.
+    state = st.integers(0, data.draw(st.integers(1, 5)) - 1)
+    edges = data.draw(st.lists(st.tuples(state, state, st.integers(0, 2)), max_size=24))
+    intra = data.draw(st.lists(st.tuples(state, state, st.integers(0, 1)), max_size=10))
+    intra = sorted(((q, q2, w) for q2, q, w in intra if q != q2), key=lambda e: e[0])
+    dominant = {}
+    for q, q2, w in intra:
+        dominant.setdefault(q, []).append((q2, w))
+    columns = [np.array(col, dtype=np.int64) for col in zip(*edges)] or [np.zeros(0, np.int64)] * 3
+    rows = [np.array(col, dtype=np.int64) for col in zip(*intra)] or [np.zeros(0, np.int64)] * 3
+    pruned = engine._prune(tuple(columns), tuple(rows))
+    assert sorted(zip(*(col.tolist() for col in pruned))) == sorted(
+        prune_reference(edges, dominant))
 
 
 def test_a_relay_is_a_state_whose_closure_costs_more_than_it_saves():
     # Intra in-degree times out-degree above their sum: (2, 3) and (3, 2)
     # are relays, (2, 2) and (1, 9) are not.
-    ins, outs = {0: 2, 1: 3, 2: 2, 3: 1}, {0: 3, 1: 2, 2: 2, 3: 9}
-    intra = [(0, v, 0) for v, i in ins.items() for _ in range(i)]
-    adj = [[(0, 0)] * outs[v] for v in range(4)]
-    assert sorted(engine._relays(adj, intra)) == [0, 1]
+    indeg, outdeg = np.array([2, 3, 2, 1]), np.array([3, 2, 2, 9])
+    assert engine._relays(outdeg, indeg).tolist() == [0, 1]
 
 
 def test_folded_relay_edges_are_charged_as_they_are_made(monkeypatch):
@@ -264,10 +319,9 @@ def test_folded_relay_edges_are_charged_as_they_are_made(monkeypatch):
     mode = one_bit_mode(((0, 1, ("0", "0")), (1, 2, ("1", EPSILON)),
                          (2, 0, (EPSILON, "1"))), 3)
     aut = mode.automaton
-    monkeypatch.setattr(engine, "_relays", lambda adj, intra: [2])
-    intra, advance = engine._classify_edges(aut)
-    assert engine._closure_into(3, intra, advance) == (
-        [[(0, 0)], [], [(2, 0)]], {1: [(2, 1)]}, {}, {2})
+    monkeypatch.setattr(engine, "_relays", lambda outdeg, indeg: [2])
+    assert closure_lists(engine._closure_into(3, *engine._classify_edges(aut))) == (
+        [(0, 0, 0), (2, 2, 0)], [(1, 2, 1)], [], {2})
     force_step(monkeypatch, "python")
     monkeypatch.setattr(engine, "_CLOSURE_BUDGET", 2)
     with pytest.raises(BudgetExceeded):
@@ -499,7 +553,7 @@ def test_every_relay_set_of_small_modes(forced_step, monkeypatch, make):
     words = ["".join(w) for w in itertools.product("01", repeat=6)]
     for k in range(aut.num_states + 1):
         for relays in itertools.combinations(range(aut.num_states), k):
-            monkeypatch.setattr(engine, "_relays", lambda adj, intra: list(relays))
+            monkeypatch.setattr(engine, "_relays", lambda outdeg, indeg: list(relays))
             monkeypatch.setattr(engine, "_sweep_cache", {})
             for word in words:
                 assert engine._sweep(aut, word, list(range(7))) == sweep_pure_curve(aut, word)
@@ -526,6 +580,58 @@ DEFAULT_PATHS = {
 def test_default_path_of_each_mode(name):
     make, path = DEFAULT_PATHS[name]
     assert swept_by(make().automaton) == STEPS[path]
+
+
+def compiled_digest(aut) -> str:
+    """A digest of what `aut` compiles to: its (closure step, tail) pair,
+    each letter's closure edges as a multiset, the hub tables, and K of
+    every 40th prefix of a 400-bit Champernowne window."""
+    eng = engine._compiled(aut)
+    path = next(name for name, pair in STEPS.items() if pair == (eng.step, eng.tail))
+    edges = sorted((a, sorted(edges)) for a, edges in edge_lists(eng).items())
+
+    def table(rows):
+        return [(n, sorted((w, sorted(tuple(map(int, e)) for e in entries))
+                           for w, entries in words.items())) for n, words in rows]
+    hubs = eng.hubs
+    tables = None if hubs is None else (
+        hubs.ids.tolist(), table(hubs.full), table(hubs.part), hubs.span, hubs.lead,
+        *(None if col is None else col.tolist() for col in (hubs.costs, hubs.missing)))
+    word = champernowne_bits(2_000)[1_234:1_634]
+    values = engine._sweep(aut, word, list(range(40, 401, 40)))
+    return hashlib.sha256(repr((path, edges, tables, values)).encode()).hexdigest()[:16]
+
+
+# Digests of the compiled sweeps of DEFAULT_PATHS, pinned from the per-state
+# compile that the array compile replaced.
+COMPILED_DIGESTS = {
+    'coder1': '667bbe4ecf2b4ce7',
+    'coder2': 'f8ef1998a57128c5',
+    'coder3': '868fedf9823db027',
+    'coder4': 'c84b7aeb1ba51317',
+    'coder5': '6319539b3ca9a334',
+    'coder6': '7070876c21bcebdb',
+    'coder7': 'f67da2e30959ff92',
+    'coder8': 'f370b19072a955d9',
+    'compose(coder4, coder4)': '51bceb2ab22c7fad',
+    'identity': '9ba5d183467965a3',
+    'joint': '1d52982cc3f3d904',
+    'layered(coder4, 2)': 'c6d184801da4a1f8',
+    'layered(skewed coder4, 2)': '035e489747570f19',
+    'reverse(coder4)': 'ad021e7d8ed898e4',
+    'reverse(coder8)': 'f70f2a2f7d74067d',
+    'skewed coder4': '63648daa4fff88b7',
+    'unary(3)': '099766aa55d7f9b9',
+    'union': '23ba6b0064c50b0a',
+    'wall(3)': '946a6eb24080959c',
+    'wall(5)': 'f96c8802470c11a8',
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEFAULT_PATHS))
+def test_compiled_artefacts_of_each_mode_are_pinned(name):
+    make, _ = DEFAULT_PATHS[name]
+    assert compiled_digest(make().automaton) == COMPILED_DIGESTS[name]
 
 
 def test_pure_cycle_promotes_a_hub(forced_step):
@@ -753,7 +859,7 @@ def test_forced_relays_match_oracle(name, arity, data):
     aut, relays, word = data.draw(relay_modes(arity))
     with pytest.MonkeyPatch.context() as mp:
         path = force_step(mp, name)
-        mp.setattr(engine, "_relays", lambda adj, intra: relays)
+        mp.setattr(engine, "_relays", lambda outdeg, indeg: relays)
         values = engine._sweep(aut, word, list(range(len(word) + 1)))
         assert_swept_by(aut, path)
     assert values == sweep_pure_curve(aut, word)
@@ -783,10 +889,11 @@ def test_layered_relays_match_the_relay_free_closure(monkeypatch):
     mode = layered_concat(champ_coder(6), 2)
     source = champernowne_bits(4_000)[1_000:3_000]
     aut = mode.automaton
-    _, reach, _, _ = engine._closure_into(aut.num_states, *engine._classify_edges(aut))
-    assert {r for ends in reach.values() for r, _ in ends} == {aut.num_states - 1}  # the hub
+    _, (_, relays, _), _, _ = engine._closure_into(aut.num_states,
+                                                   *engine._classify_edges(aut))
+    assert set(relays.tolist()) == {aut.num_states - 1}  # the hub
     with_relays = complexity_curve(mode, source, len(source), 1).samples
-    monkeypatch.setattr(engine, "_relays", lambda adj, intra: [])
+    monkeypatch.setattr(engine, "_relays", lambda outdeg, indeg: [])
     monkeypatch.setattr(engine, "_sweep_cache", {})
     assert complexity_curve(mode, source, len(source), 1).samples == with_relays
 
@@ -829,8 +936,8 @@ def test_pruning_leaves_modes_without_dominance_alone(monkeypatch, name):
     # No intra edge joins two entered states, so there is nothing to scan,
     # and the compiled edges are those of a compile without pruning.
     aut = NO_DOMINANCE[name]().automaton
-    intra, advance = engine._classify_edges(aut)
-    assert engine._closure_into(aut.num_states, intra, advance)[2] == {}
+    assert closure_lists(engine._closure_into(aut.num_states,
+                                              *engine._classify_edges(aut)))[2] == []
     pruned = edge_lists(engine._compiled(aut))
     monkeypatch.setattr(engine, "_prune", lambda edges, dominant: edges)
     monkeypatch.setattr(engine, "_sweep_cache", {})
@@ -849,9 +956,8 @@ def twin_mode():
 def test_mutual_dominance_keeps_one_of_the_two_states(forced_step, monkeypatch):
     mode = twin_mode()
     aut = mode.automaton
-    intra, advance = engine._classify_edges(aut)
-    _, _, dominant, _ = engine._closure_into(3, intra, advance)
-    assert dominant == {1: [(2, 0)], 2: [(1, 0)]}
+    edges = engine._classify_edges(aut)
+    assert closure_lists(engine._closure_into(3, *edges))[2] == [(1, 2, 0), (2, 1, 0)]
     assert sorted(q for s, q, _ in edge_lists(engine._compiled(aut))["0"] if s == 0) in ([1], [2])
     values = {word: engine._sweep(aut, word, list(range(len(word) + 1)))
               for word in all_words(7)}
@@ -864,8 +970,8 @@ def test_mutual_dominance_keeps_one_of_the_two_states(forced_step, monkeypatch):
     assert all(engine._sweep(aut, word, list(range(len(word) + 1))) == curve
                for word, curve in values.items())
     # Dominance is never measured at a relay.
-    monkeypatch.setattr(engine, "_relays", lambda adj, intra: [1])
-    assert engine._closure_into(3, intra, advance)[2] == {}
+    monkeypatch.setattr(engine, "_relays", lambda outdeg, indeg: [1])
+    assert closure_lists(engine._closure_into(3, *edges))[2] == []
 
 
 @pytest.mark.parametrize("train", [champ_coder, skewed_coder])
@@ -893,7 +999,7 @@ def test_relay_tables_are_charged_to_the_compile_budget(monkeypatch):
     mode = one_bit_mode(((0, 1, ("0", "0")), (1, 2, ("1", EPSILON)),
                          (2, 0, (EPSILON, "1"))), 3)
     aut = mode.automaton
-    monkeypatch.setattr(engine, "_relays", lambda adj, intra: [2])
+    monkeypatch.setattr(engine, "_relays", lambda outdeg, indeg: [2])
     force_step(monkeypatch, "numpy")
     arrays = engine._compiled(aut).by_letter
     monkeypatch.setattr(engine, "_NORMALIZE_BUDGET", 3)
@@ -920,3 +1026,82 @@ def test_relay_tables_past_the_budget_fall_back_to_numpy(monkeypatch):
     monkeypatch.setattr(engine, "_sweep_cache", {})
     assert swept_by(aut) == STEPS["numpy"]
     assert complexity_curve(mode, source, len(source), 100).samples == expected
+
+
+# --- the hub compile against a walk one state at a time --------------------------
+
+@st.composite
+def hub_graphs(draw):
+    """Closure edge arrays {letter: (srcs, dsts, costs)} of a random hub
+    graph, its state count and a set of relays.
+
+    A few hubs send chains of one to four letters to a hub, to a state of
+    an earlier chain (chains merge) or through a path of single-exit
+    states into a new cycle of them, numbered above the path; paths of
+    states that no edge enters lead in (peeled over several rounds);
+    random edges add branching, and random states, some of them on
+    chains, become relays with edges into them.
+    """
+    letters = draw(st.sampled_from([BINARY, ("0", "1", "2")]))
+    edges, states = [], draw(st.integers(1, 3))
+    cost = st.integers(0, 2)
+
+    def walk(start, length, end):
+        nonlocal states
+        path = [start, *range(states, states + length - 1), end]
+        states += length - 1
+        for a, b in zip(path, path[1:]):
+            edges.append((a, b, draw(st.sampled_from(letters)), draw(cost)))
+    for _ in range(draw(st.integers(0, 6))):
+        start = draw(st.integers(0, states - 1))
+        kind = draw(st.sampled_from(["hub", "merge", "cycle"]))
+        if kind == "cycle":
+            # A path of single-exit states, numbered below the cycle, leads in.
+            size, tail = draw(st.integers(1, 4)), draw(st.integers(0, 2))
+            ring = list(range(states + tail, states + tail + size))
+            entry = draw(st.sampled_from(ring))
+            walk(start, tail + 1, entry)
+            states += size
+            for a, b in zip(ring, ring[1:] + ring[:1]):
+                edges.append((a, b, draw(st.sampled_from(letters)), draw(cost)))
+        else:
+            end = draw(st.integers(0, states - 1))
+            walk(start, draw(st.integers(1, 4)), end if kind == "merge" else 0)
+    for _ in range(draw(st.integers(0, 2))):
+        states += 1
+        walk(states - 1, draw(st.integers(1, 3)), draw(st.integers(0, states - 2)))
+    state = st.integers(0, states - 1)
+    for _ in range(draw(st.integers(0, 3))):
+        edges.append((draw(state), draw(state), draw(st.sampled_from(letters)), draw(cost)))
+    relays = set(draw(st.lists(state, max_size=3)))
+    for r in relays:
+        for _ in range(draw(st.integers(0, 3))):
+            edges.append((draw(state), r, draw(st.sampled_from(letters)), draw(cost)))
+    by_letter = {a: tuple(np.array([e[i] for e in edges if e[2] == a], dtype=np.int64)
+                          for i in (0, 1, 3)) for a in letters}
+    return states, by_letter, relays
+
+
+def hub_tables(hubs):
+    """A compiled `_Hubs` as `hub_tables_reference` gives it."""
+    if hubs is None:
+        return None
+
+    def rows(levels):
+        return [(n, {w: sorted(entries) for w, entries in table.items()})
+                for n, table in levels]
+    return (hubs.ids.tolist(), hubs.lead, rows(hubs.full), rows(hubs.part),
+            *(None if col is None else col.tolist() for col in (hubs.costs, hubs.missing)))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(data=st.data())
+def test_hub_compile_matches_the_reference_walk(data):
+    num_states, by_letter, relays = data.draw(hub_graphs())
+    limit = data.draw(st.sampled_from([math.inf, 1, 2, 3, 5, 8]))
+    budget = data.draw(st.sampled_from([engine._NORMALIZE_BUDGET, 2, 5, 9, 14, 20, 30]))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "_NORMALIZE_BUDGET", budget)
+        hubs = engine._Hubs.compile(num_states, by_letter, limit, relays)
+    assert hub_tables(hubs) == hub_tables_reference(num_states, by_letter, limit, relays,
+                                                    budget)

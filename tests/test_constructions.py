@@ -314,6 +314,15 @@ def test_selection_trace_refuses_a_negative_checkpoint():
         (0, 0), (2, 1), (4, 2), (6, 3)]
 
 
+@pytest.mark.parametrize("word", ["012", "2", "01 ", "10a01"])
+def test_selection_refuses_a_symbol_that_is_not_a_bit(word):
+    for rule in (parity_rule(), all_accepting_rule(), suffix_rule("010")):
+        with pytest.raises(ContractError, match="not a bit"):
+            apply_selection(rule, word)
+        with pytest.raises(ContractError, match="not a bit"):
+            selection_trace(rule, word, [0, 1])
+
+
 # --- rule file format -----------------------------------------------------------
 
 def test_rule_round_trip():
