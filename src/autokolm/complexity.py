@@ -608,9 +608,10 @@ def _macro_edges(rows, ends, graph, base: int, charged: int, limit):
     while True:
         charged += at.size
         done = hub[at]
-        ends.append((words[done], src[done], index[at[done]], paid[done]))
-        keep = ~done
-        words, src, at, paid = words[keep], src[keep], at[keep], paid[keep]
+        if done.any():
+            ends.append((words[done], src[done], index[at[done]], paid[done]))
+            keep = ~done
+            words, src, at, paid = words[keep], src[keep], at[keep], paid[keep]
         part.append((np.full(at.size, j), words, src, paid))
         keys = words * base + nletter[at]
         if relaying:
@@ -621,9 +622,9 @@ def _macro_edges(rows, ends, graph, base: int, charged: int, limit):
             keys = np.concatenate((keys, words[walk] * base + edges[0][exits]))
         if charged > _NORMALIZE_BUDGET:
             return None
-        ends = tuple(map(np.concatenate, zip(*ends)))
-        if ends[0].size:
-            table = _cheapest(*ends)
+        ends = [piece for piece in ends if piece[0].size]
+        if ends:
+            table = _cheapest(*map(np.concatenate, zip(*ends)))
             relaxations += np.bincount(table[0]).max()
             if relaxations > limit:
                 return None
