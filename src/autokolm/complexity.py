@@ -50,9 +50,10 @@ _PYTHON_STEP_EDGES = 24
 #   reverse(coder4), 48k Champernowne bits, E 160, R 16: hub 1.7-2.5 us,
 #     numpy 4.3-6.0 us;
 #   layered(coder4, 2), 48k Bernoulli(0.9) bits, E 236, R 15 (the relay
-#     and 3 chain hubs): hub 1.4-2.4 us, numpy 4.2-6.6 us;
+#     and 3 chain hubs): hub 1.4-2.4 us, numpy 4.2-6.6 us (now swept by
+#     the prefix sums, see _CELLS_PER_RELAXATION);
 #   layered(k=8 coder, 2), 20k Champernowne bits, E 6,788, R 27: hub
-#     2.3-3.3 us, numpy 27-35 us;
+#     2.3-3.3 us, numpy 27-35 us (now prefix sums too);
 #   compose(coder4, coder4), 20k Champernowne bits, E 3,728, R 45 (77 hubs):
 #     hub 3.4-4.8 us, numpy 16-22 us;
 #   reverse(k=8 coder), 20k Champernowne bits, E 33,792, R 256: hub 22-27 us,
@@ -69,6 +70,32 @@ _NUMPY_LETTER_EDGES = 500
 _WINDOW_MEMO = 1 << 16
 _INF = 1 << 62
 _NORMALIZE_BUDGET = 5_000_000
+# In the prefix sums tail a cost of _CUT or more is unreachable: hub costs
+# stay at most _INF and window costs at most _CUT, so a sum of two fits in
+# int64, and results are capped at _CUT.
+_CUT = 1 << 61
+# The prefix sums tail takes a hub graph whose components each have one
+# macro-edge length inside them while it sweeps at most
+# _CELLS_PER_RELAXATION cells per letter (`_scan_cells`) per macro-edge
+# relaxed by the hub loop's worst letter.  Warm in-process sweeps, min of 5,
+# per letter (C cells, R relaxations, k hubs in the largest component):
+#   layered(coder4, N), 48k Bernoulli(0.9) bits, sums against hub loop:
+#     N 1, k 1, C 10, R 10: 0.12 against 2.14 us;
+#     N 2, k 2, C 21, R 15: 0.35 against 2.51 us;
+#     N 4, k 4, C 85, R 21: 0.62 against 1.82 us;
+#     N 6, k 6, C 239, R 26: 1.79 against 2.55 us;
+#     N 8, k 8, C 543, R 32: 3.41 against 3.16 us (2.69 against 2.94 in
+#       another run): the crossover, at about 17 cells per relaxation;
+#   20k Champernowne bits: layered(k=8 coder, 2), k 2, C 33, R 27: 0.43
+#     against 3.14 us; union(coder4, coder8), k 1, C 2, R 2: 0.02 against
+#     1.07 us; reverse(coder4), k 16, C 4,096, R 16: 17.6 against 2.2 us;
+#     compose(coder4, coder4), k 31, C 30,015, R 45: 79 against 4.7 us.
+_CELLS_PER_RELAXATION = 16
+# The prefix sums tail sweeps _CHUNK_CELLS // k**2 letters at a time, k the
+# hub count of the largest component: the widest arrays of a min-plus scan
+# hold k**2 cells per letter.  So its memory does not grow with the word,
+# and a one-hub graph sweeps a word of up to 65,536 letters in one chunk.
+_CHUNK_CELLS = 1 << 16
 # Closure edges over all letters.  The closure is charged from its entry
 # counts (each entry into t makes one edge per letter-reading edge out of
 # t) before any closure edge is made: the trivial and one-hop entries at
@@ -177,20 +204,20 @@ def _sweep(aut: LabeledAutomaton, word: str, positions: List[int]) -> list:
     The closure step runs from the start to the hub graph's `lead` (the
     whole word without a hub graph) in batches between positions, and one
     letter at a time through the last `span` letters up to `lead`, whose
-    hub costs it keeps in a ring indexed by letter.  The tail answers the
-    positions past `lead` from that ring.
+    hub costs it keeps, one row per letter.  The tail answers the
+    positions past `lead` from those rows.
     """
     check_word(aut, aut.arity - 1, word)
     if aut.num_states == 0:
         return [UNREACHABLE] * len(positions)
     eng = _compiled(aut)
     hubs = eng.hubs
-    stops, lead, fill, ring = positions, positions[-1], (), None
+    stops, lead, fill, last = positions, positions[-1], (), None
     if hubs is not None:
         lead = min(hubs.lead, lead)
-        fill = range(max(hubs.lead - hubs.span + 1, 0), lead + 1)
+        fill = range(hubs.lead - hubs.span + 1, lead + 1)
         stops = [*positions[:bisect_left(positions, fill.start)], *fill]
-        ring = [None] * hubs.span
+        last = np.empty((hubs.span, len(hubs.ids)), dtype=np.int64)
     dist, best, done, out = eng.start, 0, 0, []
     for t in stops:
         if t > done:
@@ -199,11 +226,11 @@ def _sweep(aut: LabeledAutomaton, word: str, positions: List[int]) -> list:
             if best == UNREACHABLE:
                 break
         if t in fill:
-            ring[t % hubs.span] = dist[hubs.ids].tolist()
+            last[t - fill.start] = dist[hubs.ids]
         if t == positions[len(out)]:
             out.append(best)
     if best != UNREACHABLE and lead < positions[-1]:
-        out += eng.tail(hubs, word, positions[len(out):], ring)
+        out += eng.tail(hubs, word, positions[len(out):], last)
     return out + [UNREACHABLE] * (len(positions) - len(out))
 
 
@@ -229,7 +256,8 @@ class _CompiledSweep:
     `_pick_step` chooses the closure step, plain Python over a dict of
     reachable states or a numpy scatter-min over the closure edges, and a
     tail, which sweeps the hub DP over macro-edges (`_Hubs`, the relays
-    among its hubs) past its `lead` as prefix sums or as a loop, or None.
+    among its hubs) past its `lead` as scans of its components or as a
+    loop, or None.
     """
 
     def __init__(self, aut: LabeledAutomaton):
@@ -379,8 +407,10 @@ def _pick_step(num_states: int, by_letter, relays):
     """The closure step, the tail, the edges the step reads per letter,
     and the hub graph (or None) with the `relays` as hubs.
 
-    The prefix sums tail whenever the hub graph has one hub, one
-    macro-edge length and a window cost table.  Otherwise no tail and the
+    The prefix sums tail whenever the hub graph has window tables
+    (`_Hubs.scans`) and, for the Python step's closures, one hub, or else
+    its scans sweep at most _CELLS_PER_RELAXATION cells per letter per
+    macro-edge that the worst letter relaxes.  Otherwise no tail and the
     Python step while every letter relaxes at most _PYTHON_STEP_EDGES
     closure edges; else the hub loop tail while its worst letter relaxes
     at most one macro-edge per _EDGES_PER_RELAXATION closure edges of the
@@ -393,13 +423,22 @@ def _pick_step(num_states: int, by_letter, relays):
     # A graph with one hub and one length relaxes one macro-edge per letter.
     limit = 1 if python else (widest + _NUMPY_LETTER_EDGES) / _EDGES_PER_RELAXATION
     hubs = _Hubs.compile(num_states, by_letter, limit, relays)
-    if hubs is not None and hubs.costs is not None:
+    if hubs is not None and hubs.scans is not None and (
+            len(hubs.ids) == 1 if python else
+            _scan_cells(hubs.scans) <= _CELLS_PER_RELAXATION * hubs.relaxations):
         return _step_numpy, _sweep_sums, by_letter, hubs
     if python:
         return _step_python, None, _edge_lists(by_letter), None
     if hubs is None:
         return _step_numpy, None, by_letter, None
     return _step_numpy, _sweep_hubs, by_letter, hubs
+
+
+def _scan_cells(scans) -> int:
+    """Cells per letter of the prefix sums tail: k**3 per scan of k > 1 hubs,
+    1 per running sum and k per gather into k hubs."""
+    return sum((k ** 3 if k > 1 else 1 if length else 0) + k * len(gathers)
+               for _, k, length, _, gathers in scans)
 
 
 def _step_python(by_letter, dist: dict, letters):
@@ -465,22 +504,31 @@ class _Hubs:
     at most span letters earlier.  So hub costs follow from the hub costs
     of the last span letters, and K from those plus the prefix matches.
 
-    One hub with one macro-edge length L also gets window tables indexed
-    by the code of a length-L word: the letters' positions in the object
-    alphabet (`rank`) read as digits in base |alphabet|, first letter
-    most significant.  `missing` marks the words that are no macro-edge;
-    `costs` holds the cost of the others (0 for the missing ones).  They
-    exist only while |alphabet|**L stays within _NORMALIZE_BUDGET;
-    otherwise both are None.
+    `relaxations` counts the macro-edges that the worst letter relaxes.
+    The hubs and macro-edges form a graph whose strongly connected
+    components `scans` lists in topological order, when each has
+    macro-edges of one length L inside it (`_scans`), with window tables
+    indexed by the code of a word: the letters' positions in the object
+    alphabet (`rank`) read as digits in base |alphabet|, first letter most
+    significant, so that the code of a word's last n letters is its code
+    mod |alphabet|**n.  A component of one hub has the tables `costs`, the
+    cost of each word of length L that is a macro-edge (0 for the others),
+    and `missing`, which marks the others (None when every word is one).
+    The tables exist only while their cells stay within
+    _NORMALIZE_BUDGET; otherwise, and for a component with macro-edges of
+    two lengths inside it, `scans` is None.
     """
 
-    def __init__(self, ids, lead, full, part, alphabet, costs, missing):
+    def __init__(self, ids, lead, full, part, alphabet, relaxations, scans):
         self.ids, self.lead, self.full, self.part = ids, lead, full, part
         self.span = full[-1][0] if full else 1
-        self.costs, self.missing = costs, missing
-        if costs is not None:
+        self.relaxations, self.scans = relaxations, scans
+        if scans is not None:
             self.rank = {ord(a): i for i, a in enumerate(alphabet)}
             self.powers = len(alphabet) ** np.arange(self.span, dtype=np.intp)
+            self.period = math.lcm(*(length for _, _, length, _, _ in scans if length))
+            widest = max((k for _, k, _, _, _ in scans), default=1)
+            self.chunk = max(_CHUNK_CELLS // widest ** 2, 1)
 
     @classmethod
     def compile(cls, num_states: int, by_letter, limit, relays):
@@ -539,24 +587,123 @@ class _Hubs:
             len(alphabet), charged, limit)
         if tables is None:
             return None
-        full, part, prefixes = tables
-        lengths, words, _, _, paid = full
+        full, part, prefixes, relaxations = tables
+        lengths = full[0]
         span, base = int(lengths[-1]) if lengths.size else 1, len(alphabet)
-        costs = missing = None
-        if ids.size == 1 and lengths[:1].tolist() == [span] and base ** span <= _NORMALIZE_BUDGET:
-            # Window codes of the words, from the (prefix, letter) pair of each number.
-            code = np.arange(base)
-            for pairs in prefixes:
-                code = code[pairs // base] * base + pairs % base
-            costs = np.zeros(base ** span, dtype=np.int64)
-            missing = np.ones(base ** span, dtype=bool)
-            costs[code[words]], missing[code[words]] = paid, False
+        codes = [np.arange(base)]                # codes[n - 1][w]: code of word number w of length n
+        for pairs in prefixes:
+            codes.append(codes[-1][pairs // base] * base + pairs % base)
+        scans = _scans(ids.size, full, codes, base, relaxations)
         spelled = [alphabet]                     # spelled[j - 1][n]: word number n of length j
         for pairs in prefixes:
             spelled.append([spelled[-1][p] + alphabet[a] for p, a in
                             zip(*(col.tolist() for col in np.divmod(pairs, base)))])
         return cls(ids, depth + span - 1, _word_tables(full, spelled),
-                   _word_tables(part, spelled), alphabet, costs, missing)
+                   _word_tables(part, spelled), alphabet, relaxations, scans)
+
+
+def _components(k: int, src, dst):
+    """The strongly connected components of the graph on nodes 0..k-1 with
+    edges src -> dst (Kosaraju): the number of each node's component, the
+    components numbered in a topological order."""
+    out, into = [[] for _ in range(k)], [[] for _ in range(k)]
+    for s, d in zip(src.tolist(), dst.tolist()):
+        out[s].append(d)
+        into[d].append(s)
+    seen, finished = [False] * k, []
+    for root in range(k):
+        if seen[root]:
+            continue
+        seen[root] = True
+        stack = [(root, iter(out[root]))]
+        while stack:
+            v, ahead = stack[-1]
+            for d in ahead:
+                if not seen[d]:
+                    seen[d] = True
+                    stack.append((d, iter(out[d])))
+                    break
+            else:
+                stack.pop()
+                finished.append(v)
+    comp, count = [-1] * k, 0
+    for root in reversed(finished):              # the last to finish leads no edge in
+        if comp[root] < 0:
+            comp[root], stack = count, [root]
+            while stack:
+                for s in into[stack.pop()]:
+                    if comp[s] < 0:
+                        comp[s] = count
+                        stack.append(s)
+            count += 1
+    return np.array(comp, dtype=np.int64)
+
+
+def _scans(k: int, full, codes, base: int, relaxations: int):
+    """The components of the hub graph `full` on k hubs in topological
+    order, each as (hubs, size, L, table, gathers) for `_sweep_sums`; or
+    None when a component has macro-edges of two lengths inside it, when
+    the graph has more hub pairs than _CELLS_PER_RELAXATION per relaxation
+    (`_pick_step` would never sweep it as arrays: it sweeps at least one
+    cell per hub pair), or when the tables exceed _NORMALIZE_BUDGET cells.
+
+    `hubs` numbers the component's `size` hubs, as a slice when they are
+    consecutive.  L is the length of the macro-edges inside the component
+    (0 if none).  One hub's table is the pair (costs, missing) of `_Hubs`;
+    a table of size > 1 hubs holds at [d, s, code] the cost of the
+    macro-edge from its s-th hub to its d-th hub that spells the word of
+    that code (_CUT if none).  A gather (n, s, table) holds at [d, code]
+    the cost of the macro-edge of length n from hub s of an earlier
+    component to the d-th hub of this one (_CUT if none).
+    """
+    lengths, words, src, dst, paid = full
+    pairs = np.unique(src * k + dst)
+    if pairs.size > _CELLS_PER_RELAXATION * relaxations:
+        return None
+    comp = _components(k, pairs // k, pairs % k)
+    code = np.empty_like(words)
+    for n in np.unique(lengths).tolist():
+        at = lengths == n
+        code[at] = codes[n - 1][words[at]]
+    hubs = np.argsort(comp, kind="stable")
+    size = np.bincount(comp)
+    local = np.empty_like(hubs)
+    local[hubs] = np.arange(k) - np.repeat(np.cumsum(size) - size, size)
+    inner = comp[src] == comp[dst]
+    plan, charged = [], 0
+    for c, members in enumerate(np.split(hubs, np.cumsum(size)[:-1]) if k else ()):
+        kc = members.size
+        mine = np.flatnonzero(inner & (comp[dst] == c))
+        sizes = np.unique(lengths[mine]).tolist()
+        if len(sizes) > 1:
+            return None
+        length = sizes[0] if sizes else 0
+        entering = np.flatnonzero(~inner & (comp[dst] == c))
+        keys = lengths[entering] * k + src[entering]
+        groups = np.unique(keys).tolist()
+        charged += (base ** length * kc * kc if length else 0) + sum(
+            base ** (g // k) * kc for g in groups)
+        if charged > _NORMALIZE_BUDGET:
+            return None
+        table = None
+        if length and kc == 1:
+            costs, missing = np.zeros(base ** length, dtype=np.int64), np.ones(base ** length, dtype=bool)
+            costs[code[mine]], missing[code[mine]] = paid[mine], False
+            table = costs, missing if missing.any() else None
+        elif length:
+            table = np.full((kc, kc, base ** length), _CUT, dtype=np.int64)
+            table[local[dst[mine]], local[src[mine]], code[mine]] = paid[mine]
+        gathers = []
+        for g in groups:
+            rows = entering[keys == g]
+            n = g // k
+            gather = np.full((kc, base ** n), _CUT, dtype=np.int64)
+            gather[local[dst[rows]], code[rows]] = paid[rows]
+            gathers.append((n, g % k, gather))
+        if members[-1] - members[0] < kc:
+            members = slice(int(members[0]), int(members[-1]) + 1)
+        plan.append((members, kc, length, table, gathers))
+    return plan
 
 
 def _cycle_hubs(chain, nxt):
@@ -625,13 +772,13 @@ def _macro_edges(rows, ends, graph, base: int, charged: int, limit):
         ends = [piece for piece in ends if piece[0].size]
         if ends:
             table = _cheapest(*map(np.concatenate, zip(*ends)))
-            relaxations += np.bincount(table[0]).max()
+            relaxations += int(np.bincount(table[0]).max())
             if relaxations > limit:
                 return None
             full.append((np.full(table[0].size, j), *table))
         if not keys.size:
             return (tuple(map(np.concatenate, zip(*full))),
-                    _cheapest(*map(np.concatenate, zip(*part))), prefixes)
+                    _cheapest(*map(np.concatenate, zip(*part))), prefixes, relaxations)
         pairs, numbers = _numbered(keys)
         prefixes.append(pairs)
         words = numbers[:at.size]
@@ -669,18 +816,21 @@ def _free_ends(part, word: str, t: int, best, hub_costs):
     return best
 
 
-def _sweep_hubs(hubs: _Hubs, word: str, positions: List[int], ring) -> list:
+def _sweep_hubs(hubs: _Hubs, word: str, positions: List[int], last) -> list:
     """Values of K at the positions past `lead` by the hub loop (see
     _Hubs), up to the first unreachable one.
 
     Each letter relaxes the macro-edges whose word ends there, per length,
     looked up once per distinct window of the last span letters (at most
     _WINDOW_MEMO windows are kept at a time).  Only the hub costs of the
-    last span letters are kept, in the `ring` indexed by letter that
-    `_sweep` filled up to `lead`: a letter's costs are complete before
-    they take the slot of the letter span back.
+    last span letters are kept, in a ring indexed by letter that starts
+    from the rows `last` that `_sweep` filled up to `lead`: a letter's
+    costs are complete before they take the slot of the letter span back.
     """
     span, lead, full = hubs.span, hubs.lead, hubs.full
+    ring = [None] * span
+    for t, costs in enumerate(last.tolist(), lead + 1 - span):
+        ring[t % span] = costs
     blank = [_INF] * len(hubs.ids)
     out = []
     samples = iter(positions)
@@ -716,42 +866,147 @@ def _sweep_hubs(hubs: _Hubs, word: str, positions: List[int], ring) -> list:
     return out
 
 
-def _sweep_sums(hubs: _Hubs, word: str, positions: List[int], ring) -> list:
-    """Values of K at the positions past `lead` by prefix sums, for one hub
-    with one macro-edge length L, up to the first unreachable one.
+def _sweep_sums(hubs: _Hubs, word: str, positions: List[int], last) -> list:
+    """Values of K at the positions past `lead` by scans over the hub
+    graph's components (`_Hubs.scans`), up to the first unreachable one.
 
-    The hub cost at letter t is its cost at t - L plus the cost of the
-    window word[t - L:t]: one running sum per residue of t mod L, started
-    from the last L hub costs up to `lead` in the `ring` that `_sweep`
-    filled.  A window with no macro-edge cuts its residue from there on: a
-    separate running "or" marks the cut sums, so _INF never enters a sum.
-    K is then read at the positions only.
+    The letters past `lead` are swept hubs.chunk at a time.  Each chunk
+    computes the window code of its letters' last span letters, and then
+    the hub costs of its letters component by component, in topological
+    order, from the hub costs of the span letters before it (at first the
+    rows `last` that `_sweep` filled).  Macro-edges from earlier components
+    are gathers: the cost of hub s at letter t - n plus the window cost
+    table of (n, s) at the code of word[t - n:t], which is the span
+    letters' code mod base**n.  Inside a component of macro-edges of
+    length L the hub costs follow a recurrence on t - L, one per residue
+    of t mod L: running sums for one hub, plus a running minimum of the
+    gathers, and a min-plus scan for more hubs (`_scan_hubs`).  K is then
+    read at the positions of the chunk.
     """
     span, lead, stop = hubs.span, hubs.lead, positions[-1]
-    # Row r, column i: the window that ends at letter lead + 1 + r * span + i.
-    # The last row is padded with copies of the word's first letter.
-    first, rows = lead + 1 - span, -(-(stop - lead) // span)
-    text = word[first:stop] + word[0] * (rows * span - (stop - lead))
-    codes = np.convolve(np.frombuffer(text.translate(hubs.rank).encode(
-        "utf-32-le", "surrogatepass"), dtype=np.uint32), hubs.powers, "valid")
-    sums, cut = hubs.costs[codes].reshape(rows, span), hubs.missing[codes].reshape(rows, span)
-    sums.cumsum(axis=0, out=sums)
-    np.logical_or.accumulate(cut, axis=0, out=cut)   # a window so far had no macro-edge
-    base = [ring[t % span][0] for t in range(first, lead + 1)]
-    sums += [0 if c >= _INF else c for c in base]
-    cut |= [c >= _INF for c in base]
-    sums[cut] = _INF
-    sums = sums.ravel()                      # sums[t - lead - 1]: hub cost at letter t
+    top = len(hubs.rank) ** span
+    past = last.T
+    out, samples = [], iter(positions)
+    want = next(samples)
+    for first in range(lead + 1, stop + 1, hubs.chunk):
+        size = min(hubs.chunk, stop + 1 - first)
+        padded = size + -size % hubs.period
+        # codes[i]: the code of the window that ends at letter first + i.  The
+        # padding repeats the word's first letter.
+        text = word[first - span:first + size - 1] + word[0] * (padded - size)
+        codes = np.frombuffer(text.translate(hubs.rank).encode("utf-32-le", "surrogatepass"),
+                              dtype=np.uint32)
+        # A window of one letter is its rank.
+        codes = np.convolve(codes, hubs.powers, "valid") if span > 1 else codes.astype(np.intp)
+        # cost[h, span + i]: the cost of hub h at letter first + i.
+        cost = np.empty((len(hubs.ids), span + padded), dtype=np.int64)
+        cost[:, :span] = past
+        windows = {top: codes}
 
-    def hub_costs(u):
-        return [int(sums[u - lead - 1])] if u > lead else ring[u % span]
-    out = []
-    for t in positions:
-        best = _free_ends(hubs.part, word, t, hub_costs(t)[0], hub_costs)
-        if best >= _INF:
-            break
-        out.append(best)
+        def window(m):
+            if m not in windows:
+                windows[m] = codes % m
+            return windows[m]
+        for component in hubs.scans:
+            _sweep_component(cost, *component, window, span)
+
+        while want is not None and want < first + size:
+            # recent[j - 1]: the hub costs at letter want - span + j.
+            recent = cost[:, want - first + 1:want - first + span + 1].T.tolist()
+            best = _free_ends(hubs.part, word, want, min(recent[-1], default=_INF),
+                              lambda u: recent[u - want + span - 1])
+            if best >= _CUT:
+                return out
+            out.append(best)
+            want = next(samples, None)
+        past = cost[:, size:size + span]
+        if first + size <= stop and (past >= _CUT).all():
+            break                        # no hub is reachable from here on
     return out
+
+
+def _sweep_component(cost, members, k, length, table, gathers, window, span):
+    """The rows `members` (k hubs) of a chunk's hub costs `cost` (see
+    _sweep_sums) past its first span columns, from the columns before them
+    and the rows of earlier components; window(m) gives the window codes
+    mod m."""
+    width = cost.shape[1] - span
+    entering = None                      # [d, i]: the cheapest gather into hub d at i
+    for n, s, gather in gathers:
+        costs = gather[:, window(gather.shape[1])] + cost[s, span - n:span - n + width]
+        entering = costs if entering is None else np.minimum(entering, costs, out=entering)
+    if not length:
+        cost[members, span:] = _CUT if entering is None else np.minimum(entering, _CUT)
+        return
+    before = cost[members, span - length:span]
+    if k == 1 and (entering is None or table[1] is None):
+        # Running sums per residue of the window costs.
+        costs, missing = table
+        codes = window(len(costs))
+        sums = costs[codes]
+        if length > 1:
+            sums = sums.reshape(-1, length)
+        sums.cumsum(axis=0, out=sums)
+        if entering is not None:
+            # A path from a gather at letter j adds the windows after j, so
+            # the hub cost is the sums plus the running minimum of the
+            # gathers less the sums, or of the costs before the chunk.
+            least = np.minimum(entering, _CUT).reshape(sums.shape) - sums
+            np.minimum.accumulate(least, axis=0, out=least)
+            sums += np.minimum(least, before[0])
+            np.minimum(sums, _CUT, out=sums)
+        else:
+            before = before[0].tolist()
+            dead = [c >= _CUT for c in before]
+            sums += [0 if c >= _CUT else c for c in before]
+            if missing is not None:
+                cut = missing[codes].reshape(sums.shape)
+                np.logical_or.accumulate(cut, axis=0, out=cut)   # a window so far had no macro-edge
+                cut |= dead
+                sums[cut] = _CUT
+            elif True in dead:
+                sums.reshape(-1, length)[:, dead] = _CUT
+        cost[members, span:] = sums.reshape(1, -1)
+        return
+    # A min-plus scan per residue, its maps the window tables.
+    if k == 1:
+        table = np.where(table[1], _CUT, table[0])[None, None]
+    maps = table[:, :, window(table.shape[2])].reshape(k, k, -1, length)
+    costs = np.full((k, width), _CUT) if entering is None else entering
+    costs = costs.reshape(k, 1, -1, length)
+    np.minimum(_min_plus(maps[:, :, 0], before[:, None]), costs[:, :, 0], out=costs[:, :, 0])
+    cost[members, span:] = _scan_hubs(maps, costs).reshape(k, width)
+
+
+def _min_plus(a, b):
+    """The min-plus products a @ b, capped at _CUT, of matrices a and b
+    (or column vectors b) indexed by their first two axes."""
+    out = a[:, 0, None] + b[None, 0]
+    for j in range(1, len(b)):
+        np.minimum(out, a[:, j, None] + b[None, j], out=out)
+    return np.minimum(out, _CUT, out=out)
+
+
+def _scan_hubs(maps, costs):
+    """x[r] = min(maps[r] x[r - 1], costs[r]) in the min-plus algebra, with
+    x[0] = costs[0], for the rows r on the third axis: the rows are
+    letters L apart, counted from the chunk's first letter, and each holds
+    L columns, one per residue.
+
+    Pairs of rows fold into one row of half as many, which the recursion
+    solves; the odd rows then hold their x and each even row takes one
+    more step (Blelloch's scan: O(rows) products in O(log rows) calls).
+    """
+    rows = costs.shape[2]
+    if rows > 1:
+        pairs = 2 * (rows // 2)
+        odd = _scan_hubs(_min_plus(maps[:, :, 1::2], maps[:, :, 0:pairs:2]),
+                         np.minimum(_min_plus(maps[:, :, 1::2], costs[:, :, 0:pairs:2]),
+                                    costs[:, :, 1::2]))
+        costs[:, :, 1::2] = odd
+        even = costs[:, :, 2::2]
+        np.minimum(_min_plus(maps[:, :, 2::2], odd[:, :, :even.shape[2]]), even, out=even)
+    return costs
 
 
 def _relays(outdeg, indeg):

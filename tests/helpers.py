@@ -258,12 +258,14 @@ def transient_accept_rule() -> SelectionRule:
     return SelectionRule(3, 0, frozenset({0, 1}), ((1, 1), (2, 2), (2, 2)))
 
 
-def hub_tables_reference(num_states: int, by_letter, limit, relays, budget: int):
+def hub_tables_reference(num_states: int, by_letter, limit, relays, budget: int,
+                         cells_per_relaxation: int):
     """Reference hub graph of closure edge arrays {letter: (srcs, dsts,
     costs)}, by a walk one state and one chain letter at a time: (ids, lead,
-    full, part, costs, missing) as `hub_tables` reads them off a compiled
-    `_Hubs`, or None once a letter would relax more than `limit`
-    macro-edges or the tables charge more than `budget` letters.
+    full, part, scans) as `hub_tables` reads them off a compiled `_Hubs`,
+    or None once a letter would relax more than `limit`
+    macro-edges or the tables charge more than `budget` letters; `budget`
+    and `cells_per_relaxation` also bound the window tables of `scans`.
 
     Kahn peeling gives `depth` and the live states; a hub is a live state
     whose out-degree is not 1, a relay, or the first state of a cycle of
@@ -349,21 +351,52 @@ def hub_tables_reference(num_states: int, by_letter, limit, relays, budget: int)
                     if relaxations > limit:
                         return None
     span = max(full, default=1)
-    costs = missing = None
-    if len(ids) == 1 and len(full) == 1 and len(alphabet) ** span <= windows:
-        costs, missing = [0] * len(alphabet) ** span, [True] * len(alphabet) ** span
-        for word, pairs in full[span].items():
-            code = 0
-            for a in word:
-                code = code * len(alphabet) + alphabet.index(a)
-            [costs[code]] = pairs.values()
-            missing[code] = False
     return (ids, depth + span - 1,
             sorted((n, {w: sorted((s, d, c) for (s, d), c in pairs.items())
                         for w, pairs in table.items()}) for n, table in full.items()),
             sorted((j, {w: sorted(ends.items()) for w, ends in table.items()})
                    for j, table in part.items()),
-            costs, missing)
+            scans_reference(len(ids), full, len(alphabet), relaxations, windows,
+                            cells_per_relaxation))
+
+
+def scans_reference(k: int, full, base: int, relaxations: int, budget: int,
+                    cells_per_relaxation: int):
+    """The components of a hub graph full = {length: {word: {(src, dst):
+    cost}}} as `hub_tables` reads them off `_Hubs.scans`: sorted (hubs,
+    length inside, [(word, src, dst, cost)] inside, [(length, src, word,
+    dst, cost)] into it from other components), or None where `_scans`
+    gives none.  Components come from reachability sets."""
+    rows = [(n, w, s, d, c) for n, table in full.items()
+            for w, pairs in table.items() for (s, d), c in pairs.items()]
+    pairs = {(s, d) for _, _, s, d, _ in rows}
+    if len(pairs) > cells_per_relaxation * relaxations:
+        return None
+    reach = {}
+    for h in range(k):
+        seen, todo = {h}, [h]
+        while todo:
+            v = todo.pop()
+            for s, d in pairs:
+                if s == v and d not in seen:
+                    seen.add(d)
+                    todo.append(d)
+        reach[h] = seen
+    comp = {h: tuple(sorted(v for v in reach[h] if h in reach[v])) for h in range(k)}
+    out, charged = [], 0
+    for members in sorted(set(comp.values())):
+        inside = sorted((w, s, d, c) for n, w, s, d, c in rows
+                        if comp[s] == comp[d] == members)
+        lengths = {len(w) for w, *_ in inside}
+        if len(lengths) > 1:
+            return None
+        length = lengths.pop() if lengths else 0
+        into = sorted((n, s, w, d, c) for n, w, s, d, c in rows
+                      if comp[d] == members and comp[s] != members)
+        charged += (base ** length * len(members) ** 2 if length else 0) + sum(
+            base ** n * len(members) for n, _ in {(n, s) for n, s, *_ in into})
+        out.append((members, length, inside, into))
+    return out if charged <= budget else None
 
 
 def prune_reference(edges, dominant) -> list:

@@ -62,8 +62,9 @@ def force_step(monkeypatch, name):
     """Compile every automaton to the named (closure step, tail) pair, on a
     fresh cache; returns the pair.
 
-    The prefix sums ("sums") need a window cost table, that is one hub with
-    one macro-edge length; other hub graphs take the hub loop ("hub").
+    The prefix sums ("sums") need window tables (`_Hubs.scans`), that is a
+    hub graph whose components each have one macro-edge length inside
+    them; other hub graphs take the hub loop ("hub").
     """
     step, tail = STEPS[name]
 
@@ -71,7 +72,7 @@ def force_step(monkeypatch, name):
         if step is engine._step_python:
             return step, tail, engine._edge_lists(by_letter), None
         hubs = engine._Hubs.compile(num_states, by_letter, math.inf, relays) if tail else None
-        if tail is engine._sweep_sums and hubs.costs is None:
+        if tail is engine._sweep_sums and hubs.scans is None:
             return step, engine._sweep_hubs, by_letter, hubs
         return step, tail, by_letter, hubs
     monkeypatch.setattr(engine, "_pick_step", pick)
@@ -87,9 +88,9 @@ def swept_by(aut):
 
 def assert_swept_by(aut, path):
     """`aut` compiled to the forced (closure step, tail) pair `path`, or to
-    the hub loop where the prefix sums were forced but have no window cost
-    table."""
-    if path == STEPS["sums"] and engine._compiled(aut).hubs.costs is None:
+    the hub loop where the prefix sums were forced but have no window
+    tables."""
+    if path == STEPS["sums"] and engine._compiled(aut).hubs.scans is None:
         path = STEPS["hub"]
     assert swept_by(aut) == path
 
@@ -494,10 +495,14 @@ def test_trained_coder_compiles_to_one_hub():
     [(length, table)] = hubs.full
     assert length == 8 and len(table) == 256
     assert all(len(edges) == 1 for edges in table.values())
-    # Window codes read the block as a binary number, first letter highest.
-    assert hubs.costs.size == 256
+    # One component of one hub, and a window cost table that every block is
+    # in; window codes read the block as a binary number, first letter
+    # highest.
+    [(_, k, length, (costs, missing), gathers)] = hubs.scans
+    assert (k, length, missing, gathers) == (1, 8, None, [])
+    assert costs.size == 256
     for word, [(_, _, cost)] in table.items():
-        assert hubs.costs[int(word, 2)] == cost
+        assert costs[int(word, 2)] == cost
 
 
 def skewed_coder(k):
@@ -571,8 +576,8 @@ DEFAULT_PATHS = {
     "reverse(coder4)": (lambda: reverse_mode(champ_coder(4)), "hub"),
     "reverse(coder8)": (lambda: reverse_mode(champ_coder(8)), "hub"),
     "compose(coder4, coder4)": (lambda: compose(champ_coder(4), champ_coder(4)), "hub"),
-    "layered(coder4, 2)": (lambda: layered_concat(champ_coder(4), 2), "hub"),
-    "layered(skewed coder4, 2)": (lambda: layered_concat(skewed_coder(4), 2), "hub"),
+    "layered(coder4, 2)": (lambda: layered_concat(champ_coder(4), 2), "sums"),
+    "layered(skewed coder4, 2)": (lambda: layered_concat(skewed_coder(4), 2), "sums"),
 }
 
 
@@ -580,6 +585,16 @@ DEFAULT_PATHS = {
 def test_default_path_of_each_mode(name):
     make, path = DEFAULT_PATHS[name]
     assert swept_by(make().automaton) == STEPS[path]
+
+
+def one_hub_table(hubs):
+    """The window table (costs, missing) as lists of a hub graph of one hub
+    with one macro-edge length, missing all False where the compile keeps
+    None; (None, None) for any other."""
+    if hubs.scans is None or len(hubs.ids) > 1 or not hubs.scans[0][2]:
+        return None, None
+    [(_, _, _, (costs, missing), _)] = hubs.scans
+    return costs.tolist(), [False] * costs.size if missing is None else missing.tolist()
 
 
 def compiled_digest(aut) -> str:
@@ -596,7 +611,7 @@ def compiled_digest(aut) -> str:
     hubs = eng.hubs
     tables = None if hubs is None else (
         hubs.ids.tolist(), table(hubs.full), table(hubs.part), hubs.span, hubs.lead,
-        *(None if col is None else col.tolist() for col in (hubs.costs, hubs.missing)))
+        *one_hub_table(hubs))
     word = champernowne_bits(2_000)[1_234:1_634]
     values = engine._sweep(aut, word, list(range(40, 401, 40)))
     return hashlib.sha256(repr((path, edges, tables, values)).encode()).hexdigest()[:16]
@@ -616,8 +631,8 @@ COMPILED_DIGESTS = {
     'compose(coder4, coder4)': '51bceb2ab22c7fad',
     'identity': '9ba5d183467965a3',
     'joint': '1d52982cc3f3d904',
-    'layered(coder4, 2)': 'c6d184801da4a1f8',
-    'layered(skewed coder4, 2)': '035e489747570f19',
+    'layered(coder4, 2)': 'c46fac940aa032f1',
+    'layered(skewed coder4, 2)': '8a6083909dcf12d0',
     'reverse(coder4)': 'ad021e7d8ed898e4',
     'reverse(coder8)': 'f70f2a2f7d74067d',
     'skewed coder4': '63648daa4fff88b7',
@@ -885,6 +900,93 @@ def test_layered_random_modes_match_oracle(name, data):
     assert values == sweep_pure_curve(aut, word)
 
 
+def block_code(words, states=0):
+    """A mode whose hub, state `states`, spells each of the equally long
+    `words` for one description bit and more at random-looking places, on
+    chains of states numbered from states + 1."""
+    edges, top = [], states
+    for i, word in enumerate(words):
+        chain = [states, *range(top + 1, top + len(word)), states]
+        top += len(word) - 1
+        for j, a in enumerate(word):
+            edges.append((chain[j], chain[j + 1], ("1" if j == 0 or (i + j) % 3 == 0
+                                                   else EPSILON, a)))
+    aut = LabeledAutomaton(2, (BINARY, BINARY), top + 1, tuple(edges))
+    return DescriptionMode(aut, ValuednessCertificate.asserted(1, "test"), name="block code")
+
+
+@st.composite
+def scan_modes(draw):
+    """A mode whose hub graph the prefix sums sweep component by component.
+
+    Either layered_concat(coder, N) of a small coder for N in 1..3, whose
+    copy roots are one component of N hubs that the relay and then the
+    final copy's root follow, or the union of two coders of different
+    block lengths, two one-hub components.  A coder is trained on
+    Bernoulli bits, or is a block code of some of the blocks, whose
+    component becomes unreachable at the first block outside the code.
+    """
+    def coder(k):
+        if draw(st.booleans()):
+            bits = bernoulli_bits(draw(st.floats(0.05, 0.95)), draw(st.integers(0, 99)), 64)
+            return build_block_coder(block_histogram(bits, 64, k, "aligned"))
+        blocks = ["".join(b) for b in itertools.product("01", repeat=k)]
+        return block_code(draw(st.lists(st.sampled_from(blocks), min_size=1, unique=True)))
+    if draw(st.booleans()):
+        return layered_concat(coder(draw(st.integers(1, 3))), draw(st.integers(1, 3)))
+    k, m = draw(st.lists(st.integers(1, 4), min_size=2, max_size=2, unique=True))
+    return union(coder(k), coder(m))
+
+
+def scan_positions(hubs, n):
+    """lead - 1, lead and lead + 1, each chunk boundary of the prefix sums
+    less one, itself and plus one, and n: those in 1..n."""
+    boundaries = range(hubs.lead + 1, n + 2, hubs.chunk)
+    return sorted({t + d for t in (hubs.lead, *boundaries) for d in (-1, 0, 1)} & set(
+        range(1, n)) | {n})
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(data=st.data())
+def test_scans_match_the_oracle_and_the_hub_loop(data):
+    mode = data.draw(scan_modes())
+    aut = mode.automaton
+    word = bernoulli_bits(data.draw(st.floats(0.05, 0.95)), data.draw(st.integers(0, 999)),
+                          data.draw(st.integers(1, 160)))
+    expected = sweep_pure_curve(aut, word)
+    cells, values = data.draw(st.integers(1, 48)), {}
+    for name in ("sums", "hub"):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(engine, "_CHUNK_CELLS", cells)         # chunks of a few letters
+            path = force_step(mp, name)
+            if name == "sums":
+                # A block code of one-letter blocks may make a component of
+                # macro-edges of two lengths, which the hub loop sweeps.
+                hubs = engine._compiled(aut).hubs
+                assume(hubs.scans is not None)
+                positions = scan_positions(hubs, len(word))
+            assert swept_by(aut) == path
+            values[name] = engine._sweep(aut, word, positions)
+    assert values["sums"] == values["hub"] == [expected[t] for t in positions]
+
+
+def test_a_component_dies_while_another_lives(monkeypatch):
+    # Blocks 00 and 01 spell the first union operand, and 11 ends it: from
+    # there on only the k=3 coder's component is reachable.
+    mode = union(block_code(["00", "01"]), champ_coder(3))
+    aut = mode.automaton
+    word = "0001" * 6 + "11" + "011" * 12
+    force_step(monkeypatch, "sums")
+    monkeypatch.setattr(engine, "_CHUNK_CELLS", 5)
+    hubs = engine._compiled(aut).hubs
+    assert [k for _, k, _, _, _ in hubs.scans] == [1, 1] and hubs.chunk == 5
+    curve = engine._sweep(aut, word, list(range(1, len(word) + 1)))
+    assert curve == sweep_pure_curve(aut, word)[1:]
+    assert complexity(block_code(["00", "01"]), word) == UNREACHABLE
+    assert complexity(block_code(["00", "01"]), word[:24]) < complexity(champ_coder(3), word[:24])
+    assert curve[-1] == complexity(champ_coder(3), word) < UNREACHABLE
+
+
 def test_layered_relays_match_the_relay_free_closure(monkeypatch):
     mode = layered_concat(champ_coder(6), 2)
     source = champernowne_bits(4_000)[1_000:3_000]
@@ -979,13 +1081,22 @@ def test_layered_coder_compiles_to_three_chain_hubs_and_the_relay(train):
     coder = train(4)
     aut = layered_concat(coder, 2).automaton
     eng = engine._compiled(aut)
-    assert (eng.step, eng.tail) == STEPS["hub"]
+    assert (eng.step, eng.tail) == STEPS["sums"]
     hubs = eng.hubs
     n = coder.automaton.num_states
     # The roots of copies 1 and 2 and of the final copy, and the relay.
     assert hubs.ids.tolist() == [n, 2 * n, 3 * n, 4 * n]
     assert hubs.span == 4
     assert [length for length, _ in hubs.full] == [1, 2, 3, 4]
+    # Components in topological order: the two copy roots, then the relay,
+    # which their relay exits of 1 to 4 letters enter, then the final copy's
+    # root, which the relay enters over 1 to 4 letters.
+    assert [(hubs.ids[members].tolist(), k, length, [(m, s) for m, s, _ in gathers])
+            for members, k, length, _, gathers in hubs.scans] == [
+        ([n, 2 * n], 2, 4, []),
+        ([4 * n], 1, 0, [(m, s) for m in range(1, 5) for s in (0, 1)]),
+        ([3 * n], 1, 4, [(m, 3) for m in range(1, 5)])]
+    assert engine._scan_cells(hubs.scans) == 8 + 8 + 1 + 4
 
 
 def test_compose_of_coders_closure_is_pruned():
@@ -1083,15 +1194,47 @@ def hub_graphs(draw):
 
 
 def hub_tables(hubs):
-    """A compiled `_Hubs` as `hub_tables_reference` gives it."""
+    """A compiled `_Hubs` as `hub_tables_reference` gives it, after checking
+    that its components come in a topological order."""
     if hubs is None:
         return None
 
     def rows(levels):
         return [(n, {w: sorted(entries) for w, entries in table.items()})
                 for n, table in levels]
-    return (hubs.ids.tolist(), hubs.lead, rows(hubs.full), rows(hubs.part),
-            *(None if col is None else col.tolist() for col in (hubs.costs, hubs.missing)))
+    return (hubs.ids.tolist(), hubs.lead, rows(hubs.full), rows(hubs.part), scans(hubs))
+
+
+def scans(hubs):
+    """`_Hubs.scans` as `scans_reference` gives it: the window tables read
+    back as macro-edges, with hubs numbered as in `hubs.ids`."""
+    if hubs.scans is None:
+        return None
+    letters = [chr(a) for a in hubs.rank]        # in rank order
+    order = {}
+
+    def spelled(code, n):
+        return "".join(letters[code // len(letters) ** i % len(letters)]
+                       for i in reversed(range(n)))
+    out = []
+    for c, (members, k, length, table, gathers) in enumerate(hubs.scans):
+        members = np.arange(len(hubs.ids))[members].tolist()
+        assert len(members) == k
+        order.update(dict.fromkeys(members, c))
+        inside = []
+        if length and k == 1:
+            costs, missing = table
+            inside = [(spelled(code, length), members[0], members[0], cost)
+                      for code, cost in enumerate(costs.tolist())
+                      if missing is None or not missing[code]]
+        elif length:
+            inside = [(spelled(code, length), members[s], members[d], int(table[d, s, code]))
+                      for d, s, code in zip(*np.nonzero(table < engine._CUT))]
+        into = [(n, s, spelled(code, n), members[d], int(gather[d, code]))
+                for n, s, gather in gathers for d, code in zip(*np.nonzero(gather < engine._CUT))]
+        assert all(order[s] < c for _, s, _, _, _ in into)
+        out.append((tuple(members), length, sorted(inside), sorted(into)))
+    return sorted(out)
 
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
@@ -1104,4 +1247,4 @@ def test_hub_compile_matches_the_reference_walk(data):
         mp.setattr(engine, "_NORMALIZE_BUDGET", budget)
         hubs = engine._Hubs.compile(num_states, by_letter, limit, relays)
     assert hub_tables(hubs) == hub_tables_reference(num_states, by_letter, limit, relays,
-                                                    budget)
+                                                    budget, engine._CELLS_PER_RELAXATION)
