@@ -91,10 +91,11 @@ _CUT = 1 << 61
 #     1.07 us; reverse(coder4), k 16, C 4,096, R 16: 17.6 against 2.2 us;
 #     compose(coder4, coder4), k 31, C 30,015, R 45: 79 against 4.7 us.
 _CELLS_PER_RELAXATION = 16
-# The prefix sums tail sweeps _CHUNK_CELLS // k**2 letters at a time, k the
-# hub count of the largest component: the widest arrays of a min-plus scan
-# hold k**2 cells per letter.  So its memory does not grow with the word,
-# and a one-hub graph sweeps a word of up to 65,536 letters in one chunk.
+# The prefix sums tail sweeps _CHUNK_CELLS // h**2 letters at a time, h the
+# hub count: its arrays hold about h**2 cells per letter at most (a row per
+# hub, k**2 per letter for a scan of k <= h hubs).  So its memory does not
+# grow with the word, and a one-hub graph sweeps a word of up to 65,536
+# letters in one chunk, as one pass over the word did before chunks.
 _CHUNK_CELLS = 1 << 16
 # Closure edges over all letters.  The closure is charged from its entry
 # counts (each entry into t makes one edge per letter-reading edge out of
@@ -527,8 +528,7 @@ class _Hubs:
             self.rank = {ord(a): i for i, a in enumerate(alphabet)}
             self.powers = len(alphabet) ** np.arange(self.span, dtype=np.intp)
             self.period = math.lcm(*(length for _, _, length, _, _ in scans if length))
-            widest = max((k for _, k, _, _, _ in scans), default=1)
-            self.chunk = max(_CHUNK_CELLS // widest ** 2, 1)
+            self.chunk = max(_CHUNK_CELLS // max(len(ids), 1) ** 2, 1)
 
     @classmethod
     def compile(cls, num_states: int, by_letter, limit, relays):
@@ -657,12 +657,12 @@ def _scans(k: int, full, codes, base: int, relaxations: int):
     component to the d-th hub of this one (_CUT if none).
     """
     lengths, words, src, dst, paid = full
-    pairs = np.unique(src * k + dst)
+    pairs = _numbered(src * k + dst)[0]
     if pairs.size > _CELLS_PER_RELAXATION * relaxations:
         return None
     comp = _components(k, pairs // k, pairs % k)
     code = np.empty_like(words)
-    for n in np.unique(lengths).tolist():
+    for n in lengths[_runs(lengths)].tolist():        # sorted, as `full` is
         at = lengths == n
         code[at] = codes[n - 1][words[at]]
     hubs = np.argsort(comp, kind="stable")
@@ -674,13 +674,13 @@ def _scans(k: int, full, codes, base: int, relaxations: int):
     for c, members in enumerate(np.split(hubs, np.cumsum(size)[:-1]) if k else ()):
         kc = members.size
         mine = np.flatnonzero(inner & (comp[dst] == c))
-        sizes = np.unique(lengths[mine]).tolist()
+        sizes = _numbered(lengths[mine])[0].tolist()
         if len(sizes) > 1:
             return None
         length = sizes[0] if sizes else 0
         entering = np.flatnonzero(~inner & (comp[dst] == c))
         keys = lengths[entering] * k + src[entering]
-        groups = np.unique(keys).tolist()
+        groups = _numbered(keys)[0].tolist()
         charged += (base ** length * kc * kc if length else 0) + sum(
             base ** (g // k) * kc for g in groups)
         if charged > _NORMALIZE_BUDGET:
@@ -940,10 +940,10 @@ def _sweep_component(cost, members, k, length, table, gathers, window, span):
         return
     before = cost[members, span - length:span]
     if k == 1 and (entering is None or table[1] is None):
-        # Running sums per residue of the window costs.
+        # Running sums per residue of the window costs, in the hub's row.
         costs, missing = table
         codes = window(len(costs))
-        sums = costs[codes]
+        sums = costs.take(codes, out=cost[members, span:][0], mode="clip")
         if length > 1:
             sums = sums.reshape(-1, length)
         sums.cumsum(axis=0, out=sums)
@@ -966,7 +966,6 @@ def _sweep_component(cost, members, k, length, table, gathers, window, span):
                 sums[cut] = _CUT
             elif True in dead:
                 sums.reshape(-1, length)[:, dead] = _CUT
-        cost[members, span:] = sums.reshape(1, -1)
         return
     # A min-plus scan per residue, its maps the window tables.
     if k == 1:

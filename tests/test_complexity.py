@@ -954,7 +954,7 @@ def test_scans_match_the_oracle_and_the_hub_loop(data):
     word = bernoulli_bits(data.draw(st.floats(0.05, 0.95)), data.draw(st.integers(0, 999)),
                           data.draw(st.integers(1, 160)))
     expected = sweep_pure_curve(aut, word)
-    cells, values = data.draw(st.integers(1, 48)), {}
+    cells, values = data.draw(st.integers(1, 400)), {}
     for name in ("sums", "hub"):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(engine, "_CHUNK_CELLS", cells)         # chunks of a few letters
@@ -977,9 +977,9 @@ def test_a_component_dies_while_another_lives(monkeypatch):
     aut = mode.automaton
     word = "0001" * 6 + "11" + "011" * 12
     force_step(monkeypatch, "sums")
-    monkeypatch.setattr(engine, "_CHUNK_CELLS", 5)
+    monkeypatch.setattr(engine, "_CHUNK_CELLS", 20)
     hubs = engine._compiled(aut).hubs
-    assert [k for _, k, _, _, _ in hubs.scans] == [1, 1] and hubs.chunk == 5
+    assert [k for _, k, _, _, _ in hubs.scans] == [1, 1] and hubs.chunk == 5    # 20 // 2**2
     curve = engine._sweep(aut, word, list(range(1, len(word) + 1)))
     assert curve == sweep_pure_curve(aut, word)[1:]
     assert complexity(block_code(["00", "01"]), word) == UNREACHABLE
