@@ -657,34 +657,41 @@ def _scans(k: int, full, codes, base: int, relaxations: int):
     component to the d-th hub of this one (_CUT if none).
     """
     lengths, words, src, dst, paid = full
-    pairs = _numbered(src * k + dst)[0]
+    span = int(lengths[-1]) if lengths.size else 1
+    pairs = np.sort(src * k + dst)
+    pairs = pairs[_runs(pairs)]
     if pairs.size > _CELLS_PER_RELAXATION * relaxations:
         return None
     comp = _components(k, pairs // k, pairs % k)
-    code = np.empty_like(words)
-    for n in lengths[_runs(lengths)].tolist():        # sorted, as `full` is
-        at = lengths == n
-        code[at] = codes[n - 1][words[at]]
+    # The macro-edges by (component of dst, from an earlier component,
+    # length, src): each component's inside rows, then its gathers' rows.
+    target = comp[dst]
+    key = ((target * 2 + (comp[src] != target)) * (span + 1) + lengths) * k + src
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    first = np.cumsum([0] + [col.size for col in codes[:-1]])
+    code = np.concatenate(codes)[first[lengths - 1] + words][order]
+    lengths, src, dst, paid = lengths[order], src[order], dst[order], paid[order]
+    count = int(comp.max(initial=-1)) + 1
+    blocks = np.searchsorted(key, np.arange(2 * count + 1) * ((span + 1) * k)).tolist()
+    groups = [*np.flatnonzero(_runs(key)).tolist(), key.size]
     hubs = np.argsort(comp, kind="stable")
-    size = np.bincount(comp)
+    size = np.bincount(comp, minlength=count)
     local = np.empty_like(hubs)
     local[hubs] = np.arange(k) - np.repeat(np.cumsum(size) - size, size)
-    inner = comp[src] == comp[dst]
-    plan, charged = [], 0
-    for c, members in enumerate(np.split(hubs, np.cumsum(size)[:-1]) if k else ()):
-        kc = members.size
-        mine = np.flatnonzero(inner & (comp[dst] == c))
-        sizes = _numbered(lengths[mine])[0].tolist()
-        if len(sizes) > 1:
-            return None
-        length = sizes[0] if sizes else 0
-        entering = np.flatnonzero(~inner & (comp[dst] == c))
-        keys = lengths[entering] * k + src[entering]
-        groups = _numbered(keys)[0].tolist()
+    plan, charged, at = [], 0, 0
+    for c, kc in enumerate(size.tolist()):
+        members, at = hubs[at:at + kc], at + kc
+        inside, entering, end = blocks[2 * c:2 * c + 3]
+        if inside < entering and lengths[inside] != lengths[entering - 1]:
+            return None                          # two lengths inside
+        length = int(lengths[inside]) if inside < entering else 0
+        cut = groups[bisect_left(groups, entering):bisect_left(groups, end) + 1]
         charged += (base ** length * kc * kc if length else 0) + sum(
-            base ** (g // k) * kc for g in groups)
+            base ** int(lengths[i]) * kc for i in cut[:-1])
         if charged > _NORMALIZE_BUDGET:
             return None
+        mine = slice(inside, entering)
         table = None
         if length and kc == 1:
             costs, missing = np.zeros(base ** length, dtype=np.int64), np.ones(base ** length, dtype=bool)
@@ -694,12 +701,10 @@ def _scans(k: int, full, codes, base: int, relaxations: int):
             table = np.full((kc, kc, base ** length), _CUT, dtype=np.int64)
             table[local[dst[mine]], local[src[mine]], code[mine]] = paid[mine]
         gathers = []
-        for g in groups:
-            rows = entering[keys == g]
-            n = g // k
-            gather = np.full((kc, base ** n), _CUT, dtype=np.int64)
-            gather[local[dst[rows]], code[rows]] = paid[rows]
-            gathers.append((n, g % k, gather))
+        for i, j in zip(cut, cut[1:]):
+            gather = np.full((kc, base ** int(lengths[i])), _CUT, dtype=np.int64)
+            gather[local[dst[i:j]], code[i:j]] = paid[i:j]
+            gathers.append((int(lengths[i]), int(src[i]), gather))
         if members[-1] - members[0] < kc:
             members = slice(int(members[0]), int(members[-1]) + 1)
         plan.append((members, kc, length, table, gathers))

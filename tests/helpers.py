@@ -263,9 +263,9 @@ def hub_tables_reference(num_states: int, by_letter, limit, relays, budget: int,
     """Reference hub graph of closure edge arrays {letter: (srcs, dsts,
     costs)}, by a walk one state and one chain letter at a time: (ids, lead,
     full, part, scans) as `hub_tables` reads them off a compiled `_Hubs`,
-    or None once a letter would relax more than `limit`
-    macro-edges or the tables charge more than `budget` letters; `budget`
-    and `cells_per_relaxation` also bound the window tables of `scans`.
+    or None once a letter would relax more than `limit` macro-edges or the
+    tables charge more than `budget` letters; `budget` and
+    `cells_per_relaxation` also bound the window tables of `scans`.
 
     Kahn peeling gives `depth` and the live states; a hub is a live state
     whose out-degree is not 1, a relay, or the first state of a cycle of

@@ -1099,6 +1099,12 @@ def test_layered_coder_compiles_to_three_chain_hubs_and_the_relay(train):
     assert engine._scan_cells(hubs.scans) == 8 + 8 + 1 + 4
 
 
+def test_layered_k8_coder_and_a_union_of_coders_take_the_prefix_sums():
+    # Components of 2 hubs and of 1 (span 8), and two one-hub components.
+    for mode in (layered_concat(champ_coder(8), 2), union(champ_coder(4), champ_coder(8))):
+        assert swept_by(mode.automaton) == STEPS["sums"]
+
+
 def test_compose_of_coders_closure_is_pruned():
     eng = engine._compiled(compose(champ_coder(4), champ_coder(4)).automaton)
     assert max(len(srcs) for srcs, _, _ in eng.by_letter.values()) <= 4_000
