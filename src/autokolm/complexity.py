@@ -463,14 +463,16 @@ def _step_numpy(by_letter, dist, letters):
     """Scatter-min over a cost per state (_INF if unreachable); returns (dist, min)."""
     dist = dist.copy()
     buf = np.empty_like(dist)
+    best = None
     for a in letters:
         srcs, dsts, ws = by_letter[a]
         buf.fill(_INF)
         np.minimum.at(buf, dsts, dist[srcs] + ws)
         dist, buf = buf, dist
-        if dist.min() >= _INF:
+        best = dist.min()
+        if best >= _INF:
             return dist, UNREACHABLE
-    return dist, int(dist.min())
+    return dist, int(dist.min() if best is None else best)
 
 
 class _Hubs:
@@ -517,7 +519,9 @@ class _Hubs:
     and `missing`, which marks the others (None when every word is one).
     The tables exist only while their cells stay within
     _NORMALIZE_BUDGET; otherwise, and for a component with macro-edges of
-    two lengths inside it, `scans` is None.
+    two lengths inside it, `scans` is None.  The prefix sums tail sweeps
+    `chunk` letters at a time (_CHUNK_CELLS), each chunk padded to a
+    multiple of `period`, the least common multiple of the lengths L.
     """
 
     def __init__(self, ids, lead, full, part, alphabet, relaxations, scans):
