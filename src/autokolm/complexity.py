@@ -80,17 +80,18 @@ _CUT = 1 << 61
 # relaxed by the hub loop's worst letter.  Warm in-process sweeps, min of 5,
 # per letter (C cells, R relaxations, k hubs in the largest component):
 #   layered(coder4, N), 48k Bernoulli(0.9) bits, sums against hub loop:
-#     N 1, k 1, C 10, R 10: 0.12 against 2.14 us;
-#     N 2, k 2, C 21, R 15: 0.35 against 2.51 us;
-#     N 4, k 4, C 85, R 21: 0.62 against 1.82 us;
-#     N 6, k 6, C 239, R 26: 1.79 against 2.55 us;
-#     N 8, k 8, C 543, R 32: 3.41 against 3.16 us (2.69 against 2.94 in
-#       another run): the crossover, at about 17 cells per relaxation;
-#   20k Champernowne bits: layered(k=8 coder, 2), k 2, C 33, R 27: 0.43
-#     against 3.14 us; union(coder4, coder8), k 1, C 2, R 2: 0.02 against
-#     1.07 us; reverse(coder4), k 16, C 4,096, R 16: 17.6 against 2.2 us;
-#     compose(coder4, coder4), k 31, C 30,015, R 45: 79 against 4.7 us.
-_CELLS_PER_RELAXATION = 16
+#     N 1, k 1, C 10, R 10: 0.08 against 1.92 us;
+#     N 2, k 2, C 21, R 15: 0.41 against 2.19 us;
+#     N 4, k 4, C 85, R 21: 0.68 against 1.76 us;
+#     N 5, k 5, C 150, R 26: 1.13 against 1.85 us;
+#     N 6, k 6, C 239, R 26: 1.70 against 1.83 us, the crossover, at about 9
+#       cells per relaxation;
+#     N 8, k 8, C 543, R 32: 4.14 against 3.08 us;
+#   20k Champernowne bits: layered(k=8 coder, 2), k 2, C 33, R 27: 0.51
+#     against 3.40 us; union(coder4, coder8), k 1, C 2, R 2: 0.04 against
+#     0.88 us; reverse(coder4), k 16, C 4,096, R 16: 16.7 against 2.2 us;
+#     compose(coder4, coder4), k 31, C 30,015, R 45: 172 against 4.4 us.
+_CELLS_PER_RELAXATION = 8
 # The prefix sums tail sweeps _CHUNK_CELLS // h**2 letters at a time, h the
 # hub count: its arrays hold about h**2 cells per letter at most (a row per
 # hub, k**2 per letter for a scan of k <= h hubs).  So its memory does not
