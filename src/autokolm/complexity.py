@@ -96,7 +96,7 @@ _CELLS_PER_RELAXATION = 8
 # hub count: its arrays hold about h**2 cells per letter at most (a row per
 # hub, k**2 per letter for a scan of k <= h hubs).  So its memory does not
 # grow with the word, and a one-hub graph sweeps a word of up to 65,536
-# letters in one chunk, as one pass over the word did before chunks.
+# letters in one pass.
 _CHUNK_CELLS = 1 << 16
 # Closure edges over all letters.  The closure is charged from its entry
 # counts (each entry into t makes one edge per letter-reading edge out of
