@@ -71,8 +71,9 @@ _WINDOW_MEMO = 1 << 16
 _INF = 1 << 62
 _NORMALIZE_BUDGET = 5_000_000
 # In the prefix sums tail a cost of _CUT or more is unreachable: hub costs
-# stay at most _INF and window costs at most _CUT, so a sum of two fits in
-# int64, and results are capped at _CUT.
+# stay at most _INF and window costs at most _CUT, and every sum of a hub
+# cost and window costs is capped at _CUT before more is added to it, so no
+# sum exceeds _INF + _CUT and int64 never wraps.
 _CUT = 1 << 61
 # The prefix sums tail takes a hub graph whose components each have one
 # macro-edge length inside them while it sweeps at most
@@ -437,9 +438,10 @@ def _pick_step(num_states: int, by_letter, relays):
 
 
 def _scan_cells(scans) -> int:
-    """Cells per letter of the prefix sums tail: k**3 per scan of k > 1 hubs,
-    1 per running sum and k per gather into k hubs."""
-    return sum((k ** 3 if k > 1 else 1 if length else 0) + k * len(gathers)
+    """Cells per letter of the prefix sums tail: k**3 per component of k
+    hubs with macro-edges inside (1 for one hub) and k per gather into k
+    hubs."""
+    return sum((k ** 3 if length else 0) + k * len(gathers)
                for _, k, length, _, gathers in scans)
 
 
@@ -889,9 +891,9 @@ def _sweep_sums(hubs: _Hubs, word: str, positions: List[int], last) -> list:
     table of (n, s) at the code of word[t - n:t], which is the span
     letters' code mod base**n.  Inside a component of macro-edges of
     length L the hub costs follow a recurrence on t - L, one per residue
-    of t mod L: running sums for one hub, plus a running minimum of the
-    gathers, and a min-plus scan for more hubs (`_scan_hubs`).  K is then
-    read at the positions of the chunk.
+    of t mod L: running sums for one hub that no gather enters, and
+    otherwise a min-plus scan (`_scan_hubs`).  K is then read at the
+    positions of the chunk.
     """
     span, lead, stop = hubs.span, hubs.lead, positions[-1]
     top = len(hubs.rank) ** span
@@ -945,11 +947,13 @@ def _sweep_component(cost, members, k, length, table, gathers, window, span):
     for n, s, gather in gathers:
         costs = gather[:, window(gather.shape[1])] + cost[s, span - n:span - n + width]
         entering = costs if entering is None else np.minimum(entering, costs, out=entering)
+    if entering is not None:
+        np.minimum(entering, _CUT, out=entering)
     if not length:
-        cost[members, span:] = _CUT if entering is None else np.minimum(entering, _CUT)
+        cost[members, span:] = _CUT if entering is None else entering
         return
     before = cost[members, span - length:span]
-    if k == 1 and (entering is None or table[1] is None):
+    if k == 1 and entering is None:
         # Running sums per residue of the window costs, in the hub's row.
         costs, missing = table
         codes = window(len(costs))
@@ -957,29 +961,21 @@ def _sweep_component(cost, members, k, length, table, gathers, window, span):
         if length > 1:
             sums = sums.reshape(-1, length)
         sums.cumsum(axis=0, out=sums)
-        if entering is not None:
-            # A path from a gather at letter j adds the windows after j, so
-            # the hub cost is the sums plus the running minimum of the
-            # gathers less the sums, or of the costs before the chunk.
-            least = np.minimum(entering, _CUT).reshape(sums.shape) - sums
-            np.minimum.accumulate(least, axis=0, out=least)
-            sums += np.minimum(least, before[0])
-            np.minimum(sums, _CUT, out=sums)
-        else:
-            before = before[0].tolist()
-            dead = [c >= _CUT for c in before]
-            sums += [0 if c >= _CUT else c for c in before]
-            if missing is not None:
-                cut = missing[codes].reshape(sums.shape)
-                np.logical_or.accumulate(cut, axis=0, out=cut)   # a window so far had no macro-edge
-                cut |= dead
-                sums[cut] = _CUT
-            elif True in dead:
-                sums.reshape(-1, length)[:, dead] = _CUT
+        before = before[0].tolist()
+        dead = [c >= _CUT for c in before]
+        sums += [0 if c >= _CUT else c for c in before]
+        if missing is not None:
+            cut = missing[codes].reshape(sums.shape)
+            np.logical_or.accumulate(cut, axis=0, out=cut)   # a window so far had no macro-edge
+            cut |= dead
+            sums[cut] = _CUT
+        elif True in dead:
+            sums.reshape(-1, length)[:, dead] = _CUT
         return
     # A min-plus scan per residue, its maps the window tables.
     if k == 1:
-        table = np.where(table[1], _CUT, table[0])[None, None]
+        costs, missing = table
+        table = (costs if missing is None else np.where(missing, _CUT, costs))[None, None]
     maps = table[:, :, window(table.shape[2])].reshape(k, k, -1, length)
     costs = np.full((k, width), _CUT) if entering is None else entering
     costs = costs.reshape(k, 1, -1, length)

@@ -915,25 +915,49 @@ def block_code(words, states=0):
     return DescriptionMode(aut, ValuednessCertificate.asserted(1, "test"), name="block code")
 
 
+def header_mode(first, chain, second):
+    """Hub 0 spells the `first` words as block_code does, and a chain
+    spelling `chain` for one description bit leads from it to a second
+    hub, which spells the `second` words."""
+    head = block_code(first).automaton
+    hub = head.num_states + len(chain) - 1
+    tail = block_code(second, hub).automaton
+    states = [0, *range(head.num_states, hub), hub]
+    edges = [(states[j], states[j + 1], ("1" if j == 0 else EPSILON, a))
+             for j, a in enumerate(chain)]
+    aut = LabeledAutomaton(2, (BINARY, BINARY), tail.num_states,
+                           head.edges + tuple(edges) + tail.edges)
+    return DescriptionMode(aut, ValuednessCertificate.asserted(1, "test"), name="header")
+
+
 @st.composite
 def scan_modes(draw):
     """A mode whose hub graph the prefix sums sweep component by component.
 
     Either layered_concat(coder, N) of a small coder for N in 1..3, whose
     copy roots are one component of N hubs that the relay and then the
-    final copy's root follow, or the union of two coders of different
-    block lengths, two one-hub components.  A coder is trained on
-    Bernoulli bits, or is a block code of some of the blocks, whose
-    component becomes unreachable at the first block outside the code.
+    final copy's root follow; or the union of two coders of different
+    block lengths, two one-hub components; or a header mode whose chain
+    into the second hub may be longer than twice its blocks.  A coder is
+    trained on Bernoulli bits, or is a block code of some of the blocks,
+    whose component becomes unreachable at the first block outside the
+    code.
     """
+    def blocks(k):
+        return draw(st.lists(st.sampled_from(["".join(b) for b in itertools.product("01", repeat=k)]),
+                             min_size=1, unique=True))
+
     def coder(k):
         if draw(st.booleans()):
             bits = bernoulli_bits(draw(st.floats(0.05, 0.95)), draw(st.integers(0, 99)), 64)
             return build_block_coder(block_histogram(bits, 64, k, "aligned"))
-        blocks = ["".join(b) for b in itertools.product("01", repeat=k)]
-        return block_code(draw(st.lists(st.sampled_from(blocks), min_size=1, unique=True)))
-    if draw(st.booleans()):
+        return block_code(blocks(k))
+    family = draw(st.sampled_from(["layered", "union", "header"]))
+    if family == "layered":
         return layered_concat(coder(draw(st.integers(1, 3))), draw(st.integers(1, 3)))
+    if family == "header":
+        chain = draw(st.text("01", min_size=1, max_size=7))
+        return header_mode(blocks(draw(st.integers(1, 3))), chain, blocks(draw(st.integers(1, 2))))
     k, m = draw(st.lists(st.integers(1, 4), min_size=2, max_size=2, unique=True))
     return union(coder(k), coder(m))
 
@@ -985,6 +1009,23 @@ def test_a_component_dies_while_another_lives(monkeypatch):
     assert complexity(block_code(["00", "01"]), word) == UNREACHABLE
     assert complexity(block_code(["00", "01"]), word[:24]) < complexity(champ_coder(3), word[:24])
     assert curve[-1] == complexity(champ_coder(3), word) < UNREACHABLE
+
+
+def test_a_long_gather_into_a_short_loop_with_a_missing_letter(monkeypatch):
+    # Hub 0 loops on 0; the chain 111 into hub 4, which loops on 0 only, is
+    # three times as long as the loop.  Hub 0's dead cost before the first
+    # chunk and the missing window of hub 4 stay unreachable in the scan.
+    mode = header_mode(["0"], "111", ["0"])
+    aut = mode.automaton
+    force_step(monkeypatch, "sums")
+    hubs = engine._compiled(aut).hubs
+    assert [(k, length, [(n, s) for n, s, _ in gathers])
+            for _, k, length, _, gathers in hubs.scans] == [(1, 1, []), (1, 1, [(3, 0)])]
+    for cells in (1, 4, 1 << 16):
+        monkeypatch.setattr(engine, "_CHUNK_CELLS", cells)
+        monkeypatch.setattr(engine, "_sweep_cache", {})
+        for word in map("".join, itertools.product("01", repeat=8)):
+            assert engine._sweep(aut, word, list(range(1, 9))) == sweep_pure_curve(aut, word)[1:]
 
 
 def test_layered_relays_match_the_relay_free_closure(monkeypatch):
