@@ -13,6 +13,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .errors import BudgetExceeded, ContractError, FormatError, InputRejected
 
 # Epsilon label component: contributes no letter on its tape.
@@ -257,6 +259,61 @@ def chain(a1: LabeledAutomaton, a2: LabeledAutomaton) -> LabeledAutomaton:
     return LabeledAutomaton(arity=a1.arity + a2.arity - 2, num_states=n1 * n2,
                             alphabets=a1.alphabets[:-1] + a2.alphabets[1:],
                             edges=tuple(edges))
+
+
+def components(num_nodes: int, src, dst):
+    """The strongly connected components of the graph on nodes
+    0..num_nodes-1 with arcs src[i] -> dst[i]: an int64 array of each
+    node's component number, the components numbered in a topological
+    order (comp[s] <= comp[d] for every arc s -> d).
+
+    Tarjan's depth-first search in Pearce's form, with one number per
+    node: 0 before its visit, then its visit number, lowered to its lowlink
+    (1..num_nodes), and once its component is found, num_nodes + 1 plus the
+    number of components found before it.  So no open node's number
+    reaches a done one's, and the components come out sinks first.
+    """
+    src, dst = np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64)
+    order = np.argsort(src, kind="stable")
+    targets = dst[order].tolist()
+    first = np.searchsorted(src[order], np.arange(num_nodes + 1)).tolist()
+    number, ahead = [0] * num_nodes, first[:-1]     # ahead[v]: v's next arc to search
+    waiting = []             # searched nodes whose component is not found yet
+    visits, done = 1, num_nodes + 1
+    for root in range(num_nodes):
+        if number[root]:
+            continue
+        number[root] = visits
+        path, own = [root], [visits]             # the search path, its visit numbers
+        visits += 1
+        while path:
+            v = path[-1]
+            low, i, end = number[v], ahead[v], first[v + 1]
+            while i < end:
+                w = targets[i]
+                i += 1
+                seen = number[w]
+                if not seen:
+                    break
+                if seen < low:
+                    low = seen
+            else:
+                path.pop()
+                if low == own.pop():             # v is the first node of its component
+                    while waiting and number[waiting[-1]] >= low:
+                        number[waiting.pop()] = done
+                    number[v] = done
+                    done += 1
+                else:
+                    number[v] = low
+                    waiting.append(v)
+                    number[path[-1]] = min(number[path[-1]], low)
+                continue
+            ahead[v], number[v], number[w] = i, low, visits
+            path.append(w)
+            own.append(visits)
+            visits += 1
+    return done - 1 - np.array(number, dtype=np.int64)
 
 
 # --- text format ------------------------------------------------------------

@@ -20,7 +20,7 @@ from typing import List
 
 import numpy as np
 
-from .automaton import EPSILON, LabeledAutomaton, check_word
+from .automaton import EPSILON, LabeledAutomaton, check_word, components
 from .errors import BudgetExceeded, ContractError
 from .modes import UNBOUNDED, DescriptionMode, PairDescriptionMode
 
@@ -68,13 +68,11 @@ _NUMPY_LETTER_EDGES = 500
 # Windows of the last span letters whose macro-edges a hub loop remembers;
 # a binary object alphabet never fills it below span 17.
 _WINDOW_MEMO = 1 << 16
-_INF = 1 << 62
 _NORMALIZE_BUDGET = 5_000_000
-# In the prefix sums tail a cost of _CUT or more is unreachable: hub costs
-# stay at most _INF and window costs at most _CUT, and every sum of a hub
-# cost and window costs is capped at _CUT before more is added to it, so no
-# sum exceeds _INF + _CUT and int64 never wraps.
-_CUT = 1 << 61
+# A cost of _INF or more is unreachable.  Every cost is at most _INF, and
+# every sum of two is capped at _INF before a third term is added to it, so
+# no value exceeds 3 * _INF < 2**63 and int64 never wraps.
+_INF = 1 << 61
 # The prefix sums tail takes a hub graph whose components each have one
 # macro-edge length inside them while it sweeps at most
 # _CELLS_PER_RELAXATION cells per letter (`_scan_cells`) per macro-edge
@@ -366,16 +364,14 @@ def _prune(edges, dominant):
 
     (s, q, c) is dominated when the letter also has an edge (s, q2, c2)
     and `dominant` a row (q, q2, w), an intra edge q2 -> q of weight w,
-    with c2 + w <= c.  Both q2
-    and q are entered and neither is a relay, so the next letter's closure
-    from q2 covers every way on from q at w more (folded relay edges
-    included), and q2 is no dearer an end.  A dropped q2 is covered in
-    turn by a cheaper state or by a kept one of the same cost: an equally
-    cheap q2 (a zero-cost intra edge, maybe on a cycle of states that
-    dominate each other) dominates only while it is kept, so one of such
-    a cycle stays.  Ties are settled in the order in which the letter's
-    edges first name each (s, q): q2 dominates q if (s, q2) comes later,
-    or comes earlier and was kept.
+    with c2 + w <= c, and either c2 < c or the letter's edges first name
+    (s, q2) after (s, q).  Both q2 and q are entered and neither is a
+    relay, so the next letter's closure from q2 covers every way on from
+    q at w more (folded relay edges included), and q2 is no dearer an end.
+    Each drop is witnessed by an edge strictly earlier in the order of
+    cost, then of naming from last to first, so every chain of drops ends
+    at a kept edge: of a cycle of equally cheap states that dominate each
+    other (zero-cost intra edges), the one named last stays.
     """
     srcs, dsts, costs = edges
     near, far, weight = dominant
@@ -389,15 +385,8 @@ def _prune(edges, dominant):
     found = key[at] == other
     edge, at, weight = edge[found], at[found], weight[pick][found]
     covers = costs[at] + weight <= costs[edge]
-    dropped = np.zeros(key.size, dtype=bool)
-    dropped[edge[covers & ((costs[at] < costs[edge]) | (seen[at] > seen[edge]))]] = True
-    # An equally cheap (s, q2) that comes earlier dominates only if kept.
-    tie = covers & (costs[at] == costs[edge]) & (seen[at] < seen[edge])
-    order = np.argsort(seen[edge[tie]], kind="stable")
-    for e, o in zip(edge[tie][order].tolist(), at[tie][order].tolist()):
-        if not dropped[o]:
-            dropped[e] = True
-    kept = ~dropped
+    kept = np.ones(key.size, dtype=bool)
+    kept[edge[covers & ((costs[at] < costs[edge]) | (seen[at] > seen[edge]))]] = False
     return key[kept] // n, key[kept] % n, costs[kept]
 
 
@@ -512,7 +501,8 @@ class _Hubs:
 
     `relaxations` counts the macro-edges that the worst letter relaxes.
     The hubs and macro-edges form a graph whose strongly connected
-    components `scans` lists in topological order, when each has
+    components (`components` of the automaton module, over the distinct
+    hub pairs) `scans` lists in topological order, when each has
     macro-edges of one length L inside it (`_scans`), with window tables
     indexed by the code of a word: the letters' positions in the object
     alphabet (`rank`) read as digits in base |alphabet|, first letter most
@@ -609,59 +599,23 @@ class _Hubs:
                    _word_tables(part, spelled), alphabet, relaxations, scans)
 
 
-def _components(k: int, src, dst):
-    """The strongly connected components of the graph on nodes 0..k-1 with
-    edges src -> dst (Kosaraju): the number of each node's component, the
-    components numbered in a topological order."""
-    out, into = [[] for _ in range(k)], [[] for _ in range(k)]
-    for s, d in zip(src.tolist(), dst.tolist()):
-        out[s].append(d)
-        into[d].append(s)
-    seen, finished = [False] * k, []
-    for root in range(k):
-        if seen[root]:
-            continue
-        seen[root] = True
-        stack = [(root, iter(out[root]))]
-        while stack:
-            v, ahead = stack[-1]
-            for d in ahead:
-                if not seen[d]:
-                    seen[d] = True
-                    stack.append((d, iter(out[d])))
-                    break
-            else:
-                stack.pop()
-                finished.append(v)
-    comp, count = [-1] * k, 0
-    for root in reversed(finished):              # the last to finish leads no edge in
-        if comp[root] < 0:
-            comp[root], stack = count, [root]
-            while stack:
-                for s in into[stack.pop()]:
-                    if comp[s] < 0:
-                        comp[s] = count
-                        stack.append(s)
-            count += 1
-    return np.array(comp, dtype=np.int64)
-
-
 def _scans(k: int, full, codes, base: int, relaxations: int):
-    """The components of the hub graph `full` on k hubs in topological
-    order, each as (hubs, size, L, table, gathers) for `_sweep_sums`; or
-    None when a component has macro-edges of two lengths inside it, when
-    the graph has more hub pairs than _CELLS_PER_RELAXATION per relaxation
-    (`_pick_step` would never sweep it as arrays: it sweeps at least one
-    cell per hub pair), or when the tables exceed _NORMALIZE_BUDGET cells.
+    """The components of the hub graph `full` on k hubs in the topological
+    order in which `components` numbers them, each as (hubs, size, L,
+    table, gathers) for `_sweep_sums`; or None when a component has
+    macro-edges of two lengths inside it, when the graph has more hub
+    pairs than _CELLS_PER_RELAXATION per relaxation (`_pick_step` would
+    never sweep it as arrays: it sweeps at least one cell per hub pair),
+    or when the tables exceed _NORMALIZE_BUDGET cells.
 
     `hubs` numbers the component's `size` hubs, as a slice when they are
     consecutive.  L is the length of the macro-edges inside the component
     (0 if none).  One hub's table is the pair (costs, missing) of `_Hubs`;
     a table of size > 1 hubs holds at [d, s, code] the cost of the
     macro-edge from its s-th hub to its d-th hub that spells the word of
-    that code (_CUT if none).  A gather (n, s, table) holds at [d, code]
+    that code (_INF if none).  A gather (n, s, table) holds at [d, code]
     the cost of the macro-edge of length n from hub s of an earlier
-    component to the d-th hub of this one (_CUT if none).
+    component to the d-th hub of this one (_INF if none).
     """
     lengths, words, src, dst, paid = full
     span = int(lengths[-1]) if lengths.size else 1
@@ -669,7 +623,7 @@ def _scans(k: int, full, codes, base: int, relaxations: int):
     pairs = pairs[_runs(pairs)]
     if pairs.size > _CELLS_PER_RELAXATION * relaxations:
         return None
-    comp = _components(k, pairs // k, pairs % k)
+    comp = components(k, pairs // k, pairs % k)
     # The macro-edges by (component of dst, from an earlier component,
     # length, src): each component's inside rows, then its gathers' rows.
     target = comp[dst]
@@ -705,11 +659,11 @@ def _scans(k: int, full, codes, base: int, relaxations: int):
             costs[code[mine]], missing[code[mine]] = paid[mine], False
             table = costs, missing if missing.any() else None
         elif length:
-            table = np.full((kc, kc, base ** length), _CUT, dtype=np.int64)
+            table = np.full((kc, kc, base ** length), _INF, dtype=np.int64)
             table[local[dst[mine]], local[src[mine]], code[mine]] = paid[mine]
         gathers = []
         for i, j in zip(cut, cut[1:]):
-            gather = np.full((kc, base ** int(lengths[i])), _CUT, dtype=np.int64)
+            gather = np.full((kc, base ** int(lengths[i])), _INF, dtype=np.int64)
             gather[local[dst[i:j]], code[i:j]] = paid[i:j]
             gathers.append((int(lengths[i]), int(src[i]), gather))
         if members[-1] - members[0] < kc:
@@ -927,12 +881,12 @@ def _sweep_sums(hubs: _Hubs, word: str, positions: List[int], last) -> list:
             recent = cost[:, want - first + 1:want - first + span + 1].T.tolist()
             best = _free_ends(hubs.part, word, want, min(recent[-1], default=_INF),
                               lambda u: recent[u - want + span - 1])
-            if best >= _CUT:
+            if best >= _INF:
                 return out
             out.append(best)
             want = next(samples, None)
         past = cost[:, size:size + span]
-        if first + size <= stop and (past >= _CUT).all():
+        if first + size <= stop and (past >= _INF).all():
             break                        # no hub is reachable from here on
     return out
 
@@ -948,9 +902,9 @@ def _sweep_component(cost, members, k, length, table, gathers, window, span):
         costs = gather[:, window(gather.shape[1])] + cost[s, span - n:span - n + width]
         entering = costs if entering is None else np.minimum(entering, costs, out=entering)
     if entering is not None:
-        np.minimum(entering, _CUT, out=entering)
+        np.minimum(entering, _INF, out=entering)
     if not length:
-        cost[members, span:] = _CUT if entering is None else entering
+        cost[members, span:] = _INF if entering is None else entering
         return
     before = cost[members, span - length:span]
     if k == 1 and entering is None:
@@ -962,34 +916,34 @@ def _sweep_component(cost, members, k, length, table, gathers, window, span):
             sums = sums.reshape(-1, length)
         sums.cumsum(axis=0, out=sums)
         before = before[0].tolist()
-        dead = [c >= _CUT for c in before]
-        sums += [0 if c >= _CUT else c for c in before]
+        dead = [c >= _INF for c in before]
+        sums += [0 if c >= _INF else c for c in before]
         if missing is not None:
             cut = missing[codes].reshape(sums.shape)
             np.logical_or.accumulate(cut, axis=0, out=cut)   # a window so far had no macro-edge
             cut |= dead
-            sums[cut] = _CUT
+            sums[cut] = _INF
         elif True in dead:
-            sums.reshape(-1, length)[:, dead] = _CUT
+            sums.reshape(-1, length)[:, dead] = _INF
         return
     # A min-plus scan per residue, its maps the window tables.
     if k == 1:
         costs, missing = table
-        table = (costs if missing is None else np.where(missing, _CUT, costs))[None, None]
+        table = (costs if missing is None else np.where(missing, _INF, costs))[None, None]
     maps = table[:, :, window(table.shape[2])].reshape(k, k, -1, length)
-    costs = np.full((k, width), _CUT) if entering is None else entering
+    costs = np.full((k, width), _INF) if entering is None else entering
     costs = costs.reshape(k, 1, -1, length)
     np.minimum(_min_plus(maps[:, :, 0], before[:, None]), costs[:, :, 0], out=costs[:, :, 0])
     cost[members, span:] = _scan_hubs(maps, costs).reshape(k, width)
 
 
 def _min_plus(a, b):
-    """The min-plus products a @ b, capped at _CUT, of matrices a and b
+    """The min-plus products a @ b, capped at _INF, of matrices a and b
     (or column vectors b) indexed by their first two axes."""
     out = a[:, 0, None] + b[None, 0]
     for j in range(1, len(b)):
         np.minimum(out, a[:, j, None] + b[None, j], out=out)
-    return np.minimum(out, _CUT, out=out)
+    return np.minimum(out, _INF, out=out)
 
 
 def _scan_hubs(maps, costs):

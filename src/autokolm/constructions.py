@@ -17,7 +17,7 @@ from itertools import compress
 from math import gcd
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from .automaton import EPSILON, LabeledAutomaton, _parse_int, chain, strip_format_lines
+from .automaton import EPSILON, LabeledAutomaton, _parse_int, chain, components, strip_format_lines
 from .errors import ContractError, FormatError
 from .modes import (
     BINARY,
@@ -25,7 +25,6 @@ from .modes import (
     PairDescriptionMode,
     ValuednessCertificate,
     _derived_certificate,
-    _scc_ids,
     valuedness_profile,
 )
 from .seqgen import rational_bits
@@ -272,22 +271,15 @@ def classify_selection(rule: SelectionRule) -> str:
             if t not in reachable:
                 reachable.add(t)
                 stack.append(t)
-    arcs = [(s, t) for s in reachable for t in rule.transitions[s]]
-    comp = _scc_ids(rule.num_states, arcs)
-    terminal_has_accepting = {}
-    leaves = set()
+    src = [s for s in reachable for _ in rule.transitions[s]]
+    dst = [t for s in reachable for t in rule.transitions[s]]
+    comp = components(rule.num_states, src, dst).tolist()
+    leaves = {comp[s] for s, t in zip(src, dst) if comp[s] != comp[t]}
+    accepts = {}                                 # terminal component -> accepts
     for s in reachable:
-        for t in rule.transitions[s]:
-            if comp[s] != comp[t]:
-                leaves.add(comp[s])
-    for s in reachable:
-        cid = comp[s]
-        if cid in leaves:
-            continue
-        terminal_has_accepting.setdefault(cid, False)
-        if s in rule.accepting:
-            terminal_has_accepting[cid] = True
-    flags = set(terminal_has_accepting.values())
+        if comp[s] not in leaves:
+            accepts[comp[s]] = accepts.get(comp[s], False) or s in rule.accepting
+    flags = set(accepts.values())
     if flags == {True}:
         return POSITIVE_DENSITY
     if flags == {False}:

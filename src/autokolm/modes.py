@@ -15,12 +15,15 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .automaton import (
     EPSILON,
     MAX_FILE_STATES,
     LabeledAutomaton,
     _parse_int,
     chain,
+    components,
     enumerate_relation,
     parse_automaton_lines,
     reverse,
@@ -289,64 +292,15 @@ def eps_cycle_check(mode_or_aut):
     obj_tape = aut.arity - 1
     no_description = (EPSILON,) * obj_tape
     silent = [e for e in aut.edges if e[2][:obj_tape] == no_description]
-    comp = _scc_ids(aut.num_states, [(s, d) for s, d, _ in silent])
-    for edge in silent:
-        src, dst, label = edge
-        if label[obj_tape] is not EPSILON and comp[src] == comp[dst]:
-            path = _silent_path(aut.num_states, silent, dst, src)
-            return (edge, *path)
-    return None
-
-
-def _scc_ids(num_states: int, arcs) -> list:
-    """Strongly connected component ids via iterative Tarjan."""
-    adj = [[] for _ in range(num_states)]
-    for s, d in arcs:
-        adj[s].append(d)
-    index = [None] * num_states
-    low = [0] * num_states
-    on_stack = [False] * num_states
-    comp = [None] * num_states
-    stack = []
-    counter = 0
-    ncomp = 0
-    for root in range(num_states):
-        if index[root] is not None:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, ei = work[-1]
-            if ei == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            while ei < len(adj[v]):
-                w = adj[v][ei]
-                ei += 1
-                if index[w] is None:
-                    work[-1] = (v, ei)
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp[w] = ncomp
-                    if w == v:
-                        break
-                ncomp += 1
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-    return comp
+    src = np.array([s for s, _, _ in silent], dtype=np.int64)
+    dst = np.array([d for _, d, _ in silent], dtype=np.int64)
+    loud = np.array([label[obj_tape] is not EPSILON for _, _, label in silent], dtype=bool)
+    comp = components(aut.num_states, src, dst)
+    hits = np.flatnonzero(loud & (comp[src] == comp[dst]))
+    if not hits.size:
+        return None
+    edge = silent[hits[0]]
+    return (edge, *_silent_path(aut.num_states, silent, edge[1], edge[0]))
 
 
 def _silent_path(num_states, silent_edges, start, goal):

@@ -360,31 +360,46 @@ def hub_tables_reference(num_states: int, by_letter, limit, relays, budget: int,
                             cells_per_relaxation))
 
 
+def reach_sets(num_nodes: int, arcs) -> list:
+    """reach[v]: the set of nodes that some path of arcs (s, d) leads to
+    from v, v itself included."""
+    out = {}
+    for s, d in arcs:
+        out.setdefault(s, set()).add(d)
+    reach = []
+    for v in range(num_nodes):
+        seen, todo = {v}, [v]
+        while todo:
+            for d in out.get(todo.pop(), ()):
+                if d not in seen:
+                    seen.add(d)
+                    todo.append(d)
+        reach.append(seen)
+    return reach
+
+
+def components_reference(num_nodes: int, arcs) -> list:
+    """comp[v]: the strongly connected component of v, as the sorted
+    tuple of the nodes that v reaches and that reach v."""
+    reach = reach_sets(num_nodes, arcs)
+    return [tuple(sorted(u for u in reach[v] if v in reach[u])) for v in range(num_nodes)]
+
+
 def scans_reference(k: int, full, base: int, relaxations: int, budget: int,
                     cells_per_relaxation: int):
     """The components of a hub graph full = {length: {word: {(src, dst):
     cost}}} as `hub_tables` reads them off `_Hubs.scans`: sorted (hubs,
     length inside, [(word, src, dst, cost)] inside, [(length, src, word,
     dst, cost)] into it from other components), or None where `_scans`
-    gives none.  Components come from reachability sets."""
+    gives none.  Components come from `components_reference`."""
     rows = [(n, w, s, d, c) for n, table in full.items()
             for w, pairs in table.items() for (s, d), c in pairs.items()]
     pairs = {(s, d) for _, _, s, d, _ in rows}
     if len(pairs) > cells_per_relaxation * relaxations:
         return None
-    reach = {}
-    for h in range(k):
-        seen, todo = {h}, [h]
-        while todo:
-            v = todo.pop()
-            for s, d in pairs:
-                if s == v and d not in seen:
-                    seen.add(d)
-                    todo.append(d)
-        reach[h] = seen
-    comp = {h: tuple(sorted(v for v in reach[h] if h in reach[v])) for h in range(k)}
+    comp = components_reference(k, pairs)
     out, charged = [], 0
-    for members in sorted(set(comp.values())):
+    for members in sorted(set(comp)):
         inside = sorted((w, s, d, c) for n, w, s, d, c in rows
                         if comp[s] == comp[d] == members)
         lengths = {len(w) for w, *_ in inside}
@@ -401,18 +416,15 @@ def scans_reference(k: int, full, base: int, relaxations: int, budget: int,
 
 def prune_reference(edges, dominant) -> list:
     """Reference dominance pruning of a letter's closure edges [(s, q, c),
-    ...], one edge at a time in the order the edges first name (s, q):
-    dominant[q] = [(q2, w), ...] lists the intra edges q2 -> q.  (s, q)
-    goes when (s, q2) is cheaper by at least w, or as cheap and not yet
-    dropped; parallel edges keep the cheapest."""
+    ...]: dominant[q] = [(q2, w), ...] lists the intra edges q2 -> q.
+    (s, q) goes when (s, q2) is cheaper by at least w, or as cheap and
+    first named after (s, q) by the edges; parallel edges keep the
+    cheapest."""
     best = {}
     for s, q, c in edges:
         best[s, q] = min(best.get((s, q), math.inf), c)
-    dropped = set()
-    for (s, q), c in best.items():
-        for q2, w in dominant.get(q, ()):
-            c2 = best.get((s, q2))
-            if c2 is not None and c2 + w <= c and (c2 < c or (s, q2) not in dropped):
-                dropped.add((s, q))
-                break
-    return [(s, q, c) for (s, q), c in best.items() if (s, q) not in dropped]
+    named = {pair: i for i, pair in enumerate(best)}
+    return [(s, q, c) for (s, q), c in best.items()
+            if not any((c2 := best.get((s, q2))) is not None and c2 + w <= c
+                       and (c2 < c or named[s, q2] > named[s, q])
+                       for q2, w in dominant.get(q, ()))]

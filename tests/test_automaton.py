@@ -1,10 +1,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from autokolm.automaton import (
     EPSILON,
     LabeledAutomaton,
+    components,
     enumerate_relation,
     parse_automaton,
     read_relation_contains,
@@ -15,7 +18,7 @@ from autokolm.automaton import (
 from autokolm.errors import BudgetExceeded, ContractError, FormatError, InputRejected
 from autokolm.modes import identity_mode, parse_mode, unary_compressor
 
-from helpers import random_automaton
+from helpers import components_reference, random_automaton
 
 IDENTITY = identity_mode().automaton
 
@@ -225,3 +228,18 @@ def test_declared_state_count_is_capped():
         parse_automaton(text)
     with pytest.raises(FormatError):
         parse_mode(text + "certificate 1\n")
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(data=st.data())
+def test_components_match_reachability_and_come_in_topological_order(data):
+    # Up to 30 nodes: self-loops, parallel arcs and isolated nodes all occur.
+    n = data.draw(st.integers(0, 30))
+    node = st.integers(0, max(n - 1, 0))
+    arcs = data.draw(st.lists(st.tuples(node, node), max_size=60)) if n else []
+    comp = components(n, [s for s, _ in arcs], [d for _, d in arcs]).tolist()
+    reference = components_reference(n, arcs)
+    assert len(comp) == n
+    assert len(set(zip(comp, reference))) == len(set(comp)) == len(set(reference))
+    assert sorted(set(comp)) == list(range(len(set(comp))))
+    assert all(comp[s] <= comp[d] for s, d in arcs)

@@ -1276,9 +1276,9 @@ def scans(hubs):
                       if missing is None or not missing[code]]
         elif length:
             inside = [(spelled(code, length), members[s], members[d], int(table[d, s, code]))
-                      for d, s, code in zip(*np.nonzero(table < engine._CUT))]
+                      for d, s, code in zip(*np.nonzero(table < engine._INF))]
         into = [(n, s, spelled(code, n), members[d], int(gather[d, code]))
-                for n, s, gather in gathers for d, code in zip(*np.nonzero(gather < engine._CUT))]
+                for n, s, gather in gathers for d, code in zip(*np.nonzero(gather < engine._INF))]
         assert all(order[s] < c for _, s, _, _, _ in into)
         out.append((tuple(members), length, sorted(inside), sorted(into)))
     return sorted(out)

@@ -2,6 +2,8 @@ import random
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from autokolm.automaton import (
     enumerate_relation,
@@ -33,6 +35,7 @@ from autokolm.seqgen import champernowne_bits
 from helpers import (
     all_accepting_rule,
     branch_rule,
+    components_reference,
     compose_join_oracle,
     none_accepting_rule,
     parity_rule,
@@ -40,6 +43,7 @@ from helpers import (
     random_finite_mode,
     random_rule,
     random_word,
+    reach_sets,
     suffix_rule,
     wall_pair_realizable,
 )
@@ -288,6 +292,21 @@ def test_classify_ignores_unreachable_states():
     # State 2 is an accepting terminal SCC but unreachable from 0.
     rule = SelectionRule(3, 0, frozenset({2}), ((0, 0), (1, 1), (2, 2)))
     assert classify_selection(rule) == FINITE_ON_NORMAL
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), max_states=st.integers(1, 9))
+def test_classify_matches_terminal_components_of_reachability(seed, max_states):
+    rule = random_rule(random.Random(seed), max_states)
+    arcs = [(s, t) for s in range(rule.num_states) for t in rule.transitions[s]]
+    comp = components_reference(rule.num_states, arcs)
+    reachable = reach_sets(rule.num_states, arcs)[rule.initial]
+    terminal = ({comp[s] for s in reachable}
+                - {comp[s] for s, t in arcs if s in reachable and comp[t] != comp[s]})
+    accepts = {any(s in rule.accepting for s in members) for members in terminal}
+    expected = (POSITIVE_DENSITY if accepts == {True} else
+                FINITE_ON_NORMAL if accepts == {False} else MIXED)
+    assert classify_selection(rule) == expected
 
 
 def test_selection_trace_counts():

@@ -49,6 +49,7 @@ from helpers import (
     parity_rule,
     random_finite_mode,
     random_word,
+    reach_sets,
 )
 
 
@@ -234,6 +235,30 @@ def test_eps_cycle_check_examples():
     loop = LabeledAutomaton(2, (BINARY, BINARY), 1, ((0, 0, (EPSILON, "0")),))
     witness = eps_cycle_check(loop)
     assert witness == ((0, 0, (EPSILON, "0")),)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(data=st.data())
+def test_eps_cycle_check_matches_its_definition(data):
+    # A witness exists iff some silent edge that writes an object letter
+    # has a target that reaches its source by silent edges; a witness is a
+    # closed path of silent edges of the automaton, the writing edge first.
+    arity = data.draw(st.sampled_from([2, 3]))
+    n = data.draw(st.integers(1, 7))
+    state = st.integers(0, n - 1)
+    letter = st.one_of(st.just(EPSILON), st.sampled_from(BINARY))
+    edges = tuple(data.draw(st.lists(
+        st.tuples(state, state, st.tuples(*[letter] * arity)), max_size=12)))
+    aut = LabeledAutomaton(arity, (BINARY,) * arity, n, edges)
+    silent = [e for e in edges if e[2][:-1] == (EPSILON,) * (arity - 1)]
+    reach = reach_sets(n, [(s, d) for s, d, _ in silent])
+    pumps = any(label[-1] is not EPSILON and s in reach[d] for s, d, label in silent)
+    witness = eps_cycle_check(aut)
+    assert (witness is not None) == pumps
+    if witness is not None:
+        assert witness[0][2][-1] is not EPSILON
+        assert all(e in silent for e in witness)
+        assert all(e[1] == f[0] for e, f in zip(witness, witness[1:] + witness[:1]))
 
 
 def test_eps_cycle_check_finds_long_cycles():
