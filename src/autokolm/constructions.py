@@ -275,7 +275,7 @@ def classify_selection(rule: SelectionRule) -> str:
     dst = [t for s in reachable for t in rule.transitions[s]]
     comp = components(rule.num_states, src, dst).tolist()
     leaves = {comp[s] for s, t in zip(src, dst) if comp[s] != comp[t]}
-    accepts = {}                                 # terminal component -> accepts
+    accepts = {}                     # terminal component -> whether a state of it accepts
     for s in reachable:
         if comp[s] not in leaves:
             accepts[comp[s]] = accepts.get(comp[s], False) or s in rule.accepting

@@ -294,9 +294,9 @@ def eps_cycle_check(mode_or_aut):
     silent = [e for e in aut.edges if e[2][:obj_tape] == no_description]
     src = np.array([s for s, _, _ in silent], dtype=np.int64)
     dst = np.array([d for _, d, _ in silent], dtype=np.int64)
-    loud = np.array([label[obj_tape] is not EPSILON for _, _, label in silent], dtype=bool)
+    writes = np.array([label[obj_tape] is not EPSILON for _, _, label in silent], dtype=bool)
     comp = components(aut.num_states, src, dst)
-    hits = np.flatnonzero(loud & (comp[src] == comp[dst]))
+    hits = np.flatnonzero(writes & (comp[src] == comp[dst]))
     if not hits.size:
         return None
     edge = silent[hits[0]]

@@ -424,7 +424,11 @@ def prune_reference(edges, dominant) -> list:
     for s, q, c in edges:
         best[s, q] = min(best.get((s, q), math.inf), c)
     named = {pair: i for i, pair in enumerate(best)}
-    return [(s, q, c) for (s, q), c in best.items()
-            if not any((c2 := best.get((s, q2))) is not None and c2 + w <= c
-                       and (c2 < c or named[s, q2] > named[s, q])
-                       for q2, w in dominant.get(q, ()))]
+
+    def dominated(s, q, c):
+        for q2, w in dominant.get(q, ()):
+            c2 = best.get((s, q2))
+            if c2 is not None and c2 + w <= c and (c2 < c or named[s, q2] > named[s, q]):
+                return True
+        return False
+    return [(s, q, c) for (s, q), c in best.items() if not dominated(s, q, c)]

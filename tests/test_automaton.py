@@ -240,6 +240,7 @@ def test_components_match_reachability_and_come_in_topological_order(data):
     comp = components(n, [s for s, _ in arcs], [d for _, d in arcs]).tolist()
     reference = components_reference(n, arcs)
     assert len(comp) == n
+    # The same partition: each component number pairs with one reference set.
     assert len(set(zip(comp, reference))) == len(set(comp)) == len(set(reference))
     assert sorted(set(comp)) == list(range(len(set(comp))))
     assert all(comp[s] <= comp[d] for s, d in arcs)
