@@ -10,6 +10,7 @@ modes, up to 2 for pair modes).
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 import weakref
@@ -30,72 +31,26 @@ UNREACHABLE = math.inf
 # Python over a dict, with no tail, while every letter relaxes at most this
 # many closure edges: above it the numpy scatter-min is faster per letter
 # (measured crossover between 24 and 28 edges on carry automata and random
-# graphs).  On closures this small the Python step also beats the hub loop
-# tail.  Warm calls on Bernoulli(0.9) bits (2-vCPU host), 5 alternating
-# runs of the min of 63 calls (1 at 48k bits), Python against the hub loop:
-# union(identity, unary(3)) 8.6-12.7 against 44-52 us at 16 bits and
-# 346-605 against 601-1,007 us at 1,024 bits; per bit on 48k bits, union
-# 0.50-0.65 against 0.67-1.05 us, joint(identity, splitter) 0.41-0.57
-# against 0.59-0.88 us, wall(3) 0.61-0.91 against 0.80-1.05 us.
+# graphs).
 _PYTHON_STEP_EDGES = 24
-# Above it, the numpy step hands over to the hub loop tail while the hub
-# loop's worst letter relaxes at most one macro-edge per
-# _EDGES_PER_RELAXATION closure edges of the worst letter, plus
-# _NUMPY_LETTER_EDGES for numpy's fixed cost per letter.  A hub loop
-# relaxation costs about 75 ns and a numpy closure edge about 7 ns; a
-# numpy letter also costs about 4 us whatever its edges, against under
-# 1 us for a hub loop letter.  Warm in-process sweeps, hub and numpy
-# alternating, 5 runs each, per letter (E closure edges, R relaxations):
-#   wall(3), 48k Champernowne bits, E 4, R 4: hub 0.8-1.2 us, numpy 4.1-6.2 us;
-#   reverse(coder4), 48k Champernowne bits, E 160, R 16: hub 1.7-2.5 us,
-#     numpy 4.3-6.0 us;
-#   layered(coder4, 2), 48k Bernoulli(0.9) bits, E 236, R 15 (the relay
-#     and 3 chain hubs): hub 1.4-2.4 us, numpy 4.2-6.6 us (now swept by
-#     the prefix sums, see _CELLS_PER_RELAXATION);
-#   layered(k=8 coder, 2), 20k Champernowne bits, E 6,788, R 27: hub
-#     2.3-3.3 us, numpy 27-35 us (now prefix sums too);
-#   compose(coder4, coder4), 20k Champernowne bits, E 3,728, R 45 (77 hubs):
-#     hub 3.4-4.8 us, numpy 16-22 us;
-#   reverse(k=8 coder), 20k Champernowne bits, E 33,792, R 256: hub 22-27 us,
-#     numpy 238-246 us;
-# and two hub graphs that no mode compiles to since pruning and relay hubs:
-#   layered(coder4, 2) without relay hubs, 48k Bernoulli(0.9) bits,
-#     E 1,827, R 257: hub 22-30 us, numpy 14-18 us;
-#   compose(coder4, coder4) unpruned, 20k Champernowne bits, E 6,800,
-#     R 2,960: hub 218-291 us, numpy 33-51 us.
-_EDGES_PER_RELAXATION = 12
-_NUMPY_LETTER_EDGES = 500
-# Windows of the last span letters whose macro-edges a hub loop remembers;
-# a binary object alphabet never fills it below span 17.
-_WINDOW_MEMO = 1 << 16
+# Above it, the prefix sums tail runs while it sweeps at most this many
+# cells per letter (`_scan_cells`), else the numpy step.  Warm sweeps of 48k
+# Bernoulli(0.9) bits, min of 5, per letter (2-vCPU host): layered(skewed
+# coder4, N), N 1..8, 187-527 closure edges: numpy 4.0-8.8 us, sums
+# 0.17-1.09 us (10-42 cells), or 0.08-3.8 us with dense maps (10-546
+# cells); reverse(skewed coder4) with dense maps (4,096 cells, 160 edges):
+# sums 11-15 us, numpy 4.1-4.5 us.  So the crossover is at 700-1,600 cells.
+_NUMPY_SCAN_CELLS = 1_000
 _NORMALIZE_BUDGET = 5_000_000
 # A cost of _INF or more is unreachable.  Every cost is at most _INF, and
 # every sum of two is capped at _INF before a third term is added to it, so
 # no value exceeds 3 * _INF < 2**63 and int64 never wraps.
 _INF = 1 << 61
-# The prefix sums tail takes a hub graph whose components each have one
-# macro-edge length inside them while it sweeps at most
-# _CELLS_PER_RELAXATION cells per letter (`_scan_cells`) per macro-edge
-# relaxed by the hub loop's worst letter.  Warm in-process sweeps, min of 5,
-# per letter (C cells, R relaxations, k hubs in the largest component):
-#   layered(coder4, N), 48k Bernoulli(0.9) bits, sums against hub loop:
-#     N 1, k 1, C 10, R 10: 0.08 against 1.92 us;
-#     N 2, k 2, C 21, R 15: 0.41 against 2.19 us;
-#     N 4, k 4, C 85, R 21: 0.68 against 1.76 us;
-#     N 5, k 5, C 150, R 26: 1.13 against 1.85 us;
-#     N 6, k 6, C 239, R 26: 1.70 against 1.83 us, the crossover, at about 9
-#       cells per relaxation;
-#     N 8, k 8, C 543, R 32: 4.14 against 3.08 us;
-#   20k Champernowne bits: layered(k=8 coder, 2), k 2, C 33, R 27: 0.51
-#     against 3.40 us; union(coder4, coder8), k 1, C 2, R 2: 0.04 against
-#     0.88 us; reverse(coder4), k 16, C 4,096, R 16: 16.7 against 2.2 us;
-#     compose(coder4, coder4), k 31, C 30,015, R 45: 172 against 4.4 us.
-_CELLS_PER_RELAXATION = 8
-# The prefix sums tail sweeps _CHUNK_CELLS // h**2 letters at a time, h the
-# hub count: its arrays hold about h**2 cells per letter at most (a row per
-# hub, k**2 per letter for a scan of k <= h hubs).  So its memory does not
-# grow with the word, and a one-hub graph sweeps a word of up to 65,536
-# letters in one pass.
+# A chunk of the prefix sums tail holds at most _CHUNK_CELLS cells, counted
+# by the widest array it holds per letter: a cost row per hub, and k**2 for
+# the maps of a dense component of k hubs (k for the other kinds and for
+# gathers).  So its memory does not grow with the word, and a one-hub graph
+# sweeps a word of up to 65,536 letters in one pass.
 _CHUNK_CELLS = 1 << 16
 # Closure edges over all letters.  The closure is charged from its entry
 # counts (each entry into t makes one edge per letter-reading edge out of
@@ -257,8 +212,7 @@ class _CompiledSweep:
     `_pick_step` chooses the closure step, plain Python over a dict of
     reachable states or a numpy scatter-min over the closure edges, and a
     tail, which sweeps the hub DP over macro-edges (`_Hubs`, the relays
-    among its hubs) past its `lead` as scans of its components or as a
-    loop, or None.
+    among its hubs) past its `lead` as scans of its components, or None.
     """
 
     def __init__(self, aut: LabeledAutomaton):
@@ -401,37 +355,29 @@ def _pick_step(num_states: int, by_letter, relays):
 
     The prefix sums tail whenever the hub graph has window tables
     (`_Hubs.scans`) and, for the Python step's closures, one hub, or else
-    its scans sweep at most _CELLS_PER_RELAXATION cells per letter per
-    macro-edge that the worst letter relaxes.  Otherwise no tail and the
-    Python step while every letter relaxes at most _PYTHON_STEP_EDGES
-    closure edges; else the hub loop tail while its worst letter relaxes
-    at most one macro-edge per _EDGES_PER_RELAXATION closure edges of the
-    worst letter, counting numpy's fixed cost per letter as
-    _NUMPY_LETTER_EDGES more edges; else no tail.  Every step but the
-    Python one is numpy's, over the closure edge arrays.
+    its scans sweep at most _NUMPY_SCAN_CELLS cells per letter.  Otherwise
+    no tail, and the Python step while every letter relaxes at most
+    _PYTHON_STEP_EDGES closure edges, else numpy's scatter-min over the
+    closure edge arrays.
     """
     widest = max((srcs.size for srcs, _, _ in by_letter.values()), default=0)
     python = widest <= _PYTHON_STEP_EDGES
     # A graph with one hub and one length relaxes one macro-edge per letter.
-    limit = 1 if python else (widest + _NUMPY_LETTER_EDGES) / _EDGES_PER_RELAXATION
-    hubs = _Hubs.compile(num_states, by_letter, limit, relays)
+    hubs = _Hubs.compile(num_states, by_letter, 1 if python else math.inf, relays)
     if hubs is not None and hubs.scans is not None and (
-            len(hubs.ids) == 1 if python else
-            _scan_cells(hubs.scans) <= _CELLS_PER_RELAXATION * hubs.relaxations):
+            len(hubs.ids) == 1 if python else _scan_cells(hubs.scans) <= _NUMPY_SCAN_CELLS):
         return _step_numpy, _sweep_sums, by_letter, hubs
     if python:
         return _step_python, None, _edge_lists(by_letter), None
-    if hubs is None:
-        return _step_numpy, None, by_letter, None
-    return _step_numpy, _sweep_hubs, by_letter, hubs
+    return _step_numpy, None, by_letter, None
 
 
 def _scan_cells(scans) -> int:
-    """Cells per letter of the prefix sums tail: k**3 per component of k
-    hubs with macro-edges inside (1 for one hub) and k per gather into k
-    hubs."""
-    return sum((k ** 3 if length else 0) + k * len(gathers)
-               for _, k, length, _, gathers in scans)
+    """Cells per letter of the prefix sums tail: k**3 per dense component
+    of k hubs, k per component of another kind (1 for one hub) and k per
+    gather into k hubs."""
+    return sum(((k ** 3 if table[0] == "dense" else k) if length else 0) + k * len(gathers)
+               for _, k, length, table, gathers in scans)
 
 
 def _step_python(by_letter, dist: dict, letters):
@@ -481,7 +427,8 @@ class _Hubs:
     path is a macro-edge with an object word w, a cost, and the cost of
     each proper prefix.  `full` holds, per length L, w -> [(src hub, dst
     hub, cost)]; `part` holds, per 1 <= j < span, w[:j] -> [(src hub,
-    prefix cost)]; both keep the cheapest entry per hub pair.  Chains may
+    prefix cost)]; both keep the cheapest entry per hub pair.  The sweep
+    reads `part` only, so `full` is spelled on first use.  Chains may
     merge, so one state can lie on many macro-edges.
 
     The edges into relays (`_fold_relays`) stay out of the peeling and the
@@ -499,7 +446,6 @@ class _Hubs:
     at most span letters earlier.  So hub costs follow from the hub costs
     of the last span letters, and K from those plus the prefix matches.
 
-    `relaxations` counts the macro-edges that the worst letter relaxes.
     The hubs and macro-edges form a graph whose strongly connected
     components (`components` of the automaton module, over the distinct
     hub pairs) `scans` lists in topological order, when each has
@@ -507,25 +453,32 @@ class _Hubs:
     indexed by the code of a word: the letters' positions in the object
     alphabet (`rank`) read as digits in base |alphabet|, first letter most
     significant, so that the code of a word's last n letters is its code
-    mod |alphabet|**n.  A component of one hub has the tables `costs`, the
-    cost of each word of length L that is a macro-edge (0 for the others),
-    and `missing`, which marks the others (None when every word is one).
-    The tables exist only while their cells stay within
-    _NORMALIZE_BUDGET; otherwise, and for a component with macro-edges of
-    two lengths inside it, `scans` is None.  The prefix sums tail sweeps
-    `chunk` letters at a time (_CHUNK_CELLS), each chunk padded to a
-    multiple of `period`, the least common multiple of the lengths L.
+    mod |alphabet|**n.  A component of one hub that no gather enters has
+    the tables `costs`, the cost of each word of length L that is a
+    macro-edge (0 for the others), and `missing`, which marks the others
+    (None when every word is one); another holds the maps of its words in
+    one of three kinds (`_scans`).  The tables exist only while their
+    cells stay within _NORMALIZE_BUDGET; otherwise, and for a component
+    with macro-edges of two lengths inside it, `scans` is None.  The
+    prefix sums tail sweeps `chunk` letters at a time (_CHUNK_CELLS), each
+    chunk padded to a multiple of `period`, the least common multiple of
+    the lengths L.
     """
 
-    def __init__(self, ids, lead, full, part, alphabet, relaxations, scans):
-        self.ids, self.lead, self.full, self.part = ids, lead, full, part
-        self.span = full[-1][0] if full else 1
-        self.relaxations, self.scans = relaxations, scans
+    def __init__(self, ids, lead, span, full, part, alphabet, scans):
+        self.ids, self.lead, self.span, self.part = ids, lead, span, part
+        self._full, self.scans = full, scans
         if scans is not None:
             self.rank = {ord(a): i for i, a in enumerate(alphabet)}
             self.powers = len(alphabet) ** np.arange(self.span, dtype=np.intp)
             self.period = math.lcm(*(length for _, _, length, _, _ in scans if length))
-            self.chunk = max(_CHUNK_CELLS // max(len(ids), 1) ** 2, 1)
+            widest = max([len(ids), *(k * k for _, k, _, table, _ in scans
+                                      if table and table[0] == "dense")])
+            self.chunk = max(_CHUNK_CELLS // max(widest, 1), 1)
+
+    @functools.cached_property
+    def full(self):
+        return _word_tables(*self._full)
 
     @classmethod
     def compile(cls, num_states: int, by_letter, limit, relays):
@@ -584,45 +537,45 @@ class _Hubs:
             len(alphabet), charged, limit)
         if tables is None:
             return None
-        full, part, prefixes, relaxations = tables
+        full, part, prefixes = tables
         lengths = full[0]
         span, base = int(lengths[-1]) if lengths.size else 1, len(alphabet)
         codes = [np.arange(base)]                # codes[n - 1][w]: code of word number w of length n
         for pairs in prefixes:
             codes.append(codes[-1][pairs // base] * base + pairs % base)
-        scans = _scans(ids.size, full, codes, base, relaxations)
+        scans = _scans(ids.size, full, codes, base)
         spelled = [alphabet]                     # spelled[j - 1][n]: word number n of length j
         for pairs in prefixes:
             spelled.append([spelled[-1][p] + alphabet[a] for p, a in
                             zip(*(col.tolist() for col in np.divmod(pairs, base)))])
-        return cls(ids, depth + span - 1, _word_tables(full, spelled),
-                   _word_tables(part, spelled), alphabet, relaxations, scans)
+        return cls(ids, depth + span - 1, span, (full, spelled), _word_tables(part, spelled),
+                   alphabet, scans)
 
 
-def _scans(k: int, full, codes, base: int, relaxations: int):
+def _scans(k: int, full, codes, base: int):
     """The components of the hub graph `full` on k hubs in the topological
     order in which `components` numbers them, each as (hubs, size, L,
     table, gathers) for `_sweep_sums`; or None when a component has
-    macro-edges of two lengths inside it, when the graph has more hub
-    pairs than _CELLS_PER_RELAXATION per relaxation (`_pick_step` would
-    never sweep it as arrays: it sweeps at least one cell per hub pair),
-    or when the tables exceed _NORMALIZE_BUDGET cells.
+    macro-edges of two lengths inside it, or when the tables exceed
+    _NORMALIZE_BUDGET cells.
 
     `hubs` numbers the component's `size` hubs, as a slice when they are
     consecutive.  L is the length of the macro-edges inside the component
-    (0 if none).  One hub's table is the pair (costs, missing) of `_Hubs`;
-    a table of size > 1 hubs holds at [d, s, code] the cost of the
-    macro-edge from its s-th hub to its d-th hub that spells the word of
-    that code (_INF if none).  A gather (n, s, table) holds at [d, code]
-    the cost of the macro-edge of length n from hub s of an earlier
-    component to the d-th hub of this one (_INF if none).
+    (0 if none, and then the table is None).  The table is (kind, *arrays)
+    of the first kind that fits, indexed by word code and local hub, with
+    _INF where no macro-edge is: "one-hub" (costs, missing) for one hub
+    that no gather enters, see `_Hubs`; "gather" (src, cost) at [code, d]
+    when no two macro-edges of a word enter one hub; "rank-one" (dst,
+    cost) at [code] and [code, s] when those of each word enter one hub;
+    "dense" (cost,) at [code, d, s].  The cells charged are those of the
+    arrays but `missing`.  A gather (n, s, table) holds at [d, code] the
+    cost of the macro-edge of length n from hub s of an earlier component
+    to the d-th hub of this one.
     """
     lengths, words, src, dst, paid = full
     span = int(lengths[-1]) if lengths.size else 1
     pairs = np.sort(src * k + dst)
     pairs = pairs[_runs(pairs)]
-    if pairs.size > _CELLS_PER_RELAXATION * relaxations:
-        return None
     comp = components(k, pairs // k, pairs % k)
     # The macro-edges by (component of dst, from an earlier component,
     # length, src): each component's inside rows, then its gathers' rows.
@@ -640,32 +593,49 @@ def _scans(k: int, full, codes, base: int, relaxations: int):
     size = np.bincount(comp, minlength=count)
     local = np.empty_like(hubs)
     local[hubs] = np.arange(k) - np.repeat(np.cumsum(size) - size, size)
+    dsts, srcs, ns = local[dst], src.tolist(), lengths.tolist()
     plan, charged, at = [], 0, 0
     for c, kc in enumerate(size.tolist()):
         members, at = hubs[at:at + kc], at + kc
         inside, entering, end = blocks[2 * c:2 * c + 3]
-        if inside < entering and lengths[inside] != lengths[entering - 1]:
+        if inside < entering and ns[inside] != ns[entering - 1]:
             return None                          # two lengths inside
-        length = int(lengths[inside]) if inside < entering else 0
+        length = ns[inside] if inside < entering else 0
         cut = groups[bisect_left(groups, entering):bisect_left(groups, end) + 1]
-        charged += (base ** length * kc * kc if length else 0) + sum(
-            base ** int(lengths[i]) * kc for i in cut[:-1])
+        n, kind = base ** length, None
+        if length:
+            mine = slice(inside, entering)
+            s, d, w, p = local[src[mine]], dsts[mine], code[mine], paid[mine]
+            kind = ("one-hub" if kc == 1 and len(cut) == 1 else
+                    "gather" if _runs(np.sort(d * n + w)).all() else
+                    "rank-one" if _runs(np.sort(w * kc + d)).sum() == _runs(np.sort(w)).sum() else
+                    "dense")
+        charged += {None: 0, "one-hub": n, "gather": 2 * kc * n, "rank-one": (kc + 1) * n,
+                    "dense": kc * kc * n}[kind] + sum(base ** ns[i] * kc for i in cut[:-1])
         if charged > _NORMALIZE_BUDGET:
             return None
-        mine = slice(inside, entering)
         table = None
-        if length and kc == 1:
-            costs, missing = np.zeros(base ** length, dtype=np.int64), np.ones(base ** length, dtype=bool)
-            costs[code[mine]], missing[code[mine]] = paid[mine], False
-            table = costs, missing if missing.any() else None
-        elif length:
-            table = np.full((kc, kc, base ** length), _INF, dtype=np.int64)
-            table[local[dst[mine]], local[src[mine]], code[mine]] = paid[mine]
+        if kind == "one-hub":
+            costs, missing = np.zeros(n, dtype=np.int64), np.ones(n, dtype=bool)
+            costs[w], missing[w] = p, False
+            table = kind, costs, missing if missing.any() else None
+        elif kind == "gather":
+            sources, costs = np.zeros((n, kc), dtype=np.intp), np.full((n, kc), _INF, dtype=np.int64)
+            sources[w, d], costs[w, d] = s, p
+            table = kind, sources, costs
+        elif kind == "rank-one":
+            to, costs = np.zeros(n, dtype=np.intp), np.full((n, kc), _INF, dtype=np.int64)
+            to[w], costs[w, s] = d, p
+            table = kind, to, costs
+        elif kind:
+            costs = np.full((n, kc, kc), _INF, dtype=np.int64)
+            costs[w, d, s] = p
+            table = kind, costs
         gathers = []
         for i, j in zip(cut, cut[1:]):
-            gather = np.full((kc, base ** int(lengths[i])), _INF, dtype=np.int64)
-            gather[local[dst[i:j]], code[i:j]] = paid[i:j]
-            gathers.append((int(lengths[i]), int(src[i]), gather))
+            gather = np.full((kc, base ** ns[i]), _INF, dtype=np.int64)
+            gather[dsts[i:j], code[i:j]] = paid[i:j]
+            gathers.append((ns[i], srcs[i], gather))
         if members[-1] - members[0] < kc:
             members = slice(int(members[0]), int(members[-1]) + 1)
         plan.append((members, kc, length, table, gathers))
@@ -744,7 +714,7 @@ def _macro_edges(rows, ends, graph, base: int, charged: int, limit):
             full.append((np.full(table[0].size, j), *table))
         if not keys.size:
             return (tuple(map(np.concatenate, zip(*full))),
-                    _cheapest(*map(np.concatenate, zip(*part))), prefixes, relaxations)
+                    _cheapest(*map(np.concatenate, zip(*part))), prefixes)
         pairs, numbers = _numbered(keys)
         prefixes.append(pairs)
         words = numbers[:at.size]
@@ -768,70 +738,6 @@ def _word_tables(table, spelled):
             for n, i, k in zip(lengths[cut[:-1]].tolist(), cut, cut[1:])]
 
 
-def _free_ends(part, word: str, t: int, best, hub_costs):
-    """min(best, the cheapest path that ends inside a chain at letter t):
-    hub_costs(u) lists the hub costs at letter u."""
-    for j, table in part:
-        ends = table.get(word[t - j:t])
-        if ends:
-            old = hub_costs(t - j)
-            for s, c in ends:
-                c += old[s]
-                if c < best:
-                    best = c
-    return best
-
-
-def _sweep_hubs(hubs: _Hubs, word: str, positions: List[int], last) -> list:
-    """Values of K at the positions past `lead` by the hub loop (see
-    _Hubs), up to the first unreachable one.
-
-    Each letter relaxes the macro-edges whose word ends there, per length,
-    looked up once per distinct window of the last span letters (at most
-    _WINDOW_MEMO windows are kept at a time).  Only the hub costs of the
-    last span letters are kept, in a ring indexed by letter that starts
-    from the rows `last` that `_sweep` filled up to `lead`: a letter's
-    costs are complete before they take the slot of the letter span back.
-    """
-    span, lead, full = hubs.span, hubs.lead, hubs.full
-    ring = [None] * span
-    for t, costs in enumerate(last.tolist(), lead + 1 - span):
-        ring[t % span] = costs
-    blank = [_INF] * len(hubs.ids)
-    out = []
-    samples = iter(positions)
-    want = next(samples)
-    last = lead                      # a letter at which some hub may be finite
-    memo = {}                        # window -> [(length, macro-edges ending it)]
-    for t in range(lead + 1, positions[-1] + 1):
-        window = word[t - span:t]
-        ends = memo.get(window)
-        if ends is None:
-            if len(memo) >= _WINDOW_MEMO:
-                memo.clear()
-            ends = memo[window] = [(n, edges) for n, table in full
-                                   if (edges := table.get(window[span - n:]))]
-        new = blank.copy()
-        for n, edges in ends:
-            old = ring[(t - n) % span]
-            for s, d, c in edges:
-                c += old[s]
-                if c < new[d]:
-                    new[d] = c
-        ring[t % span] = new
-        if new != blank:
-            last = t
-        elif t - last >= span:
-            break                    # no state is reachable from here on
-        if t == want:
-            best = _free_ends(hubs.part, word, t, min(new), lambda u: ring[u % span])
-            if best >= _INF:
-                break
-            out.append(best)
-            want = next(samples, None)
-    return out
-
-
 def _sweep_sums(hubs: _Hubs, word: str, positions: List[int], last) -> list:
     """Values of K at the positions past `lead` by scans over the hub
     graph's components (`_Hubs.scans`), up to the first unreachable one.
@@ -846,8 +752,9 @@ def _sweep_sums(hubs: _Hubs, word: str, positions: List[int], last) -> list:
     letters' code mod base**n.  Inside a component of macro-edges of
     length L the hub costs follow a recurrence on t - L, one per residue
     of t mod L: running sums for one hub that no gather enters, and
-    otherwise a min-plus scan (`_scan_hubs`).  K is then read at the
-    positions of the chunk.
+    otherwise a min-plus scan (`_scan_hubs`) of the component's kind of
+    maps.  K at a position of the chunk is then the cheapest path that ends
+    at a hub or inside a chain (`part`).
     """
     span, lead, stop = hubs.span, hubs.lead, positions[-1]
     top = len(hubs.rank) ** span
@@ -877,10 +784,12 @@ def _sweep_sums(hubs: _Hubs, word: str, positions: List[int], last) -> list:
             _sweep_component(cost, *component, window, span)
 
         while want is not None and want < first + size:
-            # recent[j - 1]: the hub costs at letter want - span + j.
+            # recent[-1 - j]: the hub costs at letter want - j.
             recent = cost[:, want - first + 1:want - first + span + 1].T.tolist()
-            best = _free_ends(hubs.part, word, want, min(recent[-1], default=_INF),
-                              lambda u: recent[u - want + span - 1])
+            best = min(recent[-1], default=_INF)
+            for j, table in hubs.part:
+                for s, c in table.get(word[want - j:want], ()):
+                    best = min(best, recent[-1 - j][s] + c)
             if best >= _INF:
                 return out
             out.append(best)
@@ -899,7 +808,7 @@ def _sweep_component(cost, members, k, length, table, gathers, window, span):
     width = cost.shape[1] - span
     entering = None                      # [d, i]: the cheapest gather into hub d at i
     for n, s, gather in gathers:
-        costs = gather[:, window(gather.shape[1])] + cost[s, span - n:span - n + width]
+        costs = gather.take(window(gather.shape[1]), axis=1) + cost[s, span - n:span - n + width]
         entering = costs if entering is None else np.minimum(entering, costs, out=entering)
     if entering is not None:
         np.minimum(entering, _INF, out=entering)
@@ -907,9 +816,10 @@ def _sweep_component(cost, members, k, length, table, gathers, window, span):
         cost[members, span:] = _INF if entering is None else entering
         return
     before = cost[members, span - length:span]
-    if k == 1 and entering is None:
+    kind, *tables = table
+    if kind == "one-hub":
         # Running sums per residue of the window costs, in the hub's row.
-        costs, missing = table
+        costs, missing = tables
         codes = window(len(costs))
         sums = costs.take(codes, out=cost[members, span:][0], mode="clip")
         if length > 1:
@@ -926,45 +836,75 @@ def _sweep_component(cost, members, k, length, table, gathers, window, span):
         elif True in dead:
             sums.reshape(-1, length)[:, dead] = _INF
         return
-    # A min-plus scan per residue, its maps the window tables.
-    if k == 1:
-        costs, missing = table
-        table = (costs if missing is None else np.where(missing, _INF, costs))[None, None]
-    maps = table[:, :, window(table.shape[2])].reshape(k, k, -1, length)
-    costs = np.full((k, width), _INF) if entering is None else entering
-    costs = costs.reshape(k, 1, -1, length)
-    np.minimum(_min_plus(maps[:, :, 0], before[:, None]), costs[:, :, 0], out=costs[:, :, 0])
-    cost[members, span:] = _scan_hubs(maps, costs).reshape(k, width)
+    # A min-plus scan per residue, its maps the window tables, hubs last.
+    codes = window(len(tables[-1]))
+    maps = [t.take(codes, axis=0).reshape(-1, length, *t.shape[1:]) for t in tables]
+    costs = np.full((width, k), _INF) if entering is None else entering.T
+    costs = costs.reshape(-1, length, k)
+    then, apply = _KINDS[kind]
+    np.minimum(apply([t[:1] for t in maps], before.T[None]), costs[:1], out=costs[:1])
+    cost[members, span:] = _scan_hubs(maps, costs, then, apply).reshape(width, k).T
 
 
 def _min_plus(a, b):
-    """The min-plus products a @ b, capped at _INF, of matrices a and b
-    (or column vectors b) indexed by their first two axes."""
-    out = a[:, 0, None] + b[None, 0]
-    for j in range(1, len(b)):
-        np.minimum(out, a[:, j, None] + b[None, j], out=out)
+    """The min-plus products a @ b, capped at _INF, of the matrices (or
+    column vectors b) on the last two axes of a and b."""
+    out = a[..., :, :1] + b[..., :1, :]
+    for j in range(1, b.shape[-2]):
+        np.minimum(out, a[..., :, j:j + 1] + b[..., j:j + 1, :], out=out)
     return np.minimum(out, _INF, out=out)
 
 
-def _scan_hubs(maps, costs):
-    """x[r] = min(maps[r] x[r - 1], costs[r]) in the min-plus algebra, with
-    x[0] = costs[0], for the rows r on the third axis: the rows are
-    letters L apart, counted from the chunk's first letter, and each holds
-    L columns, one per residue.
+def _gather_then(first, then):
+    (g0, c0), (g1, c1) = first, then
+    return [np.take_along_axis(g0, g1, -1),
+            np.minimum(c1 + np.take_along_axis(c0, g1, -1), _INF)]
+
+
+def _gather_apply(maps, x):
+    g, c = maps
+    return np.minimum(np.take_along_axis(x, g, -1) + c, _INF)
+
+
+def _rank_one_then(first, then):
+    (d0, c0), (d1, c1) = first, then
+    return [d1, np.minimum(c0 + np.take_along_axis(c1, d0[..., None], -1), _INF)]
+
+
+def _rank_one_apply(maps, x):
+    d, c = maps
+    out = np.full_like(x, _INF)
+    np.put_along_axis(out, d[..., None], np.minimum((x + c).min(-1, keepdims=True), _INF), -1)
+    return out
+
+
+# Per kind of maps (`_scans`), hubs on the last axis: the map that applies
+# `first` and then `then`, and a map applied to the hub costs x.
+_KINDS = {"gather": (_gather_then, _gather_apply),
+          "rank-one": (_rank_one_then, _rank_one_apply),
+          "dense": (lambda first, then: [_min_plus(then[0], first[0])],
+                    lambda maps, x: _min_plus(maps[0], x[..., None])[..., 0])}
+
+
+def _scan_hubs(maps, costs, then, apply):
+    """x[r] = min(apply(maps[r], x[r - 1]), costs[r]), with x[0] = costs[0],
+    for the rows r on the first axis of the maps and of the hub costs: the
+    rows are letters L apart, counted from the chunk's first letter, and
+    each holds L residues.
 
     Pairs of rows fold into one row of half as many, which the recursion
     solves; the odd rows then hold their x and each even row takes one
-    more step (Blelloch's scan: O(rows) products in O(log rows) calls).
+    more step (Blelloch's scan: O(rows) compositions in O(log rows) calls).
     """
-    rows = costs.shape[2]
+    rows = len(costs)
     if rows > 1:
         pairs = 2 * (rows // 2)
-        odd = _scan_hubs(_min_plus(maps[:, :, 1::2], maps[:, :, 0:pairs:2]),
-                         np.minimum(_min_plus(maps[:, :, 1::2], costs[:, :, 0:pairs:2]),
-                                    costs[:, :, 1::2]))
-        costs[:, :, 1::2] = odd
-        even = costs[:, :, 2::2]
-        np.minimum(_min_plus(maps[:, :, 2::2], odd[:, :, :even.shape[2]]), even, out=even)
+        odd_maps = [t[1::2] for t in maps]
+        odd = _scan_hubs(then([t[0:pairs:2] for t in maps], odd_maps),
+                         np.minimum(apply(odd_maps, costs[0:pairs:2]), costs[1::2]), then, apply)
+        costs[1::2] = odd
+        even = costs[2::2]
+        np.minimum(apply([t[2::2] for t in maps], odd[:len(even)]), even, out=even)
     return costs
 
 

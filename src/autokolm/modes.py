@@ -389,16 +389,25 @@ def parse_mode(text: str):
     """Parse a mode file; returns a DescriptionMode or PairDescriptionMode.
 
     A missing certificate line yields an unknown certificate; an
-    unbounded one gets its witness re-derived structurally.
+    unbounded one gets its witness re-derived structurally.  The one
+    certificate line reads `unknown`, `unbounded [METHOD]` or `BOUND
+    [METHOD [ARG]]`.
     """
     aut, extra = parse_automaton_lines(strip_format_lines(text))
-    cert = ValuednessCertificate.unknown()
+    cert, first = ValuednessCertificate.unknown(), None
     for lineno, directive, args in extra:
         if directive != "certificate":
             raise FormatError(f"line {lineno}: unknown directive {directive!r}")
+        if first is not None:
+            raise FormatError(f"line {lineno}: second certificate line (first on line {first})")
+        first = lineno
         if not args:
             raise FormatError(f"line {lineno}: empty certificate")
         bound_tok = args[0]
+        most = {UNKNOWN: 1, UNBOUNDED: 2}.get(bound_tok, 3)
+        if len(args) > most:
+            raise FormatError(f"line {lineno}: unexpected certificate tokens "
+                              f"{' '.join(args[most:])!r}")
         if bound_tok == UNKNOWN:
             cert = ValuednessCertificate.unknown()
         elif bound_tok == UNBOUNDED:

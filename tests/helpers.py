@@ -258,14 +258,13 @@ def transient_accept_rule() -> SelectionRule:
     return SelectionRule(3, 0, frozenset({0, 1}), ((1, 1), (2, 2), (2, 2)))
 
 
-def hub_tables_reference(num_states: int, by_letter, limit, relays, budget: int,
-                         cells_per_relaxation: int):
+def hub_tables_reference(num_states: int, by_letter, limit, relays, budget: int):
     """Reference hub graph of closure edge arrays {letter: (srcs, dsts,
     costs)}, by a walk one state and one chain letter at a time: (ids, lead,
     full, part, scans) as `hub_tables` reads them off a compiled `_Hubs`,
     or None once a letter would relax more than `limit` macro-edges or the
-    tables charge more than `budget` letters; `budget` and
-    `cells_per_relaxation` also bound the window tables of `scans`.
+    tables charge more than `budget` letters; `budget` also bounds the
+    window tables of `scans`.
 
     Kahn peeling gives `depth` and the live states; a hub is a live state
     whose out-degree is not 1, a relay, or the first state of a cycle of
@@ -356,8 +355,7 @@ def hub_tables_reference(num_states: int, by_letter, limit, relays, budget: int,
                         for w, pairs in table.items()}) for n, table in full.items()),
             sorted((j, {w: sorted(ends.items()) for w, ends in table.items()})
                    for j, table in part.items()),
-            scans_reference(len(ids), full, len(alphabet), relaxations, windows,
-                            cells_per_relaxation))
+            scans_reference(len(ids), full, len(alphabet), windows))
 
 
 def reach_sets(num_nodes: int, arcs) -> list:
@@ -385,21 +383,26 @@ def components_reference(num_nodes: int, arcs) -> list:
     return [tuple(sorted(u for u in reach[v] if v in reach[u])) for v in range(num_nodes)]
 
 
-def scans_reference(k: int, full, base: int, relaxations: int, budget: int,
-                    cells_per_relaxation: int):
+def scans_reference(k: int, full, base: int, budget: int):
     """The components of a hub graph full = {length: {word: {(src, dst):
     cost}}} as `hub_tables` reads them off `_Hubs.scans`: sorted (hubs,
-    length inside, [(word, src, dst, cost)] inside, [(length, src, word,
-    dst, cost)] into it from other components), or None where `_scans`
-    gives none.  Components come from `components_reference`."""
+    length inside, kind, [(word, src, dst, cost)] inside, [(length, src,
+    word, dst, cost)] into it from other components), or None where
+    `_scans` gives none.  Components come from `components_reference`.
+
+    The kind is None without macro-edges inside; "one-hub" for one hub
+    that nothing enters from other components; "gather" when no two
+    macro-edges of a word enter one hub; "rank-one" when those of each
+    word enter one hub; else "dense".  Each kind's tables charge `budget`
+    |alphabet|**length cells times 1, 2 size, size + 1 and size**2, and
+    each (length, src) into the component |alphabet|**length times size.
+    """
     rows = [(n, w, s, d, c) for n, table in full.items()
             for w, pairs in table.items() for (s, d), c in pairs.items()]
-    pairs = {(s, d) for _, _, s, d, _ in rows}
-    if len(pairs) > cells_per_relaxation * relaxations:
-        return None
-    comp = components_reference(k, pairs)
+    comp = components_reference(k, {(s, d) for _, _, s, d, _ in rows})
     out, charged = [], 0
     for members in sorted(set(comp)):
+        size = len(members)
         inside = sorted((w, s, d, c) for n, w, s, d, c in rows
                         if comp[s] == comp[d] == members)
         lengths = {len(w) for w, *_ in inside}
@@ -408,9 +411,15 @@ def scans_reference(k: int, full, base: int, relaxations: int, budget: int,
         length = lengths.pop() if lengths else 0
         into = sorted((n, s, w, d, c) for n, w, s, d, c in rows
                       if comp[d] == members and comp[s] != members)
-        charged += (base ** length * len(members) ** 2 if length else 0) + sum(
-            base ** n * len(members) for n, _ in {(n, s) for n, s, *_ in into})
-        out.append((members, length, inside, into))
+        entries = {(w, d) for w, _, d, _ in inside}
+        targets = {w: {d for v, _, d, _ in inside if v == w} for w, *_ in inside}
+        kind = (None if not length else "one-hub" if size == 1 and not into else
+                "gather" if len(entries) == len(inside) else
+                "rank-one" if all(len(ds) == 1 for ds in targets.values()) else "dense")
+        charged += base ** length * {None: 0, "one-hub": 1, "gather": 2 * size,
+                                     "rank-one": size + 1, "dense": size * size}[kind]
+        charged += sum(base ** n * size for n, _ in {(n, s) for n, s, *_ in into})
+        out.append((members, length, kind, inside, into))
     return out if charged <= budget else None
 
 

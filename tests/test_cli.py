@@ -281,6 +281,15 @@ VALID_RULE = "states 1\ninitial 0\naccepting 0\ntrans 0 0 0\ntrans 0 1 0\n"
     pytest.param("mode", VALID_MODE + "certificate -3\n", id="mode-certificate-negative"),
     pytest.param("mode", VALID_MODE + "certificate 1 brute-force-up-to-L -1\n",
                  id="mode-certificate-negative-L"),
+    pytest.param("mode", VALID_MODE + "certificate 1 asserted-by-construction a b c\n",
+                 id="mode-certificate-trailing"),
+    pytest.param("mode", VALID_MODE + "certificate 3 brute-force-up-to-L 4 5\n",
+                 id="mode-certificate-trailing-L"),
+    pytest.param("mode", VALID_MODE + "certificate unknown x\n", id="mode-certificate-unknown-arg"),
+    pytest.param("mode", VALID_MODE + "certificate unbounded m x\n",
+                 id="mode-certificate-unbounded-args"),
+    pytest.param("mode", VALID_MODE + "certificate 1\ncertificate 2\n",
+                 id="mode-certificate-twice"),
     pytest.param("sequence", b"01\xc3\xa901\n", id="sequence-non-ascii"),
 ])
 def test_malformed_files_exit_1_with_one_line(tmp_path, capsys, kind, content):

@@ -54,7 +54,6 @@ from helpers import (
 engine = importlib.import_module("autokolm.complexity")
 # Each sweep path as its (closure step, tail) pair.
 STEPS = {"python": (engine._step_python, None), "numpy": (engine._step_numpy, None),
-         "hub": (engine._step_numpy, engine._sweep_hubs),
          "sums": (engine._step_numpy, engine._sweep_sums)}
 
 
@@ -64,7 +63,7 @@ def force_step(monkeypatch, name):
 
     The prefix sums ("sums") need window tables (`_Hubs.scans`), that is a
     hub graph whose components each have one macro-edge length inside
-    them; other hub graphs take the hub loop ("hub").
+    them; other hub graphs take the numpy step ("numpy").
     """
     step, tail = STEPS[name]
 
@@ -72,8 +71,8 @@ def force_step(monkeypatch, name):
         if step is engine._step_python:
             return step, tail, engine._edge_lists(by_letter), None
         hubs = engine._Hubs.compile(num_states, by_letter, math.inf, relays) if tail else None
-        if tail is engine._sweep_sums and hubs.scans is None:
-            return step, engine._sweep_hubs, by_letter, hubs
+        if tail and hubs.scans is None:
+            return step, None, by_letter, None
         return step, tail, by_letter, hubs
     monkeypatch.setattr(engine, "_pick_step", pick)
     monkeypatch.setattr(engine, "_sweep_cache", {})
@@ -88,10 +87,10 @@ def swept_by(aut):
 
 def assert_swept_by(aut, path):
     """`aut` compiled to the forced (closure step, tail) pair `path`, or to
-    the hub loop where the prefix sums were forced but have no window
-    tables."""
-    if path == STEPS["sums"] and engine._compiled(aut).hubs.scans is None:
-        path = STEPS["hub"]
+    the numpy step where the prefix sums were forced but have no window
+    tables (and so no hub graph is kept)."""
+    if path == STEPS["sums"] and engine._compiled(aut).hubs is None:
+        path = STEPS["numpy"]
     assert swept_by(aut) == path
 
 
@@ -176,13 +175,13 @@ def test_reversal_duality():
         for _ in range(40):
             x = random_word(rng, 10)
             assert complexity(rev, x[::-1]) == complexity(mode, x)
-    # Trained coders: both reversed coders run the hub loop.
+    # Trained coders: both reversed coders take the prefix sums.
     bits = champernowne_bits(4_000)
     for k, x in ((4, bits[1_000:3_000]), (8, bits[2_000:2_500])):
         mode = champ_coder(k)
         rev = reverse_mode(mode)
         assert complexity(rev, x[::-1]) == complexity(mode, x)
-        assert swept_by(rev.automaton) == STEPS["hub"]
+        assert swept_by(rev.automaton) == STEPS["sums"]
 
 
 def test_pure_and_numpy_backends_agree(monkeypatch):
@@ -498,8 +497,8 @@ def test_trained_coder_compiles_to_one_hub():
     # One component of one hub, and a window cost table that every block is
     # in; window codes read the block as a binary number, first letter
     # highest.
-    [(_, k, length, (costs, missing), gathers)] = hubs.scans
-    assert (k, length, missing, gathers) == (1, 8, None, [])
+    [(_, k, length, (kind, costs, missing), gathers)] = hubs.scans
+    assert (k, length, kind, missing, gathers) == (1, 8, "one-hub", None, [])
     assert costs.size == 256
     for word, [(_, _, cost)] in table.items():
         assert costs[int(word, 2)] == cost
@@ -573,9 +572,9 @@ DEFAULT_PATHS = {
     "wall(3)": (lambda: wall_mode(3), "python"),
     "wall(5)": (lambda: wall_mode(5), "python"),
     "joint": (lambda: joint(identity_mode(), splitter_mode(parity_rule())), "python"),
-    "reverse(coder4)": (lambda: reverse_mode(champ_coder(4)), "hub"),
-    "reverse(coder8)": (lambda: reverse_mode(champ_coder(8)), "hub"),
-    "compose(coder4, coder4)": (lambda: compose(champ_coder(4), champ_coder(4)), "hub"),
+    "reverse(coder4)": (lambda: reverse_mode(champ_coder(4)), "sums"),
+    "reverse(coder8)": (lambda: reverse_mode(champ_coder(8)), "sums"),
+    "compose(coder4, coder4)": (lambda: compose(champ_coder(4), champ_coder(4)), "sums"),
     "layered(coder4, 2)": (lambda: layered_concat(champ_coder(4), 2), "sums"),
     "layered(skewed coder4, 2)": (lambda: layered_concat(skewed_coder(4), 2), "sums"),
 }
@@ -593,7 +592,7 @@ def one_hub_table(hubs):
     None; (None, None) for any other."""
     if hubs.scans is None or len(hubs.ids) > 1 or not hubs.scans[0][2]:
         return None, None
-    [(_, _, _, (costs, missing), _)] = hubs.scans
+    [(_, _, _, (_, costs, missing), _)] = hubs.scans
     return costs.tolist(), [False] * costs.size if missing is None else missing.tolist()
 
 
@@ -618,7 +617,9 @@ def compiled_digest(aut) -> str:
 
 
 # Digests of the compiled sweeps of DEFAULT_PATHS, pinned from the per-state
-# compile that the array compile replaced.
+# compile that the array compile replaced.  The reversals and the
+# composition were re-pinned when they moved from the hub loop to the
+# prefix sums, once each gave its old digest under the old path name.
 COMPILED_DIGESTS = {
     'coder1': '667bbe4ecf2b4ce7',
     'coder2': 'f8ef1998a57128c5',
@@ -628,13 +629,13 @@ COMPILED_DIGESTS = {
     'coder6': '7070876c21bcebdb',
     'coder7': 'f67da2e30959ff92',
     'coder8': 'f370b19072a955d9',
-    'compose(coder4, coder4)': '51bceb2ab22c7fad',
+    'compose(coder4, coder4)': 'aced7dac36fbd176',
     'identity': '9ba5d183467965a3',
     'joint': '1d52982cc3f3d904',
     'layered(coder4, 2)': 'c46fac940aa032f1',
     'layered(skewed coder4, 2)': '8a6083909dcf12d0',
-    'reverse(coder4)': 'ad021e7d8ed898e4',
-    'reverse(coder8)': 'f70f2a2f7d74067d',
+    'reverse(coder4)': '4c60ce4f46ad8113',
+    'reverse(coder8)': '5242cf69f2731231',
     'skewed coder4': '63648daa4fff88b7',
     'unary(3)': '099766aa55d7f9b9',
     'union': '23ba6b0064c50b0a',
@@ -672,28 +673,31 @@ def test_pure_cycle_promotes_a_hub(forced_step):
 def test_hub_sweep_around_its_prologue(make, source):
     # The closure step answers the positions up to lead and hands the hub
     # costs of its last span letters to the tail, which answers the rest.
-    for name in ("hub", "sums"):
-        with pytest.MonkeyPatch.context() as mp:
-            path = force_step(mp, name)
-            mode = make()
-            aut = mode.automaton
-            assert_swept_by(aut, path)
-            eng = engine._compiled(aut)
-            lead, span = eng.hubs.lead, eng.hubs.span
-            for n in (0, lead - 1, lead, lead + 1, 3 * span):
-                word = source[:n]
-                expected = sweep_pure_curve(aut, word)
-                assert complexity(mode, word) == expected[-1]
-                curve = complexity_curve(mode, word, n, 1, verify=False)
-                assert [k for _, k in curve.samples] == expected[1:]
-            # Positions that end at lead, in a longer word, never reach the tail.
-            mp.setattr(eng, "tail", None)
-            assert engine._sweep(aut, source[:3 * span], list(range(lead + 1))) == \
-                sweep_pure_curve(aut, source[:lead])
+    # A hub graph without window tables (chains of two lengths) is swept by
+    # the numpy step alone, around the same positions.
+    with pytest.MonkeyPatch.context() as mp:
+        path = force_step(mp, "sums")
+        mode = make()
+        aut = mode.automaton
+        assert_swept_by(aut, path)
+        eng = engine._compiled(aut)
+        relays = engine._closure_into(aut.num_states, *engine._classify_edges(aut))[3]
+        hubs = eng.hubs or engine._Hubs.compile(aut.num_states, eng.by_letter, math.inf, relays)
+        lead, span = hubs.lead, hubs.span
+        for n in (0, lead - 1, lead, lead + 1, 3 * span):
+            word = source[:n]
+            expected = sweep_pure_curve(aut, word)
+            assert complexity(mode, word) == expected[-1]
+            curve = complexity_curve(mode, word, n, 1, verify=False)
+            assert [k for _, k in curve.samples] == expected[1:]
+        # Positions that end at lead, in a longer word, never reach the tail.
+        mp.setattr(eng, "tail", None)
+        assert engine._sweep(aut, source[:3 * span], list(range(lead + 1))) == \
+            sweep_pure_curve(aut, source[:lead])
 
 
 def test_unreachable_in_the_middle_of_a_chain(forced_step):
-    # Chains of two lengths (the hub loop) and of one (prefix sums).
+    # Chains of two lengths (the numpy step) and of one (prefix sums).
     for second, word, last in (("10", "011" "10" "011" "01" "0" + "10" * 20, 10),
                                ("101", "011" "101" "011" "10" "0" + "101" * 13, 11)):
         mode = two_chain_mode(second)
@@ -799,7 +803,7 @@ def one_hub_modes(draw):
     return mode, text
 
 
-@pytest.mark.parametrize("name", ["hub", "sums"])
+@pytest.mark.parametrize("name", ["sums"])
 @settings(derandomize=True, database=None, max_examples=80, deadline=None)
 @given(data=st.data())
 def test_one_hub_modes_match_oracle(name, data):
@@ -885,7 +889,7 @@ def test_forced_relays_match_oracle(name, arity, data):
 @given(data=st.data())
 def test_layered_random_modes_match_oracle(name, data):
     # From three base states on, the layered hub is a relay, and a hub of
-    # the hub loop; on a block code, relay exits lie all along the chains
+    # the hub graph; on a block code, relay exits lie all along the chains
     # of the last layer.
     if data.draw(st.booleans()):
         base, word = data.draw(one_hub_modes())
@@ -930,6 +934,23 @@ def header_mode(first, chain, second):
     return DescriptionMode(aut, ValuednessCertificate.asserted(1, "test"), name="header")
 
 
+def drawn_blocks(draw, k):
+    """Some of the blocks of k bits, drawn."""
+    return draw(st.lists(st.sampled_from(["".join(b) for b in itertools.product("01", repeat=k)]),
+                         min_size=1, unique=True))
+
+
+def drawn_trained_coder(draw, k):
+    """A k-block coder trained on 64 drawn Bernoulli bits."""
+    bits = bernoulli_bits(draw(st.floats(0.05, 0.95)), draw(st.integers(0, 99)), 64)
+    return build_block_coder(block_histogram(bits, 64, k, "aligned"))
+
+
+def drawn_coder(draw, k):
+    """A trained k-block coder, or a block code of some of the blocks."""
+    return drawn_trained_coder(draw, k) if draw(st.booleans()) else block_code(drawn_blocks(draw, k))
+
+
 @st.composite
 def scan_modes(draw):
     """A mode whose hub graph the prefix sums sweep component by component.
@@ -943,23 +964,15 @@ def scan_modes(draw):
     whose component becomes unreachable at the first block outside the
     code.
     """
-    def blocks(k):
-        return draw(st.lists(st.sampled_from(["".join(b) for b in itertools.product("01", repeat=k)]),
-                             min_size=1, unique=True))
-
-    def coder(k):
-        if draw(st.booleans()):
-            bits = bernoulli_bits(draw(st.floats(0.05, 0.95)), draw(st.integers(0, 99)), 64)
-            return build_block_coder(block_histogram(bits, 64, k, "aligned"))
-        return block_code(blocks(k))
     family = draw(st.sampled_from(["layered", "union", "header"]))
     if family == "layered":
-        return layered_concat(coder(draw(st.integers(1, 3))), draw(st.integers(1, 3)))
+        return layered_concat(drawn_coder(draw, draw(st.integers(1, 3))), draw(st.integers(1, 3)))
     if family == "header":
         chain = draw(st.text("01", min_size=1, max_size=7))
-        return header_mode(blocks(draw(st.integers(1, 3))), chain, blocks(draw(st.integers(1, 2))))
+        return header_mode(drawn_blocks(draw, draw(st.integers(1, 3))), chain,
+                           drawn_blocks(draw, draw(st.integers(1, 2))))
     k, m = draw(st.lists(st.integers(1, 4), min_size=2, max_size=2, unique=True))
-    return union(coder(k), coder(m))
+    return union(drawn_coder(draw, k), drawn_coder(draw, m))
 
 
 def scan_positions(hubs, n):
@@ -978,20 +991,18 @@ def test_scans_match_the_oracle_and_the_hub_loop(data):
     word = bernoulli_bits(data.draw(st.floats(0.05, 0.95)), data.draw(st.integers(0, 999)),
                           data.draw(st.integers(1, 160)))
     expected = sweep_pure_curve(aut, word)
-    cells, values = data.draw(st.integers(1, 400)), {}
-    for name in ("sums", "hub"):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(engine, "_CHUNK_CELLS", cells)         # chunks of a few letters
-            path = force_step(mp, name)
-            if name == "sums":
-                # A block code of one-letter blocks may make a component of
-                # macro-edges of two lengths, which the hub loop sweeps.
-                hubs = engine._compiled(aut).hubs
-                assume(hubs.scans is not None)
-                positions = scan_positions(hubs, len(word))
-            assert swept_by(aut) == path
-            values[name] = engine._sweep(aut, word, positions)
-    assert values["sums"] == values["hub"] == [expected[t] for t in positions]
+    cells = data.draw(st.integers(1, 400))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "_CHUNK_CELLS", cells)             # chunks of a few letters
+        path = force_step(mp, "sums")
+        # A block code of one-letter blocks may make a component of
+        # macro-edges of two lengths, which the numpy step sweeps.
+        hubs = engine._compiled(aut).hubs
+        assume(hubs is not None)
+        positions = scan_positions(hubs, len(word))
+        assert swept_by(aut) == path
+        values = engine._sweep(aut, word, positions)
+    assert values == [expected[t] for t in positions]
 
 
 def test_a_component_dies_while_another_lives(monkeypatch):
@@ -1001,9 +1012,9 @@ def test_a_component_dies_while_another_lives(monkeypatch):
     aut = mode.automaton
     word = "0001" * 6 + "11" + "011" * 12
     force_step(monkeypatch, "sums")
-    monkeypatch.setattr(engine, "_CHUNK_CELLS", 20)
+    monkeypatch.setattr(engine, "_CHUNK_CELLS", 10)
     hubs = engine._compiled(aut).hubs
-    assert [k for _, k, _, _, _ in hubs.scans] == [1, 1] and hubs.chunk == 5    # 20 // 2**2
+    assert [k for _, k, _, _, _ in hubs.scans] == [1, 1] and hubs.chunk == 5    # 10 // 2 hubs
     curve = engine._sweep(aut, word, list(range(1, len(word) + 1)))
     assert curve == sweep_pure_curve(aut, word)[1:]
     assert complexity(block_code(["00", "01"]), word) == UNREACHABLE
@@ -1026,6 +1037,121 @@ def test_a_long_gather_into_a_short_loop_with_a_missing_letter(monkeypatch):
         monkeypatch.setattr(engine, "_sweep_cache", {})
         for word in map("".join, itertools.product("01", repeat=8)):
             assert engine._sweep(aut, word, list(range(1, 9))) == sweep_pure_curve(aut, word)[1:]
+
+
+@st.composite
+def functional_modes(draw):
+    """A mode whose hub graph has components of functional maps: the
+    reversal of a coder with k = 1..3 (rank-one maps) or the composition of
+    two trained coders of one k = 2..3 (mostly gather maps for k = 3, dense
+    for k = 2), alone or in a union with a coder.  A coder is trained on
+    Bernoulli bits or is a block code of some of the blocks."""
+    if draw(st.booleans()):
+        mode = reverse_mode(drawn_coder(draw, draw(st.integers(1, 3))))
+    else:
+        k = draw(st.integers(2, 3))
+        mode = compose(drawn_trained_coder(draw, k), drawn_trained_coder(draw, k))
+    return union(mode, drawn_coder(draw, draw(st.integers(1, 3)))) if draw(st.booleans()) else mode
+
+
+def test_functional_scans_match_the_oracle():
+    kinds = set()
+
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(data=st.data())
+    def check(data):
+        aut = data.draw(functional_modes()).automaton
+        word = bernoulli_bits(data.draw(st.floats(0.05, 0.95)), data.draw(st.integers(0, 999)),
+                              data.draw(st.integers(1, 120)))
+        expected = sweep_pure_curve(aut, word)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(engine, "_CHUNK_CELLS", data.draw(st.integers(1, 400)))
+            path = force_step(mp, "sums")
+            hubs = engine._compiled(aut).hubs
+            assume(hubs is not None)
+            assert swept_by(aut) == path
+            positions = scan_positions(hubs, len(word))
+            assert engine._sweep(aut, word, positions) == [expected[t] for t in positions]
+        kinds.update(table[0] for _, _, _, table, _ in hubs.scans if table)
+    check()
+    assert {"gather", "rank-one", "dense"} <= kinds
+
+
+@pytest.mark.parametrize("make,hubs,components,kinds,length,cells", [
+    (lambda: reverse_mode(champ_coder(4)), 16, 1, {"rank-one"}, 4, 16),
+    (lambda: reverse_mode(champ_coder(8)), 256, 1, {"rank-one"}, 8, 256),
+    (lambda: compose(champ_coder(4), champ_coder(4)), 31, 47, {"gather"}, 4, 255),
+])
+def test_reversals_and_compositions_compile_to_functional_maps(make, hubs, components,
+                                                             kinds, length, cells):
+    # The largest component's size and L, and the kinds of all components
+    # of more than one hub; the maps read back as the macro-edges of `full`.
+    eng = engine._compiled(make().automaton)
+    assert (eng.step, eng.tail) == STEPS["sums"]
+    largest = max(eng.hubs.scans, key=lambda component: component[1])
+    assert (len(eng.hubs.scans), largest[1], largest[2]) == (components, hubs, length)
+    assert {table[0] for _, k, _, table, _ in eng.hubs.scans if k > 1} == kinds
+    assert engine._scan_cells(eng.hubs.scans) == cells
+    rows = {(n, w, s, d): c for n, table in eng.hubs.full for w, edges in table.items()
+            for s, d, c in edges}
+    read = {}
+    for *_, inside, into in scans(eng.hubs):
+        read.update({(len(w), w, s, d): c for w, s, d, c in inside})
+        read.update({(n, w, s, d): c for n, s, w, d, c in into})
+    assert read == rows
+
+
+def as_matrices(kind, maps):
+    """Maps of a kind (`engine._KINDS`) as min-plus matrices [..., d, s]."""
+    if kind == "dense":
+        return maps[0]
+    index, costs = maps
+    out = np.full(costs.shape + costs.shape[-1:], engine._INF)
+    if kind == "gather":                         # hub d from hub index[d]
+        np.put_along_axis(out, index[..., None], costs[..., None], -1)
+    else:                                        # every hub s to hub index
+        index = np.broadcast_to(index[..., None, None], costs.shape[:-1] + (1, costs.shape[-1]))
+        np.put_along_axis(out, index, costs[..., None, :], -2)
+    return out
+
+
+def min_plus_reference(a, b):
+    return np.minimum((a[..., :, :, None] + b[..., None, :, :]).min(axis=-2), engine._INF)
+
+
+@pytest.mark.parametrize("kind", ["gather", "rank-one", "dense"])
+def test_map_kinds_compose_and_apply_as_min_plus_matrices(kind):
+    # Random maps on 5 hubs over 3 rows of 2 residues, with unreachable
+    # costs, against their matrices: `then` is the product in the order
+    # the maps apply, and `apply` the product with the costs as a column.
+    rng = np.random.default_rng(16)
+    shape, k = (3, 2), 5
+
+    def costs(*extra):
+        cost = rng.integers(0, 9, shape + extra)
+        return np.where(rng.random(cost.shape) < 0.3, engine._INF, cost)
+    then, apply = engine._KINDS[kind]
+    for _ in range(20):
+        first, second = ({"gather": lambda: [rng.integers(0, k, shape + (k,)), costs(k)],
+                          "rank-one": lambda: [rng.integers(0, k, shape), costs(k)],
+                          "dense": lambda: [costs(k, k)]}[kind]() for _ in range(2))
+        x = costs(k)
+        assert (as_matrices(kind, then(first, second)) == min_plus_reference(
+            as_matrices(kind, second), as_matrices(kind, first))).all()
+        assert (apply(first, x) == min_plus_reference(as_matrices(kind, first),
+                                                      x[..., None])[..., 0]).all()
+
+
+@pytest.mark.parametrize("make,hubs,chunk", [
+    # A cost row per hub is the widest array beside gather and rank-one maps.
+    (lambda: layered_concat(skewed_coder(4), 2), 4, 16_384),
+    (lambda: reverse_mode(champ_coder(8)), 256, 256),
+    # The 4 x 4 maps of a dense component are wider than the 5 cost rows.
+    (lambda: compose(champ_coder(2), champ_coder(2)), 5, 4_096),
+])
+def test_a_chunk_holds_its_widest_array_per_letter(make, hubs, chunk):
+    compiled = engine._compiled(make().automaton).hubs
+    assert (len(compiled.ids), compiled.chunk) == (hubs, chunk)
 
 
 def test_layered_relays_match_the_relay_free_closure(monkeypatch):
@@ -1137,7 +1263,10 @@ def test_layered_coder_compiles_to_three_chain_hubs_and_the_relay(train):
         ([n, 2 * n], 2, 4, []),
         ([4 * n], 1, 0, [(m, s) for m in range(1, 5) for s in (0, 1)]),
         ([3 * n], 1, 4, [(m, 3) for m in range(1, 5)])]
-    assert engine._scan_cells(hubs.scans) == 8 + 8 + 1 + 4
+    # The copy roots spell each word into one root each, and the final root
+    # is one hub that gathers enter: both are gather maps, of k cells.
+    assert [table and table[0] for _, _, _, table, _ in hubs.scans] == ["gather", None, "gather"]
+    assert engine._scan_cells(hubs.scans) == 2 + 8 + 1 + 4
 
 
 def test_layered_k8_coder_and_a_union_of_coders_take_the_prefix_sums():
@@ -1268,19 +1397,30 @@ def scans(hubs):
         members = np.arange(len(hubs.ids))[members].tolist()
         assert len(members) == k
         order.update(dict.fromkeys(members, c))
-        inside = []
-        if length and k == 1:
-            costs, missing = table
-            inside = [(spelled(code, length), members[0], members[0], cost)
-                      for code, cost in enumerate(costs.tolist())
-                      if missing is None or not missing[code]]
-        elif length:
-            inside = [(spelled(code, length), members[s], members[d], int(table[d, s, code]))
-                      for d, s, code in zip(*np.nonzero(table < engine._INF))]
+        kind, *arrays = table or (None,)
+        edges = []                               # (code, local src, local dst, cost)
+        if kind == "one-hub":
+            costs, missing = arrays
+            edges = [(code, 0, 0, cost) for code, cost in enumerate(costs.tolist())
+                     if missing is None or not missing[code]]
+        elif kind == "gather":
+            src, costs = arrays
+            edges = [(code, int(src[code, d]), d, int(costs[code, d]))
+                     for code, d in zip(*np.nonzero(costs < engine._INF))]
+        elif kind == "rank-one":
+            dst, costs = arrays
+            edges = [(code, s, int(dst[code]), int(costs[code, s]))
+                     for code, s in zip(*np.nonzero(costs < engine._INF))]
+        elif kind == "dense":
+            [costs] = arrays
+            edges = [(code, s, d, int(costs[code, d, s]))
+                     for code, d, s in zip(*np.nonzero(costs < engine._INF))]
+        inside = [(spelled(code, length), members[s], members[d], cost)
+                  for code, s, d, cost in edges]
         into = [(n, s, spelled(code, n), members[d], int(gather[d, code]))
                 for n, s, gather in gathers for d, code in zip(*np.nonzero(gather < engine._INF))]
         assert all(order[s] < c for _, s, _, _, _ in into)
-        out.append((tuple(members), length, sorted(inside), sorted(into)))
+        out.append((tuple(members), length, kind, sorted(inside), sorted(into)))
     return sorted(out)
 
 
@@ -1293,5 +1433,4 @@ def test_hub_compile_matches_the_reference_walk(data):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine, "_NORMALIZE_BUDGET", budget)
         hubs = engine._Hubs.compile(num_states, by_letter, limit, relays)
-    assert hub_tables(hubs) == hub_tables_reference(num_states, by_letter, limit, relays,
-                                                    budget, engine._CELLS_PER_RELAXATION)
+    assert hub_tables(hubs) == hub_tables_reference(num_states, by_letter, limit, relays, budget)

@@ -346,6 +346,20 @@ def test_mode_parse_rejects_refuted_certificate():
     assert not parse_mode(loop).certificate.is_finite
 
 
+@pytest.mark.parametrize("line, message", [
+    ("certificate 1 asserted-by-construction a b c", "line 7: unexpected certificate tokens 'b c'"),
+    ("certificate 3 brute-force-up-to-L 4 5", "line 7: unexpected certificate tokens '5'"),
+    ("certificate unknown x", "line 7: unexpected certificate tokens 'x'"),
+    ("certificate 1\ncertificate 1", r"line 8: second certificate line \(first on line 7\)"),
+])
+def test_mode_parse_rejects_extra_certificate_tokens_and_lines(line, message):
+    from autokolm.automaton import serialize_automaton
+    text = serialize_automaton(identity_mode().automaton)
+    assert parse_mode(text + "certificate 3 brute-force-up-to-L 4\n").certificate.length_bound == 4
+    with pytest.raises(FormatError, match=message):
+        parse_mode(text + line + "\n")
+
+
 def test_union_rejects_unbounded_mode():
     loop = LabeledAutomaton(2, (BINARY, BINARY), 1, ((0, 0, (EPSILON, "0")),))
     bad = DescriptionMode(
