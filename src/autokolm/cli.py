@@ -13,7 +13,7 @@ import sys
 from . import constructions, modes, normality, seqgen
 from .complexity import UNREACHABLE, complexity, complexity_curve
 from .errors import BudgetExceeded, ContractError, FormatError, InputRejected
-from .modes import parse_mode, serialize_mode, valuedness_profile
+from .modes import UNKNOWN, parse_mode, serialize_mode, valuedness_profile
 
 
 def _write(path, text: str):
@@ -145,7 +145,10 @@ def cmd_complexity(args) -> int:
 def cmd_check_mode(args) -> int:
     mode = _load_mode(args.mode)
     lines = [f"stored-certificate: {mode.certificate.describe()}"]
-    profile = valuedness_profile(mode, args.max_len)
+    # parse_mode ran eps_cycle_check unless the certificate is unknown: a
+    # finite certificate passed it, and an unbounded one holds its witness.
+    checked = {} if mode.certificate.bound == UNKNOWN else {"witness": mode.certificate.witness}
+    profile = valuedness_profile(mode, args.max_len, **checked)
     if profile.witness is not None:
         lines.append("eps-cycle: unbounded")
         lines.append("witness: " + " ".join(f"{s}->{d}" for s, d, _ in profile.witness))

@@ -27,20 +27,39 @@ from .modes import UNBOUNDED, DescriptionMode, PairDescriptionMode
 
 UNREACHABLE = math.inf
 
-# Where the prefix sums tail does not apply, the closure step is plain
-# Python over a dict, with no tail, while every letter relaxes at most this
-# many closure edges: above it the numpy scatter-min is faster per letter
-# (measured crossover between 24 and 28 edges on carry automata and random
-# graphs).
+# The closure step is plain Python over a dict while every letter relaxes
+# at most this many closure edges: above it the numpy scatter-min is faster
+# per letter (measured crossover between 24 and 28 edges on carry automata
+# and random graphs).
 _PYTHON_STEP_EDGES = 24
-# Above it, the prefix sums tail runs while it sweeps at most this many
-# cells per letter (`_scan_cells`), else the numpy step.  Warm sweeps of 48k
+# After either step, the prefix sums tail runs while it sweeps at most this
+# many cells per letter (`_scan_cells`), else the closure step sweeps the
+# whole word.  Measured against the numpy step, warm sweeps of 48k
 # Bernoulli(0.9) bits, min of 5, per letter (2-vCPU host): layered(skewed
 # coder4, N), N 1..8, 187-527 closure edges: numpy 4.0-8.8 us, sums
 # 0.17-1.09 us (10-42 cells), or 0.08-3.8 us with dense maps (10-546
 # cells); reverse(skewed coder4) with dense maps (4,096 cells, 160 edges):
 # sums 11-15 us, numpy 4.1-4.5 us.  So the crossover is at 700-1,600 cells.
 _NUMPY_SCAN_CELLS = 1_000
+# After the Python step, the prefix sums tail takes over on words of at
+# least `_handoff` letters past `lead`, estimated from one table of unit
+# costs in us: a closure edge relaxed by the Python step (a letter costs one
+# more, for its dict; the cheapest letter's edges are counted, as a word
+# may leave most of a closure unreached), a call of the tail, and a cell
+# it sweeps.  Calls per chunk, component, masked one-hub table, gather and
+# scan level were counted under cProfile (numpy and Python calls alike).
+# Warm calls on Bernoulli(0.9) bits, min of 3 x 7-400 runs per length
+# (2-vCPU host): the Python step took 0.22-0.31 us per letter on identity
+# (1 edge), 0.31-0.46 on joint (2), 0.56 on wall(3) (4), 0.83-1.44 on
+# wall(5) (6) and 1.26-2.45 on coder3 (16); the tail's fixed cost was
+# 19 us for identity (28 calls) and 88 for joint (144); the scans swept
+# 0.18-0.24 us per letter on joint.  The estimate then hands off at 61
+# letters for identity (measured break-even 59-62), 110 for union (about
+# 100), 900 for wall(5) (512-1,024), 1,200 for joint (1,024-2,048) and
+# 1,896 for wall(3) (1,024-2,048).
+_US_PER_RELAXATION, _US_PER_CALL, _US_PER_CELL = 0.14, 0.6, 0.0005
+_TAIL_CALLS = {"chunk": 14, "component": 14, "mask": 9, "gather": 6, "level": 29}
+_SCAN_ROW_CELLS = 6
 _NORMALIZE_BUDGET = 5_000_000
 # A cost of _INF or more is unreachable.  Every cost is at most _INF, and
 # every sum of two is capped at _INF before a third term is added to it, so
@@ -157,11 +176,12 @@ def _sweep(aut: LabeledAutomaton, word: str, positions: List[int]) -> list:
     """Values of K at the given prefix lengths (strictly ascending) of
     `word`, read on the object tape.
 
-    The closure step runs from the start to the hub graph's `lead` (the
-    whole word without a hub graph) in batches between positions, and one
-    letter at a time through the last `span` letters up to `lead`, whose
-    hub costs it keeps, one row per letter.  The tail answers the
-    positions past `lead` from those rows.
+    The closure step runs in batches between positions, over the whole
+    word unless it reaches `handoff` letters past the hub graph's `lead`:
+    then it stops at `lead`, going one letter at a time through the last
+    `span` letters up to it, whose hub costs it keeps, one row per letter
+    (read from the Python step's dict as from the numpy step's array).
+    The tail answers the positions past `lead` from those rows.
     """
     check_word(aut, aut.arity - 1, word)
     if aut.num_states == 0:
@@ -169,9 +189,9 @@ def _sweep(aut: LabeledAutomaton, word: str, positions: List[int]) -> list:
     eng = _compiled(aut)
     hubs = eng.hubs
     stops, lead, fill, last = positions, positions[-1], (), None
-    if hubs is not None:
-        lead = min(hubs.lead, lead)
-        fill = range(hubs.lead - hubs.span + 1, lead + 1)
+    if hubs is not None and lead - hubs.lead >= hubs.handoff:
+        lead = hubs.lead
+        fill = range(lead - hubs.span + 1, lead + 1)
         stops = [*positions[:bisect_left(positions, fill.start)], *fill]
         last = np.empty((hubs.span, len(hubs.ids)), dtype=np.int64)
     dist, best, done, out = eng.start, 0, 0, []
@@ -182,7 +202,8 @@ def _sweep(aut: LabeledAutomaton, word: str, positions: List[int]) -> list:
             if best == UNREACHABLE:
                 break
         if t in fill:
-            last[t - fill.start] = dist[hubs.ids]
+            last[t - fill.start] = (list(map(dist.get, hubs.keys, repeat(_INF)))
+                                    if type(dist) is dict else dist[hubs.ids])
         if t == positions[len(out)]:
             out.append(best)
     if best != UNREACHABLE and lead < positions[-1]:
@@ -210,9 +231,12 @@ class _CompiledSweep:
     dropped (`_prune`); the glue edges between layered copies and the
     synchronised moves of a composition make many such edges.
     `_pick_step` chooses the closure step, plain Python over a dict of
-    reachable states or a numpy scatter-min over the closure edges, and a
-    tail, which sweeps the hub DP over macro-edges (`_Hubs`, the relays
-    among its hubs) past its `lead` as scans of its components, or None.
+    reachable states or a numpy scatter-min over the closure edges, by
+    the closure's width, and a tail, which sweeps the hub DP over
+    macro-edges (`_Hubs`, the relays among its hubs) past its `lead` as
+    scans of its components, or None.  Either step feeds the tail; the
+    Python step's hub graph also knows from which word length on the
+    tail pays back its fixed cost (`_Hubs.handoff`).
     """
 
     def __init__(self, aut: LabeledAutomaton):
@@ -353,23 +377,24 @@ def _pick_step(num_states: int, by_letter, relays):
     """The closure step, the tail, the edges the step reads per letter,
     and the hub graph (or None) with the `relays` as hubs.
 
+    The Python step while every letter relaxes at most _PYTHON_STEP_EDGES
+    closure edges, else numpy's scatter-min over the closure edge arrays.
     The prefix sums tail whenever the hub graph has window tables
-    (`_Hubs.scans`) and, for the Python step's closures, one hub, or else
-    its scans sweep at most _NUMPY_SCAN_CELLS cells per letter.  Otherwise
-    no tail, and the Python step while every letter relaxes at most
-    _PYTHON_STEP_EDGES closure edges, else numpy's scatter-min over the
-    closure edge arrays.
+    (`_Hubs.scans`) that sweep at most _NUMPY_SCAN_CELLS cells per letter
+    and, after the Python step, is estimated cheaper than that step on
+    some word length (`_handoff`); otherwise no tail.
     """
     widest = max((srcs.size for srcs, _, _ in by_letter.values()), default=0)
-    python = widest <= _PYTHON_STEP_EDGES
-    # A graph with one hub and one length relaxes one macro-edge per letter.
-    hubs = _Hubs.compile(num_states, by_letter, 1 if python else math.inf, relays)
-    if hubs is not None and hubs.scans is not None and (
-            len(hubs.ids) == 1 if python else _scan_cells(hubs.scans) <= _NUMPY_SCAN_CELLS):
-        return _step_numpy, _sweep_sums, by_letter, hubs
-    if python:
-        return _step_python, None, _edge_lists(by_letter), None
-    return _step_numpy, None, by_letter, None
+    hubs = _Hubs.compile(num_states, by_letter, relays)
+    if hubs is None or hubs.scans is None or _scan_cells(hubs.scans) > _NUMPY_SCAN_CELLS:
+        hubs = None
+    if widest > _PYTHON_STEP_EDGES:
+        return _step_numpy, hubs and _sweep_sums, by_letter, hubs
+    if hubs is not None:
+        hubs.handoff = _handoff(hubs, min(srcs.size for srcs, _, _ in by_letter.values()))
+        if hubs.handoff is None:
+            hubs = None
+    return _step_python, hubs and _sweep_sums, _edge_lists(by_letter), hubs
 
 
 def _scan_cells(scans) -> int:
@@ -378,6 +403,48 @@ def _scan_cells(scans) -> int:
     gather into k hubs."""
     return sum(((k ** 3 if table[0] == "dense" else k) if length else 0) + k * len(gathers)
                for _, k, length, table, gathers in scans)
+
+
+def _handoff(hubs, edges: int):
+    """The fewest letters past `lead` from which the prefix sums tail is
+    estimated cheaper than the Python step relaxing `edges` closure edges
+    per letter, or None when it is on no word of up to 2**24 letters.
+
+    Each call of the tail (numpy's and its own, as cProfile counts them)
+    costs _US_PER_CALL and each cell it sweeps _US_PER_CELL.  A chunk makes _TAIL_CALLS["chunk"] calls, a
+    component "component" more ("mask" for one-hub window tables that
+    miss words), a gather "gather", and a scan "level" per level, one
+    more than log2 of its rows.  Per letter, a one-hub component sweeps 1
+    cell, a gather into k hubs k, and a scan its `_scan_cells` plus
+    _SCAN_ROW_CELLS per row at each of its calls, twice over as its rows
+    halve.
+    """
+    calls, cells, lengths = _TAIL_CALLS["chunk"], 0, []
+    for _, k, length, table, gathers in hubs.scans:
+        calls += _TAIL_CALLS["component"] + _TAIL_CALLS["gather"] * len(gathers)
+        cells += k * len(gathers)
+        if table and table[0] == "one-hub":
+            calls += _TAIL_CALLS["mask"] * (table[2] is not None)
+            cells += 1
+        elif table:
+            lengths.append(length)
+            width = k ** 3 if table[0] == "dense" else k
+            cells += 2 * _TAIL_CALLS["level"] * (width + _SCAN_ROW_CELLS)
+
+    def chunk_us(letters):
+        levels = sum((-(-letters // n) - 1).bit_length() + 1 for n in lengths)
+        return _US_PER_CALL * (calls + _TAIL_CALLS["level"] * levels) + _US_PER_CELL * cells * letters
+
+    def cheaper(letters):
+        full, rest = divmod(letters, hubs.chunk)
+        tail = full * chunk_us(hubs.chunk) + (chunk_us(rest) if rest else 0)
+        return tail < _US_PER_RELAXATION * (edges + 1) * letters
+    top = 1
+    while not cheaper(top):
+        if top >= 1 << 24:
+            return None
+        top *= 2
+    return top // 2 + bisect_left(range(top // 2, top), True, key=cheaper)
 
 
 def _step_python(by_letter, dist: dict, letters):
@@ -462,12 +529,16 @@ class _Hubs:
     with macro-edges of two lengths inside it, `scans` is None.  The
     prefix sums tail sweeps `chunk` letters at a time (_CHUNK_CELLS), each
     chunk padded to a multiple of `period`, the least common multiple of
-    the lengths L.
+    the lengths L.  A call takes the tail when its word reaches `handoff`
+    letters past `lead`: 0 after the numpy step, and after the Python step
+    the estimated break-even (`_handoff`), which `_pick_step` sets; `keys`
+    lists the hubs as ints, to read the Python step's dict of costs.
     """
 
     def __init__(self, ids, lead, span, full, part, alphabet, scans):
         self.ids, self.lead, self.span, self.part = ids, lead, span, part
         self._full, self.scans = full, scans
+        self.keys, self.handoff = ids.tolist(), 0
         if scans is not None:
             self.rank = {ord(a): i for i, a in enumerate(alphabet)}
             self.powers = len(alphabet) ** np.arange(self.span, dtype=np.intp)
@@ -481,10 +552,9 @@ class _Hubs:
         return _word_tables(*self._full)
 
     @classmethod
-    def compile(cls, num_states: int, by_letter, limit, relays):
+    def compile(cls, num_states: int, by_letter, relays):
         """The hub graph of the closure edge arrays with the `relays` as
-        hubs, or None once a letter would relax more than `limit`
-        macro-edges or the tables exceed the compile budget.
+        hubs, or None once the tables exceed the compile budget.
 
         All hub out-edges walk their chains at once, one letter per round
         (`_macro_edges`); words are numbered as they grow, one number per
@@ -534,7 +604,7 @@ class _Hubs:
             (letter[exits], np.repeat(np.arange(ids.size), xcount[ids]), index[dst[exits]],
              cost[exits]),
             (hub, index, nxt, nletter, ncost, (letter, dst, cost), first + outdeg, xcount),
-            len(alphabet), charged, limit)
+            len(alphabet), charged)
         if tables is None:
             return None
         full, part, prefixes = tables
@@ -666,9 +736,9 @@ def _cycle_hubs(chain, nxt):
     return entry[lost[lowest]]
 
 
-def _macro_edges(rows, ends, graph, base: int, charged: int, limit):
-    """(full, part, prefixes) of the hub graph, or None past `limit`
-    relaxations or past _NORMALIZE_BUDGET letters charged.
+def _macro_edges(rows, ends, graph, base: int, charged: int):
+    """(full, part, prefixes) of the hub graph, or None past
+    _NORMALIZE_BUDGET letters charged.
 
     `rows` are the hub out-edges as arrays (letter, src hub, state, cost)
     and `ends` the relay exits of the hubs, macro-edges of one letter, as
@@ -687,7 +757,7 @@ def _macro_edges(rows, ends, graph, base: int, charged: int, limit):
     words, src, at, paid = rows
     ends = [ends]                                # macro-edges of j letters
     full, part, prefixes = [(np.zeros(0, dtype=np.int64),) * 5], [], []
-    relaxations, j, relaying = 0, 1, xcount.any()
+    j, relaying = 1, xcount.any()
     while True:
         charged += at.size
         done = hub[at]
@@ -708,9 +778,6 @@ def _macro_edges(rows, ends, graph, base: int, charged: int, limit):
         ends = [piece for piece in ends if piece[0].size]
         if ends:
             table = _cheapest(*map(np.concatenate, zip(*ends)))
-            relaxations += int(np.bincount(table[0]).max())
-            if relaxations > limit:
-                return None
             full.append((np.full(table[0].size, j), *table))
         if not keys.size:
             return (tuple(map(np.concatenate, zip(*full))),
@@ -855,20 +922,26 @@ def _min_plus(a, b):
     return np.minimum(out, _INF, out=out)
 
 
+def _take_last(a, index):
+    """np.take_along_axis(a, index, -1) for an index with a's leading
+    shape, as one flat take."""
+    rows = np.arange(0, a.size, a.shape[-1]).reshape(*a.shape[:-1], 1)
+    return a.reshape(-1).take(index + rows)
+
+
 def _gather_then(first, then):
     (g0, c0), (g1, c1) = first, then
-    return [np.take_along_axis(g0, g1, -1),
-            np.minimum(c1 + np.take_along_axis(c0, g1, -1), _INF)]
+    return [_take_last(g0, g1), np.minimum(c1 + _take_last(c0, g1), _INF)]
 
 
 def _gather_apply(maps, x):
     g, c = maps
-    return np.minimum(np.take_along_axis(x, g, -1) + c, _INF)
+    return np.minimum(_take_last(x, g) + c, _INF)
 
 
 def _rank_one_then(first, then):
     (d0, c0), (d1, c1) = first, then
-    return [d1, np.minimum(c0 + np.take_along_axis(c1, d0[..., None], -1), _INF)]
+    return [d1, np.minimum(c0 + _take_last(c1, d0[..., None]), _INF)]
 
 
 def _rank_one_apply(maps, x):

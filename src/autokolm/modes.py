@@ -40,6 +40,8 @@ BINARY = ("0", "1")
 
 # Enumeration budget of valuedness_profile, in visited configurations.
 _PROFILE_BUDGET = 4_000_000
+# The `witness` of a valuedness_profile whose caller ran no eps_cycle_check.
+_UNCHECKED = object()
 
 
 @dataclass(frozen=True)
@@ -342,16 +344,18 @@ class ValuednessProfile:
         return isinstance(self.max_fanout, int)
 
 
-def valuedness_profile(mode, length_bound: int) -> ValuednessProfile:
+def valuedness_profile(mode, length_bound: int, witness=_UNCHECKED) -> ValuednessProfile:
     """Exact maximum fan-out over descriptions of length <= length_bound.
 
     If an output-producing consuming-free cycle exists the fan-out is
     infinite and the profile reports "unbounded".  Otherwise cutting
     minimal cycles bounds object length by (total description length + 1)
-    times the state count, so plain enumeration is exhaustive.
+    times the state count, so plain enumeration is exhaustive.  A caller
+    that already ran `eps_cycle_check` on the mode passes its `witness`.
     """
     aut = getattr(mode, "automaton", mode)
-    witness = eps_cycle_check(aut)
+    if witness is _UNCHECKED:
+        witness = eps_cycle_check(aut)
     if witness is not None:
         return ValuednessProfile(UNBOUNDED,
                                  ValuednessCertificate.unbounded(witness),

@@ -258,13 +258,12 @@ def transient_accept_rule() -> SelectionRule:
     return SelectionRule(3, 0, frozenset({0, 1}), ((1, 1), (2, 2), (2, 2)))
 
 
-def hub_tables_reference(num_states: int, by_letter, limit, relays, budget: int):
+def hub_tables_reference(num_states: int, by_letter, relays, budget: int):
     """Reference hub graph of closure edge arrays {letter: (srcs, dsts,
     costs)}, by a walk one state and one chain letter at a time: (ids, lead,
     full, part, scans) as `hub_tables` reads them off a compiled `_Hubs`,
-    or None once a letter would relax more than `limit` macro-edges or the
-    tables charge more than `budget` letters; `budget` also bounds the
-    window tables of `scans`.
+    or None once the tables charge more than `budget` letters; `budget`
+    also bounds the window tables of `scans`.
 
     Kahn peeling gives `depth` and the live states; a hub is a live state
     whose out-degree is not 1, a relay, or the first state of a cycle of
@@ -314,8 +313,6 @@ def hub_tables_reference(num_states: int, by_letter, limit, relays, budget: int)
     ids = [s for s in range(num_states) if hub[s]]
     index = {s: i for i, s in enumerate(ids)}
     full, part = {}, {}
-    widest = {}
-    relaxations = 0
     for h in ids:
         src = index[h]
         made = [(alphabet[b], index[r], f) for b, r, f in exits.get(h, ())]
@@ -344,11 +341,6 @@ def hub_tables_reference(num_states: int, by_letter, limit, relays, budget: int)
             pairs = full.setdefault(len(word), {}).setdefault(word, {})
             if paid < pairs.get((src, dst_hub), math.inf):
                 pairs[src, dst_hub] = paid
-                if len(pairs) > widest.get(len(word), 0):
-                    widest[len(word)] = len(pairs)
-                    relaxations += 1
-                    if relaxations > limit:
-                        return None
     span = max(full, default=1)
     return (ids, depth + span - 1,
             sorted((n, {w: sorted((s, d, c) for (s, d), c in pairs.items())

@@ -1,5 +1,6 @@
 import pytest
 
+from autokolm import modes
 from autokolm.cli import main
 from autokolm.constructions import serialize_rule
 from autokolm.modes import parse_mode
@@ -147,6 +148,29 @@ def test_check_mode_output(tmp_path, capsys):
     assert out == ("stored-certificate: bound=unbounded method=structural-infinite-witness\n"
                    "eps-cycle: unbounded\n"
                    "witness: 0->1 1->0\n")
+
+
+@pytest.mark.parametrize("certificate", ["keep", "unknown", "unbounded"])
+def test_check_mode_runs_the_eps_cycle_check_once(tmp_path, capsys, monkeypatch, certificate):
+    # parse_mode checks a finite or unbounded certificate, and check-mode
+    # reuses its result; an unknown certificate is checked by the profile.
+    seq = tmp_path / "seq.txt"
+    seq.write_text(champernowne_bits(2000) + "\n")
+    coder = tmp_path / "coder.aut"
+    run(capsys, "mode", "build-coder", "--k", "4", "--train", str(seq), "--n", "1000",
+        "--out", str(coder))
+    text = coder.read_text()
+    if certificate == "unknown":
+        coder.write_text(text[:text.index("certificate")] + "certificate unknown\n")
+    elif certificate == "unbounded":
+        coder.write_text("arity 2\nalphabet 0 0 1\nalphabet 1 0 1\nstates 2\n"
+                         "edge 0 1 - 0\nedge 1 0 - 1\nedge 0 0 1 1\ncertificate unbounded\n")
+    expected = run(capsys, "check-mode", "--mode", str(coder), "--max-len", "2")
+    calls = []
+    check = modes.eps_cycle_check
+    monkeypatch.setattr(modes, "eps_cycle_check", lambda aut: calls.append(aut) or check(aut))
+    assert run(capsys, "check-mode", "--mode", str(coder), "--max-len", "2") == expected
+    assert len(calls) == 1 and expected[0] == 0
 
 
 def test_stats_row(tmp_path, capsys):

@@ -2,7 +2,6 @@ import gc
 import hashlib
 import importlib
 import itertools
-import math
 import random
 
 import numpy as np
@@ -54,6 +53,7 @@ from helpers import (
 engine = importlib.import_module("autokolm.complexity")
 # Each sweep path as its (closure step, tail) pair.
 STEPS = {"python": (engine._step_python, None), "numpy": (engine._step_numpy, None),
+         "python-sums": (engine._step_python, engine._sweep_sums),
          "sums": (engine._step_numpy, engine._sweep_sums)}
 
 
@@ -61,19 +61,20 @@ def force_step(monkeypatch, name):
     """Compile every automaton to the named (closure step, tail) pair, on a
     fresh cache; returns the pair.
 
-    The prefix sums ("sums") need window tables (`_Hubs.scans`), that is a
-    hub graph whose components each have one macro-edge length inside
-    them; other hub graphs take the numpy step ("numpy").
+    The prefix sums ("python-sums" after the Python step, "sums" after the
+    numpy step) need window tables (`_Hubs.scans`), that is a hub graph
+    whose components each have one macro-edge length inside them; other
+    hub graphs take the closure step alone.  A forced tail takes over at
+    `lead` on every word that reaches it (`handoff` 0).
     """
     step, tail = STEPS[name]
 
     def pick(num_states, by_letter, relays):
-        if step is engine._step_python:
-            return step, tail, engine._edge_lists(by_letter), None
-        hubs = engine._Hubs.compile(num_states, by_letter, math.inf, relays) if tail else None
+        edges = engine._edge_lists(by_letter) if step is engine._step_python else by_letter
+        hubs = engine._Hubs.compile(num_states, by_letter, relays) if tail else None
         if tail and hubs.scans is None:
-            return step, None, by_letter, None
-        return step, tail, by_letter, hubs
+            return step, None, edges, None
+        return step, tail, edges, hubs
     monkeypatch.setattr(engine, "_pick_step", pick)
     monkeypatch.setattr(engine, "_sweep_cache", {})
     return step, tail
@@ -87,10 +88,10 @@ def swept_by(aut):
 
 def assert_swept_by(aut, path):
     """`aut` compiled to the forced (closure step, tail) pair `path`, or to
-    the numpy step where the prefix sums were forced but have no window
-    tables (and so no hub graph is kept)."""
-    if path == STEPS["sums"] and engine._compiled(aut).hubs is None:
-        path = STEPS["numpy"]
+    its closure step alone where the prefix sums were forced but have no
+    window tables (and so no hub graph is kept)."""
+    if path[1] is engine._sweep_sums and engine._compiled(aut).hubs is None:
+        path = (path[0], None)
     assert swept_by(aut) == path
 
 
@@ -516,7 +517,7 @@ def test_trained_coder_closure_is_entries_from_entered_states(train):
     # emission-chain states that read it.
     for k in range(1, 9):
         eng = engine._compiled(train(k).automaton)
-        assert {a: len(srcs) for a, (srcs, _, _) in eng.by_letter.items()} == {
+        assert {a: len(edges) for a, edges in edge_lists(eng).items()} == {
             "0": (k + 1) << (k - 1), "1": (k + 1) << (k - 1)}
 
 
@@ -564,14 +565,15 @@ def test_every_relay_set_of_small_modes(forced_step, monkeypatch, make):
 
 
 DEFAULT_PATHS = {
-    "identity": (identity_mode, "sums"),
-    "unary(3)": (lambda: unary_compressor(3), "sums"),
-    **{f"coder{k}": (lambda k=k: champ_coder(k), "sums") for k in range(1, 9)},
+    "identity": (identity_mode, "python-sums"),
+    "unary(3)": (lambda: unary_compressor(3), "python-sums"),
+    **{f"coder{k}": (lambda k=k: champ_coder(k), "python-sums" if k <= 3 else "sums")
+       for k in range(1, 9)},
     "skewed coder4": (lambda: skewed_coder(4), "sums"),
-    "union": (lambda: union(identity_mode(), unary_compressor(3)), "python"),
-    "wall(3)": (lambda: wall_mode(3), "python"),
-    "wall(5)": (lambda: wall_mode(5), "python"),
-    "joint": (lambda: joint(identity_mode(), splitter_mode(parity_rule())), "python"),
+    "union": (lambda: union(identity_mode(), unary_compressor(3)), "python-sums"),
+    "wall(3)": (lambda: wall_mode(3), "python-sums"),
+    "wall(5)": (lambda: wall_mode(5), "python-sums"),
+    "joint": (lambda: joint(identity_mode(), splitter_mode(parity_rule())), "python-sums"),
     "reverse(coder4)": (lambda: reverse_mode(champ_coder(4)), "sums"),
     "reverse(coder8)": (lambda: reverse_mode(champ_coder(8)), "sums"),
     "compose(coder4, coder4)": (lambda: compose(champ_coder(4), champ_coder(4)), "sums"),
@@ -584,6 +586,86 @@ DEFAULT_PATHS = {
 def test_default_path_of_each_mode(name):
     make, path = DEFAULT_PATHS[name]
     assert swept_by(make().automaton) == STEPS[path]
+
+
+# The break-evens of the Python step against the prefix sums, measured on
+# warm calls over Bernoulli(0.9) bits, letters past `lead`.
+MEASURED_HANDOFFS = {"identity": (40, 64), "union": (100, 250), "wall(5)": (256, 1_024),
+                     "wall(3)": (1_024, 4_096), "joint": (1_024, 4_096)}
+PYTHON_SUMS_MODES = sorted(name for name, (_, path) in DEFAULT_PATHS.items()
+                           if path == "python-sums")
+
+
+def handoff_positions(hubs, n):
+    """lead + handoff - 1, itself and plus one, lead and 1: those in 1..n,
+    and n."""
+    cut = hubs.lead + hubs.handoff
+    return sorted({1, hubs.lead, cut - 1, cut, cut + 1} & set(range(1, n)) | {n})
+
+
+@pytest.mark.parametrize("name", PYTHON_SUMS_MODES)
+def test_python_step_hands_off_by_word_length(name, monkeypatch):
+    # Words that end one letter short of the hand-off stay on the Python
+    # step; from there on the tail answers the positions past lead, on
+    # curves whose positions straddle the hand-off too.
+    make, _ = DEFAULT_PATHS[name]
+    aut = make().automaton
+    eng = engine._compiled(aut)
+    hubs = eng.hubs
+    low, high = MEASURED_HANDOFFS.get(name, (1, 1_024))
+    assert low <= hubs.handoff <= high
+    cut = hubs.lead + hubs.handoff
+    # unary(3) spells runs of ones only.
+    source = "1" * (cut + 1) if name == "unary(3)" else bernoulli_bits(0.9, 19, cut + 1)
+    tails = []
+    monkeypatch.setattr(eng, "tail", lambda *args: tails.append(1) or engine._sweep_sums(*args))
+    for n in (cut - 1, cut, cut + 1):
+        word = source[:n]
+        expected = sweep_pure_curve(aut, word)
+        assert expected[-1] < UNREACHABLE
+        before = len(tails)
+        assert engine._sweep(aut, word, [n]) == [expected[-1]]
+        assert len(tails) - before == (n >= cut and n > hubs.lead)
+        positions = handoff_positions(hubs, n)
+        assert engine._sweep(aut, word, positions) == [expected[t] for t in positions]
+
+
+@st.composite
+def python_step_modes(draw):
+    """A mode whose closure the Python step relaxes and whose hub graph
+    the prefix sums may sweep: a one-hub mode, a mode of `scan_modes` or
+    of `functional_modes`."""
+    family = draw(st.sampled_from(["one-hub", "scan", "functional"]))
+    if family == "one-hub":
+        return draw(one_hub_modes())[0]
+    return draw(scan_modes() if family == "scan" else functional_modes())
+
+
+def test_the_hand_off_matches_the_oracle_on_hypothesis_modes():
+    paths, crossed = set(), set()
+
+    @settings(derandomize=True, database=None, max_examples=80, deadline=None)
+    @given(data=st.data())
+    def check(data):
+        aut = data.draw(python_step_modes()).automaton
+        with pytest.MonkeyPatch.context() as mp:
+            # Chunks of a few dozen letters and more, so that the words
+            # around the hand-off cross them.
+            mp.setattr(engine, "_CHUNK_CELLS", data.draw(st.integers(48, 400)))
+            mp.setattr(engine, "_sweep_cache", {})
+            eng = engine._compiled(aut)
+            paths.add(swept_by(aut))
+            assume(swept_by(aut) == STEPS["python-sums"])
+            hubs = eng.hubs
+            n = hubs.lead + hubs.handoff + data.draw(st.integers(-1, 1))
+            word = bernoulli_bits(data.draw(st.floats(0.05, 0.95)), data.draw(st.integers(0, 999)),
+                                  max(n, 1))
+            expected = sweep_pure_curve(aut, word)
+            positions = sorted({*handoff_positions(hubs, len(word)), *scan_positions(hubs, len(word))})
+            assert engine._sweep(aut, word, positions) == [expected[t] for t in positions]
+            crossed.add(len(word) > hubs.lead + hubs.chunk)
+    check()
+    assert STEPS["python-sums"] in paths and True in crossed
 
 
 def one_hub_table(hubs):
@@ -619,28 +701,31 @@ def compiled_digest(aut) -> str:
 # Digests of the compiled sweeps of DEFAULT_PATHS, pinned from the per-state
 # compile that the array compile replaced.  The reversals and the
 # composition were re-pinned when they moved from the hub loop to the
-# prefix sums, once each gave its old digest under the old path name.
+# prefix sums, once each gave its old digest under the old path name; so
+# were the modes that moved to the Python step and the prefix sums, with
+# the old path name put back (and no hub tables for union, joint and the
+# walls, which had none).
 COMPILED_DIGESTS = {
-    'coder1': '667bbe4ecf2b4ce7',
-    'coder2': 'f8ef1998a57128c5',
-    'coder3': '868fedf9823db027',
+    'coder1': '7a56aabd6d1932df',
+    'coder2': '4076c1775884079e',
+    'coder3': 'cf4e12672de32133',
     'coder4': 'c84b7aeb1ba51317',
     'coder5': '6319539b3ca9a334',
     'coder6': '7070876c21bcebdb',
     'coder7': 'f67da2e30959ff92',
     'coder8': 'f370b19072a955d9',
     'compose(coder4, coder4)': 'aced7dac36fbd176',
-    'identity': '9ba5d183467965a3',
-    'joint': '1d52982cc3f3d904',
+    'identity': '083a8721b39743fe',
+    'joint': '6f3d3002fd1589c0',
     'layered(coder4, 2)': 'c46fac940aa032f1',
     'layered(skewed coder4, 2)': '8a6083909dcf12d0',
     'reverse(coder4)': '4c60ce4f46ad8113',
     'reverse(coder8)': '5242cf69f2731231',
     'skewed coder4': '63648daa4fff88b7',
-    'unary(3)': '099766aa55d7f9b9',
-    'union': '23ba6b0064c50b0a',
-    'wall(3)': '946a6eb24080959c',
-    'wall(5)': 'f96c8802470c11a8',
+    'unary(3)': '1d101245c9830f80',
+    'union': '0c568f0b7eb948f5',
+    'wall(3)': '16644e9d4e7f4ed6',
+    'wall(5)': 'e3c3ccc08d6ba5dc',
 }
 
 
@@ -682,7 +767,7 @@ def test_hub_sweep_around_its_prologue(make, source):
         assert_swept_by(aut, path)
         eng = engine._compiled(aut)
         relays = engine._closure_into(aut.num_states, *engine._classify_edges(aut))[3]
-        hubs = eng.hubs or engine._Hubs.compile(aut.num_states, eng.by_letter, math.inf, relays)
+        hubs = eng.hubs or engine._Hubs.compile(aut.num_states, eng.by_letter, relays)
         lead, span = hubs.lead, hubs.span
         for n in (0, lead - 1, lead, lead + 1, 3 * span):
             word = source[:n]
@@ -803,7 +888,7 @@ def one_hub_modes(draw):
     return mode, text
 
 
-@pytest.mark.parametrize("name", ["sums"])
+@pytest.mark.parametrize("name", ["python-sums", "sums"])
 @settings(derandomize=True, database=None, max_examples=80, deadline=None)
 @given(data=st.data())
 def test_one_hub_modes_match_oracle(name, data):
@@ -1290,9 +1375,9 @@ def test_relay_tables_are_charged_to_the_compile_budget(monkeypatch):
     force_step(monkeypatch, "numpy")
     arrays = engine._compiled(aut).by_letter
     monkeypatch.setattr(engine, "_NORMALIZE_BUDGET", 3)
-    assert engine._Hubs.compile(3, arrays, math.inf, {2}) is None
+    assert engine._Hubs.compile(3, arrays, {2}) is None
     monkeypatch.setattr(engine, "_NORMALIZE_BUDGET", 4)
-    hubs = engine._Hubs.compile(3, arrays, math.inf, {2})
+    hubs = engine._Hubs.compile(3, arrays, {2})
     assert hubs.ids.tolist() == [1, 2]
     assert hubs.full == [(2, {"10": [(1, 0, 1), (1, 1, 2)]})]
 
@@ -1309,7 +1394,7 @@ def test_relay_tables_past_the_budget_fall_back_to_numpy(monkeypatch):
     without_exits = {a: tuple(col[dst != relay] for col in (srcs, dst, cost))
                      for a, (srcs, dst, cost) in arrays.items()}
     monkeypatch.setattr(engine, "_NORMALIZE_BUDGET", 400)
-    assert engine._Hubs.compile(aut.num_states, without_exits, math.inf, {relay}) is not None
+    assert engine._Hubs.compile(aut.num_states, without_exits, {relay}) is not None
     monkeypatch.setattr(engine, "_sweep_cache", {})
     assert swept_by(aut) == STEPS["numpy"]
     assert complexity_curve(mode, source, len(source), 100).samples == expected
@@ -1428,9 +1513,8 @@ def scans(hubs):
 @given(data=st.data())
 def test_hub_compile_matches_the_reference_walk(data):
     num_states, by_letter, relays = data.draw(hub_graphs())
-    limit = data.draw(st.sampled_from([math.inf, 1, 2, 3, 5, 8]))
     budget = data.draw(st.sampled_from([engine._NORMALIZE_BUDGET, 2, 5, 9, 14, 20, 30]))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine, "_NORMALIZE_BUDGET", budget)
-        hubs = engine._Hubs.compile(num_states, by_letter, limit, relays)
-    assert hub_tables(hubs) == hub_tables_reference(num_states, by_letter, limit, relays, budget)
+        hubs = engine._Hubs.compile(num_states, by_letter, relays)
+    assert hub_tables(hubs) == hub_tables_reference(num_states, by_letter, relays, budget)
