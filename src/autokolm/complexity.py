@@ -68,9 +68,15 @@ _INF = 1 << 61
 # A chunk of the prefix sums tail holds at most _CHUNK_CELLS cells, counted
 # by the widest array it holds per letter: a cost row per hub, and k**2 for
 # the maps of a dense component of k hubs (k for the other kinds and for
-# gathers).  So its memory does not grow with the word, and a one-hub graph
-# sweeps a word of up to 65,536 letters in one pass.
+# gathers).  So its memory does not grow with the word.  It also holds at
+# most _CHUNK_LETTERS letters, so that its per-letter arrays (window codes,
+# a hub's cost row) stay near 128 KiB, which malloc keeps in its heap: with
+# 65,536-letter chunks they were fresh pages on every call, and the page
+# faults took a third of a warm coder4 curve (48k Bernoulli(0.9) bits, step
+# 3,000, min of 40, 2-vCPU host: 249 faults and 860-1,220 us per call, 0
+# and 580-810 us with the cap).
 _CHUNK_CELLS = 1 << 16
+_CHUNK_LETTERS = 1 << 14
 # Closure edges over all letters.  The closure is charged from its entry
 # counts (each entry into t makes one edge per letter-reading edge out of
 # t) before any closure edge is made: the trivial and one-hop entries at
@@ -527,9 +533,9 @@ class _Hubs:
     one of three kinds (`_scans`).  The tables exist only while their
     cells stay within _NORMALIZE_BUDGET; otherwise, and for a component
     with macro-edges of two lengths inside it, `scans` is None.  The
-    prefix sums tail sweeps `chunk` letters at a time (_CHUNK_CELLS), each
-    chunk padded to a multiple of `period`, the least common multiple of
-    the lengths L.  A call takes the tail when its word reaches `handoff`
+    prefix sums tail sweeps `chunk` letters at a time (_CHUNK_CELLS,
+    _CHUNK_LETTERS), each chunk padded to a multiple of `period`, the
+    least common multiple of the lengths L.  A call takes the tail when its word reaches `handoff`
     letters past `lead`: 0 after the numpy step, and after the Python step
     the estimated break-even (`_handoff`), which `_pick_step` sets; `keys`
     lists the hubs as ints, to read the Python step's dict of costs.
@@ -545,7 +551,7 @@ class _Hubs:
             self.period = math.lcm(*(length for _, _, length, _, _ in scans if length))
             widest = max([len(ids), *(k * k for _, k, _, table, _ in scans
                                       if table and table[0] == "dense")])
-            self.chunk = max(_CHUNK_CELLS // max(widest, 1), 1)
+            self.chunk = max(min(_CHUNK_CELLS // max(widest, 1), _CHUNK_LETTERS), 1)
 
     @functools.cached_property
     def full(self):
