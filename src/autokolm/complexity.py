@@ -388,7 +388,8 @@ def _pick_step(num_states: int, by_letter, relays):
     The prefix sums tail whenever the hub graph has window tables
     (`_Hubs.scans`) that sweep at most _NUMPY_SCAN_CELLS cells per letter
     and, after the Python step, is estimated cheaper than that step on
-    some word length (`_handoff`); otherwise no tail.
+    some word length (`_handoff`, from the edges of the letter with the
+    fewest); otherwise no tail.
     """
     widest = max((srcs.size for srcs, _, _ in by_letter.values()), default=0)
     hubs = _Hubs.compile(num_states, by_letter, relays)
@@ -414,16 +415,17 @@ def _scan_cells(scans) -> int:
 def _handoff(hubs, edges: int):
     """The fewest letters past `lead` from which the prefix sums tail is
     estimated cheaper than the Python step relaxing `edges` closure edges
-    per letter, or None when it is on no word of up to 2**24 letters.
+    per letter (and one more for the letter), or None when it is on no
+    word of up to 2**24 letters.
 
     Each call of the tail (numpy's and its own, as cProfile counts them)
-    costs _US_PER_CALL and each cell it sweeps _US_PER_CELL.  A chunk makes _TAIL_CALLS["chunk"] calls, a
-    component "component" more ("mask" for one-hub window tables that
-    miss words), a gather "gather", and a scan "level" per level, one
-    more than log2 of its rows.  Per letter, a one-hub component sweeps 1
-    cell, a gather into k hubs k, and a scan its `_scan_cells` plus
-    _SCAN_ROW_CELLS per row at each of its calls, twice over as its rows
-    halve.
+    costs _US_PER_CALL and each cell it sweeps _US_PER_CELL.  A chunk
+    makes _TAIL_CALLS["chunk"] calls, a component "component" more
+    ("mask" for one-hub window tables that miss words), a gather
+    "gather", and a scan "level" per level, one more than log2 of its
+    rows.  Per letter, a one-hub component sweeps 1 cell, a gather into k
+    hubs k, and a scan its `_scan_cells` plus _SCAN_ROW_CELLS per row at
+    each of its calls, twice over as its rows halve.
     """
     calls, cells, lengths = _TAIL_CALLS["chunk"], 0, []
     for _, k, length, table, gathers in hubs.scans:
@@ -439,7 +441,8 @@ def _handoff(hubs, edges: int):
 
     def chunk_us(letters):
         levels = sum((-(-letters // n) - 1).bit_length() + 1 for n in lengths)
-        return _US_PER_CALL * (calls + _TAIL_CALLS["level"] * levels) + _US_PER_CELL * cells * letters
+        return (_US_PER_CALL * (calls + _TAIL_CALLS["level"] * levels)
+                + _US_PER_CELL * cells * letters)
 
     def cheaper(letters):
         full, rest = divmod(letters, hubs.chunk)

@@ -661,7 +661,8 @@ def test_the_hand_off_matches_the_oracle_on_hypothesis_modes():
             word = bernoulli_bits(data.draw(st.floats(0.05, 0.95)), data.draw(st.integers(0, 999)),
                                   max(n, 1))
             expected = sweep_pure_curve(aut, word)
-            positions = sorted({*handoff_positions(hubs, len(word)), *scan_positions(hubs, len(word))})
+            positions = sorted({*handoff_positions(hubs, len(word)),
+                                *scan_positions(hubs, len(word))})
             assert engine._sweep(aut, word, positions) == [expected[t] for t in positions]
             crossed.add(len(word) > hubs.lead + hubs.chunk)
     check()
