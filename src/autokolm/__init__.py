@@ -17,7 +17,6 @@ from .complexity import (
     complexity,
     complexity_curve,
     pair_complexity,
-    superadditivity_check,
 )
 from .constructions import (
     SelectionRule,

@@ -46,8 +46,9 @@ _NUMPY_SCAN_CELLS = 1_000
 # costs in us: a closure edge relaxed by the Python step (a letter costs one
 # more, for its dict; the cheapest letter's edges are counted, as a word
 # may leave most of a closure unreached), a call of the tail, and a cell
-# it sweeps.  Calls per chunk, component, masked one-hub table, gather and
-# scan level were counted under cProfile (numpy and Python calls alike).
+# it sweeps.  Calls per chunk, component, masked table, gather, rank-one
+# recurrence and scan level were counted under cProfile (numpy and Python
+# calls alike).
 # Warm calls on Bernoulli(0.9) bits, min of 3 x 7-400 runs per length
 # (2-vCPU host): the Python step took 0.22-0.31 us per letter on identity
 # (1 edge), 0.31-0.46 on joint (2), 0.56 on wall(3) (4), 0.83-1.44 on
@@ -55,10 +56,11 @@ _NUMPY_SCAN_CELLS = 1_000
 # 19 us for identity (28 calls) and 88 for joint (144); the scans swept
 # 0.18-0.24 us per letter on joint.  The estimate then hands off at 61
 # letters for identity (measured break-even 59-62), 110 for union (about
-# 100), 900 for wall(5) (512-1,024), 1,200 for joint (1,024-2,048) and
-# 1,896 for wall(3) (1,024-2,048).
+# 100), 338 for wall(5) (256-512), 554 for wall(3) (512-1,024) and 1,200
+# for joint (1,024-2,048).
 _US_PER_RELAXATION, _US_PER_CALL, _US_PER_CELL = 0.14, 0.6, 0.0005
-_TAIL_CALLS = {"chunk": 14, "component": 14, "mask": 9, "gather": 6, "level": 29}
+_TAIL_CALLS = {"chunk": 14, "component": 14, "mask": 9, "gather": 6, "level": 29,
+               "recurrence": 19}
 _SCAN_ROW_CELLS = 6
 _NORMALIZE_BUDGET = 5_000_000
 # A cost of _INF or more is unreachable.  Every cost is at most _INF, and
@@ -106,11 +108,6 @@ def complexity(mode: DescriptionMode | PairDescriptionMode, word: str):
 
 
 pair_complexity = complexity
-
-
-def superadditivity_check(mode: DescriptionMode, x: str, y: str) -> bool:
-    """Does K(xy) >= K(x) + K(y) hold?  Unreachable counts as +infinity."""
-    return complexity(mode, x + y) >= complexity(mode, x) + complexity(mode, y)
 
 
 @dataclass(frozen=True)
@@ -421,11 +418,13 @@ def _handoff(hubs, edges: int):
     Each call of the tail (numpy's and its own, as cProfile counts them)
     costs _US_PER_CALL and each cell it sweeps _US_PER_CELL.  A chunk
     makes _TAIL_CALLS["chunk"] calls, a component "component" more
-    ("mask" for one-hub window tables that miss words), a gather
-    "gather", and a scan "level" per level, one more than log2 of its
-    rows.  Per letter, a one-hub component sweeps 1 cell, a gather into k
-    hubs k, and a scan its `_scan_cells` plus _SCAN_ROW_CELLS per row at
-    each of its calls, twice over as its rows halve.
+    ("mask" for window tables that miss words or macro-edges), a gather
+    "gather", a rank-one component's recurrence "recurrence", and a scan
+    "level" per level, one more than log2 of its rows.  Per letter, a
+    one-hub component sweeps 1 cell, a gather into k hubs k, a rank-one
+    component of k hubs k plus one per call of its recurrence, and a scan
+    its `_scan_cells` plus _SCAN_ROW_CELLS per row at each of its calls,
+    twice over as its rows halve.
     """
     calls, cells, lengths = _TAIL_CALLS["chunk"], 0, []
     for _, k, length, table, gathers in hubs.scans:
@@ -434,6 +433,10 @@ def _handoff(hubs, edges: int):
         if table and table[0] == "one-hub":
             calls += _TAIL_CALLS["mask"] * (table[2] is not None)
             cells += 1
+        elif table and table[0] == "rank-one":
+            calls += _TAIL_CALLS["recurrence"] + _TAIL_CALLS["mask"] * bool(
+                (table[2] >= _INF).any())
+            cells += k + _TAIL_CALLS["recurrence"]
         elif table:
             lengths.append(length)
             width = k ** 3 if table[0] == "dense" else k
@@ -644,12 +647,15 @@ def _scans(k: int, full, codes, base: int):
     of the first kind that fits, indexed by word code and local hub, with
     _INF where no macro-edge is: "one-hub" (costs, missing) for one hub
     that no gather enters, see `_Hubs`; "gather" (src, cost) at [code, d]
-    when no two macro-edges of a word enter one hub; "rank-one" (dst,
-    cost) at [code] and [code, s] when those of each word enter one hub;
-    "dense" (cost,) at [code, d, s].  The cells charged are those of the
-    arrays but `missing`.  A gather (n, s, table) holds at [d, code] the
-    cost of the macro-edge of length n from hub s of an earlier component
-    to the d-th hub of this one.
+    for more hubs when no two macro-edges of a word enter one hub;
+    "rank-one" (dst, cost) at [code] and [s, code] when those of each word
+    enter one hub, as for one hub that gathers enter; "dense" (cost,) at
+    [code, d, s].  `_sweep_component` sweeps one-hub tables by running
+    sums, rank-one tables by a first-order recurrence (`_sweep_rank_one`)
+    and the others by a min-plus scan (`_scan_hubs`).  The cells charged
+    are those of the arrays but `missing`.  A gather (n, s, table) holds at
+    [d, code] the cost of the macro-edge of length n from hub s of an
+    earlier component to the d-th hub of this one.
     """
     lengths, words, src, dst, paid = full
     span = int(lengths[-1]) if lengths.size else 1
@@ -686,7 +692,7 @@ def _scans(k: int, full, codes, base: int):
             mine = slice(inside, entering)
             s, d, w, p = local[src[mine]], dsts[mine], code[mine], paid[mine]
             kind = ("one-hub" if kc == 1 and len(cut) == 1 else
-                    "gather" if _runs(np.sort(d * n + w)).all() else
+                    "gather" if kc > 1 and _runs(np.sort(d * n + w)).all() else
                     "rank-one" if _runs(np.sort(w * kc + d)).sum() == _runs(np.sort(w)).sum() else
                     "dense")
         charged += {None: 0, "one-hub": n, "gather": 2 * kc * n, "rank-one": (kc + 1) * n,
@@ -703,8 +709,8 @@ def _scans(k: int, full, codes, base: int):
             sources[w, d], costs[w, d] = s, p
             table = kind, sources, costs
         elif kind == "rank-one":
-            to, costs = np.zeros(n, dtype=np.intp), np.full((n, kc), _INF, dtype=np.int64)
-            to[w], costs[w, s] = d, p
+            to, costs = np.zeros(n, dtype=np.intp), np.full((kc, n), _INF, dtype=np.int64)
+            to[w], costs[s, w] = d, p
             table = kind, to, costs
         elif kind:
             costs = np.full((n, kc, kc), _INF, dtype=np.int64)
@@ -827,10 +833,12 @@ def _sweep_sums(hubs: _Hubs, word: str, positions: List[int], last) -> list:
     table of (n, s) at the code of word[t - n:t], which is the span
     letters' code mod base**n.  Inside a component of macro-edges of
     length L the hub costs follow a recurrence on t - L, one per residue
-    of t mod L: running sums for one hub that no gather enters, and
-    otherwise a min-plus scan (`_scan_hubs`) of the component's kind of
-    maps.  K at a position of the chunk is then the cheapest path that ends
-    at a hub or inside a chain (`part`).
+    of t mod L: running sums for one hub that no gather enters (none, when
+    the hub is unreachable before the chunk), a first-order recurrence
+    for a rank-one component (`_sweep_rank_one`: one cumsum and one
+    running minimum), and otherwise a min-plus scan (`_scan_hubs`) of the
+    component's kind of maps.  K at a position of the chunk is then the
+    cheapest path that ends at a hub or inside a chain (`part`).
     """
     span, lead, stop = hubs.span, hubs.lead, positions[-1]
     top = len(hubs.rank) ** span
@@ -896,13 +904,16 @@ def _sweep_component(cost, members, k, length, table, gathers, window, span):
     if kind == "one-hub":
         # Running sums per residue of the window costs, in the hub's row.
         costs, missing = tables
+        before = before[0].tolist()
+        dead = [c >= _INF for c in before]
+        if False not in dead:
+            cost[members, span:] = _INF
+            return
         codes = window(len(costs))
         sums = costs.take(codes, out=cost[members, span:][0], mode="clip")
         if length > 1:
             sums = sums.reshape(-1, length)
         sums.cumsum(axis=0, out=sums)
-        before = before[0].tolist()
-        dead = [c >= _INF for c in before]
         sums += [0 if c >= _INF else c for c in before]
         if missing is not None:
             cut = missing[codes].reshape(sums.shape)
@@ -911,6 +922,9 @@ def _sweep_component(cost, members, k, length, table, gathers, window, span):
             sums[cut] = _INF
         elif True in dead:
             sums.reshape(-1, length)[:, dead] = _INF
+        return
+    if kind == "rank-one":
+        _sweep_rank_one(cost, members, *tables, window, entering, before, span)
         return
     # A min-plus scan per residue, its maps the window tables, hubs last.
     codes = window(len(tables[-1]))
@@ -922,6 +936,74 @@ def _sweep_component(cost, members, k, length, table, gathers, window, span):
     cost[members, span:] = _scan_hubs(maps, costs, then, apply).reshape(width, k).T
 
 
+def _sweep_rank_one(cost, members, to, costs, window, entering, before, span):
+    """The rows `members` of `cost`, as `_sweep_component`, for a rank-one
+    component: each word's macro-edges enter the one hub to[code], from
+    hub s at costs[s, code], L = len(before[0]) letters long.
+
+    Past a row of letters, every hub but the one its words enter holds
+    only its gathers, so per residue the cost y_j of that hub at row j
+    follows y_j = min(y_{j-1} + a_j, b_j) (`_first_order`): a_j is the
+    cost out of the hub that row j - 1 entered, and b_j the cheaper of
+    the gathers into the hub and of the gathers of row j - 1 (`before`
+    for the first row) plus the cost out of their hubs.
+    """
+    length, width = before.shape[1], cost.shape[1] - span
+    n = to.size
+    codes = window(n)
+    dst = to.take(codes)
+    # The cell in `cost` of the hub that each letter's word enters.
+    cells = (np.arange(len(cost))[members].take(dst) * cost.shape[1]
+             + np.arange(span, span + width))
+    cost[members, span:] = _INF if entering is None else entering
+    a = np.zeros(width, dtype=np.int64)
+    costs.reshape(-1).take(dst[:-length] * n + codes[length:], out=a[length:])
+    # Row j - 1's hubs hold their gathers, and the hubs before the chunk
+    # their costs.
+    through = costs.take(codes if entering is not None else codes[:length], axis=1)
+    through[:, :length] += before
+    if entering is None:
+        b = np.full(width, _INF, dtype=np.int64)
+        np.minimum(through.min(axis=0), _INF, out=b[:length])
+    else:
+        through[:, length:] += entering[:, :-length]
+        b = np.minimum(through.min(axis=0), cost.take(cells))    # at most _INF, as the gathers
+    cost.put(cells, _first_order(a.reshape(-1, length), b.reshape(-1, length)))
+
+
+def _first_order(a, b):
+    """y[0] = b[0] and y[r] = min(y[r - 1] + a[r], b[r]) down the rows r
+    of the int64 arrays a and b, column by column, capped at _INF: a[0] is
+    0, a and b are at most _INF, and a[r] >= _INF starts y afresh at b[r].
+
+    With the sums s of a, y[r] = s[r] + the least b[i] - s[i] for i <= r:
+    one cumsum and one running minimum.  A fresh start adds `top` to the
+    sums, more than every finite b and the finite a together, and so more
+    than every finite y; an unreachable b is clamped to top.  Every b - s
+    after a fresh start is then below every one before it, and a path
+    across it costs top or more, which reads as unreachable.  Where top
+    times the rows could wrap int64 (costs near 2**47, which no mode here
+    reaches), the rows are taken one at a time.
+    """
+    top = _INF
+    fresh = a >= _INF
+    if fresh.any():
+        top = int(b.max(where=b < _INF, initial=0)) + int(a.sum(where=~fresh)) + 1
+        if top * (len(a) + 2) >= _INF:
+            y = b.copy()
+            for r in range(1, len(a)):
+                np.minimum(np.minimum(y[r - 1] + a[r], _INF), b[r], out=y[r])
+            return y
+        a, b = np.where(fresh, top, a), np.minimum(b, top)
+    sums = a.cumsum(axis=0)
+    least = b - sums
+    np.minimum.accumulate(least, axis=0, out=least)
+    least += sums
+    if top < _INF:
+        least[least >= top] = _INF
+    return np.minimum(least, _INF, out=least)
+
+
 def _min_plus(a, b):
     """The min-plus products a @ b, capped at _INF, of the matrices (or
     column vectors b) on the last two axes of a and b."""
@@ -931,39 +1013,28 @@ def _min_plus(a, b):
     return np.minimum(out, _INF, out=out)
 
 
-def _take_last(a, index):
-    """np.take_along_axis(a, index, -1) for an index with a's leading
-    shape, as one flat take."""
-    rows = np.arange(0, a.size, a.shape[-1]).reshape(*a.shape[:-1], 1)
-    return a.reshape(-1).take(index + rows)
+def _last_axis(a, index):
+    """The flat indices into `a` of np.take_along_axis(a, index, -1), for an
+    index of a's shape.  The row offsets are repeated to that shape, as a
+    broadcast over a last axis of a few hubs runs many short loops."""
+    k = a.shape[-1]
+    return index + np.arange(0, a.size, k).repeat(k).reshape(a.shape)
 
 
 def _gather_then(first, then):
     (g0, c0), (g1, c1) = first, then
-    return [_take_last(g0, g1), np.minimum(c1 + _take_last(c0, g1), _INF)]
+    flat = _last_axis(g0, g1)
+    return [g0.reshape(-1).take(flat), np.minimum(c1 + c0.reshape(-1).take(flat), _INF)]
 
 
 def _gather_apply(maps, x):
     g, c = maps
-    return np.minimum(_take_last(x, g) + c, _INF)
+    return np.minimum(x.reshape(-1).take(_last_axis(x, g)) + c, _INF)
 
 
-def _rank_one_then(first, then):
-    (d0, c0), (d1, c1) = first, then
-    return [d1, np.minimum(c0 + _take_last(c1, d0[..., None]), _INF)]
-
-
-def _rank_one_apply(maps, x):
-    d, c = maps
-    out = np.full_like(x, _INF)
-    np.put_along_axis(out, d[..., None], np.minimum((x + c).min(-1, keepdims=True), _INF), -1)
-    return out
-
-
-# Per kind of maps (`_scans`), hubs on the last axis: the map that applies
-# `first` and then `then`, and a map applied to the hub costs x.
+# Per kind of scanned maps (`_scans`), hubs on the last axis: the map that
+# applies `first` and then `then`, and a map applied to the hub costs x.
 _KINDS = {"gather": (_gather_then, _gather_apply),
-          "rank-one": (_rank_one_then, _rank_one_apply),
           "dense": (lambda first, then: [_min_plus(then[0], first[0])],
                     lambda maps, x: _min_plus(maps[0], x[..., None])[..., 0])}
 

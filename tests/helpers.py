@@ -16,6 +16,7 @@ from autokolm.automaton import (
     LabeledAutomaton,
     enumerate_relation,
 )
+from autokolm.complexity import complexity
 from autokolm.constructions import SelectionRule
 from autokolm.errors import BudgetExceeded
 from autokolm.modes import (
@@ -57,6 +58,11 @@ def random_finite_mode(rng: random.Random, max_states: int = 5,
         aut = random_automaton(rng, arity, max_states, max_edges)
         if eps_cycle_check(aut) is None:
             return kind(aut, ValuednessCertificate.unknown(), name="random")
+
+
+def superadditivity_check(mode: DescriptionMode, x: str, y: str) -> bool:
+    """Does K(xy) >= K(x) + K(y) hold?  Unreachable counts as +infinity."""
+    return complexity(mode, x + y) >= complexity(mode, x) + complexity(mode, y)
 
 
 def sweep_pure(aut: LabeledAutomaton, word: str):
@@ -406,7 +412,7 @@ def scans_reference(k: int, full, base: int, budget: int):
         entries = {(w, d) for w, _, d, _ in inside}
         targets = {w: {d for v, _, d, _ in inside if v == w} for w, *_ in inside}
         kind = (None if not length else "one-hub" if size == 1 and not into else
-                "gather" if len(entries) == len(inside) else
+                "gather" if size > 1 and len(entries) == len(inside) else
                 "rank-one" if all(len(ds) == 1 for ds in targets.values()) else "dense")
         charged += base ** length * {None: 0, "one-hub": 1, "gather": 2 * size,
                                      "rank-one": size + 1, "dense": size * size}[kind]

@@ -19,7 +19,6 @@ from autokolm.complexity import (
     UNREACHABLE,
     complexity,
     pair_complexity,
-    superadditivity_check,
 )
 from autokolm.constructions import (
     FINITE_ON_NORMAL,
@@ -72,6 +71,7 @@ from helpers import (
     random_rule,
     random_word,
     suffix_rule,
+    superadditivity_check,
     transient_accept_rule,
     wall_pair_realizable,
 )
