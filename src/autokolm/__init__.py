@@ -6,7 +6,6 @@ from .automaton import (
     LabeledAutomaton,
     enumerate_relation,
     parse_automaton,
-    read_relation_contains,
     reverse,
     serialize_automaton,
     swap_tapes,
@@ -20,7 +19,6 @@ from .complexity import (
 )
 from .constructions import (
     SelectionRule,
-    WallPair,
     apply_selection,
     classify_selection,
     joint,
@@ -29,7 +27,6 @@ from .constructions import (
     serialize_rule,
     splitter_mode,
     wall_mode,
-    wall_oracle,
 )
 from .errors import BudgetExceeded, ContractError, FormatError, InputRejected
 from .modes import (

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -84,59 +83,6 @@ def check_word(aut: LabeledAutomaton, tape: int, word: str) -> None:
     bad = word.translate(dict.fromkeys(map(ord, aut.alphabets[tape])))
     if bad:
         raise InputRejected(f"symbol {bad[0]!r} not in alphabet of tape {tape}")
-
-
-def read_relation_contains(aut: LabeledAutomaton, words: Sequence[str]) -> bool:
-    """Decide whether some directed path spells exactly the given words.
-
-    Dynamic programming over (state, per-tape position) configurations
-    with free start and end; the empty path witnesses the all-empty
-    tuple whenever the automaton has at least one state.
-    """
-    if len(words) != aut.arity:
-        raise ContractError(f"expected {aut.arity} words, got {len(words)}")
-    for t, w in enumerate(words):
-        check_word(aut, t, w)
-    goal = tuple(map(len, words))
-    if aut.num_states == 0:
-        return False
-    if goal == (0,) * aut.arity:
-        return True
-
-    adj = aut.out_edges()
-    seen = set()
-    work = deque()
-    zero = (0,) * aut.arity
-    for s in range(aut.num_states):
-        seen.add((s, zero))
-        work.append((s, zero))
-    while work:
-        state, pos = work.popleft()
-        for dst, label in adj[state]:
-            npos = _advance(words, pos, label)
-            if npos is None:
-                continue
-            if npos == goal:
-                return True
-            cfg = (dst, npos)
-            if cfg not in seen:
-                seen.add(cfg)
-                work.append(cfg)
-    return False
-
-
-def _advance(words, pos, label):
-    """Next position vector after reading `label`, or None on mismatch."""
-    out = []
-    for t, comp in enumerate(label):
-        p = pos[t]
-        if comp is EPSILON:
-            out.append(p)
-        else:
-            if p >= len(words[t]) or words[t][p] != comp:
-                return None
-            out.append(p + 1)
-    return tuple(out)
 
 
 def enumerate_relation(aut: LabeledAutomaton, max_len,

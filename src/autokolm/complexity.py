@@ -27,39 +27,29 @@ from .modes import UNBOUNDED, DescriptionMode, PairDescriptionMode
 
 UNREACHABLE = math.inf
 
-# The closure step is plain Python over a dict while every letter relaxes
-# at most this many closure edges: above it the numpy scatter-min is faster
-# per letter (measured crossover between 24 and 28 edges on carry automata
-# and random graphs).
-_PYTHON_STEP_EDGES = 24
-# After either step, the prefix sums tail runs while it sweeps at most this
-# many cells per letter (`_scan_cells`), else the closure step sweeps the
-# whole word.  Measured against the numpy step, warm sweeps of 48k
-# Bernoulli(0.9) bits, min of 5, per letter (2-vCPU host): layered(skewed
-# coder4, N), N 1..8, 187-527 closure edges: numpy 4.0-8.8 us, sums
-# 0.17-1.09 us (10-42 cells), or 0.08-3.8 us with dense maps (10-546
-# cells); reverse(skewed coder4) with dense maps (4,096 cells, 160 edges):
-# sums 11-15 us, numpy 4.1-4.5 us.  So the crossover is at 700-1,600 cells.
-_NUMPY_SCAN_CELLS = 1_000
-# After the Python step, the prefix sums tail takes over on words of at
-# least `_handoff` letters past `lead`, estimated from one table of unit
-# costs in us: a closure edge relaxed by the Python step (a letter costs one
-# more, for its dict; the cheapest letter's edges are counted, as a word
-# may leave most of a closure unreached), a call of the tail, and a cell
-# it sweeps.  Calls per chunk, component, masked table, gather, rank-one
-# recurrence and scan level were counted under cProfile (numpy and Python
-# calls alike).
-# Warm calls on Bernoulli(0.9) bits, min of 3 x 7-400 runs per length
-# (2-vCPU host): the Python step took 0.22-0.31 us per letter on identity
-# (1 edge), 0.31-0.46 on joint (2), 0.56 on wall(3) (4), 0.83-1.44 on
-# wall(5) (6) and 1.26-2.45 on coder3 (16); the tail's fixed cost was
-# 19 us for identity (28 calls) and 88 for joint (144); the scans swept
-# 0.18-0.24 us per letter on joint.  The estimate then hands off at 61
-# letters for identity (measured break-even 59-62), 110 for union (about
-# 100), 338 for wall(5) (256-512), 554 for wall(3) (512-1,024) and 1,200
-# for joint (1,024-2,048).
-_US_PER_RELAXATION, _US_PER_CALL, _US_PER_CELL = 0.14, 0.6, 0.0005
-_TAIL_CALLS = {"chunk": 14, "component": 14, "mask": 9, "gather": 6, "level": 29,
+# One estimate routes every compiled sweep (`_pick_step`), from the
+# compiled counts and unit costs in us: a closure edge relaxed by the
+# Python step (a letter costs two more, for its dict), a call (the numpy
+# step makes _NUMPY_STEP_CALLS per letter, the prefix sums tail its
+# `_TAIL_CALLS`, counted under cProfile), a closure edge scattered by the
+# numpy step, and a cell the tail sweeps.  Warm calls, min of 9-41 runs
+# (2-vCPU host): the Python step took 0.24-0.34 us per letter on identity
+# (1 edge), 0.34 on joint (2), 0.58 on wall(3) (4), 0.74-0.97 on wall(5)
+# (6) and 1.5-2.2 on coder3 (16); the numpy step 3.2 on coder3, 7.6-11 on
+# the k=8 coder (1,152 edges) and 84 on compose(coder5, coder5) (21,900);
+# the tail's fixed cost 19-26 for identity (28 calls), 88 for joint (144)
+# and 2.0-2.1 per gather.  So the Python step is the cheaper up to 29
+# edges per letter (measured crossover 24-40).  Hand-offs, letters past
+# `lead` (measured break-even): identity 57 (56-72), union 103 (104-112),
+# wall(5) 463 (416-512), wall(3) 716 (704-832), joint 1,343 (1,024-1,536);
+# after the numpy step coder4 6 (6-8), the k=8 coder 3 (about 6),
+# layered(coder4, 2) 40 (44-48), compose(coder4, coder4) 30 (about 44),
+# and with dense maps compose(coder2, coder2) 80 (70-90), compose(coder2,
+# coder4) 43 (40-50), compose(coder3, reverse(coder2)) 175 (220-256) and
+# reverse(compose(coder1, coder2)) 311 (290-320).
+_US_PER_RELAXATION, _US_PER_CALL, _US_PER_SCATTER, _US_PER_CELL = 0.1, 0.6, 0.004, 0.0005
+_NUMPY_STEP_CALLS = 5
+_TAIL_CALLS = {"chunk": 14, "component": 14, "mask": 9, "gather": 3, "level": 29,
                "recurrence": 19}
 _SCAN_ROW_CELLS = 6
 _NORMALIZE_BUDGET = 5_000_000
@@ -233,13 +223,12 @@ class _CompiledSweep:
     that an intra edge from another of its targets makes no cheaper is
     dropped (`_prune`); the glue edges between layered copies and the
     synchronised moves of a composition make many such edges.
-    `_pick_step` chooses the closure step, plain Python over a dict of
-    reachable states or a numpy scatter-min over the closure edges, by
-    the closure's width, and a tail, which sweeps the hub DP over
-    macro-edges (`_Hubs`, the relays among its hubs) past its `lead` as
-    scans of its components, or None.  Either step feeds the tail; the
-    Python step's hub graph also knows from which word length on the
-    tail pays back its fixed cost (`_Hubs.handoff`).
+    `_pick_step` chooses, by one cost estimate, the closure step (plain
+    Python over a dict of reachable states or a numpy scatter-min over the
+    closure edges) and a tail, which sweeps the hub DP over macro-edges
+    (`_Hubs`, the relays among its hubs) past its `lead` as scans of its
+    components, or None; and from which word length on the tail pays back
+    its fixed cost against that step (`_Hubs.handoff`).
     """
 
     def __init__(self, aut: LabeledAutomaton):
@@ -380,55 +369,61 @@ def _pick_step(num_states: int, by_letter, relays):
     """The closure step, the tail, the edges the step reads per letter,
     and the hub graph (or None) with the `relays` as hubs.
 
-    The Python step while every letter relaxes at most _PYTHON_STEP_EDGES
-    closure edges, else numpy's scatter-min over the closure edge arrays.
-    The prefix sums tail whenever the hub graph has window tables
-    (`_Hubs.scans`) that sweep at most _NUMPY_SCAN_CELLS cells per letter
-    and, after the Python step, is estimated cheaper than that step on
-    some word length (`_handoff`, from the edges of the letter with the
-    fewest); otherwise no tail.
+    One estimate chooses all three: the Python step where it is estimated
+    no dearer per letter than numpy's scatter-min on the letter with the
+    most closure edges (`_step_us`), else the numpy step; and the prefix
+    sums tail where the hub graph has window tables (`_Hubs.scans`) and
+    the tail is estimated cheaper than that step, on the letter with the
+    fewest closure edges, from some word length on (`_handoff`), else no
+    tail.
     """
-    widest = max((srcs.size for srcs, _, _ in by_letter.values()), default=0)
+    sizes = [srcs.size for srcs, _, _ in by_letter.values()]
+    widest = max(sizes, default=0)
+    python = _step_us(True, widest) <= _step_us(False, widest)
     hubs = _Hubs.compile(num_states, by_letter, relays)
-    if hubs is None or hubs.scans is None or _scan_cells(hubs.scans) > _NUMPY_SCAN_CELLS:
+    if hubs is not None and hubs.scans is not None:
+        hubs.handoff = _handoff(hubs, _step_us(python, min(sizes, default=0)))
+    if hubs is None or hubs.scans is None or hubs.handoff is None:
         hubs = None
-    if widest > _PYTHON_STEP_EDGES:
-        return _step_numpy, hubs and _sweep_sums, by_letter, hubs
-    if hubs is not None:
-        hubs.handoff = _handoff(hubs, min(srcs.size for srcs, _, _ in by_letter.values()))
-        if hubs.handoff is None:
-            hubs = None
-    return _step_python, hubs and _sweep_sums, _edge_lists(by_letter), hubs
+    if python:
+        return _step_python, hubs and _sweep_sums, _edge_lists(by_letter), hubs
+    return _step_numpy, hubs and _sweep_sums, by_letter, hubs
 
 
-def _scan_cells(scans) -> int:
-    """Cells per letter of the prefix sums tail: k**3 per dense component
-    of k hubs, k per component of another kind (1 for one hub) and k per
-    gather into k hubs."""
-    return sum(((k ** 3 if table[0] == "dense" else k) if length else 0) + k * len(gathers)
-               for _, k, length, table, gathers in scans)
+def _step_us(python: bool, edges: int) -> float:
+    """The estimated cost in us of a letter of `edges` closure edges under
+    the Python step (python true) or the numpy step."""
+    if python:
+        return _US_PER_RELAXATION * (edges + 2)
+    return _US_PER_CALL * _NUMPY_STEP_CALLS + _US_PER_SCATTER * edges
 
 
-def _handoff(hubs, edges: int):
+def _handoff(hubs, step_us: float):
     """The fewest letters past `lead` from which the prefix sums tail is
-    estimated cheaper than the Python step relaxing `edges` closure edges
-    per letter (and one more for the letter), or None when it is on no
-    word of up to 2**24 letters.
+    estimated cheaper than a closure step of `step_us` per letter, or None
+    when it is on no word of up to 2**24 letters.
 
     Each call of the tail (numpy's and its own, as cProfile counts them)
     costs _US_PER_CALL and each cell it sweeps _US_PER_CELL.  A chunk
-    makes _TAIL_CALLS["chunk"] calls, a component "component" more
-    ("mask" for window tables that miss words or macro-edges), a gather
-    "gather", a rank-one component's recurrence "recurrence", and a scan
-    "level" per level, one more than log2 of its rows.  Per letter, a
+    makes _TAIL_CALLS["chunk"] calls, a component with macro-edges inside
+    it "component" more ("mask" for window tables that miss words or
+    macro-edges), a gather "gather", a rank-one component's recurrence
+    "recurrence", and a scan "level" per level, one more than log2 of its
+    rows, and 4 more per hub for dense maps, whose min-plus products loop
+    over the hubs.  Per letter, a
     one-hub component sweeps 1 cell, a gather into k hubs k, a rank-one
     component of k hubs k plus one per call of its recurrence, and a scan
-    its `_scan_cells` plus _SCAN_ROW_CELLS per row at each of its calls,
-    twice over as its rows halve.
+    its width plus _SCAN_ROW_CELLS per row at each of its calls, twice
+    over as its rows halve: k for gather maps, and k**2 (k + 9) / 17 for
+    dense ones, fit to warm dense scans of k = 3 to 16 hubs, L = 1, 2 and
+    4, of 16 letters to a chunk (0.1-0.2 ms at k = 3 and 0.4-0.9 ms at
+    k = 16 for 16 letters, 0.3-0.5 and 10-18 us per letter in a chunk).
+    The calls per hub were fit to the measured break-evens of four
+    compositions with dense maps of 4 to 8 hubs (module comment).
     """
-    calls, cells, lengths = _TAIL_CALLS["chunk"], 0, []
+    calls, cells, scans = _TAIL_CALLS["chunk"], 0, []
     for _, k, length, table, gathers in hubs.scans:
-        calls += _TAIL_CALLS["component"] + _TAIL_CALLS["gather"] * len(gathers)
+        calls += _TAIL_CALLS["component"] * bool(table) + _TAIL_CALLS["gather"] * len(gathers)
         cells += k * len(gathers)
         if table and table[0] == "one-hub":
             calls += _TAIL_CALLS["mask"] * (table[2] is not None)
@@ -438,19 +433,19 @@ def _handoff(hubs, edges: int):
                 (table[2] >= _INF).any())
             cells += k + _TAIL_CALLS["recurrence"]
         elif table:
-            lengths.append(length)
-            width = k ** 3 if table[0] == "dense" else k
+            dense = table[0] == "dense"
+            scans.append((length, _TAIL_CALLS["level"] + 4 * k * dense))
+            width = k * k * (k + 9) // 17 if dense else k
             cells += 2 * _TAIL_CALLS["level"] * (width + _SCAN_ROW_CELLS)
 
     def chunk_us(letters):
-        levels = sum((-(-letters // n) - 1).bit_length() + 1 for n in lengths)
-        return (_US_PER_CALL * (calls + _TAIL_CALLS["level"] * levels)
-                + _US_PER_CELL * cells * letters)
+        level_calls = sum(((-(-letters // n) - 1).bit_length() + 1) * c for n, c in scans)
+        return _US_PER_CALL * (calls + level_calls) + _US_PER_CELL * cells * letters
 
     def cheaper(letters):
         full, rest = divmod(letters, hubs.chunk)
         tail = full * chunk_us(hubs.chunk) + (chunk_us(rest) if rest else 0)
-        return tail < _US_PER_RELAXATION * (edges + 1) * letters
+        return tail < step_us * letters
     top = 1
     while not cheaper(top):
         if top >= 1 << 24:
@@ -541,10 +536,10 @@ class _Hubs:
     with macro-edges of two lengths inside it, `scans` is None.  The
     prefix sums tail sweeps `chunk` letters at a time (_CHUNK_CELLS,
     _CHUNK_LETTERS), each chunk padded to a multiple of `period`, the
-    least common multiple of the lengths L.  A call takes the tail when its word reaches `handoff`
-    letters past `lead`: 0 after the numpy step, and after the Python step
-    the estimated break-even (`_handoff`), which `_pick_step` sets; `keys`
-    lists the hubs as ints, to read the Python step's dict of costs.
+    least common multiple of the lengths L.  A call takes the tail when
+    its word reaches `handoff` letters past `lead`, the break-even against
+    the closure step that `_pick_step` estimates (`_handoff`); `keys` lists
+    the hubs as ints, to read the Python step's dict of costs.
     """
 
     def __init__(self, ids, lead, span, full, part, alphabet, scans):

@@ -14,7 +14,6 @@ import functools
 import operator
 from dataclasses import dataclass
 from itertools import compress
-from math import gcd
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .automaton import EPSILON, LabeledAutomaton, _parse_int, chain, components, strip_format_lines
@@ -27,7 +26,6 @@ from .modes import (
     _derived_certificate,
     valuedness_profile,
 )
-from .seqgen import rational_bits
 
 _WALL_PROFILE_LEN = 10
 _FLIP = bytes.maketrans(b"\0\1", b"\1\0")       # selected <-> non-selected marks
@@ -64,57 +62,6 @@ def wall_mode(c: int) -> DescriptionMode:
     if not profile.is_finite:
         raise AssertionError("carry automaton profiled as unbounded")
     return probe.with_certificate(profile.certificate)
-
-
-@dataclass(frozen=True)
-class WallPair:
-    """Exact expansion prefixes of frac(p/q) and frac(c*p/q).
-
-    When a value is dyadic it has two expansions; alt_x / alt_y hold the
-    in-range truncation of the other representation when it differs.
-    """
-
-    x: str
-    y: str
-    x_dyadic: bool
-    y_dyadic: bool
-    alt_x: Optional[str]
-    alt_y: Optional[str]
-
-    @property
-    def dyadic(self) -> bool:
-        return self.x_dyadic or self.y_dyadic
-
-
-def wall_oracle(c: int, p: int, q: int, length: int) -> WallPair:
-    """Expansion prefixes by integer long division; no floating point."""
-    if q == 0:
-        raise ContractError("denominator must be nonzero")
-    if not 0 <= p < q:
-        raise ContractError("need 0 <= p < q")
-    if length < 1:
-        raise ContractError("need at least one digit")
-    x, xd, ax = _expansion(p, q, length)
-    y, yd, ay = _expansion((c * p) % q, q, length)
-    return WallPair(x=x, y=y, x_dyadic=xd, y_dyadic=yd, alt_x=ax, alt_y=ay)
-
-
-def _expansion(num: int, den: int, length: int):
-    """Terminating-style digits of num/den plus the dual representation."""
-    g = gcd(num, den) or 1
-    num, den = num // g, den // g
-    word = rational_bits(num, den, length)
-    e = den.bit_length() - 1
-    dyadic = den == (1 << e)
-    alt = None
-    if dyadic:
-        if num == 0:
-            alt = "1" * length
-        elif e - 1 < length:
-            # Flip the final 1 of the terminating form, then all ones.
-            j = e - 1
-            alt = word[:j] + "0" + "1" * (length - j - 1)
-    return word, dyadic, alt
 
 
 # --- selection rules ----------------------------------------------------------

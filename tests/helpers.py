@@ -8,17 +8,22 @@ shares nothing with them.
 
 import math
 import random
+from collections import deque
+from dataclasses import dataclass
+from math import gcd
+from typing import Optional, Sequence
 
 import numpy as np
 
 from autokolm.automaton import (
     EPSILON,
     LabeledAutomaton,
+    check_word,
     enumerate_relation,
 )
 from autokolm.complexity import complexity
 from autokolm.constructions import SelectionRule
-from autokolm.errors import BudgetExceeded
+from autokolm.errors import BudgetExceeded, ContractError
 from autokolm.modes import (
     BINARY,
     DescriptionMode,
@@ -26,6 +31,7 @@ from autokolm.modes import (
     ValuednessCertificate,
     eps_cycle_check,
 )
+from autokolm.seqgen import rational_bits
 
 ALPHA = BINARY
 
@@ -63,6 +69,110 @@ def random_finite_mode(rng: random.Random, max_states: int = 5,
 def superadditivity_check(mode: DescriptionMode, x: str, y: str) -> bool:
     """Does K(xy) >= K(x) + K(y) hold?  Unreachable counts as +infinity."""
     return complexity(mode, x + y) >= complexity(mode, x) + complexity(mode, y)
+
+
+def read_relation_contains(aut: LabeledAutomaton, words: Sequence[str]) -> bool:
+    """Decide whether some directed path spells exactly the given words.
+
+    Dynamic programming over (state, per-tape position) configurations
+    with free start and end; the empty path witnesses the all-empty
+    tuple whenever the automaton has at least one state.
+    """
+    if len(words) != aut.arity:
+        raise ContractError(f"expected {aut.arity} words, got {len(words)}")
+    for t, w in enumerate(words):
+        check_word(aut, t, w)
+    goal = tuple(map(len, words))
+    if aut.num_states == 0:
+        return False
+    if goal == (0,) * aut.arity:
+        return True
+
+    adj = aut.out_edges()
+    seen = set()
+    work = deque()
+    zero = (0,) * aut.arity
+    for s in range(aut.num_states):
+        seen.add((s, zero))
+        work.append((s, zero))
+    while work:
+        state, pos = work.popleft()
+        for dst, label in adj[state]:
+            npos = _advance(words, pos, label)
+            if npos is None:
+                continue
+            if npos == goal:
+                return True
+            cfg = (dst, npos)
+            if cfg not in seen:
+                seen.add(cfg)
+                work.append(cfg)
+    return False
+
+
+def _advance(words, pos, label):
+    """Next position vector after reading `label`, or None on mismatch."""
+    out = []
+    for t, comp in enumerate(label):
+        p = pos[t]
+        if comp is EPSILON:
+            out.append(p)
+        else:
+            if p >= len(words[t]) or words[t][p] != comp:
+                return None
+            out.append(p + 1)
+    return tuple(out)
+
+
+@dataclass(frozen=True)
+class WallPair:
+    """Exact expansion prefixes of frac(p/q) and frac(c*p/q).
+
+    When a value is dyadic it has two expansions; alt_x / alt_y hold the
+    in-range truncation of the other representation when it differs.
+    """
+
+    x: str
+    y: str
+    x_dyadic: bool
+    y_dyadic: bool
+    alt_x: Optional[str]
+    alt_y: Optional[str]
+
+    @property
+    def dyadic(self) -> bool:
+        return self.x_dyadic or self.y_dyadic
+
+
+def wall_oracle(c: int, p: int, q: int, length: int) -> WallPair:
+    """Expansion prefixes by integer long division; no floating point."""
+    if q == 0:
+        raise ContractError("denominator must be nonzero")
+    if not 0 <= p < q:
+        raise ContractError("need 0 <= p < q")
+    if length < 1:
+        raise ContractError("need at least one digit")
+    x, xd, ax = _expansion(p, q, length)
+    y, yd, ay = _expansion((c * p) % q, q, length)
+    return WallPair(x=x, y=y, x_dyadic=xd, y_dyadic=yd, alt_x=ax, alt_y=ay)
+
+
+def _expansion(num: int, den: int, length: int):
+    """Terminating-style digits of num/den plus the dual representation."""
+    g = gcd(num, den) or 1
+    num, den = num // g, den // g
+    word = rational_bits(num, den, length)
+    e = den.bit_length() - 1
+    dyadic = den == (1 << e)
+    alt = None
+    if dyadic:
+        if num == 0:
+            alt = "1" * length
+        elif e - 1 < length:
+            # Flip the final 1 of the terminating form, then all ones.
+            j = e - 1
+            alt = word[:j] + "0" + "1" * (length - j - 1)
+    return word, dyadic, alt
 
 
 def sweep_pure(aut: LabeledAutomaton, word: str):

@@ -13,7 +13,6 @@ from autokolm.automaton import (
     EPSILON,
     LabeledAutomaton,
     enumerate_relation,
-    read_relation_contains,
 )
 from autokolm.complexity import (
     UNREACHABLE,
@@ -31,7 +30,6 @@ from autokolm.constructions import (
     selection_trace,
     splitter_mode,
     wall_mode,
-    wall_oracle,
 )
 from autokolm.errors import BudgetExceeded
 from autokolm.modes import (
@@ -70,9 +68,11 @@ from helpers import (
     random_finite_mode,
     random_rule,
     random_word,
+    read_relation_contains,
     suffix_rule,
     superadditivity_check,
     transient_accept_rule,
+    wall_oracle,
     wall_pair_realizable,
 )
 

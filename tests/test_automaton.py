@@ -10,7 +10,6 @@ from autokolm.automaton import (
     components,
     enumerate_relation,
     parse_automaton,
-    read_relation_contains,
     reverse,
     serialize_automaton,
     swap_tapes,
@@ -18,7 +17,7 @@ from autokolm.automaton import (
 from autokolm.errors import BudgetExceeded, ContractError, FormatError, InputRejected
 from autokolm.modes import identity_mode, parse_mode, unary_compressor
 
-from helpers import components_reference, random_automaton
+from helpers import components_reference, random_automaton, read_relation_contains
 
 IDENTITY = identity_mode().automaton
 

@@ -590,14 +590,16 @@ def test_default_path_of_each_mode(name):
 
 # The break-evens of the Python step against the prefix sums, measured on
 # warm calls over Bernoulli(0.9) bits, letters past `lead`.
-MEASURED_HANDOFFS = {"identity": (40, 64), "union": (100, 250), "wall(5)": (256, 512),
-                     "wall(3)": (512, 1_024), "joint": (1_024, 4_096)}
+MEASURED_HANDOFFS = {"identity": (40, 64), "union": (100, 250), "wall(5)": (416, 512),
+                     "wall(3)": (704, 832), "joint": (1_024, 4_096)}
 # The hand-offs the compile estimates, pinned, so that no change of the unit
 # costs or of the tail's calls moves the path of a short call unseen.
-HANDOFFS = {"coder1": 41, "coder2": 18, "coder3": 8, "identity": 61, "joint": 1_200,
-            "unary(3)": 160, "union": 110, "wall(3)": 554, "wall(5)": 338}
-PYTHON_SUMS_MODES = sorted(name for name, (_, path) in DEFAULT_PATHS.items()
-                           if path == "python-sums")
+HANDOFFS = {"coder1": 43, "coder2": 22, "coder3": 10, "identity": 57, "joint": 1_343,
+            "unary(3)": 112, "union": 103, "wall(3)": 716, "wall(5)": 463,
+            "coder4": 6, "coder5": 5, "coder6": 5, "coder7": 4, "coder8": 3, "skewed coder4": 6,
+            "reverse(coder4)": 8, "reverse(coder8)": 1, "compose(coder4, coder4)": 30,
+            "layered(coder4, 2)": 40, "layered(skewed coder4, 2)": 40}
+TAIL_MODES = sorted(name for name, (_, path) in DEFAULT_PATHS.items() if path.endswith("sums"))
 
 
 def handoff_positions(hubs, n):
@@ -607,11 +609,12 @@ def handoff_positions(hubs, n):
     return sorted({1, hubs.lead, cut - 1, cut, cut + 1} & set(range(1, n)) | {n})
 
 
-@pytest.mark.parametrize("name", PYTHON_SUMS_MODES)
+@pytest.mark.parametrize("name", TAIL_MODES)
 def test_python_step_hands_off_by_word_length(name, monkeypatch):
-    # Words that end one letter short of the hand-off stay on the Python
-    # step; from there on the tail answers the positions past lead, on
-    # curves whose positions straddle the hand-off too.
+    # Words that end one letter short of the hand-off stay on the closure
+    # step, Python or numpy; from there on the tail answers the positions
+    # past lead from the hub costs that the step left, on curves whose
+    # positions straddle the hand-off too.
     make, _ = DEFAULT_PATHS[name]
     aut = make().automaton
     eng = engine._compiled(aut)
@@ -635,32 +638,39 @@ def test_python_step_hands_off_by_word_length(name, monkeypatch):
 
 
 @st.composite
-def python_step_modes(draw):
-    """A mode whose closure the Python step relaxes and whose hub graph
-    the prefix sums may sweep: a one-hub mode, a mode of `scan_modes` or
-    of `functional_modes`."""
-    family = draw(st.sampled_from(["one-hub", "scan", "functional"]))
+def tail_modes(draw):
+    """A mode whose hub graph the prefix sums may sweep after either
+    closure step: a one-hub mode, a mode of `scan_modes` or of
+    `functional_modes`, or the composition of two trained k=2 coders,
+    which takes the numpy step and has dense maps."""
+    family = draw(st.sampled_from(["one-hub", "scan", "functional", "dense"]))
     if family == "one-hub":
         return draw(one_hub_modes())[0]
+    if family == "dense":
+        return compose(drawn_trained_coder(draw, 2), drawn_trained_coder(draw, 2))
     return draw(scan_modes() if family == "scan" else functional_modes())
 
 
 def test_the_hand_off_matches_the_oracle_on_hypothesis_modes():
-    paths, crossed = set(), set()
+    paths, crossed, dense = set(), set(), set()
 
     @settings(derandomize=True, database=None, max_examples=80, deadline=None)
     @given(data=st.data())
     def check(data):
-        aut = data.draw(python_step_modes()).automaton
+        aut = data.draw(tail_modes()).automaton
         with pytest.MonkeyPatch.context() as mp:
             # Chunks of a few dozen letters and more, so that the words
-            # around the hand-off cross them.
-            mp.setattr(engine, "_CHUNK_CELLS", data.draw(st.integers(48, 400)))
+            # around the hand-off cross them, or of the default size, whose
+            # letters amortize the tail's fixed cost as the numpy step's do.
+            mp.setattr(engine, "_CHUNK_CELLS", data.draw(
+                st.integers(48, 400) | st.just(engine._CHUNK_CELLS)))
             mp.setattr(engine, "_sweep_cache", {})
             eng = engine._compiled(aut)
             paths.add(swept_by(aut))
-            assume(swept_by(aut) == STEPS["python-sums"])
+            assume(eng.tail is not None)
             hubs = eng.hubs
+            if eng.step is engine._step_numpy:
+                dense.update(table[0] == "dense" for _, _, _, table, _ in hubs.scans if table)
             n = hubs.lead + hubs.handoff + data.draw(st.integers(-1, 1))
             word = bernoulli_bits(data.draw(st.floats(0.05, 0.95)), data.draw(st.integers(0, 999)),
                                   max(n, 1))
@@ -670,7 +680,7 @@ def test_the_hand_off_matches_the_oracle_on_hypothesis_modes():
             assert engine._sweep(aut, word, positions) == [expected[t] for t in positions]
             crossed.add(len(word) > hubs.lead + hubs.chunk)
     check()
-    assert STEPS["python-sums"] in paths and True in crossed
+    assert {STEPS["python-sums"], STEPS["sums"]} <= paths and True in crossed and True in dense
 
 
 def one_hub_table(hubs):
@@ -1167,21 +1177,22 @@ def test_functional_scans_match_the_oracle():
     assert {"gather", "rank-one", "dense"} <= kinds
 
 
-@pytest.mark.parametrize("make,hubs,components,kinds,length,cells", [
-    (lambda: reverse_mode(champ_coder(4)), 16, 1, {"rank-one"}, 4, 16),
-    (lambda: reverse_mode(champ_coder(8)), 256, 1, {"rank-one"}, 8, 256),
-    (lambda: compose(champ_coder(4), champ_coder(4)), 31, 47, {"gather"}, 4, 255),
+@pytest.mark.parametrize("make,hubs,components,kinds,length,handoff", [
+    (lambda: reverse_mode(champ_coder(4)), 16, 1, {"rank-one"}, 4, 8),
+    (lambda: reverse_mode(champ_coder(8)), 256, 1, {"rank-one"}, 8, 1),
+    (lambda: compose(champ_coder(4), champ_coder(4)), 31, 47, {"gather"}, 4, 30),
 ])
 def test_reversals_and_compositions_compile_to_functional_maps(make, hubs, components,
-                                                             kinds, length, cells):
+                                                             kinds, length, handoff):
     # The largest component's size and L, and the kinds of all components
     # of more than one hub; the maps read back as the macro-edges of `full`.
+    # The tail takes over from the numpy step at most 30 letters past lead.
     eng = engine._compiled(make().automaton)
     assert (eng.step, eng.tail) == STEPS["sums"]
     largest = max(eng.hubs.scans, key=lambda component: component[1])
     assert (len(eng.hubs.scans), largest[1], largest[2]) == (components, hubs, length)
     assert {table[0] for _, k, _, table, _ in eng.hubs.scans if k > 1} == kinds
-    assert engine._scan_cells(eng.hubs.scans) == cells
+    assert eng.hubs.handoff == handoff
     rows = {(n, w, s, d): c for n, table in eng.hubs.full for w, edges in table.items()
             for s, d, c in edges}
     read = {}
@@ -1527,11 +1538,26 @@ def test_layered_coder_compiles_to_three_chain_hubs_and_the_relay(train):
         ([4 * n], 1, 0, [(m, s) for m in range(1, 5) for s in (0, 1)]),
         ([3 * n], 1, 4, [(m, 3) for m in range(1, 5)])]
     # The copy roots spell each word into one root each: gather maps.  The
-    # final root is one hub that gathers enter: a rank-one component.  Both
-    # sweep k cells per letter.
+    # final root is one hub that gathers enter: a rank-one component.  The
+    # tail pays back its fixed cost against the numpy step after 40 letters.
     assert [table and table[0] for _, _, _, table, _ in hubs.scans] == [
         "gather", None, "rank-one"]
-    assert engine._scan_cells(hubs.scans) == 2 + 8 + 1 + 4
+    assert hubs.handoff == 40
+
+
+@pytest.mark.parametrize("make,path", [
+    # Gathers only: the tail is estimated at about 8 us a letter, the numpy
+    # step at 90 for its 21,900 closure edges.
+    (lambda: compose(champ_coder(5), champ_coder(5)), "sums"),
+    # One dense component of 16 hubs: its min-plus scan is estimated at
+    # about 9.5 us a letter, the numpy step at 3.5 for its 132 edges.
+    (lambda: reverse_mode(compose(champ_coder(1), champ_coder(3))), "numpy"),
+])
+def test_the_estimate_routes_by_the_cost_of_each_kind_of_map(make, path):
+    aut = make().automaton
+    assert swept_by(aut) == STEPS[path]
+    word = champernowne_bits(2_000)[1_234:1_434]
+    assert engine._sweep(aut, word, list(range(len(word) + 1))) == sweep_pure_curve(aut, word)
 
 
 def test_layered_k8_coder_and_a_union_of_coders_take_the_prefix_sums():

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from autokolm.automaton import (
     enumerate_relation,
-    read_relation_contains,
     swap_tapes,
 )
 from autokolm.complexity import complexity, pair_complexity
@@ -25,7 +24,6 @@ from autokolm.constructions import (
     serialize_rule,
     splitter_mode,
     wall_mode,
-    wall_oracle,
 )
 from autokolm.errors import BudgetExceeded, ContractError, FormatError
 from autokolm.modes import identity_mode
@@ -44,7 +42,9 @@ from helpers import (
     random_rule,
     random_word,
     reach_sets,
+    read_relation_contains,
     suffix_rule,
+    wall_oracle,
     wall_pair_realizable,
 )
 

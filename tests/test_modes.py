@@ -11,7 +11,6 @@ from autokolm.automaton import (
     EPSILON,
     LabeledAutomaton,
     enumerate_relation,
-    read_relation_contains,
 )
 from autokolm.complexity import complexity
 from autokolm.constructions import (
@@ -50,6 +49,7 @@ from helpers import (
     random_finite_mode,
     random_word,
     reach_sets,
+    read_relation_contains,
 )
 
 

@@ -2,7 +2,6 @@ import random
 
 import pytest
 
-from autokolm.constructions import wall_oracle
 from autokolm.errors import ContractError, FormatError
 from autokolm.seqgen import (
     bernoulli_bits,
@@ -10,6 +9,8 @@ from autokolm.seqgen import (
     rational_bits,
     read_sequence_text,
 )
+
+from helpers import wall_oracle
 
 
 def test_champernowne_golden_prefix():
