@@ -27,6 +27,11 @@ DEFAULT_ENUM_BUDGET = 2_000_000
 # short file could exhaust memory.  The cap sits far above the modes built at
 # the tests' and the benchmark's sizes (k=8 coder 2,303, layered 9,213).
 MAX_FILE_STATES = 2 ** 22
+# Largest number of edge lines a file may hold, counted as they are read and
+# before any edge is built: each edge costs a tuple and, once compiled, a
+# row of every closure array.  The cap sits far above the largest mode the
+# tests and the benchmark build (layered(k=8 coder, 2), about 17,000 edges).
+MAX_FILE_EDGES = 2 ** 23
 
 
 @dataclass(frozen=True)
@@ -328,6 +333,8 @@ def parse_automaton_lines(lines):
                 raise FormatError(f"line {lineno}: state count {num_states} "
                                   f"exceeds the limit {MAX_FILE_STATES}")
         elif directive == "edge":
+            if len(raw_edges) == MAX_FILE_EDGES:
+                raise FormatError(f"line {lineno}: more than {MAX_FILE_EDGES} edges")
             raw_edges.append((lineno, args))
         else:
             extra.append((lineno, directive, args))

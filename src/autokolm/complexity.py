@@ -39,18 +39,23 @@ UNREACHABLE = math.inf
 # the k=8 coder (1,152 edges) and 84 on compose(coder5, coder5) (21,900);
 # the tail's fixed cost 19-26 for identity (28 calls), 88 for joint (144)
 # and 2.0-2.1 per gather.  So the Python step is the cheaper up to 29
-# edges per letter (measured crossover 24-40).  Hand-offs, letters past
-# `lead` (measured break-even): identity 57 (56-72), union 103 (104-112),
-# wall(5) 463 (416-512), wall(3) 716 (704-832), joint 1,343 (1,024-1,536);
-# after the numpy step coder4 6 (6-8), the k=8 coder 3 (about 6),
-# layered(coder4, 2) 40 (44-48), compose(coder4, coder4) 30 (about 44),
-# and with dense maps compose(coder2, coder2) 80 (70-90), compose(coder2,
-# coder4) 43 (40-50), compose(coder3, reverse(coder2)) 175 (220-256) and
-# reverse(compose(coder1, coder2)) 311 (290-320).
+# edges per letter (measured crossover 24-40).  A rotation sweep, 9 calls
+# under cProfile and more array operators, costs 3.9 times a one-hub
+# component's 14 (23 against 6 us at 64 letters): 41 more.  The ring, a
+# letter the closure step takes alone before a hand-off, costs 1.1-2.0 us.
+# Hand-offs, letters past `lead` (measured break-even): identity 61
+# (61-64), union 115 (96-104), wall(5) 466 (416-512), wall(3) 720
+# (704-832), joint 113 (104-112), coder1-3 46/25/12 (56-60, 30-34,
+# 16-20); after the numpy step coder4 7 (7-8), the k=8 coder 4 (5-6),
+# reverse(coder4) 10 (14-16), layered(coder4, 2) 23 (24-26),
+# compose(coder4, coder4) 30 (40-44), and with dense maps
+# compose(coder2, coder2) 80 (70-90), compose(coder2, coder4) 44 (40-50),
+# compose(coder3, reverse(coder2)) 176 (220-256) and
+# reverse(compose(coder1, coder2)) 313 (290-320).
 _US_PER_RELAXATION, _US_PER_CALL, _US_PER_SCATTER, _US_PER_CELL = 0.1, 0.6, 0.004, 0.0005
 _NUMPY_STEP_CALLS = 5
 _TAIL_CALLS = {"chunk": 14, "component": 14, "mask": 9, "gather": 3, "level": 29,
-               "recurrence": 19}
+               "rank-one": 19, "rotation": 41, "ring": 2}
 _SCAN_ROW_CELLS = 6
 _NORMALIZE_BUDGET = 5_000_000
 # A cost of _INF or more is unreachable.  Every cost is at most _INF, and
@@ -407,13 +412,15 @@ def _handoff(hubs, step_us: float):
     costs _US_PER_CALL and each cell it sweeps _US_PER_CELL.  A chunk
     makes _TAIL_CALLS["chunk"] calls, a component with macro-edges inside
     it "component" more ("mask" for window tables that miss words or
-    macro-edges), a gather "gather", a rank-one component's recurrence
-    "recurrence", and a scan "level" per level, one more than log2 of its
-    rows, and 4 more per hub for dense maps, whose min-plus products loop
-    over the hubs.  Per letter, a
-    one-hub component sweeps 1 cell, a gather into k hubs k, a rank-one
-    component of k hubs k plus one per call of its recurrence, and a scan
-    its width plus _SCAN_ROW_CELLS per row at each of its calls, twice
+    macro-edges), a gather "gather", a rank-one or a rotation
+    component's sweep "rank-one" or "rotation", and a scan "level" per
+    level, one more than log2 of its rows, and 4 more per hub for dense
+    maps, whose min-plus products loop over the hubs; the `span` letters
+    before `lead`, which the closure step then takes one at a time, "ring"
+    each.  Per letter, a one-hub component sweeps 1 cell, a gather into k
+    hubs k, a rank-one or rotation component of k hubs k plus one per
+    call of its sweep, and a scan its width plus _SCAN_ROW_CELLS per row
+    at each of its calls, twice
     over as its rows halve: k for gather maps, and k**2 (k + 9) / 17 for
     dense ones, fit to warm dense scans of k = 3 to 16 hubs, L = 1, 2 and
     4, of 16 letters to a chunk (0.1-0.2 ms at k = 3 and 0.4-0.9 ms at
@@ -428,10 +435,9 @@ def _handoff(hubs, step_us: float):
         if table and table[0] == "one-hub":
             calls += _TAIL_CALLS["mask"] * (table[2] is not None)
             cells += 1
-        elif table and table[0] == "rank-one":
-            calls += _TAIL_CALLS["recurrence"] + _TAIL_CALLS["mask"] * bool(
-                (table[2] >= _INF).any())
-            cells += k + _TAIL_CALLS["recurrence"]
+        elif table and table[0] in ("rank-one", "rotation"):
+            calls += _TAIL_CALLS[table[0]] + _TAIL_CALLS["mask"] * bool((table[2] >= _INF).any())
+            cells += k + _TAIL_CALLS[table[0]]
         elif table:
             dense = table[0] == "dense"
             scans.append((length, _TAIL_CALLS["level"] + 4 * k * dense))
@@ -445,6 +451,7 @@ def _handoff(hubs, step_us: float):
     def cheaper(letters):
         full, rest = divmod(letters, hubs.chunk)
         tail = full * chunk_us(hubs.chunk) + (chunk_us(rest) if rest else 0)
+        tail += _US_PER_CALL * _TAIL_CALLS["ring"] * hubs.span
         return tail < step_us * letters
     top = 1
     while not cheaper(top):
@@ -531,7 +538,7 @@ class _Hubs:
     the tables `costs`, the cost of each word of length L that is a
     macro-edge (0 for the others), and `missing`, which marks the others
     (None when every word is one); another holds the maps of its words in
-    one of three kinds (`_scans`).  The tables exist only while their
+    one of four kinds (`_scans`).  The tables exist only while their
     cells stay within _NORMALIZE_BUDGET; otherwise, and for a component
     with macro-edges of two lengths inside it, `scans` is None.  The
     prefix sums tail sweeps `chunk` letters at a time (_CHUNK_CELLS,
@@ -641,14 +648,17 @@ def _scans(k: int, full, codes, base: int):
     (0 if none, and then the table is None).  The table is (kind, *arrays)
     of the first kind that fits, indexed by word code and local hub, with
     _INF where no macro-edge is: "one-hub" (costs, missing) for one hub
-    that no gather enters, see `_Hubs`; "gather" (src, cost) at [code, d]
-    for more hubs when no two macro-edges of a word enter one hub;
-    "rank-one" (dst, cost) at [code] and [s, code] when those of each word
-    enter one hub, as for one hub that gathers enter; "dense" (cost,) at
-    [code, d, s].  `_sweep_component` sweeps one-hub tables by running
-    sums, rank-one tables by a first-order recurrence (`_sweep_rank_one`)
-    and the others by a min-plus scan (`_scan_hubs`).  The cells charged
-    are those of the arrays but `missing`.  A gather (n, s, table) holds at
+    that no gather enters, see `_Hubs`; "rotation" (shift, cost) at [code]
+    and [code, d] for more hubs that no gather enters when each word's
+    macro-edges enter hub d from hub (d + shift) mod k, in local order;
+    "gather" (src, cost) at [code, d] when no two macro-edges of a word
+    enter one hub; "rank-one" (dst, cost) at [code] and [s, code] when
+    those of each word enter one hub, as for one hub that gathers enter;
+    "dense" (cost,) at [code, d, s].  `_sweep_component` sweeps the first
+    two by running sums (`_sweep_rotation`), rank-one tables by a
+    first-order recurrence (`_sweep_rank_one`) and the others by a
+    min-plus scan (`_scan_hubs`).  The cells charged are those of the
+    arrays but `missing`.  A gather (n, s, table) holds at
     [d, code] the cost of the macro-edge of length n from hub s of an
     earlier component to the d-th hub of this one.
     """
@@ -686,12 +696,15 @@ def _scans(k: int, full, codes, base: int):
         if length:
             mine = slice(inside, entering)
             s, d, w, p = local[src[mine]], dsts[mine], code[mine], paid[mine]
+            turn = (s - d) % kc
             kind = ("one-hub" if kc == 1 and len(cut) == 1 else
+                    "rotation" if kc > 1 and len(cut) == 1 and _runs(
+                        np.sort(w * kc + turn)).sum() == _runs(np.sort(w)).sum() else
                     "gather" if kc > 1 and _runs(np.sort(d * n + w)).all() else
                     "rank-one" if _runs(np.sort(w * kc + d)).sum() == _runs(np.sort(w)).sum() else
                     "dense")
-        charged += {None: 0, "one-hub": n, "gather": 2 * kc * n, "rank-one": (kc + 1) * n,
-                    "dense": kc * kc * n}[kind] + sum(base ** ns[i] * kc for i in cut[:-1])
+        charged += {None: 0, "one-hub": n, "gather": 2 * kc * n, "dense": kc * kc * n}.get(
+            kind, (kc + 1) * n) + sum(base ** ns[i] * kc for i in cut[:-1])
         if charged > _NORMALIZE_BUDGET:
             return None
         table = None
@@ -699,6 +712,10 @@ def _scans(k: int, full, codes, base: int):
             costs, missing = np.zeros(n, dtype=np.int64), np.ones(n, dtype=bool)
             costs[w], missing[w] = p, False
             table = kind, costs, missing if missing.any() else None
+        elif kind == "rotation":
+            shift, costs = np.zeros(n, dtype=np.intp), np.full((n, kc), _INF, dtype=np.int64)
+            shift[w], costs[w, d] = turn, p
+            table = kind, shift, costs
         elif kind == "gather":
             sources, costs = np.zeros((n, kc), dtype=np.intp), np.full((n, kc), _INF, dtype=np.int64)
             sources[w, d], costs[w, d] = s, p
@@ -829,11 +846,12 @@ def _sweep_sums(hubs: _Hubs, word: str, positions: List[int], last) -> list:
     letters' code mod base**n.  Inside a component of macro-edges of
     length L the hub costs follow a recurrence on t - L, one per residue
     of t mod L: running sums for one hub that no gather enters (none, when
-    the hub is unreachable before the chunk), a first-order recurrence
+    the hub is unreachable before the chunk) and for each of k chains of
+    a rotation component (`_sweep_rotation`), a first-order recurrence
     for a rank-one component (`_sweep_rank_one`: one cumsum and one
-    running minimum), and otherwise a min-plus scan (`_scan_hubs`) of the
-    component's kind of maps.  K at a position of the chunk is then the
-    cheapest path that ends at a hub or inside a chain (`part`).
+    running minimum), and otherwise a min-plus scan (`_scan_hubs`).  K at
+    a position of the chunk is then the cheapest path that ends at a hub
+    or inside a chain (`part`).
     """
     span, lead, stop = hubs.span, hubs.lead, positions[-1]
     top = len(hubs.rank) ** span
@@ -883,7 +901,7 @@ def _sweep_component(cost, members, k, length, table, gathers, window, span):
     """The rows `members` (k hubs) of a chunk's hub costs `cost` (see
     _sweep_sums) past its first span columns, from the columns before them
     and the rows of earlier components; window(m) gives the window codes
-    mod m."""
+    mod m; the table's kind picks the sweep, as `_sweep_sums` says."""
     width = cost.shape[1] - span
     entering = None                      # [d, i]: the cheapest gather into hub d at i
     for n, s, gather in gathers:
@@ -918,6 +936,9 @@ def _sweep_component(cost, members, k, length, table, gathers, window, span):
         elif True in dead:
             sums.reshape(-1, length)[:, dead] = _INF
         return
+    if kind == "rotation":
+        _sweep_rotation(cost, members, *tables, window, before, span)
+        return
     if kind == "rank-one":
         _sweep_rank_one(cost, members, *tables, window, entering, before, span)
         return
@@ -929,6 +950,45 @@ def _sweep_component(cost, members, k, length, table, gathers, window, span):
     then, apply = _KINDS[kind]
     np.minimum(apply([t[:1] for t in maps], before.T[None]), costs[:1], out=costs[:1])
     cost[members, span:] = _scan_hubs(maps, costs, then, apply).reshape(width, k).T
+
+
+def _sweep_rotation(cost, members, shift, costs, window, before, span):
+    """The rows `members` of `cost`, as `_sweep_component`, for a rotation
+    component of k hubs: each word's macro-edge into hub d leaves hub
+    (d + shift[code]) mod k at costs[code, d] (_INF where there is none),
+    L = len(before[0]) letters long.  So its k chains never merge: per
+    residue, the chain from hub h before the chunk is at hub (h - S_j) mod
+    k after row j, S_j the cumsum of the rows' shifts.  Its costs are
+    running sums from before[h], cut at a missing macro-edge as the
+    one-hub sums are, and hub d holds chain (d + S_j) mod k.
+    """
+    k, length = before.shape
+    width, n = cost.shape[1] - span, len(shift)
+    codes = window(n)
+    turns = shift.take(codes).reshape(-1, length)
+    turns.cumsum(axis=0, out=turns)
+    if k & (k - 1):
+        turns %= k
+    else:
+        turns &= k - 1                                   # a power of two: mod k at less cost
+    turns = turns.reshape(-1)
+    hubs = np.arange(k)
+    # rows[h, j, r]: chain h's cost at row j and residue r, costs[code,
+    # (h - t) mod k] for the letter's code and turn t, then its running sum.
+    rows = costs.T[(hubs[:, None] - hubs) % k].reshape(k, -1).take(
+        turns * n + codes, axis=1).reshape(k, -1, length)
+    cut = rows >= _INF if costs.max() >= _INF else None
+    if cut is not None:
+        rows[cut] = 0
+    rows[:, 0] += before
+    rows.cumsum(axis=1, out=rows)
+    if cut is not None:
+        np.logical_or.accumulate(cut, axis=1, out=cut)  # a window so far had no macro-edge
+        rows[cut] = _INF
+    if (before >= _INF).any():
+        np.minimum(rows, _INF, out=rows)                 # the dead chains
+    back = (hubs[:, None] + hubs) % k * width            # [d, t]: chain (d + t) mod k
+    cost[members, span:] = rows.take(back.take(turns, axis=1) + np.arange(width))
 
 
 def _sweep_rank_one(cost, members, to, costs, window, entering, before, span):

@@ -499,11 +499,15 @@ def scans_reference(k: int, full, base: int, budget: int):
     `_scans` gives none.  Components come from `components_reference`.
 
     The kind is None without macro-edges inside; "one-hub" for one hub
-    that nothing enters from other components; "gather" when no two
+    that nothing enters from other components; "rotation" for more hubs
+    that nothing enters from other components when, with the hubs
+    numbered 0.. in ascending order, each word's macro-edges run from hub
+    (d + s) mod size to hub d for one s per word; "gather" when no two
     macro-edges of a word enter one hub; "rank-one" when those of each
     word enter one hub; else "dense".  Each kind's tables charge `budget`
-    |alphabet|**length cells times 1, 2 size, size + 1 and size**2, and
-    each (length, src) into the component |alphabet|**length times size.
+    |alphabet|**length cells times 1, size + 1, 2 size, size + 1 and
+    size**2, and each (length, src) into the component |alphabet|**length
+    times size.
     """
     rows = [(n, w, s, d, c) for n, table in full.items()
             for w, pairs in table.items() for (s, d), c in pairs.items()]
@@ -521,11 +525,16 @@ def scans_reference(k: int, full, base: int, budget: int):
                       if comp[d] == members and comp[s] != members)
         entries = {(w, d) for w, _, d, _ in inside}
         targets = {w: {d for v, _, d, _ in inside if v == w} for w, *_ in inside}
+        turns = {w: {(members.index(s) - members.index(d)) % size for v, s, d, _ in inside
+                     if v == w} for w, *_ in inside}
         kind = (None if not length else "one-hub" if size == 1 and not into else
+                "rotation" if size > 1 and not into and all(
+                    len(ts) == 1 for ts in turns.values()) else
                 "gather" if size > 1 and len(entries) == len(inside) else
                 "rank-one" if all(len(ds) == 1 for ds in targets.values()) else "dense")
-        charged += base ** length * {None: 0, "one-hub": 1, "gather": 2 * size,
-                                     "rank-one": size + 1, "dense": size * size}[kind]
+        charged += base ** length * {None: 0, "one-hub": 1, "rotation": size + 1,
+                                     "gather": 2 * size, "rank-one": size + 1,
+                                     "dense": size * size}[kind]
         charged += sum(base ** n * size for n, _ in {(n, s) for n, s, *_ in into})
         out.append((members, length, kind, inside, into))
     return out if charged <= budget else None

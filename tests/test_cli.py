@@ -1,6 +1,6 @@
 import pytest
 
-from autokolm import modes
+from autokolm import automaton, modes
 from autokolm.cli import main
 from autokolm.constructions import serialize_rule
 from autokolm.modes import parse_mode
@@ -334,6 +334,19 @@ def test_malformed_files_exit_1_with_one_line(tmp_path, capsys, kind, content):
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_mode_file_over_the_edge_cap_exits_1_with_one_line(tmp_path, capsys, monkeypatch):
+    # VALID_MODE has two edge lines: at a cap of two it loads, and a third
+    # edge line is one too many.
+    monkeypatch.setattr(automaton, "MAX_FILE_EDGES", 2)
+    mode = tmp_path / "mode.aut"
+    mode.write_text(VALID_MODE)
+    assert run(capsys, "complexity", "--mode", str(mode), "--word", "01")[0] == 0
+    mode.write_text(VALID_MODE + "edge 0 0 1 0\n")
+    code, out, err = run(capsys, "complexity", "--mode", str(mode), "--word", "01")
+    assert (code, out) == (1, "")
+    assert err == "error: line 7: more than 2 edges\n"
 
 
 @pytest.mark.parametrize("command", ["complexity", "select"])
