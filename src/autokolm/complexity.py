@@ -649,7 +649,7 @@ def _scans(k: int, full, codes, base: int):
     of the first kind that fits, indexed by word code and local hub, with
     _INF where no macro-edge is: "one-hub" (costs, missing) for one hub
     that no gather enters, see `_Hubs`; "rotation" (shift, cost) at [code]
-    and [code, d] for more hubs that no gather enters when each word's
+    and [d, code] for more hubs that no gather enters when each word's
     macro-edges enter hub d from hub (d + shift) mod k, in local order;
     "gather" (src, cost) at [code, d] when no two macro-edges of a word
     enter one hub; "rank-one" (dst, cost) at [code] and [s, code] when
@@ -703,8 +703,9 @@ def _scans(k: int, full, codes, base: int):
                     "gather" if kc > 1 and _runs(np.sort(d * n + w)).all() else
                     "rank-one" if _runs(np.sort(w * kc + d)).sum() == _runs(np.sort(w)).sum() else
                     "dense")
-        charged += {None: 0, "one-hub": n, "gather": 2 * kc * n, "dense": kc * kc * n}.get(
-            kind, (kc + 1) * n) + sum(base ** ns[i] * kc for i in cut[:-1])
+        charged += {None: 0, "one-hub": n, "rotation": (kc + 1) * n, "gather": 2 * kc * n,
+                    "rank-one": (kc + 1) * n, "dense": kc * kc * n}[kind] + sum(
+                        base ** ns[i] * kc for i in cut[:-1])
         if charged > _NORMALIZE_BUDGET:
             return None
         table = None
@@ -713,8 +714,8 @@ def _scans(k: int, full, codes, base: int):
             costs[w], missing[w] = p, False
             table = kind, costs, missing if missing.any() else None
         elif kind == "rotation":
-            shift, costs = np.zeros(n, dtype=np.intp), np.full((n, kc), _INF, dtype=np.int64)
-            shift[w], costs[w, d] = turn, p
+            shift, costs = np.zeros(n, dtype=np.intp), np.full((kc, n), _INF, dtype=np.int64)
+            shift[w], costs[d, w] = turn, p
             table = kind, shift, costs
         elif kind == "gather":
             sources, costs = np.zeros((n, kc), dtype=np.intp), np.full((n, kc), _INF, dtype=np.int64)
@@ -955,7 +956,7 @@ def _sweep_component(cost, members, k, length, table, gathers, window, span):
 def _sweep_rotation(cost, members, shift, costs, window, before, span):
     """The rows `members` of `cost`, as `_sweep_component`, for a rotation
     component of k hubs: each word's macro-edge into hub d leaves hub
-    (d + shift[code]) mod k at costs[code, d] (_INF where there is none),
+    (d + shift[code]) mod k at costs[d, code] (_INF where there is none),
     L = len(before[0]) letters long.  So its k chains never merge: per
     residue, the chain from hub h before the chunk is at hub (h - S_j) mod
     k after row j, S_j the cumsum of the rows' shifts.  Its costs are
@@ -967,28 +968,27 @@ def _sweep_rotation(cost, members, shift, costs, window, before, span):
     codes = window(n)
     turns = shift.take(codes).reshape(-1, length)
     turns.cumsum(axis=0, out=turns)
-    if k & (k - 1):
-        turns %= k
-    else:
-        turns &= k - 1                                   # a power of two: mod k at less cost
+    turns %= k
     turns = turns.reshape(-1)
-    hubs = np.arange(k)
-    # rows[h, j, r]: chain h's cost at row j and residue r, costs[code,
-    # (h - t) mod k] for the letter's code and turn t, then its running sum.
-    rows = costs.T[(hubs[:, None] - hubs) % k].reshape(k, -1).take(
-        turns * n + codes, axis=1).reshape(k, -1, length)
-    cut = rows >= _INF if costs.max() >= _INF else None
-    if cut is not None:
+    # rows[h, j, r]: chain h's cost at row j and residue r, then its
+    # running sum.  The chain is at hub (h - t) mod k, t the letter's turn:
+    # costs.flat[(h - t) * n + code], which take's mode "wrap" reduces mod
+    # k * n.  Every array here has k rows of the chunk's letters.
+    hubs = np.arange(k)[:, None]
+    rows = costs.take(hubs * n + (codes - turns * n), mode="wrap").reshape(k, -1, length)
+    cut = rows >= _INF
+    missing = cut.any()
+    if missing:
         rows[cut] = 0
     rows[:, 0] += before
     rows.cumsum(axis=1, out=rows)
-    if cut is not None:
+    if missing:
         np.logical_or.accumulate(cut, axis=1, out=cut)  # a window so far had no macro-edge
         rows[cut] = _INF
     if (before >= _INF).any():
         np.minimum(rows, _INF, out=rows)                 # the dead chains
-    back = (hubs[:, None] + hubs) % k * width            # [d, t]: chain (d + t) mod k
-    cost[members, span:] = rows.take(back.take(turns, axis=1) + np.arange(width))
+    # Hub d at letter i holds chain (d + t) mod k, read in the same way.
+    cost[members, span:] = rows.take(hubs * width + (turns * width + np.arange(width)), mode="wrap")
 
 
 def _sweep_rank_one(cost, members, to, costs, window, entering, before, span):

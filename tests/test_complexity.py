@@ -3,6 +3,7 @@ import hashlib
 import importlib
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -1456,7 +1457,7 @@ def test_rotation_chains_apply_their_maps_as_min_plus_matrices():
         cost = np.zeros((k + 2, 2 + 6), dtype=np.int64)
         cost[members, :2] = before.T
         engine._sweep_rotation(cost, slice(0, k) if trial % 4 == 0 else members,
-                               shift.reshape(-1), weights.reshape(6, k), lambda m: np.arange(6),
+                               shift.reshape(-1), weights.reshape(6, k).T, lambda m: np.arange(6),
                                cost[members, :2], 2)
         x = before
         for r in range(3):
@@ -1493,7 +1494,7 @@ def as_gather_scans(hubs):
         members, k, length, table, gathers = component
         if table and table[0] == "rotation":
             _, shift, costs = table
-            table = "gather", (np.arange(k) + shift[:, None]) % k, costs
+            table = "gather", (np.arange(k) + shift[:, None]) % k, costs.T
         return members, k, length, table, gathers
     hubs.scans = list(map(gather, hubs.scans))
 
@@ -1538,6 +1539,41 @@ def test_rotation_components_match_the_oracle_and_the_gather_scan():
             assert engine._sweep(copy, word, positions) == expected
     check()
     assert {(k, missing) for k in (2, 3) for missing in (False, True)} | {"dead"} <= seen
+
+
+def test_a_rotation_of_many_hubs_sweeps_within_its_chunk():
+    # layered(coder4, 300)'s copy roots are one rotation component of 300
+    # hubs.  Its sweep allocates a few int64 arrays of k rows of the
+    # chunk's letters, not a table of k**2 cells per window code, and it
+    # gives the values of the gather scan.
+    mode = layered_concat(champ_coder(4), 300)
+    aut = mode.automaton
+    word = bernoulli_bits(0.9, 5, 3000)
+    positions = list(range(100, 3001, 100))
+    peaks, sweep = [], engine._sweep_rotation
+
+    def measured(cost, members, shift, costs, window, before, span):
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        sweep(cost, members, shift, costs, window, before, span)
+        peaks.append((tracemalloc.get_traced_memory()[1] - start, len(before) * (cost.shape[1] - span)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "_sweep_rotation", measured)
+        force_step(mp, "sums")
+        hubs = engine._compiled(aut).hubs
+        assert [k for _, k, _, table, _ in hubs.scans if table and table[0] == "rotation"] == [300]
+        tracemalloc.start()
+        try:
+            values = engine._sweep(aut, word, positions)
+        finally:
+            tracemalloc.stop()
+        # A chunk holds _CHUNK_CELLS cells, padded to a multiple of the period.
+        bound = engine._CHUNK_CELLS + len(hubs.ids) * hubs.period
+        assert len(peaks) > 1 and all(cells <= bound for _, cells in peaks)
+        assert all(peak <= 6 * 8 * bound for peak, _ in peaks), peaks
+        copy = renumbered(mode, range(aut.num_states)).automaton
+        as_gather_scans(engine._compiled(copy).hubs)
+        assert engine._sweep(copy, word, positions) == values
 
 
 @pytest.mark.parametrize("make,hubs,chunk", [
@@ -1825,8 +1861,8 @@ def scans(hubs):
                      for code, d in zip(*np.nonzero(costs < engine._INF))]
         elif kind == "rotation":
             shift, costs = arrays
-            edges = [(code, (d + int(shift[code])) % k, d, int(costs[code, d]))
-                     for code, d in zip(*np.nonzero(costs < engine._INF))]
+            edges = [(code, (d + int(shift[code])) % k, d, int(costs[d, code]))
+                     for d, code in zip(*np.nonzero(costs < engine._INF))]
         elif kind == "rank-one":
             dst, costs = arrays
             edges = [(code, s, int(dst[code]), int(costs[s, code]))
