@@ -14,7 +14,7 @@ import functools
 import math
 import random
 import weakref
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import repeat
 from typing import List
@@ -43,10 +43,13 @@ UNREACHABLE = math.inf
 # under cProfile and more array operators, costs 3.9 times a one-hub
 # component's 14 (23 against 6 us at 64 letters): 41 more.  The ring, a
 # letter the closure step takes alone before a hand-off, costs 1.1-2.0 us.
-# Hand-offs, letters past `lead` (measured break-even): identity 61
-# (61-64), union 115 (96-104), wall(5) 466 (416-512), wall(3) 720
-# (704-832), joint 113 (104-112), coder1-3 46/25/12 (56-60, 30-34,
-# 16-20); after the numpy step coder4 7 (7-8), the k=8 coder 4 (5-6),
+# A prologue table's look-up costs 3 calls and spares the closure step's
+# call, whose fixed part costs about one letter's calls on the numpy step
+# (3.5 us on coder4, 3 a letter).  Hand-offs, letters past `lead`
+# (measured break-even): identity 61 (61-64), union 115 (96-104), wall(5)
+# 466 (416-512), wall(3) 720 (704-832), joint 113 (104-112), with
+# prologue tables coder1-3 46/22/8 (42-46, 22-23, 8-9); after the numpy
+# step, with tables coder4, skewed coder4 and the k=8 coder 1 (1),
 # reverse(coder4) 10 (14-16), layered(coder4, 2) 23 (24-26),
 # compose(coder4, coder4) 30 (40-44), and with dense maps
 # compose(coder2, coder2) 80 (70-90), compose(coder2, coder4) 44 (40-50),
@@ -55,7 +58,7 @@ UNREACHABLE = math.inf
 _US_PER_RELAXATION, _US_PER_CALL, _US_PER_SCATTER, _US_PER_CELL = 0.1, 0.6, 0.004, 0.0005
 _NUMPY_STEP_CALLS = 5
 _TAIL_CALLS = {"chunk": 14, "component": 14, "mask": 9, "gather": 3, "level": 29,
-               "rank-one": 19, "rotation": 41, "ring": 2}
+               "rank-one": 19, "rotation": 41, "ring": 2, "prologue": 3}
 _SCAN_ROW_CELLS = 6
 _NORMALIZE_BUDGET = 5_000_000
 # A cost of _INF or more is unreachable.  Every cost is at most _INF, and
@@ -176,10 +179,12 @@ def _sweep(aut: LabeledAutomaton, word: str, positions: List[int]) -> list:
 
     The closure step runs in batches between positions, over the whole
     word unless it reaches `handoff` letters past the hub graph's `lead`:
-    then it stops at `lead`, going one letter at a time through the last
-    `span` letters up to it, whose hub costs it keeps, one row per letter
-    (read from the Python step's dict as from the numpy step's array).
-    The tail answers the positions past `lead` from those rows.
+    then it stops at `lead`.  The hub costs of the last `span` letters up
+    to it, one row per letter, come from the prologue table (`_Hubs`) at
+    the code of the word's first `lead` letters, or else from the closure
+    step, one letter at a time (read from the Python step's dict as from
+    the numpy step's array).  The tail answers the positions past `lead`
+    from those rows, if one is reachable.
     """
     check_word(aut, aut.arity - 1, word)
     if aut.num_states == 0:
@@ -189,9 +194,16 @@ def _sweep(aut: LabeledAutomaton, word: str, positions: List[int]) -> list:
     stops, lead, fill, last = positions, positions[-1], (), None
     if hubs is not None and lead - hubs.lead >= hubs.handoff:
         lead = hubs.lead
-        fill = range(lead - hubs.span + 1, lead + 1)
-        stops = [*positions[:bisect_left(positions, fill.start)], *fill]
-        last = np.empty((hubs.span, len(hubs.ids)), dtype=np.int64)
+        if hubs.prologue is None:
+            fill = range(lead - hubs.span + 1, lead + 1)
+            stops = [*positions[:bisect_left(positions, fill.start)], *fill]
+            last = np.empty((hubs.span, len(hubs.ids)), dtype=np.int64)
+        else:
+            code = 0
+            for a in word[:lead]:
+                code = code * len(hubs.rank) + hubs.rank[ord(a)]
+            stops = positions[:bisect_right(positions, lead)]
+            last = hubs.prologue[code] if hubs.reached[code] else None
     dist, best, done, out = eng.start, 0, 0, []
     for t in stops:
         if t > done:
@@ -204,7 +216,7 @@ def _sweep(aut: LabeledAutomaton, word: str, positions: List[int]) -> list:
                                     if type(dist) is dict else dist[hubs.ids])
         if t == positions[len(out)]:
             out.append(best)
-    if best != UNREACHABLE and lead < positions[-1]:
+    if best != UNREACHABLE and lead < positions[-1] and last is not None:
         out += eng.tail(hubs, word, positions[len(out):], last)
     return out + [UNREACHABLE] * (len(positions) - len(out))
 
@@ -387,7 +399,8 @@ def _pick_step(num_states: int, by_letter, relays):
     python = _step_us(True, widest) <= _step_us(False, widest)
     hubs = _Hubs.compile(num_states, by_letter, relays)
     if hubs is not None and hubs.scans is not None:
-        hubs.handoff = _handoff(hubs, _step_us(python, min(sizes, default=0)))
+        hubs.handoff = _handoff(hubs, _step_us(python, min(sizes, default=0)),
+                                0 if python else _US_PER_CALL * _NUMPY_STEP_CALLS)
     if hubs is None or hubs.scans is None or hubs.handoff is None:
         hubs = None
     if python:
@@ -403,10 +416,11 @@ def _step_us(python: bool, edges: int) -> float:
     return _US_PER_CALL * _NUMPY_STEP_CALLS + _US_PER_SCATTER * edges
 
 
-def _handoff(hubs, step_us: float):
+def _handoff(hubs, step_us: float, call_us: float):
     """The fewest letters past `lead` from which the prefix sums tail is
-    estimated cheaper than a closure step of `step_us` per letter, or None
-    when it is on no word of up to 2**24 letters.
+    estimated cheaper than a closure step of `step_us` per letter and
+    `call_us` per call, or None when it is on no word of up to 2**24
+    letters.
 
     Each call of the tail (numpy's and its own, as cProfile counts them)
     costs _US_PER_CALL and each cell it sweeps _US_PER_CELL.  A chunk
@@ -417,12 +431,13 @@ def _handoff(hubs, step_us: float):
     level, one more than log2 of its rows, and 4 more per hub for dense
     maps, whose min-plus products loop over the hubs; the `span` letters
     before `lead`, which the closure step then takes one at a time, "ring"
-    each.  Per letter, a one-hub component sweeps 1 cell, a gather into k
-    hubs k, a rank-one or rotation component of k hubs k plus one per
-    call of its sweep, and a scan its width plus _SCAN_ROW_CELLS per row
-    at each of its calls, twice
-    over as its rows halve: k for gather maps, and k**2 (k + 9) / 17 for
-    dense ones, fit to warm dense scans of k = 3 to 16 hubs, L = 1, 2 and
+    each, or with a prologue table its look-up "prologue", against a
+    closure step over `lead` letters more and its call.  Per letter, a
+    one-hub component sweeps 1 cell, a gather into k hubs k, a rank-one or
+    rotation component of k hubs k plus one per call of its sweep, and a
+    scan its width plus _SCAN_ROW_CELLS per row at each of its calls,
+    twice over as its rows halve: k for gather maps, and k**2 (k + 9) / 17
+    for dense ones, fit to warm dense scans of k = 3 to 16 hubs, L = 1, 2 and
     4, of 16 letters to a chunk (0.1-0.2 ms at k = 3 and 0.4-0.9 ms at
     k = 16 for 16 letters, 0.3-0.5 and 10-18 us per letter in a chunk).
     The calls per hub were fit to the measured break-evens of four
@@ -448,17 +463,23 @@ def _handoff(hubs, step_us: float):
         level_calls = sum(((-(-letters // n) - 1).bit_length() + 1) * c for n, c in scans)
         return _US_PER_CALL * (calls + level_calls) + _US_PER_CELL * cells * letters
 
+    # The tail's ring, or its table look-up against the closure step's first
+    # `lead` letters and call.
+    fixed, spared = _US_PER_CALL * _TAIL_CALLS["ring"] * hubs.span, 0
+    if hubs.prologue is not None:
+        fixed, spared = _US_PER_CALL * _TAIL_CALLS["prologue"], step_us * hubs.lead + call_us
+
     def cheaper(letters):
         full, rest = divmod(letters, hubs.chunk)
         tail = full * chunk_us(hubs.chunk) + (chunk_us(rest) if rest else 0)
-        tail += _US_PER_CALL * _TAIL_CALLS["ring"] * hubs.span
-        return tail < step_us * letters
+        return tail + fixed < step_us * letters + spared
     top = 1
     while not cheaper(top):
         if top >= 1 << 24:
             return None
         top *= 2
-    return top // 2 + bisect_left(range(top // 2, top), True, key=cheaper)
+    low = top // 2 + 1                           # top // 2 is dearer, or 0 (no tail at all)
+    return low + bisect_left(range(low, top), True, key=cheaper)
 
 
 def _step_python(by_letter, dist: dict, letters):
@@ -547,11 +568,17 @@ class _Hubs:
     its word reaches `handoff` letters past `lead`, the break-even against
     the closure step that `_pick_step` estimates (`_handoff`); `keys` lists
     the hubs as ints, to read the Python step's dict of costs.
+
+    A graph of one hub takes its window table from `full`; with one
+    macro-edge length, depth <= 1, no relay and `lead` > 0, also the
+    prologue table and `reached` (`_prologue`), if its (span + 1)
+    |alphabet|**span cells fit _NORMALIZE_BUDGET with the window table.
     """
 
-    def __init__(self, ids, lead, span, full, part, alphabet, scans):
+    def __init__(self, ids, lead, span, full, part, alphabet, scans, prologue):
         self.ids, self.lead, self.span, self.part = ids, lead, span, part
         self._full, self.scans = full, scans
+        self.prologue, self.reached = prologue or (None, None)
         self.keys, self.handoff = ids.tolist(), 0
         if scans is not None:
             self.rank = {ord(a): i for i, a in enumerate(alphabet)}
@@ -627,13 +654,22 @@ class _Hubs:
         codes = [np.arange(base)]                # codes[n - 1][w]: code of word number w of length n
         for pairs in prefixes:
             codes.append(codes[-1][pairs // base] * base + pairs % base)
-        scans = _scans(ids.size, full, codes, base)
+        lead, scans, prologue = depth + span - 1, None, None
+        if ids.size > 1 or not lengths.size or lengths[0] < span:
+            scans = _scans(ids.size, full, codes, base)
+        elif base ** span <= _NORMALIZE_BUDGET:              # one hub, one length
+            table = _one_hub(base ** span, codes[span - 1][full[1]], full[4])
+            scans = [(slice(0, 1), 1, span, table, [])]
+            if lead and depth <= 1 and not relay.any() and (
+                    (span + 2) * base ** span <= _NORMALIZE_BUDGET):
+                prologue = _prologue(span, lead, base, live & ~hub, nxt, nletter, ncost,
+                                     (letter, dst, cost))
         spelled = [alphabet]                     # spelled[j - 1][n]: word number n of length j
         for pairs in prefixes:
             spelled.append([spelled[-1][p] + alphabet[a] for p, a in
                             zip(*(col.tolist() for col in np.divmod(pairs, base)))])
-        return cls(ids, depth + span - 1, span, (full, spelled), _word_tables(part, spelled),
-                   alphabet, scans)
+        return cls(ids, lead, span, (full, spelled), _word_tables(part, spelled),
+                   alphabet, scans, prologue)
 
 
 def _scans(k: int, full, codes, base: int):
@@ -710,9 +746,7 @@ def _scans(k: int, full, codes, base: int):
             return None
         table = None
         if kind == "one-hub":
-            costs, missing = np.zeros(n, dtype=np.int64), np.ones(n, dtype=bool)
-            costs[w], missing[w] = p, False
-            table = kind, costs, missing if missing.any() else None
+            table = _one_hub(n, w, p)
         elif kind == "rotation":
             shift, costs = np.zeros(n, dtype=np.intp), np.full((kc, n), _INF, dtype=np.int64)
             shift[w], costs[d, w] = turn, p
@@ -738,6 +772,39 @@ def _scans(k: int, full, codes, base: int):
             members = slice(int(members[0]), int(members[-1]) + 1)
         plan.append((members, kc, length, table, gathers))
     return plan
+
+
+def _one_hub(n: int, words, costs):
+    """The table ("one-hub", costs, missing) of `_scans` of a hub with
+    macro-edges on the word codes `words` at `costs`, of n codes."""
+    table, missing = np.zeros(n, dtype=np.int64), np.ones(n, dtype=bool)
+    table[words], missing[words] = costs, False
+    return "one-hub", table, missing if missing.any() else None
+
+
+def _prologue(span: int, lead: int, base: int, chain, nxt, nletter, ncost, edges):
+    """The hub costs at letters lead - span + 1 .. lead of a hub graph of
+    one hub, macro-edges of length span and depth <= 1, as [code of the
+    word's first lead letters, row, 1]; and per code, whether one is below
+    _INF.  Every state starts at cost 0, and every closure edge (s, q, c)
+    enters a live state, whose chain (the `chain` states, successor nxt)
+    leads to the hub: so the hub cost at letter t <= span is the least c
+    plus its chain's cost over the edges on x[0] whose chain spells x[1:t].
+    """
+    letter, dst, cost = edges
+    at = np.where(chain, nxt, np.arange(chain.size))
+    length, code, paid = (np.where(chain, col, 0) for col in (1, nletter, ncost))
+    for _ in range((span - 1).bit_length()):            # 2**rounds > span - 1 letters
+        code = code * base ** length[at] + code[at]
+        length, paid, at = length + length[at], paid + paid[at], at[at]
+    top = base ** span
+    costs = np.full((span + 1, top), _INF, dtype=np.int64)     # [t, code of x[:t]]
+    costs[0, 0] = 0                                             # letter 0, at depth 0
+    np.minimum.at(costs.reshape(-1), (length[dst] + 1) * top + letter * base ** length[dst]
+                  + code[dst], cost + paid[dst])
+    rows = np.arange(lead - span + 1, lead + 1)
+    table = costs[rows, np.arange(base ** lead)[:, None] // base ** (lead - rows)]
+    return table[:, :, None], (table < _INF).any(axis=1).tolist()
 
 
 def _cycle_hubs(chain, nxt):
@@ -968,7 +1035,7 @@ def _sweep_rotation(cost, members, shift, costs, window, before, span):
     codes = window(n)
     turns = shift.take(codes).reshape(-1, length)
     turns.cumsum(axis=0, out=turns)
-    turns %= k
+    turns -= turns // k * k                     # mod k: numpy's // is vectorized, its % not
     turns = turns.reshape(-1)
     # rows[h, j, r]: chain h's cost at row j and residue r, then its
     # running sum.  The chain is at hub (h - t) mod k, t the letter's turn:

@@ -522,6 +522,60 @@ def test_trained_coder_closure_is_entries_from_entered_states(train):
             "0": (k + 1) << (k - 1), "1": (k + 1) << (k - 1)}
 
 
+def stepped_hub_rows(eng, word):
+    """The hub costs, capped at _INF, at letters lead - span + 1 .. lead of
+    `word` by the compiled closure step, one letter at a time."""
+    hubs, dist, rows = eng.hubs, eng.start, []
+    for t in range(hubs.lead + 1):
+        if t:
+            dist, _ = eng.step(eng.by_letter, dist, word[t - 1])
+        if t > hubs.lead - hubs.span:
+            cost = dist.get(hubs.keys[0], engine._INF) if type(dist) is dict else dist[hubs.ids[0]]
+            rows.append(min(int(cost), engine._INF))
+    return rows
+
+
+@pytest.mark.parametrize("train", [champ_coder, skewed_coder])
+def test_trained_coder_prologue_table_is_the_closure_step(train):
+    # At the code of every word of `lead` letters, the table holds the hub
+    # costs that the closure step reaches over them.
+    for k in range(1, 9):
+        eng = engine._compiled(train(k).automaton)
+        hubs = eng.hubs
+        assert hubs.lead == hubs.span == k and hubs.prologue.shape == (2 ** k, k, 1)
+        for code, bits in enumerate(itertools.product("01", repeat=k)):
+            rows = stepped_hub_rows(eng, "".join(bits))
+            assert hubs.prologue[code][:, 0].tolist() == rows
+            assert hubs.reached[code] == (min(rows) < engine._INF)
+
+
+def test_a_short_coder_call_takes_no_closure_step(monkeypatch):
+    # A 16-bit k=8 coder call reads the hub costs up to lead from the table.
+    mode = champ_coder(8)
+    eng = engine._compiled(mode.automaton)
+    steps = []
+    monkeypatch.setattr(eng, "step", lambda *args: steps.append(1) or engine._step_numpy(*args))
+    for word in (champernowne_bits(2_000)[1_234:1_250], bernoulli_bits(0.9, 3, 16)):
+        assert complexity(mode, word) == sweep_pure(mode.automaton, word) < UNREACHABLE
+    assert steps == []
+
+
+def test_a_one_hub_table_over_the_budget_keeps_the_ring(monkeypatch):
+    # coder4's window table (16 cells) fits a budget of 95, and the 5 x 16
+    # cells of its prologue table on top do not: the closure step fills the
+    # ring.
+    monkeypatch.setattr(engine, "_NORMALIZE_BUDGET", 95)
+    monkeypatch.setattr(engine, "_sweep_cache", {})
+    mode = champ_coder(4)
+    eng = engine._compiled(mode.automaton)
+    assert eng.tail is engine._sweep_sums and eng.hubs.prologue is None
+    steps = []
+    monkeypatch.setattr(eng, "step", lambda *args: steps.append(args[2]) or engine._step_numpy(*args))
+    word = champernowne_bits(2_000)[1_234:1_298]
+    assert complexity(mode, word) == sweep_pure(mode.automaton, word)
+    assert steps == [word[:1], word[1:2], word[2:3], word[3:4]]
+
+
 def late_entry_mode():
     """State 1 reads 0 and no letter enters it; hub 0 reaches it only over
     an epsilon-object edge that costs a description bit."""
@@ -589,15 +643,18 @@ def test_default_path_of_each_mode(name):
     assert swept_by(make().automaton) == STEPS[path]
 
 
-# The break-evens of the Python step against the prefix sums, measured on
-# warm calls over Bernoulli(0.9) bits, letters past `lead`.
+# The break-evens of the closure step against the prefix sums, measured on
+# warm calls over Bernoulli(0.9) bits, letters past `lead`; the coders'
+# prefix sums start from their prologue tables.
 MEASURED_HANDOFFS = {"identity": (40, 64), "union": (100, 250), "wall(5)": (416, 512),
-                     "wall(3)": (704, 832), "joint": (96, 128)}
+                     "wall(3)": (704, 832), "joint": (96, 128), "coder1": (42, 46),
+                     "coder2": (22, 23), "coder3": (8, 9), "coder4": (1, 1),
+                     "skewed coder4": (1, 1), "coder8": (1, 1)}
 # The hand-offs the compile estimates, pinned, so that no change of the unit
 # costs or of the tail's calls moves the path of a short call unseen.
-HANDOFFS = {"coder1": 46, "coder2": 25, "coder3": 12, "identity": 61, "joint": 113,
-            "unary(3)": 130, "union": 115, "wall(3)": 720, "wall(5)": 466,
-            "coder4": 7, "coder5": 7, "coder6": 7, "coder7": 5, "coder8": 4, "skewed coder4": 7,
+HANDOFFS = {"coder1": 46, "coder2": 22, "coder3": 8, "identity": 61, "joint": 113,
+            "unary(3)": 118, "union": 115, "wall(3)": 720, "wall(5)": 466,
+            "coder4": 1, "coder5": 1, "coder6": 1, "coder7": 1, "coder8": 1, "skewed coder4": 1,
             "reverse(coder4)": 10, "reverse(coder8)": 1, "compose(coder4, coder4)": 30,
             "layered(coder4, 2)": 23, "layered(skewed coder4, 2)": 23}
 TAIL_MODES = sorted(name for name, (_, path) in DEFAULT_PATHS.items() if path.endswith("sums"))
@@ -937,6 +994,48 @@ def test_one_hub_modes_match_oracle(name, data):
             expected = sweep_pure_curve(aut, word)
             assert engine._sweep(aut, word, list(range(n + 1))) == expected
             assert complexity(mode, word) == expected[-1]
+
+
+def test_prologue_tables_of_one_hub_modes_match_the_oracle():
+    # One-hub graphs of depth <= 1 take the hub costs up to lead from the
+    # table; lead-in states that lead into each other make deeper graphs,
+    # which keep the ring.  Some words die at letter 1 or at letter lead.
+    seen = set()
+
+    @settings(derandomize=True, database=None, max_examples=80, deadline=None)
+    @given(data=st.data())
+    def check(data):
+        mode, text = data.draw(one_hub_modes())
+        aut = mode.automaton
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(engine, "_sweep_cache", {})
+            eng = engine._compiled(aut)
+            hubs = eng.hubs
+            assume(eng.tail is not None and len(text) > hubs.lead + 2)
+            depth = hubs.lead - hubs.span + 1
+            assert (hubs.prologue is None) == (depth > 1 or hubs.lead == 0)
+            # A hand-off inside the word, so that its positions straddle it.
+            hubs.handoff = data.draw(st.integers(1, len(text) - hubs.lead - 1))
+            die = data.draw(st.sampled_from([None, 1, hubs.lead]))
+            if die:
+                for a in aut.alphabets[-1]:
+                    word = text[:die - 1] + a + text[die:]
+                    head = sweep_pure_curve(aut, word[:die])
+                    if head[die - 1] < UNREACHABLE == head[die]:
+                        text = word
+                        break
+                else:
+                    die = None
+            expected = sweep_pure_curve(aut, text)
+            cut = hubs.lead + hubs.handoff
+            positions = sorted({hubs.lead + 1, cut - 1, cut, cut + 1, len(text)})
+            for n in positions:
+                assert engine._sweep(aut, text[:n], [n]) == [expected[n]]
+            assert engine._sweep(aut, text, positions) == [expected[t] for t in positions]
+            assert engine._sweep(aut, text, list(range(len(text) + 1))) == expected
+            seen.add((hubs.prologue is not None, "lead" if die and die > 1 else die))
+    check()
+    assert {(True, None), (True, 1), (True, "lead"), (False, None)} <= seen
 
 
 @settings(derandomize=True, database=None, max_examples=100, deadline=None)
