@@ -9,8 +9,10 @@ automaton's relation.
 
 from __future__ import annotations
 
+import operator
 from collections import deque
 from dataclasses import dataclass
+from itertools import compress, count, islice
 
 import numpy as np
 
@@ -22,6 +24,7 @@ EPSILON = None
 Label = tuple  # tuple[Optional[str], ...], one entry per tape
 
 DEFAULT_ENUM_BUDGET = 2_000_000
+_SRC, _DST, _LABEL = map(operator.itemgetter, range(3))
 
 # Largest `states` count a file may declare: loading allocates per state, so a
 # short file could exhaust memory.  The cap sits far above the modes built at
@@ -32,6 +35,7 @@ MAX_FILE_STATES = 2 ** 22
 # row of every closure array.  The cap sits far above the largest mode the
 # tests and the benchmark build (layered(k=8 coder, 2), about 17,000 edges).
 MAX_FILE_EDGES = 2 ** 23
+_EDGE_CHUNK = 1 << 12       # edge lines split at a time; fields take 200 bytes a line
 
 
 @dataclass(frozen=True)
@@ -65,15 +69,21 @@ class LabeledAutomaton:
                 raise ContractError("alphabet symbols must be distinct")
         if self.num_states < 0:
             raise ContractError("negative state count")
-        for src, dst, label in self.edges:
-            if not (0 <= src < self.num_states and 0 <= dst < self.num_states):
-                raise ContractError(f"edge endpoint out of range: {(src, dst)}")
-            if len(label) != self.arity:
-                raise ContractError("edge label arity mismatch")
-            for tape, comp in enumerate(label):
-                if comp is not EPSILON and comp not in self.alphabets[tape]:
-                    raise ContractError(
-                        f"label letter {comp!r} outside alphabet of tape {tape}")
+        ends = [*map(_SRC, self.edges), *map(_DST, self.edges)]
+        if (min(ends, default=0) < 0 or max(ends, default=0) >= self.num_states
+                or any(map(self._label_error, set(map(_LABEL, self.edges))))):
+            for src, dst, label in self.edges:      # report the first bad edge
+                if not (0 <= src < self.num_states and 0 <= dst < self.num_states):
+                    raise ContractError(f"edge endpoint out of range: {(src, dst)}")
+                if error := self._label_error(label):
+                    raise ContractError(error)
+
+    def _label_error(self, label):
+        if len(label) != self.arity:
+            return "edge label arity mismatch"
+        for tape, comp in enumerate(label):
+            if comp is not EPSILON and comp not in self.alphabets[tape]:
+                return f"label letter {comp!r} outside alphabet of tape {tape}"
 
     def out_edges(self) -> list:
         """Adjacency list: out_edges()[s] = [(dst, label), ...]."""
@@ -277,26 +287,21 @@ def components(num_nodes: int, src, dst):
 # `#` starts a comment; blank lines are ignored.
 
 def serialize_automaton(aut: LabeledAutomaton) -> str:
-    lines = [f"arity {aut.arity}"]
-    for t, alpha in enumerate(aut.alphabets):
-        lines.append(f"alphabet {t} " + " ".join(alpha))
-    lines.append(f"states {aut.num_states}")
-    for src, dst, label in aut.edges:
-        comps = " ".join("-" if c is EPSILON else c for c in label)
-        lines.append(f"edge {src} {dst} {comps}")
+    lines = [f"arity {aut.arity}", *(f"alphabet {t} " + " ".join(alpha)
+                                     for t, alpha in enumerate(aut.alphabets)),
+             f"states {aut.num_states}"]
+    text = {label: " ".join("-" if c is EPSILON else c for c in label)
+            for label in set(map(_LABEL, aut.edges))}
+    lines += map("edge {} {} {}".format, map(_SRC, aut.edges), map(_DST, aut.edges),
+                 map(text.__getitem__, map(_LABEL, aut.edges)))
     return "\n".join(lines) + "\n"
 
 
-def strip_format_lines(text: str):
-    """Split a format file into (directive, fields) pairs, dropping comments."""
-    out = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
-        out.append((lineno, fields[0], fields[1:]))
-    return out
+def strip_format_lines(text: str) -> list:
+    """The lines of a format file, line n at index n - 1, each without its
+    comment and outer whitespace: a blank line reads ''."""
+    lines = text.splitlines()
+    return list(map(str.strip, [line.split("#", 1)[0] for line in lines] if "#" in text else lines))
 
 
 def parse_automaton(text: str) -> LabeledAutomaton:
@@ -309,17 +314,15 @@ def parse_automaton(text: str) -> LabeledAutomaton:
 
 
 def parse_automaton_lines(lines):
-    """Build an automaton from pre-split lines; returns (automaton, leftovers).
-
-    Leftover lines (unknown directives) are handed back so wrappers can
-    layer extra directives, e.g. a mode's certificate, on the same file.
-    """
-    arity = None
-    alphabets = {}
-    num_states = None
-    raw_edges = []
-    extra = []
-    for lineno, directive, args in lines:
+    """(automaton, leftovers) of strip_format_lines' output.  The leftovers, the
+    unknown directives as (line number, directive, fields), let wrappers layer
+    extra directives, e.g. a mode's certificate, on the same file."""
+    is_edge = [line[:5].rstrip() == "edge" for line in lines]
+    # As if read line by line: the first edge line past the cap fails first.
+    over = next(islice(compress(count(1), is_edge), MAX_FILE_EDGES, None), None)
+    arity, alphabets, num_states, extra = None, {}, None, []
+    rest = compress(range(1, over or len(lines) + 1), map(operator.not_, is_edge))
+    for lineno, (directive, *args) in ((n, lines[n - 1].split()) for n in rest if lines[n - 1]):
         if directive == "arity":
             arity = _parse_int(args, 1, lineno)[0]
         elif directive == "alphabet":
@@ -332,41 +335,58 @@ def parse_automaton_lines(lines):
             if num_states > MAX_FILE_STATES:
                 raise FormatError(f"line {lineno}: state count {num_states} "
                                   f"exceeds the limit {MAX_FILE_STATES}")
-        elif directive == "edge":
-            if len(raw_edges) == MAX_FILE_EDGES:
-                raise FormatError(f"line {lineno}: more than {MAX_FILE_EDGES} edges")
-            raw_edges.append((lineno, args))
         else:
             extra.append((lineno, directive, args))
+    if over is not None:
+        raise FormatError(f"line {over}: more than {MAX_FILE_EDGES} edges")
     if arity is None or num_states is None:
         raise FormatError("missing arity or states line")
     if len(alphabets) != arity or sorted(alphabets) != list(range(arity)):
         raise FormatError("need exactly one alphabet line per tape")
     alpha_tuple = tuple(alphabets[t] for t in range(arity))
-    edges = []
-    for lineno, args in raw_edges:
-        if len(args) != 2 + arity:
-            raise FormatError(f"line {lineno}: edge needs FROM TO and {arity} labels")
-        try:
-            src, dst = int(args[0]), int(args[1])
-        except ValueError:
-            raise FormatError(f"line {lineno}: edge endpoints must be integers") from None
-        label = []
-        for t, tok in enumerate(args[2:]):
-            if tok == "-":
-                label.append(EPSILON)
-            elif tok in alpha_tuple[t]:
-                label.append(tok)
-            else:
-                raise FormatError(
-                    f"line {lineno}: symbol {tok!r} not in alphabet of tape {t}")
-        edges.append((src, dst, tuple(label)))
     try:
-        aut = LabeledAutomaton(arity=arity, alphabets=alpha_tuple,
-                               num_states=num_states, edges=tuple(edges))
+        aut = LabeledAutomaton(arity=arity, alphabets=alpha_tuple, num_states=num_states,
+                               edges=_parse_edges(lines, is_edge, alpha_tuple))
     except ContractError as exc:
         raise FormatError(str(exc)) from exc
     return aut, extra
+
+
+def _parse_edges(lines, is_edge, alphabets) -> tuple:
+    """The (src, dst, label) of the lines `edge FROM TO L0 L1 ...`, split as
+    one string _EDGE_CHUNK lines at a time.  No endpoint or label field can
+    read `edge`, each line's first: so when the field count is right and
+    the endpoint and label columns parse, each line holds width fields."""
+    width, rows = 3 + len(alphabets), list(compress(lines, is_edge))
+    edges, label, allowed = [], {}, [{"-", *alpha} for alpha in alphabets]
+    for start in range(0, len(rows), _EDGE_CHUNK):
+        chunk = rows[start:start + _EDGE_CHUNK]
+        fields = " ".join(chunk).split()
+        columns = [fields[t::width] for t in range(3, width)]
+        if not (len(fields) == width * len(chunk)
+                and all(set(col) <= ok for col, ok in zip(columns, allowed))):
+            break
+        try:
+            src, dst = list(map(int, fields[1::width])), list(map(int, fields[2::width]))
+        except ValueError:
+            break
+        for key in set(zip(*columns)) - label.keys():
+            label[key] = tuple(EPSILON if c == "-" else c for c in key)
+        same = dict(zip(src, src))          # a dst shares the int of an equal src
+        edges += zip(src, map(same.get, dst, dst), map(label.__getitem__, zip(*columns)))
+    else:
+        return tuple(edges)
+    for lineno in compress(count(1), is_edge):      # the first malformed line raises
+        args = lines[lineno - 1].split()[1:]
+        if len(args) != width - 1:
+            raise FormatError(f"line {lineno}: edge needs FROM TO and {width - 3} labels")
+        try:
+            int(args[0]), int(args[1])
+        except ValueError:
+            raise FormatError(f"line {lineno}: edge endpoints must be integers") from None
+        for t, tok in enumerate(args[2:]):
+            if tok != "-" and tok not in alphabets[t]:
+                raise FormatError(f"line {lineno}: symbol {tok!r} not in alphabet of tape {t}")
 
 
 def _parse_int(args, n, lineno):

@@ -16,7 +16,7 @@ import random
 import weakref
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import compress, repeat
 from typing import List
 
 import numpy as np
@@ -87,6 +87,7 @@ _CHUNK_LETTERS = 1 << 14
 # layered(k=8 coder, 2), whose hub is a relay, makes about 13,400 (about
 # 11,000 after pruning, plus 2,600 folded).
 _CLOSURE_BUDGET = 1_000_000
+_LEAN_EDGES = 1 << 16      # past this many intra edges, no Python object per edge
 
 
 def _check_mode(mode):
@@ -1189,8 +1190,8 @@ def _relays(outdeg, indeg):
     return np.flatnonzero((indeg > 1) & (indeg * outdeg > indeg + outdeg))
 
 
-def _distances(source: int, adj, hops) -> dict:
-    """Dijkstra from `source` over the intra edges adj[v]; past the source,
+def _distances(source: int, edges, hops) -> dict:
+    """Dijkstra from `source` over the intra edges edges(v, ()); past the source,
     a relay's edges are its `hops`.  An edge weighs at most the number of
     description tapes, so the queue is a list of buckets, one per cost."""
     dist = {source: 0}
@@ -1203,12 +1204,13 @@ def _distances(source: int, adj, hops) -> dict:
             v = bucket.pop()
             if dist[v] != c:
                 continue                         # reached more cheaply since
-            for d, w in hops[v] if v in hops and v != source else adj.get(v, ()):
+            for d, w in hops[v] if v in hops and v != source else edges(v, ()):
                 if c + w < get(d, _INF):
                     dist[d] = c + w
                     while len(buckets) <= c + w:
                         buckets.append([])
                     buckets[c + w].append(d)
+        buckets[c] = None                        # no later cost falls below c
         c += 1
     return dist
 
@@ -1240,7 +1242,8 @@ def _closure_into(num_states: int, src, dst, letter, weight):
     entry counts, before any closure edge is made, and after each Dijkstra.
     """
     intra = letter < 0
-    isrc, idst, iw = src[intra], dst[intra], weight[intra]
+    by_src = np.flatnonzero(intra)[np.argsort(src[intra], kind="stable")]  # as lean edges read
+    isrc, idst, iw = src[by_src], dst[by_src], weight[by_src]
     reads = np.bincount(src[~intra], minlength=num_states)
     entered = np.zeros(num_states, dtype=bool)
     entered[dst[~intra]] = True
@@ -1248,13 +1251,18 @@ def _closure_into(num_states: int, src, dst, letter, weight):
     relay = np.zeros(num_states, dtype=bool)
     relay[np.asarray(_relays(outdeg, np.bincount(idst, minlength=num_states)),
                      dtype=np.int64)] = True
-    adj = {}                                     # state -> [(dst, weight), ...]
-    for v, d, w in zip(isrc.tolist(), idst.tolist(), iw.tolist()):
-        adj.setdefault(v, []).append((d, w))
+    if isrc.size > _LEAN_EDGES:
+        first, to, ws = map(memoryview, (np.cumsum(np.append(0, outdeg)), idst, iw))
+        edges = lambda v, _: zip(to[first[v]:first[v + 1]], ws[first[v]:first[v + 1]])
+    else:
+        adj = {}                                 # state -> [(dst, weight), ...]
+        for v, d, w in zip(isrc.tolist(), idst.tolist(), iw.tolist()):
+            adj.setdefault(v, []).append((d, w))
+        edges = adj.get
     # Past its source, a Dijkstra crosses a relay only by its hops: the
     # intra paths that end at the next relays.
     hops = dict.fromkeys(np.flatnonzero(relay).tolist(), ())
-    hops = {r: [(v, c) for v, c in _distances(r, adj, hops).items() if v in hops and v != r]
+    hops = {r: [(v, c) for v, c in _distances(r, edges, hops).items() if v in hops and v != r]
             for r in hops}
     onward = outdeg.copy()                       # intra edges past the source
     onward[relay] = [len(ends) for ends in hops.values()]
@@ -1267,16 +1275,18 @@ def _closure_into(num_states: int, src, dst, letter, weight):
     charged = int(reads.sum() + charge[paths[0][1]].sum())
     if charged > _CLOSURE_BUDGET:
         raise BudgetExceeded("intra-layer closure is too dense to sweep", _CLOSURE_BUDGET)
-    charge = charge.tolist()
+    # wanted[t]: t is a target that entries (t reads) or reach (t is a relay) keep.
+    charge, wanted = memoryview(charge), ((reads > 0) | relay).tobytes()
     found = [], [], []
     for source in np.flatnonzero(sources & deep).tolist():
-        dist = _distances(source, adj, hops)
-        charged += sum(map(charge.__getitem__, dist)) - charge[source]
+        dist = _distances(source, edges, hops)
+        kept = list(compress(dist, map(wanted.__getitem__, dist)))
+        charged += sum(map(charge.__getitem__, kept)) - charge[source]
         if charged > _CLOSURE_BUDGET:
             raise BudgetExceeded("intra-layer closure is too dense to sweep", _CLOSURE_BUDGET)
-        found[0].extend(repeat(source, len(dist)))
-        found[1].extend(dist)
-        found[2].extend(dist.values())
+        found[0].extend(repeat(source, len(kept)))
+        found[1].extend(kept)
+        found[2].extend(map(dist.__getitem__, kept))
     paths.append(tuple(np.array(col, dtype=np.int64) for col in found))
     s, t, c = map(np.concatenate, zip(*paths))
     near = (s != t) & ~relay[t] & (reads[t] > 0)

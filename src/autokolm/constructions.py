@@ -259,7 +259,10 @@ def parse_rule(text: str) -> SelectionRule:
     initial = None
     accepting = None
     trans: Dict[Tuple[int, int], int] = {}
-    for lineno, directive, args in strip_format_lines(text):
+    for lineno, line in enumerate(strip_format_lines(text), 1):
+        if not line:
+            continue
+        directive, *args = line.split()
         if directive == "states":
             num_states = _parse_int(args, 1, lineno)[0]
         elif directive == "initial":

@@ -20,23 +20,29 @@ def champernowne_bits(n: int) -> str:
     """First n bits of 0 1 10 11 100 101 110 111 1000 ...
 
     The stream starts with a lone 0 and then concatenates the positive
-    integers written in binary.
+    integers written in binary, built one bit length b at a time: the
+    numbers of b bits are one arange, unpacked from their big-endian
+    bytes and cut to their last b columns.
     """
     if n < 0:
         raise ContractError("bit count must be nonnegative")
-    parts = ["0"]
-    total = 1
-    i = 1
+    groups, total, b = [np.zeros(1, dtype=np.uint8)], 1, 1
     while total < n:
-        b = format(i, "b")
-        parts.append(b)
-        total += len(b)
-        i += 1
-    return "".join(parts)[:n]
+        first, size = 1 << (b - 1), -(-b // 8)      # size: bytes that hold b bits
+        count = min(first, -(-(n - total) // b))
+        numbers = np.arange(first, first + count, dtype=">u8").view(np.uint8)
+        columns = np.unpackbits(numbers.reshape(count, 8)[:, 8 - size:], axis=1)
+        groups.append(columns[:, 8 * size - b:].ravel())
+        total += count * b
+        b += 1
+    bits = np.concatenate(groups)[:n]
+    del groups                          # so the peak holds the bits twice, not thrice
+    bits += ord("0")
+    return str(bits, "ascii")
 
 
 def rational_bits(p: int, q: int, n: int) -> str:
-    """First n binary digits of frac(p/q) by exact long division.
+    """First n binary digits of frac(p/q): floor(p * 2**n / q) in n digits.
 
     Dyadic rationals get their terminating expansion (trailing zeros).
     """
@@ -46,16 +52,7 @@ def rational_bits(p: int, q: int, n: int) -> str:
         raise ContractError("need 0 <= p < q")
     if n < 0:
         raise ContractError("bit count must be nonnegative")
-    digits = []
-    r = p
-    for _ in range(n):
-        r *= 2
-        if r >= q:
-            digits.append("1")
-            r -= q
-        else:
-            digits.append("0")
-    return "".join(digits)
+    return format((p << n) // q, f"0{n}b") if n else ""
 
 
 def bernoulli_bits(p: float, seed: int, n: int) -> str:
@@ -86,14 +83,13 @@ def bernoulli_bits(p: float, seed: int, n: int) -> str:
 
 def read_sequence_text(text: str, origin: str = "<input>") -> str:
     """Extract a 0/1 string, ignoring ASCII whitespace; other bytes are errors."""
-    out = []
-    for offset, ch in enumerate(text):
-        if ch in "01":
-            out.append(ch)
-        elif ch not in " \t\n\r\v\f":
-            raise FormatError(
-                f"{origin}: unexpected byte {ch!r} at offset {offset}")
-    return "".join(out)
+    # A non-ASCII character encodes as one stray '?': offsets stay character offsets.
+    raw = np.frombuffer(text.encode("ascii", "replace"), dtype=np.uint8)
+    stray = ~np.isin(raw, list(b"01 \t\n\r\v\f"))
+    if stray.any():
+        offset = int(stray.argmax())
+        raise FormatError(f"{origin}: unexpected byte {text[offset]!r} at offset {offset}")
+    return str(raw[raw >= ord("0")], "ascii")          # whitespace sorts below '0'
 
 
 def read_sequence_file(path) -> str:

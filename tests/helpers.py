@@ -14,6 +14,7 @@ from math import gcd
 from typing import Optional, Sequence
 
 import numpy as np
+from hypothesis import strategies as st
 
 from autokolm.automaton import (
     EPSILON,
@@ -23,7 +24,7 @@ from autokolm.automaton import (
 )
 from autokolm.complexity import complexity
 from autokolm.constructions import SelectionRule
-from autokolm.errors import BudgetExceeded, ContractError
+from autokolm.errors import BudgetExceeded, ContractError, FormatError
 from autokolm.modes import (
     BINARY,
     DescriptionMode,
@@ -31,7 +32,6 @@ from autokolm.modes import (
     ValuednessCertificate,
     eps_cycle_check,
 )
-from autokolm.seqgen import rational_bits
 
 ALPHA = BINARY
 
@@ -161,7 +161,7 @@ def _expansion(num: int, den: int, length: int):
     """Terminating-style digits of num/den plus the dual representation."""
     g = gcd(num, den) or 1
     num, den = num // g, den // g
-    word = rational_bits(num, den, length)
+    word = rational_bits_reference(num, den, length)
     e = den.bit_length() - 1
     dyadic = den == (1 << e)
     alt = None
@@ -558,3 +558,261 @@ def prune_reference(edges, dominant) -> list:
                 return True
         return False
     return [(s, q, c) for (s, q), c in best.items() if not dominated(s, q, c)]
+
+
+# --- reference ingestion: one Python step per integer, character or line ------
+
+def champernowne_reference(n: int) -> str:
+    """First n bits of Champernowne's binary sequence, one integer at a time."""
+    parts = ["0"]
+    total = 1
+    i = 1
+    while total < n:
+        b = format(i, "b")
+        parts.append(b)
+        total += len(b)
+        i += 1
+    return "".join(parts)[:n]
+
+
+def rational_bits_reference(p: int, q: int, n: int) -> str:
+    """First n binary digits of frac(p/q) by long division, one digit at a time."""
+    digits = []
+    r = p
+    for _ in range(n):
+        r *= 2
+        if r >= q:
+            digits.append("1")
+            r -= q
+        else:
+            digits.append("0")
+    return "".join(digits)
+
+
+def read_sequence_reference(text: str, origin: str = "<input>") -> str:
+    """The 0/1 characters of text, one character at a time; whitespace skipped."""
+    out = []
+    for offset, ch in enumerate(text):
+        if ch in "01":
+            out.append(ch)
+        elif ch not in " \t\n\r\v\f":
+            raise FormatError(
+                f"{origin}: unexpected byte {ch!r} at offset {offset}")
+    return "".join(out)
+
+
+def format_lines_reference(text: str):
+    """(line number, directive, fields) of each directive line of a format file."""
+    out = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        fields = line.split()
+        out.append((lineno, fields[0], fields[1:]))
+    return out
+
+
+def parse_automaton_reference(text: str, max_states: int, max_edges: int):
+    """(automaton, leftover lines) of the automaton text format, line by line."""
+    arity = None
+    alphabets = {}
+    num_states = None
+    raw_edges = []
+    extra = []
+    for lineno, directive, args in format_lines_reference(text):
+        if directive == "arity":
+            arity = _parse_int_reference(args, 1, lineno)[0]
+        elif directive == "alphabet":
+            if len(args) < 2:
+                raise FormatError(f"line {lineno}: alphabet needs tape and symbols")
+            tape = _parse_int_reference(args[:1], 1, lineno)[0]
+            alphabets[tape] = tuple(args[1:])
+        elif directive == "states":
+            num_states = _parse_int_reference(args, 1, lineno)[0]
+            if num_states > max_states:
+                raise FormatError(f"line {lineno}: state count {num_states} "
+                                  f"exceeds the limit {max_states}")
+        elif directive == "edge":
+            if len(raw_edges) == max_edges:
+                raise FormatError(f"line {lineno}: more than {max_edges} edges")
+            raw_edges.append((lineno, args))
+        else:
+            extra.append((lineno, directive, args))
+    if arity is None or num_states is None:
+        raise FormatError("missing arity or states line")
+    if len(alphabets) != arity or sorted(alphabets) != list(range(arity)):
+        raise FormatError("need exactly one alphabet line per tape")
+    alpha_tuple = tuple(alphabets[t] for t in range(arity))
+    edges = []
+    for lineno, args in raw_edges:
+        if len(args) != 2 + arity:
+            raise FormatError(f"line {lineno}: edge needs FROM TO and {arity} labels")
+        try:
+            src, dst = int(args[0]), int(args[1])
+        except ValueError:
+            raise FormatError(f"line {lineno}: edge endpoints must be integers") from None
+        label = []
+        for t, tok in enumerate(args[2:]):
+            if tok == "-":
+                label.append(EPSILON)
+            elif tok in alpha_tuple[t]:
+                label.append(tok)
+            else:
+                raise FormatError(
+                    f"line {lineno}: symbol {tok!r} not in alphabet of tape {t}")
+        edges.append((src, dst, tuple(label)))
+    error = automaton_error_reference(arity, alpha_tuple, num_states, edges)
+    if error is not None:
+        raise FormatError(error)
+    return LabeledAutomaton(arity=arity, alphabets=alpha_tuple,
+                            num_states=num_states, edges=tuple(edges)), extra
+
+
+def automaton_error_reference(arity, alphabets, num_states, edges):
+    """The message LabeledAutomaton refuses these fields with, edge by edge;
+    None if it accepts them."""
+    if arity < 1:
+        return "arity must be >= 1"
+    if len(alphabets) != arity:
+        return "one alphabet required per tape"
+    for alpha in alphabets:
+        if not alpha:
+            return "every tape needs a nonempty alphabet"
+        if any(not isinstance(s, str) or len(s) != 1 or s in "-#" or s.isspace()
+               for s in alpha):
+            return ("alphabet symbols must be single characters "
+                    "other than '-', '#' and whitespace")
+        if len(set(alpha)) != len(alpha):
+            return "alphabet symbols must be distinct"
+    if num_states < 0:
+        return "negative state count"
+    for src, dst, label in edges:
+        if not (0 <= src < num_states and 0 <= dst < num_states):
+            return f"edge endpoint out of range: {(src, dst)}"
+        if len(label) != arity:
+            return "edge label arity mismatch"
+        for tape, comp in enumerate(label):
+            if comp is not EPSILON and comp not in alphabets[tape]:
+                return f"label letter {comp!r} outside alphabet of tape {tape}"
+    return None
+
+
+def parse_rule_reference(text: str) -> SelectionRule:
+    """The selection rule text format, line by line."""
+    num_states = None
+    initial = None
+    accepting = None
+    trans = {}
+    for lineno, directive, args in format_lines_reference(text):
+        if directive == "states":
+            num_states = _parse_int_reference(args, 1, lineno)[0]
+        elif directive == "initial":
+            initial = _parse_int_reference(args, 1, lineno)[0]
+        elif directive == "accepting":
+            accepting = frozenset(_parse_int_reference(args, len(args), lineno))
+        elif directive == "trans":
+            if len(args) != 3:
+                raise FormatError(f"line {lineno}: trans needs FROM LETTER TO")
+            frm, to = _parse_int_reference([args[0], args[2]], 2, lineno)
+            letter = args[1]
+            if letter not in ("0", "1"):
+                raise FormatError(f"line {lineno}: letter must be 0 or 1")
+            key = (frm, int(letter))
+            if key in trans:
+                raise FormatError(f"line {lineno}: duplicate transition {key}")
+            trans[key] = to
+        else:
+            raise FormatError(f"line {lineno}: unknown directive {directive!r}")
+    if num_states is None or initial is None or accepting is None:
+        raise FormatError("missing states, initial or accepting line")
+    table = []
+    for s in range(num_states):
+        if (s, 0) not in trans or (s, 1) not in trans:
+            raise FormatError(f"state {s} is missing a transition")
+        table.append((trans[(s, 0)], trans[(s, 1)]))
+    try:
+        return SelectionRule(num_states=num_states, initial=initial,
+                             accepting=accepting, transitions=tuple(table))
+    except ContractError as exc:
+        raise FormatError(str(exc)) from exc
+
+
+def _parse_int_reference(args, n, lineno):
+    if len(args) != n:
+        raise FormatError(f"line {lineno}: expected {n} integer argument(s)")
+    try:
+        return [int(a) for a in args]
+    except ValueError:
+        raise FormatError(f"line {lineno}: expected integer") from None
+
+
+def serialize_automaton_reference(aut: LabeledAutomaton) -> str:
+    """The automaton text format, one edge line at a time."""
+    lines = [f"arity {aut.arity}"]
+    for t, alpha in enumerate(aut.alphabets):
+        lines.append(f"alphabet {t} " + " ".join(alpha))
+    lines.append(f"states {aut.num_states}")
+    for src, dst, label in aut.edges:
+        comps = " ".join("-" if c is EPSILON else c for c in label)
+        lines.append(f"edge {src} {dst} {comps}")
+    return "\n".join(lines) + "\n"
+
+
+# Fields an edit may write into a format line: integers in and out of range
+# (past int64 too), forms int() reads or refuses, foreign symbols and
+# directive names.
+EDIT_FIELDS = st.one_of(st.integers(-2, 7).map(str), st.sampled_from([
+    str(2 ** 63), str(2 ** 70), "-" + str(2 ** 64), "+3", "1_0", "007", "1.5", "\u0663",
+    "9" * 5000, "-", "--", "0", "1", "2", "a", "x", "edge", "edges", "Edge", "#",
+    "arity", "states", "alphabet", "trans", "initial", "accepting", "certificate"]))
+
+
+@st.composite
+def edited_format_texts(draw, text: str) -> str:
+    """text with a few line edits: comments, blank lines, tabs, fields
+    replaced, dropped or added, lines dropped or repeated, and LF or CRLF
+    line ends."""
+    lines = text.splitlines()
+    for _ in range(draw(st.integers(0, 4))):
+        if not lines:
+            break
+        i = draw(st.integers(0, len(lines) - 1))
+        fields = lines[i].split()
+        edit = draw(st.sampled_from(["comment", "comment-line", "blank", "tabs", "field",
+                                     "field", "field", "drop-field", "add-field", "drop",
+                                     "repeat", "directive"]))
+        if edit == "comment":
+            lines[i] += draw(st.sampled_from(["#", " # note", "\t#edge 0 0 - -"]))
+        elif edit == "comment-line":
+            lines.insert(i, draw(st.sampled_from(["# header", "   # indented", "#"])))
+        elif edit == "blank":
+            lines.insert(i, draw(st.sampled_from(["", "   ", "\t", " \f "])))
+        elif edit == "tabs":
+            lines[i] = "\t" + "\t \t".join(fields) + " "
+        elif edit == "field" and fields:
+            fields[draw(st.integers(0, len(fields) - 1))] = draw(EDIT_FIELDS)
+            lines[i] = " ".join(fields)
+        elif edit == "drop-field" and fields:
+            del fields[draw(st.integers(0, len(fields) - 1))]
+            lines[i] = " ".join(fields)
+        elif edit == "add-field":
+            fields.insert(draw(st.integers(0, len(fields))), draw(EDIT_FIELDS))
+            lines[i] = " ".join(fields)
+        elif edit == "directive" and fields:
+            fields[0] = draw(st.sampled_from(["edges", "Edge", "edge0", "edge", "states"]))
+            lines[i] = " ".join(fields)
+        elif edit == "drop":
+            del lines[i]
+        elif edit == "repeat":
+            lines.insert(i, lines[i])
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(lines) + draw(st.sampled_from(["", end]))
+
+
+def outcome(parse, *args):
+    """parse(*args), or the message of the FormatError it raises."""
+    try:
+        return parse(*args)
+    except FormatError as exc:
+        return f"FormatError: {exc}"

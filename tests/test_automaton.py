@@ -1,23 +1,36 @@
 import random
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import autokolm.automaton as automaton
 from autokolm.automaton import (
     EPSILON,
     LabeledAutomaton,
     components,
     enumerate_relation,
     parse_automaton,
+    parse_automaton_lines,
     reverse,
     serialize_automaton,
+    strip_format_lines,
     swap_tapes,
 )
 from autokolm.errors import BudgetExceeded, ContractError, FormatError, InputRejected
 from autokolm.modes import identity_mode, parse_mode, unary_compressor
 
-from helpers import components_reference, random_automaton, read_relation_contains
+from helpers import (
+    automaton_error_reference,
+    components_reference,
+    edited_format_texts,
+    outcome,
+    parse_automaton_reference,
+    random_automaton,
+    read_relation_contains,
+    serialize_automaton_reference,
+)
 
 IDENTITY = identity_mode().automaton
 
@@ -200,6 +213,7 @@ def test_format_round_trip_structural():
     for _ in range(20):
         aut = random_automaton(rng, arity=rng.choice((2, 3)))
         text = serialize_automaton(aut)
+        assert text == serialize_automaton_reference(aut)
         back = parse_automaton(text)
         assert back == aut
         assert serialize_automaton(back) == text
@@ -227,6 +241,50 @@ def test_declared_state_count_is_capped():
         parse_automaton(text)
     with pytest.raises(FormatError):
         parse_mode(text + "certificate 1\n")
+
+
+@st.composite
+def automaton_texts(draw):
+    """Automaton texts of arity 1-3, edited line by line, and an edge cap."""
+    arity = draw(st.integers(1, 3))
+    states = draw(st.integers(1, 6))
+    label = st.tuples(*[st.sampled_from([EPSILON, "0", "1"])] * arity)
+    edges = draw(st.lists(st.tuples(st.integers(0, states - 1), st.integers(0, states - 1),
+                                    label), max_size=10))
+    aut = LabeledAutomaton(arity, (("0", "1"),) * arity, states, tuple(edges))
+    lines = (serialize_automaton_reference(aut) + "extra 1 2").splitlines()
+    turn = draw(st.integers(0, len(lines) - 1))      # some directives after the edges
+    text = draw(edited_format_texts("\n".join(lines[turn:] + lines[:turn])))
+    return text, draw(st.sampled_from([4] + [automaton.MAX_FILE_EDGES] * 4))
+
+
+@settings(derandomize=True, database=None, max_examples=1000, deadline=None)
+@given(case=automaton_texts())
+@example(case=("arity 1\nalphabet 0 0\nedge 0 0 0\nedge 0 0 -\nstates x\nstates 1\n", 1))
+def test_automaton_parser_matches_the_line_by_line_reference(case):
+    text, cap = case
+    with mock.patch.object(automaton, "MAX_FILE_EDGES", cap):
+        got = outcome(parse_automaton_lines, strip_format_lines(text))
+    assert got == outcome(parse_automaton_reference, text, automaton.MAX_FILE_STATES, cap)
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(data=st.data())
+def test_automaton_checks_match_the_edge_by_edge_reference(data):
+    arity = data.draw(st.integers(1, 3))
+    states = data.draw(st.integers(0, 4))
+    alphabets = (("0", "1"),) * arity
+    comp = st.sampled_from([EPSILON, "0", "1", "2", 1])
+    label = st.lists(comp, min_size=arity - 1, max_size=arity + 1).map(tuple)
+    end = st.integers(-1, states) | st.sampled_from([2 ** 70, -2 ** 70])
+    edges = tuple(data.draw(st.lists(st.tuples(end, end, label), max_size=6)))
+    expected = automaton_error_reference(arity, alphabets, states, edges)
+    try:
+        LabeledAutomaton(arity, alphabets, states, edges)
+    except ContractError as exc:
+        assert str(exc) == expected
+    else:
+        assert expected is None
 
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)

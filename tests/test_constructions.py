@@ -35,8 +35,11 @@ from helpers import (
     branch_rule,
     components_reference,
     compose_join_oracle,
+    edited_format_texts,
     none_accepting_rule,
+    outcome,
     parity_rule,
+    parse_rule_reference,
     prefix_shorter_than_rule,
     random_finite_mode,
     random_rule,
@@ -352,6 +355,14 @@ def test_rule_round_trip():
         back = parse_rule(text)
         assert back == rule
         assert serialize_rule(back) == text
+
+
+@settings(derandomize=True, database=None, max_examples=500, deadline=None)
+@given(data=st.data())
+def test_rule_parser_matches_the_line_by_line_reference(data):
+    rule = random_rule(random.Random(data.draw(st.integers(0, 99))), max_states=3)
+    text = data.draw(edited_format_texts(serialize_rule(rule)))
+    assert outcome(parse_rule, text) == outcome(parse_rule_reference, text)
 
 
 def test_rule_format_errors():
