@@ -87,7 +87,6 @@ _CHUNK_LETTERS = 1 << 14
 # layered(k=8 coder, 2), whose hub is a relay, makes about 13,400 (about
 # 11,000 after pruning, plus 2,600 folded).
 _CLOSURE_BUDGET = 1_000_000
-_LEAN_EDGES = 1 << 16      # past this many intra edges, no Python object per edge
 
 
 def _check_mode(mode):
@@ -1190,10 +1189,13 @@ def _relays(outdeg, indeg):
     return np.flatnonzero((indeg > 1) & (indeg * outdeg > indeg + outdeg))
 
 
-def _distances(source: int, edges, hops) -> dict:
-    """Dijkstra from `source` over the intra edges edges(v, ()); past the source,
-    a relay's edges are its `hops`.  An edge weighs at most the number of
-    description tapes, so the queue is a list of buckets, one per cost."""
+def _distances(source: int, adj, hops) -> dict:
+    """Dijkstra from `source` over the intra edges adj = (first, out, outdeg):
+    the (dst, weight) rows first[v]:first[v + 1] of out leave v, and a state
+    of out-degree 0 is reached but never queued.  Past the source, a relay's
+    edges are its `hops`.  An edge weighs at most the number of description
+    tapes, so the queue is a list of buckets, one per cost."""
+    first, out, outdeg = adj
     dist = {source: 0}
     get = dist.get
     buckets = [[source]]
@@ -1204,9 +1206,12 @@ def _distances(source: int, edges, hops) -> dict:
             v = bucket.pop()
             if dist[v] != c:
                 continue                         # reached more cheaply since
-            for d, w in hops[v] if v in hops and v != source else edges(v, ()):
+            for d, w in (hops[v] if v in hops and v != source
+                         else out[first[v]:first[v + 1]].tolist()):
                 if c + w < get(d, _INF):
                     dist[d] = c + w
+                    if not outdeg[d]:
+                        continue
                     while len(buckets) <= c + w:
                         buckets.append([])
                     buckets[c + w].append(d)
@@ -1242,8 +1247,9 @@ def _closure_into(num_states: int, src, dst, letter, weight):
     entry counts, before any closure edge is made, and after each Dijkstra.
     """
     intra = letter < 0
-    by_src = np.flatnonzero(intra)[np.argsort(src[intra], kind="stable")]  # as lean edges read
-    isrc, idst, iw = src[by_src], dst[by_src], weight[by_src]
+    by_src = np.flatnonzero(intra)[np.argsort(src[intra], kind="stable")]
+    out = np.column_stack((dst[by_src], weight[by_src]))   # (dst, weight) rows by source
+    isrc, (idst, iw) = src[by_src], out.T
     reads = np.bincount(src[~intra], minlength=num_states)
     entered = np.zeros(num_states, dtype=bool)
     entered[dst[~intra]] = True
@@ -1251,18 +1257,12 @@ def _closure_into(num_states: int, src, dst, letter, weight):
     relay = np.zeros(num_states, dtype=bool)
     relay[np.asarray(_relays(outdeg, np.bincount(idst, minlength=num_states)),
                      dtype=np.int64)] = True
-    if isrc.size > _LEAN_EDGES:
-        first, to, ws = map(memoryview, (np.cumsum(np.append(0, outdeg)), idst, iw))
-        edges = lambda v, _: zip(to[first[v]:first[v + 1]], ws[first[v]:first[v + 1]])
-    else:
-        adj = {}                                 # state -> [(dst, weight), ...]
-        for v, d, w in zip(isrc.tolist(), idst.tolist(), iw.tolist()):
-            adj.setdefault(v, []).append((d, w))
-        edges = adj.get
+    first = isrc.searchsorted(np.arange(num_states + 1))
+    adj = memoryview(first), memoryview(out), memoryview(outdeg)
     # Past its source, a Dijkstra crosses a relay only by its hops: the
     # intra paths that end at the next relays.
     hops = dict.fromkeys(np.flatnonzero(relay).tolist(), ())
-    hops = {r: [(v, c) for v, c in _distances(r, edges, hops).items() if v in hops and v != r]
+    hops = {r: [(v, c) for v, c in _distances(r, adj, hops).items() if v in hops and v != r]
             for r in hops}
     onward = outdeg.copy()                       # intra edges past the source
     onward[relay] = [len(ends) for ends in hops.values()]
@@ -1279,7 +1279,7 @@ def _closure_into(num_states: int, src, dst, letter, weight):
     charge, wanted = memoryview(charge), ((reads > 0) | relay).tobytes()
     found = [], [], []
     for source in np.flatnonzero(sources & deep).tolist():
-        dist = _distances(source, edges, hops)
+        dist = _distances(source, adj, hops)
         kept = list(compress(dist, map(wanted.__getitem__, dist)))
         charged += sum(map(charge.__getitem__, kept)) - charge[source]
         if charged > _CLOSURE_BUDGET:

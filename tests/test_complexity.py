@@ -287,20 +287,6 @@ def test_closure_is_charged_exactly_its_closure_edges(arity, data):
                 engine._closure_into(aut.num_states, *edges)
 
 
-@pytest.mark.parametrize("arity", [2, 3])
-@settings(derandomize=True, database=None, max_examples=60, deadline=None)
-@given(data=st.data())
-def test_lean_intra_edges_close_as_the_adjacency_dict(arity, data):
-    # Past _LEAN_EDGES the Dijkstras read the intra edges from memoryviews.
-    aut, relays, _ = data.draw(relay_modes(arity))
-    edges = engine._classify_edges(aut)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(engine, "_relays", lambda outdeg, indeg: relays)
-        expected = closure_lists(engine._closure_into(aut.num_states, *edges))
-        mp.setattr(engine, "_LEAN_EDGES", -1)
-        assert closure_lists(engine._closure_into(aut.num_states, *edges)) == expected
-
-
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
 @given(data=st.data())
 def test_prune_settles_ties_as_the_reference(data):
@@ -835,14 +821,6 @@ COMPILED_DIGESTS = {
 
 @pytest.mark.parametrize("name", sorted(DEFAULT_PATHS))
 def test_compiled_artefacts_of_each_mode_are_pinned(name):
-    make, _ = DEFAULT_PATHS[name]
-    assert compiled_digest(make().automaton) == COMPILED_DIGESTS[name]
-
-
-@pytest.mark.parametrize("name", sorted(DEFAULT_PATHS))
-def test_lean_intra_edges_compile_to_the_pinned_artefacts(monkeypatch, name):
-    monkeypatch.setattr(engine, "_LEAN_EDGES", -1)
-    monkeypatch.setattr(engine, "_sweep_cache", {})
     make, _ = DEFAULT_PATHS[name]
     assert compiled_digest(make().automaton) == COMPILED_DIGESTS[name]
 

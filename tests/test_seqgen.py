@@ -37,8 +37,7 @@ def test_champernowne_prefix_property():
 
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
-@given(n=st.one_of(st.integers(0, 2 ** 17),
-                   st.sampled_from(GROUP_ENDS).flatmap(lambda e: st.integers(e - 2, e + 2))))
+@given(n=st.integers(0, 2 ** 17))
 def test_champernowne_matches_the_per_integer_reference(n):
     assert champernowne_bits(n) == CHAMPERNOWNE[:n]
 
