@@ -10,7 +10,6 @@ modes, up to 2 for pair modes).
 
 from __future__ import annotations
 
-import functools
 import math
 import random
 import weakref
@@ -217,7 +216,7 @@ def _sweep(aut: LabeledAutomaton, word: str, positions: List[int]) -> list:
         if t == positions[len(out)]:
             out.append(best)
     if best != UNREACHABLE and lead < positions[-1] and last is not None:
-        out += eng.tail(hubs, word, positions[len(out):], last)
+        out += _sweep_sums(hubs, word, positions[len(out):], last)
     return out + [UNREACHABLE] * (len(positions) - len(out))
 
 
@@ -241,11 +240,12 @@ class _CompiledSweep:
     dropped (`_prune`); the glue edges between layered copies and the
     synchronised moves of a composition make many such edges.
     `_pick_step` chooses, by one cost estimate, the closure step (plain
-    Python over a dict of reachable states or a numpy scatter-min over the
-    closure edges) and a tail, which sweeps the hub DP over macro-edges
-    (`_Hubs`, the relays among its hubs) past its `lead` as scans of its
-    components, or None; and from which word length on the tail pays back
-    its fixed cost against that step (`_Hubs.handoff`).
+    Python over a dict of the closure edges' sources or a numpy
+    scatter-min over the closure edges) and the hub graph (`_Hubs`, the
+    relays among its hubs) whose DP over macro-edges the prefix sums tail
+    (`_sweep_sums`) sweeps past its `lead` as scans of its components, or
+    None; and from which word length on the tail pays back its fixed cost
+    against that step (`_Hubs.handoff`).
     """
 
     def __init__(self, aut: LabeledAutomaton):
@@ -258,10 +258,11 @@ class _CompiledSweep:
             charged = sum(srcs.size for srcs, _, _ in by_letter.values())
             for a, closure in by_letter.items():
                 by_letter[a], charged = _fold_relays(closure, reach, charged)
-        self.step, self.tail, self.by_letter, self.hubs = _pick_step(
-            aut.num_states, by_letter, relays)
+        self.step, self.by_letter, self.hubs = _pick_step(aut.num_states, by_letter, relays)
         if self.step is _step_python:
-            self.start = dict.fromkeys(range(aut.num_states), 0)
+            # The step reads the costs of the closure edges' sources only.
+            self.start = dict.fromkeys((s for edges in self.by_letter.values()
+                                        for s, _, _ in edges), 0)
         else:
             self.start = np.zeros(aut.num_states, dtype=np.int64)
 
@@ -287,16 +288,6 @@ def _runs(key):
     return first
 
 
-def _numbered(keys):
-    """The distinct keys, sorted, and the position of each key among them."""
-    order = np.argsort(keys)
-    keys = keys[order]
-    first = _runs(keys)
-    numbers = np.empty_like(order)
-    numbers[order] = np.cumsum(first) - 1
-    return keys[first], numbers
-
-
 def _cheapest(*columns):
     """The rows of the columns (nonnegative keys, then a cost) with the
     least cost per distinct key, sorted by key."""
@@ -305,7 +296,7 @@ def _cheapest(*columns):
     for k in keys[1:]:
         width = int(k.max(initial=0)) + 1
         if int(key.max(initial=0)) >= (1 << 62) // width:
-            key = _numbered(key)[1]                   # the same order, numbered densely
+            key = np.unique(key, return_inverse=True)[1]      # the same order, numbered densely
         key = key * width + k
     order = np.argsort(key)
     first = np.flatnonzero(_runs(key[order]))
@@ -383,29 +374,28 @@ def _edge_lists(by_letter):
 
 
 def _pick_step(num_states: int, by_letter, relays):
-    """The closure step, the tail, the edges the step reads per letter,
-    and the hub graph (or None) with the `relays` as hubs.
+    """The closure step, the edges it reads per letter, and the hub graph
+    (or None) with the `relays` as hubs that the prefix sums tail sweeps.
 
-    One estimate chooses all three: the Python step where it is estimated
-    no dearer per letter than numpy's scatter-min on the letter with the
-    most closure edges (`_step_us`), else the numpy step; and the prefix
-    sums tail where the hub graph has window tables (`_Hubs.scans`) and
-    the tail is estimated cheaper than that step, on the letter with the
-    fewest closure edges, from some word length on (`_handoff`), else no
-    tail.
+    One estimate chooses both: the Python step where it is estimated no
+    dearer per letter than numpy's scatter-min on the letter with the
+    most closure edges (`_step_us`), else the numpy step; and the hub
+    graph where it compiles (`_Hubs.compile`) and the tail is estimated
+    cheaper than that step, on the letter with the fewest closure edges,
+    from some word length on (`_handoff`), else None.
     """
     sizes = [srcs.size for srcs, _, _ in by_letter.values()]
     widest = max(sizes, default=0)
     python = _step_us(True, widest) <= _step_us(False, widest)
     hubs = _Hubs.compile(num_states, by_letter, relays)
-    if hubs is not None and hubs.scans is not None:
+    if hubs is not None:
         hubs.handoff = _handoff(hubs, _step_us(python, min(sizes, default=0)),
                                 0 if python else _US_PER_CALL * _NUMPY_STEP_CALLS)
-    if hubs is None or hubs.scans is None or hubs.handoff is None:
-        hubs = None
+        if hubs.handoff is None:
+            hubs = None
     if python:
-        return _step_python, hubs and _sweep_sums, _edge_lists(by_letter), hubs
-    return _step_numpy, hubs and _sweep_sums, by_letter, hubs
+        return _step_python, _edge_lists(by_letter), hubs
+    return _step_numpy, by_letter, hubs
 
 
 def _step_us(python: bool, edges: int) -> float:
@@ -527,11 +517,13 @@ class _Hubs:
     state leading into the cycle meets.  From each out-edge of a hub, the
     out-degree-1 states lead one letter at a time to the next hub: that
     path is a macro-edge with an object word w, a cost, and the cost of
-    each proper prefix.  `full` holds, per length L, w -> [(src hub, dst
-    hub, cost)]; `part` holds, per 1 <= j < span, w[:j] -> [(src hub,
-    prefix cost)]; both keep the cheapest entry per hub pair.  The sweep
-    reads `part` only, so `full` is spelled on first use.  Chains may
-    merge, so one state can lie on many macro-edges.
+    each proper prefix.  A word is held as its code: the letters'
+    positions in the object alphabet (`rank`) read as digits in base
+    |alphabet|, first letter most significant, so that the code of a
+    word's last n letters is its code mod |alphabet|**n.  `part` holds,
+    per 1 <= j < span, the code of w[:j] -> [(src hub, prefix cost)], the
+    cheapest entry per hub.  Chains may merge, so one state can lie on
+    many macro-edges.
 
     The edges into relays (`_fold_relays`) stay out of the peeling and the
     hub choice, and each relay is a hub that is never peeled.  A relay's
@@ -539,8 +531,8 @@ class _Hubs:
     hub at most span letters earlier and took its last letter out of that
     hub or out of a state on one of its chains: each such relay exit after
     j letters of a macro-edge is one more macro-edge of length j + 1 into
-    the relay, in `full` with the others.  The relay's own out-edges start
-    macro-edges like any hub's.
+    the relay.  The relay's own out-edges start macro-edges like any
+    hub's.
 
     From letter `lead` = depth + span - 1 on, a path that ends inside a
     chain left its hub at most span - 1 letters earlier, at a letter no
@@ -550,18 +542,16 @@ class _Hubs:
 
     The hubs and macro-edges form a graph whose strongly connected
     components (`components` of the automaton module, over the distinct
-    hub pairs) `scans` lists in topological order, when each has
-    macro-edges of one length L inside it (`_scans`), with window tables
-    indexed by the code of a word: the letters' positions in the object
-    alphabet (`rank`) read as digits in base |alphabet|, first letter most
-    significant, so that the code of a word's last n letters is its code
-    mod |alphabet|**n.  A component of one hub that no gather enters has
+    hub pairs) `scans` lists in topological order, with window tables
+    indexed by word code (`_scans`): each macro-edge is a cell of the
+    table of the component that it lies in, or of a gather into the one
+    that it enters.  A component of one hub that no gather enters has
     the tables `costs`, the cost of each word of length L that is a
     macro-edge (0 for the others), and `missing`, which marks the others
     (None when every word is one); another holds the maps of its words in
-    one of four kinds (`_scans`).  The tables exist only while their
-    cells stay within _NORMALIZE_BUDGET; otherwise, and for a component
-    with macro-edges of two lengths inside it, `scans` is None.  The
+    one of four kinds.  A hub graph exists only where every component has
+    macro-edges of one length L inside it and the tables' cells stay
+    within _NORMALIZE_BUDGET (`compile`).  The
     prefix sums tail sweeps `chunk` letters at a time (_CHUNK_CELLS,
     _CHUNK_LETTERS), each chunk padded to a multiple of `period`, the
     least common multiple of the lengths L.  A call takes the tail when
@@ -569,37 +559,30 @@ class _Hubs:
     the closure step that `_pick_step` estimates (`_handoff`); `keys` lists
     the hubs as ints, to read the Python step's dict of costs.
 
-    A graph of one hub takes its window table from `full`; with one
-    macro-edge length, depth <= 1, no relay and `lead` > 0, also the
-    prologue table and `reached` (`_prologue`), if its (span + 1)
+    A graph of one hub with depth <= 1, no relay and `lead` > 0 also has
+    the prologue table and `reached` (`_prologue`), if its (span + 1)
     |alphabet|**span cells fit _NORMALIZE_BUDGET with the window table.
     """
 
-    def __init__(self, ids, lead, span, full, part, alphabet, scans, prologue):
-        self.ids, self.lead, self.span, self.part = ids, lead, span, part
-        self._full, self.scans = full, scans
+    def __init__(self, ids, lead, span, part, alphabet, scans, prologue):
+        self.ids, self.lead, self.span, self.part, self.scans = ids, lead, span, part, scans
         self.prologue, self.reached = prologue or (None, None)
         self.keys, self.handoff = ids.tolist(), 0
-        if scans is not None:
-            self.rank = {ord(a): i for i, a in enumerate(alphabet)}
-            self.powers = len(alphabet) ** np.arange(self.span, dtype=np.intp)
-            self.period = math.lcm(*(length for _, _, length, _, _ in scans if length))
-            widest = max([len(ids), *(k * k for _, k, _, table, _ in scans
-                                      if table and table[0] == "dense")])
-            self.chunk = max(min(_CHUNK_CELLS // max(widest, 1), _CHUNK_LETTERS), 1)
-
-    @functools.cached_property
-    def full(self):
-        return _word_tables(*self._full)
+        self.rank = {ord(a): i for i, a in enumerate(alphabet)}
+        self.powers = len(alphabet) ** np.arange(self.span, dtype=np.intp)
+        self.period = math.lcm(*(length for _, _, length, _, _ in scans if length))
+        widest = max([len(ids), *(k * k for _, k, _, table, _ in scans
+                                  if table and table[0] == "dense")])
+        self.chunk = max(min(_CHUNK_CELLS // max(widest, 1), _CHUNK_LETTERS), 1)
 
     @classmethod
     def compile(cls, num_states: int, by_letter, relays):
         """The hub graph of the closure edge arrays with the `relays` as
-        hubs, or None once the tables exceed the compile budget.
+        hubs, or None where it has no window tables (`_scans`) or its
+        walk exceeds the compile budget.
 
         All hub out-edges walk their chains at once, one letter per round
-        (`_macro_edges`); words are numbered as they grow, one number per
-        distinct prefix, and spelled once per number at the end.
+        (`_macro_edges`), each carrying the code of its word.
         """
         alphabet = list(by_letter)
         srcs, dst, cost = (np.concatenate(col) for col in zip(*by_letter.values()))
@@ -646,38 +629,26 @@ class _Hubs:
              cost[exits]),
             (hub, index, nxt, nletter, ncost, (letter, dst, cost), first + outdeg, xcount),
             len(alphabet), charged)
-        if tables is None:
+        scans = tables and _scans(ids.size, tables[0], len(alphabet))
+        if scans is None:
             return None
-        full, part, prefixes = tables
-        lengths = full[0]
-        span, base = int(lengths[-1]) if lengths.size else 1, len(alphabet)
-        codes = [np.arange(base)]                # codes[n - 1][w]: code of word number w of length n
-        for pairs in prefixes:
-            codes.append(codes[-1][pairs // base] * base + pairs % base)
-        lead, scans, prologue = depth + span - 1, None, None
-        if ids.size > 1 or not lengths.size or lengths[0] < span:
-            scans = _scans(ids.size, full, codes, base)
-        elif base ** span <= _NORMALIZE_BUDGET:              # one hub, one length
-            table = _one_hub(base ** span, codes[span - 1][full[1]], full[4])
-            scans = [(slice(0, 1), 1, span, table, [])]
-            if lead and depth <= 1 and not relay.any() and (
-                    (span + 2) * base ** span <= _NORMALIZE_BUDGET):
-                prologue = _prologue(span, lead, base, live & ~hub, nxt, nletter, ncost,
-                                     (letter, dst, cost))
-        spelled = [alphabet]                     # spelled[j - 1][n]: word number n of length j
-        for pairs in prefixes:
-            spelled.append([spelled[-1][p] + alphabet[a] for p, a in
-                            zip(*(col.tolist() for col in np.divmod(pairs, base)))])
-        return cls(ids, lead, span, (full, spelled), _word_tables(part, spelled),
-                   alphabet, scans, prologue)
+        full, part = tables
+        span, base = int(full[0][-1]) if full[0].size else 1, len(alphabet)
+        lead, prologue = depth + span - 1, None
+        if ids.size == 1 and scans[0][2] and lead and depth <= 1 and not relay.any() and (
+                (span + 2) * base ** span <= _NORMALIZE_BUDGET):     # one hub, one length
+            prologue = _prologue(span, lead, base, live & ~hub, nxt, nletter, ncost,
+                                 (letter, dst, cost))
+        return cls(ids, lead, span, _word_tables(part), alphabet, scans, prologue)
 
 
-def _scans(k: int, full, codes, base: int):
-    """The components of the hub graph `full` on k hubs in the topological
-    order in which `components` numbers them, each as (hubs, size, L,
-    table, gathers) for `_sweep_sums`; or None when a component has
-    macro-edges of two lengths inside it, or when the tables exceed
-    _NORMALIZE_BUDGET cells.
+def _scans(k: int, full, base: int):
+    """The components of the hub graph on k hubs whose macro-edges `full`
+    (`_macro_edges`) lists, in the topological order in which
+    `components` numbers them, each as (hubs, size, L, table, gathers)
+    for `_sweep_sums`; or None when a component has macro-edges of two
+    lengths inside it, or when the tables exceed _NORMALIZE_BUDGET cells.
+    A graph of one hub is one component like any other.
 
     `hubs` numbers the component's `size` hubs, as a slice when they are
     consecutive.  L is the length of the macro-edges inside the component
@@ -698,7 +669,7 @@ def _scans(k: int, full, codes, base: int):
     [d, code] the cost of the macro-edge of length n from hub s of an
     earlier component to the d-th hub of this one.
     """
-    lengths, words, src, dst, paid = full
+    lengths, code, src, dst, paid = full
     span = int(lengths[-1]) if lengths.size else 1
     pairs = np.sort(src * k + dst)
     pairs = pairs[_runs(pairs)]
@@ -709,9 +680,7 @@ def _scans(k: int, full, codes, base: int):
     key = ((target * 2 + (comp[src] != target)) * (span + 1) + lengths) * k + src
     order = np.argsort(key, kind="stable")
     key = key[order]
-    first = np.cumsum([0] + [col.size for col in codes[:-1]])
-    code = np.concatenate(codes)[first[lengths - 1] + words][order]
-    lengths, src, dst, paid = lengths[order], src[order], dst[order], paid[order]
+    lengths, code, src, dst, paid = (col[order] for col in full)
     count = int(comp.max(initial=-1)) + 1
     blocks = np.searchsorted(key, np.arange(2 * count + 1) * ((span + 1) * k)).tolist()
     groups = [*np.flatnonzero(_runs(key)).tolist(), key.size]
@@ -746,7 +715,9 @@ def _scans(k: int, full, codes, base: int):
             return None
         table = None
         if kind == "one-hub":
-            table = _one_hub(n, w, p)
+            costs, missing = np.zeros(n, dtype=np.int64), np.ones(n, dtype=bool)
+            costs[w], missing[w] = p, False
+            table = kind, costs, missing if missing.any() else None
         elif kind == "rotation":
             shift, costs = np.zeros(n, dtype=np.intp), np.full((kc, n), _INF, dtype=np.int64)
             shift[w], costs[d, w] = turn, p
@@ -772,14 +743,6 @@ def _scans(k: int, full, codes, base: int):
             members = slice(int(members[0]), int(members[-1]) + 1)
         plan.append((members, kc, length, table, gathers))
     return plan
-
-
-def _one_hub(n: int, words, costs):
-    """The table ("one-hub", costs, missing) of `_scans` of a hub with
-    macro-edges on the word codes `words` at `costs`, of n codes."""
-    table, missing = np.zeros(n, dtype=np.int64), np.ones(n, dtype=bool)
-    table[words], missing[words] = costs, False
-    return "one-hub", table, missing if missing.any() else None
 
 
 def _prologue(span: int, lead: int, base: int, chain, nxt, nletter, ncost, edges):
@@ -832,26 +795,26 @@ def _cycle_hubs(chain, nxt):
 
 
 def _macro_edges(rows, ends, graph, base: int, charged: int):
-    """(full, part, prefixes) of the hub graph, or None past
-    _NORMALIZE_BUDGET letters charged.
+    """(full, part) of the hub graph, or None past _NORMALIZE_BUDGET
+    letters charged or once a walk passes the longest length L with
+    base**L <= _NORMALIZE_BUDGET, since `_scans` has no window table for
+    a longer macro-edge.
 
     `rows` are the hub out-edges as arrays (letter, src hub, state, cost)
     and `ends` the relay exits of the hubs, macro-edges of one letter, as
-    arrays (letter, src hub, dst hub, cost).  Round j moves every walk
-    that is after j letters at a chain state one letter on, and numbers
-    the words of j + 1 letters: number n of length j + 1 stands for
-    prefixes[j - 1][n] = p * base + a, the word number p of length j and
-    then letter a (the numbers of length 1 are the letters).  full =
-    (lengths, words, src hubs, dst hubs, costs) and part = (lengths,
-    words, src hubs, costs) hold the cheapest entry per key, sorted by
-    key.  Each round charges the letters of its walks and relay exits, as
-    a walk of one macro-edge at a time that checks the budget after each
-    would in the end.
+    arrays (letter, src hub, dst hub, cost); a word is its code (`_Hubs`),
+    and the code of one letter is its index.  Round j moves every walk
+    that is after j letters at a chain state one letter on, its code
+    times base plus the letter.  full = (lengths, codes, src hubs, dst
+    hubs, costs) and part = (lengths, codes, src hubs, costs) hold the
+    cheapest entry per key, sorted by key.  Each round charges the
+    letters of its walks and relay exits, as a walk of one macro-edge at
+    a time that checks the budget after each would in the end.
     """
     hub, index, nxt, nletter, ncost, edges, xfirst, xcount = graph
     words, src, at, paid = rows
     ends = [ends]                                # macro-edges of j letters
-    full, part, prefixes = [(np.zeros(0, dtype=np.int64),) * 5], [], []
+    full, part = [(np.zeros(0, dtype=np.int64),) * 5], []
     j, relaying = 1, xcount.any()
     while True:
         charged += at.size
@@ -860,35 +823,32 @@ def _macro_edges(rows, ends, graph, base: int, charged: int):
             ends.append((words[done], src[done], index[at[done]], paid[done]))
             keep = ~done
             words, src, at, paid = words[keep], src[keep], at[keep], paid[keep]
+        if at.size and base ** (j + 1) > _NORMALIZE_BUDGET:
+            return None                          # a macro-edge of j + 1 letters or more
         part.append((np.full(at.size, j), words, src, paid))
-        keys = words * base + nletter[at]
         if relaying:
             # A relay exit after j letters is a macro-edge of j + 1.
             exits = _ranges(xfirst[at], xcount[at])
             walk = np.repeat(np.arange(at.size), xcount[at])
             charged += (j + 1) * walk.size
-            keys = np.concatenate((keys, words[walk] * base + edges[0][exits]))
         if charged > _NORMALIZE_BUDGET:
             return None
         ends = [piece for piece in ends if piece[0].size]
         if ends:
             table = _cheapest(*map(np.concatenate, zip(*ends)))
             full.append((np.full(table[0].size, j), *table))
-        if not keys.size:
+        if not at.size:
             return (tuple(map(np.concatenate, zip(*full))),
-                    _cheapest(*map(np.concatenate, zip(*part))), prefixes)
-        pairs, numbers = _numbered(keys)
-        prefixes.append(pairs)
-        words = numbers[:at.size]
-        ends = [(numbers[at.size:], src[walk], index[edges[1][exits]],
+                    _cheapest(*map(np.concatenate, zip(*part))))
+        ends = [(words[walk] * base + edges[0][exits], src[walk], index[edges[1][exits]],
                  paid[walk] + edges[2][exits])] if relaying else []
-        paid, at = paid + ncost[at], nxt[at]
+        words, paid, at = words * base + nletter[at], paid + ncost[at], nxt[at]
         j += 1
 
 
-def _word_tables(table, spelled):
-    """[(length, {word: [entry, ...]}), ...] of a table (lengths, word
-    numbers, *entry columns) sorted by (length, word)."""
+def _word_tables(table):
+    """[(length, {code: [entry, ...]}), ...] of a table (lengths, codes,
+    *entry columns) sorted by (length, code)."""
     lengths, words, *cols = table
     entries = list(zip(*(col.tolist() for col in cols)))
     first = _runs(lengths) | _runs(words)            # the first entry of each word
@@ -896,7 +856,7 @@ def _word_tables(table, spelled):
     entries = list(map(entries.__getitem__, map(slice, cut, cut[1:])))
     lengths, words = lengths[first], words[first]
     cut = [*np.flatnonzero(_runs(lengths)).tolist(), lengths.size]
-    return [(n, dict(zip(map(spelled[n - 1].__getitem__, words[i:k].tolist()), entries[i:k])))
+    return [(n, dict(zip(words[i:k].tolist(), entries[i:k])))
             for n, i, k in zip(lengths[cut[:-1]].tolist(), cut, cut[1:])]
 
 
@@ -919,10 +879,12 @@ def _sweep_sums(hubs: _Hubs, word: str, positions: List[int], last) -> list:
     for a rank-one component (`_sweep_rank_one`: one cumsum and one
     running minimum), and otherwise a min-plus scan (`_scan_hubs`).  K at
     a position of the chunk is then the cheapest path that ends at a hub
-    or inside a chain (`part`).
+    or inside a chain: `part` at the code of the last j letters, the
+    window code there mod base**j.
     """
     span, lead, stop = hubs.span, hubs.lead, positions[-1]
-    top = len(hubs.rank) ** span
+    base = len(hubs.rank)
+    top = base ** span
     past = last.T
     out, samples = [], iter(positions)
     want = next(samples)
@@ -952,9 +914,11 @@ def _sweep_sums(hubs: _Hubs, word: str, positions: List[int], last) -> list:
             # recent[-1 - j]: the hub costs at letter want - j.
             recent = cost[:, want - first + 1:want - first + span + 1].T.tolist()
             best = min(recent[-1], default=_INF)
-            for j, table in hubs.part:
-                for s, c in table.get(word[want - j:want], ()):
-                    best = min(best, recent[-1 - j][s] + c)
+            if hubs.part:
+                code = int(codes[want - first])
+                for j, table in hubs.part:
+                    for s, c in table.get(code % base ** j, ()):
+                        best = min(best, recent[-1 - j][s] + c)
             if best >= _INF:
                 return out
             out.append(best)

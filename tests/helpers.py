@@ -376,10 +376,25 @@ def transient_accept_rule() -> SelectionRule:
 
 def hub_tables_reference(num_states: int, by_letter, relays, budget: int):
     """Reference hub graph of closure edge arrays {letter: (srcs, dsts,
-    costs)}, by a walk one state and one chain letter at a time: (ids, lead,
-    full, part, scans) as `hub_tables` reads them off a compiled `_Hubs`,
-    or None once the tables charge more than `budget` letters; `budget`
-    also bounds the window tables of `scans`.
+    costs)}: (ids, lead, full, part) of `hub_walk_reference` and scans of
+    `scans_reference`, as `hub_tables` reads them off a compiled `_Hubs`,
+    or None once the walk charges more than `budget` letters; `budget`
+    also bounds the window tables of `scans`, which are None past it."""
+    walk = hub_walk_reference(num_states, by_letter, relays, budget)
+    if walk is None:
+        return None
+    ids, _, full, _ = walk
+    pairs = {n: {w: {(s, d): c for s, d, c in edges} for w, edges in table.items()}
+             for n, table in full}
+    return (*walk, scans_reference(len(ids), pairs, len(by_letter), budget))
+
+
+def hub_walk_reference(num_states: int, by_letter, relays, budget: int):
+    """The hubs, `lead` and macro-edges of closure edge arrays {letter:
+    (srcs, dsts, costs)}, by a walk one state and one chain letter at a
+    time: (ids, lead, full, part) with full = [(length, {word: [(src hub,
+    dst hub, cost)]})] and part = [(j, {prefix: [(src hub, cost)]})],
+    sorted, or None once the walk charges more than `budget` letters.
 
     Kahn peeling gives `depth` and the live states; a hub is a live state
     whose out-degree is not 1, a relay, or the first state of a cycle of
@@ -387,7 +402,7 @@ def hub_tables_reference(num_states: int, by_letter, relays, budget: int):
     out-edge of a hub walks its chain to the next hub; each relay exit on
     the way (an edge into a relay) is one more macro-edge.
     """
-    alphabet, windows = list(by_letter), budget
+    alphabet = list(by_letter)
     srcs, dst, cost = (np.concatenate(col).tolist() for col in zip(*by_letter.values()))
     letter = [a for a, (s, _, _) in enumerate(by_letter.values()) for _ in range(len(s))]
     exits = {}                                   # state -> [(letter, relay, cost)]
@@ -462,8 +477,7 @@ def hub_tables_reference(num_states: int, by_letter, relays, budget: int):
             sorted((n, {w: sorted((s, d, c) for (s, d), c in pairs.items())
                         for w, pairs in table.items()}) for n, table in full.items()),
             sorted((j, {w: sorted(ends.items()) for w, ends in table.items()})
-                   for j, table in part.items()),
-            scans_reference(len(ids), full, len(alphabet), windows))
+                   for j, table in part.items()))
 
 
 def reach_sets(num_nodes: int, arcs) -> list:

@@ -40,6 +40,7 @@ from helpers import (
     all_accepting_rule,
     brute_force_k_table,
     hub_tables_reference,
+    hub_walk_reference,
     none_accepting_rule,
     parity_rule,
     prune_reference,
@@ -63,28 +64,26 @@ def force_step(monkeypatch, name):
     fresh cache; returns the pair.
 
     The prefix sums ("python-sums" after the Python step, "sums" after the
-    numpy step) need window tables (`_Hubs.scans`), that is a hub graph
-    whose components each have one macro-edge length inside them; other
-    hub graphs take the closure step alone.  A forced tail takes over at
-    `lead` on every word that reaches it (`handoff` 0).
+    numpy step) need a hub graph, which `_Hubs.compile` gives only with
+    window tables: when its components each have one macro-edge length
+    inside them; other graphs take the closure step alone.  A forced tail
+    takes over at `lead` on every word that reaches it (`handoff` 0).
     """
     step, tail = STEPS[name]
 
     def pick(num_states, by_letter, relays):
         edges = engine._edge_lists(by_letter) if step is engine._step_python else by_letter
-        hubs = engine._Hubs.compile(num_states, by_letter, relays) if tail else None
-        if tail and hubs.scans is None:
-            return step, None, edges, None
-        return step, tail, edges, hubs
+        return step, edges, tail and engine._Hubs.compile(num_states, by_letter, relays)
     monkeypatch.setattr(engine, "_pick_step", pick)
     monkeypatch.setattr(engine, "_sweep_cache", {})
     return step, tail
 
 
 def swept_by(aut):
-    """The (closure step, tail) pair that `aut` compiles to."""
+    """The (closure step, tail) pair that `aut` compiles to: the prefix
+    sums where it keeps a hub graph."""
     eng = engine._compiled(aut)
-    return eng.step, eng.tail
+    return eng.step, None if eng.hubs is None else engine._sweep_sums
 
 
 def assert_swept_by(aut, path):
@@ -489,11 +488,12 @@ def two_chain_mode(second="10"):
 
 
 def test_trained_coder_compiles_to_one_hub():
-    eng = engine._compiled(champ_coder(8).automaton)
-    assert (eng.step, eng.tail) == STEPS["sums"]
+    aut = champ_coder(8).automaton
+    eng = engine._compiled(aut)
+    assert swept_by(aut) == STEPS["sums"]
     hubs = eng.hubs
     assert len(hubs.ids) == 1 and hubs.span == 8 and hubs.lead == 8
-    [(length, table)] = hubs.full
+    [(length, table)] = reference_walk(aut)[2]
     assert length == 8 and len(table) == 256
     assert all(len(edges) == 1 for edges in table.values())
     # One component of one hub, and a window cost table that every block is
@@ -568,7 +568,7 @@ def test_a_one_hub_table_over_the_budget_keeps_the_ring(monkeypatch):
     monkeypatch.setattr(engine, "_sweep_cache", {})
     mode = champ_coder(4)
     eng = engine._compiled(mode.automaton)
-    assert eng.tail is engine._sweep_sums and eng.hubs.prologue is None
+    assert eng.hubs is not None and eng.hubs.prologue is None
     steps = []
     monkeypatch.setattr(eng, "step", lambda *args: steps.append(args[2]) or engine._step_numpy(*args))
     word = champernowne_bits(2_000)[1_234:1_298]
@@ -699,8 +699,8 @@ def test_python_step_hands_off_by_word_length(name, monkeypatch):
     cut = hubs.lead + hubs.handoff
     # unary(3) spells runs of ones only.
     source = "1" * (cut + 1) if name == "unary(3)" else bernoulli_bits(0.9, 19, cut + 1)
-    tails = []
-    monkeypatch.setattr(eng, "tail", lambda *args: tails.append(1) or engine._sweep_sums(*args))
+    tails, sweep = [], engine._sweep_sums
+    monkeypatch.setattr(engine, "_sweep_sums", lambda *args: tails.append(1) or sweep(*args))
     for n in (cut - 1, cut, cut + 1):
         word = source[:n]
         expected = sweep_pure_curve(aut, word)
@@ -742,7 +742,7 @@ def test_the_hand_off_matches_the_oracle_on_hypothesis_modes():
             mp.setattr(engine, "_sweep_cache", {})
             eng = engine._compiled(aut)
             paths.add(swept_by(aut))
-            assume(eng.tail is not None)
+            assume(eng.hubs is not None)
             hubs = eng.hubs
             if eng.step is engine._step_numpy:
                 dense.update(table[0] == "dense" for _, _, _, table, _ in hubs.scans if table)
@@ -762,7 +762,7 @@ def one_hub_table(hubs):
     """The window table (costs, missing) as lists of a hub graph of one hub
     with one macro-edge length, missing all False where the compile keeps
     None; (None, None) for any other."""
-    if hubs.scans is None or len(hubs.ids) > 1 or not hubs.scans[0][2]:
+    if len(hubs.ids) > 1 or not hubs.scans[0][2]:
         return None, None
     [(_, _, _, (_, costs, missing), _)] = hubs.scans
     return costs.tolist(), [False] * costs.size if missing is None else missing.tolist()
@@ -770,10 +770,11 @@ def one_hub_table(hubs):
 
 def compiled_digest(aut) -> str:
     """A digest of what `aut` compiles to: its (closure step, tail) pair,
-    each letter's closure edges as a multiset, the hub tables, and K of
-    every 40th prefix of a 400-bit Champernowne window."""
+    each letter's closure edges as a multiset, the hub tables (the
+    macro-edges read back from the window tables, and the spelled `part`),
+    and K of every 40th prefix of a 400-bit Champernowne window."""
     eng = engine._compiled(aut)
-    path = next(name for name, pair in STEPS.items() if pair == (eng.step, eng.tail))
+    path = next(name for name, pair in STEPS.items() if pair == swept_by(aut))
     edges = sorted((a, sorted(edges)) for a, edges in edge_lists(eng).items())
 
     def table(rows):
@@ -781,7 +782,8 @@ def compiled_digest(aut) -> str:
                            for w, entries in words.items())) for n, words in rows]
     hubs = eng.hubs
     tables = None if hubs is None else (
-        hubs.ids.tolist(), table(hubs.full), table(hubs.part), hubs.span, hubs.lead,
+        hubs.ids.tolist(), table(full_tables(hubs)), table(part_tables(hubs)), hubs.span,
+        hubs.lead,
         *one_hub_table(hubs))
     word = champernowne_bits(2_000)[1_234:1_634]
     values = engine._sweep(aut, word, list(range(40, 401, 40)))
@@ -830,9 +832,43 @@ def test_pure_cycle_promotes_a_hub(forced_step):
     assert complexity(mode, "011011") == 2
     assert complexity(mode, "11") == 0
     eng = engine._compiled(mode.automaton)
-    assert (eng.step, eng.tail) == forced_step
+    assert swept_by(mode.automaton) == forced_step
     if eng.hubs is not None:
         assert len(eng.hubs.ids) == 1 and eng.hubs.span == 3 and eng.hubs.lead == 2
+
+
+def test_a_long_cycle_compiles_to_no_hub_graph():
+    # One hub and one macro-edge of 3,000 letters, whose window table would
+    # take 2**3000 cells: the walk stops past 22 letters, the longest word
+    # whose table fits the budget, and the closure step sweeps alone.
+    letters = "".join(random.Random(35).choice("01") for _ in range(3_000))
+    mode = cycle_mode(letters)
+    aut = mode.automaton
+    assert engine._compiled(aut).hubs is None
+    flipped = letters[:60] + "10"[int(letters[60])]
+    for word in (letters[:120], (letters * 2)[2_900:3_150], flipped, flipped[:60]):
+        assert complexity(mode, word) == sweep_pure(aut, word)
+    assert complexity(mode, flipped) == UNREACHABLE
+
+
+def test_python_step_start_holds_only_closure_sources(monkeypatch):
+    # A mode that declares 2**18 states and uses two compiles to the Python
+    # step, whose start costs are those of the closure edges' sources: the
+    # compiled mode keeps no cost per declared state.
+    n = 1 << 18
+    mode = one_bit_mode(((0, 1, ("1", "0")),), n)
+    monkeypatch.setattr(engine, "_sweep_cache", {})
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        eng = engine._compiled(mode.automaton)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert eng.step is engine._step_python and eng.start == {0: 0}
+    assert retained < n // 8, retained              # 72 bytes a state with a dict of them all
+    assert complexity(mode, "0") == 1 and complexity(mode, "00") == UNREACHABLE
 
 
 @pytest.mark.parametrize("make,source", [
@@ -855,10 +891,8 @@ def test_hub_sweep_around_its_prologue(make, source):
         mode = make()
         aut = mode.automaton
         assert_swept_by(aut, path)
-        eng = engine._compiled(aut)
-        relays = engine._closure_into(aut.num_states, *engine._classify_edges(aut))[3]
-        hubs = eng.hubs or engine._Hubs.compile(aut.num_states, eng.by_letter, relays)
-        lead, span = hubs.lead, hubs.span
+        _, lead, full, _ = reference_walk(aut)
+        span = full[-1][0]
         for n in (0, lead - 1, lead, lead + 1, 3 * span):
             word = source[:n]
             expected = sweep_pure_curve(aut, word)
@@ -866,7 +900,7 @@ def test_hub_sweep_around_its_prologue(make, source):
             curve = complexity_curve(mode, word, n, 1, verify=False)
             assert [k for _, k in curve.samples] == expected[1:]
         # Positions that end at lead, in a longer word, never reach the tail.
-        mp.setattr(eng, "tail", None)
+        mp.setattr(engine, "_sweep_sums", None)
         assert engine._sweep(aut, source[:3 * span], list(range(lead + 1))) == \
             sweep_pure_curve(aut, source[:lead])
 
@@ -987,7 +1021,7 @@ def test_one_hub_modes_match_oracle(name, data):
     with pytest.MonkeyPatch.context() as mp:
         path = force_step(mp, name)
         eng = engine._compiled(aut)
-        assert (eng.step, eng.tail) == path and len(eng.hubs.ids) == 1
+        assert swept_by(aut) == path and len(eng.hubs.ids) == 1
         lead = eng.hubs.lead
         for n in sorted({max(lead - 1, 0), lead, lead + 1, len(text)}):
             word = text[:n]
@@ -1011,7 +1045,7 @@ def test_prologue_tables_of_one_hub_modes_match_the_oracle():
             mp.setattr(engine, "_sweep_cache", {})
             eng = engine._compiled(aut)
             hubs = eng.hubs
-            assume(eng.tail is not None and len(text) > hubs.lead + 2)
+            assume(hubs is not None and len(text) > hubs.lead + 2)
             depth = hubs.lead - hubs.span + 1
             assert (hubs.prologue is None) == (depth > 1 or hubs.lead == 0)
             # A hand-off inside the word, so that its positions straddle it.
@@ -1302,16 +1336,18 @@ def test_functional_scans_match_the_oracle():
 def test_reversals_and_compositions_compile_to_functional_maps(make, hubs, components,
                                                              kinds, length, handoff):
     # The largest component's size and L, and the kinds of all components
-    # of more than one hub; the maps read back as the macro-edges of `full`.
-    # The tail takes over from the numpy step at most 30 letters past lead.
-    eng = engine._compiled(make().automaton)
-    assert (eng.step, eng.tail) == STEPS["sums"]
+    # of more than one hub; the maps read back as the macro-edges of the
+    # reference walk.  The tail takes over from the numpy step at most 30
+    # letters past lead.
+    aut = make().automaton
+    eng = engine._compiled(aut)
+    assert swept_by(aut) == STEPS["sums"]
     largest = max(eng.hubs.scans, key=lambda component: component[1])
     assert (len(eng.hubs.scans), largest[1], largest[2]) == (components, hubs, length)
     assert {table[0] for _, k, _, table, _ in eng.hubs.scans if k > 1} == kinds
     assert eng.hubs.handoff == handoff
-    rows = {(n, w, s, d): c for n, table in eng.hubs.full for w, edges in table.items()
-            for s, d, c in edges}
+    rows = {(n, w, s, d): c for n, table in reference_walk(aut)[2]
+            for w, edges in table.items() for s, d, c in edges}
     read = {}
     for *_, inside, into in scans(eng.hubs):
         read.update({(len(w), w, s, d): c for w, s, d, c in inside})
@@ -1781,13 +1817,15 @@ def test_layered_coder_compiles_to_three_chain_hubs_and_the_relay(train):
     coder = train(4)
     aut = layered_concat(coder, 2).automaton
     eng = engine._compiled(aut)
-    assert (eng.step, eng.tail) == STEPS["sums"]
+    assert swept_by(aut) == STEPS["sums"]
     hubs = eng.hubs
     n = coder.automaton.num_states
-    # The roots of copies 1 and 2 and of the final copy, and the relay.
+    # The roots of copies 1 and 2 and of the final copy, and the relay; the
+    # window tables read back as the reference walk's macro-edges.
     assert hubs.ids.tolist() == [n, 2 * n, 3 * n, 4 * n]
     assert hubs.span == 4
-    assert [length for length, _ in hubs.full] == [1, 2, 3, 4]
+    full = reference_walk(aut)[2]
+    assert [length for length, _ in full] == [1, 2, 3, 4] and full_tables(hubs) == full
     # Components in topological order: the two copy roots, then the relay,
     # which their relay exits of 1 to 4 letters enter, then the final copy's
     # root, which the relay enters over 1 to 4 letters.
@@ -1833,19 +1871,25 @@ def test_compose_of_coders_closure_is_pruned():
 
 def test_relay_tables_are_charged_to_the_compile_budget(monkeypatch):
     # The relay 2 is a hub; its macro-edge "10" to hub 1 and the relay exit
-    # of state 0 ("1", then "0" into the relay) cost two each.
+    # of state 0 ("1", then "0" into the relay) cost two each: the walk
+    # (`_macro_edges`) fails at a budget of 3 and ends at 4.  The window
+    # tables of the two macro-edges need 4 cells more.
     mode = one_bit_mode(((0, 1, ("0", "0")), (1, 2, ("1", EPSILON)),
                          (2, 0, (EPSILON, "1"))), 3)
     aut = mode.automaton
     monkeypatch.setattr(engine, "_relays", lambda outdeg, indeg: [2])
     force_step(monkeypatch, "numpy")
     arrays = engine._compiled(aut).by_letter
-    monkeypatch.setattr(engine, "_NORMALIZE_BUDGET", 3)
-    assert engine._Hubs.compile(3, arrays, {2}) is None
-    monkeypatch.setattr(engine, "_NORMALIZE_BUDGET", 4)
-    hubs = engine._Hubs.compile(3, arrays, {2})
+    walks, walk = [], engine._macro_edges
+    monkeypatch.setattr(engine, "_macro_edges", lambda *args: walks.append(walk(*args)) or walks[-1])
+    for budget in (3, 4, 7, 8):
+        monkeypatch.setattr(engine, "_NORMALIZE_BUDGET", budget)
+        hubs = engine._Hubs.compile(3, arrays, {2})
+        assert (walks[-1] is None, hubs is None) == (budget < 4, budget < 8)
+    # The macro-edges (length, code, src hub, dst hub, cost): "10" is 2.
+    assert [col.tolist() for col in walks[-1][0]] == [[2, 2], [2, 2], [1, 1], [0, 1], [1, 2]]
     assert hubs.ids.tolist() == [1, 2]
-    assert hubs.full == [(2, {"10": [(1, 0, 1), (1, 1, 2)]})]
+    assert full_tables(hubs) == [(2, {"10": [(1, 0, 1), (1, 1, 2)]})]
 
 
 def test_relay_tables_past_the_budget_fall_back_to_numpy(monkeypatch):
@@ -1920,29 +1964,53 @@ def hub_graphs(draw):
     return states, by_letter, relays
 
 
+def reference_walk(aut):
+    """`hub_walk_reference` of the closure edges that `aut` compiles to,
+    with its relays as hubs, at the compile budget."""
+    relays = engine._closure_into(aut.num_states, *engine._classify_edges(aut))[3]
+    by_letter = {a: tuple(np.array(col, dtype=np.int64)
+                          for col in (zip(*edges) if edges else ((), (), ())))
+                 for a, edges in edge_lists(engine._compiled(aut)).items()}
+    return hub_walk_reference(aut.num_states, by_letter, set(relays.tolist()),
+                              engine._NORMALIZE_BUDGET)
+
+
+def spelled(hubs, code: int, n: int) -> str:
+    """The word of n letters whose code is `code` in a compiled `_Hubs`."""
+    letters = [chr(a) for a in hubs.rank]        # in rank order
+    return "".join(letters[code // len(letters) ** i % len(letters)] for i in reversed(range(n)))
+
+
+def full_tables(hubs):
+    """The macro-edges of a compiled `_Hubs`, read back from its window
+    tables, as `hub_walk_reference` gives them."""
+    full = {}
+    for _, _, _, inside, into in scans(hubs):
+        for n, w, s, d, c in [(len(w), w, s, d, c) for w, s, d, c in inside] + [
+                (n, w, s, d, c) for n, s, w, d, c in into]:
+            full.setdefault(n, {}).setdefault(w, []).append((s, d, c))
+    return sorted((n, {w: sorted(edges) for w, edges in table.items()})
+                  for n, table in full.items())
+
+
+def part_tables(hubs):
+    """`part` of a compiled `_Hubs`, spelled, as `hub_walk_reference` gives it."""
+    return [(j, {spelled(hubs, code, j): sorted(entries) for code, entries in table.items()})
+            for j, table in hubs.part]
+
+
 def hub_tables(hubs):
     """A compiled `_Hubs` as `hub_tables_reference` gives it, after checking
     that its components come in a topological order."""
     if hubs is None:
         return None
-
-    def rows(levels):
-        return [(n, {w: sorted(entries) for w, entries in table.items()})
-                for n, table in levels]
-    return (hubs.ids.tolist(), hubs.lead, rows(hubs.full), rows(hubs.part), scans(hubs))
+    return hubs.ids.tolist(), hubs.lead, full_tables(hubs), part_tables(hubs), scans(hubs)
 
 
 def scans(hubs):
     """`_Hubs.scans` as `scans_reference` gives it: the window tables read
     back as macro-edges, with hubs numbered as in `hubs.ids`."""
-    if hubs.scans is None:
-        return None
-    letters = [chr(a) for a in hubs.rank]        # in rank order
     order = {}
-
-    def spelled(code, n):
-        return "".join(letters[code // len(letters) ** i % len(letters)]
-                       for i in reversed(range(n)))
     out = []
     for c, (members, k, length, table, gathers) in enumerate(hubs.scans):
         members = np.arange(len(hubs.ids))[members].tolist()
@@ -1970,9 +2038,9 @@ def scans(hubs):
             [costs] = arrays
             edges = [(code, s, d, int(costs[code, d, s]))
                      for code, d, s in zip(*np.nonzero(costs < engine._INF))]
-        inside = [(spelled(code, length), members[s], members[d], cost)
+        inside = [(spelled(hubs, code, length), members[s], members[d], cost)
                   for code, s, d, cost in edges]
-        into = [(n, s, spelled(code, n), members[d], int(gather[d, code]))
+        into = [(n, s, spelled(hubs, code, n), members[d], int(gather[d, code]))
                 for n, s, gather in gathers for d, code in zip(*np.nonzero(gather < engine._INF))]
         assert all(order[s] < c for _, s, _, _, _ in into)
         out.append((tuple(members), length, kind, sorted(inside), sorted(into)))
@@ -1982,9 +2050,11 @@ def scans(hubs):
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
 @given(data=st.data())
 def test_hub_compile_matches_the_reference_walk(data):
+    # A hub graph compiles exactly where the reference has window tables.
     num_states, by_letter, relays = data.draw(hub_graphs())
     budget = data.draw(st.sampled_from([engine._NORMALIZE_BUDGET, 2, 5, 9, 14, 20, 30]))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine, "_NORMALIZE_BUDGET", budget)
         hubs = engine._Hubs.compile(num_states, by_letter, relays)
-    assert hub_tables(hubs) == hub_tables_reference(num_states, by_letter, relays, budget)
+    expected = hub_tables_reference(num_states, by_letter, relays, budget)
+    assert hub_tables(hubs) == (None if expected is None or expected[-1] is None else expected)
