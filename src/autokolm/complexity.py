@@ -16,7 +16,7 @@ import weakref
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import compress, repeat
-from typing import List
+from typing import Callable, List
 
 import numpy as np
 
@@ -30,34 +30,29 @@ UNREACHABLE = math.inf
 # compiled counts and unit costs in us: a closure edge relaxed by the
 # Python step (a letter costs two more, for its dict), a call (the numpy
 # step makes _NUMPY_STEP_CALLS per letter, the prefix sums tail its
-# `_TAIL_CALLS`, counted under cProfile), a closure edge scattered by the
-# numpy step, and a cell the tail sweeps.  Warm calls, min of 9-41 runs
-# (2-vCPU host): the Python step took 0.24-0.34 us per letter on identity
-# (1 edge), 0.34 on joint (2), 0.58 on wall(3) (4), 0.74-0.97 on wall(5)
-# (6) and 1.5-2.2 on coder3 (16); the numpy step 3.2 on coder3, 7.6-11 on
-# the k=8 coder (1,152 edges) and 84 on compose(coder5, coder5) (21,900);
-# the tail's fixed cost 19-26 for identity (28 calls), 88 for joint (144)
-# and 2.0-2.1 per gather.  So the Python step is the cheaper up to 29
-# edges per letter (measured crossover 24-40).  A rotation sweep, 9 calls
-# under cProfile and more array operators, costs 3.9 times a one-hub
-# component's 14 (23 against 6 us at 64 letters): 41 more.  The ring, a
-# letter the closure step takes alone before a hand-off, costs 1.1-2.0 us.
-# A prologue table's look-up costs 3 calls and spares the closure step's
-# call, whose fixed part costs about one letter's calls on the numpy step
-# (3.5 us on coder4, 3 a letter).  Hand-offs, letters past `lead`
-# (measured break-even): identity 61 (61-64), union 115 (96-104), wall(5)
-# 466 (416-512), wall(3) 720 (704-832), joint 113 (104-112), with
-# prologue tables coder1-3 46/22/8 (42-46, 22-23, 8-9); after the numpy
-# step, with tables coder4, skewed coder4 and the k=8 coder 1 (1),
-# reverse(coder4) 10 (14-16), layered(coder4, 2) 23 (24-26),
-# compose(coder4, coder4) 30 (40-44), and with dense maps
-# compose(coder2, coder2) 80 (70-90), compose(coder2, coder4) 44 (40-50),
-# compose(coder3, reverse(coder2)) 176 (220-256) and
-# reverse(compose(coder1, coder2)) 313 (290-320).
+# `_TAIL_CALLS` and each component those of its kind, `_Kind.price`,
+# counted under cProfile), a closure edge scattered by the numpy step,
+# and a cell the tail sweeps.  Warm calls, min of 9-41 runs (2-vCPU
+# host): the Python step took 0.24-0.34 us per letter on identity (1
+# edge), 0.34 on joint (2), 0.58 on wall(3) (4), 0.74-0.97 on wall(5) (6)
+# and 1.5-2.2 on coder3 (16); the numpy step 3.2 on coder3, 7.6-11 on the
+# k=8 coder (1,152 edges) and 84 on compose(coder5, coder5) (21,900); the
+# tail's fixed cost 19-26 for identity (28 calls), 88 for joint (144) and
+# 2.0-2.1 per gather.  So the Python step is the cheaper up to 29 edges
+# per letter (measured crossover 24-40).  The ring, a letter the closure
+# step takes alone before a hand-off, costs 1.1-2.0 us.  A prologue
+# table's look-up costs 3 calls and spares the closure step's call, whose
+# fixed part costs about one letter's calls on the numpy step (3.5 us on
+# coder4, 3 a letter).  Hand-offs, letters past `lead` (measured
+# break-even): identity 61 (61-64), union 115 (96-104), wall(5) 466
+# (416-512), wall(3) 720 (704-832), joint 113 (104-112), unary(3) 38
+# (30-48), with prologue tables coder1-3 46/22/8 (42-46, 22-23, 8-9);
+# after the numpy step, with tables coder4, skewed coder4 and the k=8
+# coder 1 (1), reverse(coder4) 10 (14-16), layered(coder4, 2) 23 (24-26)
+# and compose(coder4, coder4) 30 (40-44); with dense maps, see _DENSE.
 _US_PER_RELAXATION, _US_PER_CALL, _US_PER_SCATTER, _US_PER_CELL = 0.1, 0.6, 0.004, 0.0005
 _NUMPY_STEP_CALLS = 5
-_TAIL_CALLS = {"chunk": 14, "component": 14, "mask": 9, "gather": 3, "level": 29,
-               "rank-one": 19, "rotation": 41, "ring": 2, "prologue": 3}
+_TAIL_CALLS = {"chunk": 14, "gather": 3, "ring": 2, "prologue": 3}
 _SCAN_ROW_CELLS = 6
 _NORMALIZE_BUDGET = 5_000_000
 # A cost of _INF or more is unreachable.  Every cost is at most _INF, and
@@ -65,15 +60,15 @@ _NORMALIZE_BUDGET = 5_000_000
 # no value exceeds 3 * _INF < 2**63 and int64 never wraps.
 _INF = 1 << 61
 # A chunk of the prefix sums tail holds at most _CHUNK_CELLS cells, counted
-# by the widest array it holds per letter: a cost row per hub, and k**2 for
-# the maps of a dense component of k hubs (k for the other kinds and for
-# gathers).  So its memory does not grow with the word.  It also holds at
-# most _CHUNK_LETTERS letters, so that its per-letter arrays (window codes,
-# a hub's cost row) stay near 128 KiB, which malloc keeps in its heap: with
-# 65,536-letter chunks they were fresh pages on every call, and the page
-# faults took a third of a warm coder4 curve (48k Bernoulli(0.9) bits, step
-# 3,000, min of 40, 2-vCPU host: 249 faults and 860-1,220 us per call, 0
-# and 580-810 us with the cap).
+# by the widest array it holds per letter: a cost row per hub, or a
+# component's widest (`_Kind.width`).  So its memory does not grow with
+# the word.  It also holds at most _CHUNK_LETTERS letters, so that its
+# per-letter arrays (window codes, a hub's cost row) stay near 128 KiB,
+# which malloc keeps in its heap: with 65,536-letter chunks they were
+# fresh pages on every call, and the page faults took a third of a warm
+# coder4 curve (48k Bernoulli(0.9) bits, step 3,000, min of 40, 2-vCPU
+# host: 249 faults and 860-1,220 us per call, 0 and 580-810 us with the
+# cap).
 _CHUNK_CELLS = 1 << 16
 _CHUNK_LETTERS = 1 << 14
 # Closure edges over all letters.  The closure is charged from its entry
@@ -239,13 +234,11 @@ class _CompiledSweep:
     that an intra edge from another of its targets makes no cheaper is
     dropped (`_prune`); the glue edges between layered copies and the
     synchronised moves of a composition make many such edges.
-    `_pick_step` chooses, by one cost estimate, the closure step (plain
-    Python over a dict of the closure edges' sources or a numpy
-    scatter-min over the closure edges) and the hub graph (`_Hubs`, the
-    relays among its hubs) whose DP over macro-edges the prefix sums tail
-    (`_sweep_sums`) sweeps past its `lead` as scans of its components, or
-    None; and from which word length on the tail pays back its fixed cost
-    against that step (`_Hubs.handoff`).
+    `_pick_step` chooses the closure step, plain Python over a dict of
+    the closure edges' sources or a numpy scatter-min over the closure
+    edges, and the hub graph (`_Hubs`) that the prefix sums tail
+    (`_sweep_sums`) sweeps past its `lead` from `handoff` letters on, or
+    None.
     """
 
     def __init__(self, aut: LabeledAutomaton):
@@ -381,15 +374,16 @@ def _pick_step(num_states: int, by_letter, relays):
     dearer per letter than numpy's scatter-min on the letter with the
     most closure edges (`_step_us`), else the numpy step; and the hub
     graph where it compiles (`_Hubs.compile`) and the tail is estimated
-    cheaper than that step, on the letter with the fewest closure edges,
-    from some word length on (`_handoff`), else None.
+    cheaper than that step, on the letter with the fewest closure edges
+    but at least one (a letter without any ends every word that reads
+    it), from some word length on (`_handoff`), else None.
     """
     sizes = [srcs.size for srcs, _, _ in by_letter.values()]
     widest = max(sizes, default=0)
     python = _step_us(True, widest) <= _step_us(False, widest)
     hubs = _Hubs.compile(num_states, by_letter, relays)
     if hubs is not None:
-        hubs.handoff = _handoff(hubs, _step_us(python, min(sizes, default=0)),
+        hubs.handoff = _handoff(hubs, _step_us(python, min(filter(None, sizes), default=0)),
                                 0 if python else _US_PER_CALL * _NUMPY_STEP_CALLS)
         if hubs.handoff is None:
             hubs = None
@@ -412,42 +406,21 @@ def _handoff(hubs, step_us: float, call_us: float):
     `call_us` per call, or None when it is on no word of up to 2**24
     letters.
 
-    Each call of the tail (numpy's and its own, as cProfile counts them)
-    costs _US_PER_CALL and each cell it sweeps _US_PER_CELL.  A chunk
-    makes _TAIL_CALLS["chunk"] calls, a component with macro-edges inside
-    it "component" more ("mask" for window tables that miss words or
-    macro-edges), a gather "gather", a rank-one or a rotation
-    component's sweep "rank-one" or "rotation", and a scan "level" per
-    level, one more than log2 of its rows, and 4 more per hub for dense
-    maps, whose min-plus products loop over the hubs; the `span` letters
-    before `lead`, which the closure step then takes one at a time, "ring"
-    each, or with a prologue table its look-up "prologue", against a
-    closure step over `lead` letters more and its call.  Per letter, a
-    one-hub component sweeps 1 cell, a gather into k hubs k, a rank-one or
-    rotation component of k hubs k plus one per call of its sweep, and a
-    scan its width plus _SCAN_ROW_CELLS per row at each of its calls,
-    twice over as its rows halve: k for gather maps, and k**2 (k + 9) / 17
-    for dense ones, fit to warm dense scans of k = 3 to 16 hubs, L = 1, 2 and
-    4, of 16 letters to a chunk (0.1-0.2 ms at k = 3 and 0.4-0.9 ms at
-    k = 16 for 16 letters, 0.3-0.5 and 10-18 us per letter in a chunk).
-    The calls per hub were fit to the measured break-evens of four
-    compositions with dense maps of 4 to 8 hubs (module comment).
+    A chunk makes _TAIL_CALLS["chunk"] calls, a gather into k hubs
+    "gather" and k cells a letter, and a component with macro-edges
+    inside it those of its kind (`_Kind.price`), a scan's per level, one
+    more than log2 of its rows; the `span` letters before `lead`, which
+    the closure step then takes one at a time, "ring" each, or with a
+    prologue table its look-up "prologue", against a closure step over
+    `lead` letters more and its call.
     """
     calls, cells, scans = _TAIL_CALLS["chunk"], 0, []
     for _, k, length, table, gathers in hubs.scans:
-        calls += _TAIL_CALLS["component"] * bool(table) + _TAIL_CALLS["gather"] * len(gathers)
-        cells += k * len(gathers)
-        if table and table[0] == "one-hub":
-            calls += _TAIL_CALLS["mask"] * (table[2] is not None)
-            cells += 1
-        elif table and table[0] in ("rank-one", "rotation"):
-            calls += _TAIL_CALLS[table[0]] + _TAIL_CALLS["mask"] * bool((table[2] >= _INF).any())
-            cells += k + _TAIL_CALLS[table[0]]
-        elif table:
-            dense = table[0] == "dense"
-            scans.append((length, _TAIL_CALLS["level"] + 4 * k * dense))
-            width = k * k * (k + 9) // 17 if dense else k
-            cells += 2 * _TAIL_CALLS["level"] * (width + _SCAN_ROW_CELLS)
+        sweep_calls, sweep_cells, level_calls = table[0].price(k, table) if table else (0, 0, 0)
+        calls += _TAIL_CALLS["gather"] * len(gathers) + sweep_calls
+        cells += k * len(gathers) + sweep_cells
+        if level_calls:
+            scans.append((length, level_calls))
 
     def chunk_us(letters):
         level_calls = sum(((-(-letters // n) - 1).bit_length() + 1) * c for n, c in scans)
@@ -541,23 +514,15 @@ class _Hubs:
     of the last span letters, and K from those plus the prefix matches.
 
     The hubs and macro-edges form a graph whose strongly connected
-    components (`components` of the automaton module, over the distinct
-    hub pairs) `scans` lists in topological order, with window tables
-    indexed by word code (`_scans`): each macro-edge is a cell of the
-    table of the component that it lies in, or of a gather into the one
-    that it enters.  A component of one hub that no gather enters has
-    the tables `costs`, the cost of each word of length L that is a
-    macro-edge (0 for the others), and `missing`, which marks the others
-    (None when every word is one); another holds the maps of its words in
-    one of four kinds.  A hub graph exists only where every component has
-    macro-edges of one length L inside it and the tables' cells stay
-    within _NORMALIZE_BUDGET (`compile`).  The
+    components `scans` lists in topological order with their window
+    tables (`_scans`); a hub graph exists only where it has them.  The
     prefix sums tail sweeps `chunk` letters at a time (_CHUNK_CELLS,
     _CHUNK_LETTERS), each chunk padded to a multiple of `period`, the
-    least common multiple of the lengths L.  A call takes the tail when
-    its word reaches `handoff` letters past `lead`, the break-even against
-    the closure step that `_pick_step` estimates (`_handoff`); `keys` lists
-    the hubs as ints, to read the Python step's dict of costs.
+    least common multiple of the macro-edge lengths inside components.  A
+    call takes the tail when its word reaches `handoff` letters past
+    `lead`, the break-even against the closure step that `_pick_step`
+    estimates (`_handoff`); `keys` lists the hubs as ints, to read the
+    Python step's dict of costs.
 
     A graph of one hub with depth <= 1, no relay and `lead` > 0 also has
     the prologue table and `reached` (`_prologue`), if its (span + 1)
@@ -571,8 +536,7 @@ class _Hubs:
         self.rank = {ord(a): i for i, a in enumerate(alphabet)}
         self.powers = len(alphabet) ** np.arange(self.span, dtype=np.intp)
         self.period = math.lcm(*(length for _, _, length, _, _ in scans if length))
-        widest = max([len(ids), *(k * k for _, k, _, table, _ in scans
-                                  if table and table[0] == "dense")])
+        widest = max([len(ids), *(table[0].width(k) for _, k, _, table, _ in scans if table)])
         self.chunk = max(min(_CHUNK_CELLS // max(widest, 1), _CHUNK_LETTERS), 1)
 
     @classmethod
@@ -643,31 +607,17 @@ class _Hubs:
 
 
 def _scans(k: int, full, base: int):
-    """The components of the hub graph on k hubs whose macro-edges `full`
-    (`_macro_edges`) lists, in the topological order in which
-    `components` numbers them, each as (hubs, size, L, table, gathers)
-    for `_sweep_sums`; or None when a component has macro-edges of two
-    lengths inside it, or when the tables exceed _NORMALIZE_BUDGET cells.
-    A graph of one hub is one component like any other.
-
-    `hubs` numbers the component's `size` hubs, as a slice when they are
-    consecutive.  L is the length of the macro-edges inside the component
-    (0 if none, and then the table is None).  The table is (kind, *arrays)
-    of the first kind that fits, indexed by word code and local hub, with
-    _INF where no macro-edge is: "one-hub" (costs, missing) for one hub
-    that no gather enters, see `_Hubs`; "rotation" (shift, cost) at [code]
-    and [d, code] for more hubs that no gather enters when each word's
-    macro-edges enter hub d from hub (d + shift) mod k, in local order;
-    "gather" (src, cost) at [code, d] when no two macro-edges of a word
-    enter one hub; "rank-one" (dst, cost) at [code] and [s, code] when
-    those of each word enter one hub, as for one hub that gathers enter;
-    "dense" (cost,) at [code, d, s].  `_sweep_component` sweeps the first
-    two by running sums (`_sweep_rotation`), rank-one tables by a
-    first-order recurrence (`_sweep_rank_one`) and the others by a
-    min-plus scan (`_scan_hubs`).  The cells charged are those of the
-    arrays but `missing`.  A gather (n, s, table) holds at
-    [d, code] the cost of the macro-edge of length n from hub s of an
-    earlier component to the d-th hub of this one.
+    """The strongly connected components of the hub graph on k hubs whose
+    macro-edges `full` (`_macro_edges`) lists, over the distinct hub
+    pairs, in the topological order in which `components` numbers them,
+    each as (hubs, size, L, table, gathers) for `_sweep_sums`: `hubs`
+    numbers its `size` hubs (a slice when they are consecutive), L is the
+    length of its macro-edges inside it (0 if none, and the table None),
+    the table is that of its kind (`_Kind`), and a gather (n, s, table)
+    holds at [d, code] the cost of the macro-edge of length n from hub s
+    of an earlier component to its d-th hub.  None when a component has
+    macro-edges of two lengths inside it, or when the tables exceed
+    _NORMALIZE_BUDGET cells.
     """
     lengths, code, src, dst, paid = full
     span = int(lengths[-1]) if lengths.size else 1
@@ -700,45 +650,15 @@ def _scans(k: int, full, base: int):
         n, kind = base ** length, None
         if length:
             mine = slice(inside, entering)
-            s, d, w, p = local[src[mine]], dsts[mine], code[mine], paid[mine]
-            turn = (s - d) % kc
-            kind = ("one-hub" if kc == 1 and len(cut) == 1 else
-                    "rotation" if kc > 1 and len(cut) == 1 and _runs(
-                        np.sort(w * kc + turn)).sum() == _runs(np.sort(w)).sum() else
-                    "gather" if kc > 1 and _runs(np.sort(d * n + w)).all() else
-                    "rank-one" if _runs(np.sort(w * kc + d)).sum() == _runs(np.sort(w)).sum() else
-                    "dense")
-        charged += {None: 0, "one-hub": n, "rotation": (kc + 1) * n, "gather": 2 * kc * n,
-                    "rank-one": (kc + 1) * n, "dense": kc * kc * n}[kind] + sum(
-                        base ** ns[i] * kc for i in cut[:-1])
+            edges = local[src[mine]], dsts[mine], code[mine], paid[mine]
+            kind = next(fit for fit in _COMPONENT_KINDS if fit.fits(kc, len(cut) > 1, *edges[:3]))
+            charged += kind.charge(kc, n)
+        charged += sum(base ** ns[i] * kc for i in cut[:-1])
         if charged > _NORMALIZE_BUDGET:
             return None
-        table = None
-        if kind == "one-hub":
-            costs, missing = np.zeros(n, dtype=np.int64), np.ones(n, dtype=bool)
-            costs[w], missing[w] = p, False
-            table = kind, costs, missing if missing.any() else None
-        elif kind == "rotation":
-            shift, costs = np.zeros(n, dtype=np.intp), np.full((kc, n), _INF, dtype=np.int64)
-            shift[w], costs[d, w] = turn, p
-            table = kind, shift, costs
-        elif kind == "gather":
-            sources, costs = np.zeros((n, kc), dtype=np.intp), np.full((n, kc), _INF, dtype=np.int64)
-            sources[w, d], costs[w, d] = s, p
-            table = kind, sources, costs
-        elif kind == "rank-one":
-            to, costs = np.zeros(n, dtype=np.intp), np.full((kc, n), _INF, dtype=np.int64)
-            to[w], costs[s, w] = d, p
-            table = kind, to, costs
-        elif kind:
-            costs = np.full((n, kc, kc), _INF, dtype=np.int64)
-            costs[w, d, s] = p
-            table = kind, costs
-        gathers = []
-        for i, j in zip(cut, cut[1:]):
-            gather = np.full((kc, base ** ns[i]), _INF, dtype=np.int64)
-            gather[dsts[i:j], code[i:j]] = paid[i:j]
-            gathers.append((ns[i], srcs[i], gather))
+        table = kind and (kind, *kind.build(kc, n, *edges))
+        gathers = [(ns[i], srcs[i], _table((kc, base ** ns[i]), _INF, (dsts[i:j], code[i:j]),
+                                           paid[i:j])) for i, j in zip(cut, cut[1:])]
         if members[-1] - members[0] < kc:
             members = slice(int(members[0]), int(members[-1]) + 1)
         plan.append((members, kc, length, table, gathers))
@@ -873,14 +793,10 @@ def _sweep_sums(hubs: _Hubs, word: str, positions: List[int], last) -> list:
     table of (n, s) at the code of word[t - n:t], which is the span
     letters' code mod base**n.  Inside a component of macro-edges of
     length L the hub costs follow a recurrence on t - L, one per residue
-    of t mod L: running sums for one hub that no gather enters (none, when
-    the hub is unreachable before the chunk) and for each of k chains of
-    a rotation component (`_sweep_rotation`), a first-order recurrence
-    for a rank-one component (`_sweep_rank_one`: one cumsum and one
-    running minimum), and otherwise a min-plus scan (`_scan_hubs`).  K at
-    a position of the chunk is then the cheapest path that ends at a hub
-    or inside a chain: `part` at the code of the last j letters, the
-    window code there mod base**j.
+    of t mod L, which its kind's sweep solves (`_Kind`).  K at a position
+    of the chunk is then the cheapest path that ends at a hub or inside a
+    chain: `part` at the code of the last j letters, the window code
+    there mod base**j.
     """
     span, lead, stop = hubs.span, hubs.lead, positions[-1]
     base = len(hubs.rank)
@@ -932,68 +848,68 @@ def _sweep_sums(hubs: _Hubs, word: str, positions: List[int], last) -> list:
 def _sweep_component(cost, members, k, length, table, gathers, window, span):
     """The rows `members` (k hubs) of a chunk's hub costs `cost` (see
     _sweep_sums) past its first span columns, from the columns before them
-    and the rows of earlier components; window(m) gives the window codes
-    mod m; the table's kind picks the sweep, as `_sweep_sums` says."""
-    width = cost.shape[1] - span
+    (`before`, L of them, for its kind's sweep) and the rows of earlier
+    components; window(m) gives the window codes mod m."""
     entering = None                      # [d, i]: the cheapest gather into hub d at i
     for n, s, gather in gathers:
-        costs = gather.take(window(gather.shape[1]), axis=1) + cost[s, span - n:span - n + width]
+        costs = gather.take(window(gather.shape[1]), axis=1) + cost[s, span - n:-n]
         entering = costs if entering is None else np.minimum(entering, costs, out=entering)
     if entering is not None:
         np.minimum(entering, _INF, out=entering)
     if not length:
         cost[members, span:] = _INF if entering is None else entering
         return
-    before = cost[members, span - length:span]
+    table[0].sweep(cost, members, table, window, entering, cost[members, span - length:span], span)
+
+
+def _sweep_one_hub(cost, members, table, window, entering, before, span):
+    """The row `members` of `cost`, as `_sweep_component`, for one hub
+    (`_ONE_HUB`): running sums per residue of the window costs."""
+    _, costs, missing = table
+    before = before[0].tolist()
+    dead = [c >= _INF for c in before]
+    if False not in dead:
+        cost[members, span:] = _INF
+        return
+    codes = window(len(costs))
+    sums = costs.take(codes, out=cost[members, span:][0], mode="clip")
+    if len(before) > 1:
+        sums = sums.reshape(-1, len(before))
+    sums.cumsum(axis=0, out=sums)
+    sums += [0 if c >= _INF else c for c in before]
+    if missing is not None:
+        cut = missing[codes].reshape(sums.shape)
+        np.logical_or.accumulate(cut, axis=0, out=cut)   # a window so far had no macro-edge
+        cut |= dead
+        sums[cut] = _INF
+    elif True in dead:
+        sums.reshape(-1, len(before))[:, dead] = _INF
+
+
+def _sweep_scan(cost, members, table, window, entering, before, span):
+    """The rows `members` of `cost`, as `_sweep_component`, by a min-plus
+    scan per residue (`_scan_hubs`) of the kind's `maps`, hubs last."""
     kind, *tables = table
-    if kind == "one-hub":
-        # Running sums per residue of the window costs, in the hub's row.
-        costs, missing = tables
-        before = before[0].tolist()
-        dead = [c >= _INF for c in before]
-        if False not in dead:
-            cost[members, span:] = _INF
-            return
-        codes = window(len(costs))
-        sums = costs.take(codes, out=cost[members, span:][0], mode="clip")
-        if length > 1:
-            sums = sums.reshape(-1, length)
-        sums.cumsum(axis=0, out=sums)
-        sums += [0 if c >= _INF else c for c in before]
-        if missing is not None:
-            cut = missing[codes].reshape(sums.shape)
-            np.logical_or.accumulate(cut, axis=0, out=cut)   # a window so far had no macro-edge
-            cut |= dead
-            sums[cut] = _INF
-        elif True in dead:
-            sums.reshape(-1, length)[:, dead] = _INF
-        return
-    if kind == "rotation":
-        _sweep_rotation(cost, members, *tables, window, before, span)
-        return
-    if kind == "rank-one":
-        _sweep_rank_one(cost, members, *tables, window, entering, before, span)
-        return
-    # A min-plus scan per residue, its maps the window tables, hubs last.
+    k, length = before.shape
+    width = cost.shape[1] - span
     codes = window(len(tables[-1]))
     maps = [t.take(codes, axis=0).reshape(-1, length, *t.shape[1:]) for t in tables]
     costs = np.full((width, k), _INF) if entering is None else entering.T
     costs = costs.reshape(-1, length, k)
-    then, apply = _KINDS[kind]
+    then, apply = kind.maps
     np.minimum(apply([t[:1] for t in maps], before.T[None]), costs[:1], out=costs[:1])
     cost[members, span:] = _scan_hubs(maps, costs, then, apply).reshape(width, k).T
 
 
-def _sweep_rotation(cost, members, shift, costs, window, before, span):
+def _sweep_rotation(cost, members, table, window, entering, before, span):
     """The rows `members` of `cost`, as `_sweep_component`, for a rotation
-    component of k hubs: each word's macro-edge into hub d leaves hub
-    (d + shift[code]) mod k at costs[d, code] (_INF where there is none),
-    L = len(before[0]) letters long.  So its k chains never merge: per
+    component of k hubs (`_ROTATION`).  Its k chains never merge: per
     residue, the chain from hub h before the chunk is at hub (h - S_j) mod
     k after row j, S_j the cumsum of the rows' shifts.  Its costs are
     running sums from before[h], cut at a missing macro-edge as the
     one-hub sums are, and hub d holds chain (d + S_j) mod k.
     """
+    _, shift, costs = table
     k, length = before.shape
     width, n = cost.shape[1] - span, len(shift)
     codes = window(n)
@@ -1022,18 +938,17 @@ def _sweep_rotation(cost, members, shift, costs, window, before, span):
     cost[members, span:] = rows.take(hubs * width + (turns * width + np.arange(width)), mode="wrap")
 
 
-def _sweep_rank_one(cost, members, to, costs, window, entering, before, span):
+def _sweep_rank_one(cost, members, table, window, entering, before, span):
     """The rows `members` of `cost`, as `_sweep_component`, for a rank-one
-    component: each word's macro-edges enter the one hub to[code], from
-    hub s at costs[s, code], L = len(before[0]) letters long.
-
-    Past a row of letters, every hub but the one its words enter holds
-    only its gathers, so per residue the cost y_j of that hub at row j
-    follows y_j = min(y_{j-1} + a_j, b_j) (`_first_order`): a_j is the
-    cost out of the hub that row j - 1 entered, and b_j the cheaper of
-    the gathers into the hub and of the gathers of row j - 1 (`before`
-    for the first row) plus the cost out of their hubs.
+    component (`_RANK_ONE`).  Past a row of letters, every hub but the one
+    its words enter holds only its gathers, so per residue the cost y_j
+    of that hub at row j follows y_j = min(y_{j-1} + a_j, b_j)
+    (`_first_order`): a_j is the cost out of the hub that row j - 1
+    entered, and b_j the cheaper of the gathers into the hub and of the
+    gathers of row j - 1 (`before` for the first row) plus the cost out
+    of their hubs.
     """
+    _, to, costs = table
     length, width = before.shape[1], cost.shape[1] - span
     n = to.size
     codes = window(n)
@@ -1118,11 +1033,95 @@ def _gather_apply(maps, x):
     return np.minimum(x.reshape(-1).take(_last_axis(x, g)) + c, _INF)
 
 
-# Per kind of scanned maps (`_scans`), hubs on the last axis: the map that
-# applies `first` and then `then`, and a map applied to the hub costs x.
-_KINDS = {"gather": (_gather_then, _gather_apply),
-          "dense": (lambda first, then: [_min_plus(then[0], first[0])],
-                    lambda maps, x: _min_plus(maps[0], x[..., None])[..., 0])}
+def _table(shape, fill, index, values, dtype=np.int64):
+    """An array of `shape` that holds `values` at `index` and `fill` elsewhere."""
+    table = np.full(shape, fill, dtype=dtype)
+    table[index] = values
+    return table
+
+
+@dataclass(eq=False)
+class _Kind:
+    """A kind of component (`_scans`) of k hubs, numbered in order, with
+    macro-edges (src, dst, code, cost) of length L inside it: its arrays
+    are indexed by code (n = |alphabet|**L) and hub, _INF where none is."""
+
+    name: str
+    fits: Callable      # (k, gathered, src, dst, code); gathered: a gather enters it
+    charge: Callable    # (k, n): the cells of its arrays, but a mask of missing words
+    build: Callable     # (k, n, src, dst, code, cost): its arrays
+    price: Callable     # (k, table): calls a chunk, cells a letter, calls a scan level
+    width: Callable     # (k): the cells a letter of its sweep's widest array
+    sweep: Callable     # (cost, members, table, window, entering, before, span)
+    maps: tuple = None  # (then, apply) of a scanned kind's maps (`_sweep_scan`)
+
+
+# One hub that no gather enters: costs[code], the cost of each word that
+# is a macro-edge (0 for the others), and missing[code], which marks the
+# others (None when every word is one; the words are distinct).  Its
+# running sums make 14 calls a chunk, 9 more with missing words.
+_ONE_HUB = _Kind(
+    "one-hub", fits=lambda k, gathered, *_: k == 1 and not gathered, charge=lambda k, n: n,
+    build=lambda k, n, src, dst, code, cost: (
+        _table(n, 0, code, cost), None if code.size == n else _table(n, True, code, False, bool)),
+    price=lambda k, table: (14 + 9 * (table[2] is not None), 1, 0),
+    width=lambda k: 1, sweep=_sweep_one_hub)
+# More hubs that no gather enters, where each word's macro-edges enter hub
+# d from hub (d + shift[code]) mod k, at costs[d, code]: the copy roots of
+# a layered mode, and the joint.  Its sweep, 9 calls under cProfile and
+# more array operators, costs 3.9 times a one-hub component's 14 (23
+# against 6 us at 64 letters): 41 more (9 more with missing macro-edges),
+# and k cells a letter plus one per call.
+_ROTATION = _Kind(
+    "rotation", fits=lambda k, gathered, src, dst, code: k > 1 and not gathered and (
+        _runs(np.sort(code * k + (src - dst) % k)).sum() == _runs(np.sort(code)).sum()),
+    charge=lambda k, n: (k + 1) * n,
+    build=lambda k, n, src, dst, code, cost: (_table(n, 0, code, (src - dst) % k, np.intp),
+                                              _table((k, n), _INF, (dst, code), cost)),
+    price=lambda k, table: (14 + 41 + 9 * bool((table[2] >= _INF).any()), k + 41, 0),
+    width=lambda k: k, sweep=_sweep_rotation)
+# More hubs, no two macro-edges of a word into one: at [code, d] the hub
+# that the one into hub d leaves, and its cost (a composition of coders).
+# Its scan composes two maps in O(k) cells: 14 calls a chunk and 29 a
+# level, and a letter k cells plus _SCAN_ROW_CELLS per row at each of a
+# level's calls, twice over as its rows halve.
+_GATHER = _Kind(
+    "gather", fits=lambda k, _, src, dst, code: k > 1 and _runs(np.sort(code * k + dst)).all(),
+    charge=lambda k, n: 2 * k * n,
+    build=lambda k, n, src, dst, code, cost: (_table((n, k), 0, (code, dst), src, np.intp),
+                                              _table((n, k), _INF, (code, dst), cost)),
+    price=lambda k, table: (14, 2 * 29 * (k + _SCAN_ROW_CELLS), 29),
+    width=lambda k: k, sweep=_sweep_scan, maps=(_gather_then, _gather_apply))
+# The macro-edges of each word enter one hub, to[code], from hub s at
+# costs[s, code]: a reversed coder, or one hub that gathers enter.  Its
+# sweep makes 19 calls more than a one-hub component's 14 (9 more with
+# missing macro-edges), and k cells a letter plus one per call.
+_RANK_ONE = _Kind(
+    "rank-one", fits=lambda k, _, src, dst, code: (
+        _runs(np.sort(code * k + dst)).sum() == _runs(np.sort(code)).sum()),
+    charge=lambda k, n: (k + 1) * n,
+    build=lambda k, n, src, dst, code, cost: (_table(n, 0, code, dst, np.intp),
+                                              _table((k, n), _INF, (src, code), cost)),
+    price=lambda k, table: (14 + 19 + 9 * bool((table[2] >= _INF).any()), k + 19, 0),
+    width=lambda k: k, sweep=_sweep_rank_one)
+# Any other: costs[code, d, s] of the macro-edge from hub s into hub d.
+# Priced as a gather scan with k**2 (k + 9) / 17 cells for k, fit to warm
+# dense scans of k = 3 to 16 hubs, L = 1, 2 and 4, of 16 letters to a
+# chunk (0.1-0.2 ms at k = 3 and 0.4-0.9 ms at k = 16 for 16 letters,
+# 0.3-0.5 and 10-18 us per letter in a chunk); its min-plus products loop
+# over the hubs, 4 more calls per hub a level, fit to the measured
+# break-evens of four compositions of 4 to 8 hubs (hand-offs, letters past
+# `lead`): compose(coder2, coder2) 80 (70-90), compose(coder2, coder4) 44
+# (40-50), compose(coder3, reverse(coder2)) 176 (220-256) and
+# reverse(compose(coder1, coder2)) 313 (290-320).
+_DENSE = _Kind(
+    "dense", fits=lambda *_: True, charge=lambda k, n: k * k * n,
+    build=lambda k, n, src, dst, code, cost: (_table((n, k, k), _INF, (code, dst, src), cost),),
+    price=lambda k, table: (14, 2 * 29 * (k * k * (k + 9) // 17 + _SCAN_ROW_CELLS), 29 + 4 * k),
+    width=lambda k: k * k, sweep=_sweep_scan,
+    maps=(lambda first, then: [_min_plus(then[0], first[0])],
+          lambda maps, x: _min_plus(maps[0], x[..., None])[..., 0]))
+_COMPONENT_KINDS = _ONE_HUB, _ROTATION, _GATHER, _RANK_ONE, _DENSE
 
 
 def _scan_hubs(maps, costs, then, apply):

@@ -500,7 +500,7 @@ def test_trained_coder_compiles_to_one_hub():
     # in; window codes read the block as a binary number, first letter
     # highest.
     [(_, k, length, (kind, costs, missing), gathers)] = hubs.scans
-    assert (k, length, kind, missing, gathers) == (1, 8, "one-hub", None, [])
+    assert (k, length, kind.name, missing, gathers) == (1, 8, "one-hub", None, [])
     assert costs.size == 256
     for word, [(_, _, cost)] in table.items():
         assert costs[int(word, 2)] == cost
@@ -649,11 +649,11 @@ def test_default_path_of_each_mode(name):
 MEASURED_HANDOFFS = {"identity": (40, 64), "union": (100, 250), "wall(5)": (416, 512),
                      "wall(3)": (704, 832), "joint": (96, 128), "coder1": (42, 46),
                      "coder2": (22, 23), "coder3": (8, 9), "coder4": (1, 1),
-                     "skewed coder4": (1, 1), "coder8": (1, 1)}
+                     "skewed coder4": (1, 1), "coder8": (1, 1), "unary(3)": (30, 48)}
 # The hand-offs the compile estimates, pinned, so that no change of the unit
 # costs or of the tail's calls moves the path of a short call unseen.
 HANDOFFS = {"coder1": 46, "coder2": 22, "coder3": 8, "identity": 61, "joint": 113,
-            "unary(3)": 118, "union": 115, "wall(3)": 720, "wall(5)": 466,
+            "unary(3)": 38, "union": 115, "wall(3)": 720, "wall(5)": 466,
             "coder4": 1, "coder5": 1, "coder6": 1, "coder7": 1, "coder8": 1, "skewed coder4": 1,
             "reverse(coder4)": 10, "reverse(coder8)": 1, "compose(coder4, coder4)": 30,
             "layered(coder4, 2)": 23, "layered(skewed coder4, 2)": 23}
@@ -674,7 +674,47 @@ KINDS = {**{name: ["one-hub"] for name in ("identity", "unary(3)", "skewed coder
 def test_component_kinds_of_each_mode_with_a_tail_are_pinned(name):
     make, _ = DEFAULT_PATHS[name]
     hubs = engine._compiled(make().automaton).hubs
-    assert [table and table[0] for _, _, _, table, _ in hubs.scans] == KINDS[name]
+    assert [table and table[0].name for _, _, _, table, _ in hubs.scans] == KINDS[name]
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(data=st.data())
+def test_each_kind_charges_the_cells_it_builds(data):
+    # On drawn hubs and window codes, the cells that a kind charges are
+    # those of the arrays that it builds, but the mask of missing words
+    # (the only bool array); one hub's words are distinct macro-edges.
+    kind = data.draw(st.sampled_from(engine._COMPONENT_KINDS))
+    k = 1 if kind is engine._ONE_HUB else data.draw(st.integers(1, 6))
+    n = data.draw(st.integers(1, 3)) ** data.draw(st.integers(1, 3))
+    code = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n,
+                                       unique=kind is engine._ONE_HUB)), dtype=np.int64)
+    src, dst = (np.array(data.draw(st.lists(st.integers(0, k - 1), min_size=code.size,
+                                            max_size=code.size)), dtype=np.int64)
+                for _ in range(2))
+    arrays = kind.build(k, n, src, dst, code, np.arange(code.size))
+    assert kind.charge(k, n) == sum(a.size for a in arrays if a is not None and a.dtype != bool)
+
+
+# Beside the modes with a tail: dense maps, and gathers into 16 hubs.
+CHARGED_MODES = {"compose(coder2, coder2)": lambda: compose(champ_coder(2), champ_coder(2)),
+                 "fed(reverse(coder4))": lambda: fed(reverse_mode(champ_coder(4)), "01", 5)}
+
+
+@pytest.mark.parametrize("name", [*TAIL_MODES, *CHARGED_MODES])
+def test_the_window_tables_charge_the_cells_they_build(name, monkeypatch):
+    # `_scans` fits the budget of exactly the cells of the arrays that it
+    # builds, gathers' and every kind's, but the masks of missing words.
+    make = DEFAULT_PATHS[name][0] if name in DEFAULT_PATHS else CHARGED_MODES[name]
+    calls, scans = [], engine._scans
+    monkeypatch.setattr(engine, "_scans", lambda *args: calls.append(args) or scans(*args))
+    engine._CompiledSweep(make().automaton)
+    [args] = calls
+    arrays = [array for _, _, _, table, gathers in scans(*args)
+              for array in [*(table[1:] if table else ()), *(gather for _, _, gather in gathers)]]
+    cells = sum(a.size for a in arrays if a is not None and a.dtype != bool)
+    for budget in (cells, cells - 1):
+        monkeypatch.setattr(engine, "_NORMALIZE_BUDGET", budget)
+        assert (scans(*args) is None) == (budget < cells)
 
 
 def handoff_positions(hubs, n):
@@ -729,7 +769,7 @@ def tail_modes(draw):
 def test_the_hand_off_matches_the_oracle_on_hypothesis_modes():
     paths, crossed, dense = set(), set(), set()
 
-    @settings(derandomize=True, database=None, max_examples=80, deadline=None)
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
     @given(data=st.data())
     def check(data):
         aut = data.draw(tail_modes()).automaton
@@ -745,7 +785,7 @@ def test_the_hand_off_matches_the_oracle_on_hypothesis_modes():
             assume(eng.hubs is not None)
             hubs = eng.hubs
             if eng.step is engine._step_numpy:
-                dense.update(table[0] == "dense" for _, _, _, table, _ in hubs.scans if table)
+                dense.update(table[0].name == "dense" for _, _, _, table, _ in hubs.scans if table)
             n = hubs.lead + hubs.handoff + data.draw(st.integers(-1, 1))
             word = bernoulli_bits(data.draw(st.floats(0.05, 0.95)), data.draw(st.integers(0, 999)),
                                   max(n, 1))
@@ -1323,7 +1363,7 @@ def test_functional_scans_match_the_oracle():
             assert swept_by(aut) == path
             positions = scan_positions(hubs, len(word))
             assert engine._sweep(aut, word, positions) == [expected[t] for t in positions]
-        kinds.update(table[0] for _, _, _, table, _ in hubs.scans if table)
+        kinds.update(table[0].name for _, _, _, table, _ in hubs.scans if table)
     check()
     assert {"gather", "rank-one", "dense"} <= kinds
 
@@ -1344,7 +1384,7 @@ def test_reversals_and_compositions_compile_to_functional_maps(make, hubs, compo
     assert swept_by(aut) == STEPS["sums"]
     largest = max(eng.hubs.scans, key=lambda component: component[1])
     assert (len(eng.hubs.scans), largest[1], largest[2]) == (components, hubs, length)
-    assert {table[0] for _, k, _, table, _ in eng.hubs.scans if k > 1} == kinds
+    assert {table[0].name for _, k, _, table, _ in eng.hubs.scans if k > 1} == kinds
     assert eng.hubs.handoff == handoff
     rows = {(n, w, s, d): c for n, table in reference_walk(aut)[2]
             for w, edges in table.items() for s, d, c in edges}
@@ -1386,7 +1426,7 @@ def test_map_kinds_compose_and_apply_as_min_plus_matrices(kind):
     def costs(*extra):
         cost = rng.integers(0, 9, shape + extra)
         return np.where(rng.random(cost.shape) < 0.3, engine._INF, cost)
-    then, apply = engine._KINDS[kind]
+    then, apply = {k.name: k for k in engine._COMPONENT_KINDS}[kind].maps
     for _ in range(20):
         first, second = ({"gather": lambda: [rng.integers(0, k, shape + (k,)), costs(k)],
                           "dense": lambda: [costs(k, k)]}[kind]() for _ in range(2))
@@ -1414,7 +1454,8 @@ def test_rank_one_recurrence_applies_its_maps_as_min_plus_matrices():
         entering = costs(k) if trial % 2 else None
         cost = np.zeros((k, 2 + 6), dtype=np.int64)
         cost[:, :2] = before.T
-        engine._sweep_rank_one(cost, slice(0, k), to.reshape(-1), weights.reshape(6, k).T,
+        engine._sweep_rank_one(cost, slice(0, k),
+                               (engine._RANK_ONE, to.reshape(-1), weights.reshape(6, k).T),
                                lambda m: np.arange(6),
                                None if entering is None else entering.reshape(6, k).T,
                                cost[:, :2], 2)
@@ -1526,7 +1567,8 @@ def test_rank_one_components_match_the_oracle():
     sizes, seen = set(), set()
     sweep = engine._sweep_rank_one
 
-    def watched(cost, members, to, costs, window, entering, before, span):
+    def watched(cost, members, table, window, entering, before, span):
+        _, to, costs = table
         length, width = before.shape[1], cost.shape[1] - span
         codes = window(to.size)
         dst = to[codes]
@@ -1536,7 +1578,7 @@ def test_rank_one_components_match_the_oracle():
             seen.add("first" if i < length else "last" if i // length == last else "inside")
         if (before >= engine._INF).all():
             seen.add("unreachable before")
-        sweep(cost, members, to, costs, window, entering, before, span)
+        sweep(cost, members, table, window, entering, before, span)
         out = cost[members, span:]
         assert (out >= 0).all() and (out <= engine._INF).all()
         if entering is not None:
@@ -1560,7 +1602,7 @@ def test_rank_one_components_match_the_oracle():
         expected = sweep_pure_curve(aut, word)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(engine, "_CHUNK_CELLS", data.draw(st.integers(1, 400)))
-            mp.setattr(engine, "_sweep_rank_one", watched)
+            mp.setattr(engine._RANK_ONE, "sweep", watched)
             force_step(mp, "sums")
             hubs = engine._compiled(aut).hubs
             assume(hubs is not None)
@@ -1592,8 +1634,8 @@ def test_rotation_chains_apply_their_maps_as_min_plus_matrices():
         cost = np.zeros((k + 2, 2 + 6), dtype=np.int64)
         cost[members, :2] = before.T
         engine._sweep_rotation(cost, slice(0, k) if trial % 4 == 0 else members,
-                               shift.reshape(-1), weights.reshape(6, k).T, lambda m: np.arange(6),
-                               cost[members, :2], 2)
+                               (engine._ROTATION, shift.reshape(-1), weights.reshape(6, k).T),
+                               lambda m: np.arange(6), None, cost[members, :2], 2)
         x = before
         for r in range(3):
             x = min_plus_reference(as_matrices("rotation", [shift[r], weights[r]]),
@@ -1627,9 +1669,9 @@ def as_gather_scans(hubs):
     the same maps, for the min-plus scan."""
     def gather(component):
         members, k, length, table, gathers = component
-        if table and table[0] == "rotation":
+        if table and table[0] is engine._ROTATION:
             _, shift, costs = table
-            table = "gather", (np.arange(k) + shift[:, None]) % k, costs.T
+            table = engine._GATHER, (np.arange(k) + shift[:, None]) % k, costs.T
         return members, k, length, table, gathers
     hubs.scans = list(map(gather, hubs.scans))
 
@@ -1644,10 +1686,10 @@ def test_rotation_components_match_the_oracle_and_the_gather_scan():
     seen = set()
     sweep = engine._sweep_rotation
 
-    def watched(cost, members, shift, costs, window, before, span):
+    def watched(cost, members, table, window, entering, before, span):
         if (before >= engine._INF).any():
             seen.add("dead")
-        sweep(cost, members, shift, costs, window, before, span)
+        sweep(cost, members, table, window, entering, before, span)
         assert (cost[members, span:] >= 0).all() and (cost[members, span:] <= engine._INF).all()
 
     @settings(derandomize=True, database=None, max_examples=200, deadline=None)
@@ -1661,12 +1703,12 @@ def test_rotation_components_match_the_oracle_and_the_gather_scan():
         order = data.draw(st.permutations(range(aut.num_states)))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(engine, "_CHUNK_CELLS", data.draw(st.integers(1, 60)))
-            mp.setattr(engine, "_sweep_rotation", watched)
+            mp.setattr(engine._ROTATION, "sweep", watched)
             force_step(mp, "sums")
             hubs = engine._compiled(aut).hubs
             assume(hubs is not None)
-            seen.update((k, bool((table[2] >= engine._INF).any()))
-                        for _, k, _, table, _ in hubs.scans if table and table[0] == "rotation")
+            seen.update((k, bool((table[2] >= engine._INF).any())) for _, k, _, table, _ in hubs.scans
+                        if table and table[0] is engine._ROTATION)
             positions = list(range(1, len(word) + 1))
             assert engine._sweep(aut, word, positions) == expected
             copy = renumbered(mode, order).automaton
@@ -1676,39 +1718,74 @@ def test_rotation_components_match_the_oracle_and_the_gather_scan():
     assert {(k, missing) for k in (2, 3) for missing in (False, True)} | {"dead"} <= seen
 
 
-def test_a_rotation_of_many_hubs_sweeps_within_its_chunk():
-    # layered(coder4, 300)'s copy roots are one rotation component of 300
-    # hubs.  Its sweep allocates a few int64 arrays of k rows of the
-    # chunk's letters, not a table of k**2 cells per window code, and it
-    # gives the values of the gather scan.
-    mode = layered_concat(champ_coder(4), 300)
-    aut = mode.automaton
-    word = bernoulli_bits(0.9, 5, 3000)
-    positions = list(range(100, 3001, 100))
-    peaks, sweep = [], engine._sweep_rotation
+# A sweep of a chunk holds at most SWEEP_ARRAYS int64 arrays of its
+# kind's width (`_Kind.width`) and SWEEP_ROWS of one cell, per letter of
+# the chunk: its memory does not grow with the word, nor with a table of
+# k**2 cells per window code.  Measured peaks (tracemalloc, numpy 2.4),
+# over 8 bytes x width x letters: gather 6.0-6.1, rotation 3.1-4.2, dense
+# 2.7, one-hub 1.1, rank-one 0.1 at 256 hubs; the rank-one root of
+# layered(coder4, 300), one hub, 8-9 in full chunks.
+SWEEP_ARRAYS, SWEEP_ROWS = 8, 16
+# Modes whose components have many hubs where their kind allows it, the
+# (kind, hubs) of each, and the letters of a word that fills a chunk.
+WIDE_KINDS = {
+    "coder8": (lambda: champ_coder(8), {("one-hub", 1)}, 20_000),
+    "layered(coder4, 300)": (lambda: layered_concat(champ_coder(4), 300),
+                             {("rotation", 300), ("rank-one", 1)}, 3_000),
+    "compose(coder4, coder4)": (lambda: compose(champ_coder(4), champ_coder(4)),
+                                {("gather", 31)}, 3_000),
+    "reverse(coder8)": (lambda: reverse_mode(champ_coder(8)), {("rank-one", 256)}, 3_000),
+    "compose(coder2, coder2)": (lambda: compose(champ_coder(2), champ_coder(2)),
+                                {("dense", 4), ("one-hub", 1)}, 10_000),
+}
 
-    def measured(cost, members, shift, costs, window, before, span):
-        tracemalloc.reset_peak()
-        start = tracemalloc.get_traced_memory()[0]
-        sweep(cost, members, shift, costs, window, before, span)
-        peaks.append((tracemalloc.get_traced_memory()[1] - start, len(before) * (cost.shape[1] - span)))
+
+@pytest.mark.parametrize("name", sorted(WIDE_KINDS))
+def test_each_kind_sweeps_within_its_chunk(name):
+    # Every chunk's sweep of every component stays within the bound above,
+    # over the letters of a full chunk, and the rotation sweep of
+    # layered(coder4, 300)'s copy roots, one component of 300 hubs, gives
+    # the values of the gather scan.
+    make, kinds, n = WIDE_KINDS[name]
+    mode = make()
+    aut = mode.automaton
+    word = bernoulli_bits(0.9, 5, n)
+    positions = list(range(100, n + 1, 100))
+    peaks, seen = [], set()
+
+    def measured(kind, sweep):
+        def sweep_measured(cost, members, table, window, entering, before, span):
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            sweep(cost, members, table, window, entering, before, span)
+            peak = tracemalloc.get_traced_memory()[1] - start
+            peaks.append((peak, kind.width(len(before)), cost.shape[1] - span))
+            seen.add((kind.name, len(before)))
+        return sweep_measured
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(engine, "_sweep_rotation", measured)
+        for kind in engine._COMPONENT_KINDS:
+            mp.setattr(kind, "sweep", measured(kind, kind.sweep))
         force_step(mp, "sums")
         hubs = engine._compiled(aut).hubs
-        assert [k for _, k, _, table, _ in hubs.scans if table and table[0] == "rotation"] == [300]
         tracemalloc.start()
         try:
             values = engine._sweep(aut, word, positions)
         finally:
             tracemalloc.stop()
-        # A chunk holds _CHUNK_CELLS cells, padded to a multiple of the period.
-        bound = engine._CHUNK_CELLS + len(hubs.ids) * hubs.period
-        assert len(peaks) > 1 and all(cells <= bound for _, cells in peaks)
-        assert all(peak <= 6 * 8 * bound for peak, _ in peaks), peaks
-        copy = renumbered(mode, range(aut.num_states)).automaton
-        as_gather_scans(engine._compiled(copy).hubs)
-        assert engine._sweep(copy, word, positions) == values
+    assert seen == kinds and values[-1] < UNREACHABLE
+    # A chunk holds _CHUNK_CELLS cells of its widest array, padded to a
+    # multiple of the period.
+    letters = hubs.chunk + hubs.period
+    assert len(peaks) > len(kinds) and all(
+        width * chunk <= engine._CHUNK_CELLS + width * hubs.period for _, width, chunk in peaks)
+    assert all(peak <= 8 * letters * (SWEEP_ARRAYS * width + SWEEP_ROWS)
+               for peak, width, _ in peaks), peaks
+    if ("rotation", 300) in kinds:
+        with pytest.MonkeyPatch.context() as mp:
+            force_step(mp, "sums")
+            copy = renumbered(mode, range(aut.num_states)).automaton
+            as_gather_scans(engine._compiled(copy).hubs)
+            assert engine._sweep(copy, word, positions) == values
 
 
 @pytest.mark.parametrize("make,hubs,chunk", [
@@ -1838,7 +1915,7 @@ def test_layered_coder_compiles_to_three_chain_hubs_and_the_relay(train):
     # the other for both: rotation maps.  The final root is one hub that
     # gathers enter: a rank-one component.  The tail pays back its fixed
     # cost against the numpy step after 23 letters.
-    assert [table and table[0] for _, _, _, table, _ in hubs.scans] == [
+    assert [table and table[0].name for _, _, _, table, _ in hubs.scans] == [
         "rotation", None, "rank-one"]
     assert hubs.handoff == 23
 
@@ -2017,6 +2094,7 @@ def scans(hubs):
         assert len(members) == k
         order.update(dict.fromkeys(members, c))
         kind, *arrays = table or (None,)
+        kind = kind and kind.name
         edges = []                               # (code, local src, local dst, cost)
         if kind == "one-hub":
             costs, missing = arrays
