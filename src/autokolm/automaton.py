@@ -16,7 +16,7 @@ from itertools import compress, count, islice
 
 import numpy as np
 
-from .errors import BudgetExceeded, ContractError, FormatError, InputRejected
+from .errors import BudgetExceeded, ContractError, FormatError
 
 # Epsilon label component: contributes no letter on its tape.
 EPSILON = None
@@ -91,13 +91,6 @@ class LabeledAutomaton:
         for src, dst, label in self.edges:
             adj[src].append((dst, label))
         return adj
-
-
-def check_word(aut: LabeledAutomaton, tape: int, word: str) -> None:
-    """Raise InputRejected on the first symbol of word not in the tape's alphabet."""
-    bad = word.translate(dict.fromkeys(map(ord, aut.alphabets[tape])))
-    if bad:
-        raise InputRejected(f"symbol {bad[0]!r} not in alphabet of tape {tape}")
 
 
 def enumerate_relation(aut: LabeledAutomaton, max_len,

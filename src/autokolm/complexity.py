@@ -20,8 +20,8 @@ from typing import Callable, List
 
 import numpy as np
 
-from .automaton import EPSILON, LabeledAutomaton, check_word, components
-from .errors import BudgetExceeded, ContractError
+from .automaton import EPSILON, LabeledAutomaton, components
+from .errors import BudgetExceeded, ContractError, InputRejected
 from .modes import UNBOUNDED, DescriptionMode, PairDescriptionMode
 
 UNREACHABLE = math.inf
@@ -43,13 +43,15 @@ UNREACHABLE = math.inf
 # step takes alone before a hand-off, costs 1.1-2.0 us.  A prologue
 # table's look-up costs 3 calls and spares the closure step's call, whose
 # fixed part costs about one letter's calls on the numpy step (3.5 us on
-# coder4, 3 a letter).  Hand-offs, letters past `lead` (measured
-# break-even): identity 61 (61-64), union 115 (96-104), wall(5) 466
-# (416-512), wall(3) 720 (704-832), joint 113 (104-112), unary(3) 38
-# (30-48), with prologue tables coder1-3 46/22/8 (42-46, 22-23, 8-9);
-# after the numpy step, with tables coder4, skewed coder4 and the k=8
-# coder 1 (1), reverse(coder4) 10 (14-16), layered(coder4, 2) 23 (24-26)
-# and compose(coder4, coder4) 30 (40-44); with dense maps, see _DENSE.
+# coder4, 3 a letter).  Hand-offs, letters past `lead` (break-even with
+# window codes by doubling: where lines fit to warm calls with the
+# hand-off forced to 0 and 2**30 cross, over a grid around the estimate,
+# 5 Bernoulli(0.9) words, min of 21, 3 rounds): identity 61 (53), union
+# 115 (103), wall(5) 466 (401), wall(3) 720 (722), joint 113 (107),
+# unary(3) 38 (33), with prologue tables coder1-3 46/22/8 (50/29/10);
+# after the numpy step, with tables coder4-8 and skewed coder4 1 (1),
+# reverse(coder4) 10 (14), reverse(coder8) 1 (3), layered(coder4, 2) 23
+# (26) and compose(coder4, coder4) 30 (42); with dense maps, see _DENSE.
 _US_PER_RELAXATION, _US_PER_CALL, _US_PER_SCATTER, _US_PER_CELL = 0.1, 0.6, 0.004, 0.0005
 _NUMPY_STEP_CALLS = 5
 _TAIL_CALLS = {"chunk": 14, "gather": 3, "ring": 2, "prologue": 3}
@@ -71,6 +73,11 @@ _INF = 1 << 61
 # cap).
 _CHUNK_CELLS = 1 << 16
 _CHUNK_LETTERS = 1 << 14
+# Window codes by doubling (`_windows`) cost 2 numpy calls a level, and
+# one correlation less below about 512 windows (min of 7, 2-vCPU host: at
+# span 8 5.7 against 2.2 us at 16 windows and 6.4 against 8.3 at 1,024;
+# the two cross at 500-900 windows for spans 3 to 8).
+_DOUBLING_WINDOWS = 512
 # Closure edges over all letters.  The closure is charged from its entry
 # counts (each entry into t makes one edge per letter-reading edge out of
 # t) before any closure edge is made: the trivial and one-hop entries at
@@ -178,12 +185,15 @@ def _sweep(aut: LabeledAutomaton, word: str, positions: List[int]) -> list:
     the code of the word's first `lead` letters, or else from the closure
     step, one letter at a time (read from the Python step's dict as from
     the numpy step's array).  The tail answers the positions past `lead`
-    from those rows, if one is reachable.
+    from those rows, if one is reachable.  The word is read once, into
+    its letters' ranks (`_Ranks`), which is also its alphabet check.
     """
-    check_word(aut, aut.arity - 1, word)
+    eng = _compiled(aut)
+    letters = word.translate(eng.rank)
+    if (bad := letters.find(eng.rank.other)) >= 0:
+        raise InputRejected(f"symbol {word[bad]!r} not in alphabet of tape {aut.arity - 1}")
     if aut.num_states == 0:
         return [UNREACHABLE] * len(positions)
-    eng = _compiled(aut)
     hubs = eng.hubs
     stops, lead, fill, last = positions, positions[-1], (), None
     if hubs is not None and lead - hubs.lead >= hubs.handoff:
@@ -194,8 +204,8 @@ def _sweep(aut: LabeledAutomaton, word: str, positions: List[int]) -> list:
             last = np.empty((hubs.span, len(hubs.ids)), dtype=np.int64)
         else:
             code = 0
-            for a in word[:lead]:
-                code = code * len(hubs.rank) + hubs.rank[ord(a)]
+            for r in map(ord, letters[:lead]):
+                code = code * len(hubs.alphabet) + r
             stops = positions[:bisect_right(positions, lead)]
             last = hubs.prologue[code] if hubs.reached[code] else None
     dist, best, done, out = eng.start, 0, 0, []
@@ -211,7 +221,9 @@ def _sweep(aut: LabeledAutomaton, word: str, positions: List[int]) -> list:
         if t == positions[len(out)]:
             out.append(best)
     if best != UNREACHABLE and lead < positions[-1] and last is not None:
-        out += _sweep_sums(hubs, word, positions[len(out):], last)
+        letters += letters[:1] * (hubs.period - 1)        # a last chunk's padding
+        ranks = np.frombuffer(letters.encode(eng.rank.codec, "surrogatepass"), eng.rank.dtype)
+        out += _sweep_sums(hubs, ranks, positions[len(out):], last)
     return out + [UNREACHABLE] * (len(positions) - len(out))
 
 
@@ -238,10 +250,11 @@ class _CompiledSweep:
     the closure edges' sources or a numpy scatter-min over the closure
     edges, and the hub graph (`_Hubs`) that the prefix sums tail
     (`_sweep_sums`) sweeps past its `lead` from `handoff` letters on, or
-    None.
+    None; `rank` reads words (`_Ranks`).
     """
 
     def __init__(self, aut: LabeledAutomaton):
+        self.rank = _Ranks(aut.alphabets[-1])
         edges = _classify_edges(aut)
         entries, reach, dominant, relays = _closure_into(aut.num_states, *edges)
         by_letter = _closure_edges(entries, *edges, aut.alphabets[-1])
@@ -258,6 +271,21 @@ class _CompiledSweep:
                                         for s, _, _ in edges), 0)
         else:
             self.start = np.zeros(aut.num_states, dtype=np.int64)
+
+
+class _Ranks(dict):
+    """`str.translate`'s table from each letter of the object alphabet to
+    its rank, its index there, and from any other code point to |alphabet|
+    (`other`); `codec` encodes ranks as the narrowest unsigned `dtype` that
+    holds |alphabet|."""
+
+    def __init__(self, alphabet):
+        super().__init__(zip(map(ord, alphabet), range(len(alphabet))))
+        self.other, self.dtype = chr(len(alphabet)), np.min_scalar_type(len(alphabet))
+        self.codec = {1: "latin-1", 2: "utf-16-le", 4: "utf-32-le"}[self.dtype.itemsize]
+
+    def __missing__(self, point):
+        return len(self)
 
 
 def _ranges(first, count):
@@ -490,10 +518,10 @@ class _Hubs:
     state leading into the cycle meets.  From each out-edge of a hub, the
     out-degree-1 states lead one letter at a time to the next hub: that
     path is a macro-edge with an object word w, a cost, and the cost of
-    each proper prefix.  A word is held as its code: the letters'
-    positions in the object alphabet (`rank`) read as digits in base
-    |alphabet|, first letter most significant, so that the code of a
-    word's last n letters is its code mod |alphabet|**n.  `part` holds,
+    each proper prefix.  A word is held as its code: the letters' ranks,
+    their positions in `alphabet`, read as digits in base |alphabet|,
+    first letter most significant, so that the code of a word's last n
+    letters is its code mod |alphabet|**n.  `part` holds,
     per 1 <= j < span, the code of w[:j] -> [(src hub, prefix cost)], the
     cheapest entry per hub.  Chains may merge, so one state can lie on
     many macro-edges.
@@ -532,9 +560,7 @@ class _Hubs:
     def __init__(self, ids, lead, span, part, alphabet, scans, prologue):
         self.ids, self.lead, self.span, self.part, self.scans = ids, lead, span, part, scans
         self.prologue, self.reached = prologue or (None, None)
-        self.keys, self.handoff = ids.tolist(), 0
-        self.rank = {ord(a): i for i, a in enumerate(alphabet)}
-        self.powers = len(alphabet) ** np.arange(self.span, dtype=np.intp)
+        self.keys, self.handoff, self.alphabet = ids.tolist(), 0, alphabet
         self.period = math.lcm(*(length for _, _, length, _, _ in scans if length))
         widest = max([len(ids), *(table[0].width(k) for _, k, _, table, _ in scans if table)])
         self.chunk = max(min(_CHUNK_CELLS // max(widest, 1), _CHUNK_LETTERS), 1)
@@ -780,7 +806,7 @@ def _word_tables(table):
             for n, i, k in zip(lengths[cut[:-1]].tolist(), cut, cut[1:])]
 
 
-def _sweep_sums(hubs: _Hubs, word: str, positions: List[int], last) -> list:
+def _sweep_sums(hubs: _Hubs, ranks, positions: List[int], last) -> list:
     """Values of K at the positions past `lead` by scans over the hub
     graph's components (`_Hubs.scans`), up to the first unreachable one.
 
@@ -799,8 +825,7 @@ def _sweep_sums(hubs: _Hubs, word: str, positions: List[int], last) -> list:
     there mod base**j.
     """
     span, lead, stop = hubs.span, hubs.lead, positions[-1]
-    base = len(hubs.rank)
-    top = base ** span
+    base = len(hubs.alphabet)
     past = last.T
     out, samples = [], iter(positions)
     want = next(samples)
@@ -808,16 +833,12 @@ def _sweep_sums(hubs: _Hubs, word: str, positions: List[int], last) -> list:
         size = min(hubs.chunk, stop + 1 - first)
         padded = size + -size % hubs.period
         # codes[i]: the code of the window that ends at letter first + i.  The
-        # padding repeats the word's first letter.
-        text = word[first - span:first + size - 1] + word[0] * (padded - size)
-        codes = np.frombuffer(text.translate(hubs.rank).encode("utf-32-le", "surrogatepass"),
-                              dtype=np.uint32)
-        # A window of one letter is its rank.
-        codes = np.convolve(codes, hubs.powers, "valid") if span > 1 else codes.astype(np.intp)
+        # padding reads on, and past the word's end repeats its first letter.
+        codes = _windows(ranks[first - span:first + padded - 1], base, span)
         # cost[h, span + i]: the cost of hub h at letter first + i.
         cost = np.empty((len(hubs.ids), span + padded), dtype=np.int64)
         cost[:, :span] = past
-        windows = {top: codes}
+        windows = {base ** span: codes}
 
         def window(m):
             if m not in windows:
@@ -843,6 +864,26 @@ def _sweep_sums(hubs: _Hubs, word: str, positions: List[int], last) -> list:
         if first + size <= stop and (past >= _INF).all():
             break                        # no hub is reachable from here on
     return out
+
+
+def _windows(ranks, base: int, span: int):
+    """The codes (`_Hubs`) of the windows of span letters in `ranks`, as
+    intp.  Fewer than _DOUBLING_WINDOWS of more than two letters take one
+    correlation with the powers of base; more double (Hillis & Steele,
+    "Data parallel algorithms", 1986) in the narrowest dtype that holds
+    base**span - 1: windows of 2m letters from two of m, and of span
+    letters from one per set bit of span, the lowest bit's most significant."""
+    n = ranks.size - span + 1
+    if span > 2 and n < _DOUBLING_WINDOWS:
+        return np.correlate(ranks, base ** np.arange(span - 1, -1, -1), "valid")
+    level, codes, have, m = ranks.astype(np.min_scalar_type(base ** span - 1)), None, 0, 1
+    while True:                          # level: the codes of the windows of m letters
+        if span & m:
+            piece, have = level[have:have + n], have + m
+            codes = piece if codes is None else codes * base ** m + piece
+        if have == span:
+            return codes.astype(np.intp)
+        level, m = level[:-m] * base ** m + level[m:], 2 * m
 
 
 def _sweep_component(cost, members, k, length, table, gathers, window, span):

@@ -19,12 +19,11 @@ from hypothesis import strategies as st
 from autokolm.automaton import (
     EPSILON,
     LabeledAutomaton,
-    check_word,
     enumerate_relation,
 )
 from autokolm.complexity import complexity
 from autokolm.constructions import SelectionRule
-from autokolm.errors import BudgetExceeded, ContractError, FormatError
+from autokolm.errors import BudgetExceeded, ContractError, FormatError, InputRejected
 from autokolm.modes import (
     BINARY,
     DescriptionMode,
@@ -69,6 +68,13 @@ def random_finite_mode(rng: random.Random, max_states: int = 5,
 def superadditivity_check(mode: DescriptionMode, x: str, y: str) -> bool:
     """Does K(xy) >= K(x) + K(y) hold?  Unreachable counts as +infinity."""
     return complexity(mode, x + y) >= complexity(mode, x) + complexity(mode, y)
+
+
+def check_word(aut: LabeledAutomaton, tape: int, word: str) -> None:
+    """Raise InputRejected on the first symbol of word not in the tape's alphabet."""
+    bad = word.translate(dict.fromkeys(map(ord, aut.alphabets[tape])))
+    if bad:
+        raise InputRejected(f"symbol {bad[0]!r} not in alphabet of tape {tape}")
 
 
 def read_relation_contains(aut: LabeledAutomaton, words: Sequence[str]) -> bool:

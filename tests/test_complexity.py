@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from autokolm.automaton import EPSILON, LabeledAutomaton
@@ -39,6 +39,7 @@ from autokolm.seqgen import bernoulli_bits, champernowne_bits
 from helpers import (
     all_accepting_rule,
     brute_force_k_table,
+    check_word,
     hub_tables_reference,
     hub_walk_reference,
     none_accepting_rule,
@@ -769,16 +770,22 @@ def tail_modes(draw):
 def test_the_hand_off_matches_the_oracle_on_hypothesis_modes():
     paths, crossed, dense = set(), set(), set()
 
+    # Chunks of a few dozen letters and more, so that the words around the
+    # hand-off cross them, or of the default size, whose letters amortize
+    # the tail's fixed cost as the numpy step's do.  The examples reach each
+    # case that the last assertion asks for, whatever the drawn ones do: a
+    # word across chunks after the Python step, and dense maps after the
+    # numpy step.
     @settings(derandomize=True, database=None, max_examples=100, deadline=None)
-    @given(data=st.data())
-    def check(data):
-        aut = data.draw(tail_modes()).automaton
+    @given(mode=tail_modes(), cells=st.integers(48, 400) | st.just(engine._CHUNK_CELLS),
+           past=st.integers(-1, 1), p=st.floats(0.05, 0.95), seed=st.integers(0, 999))
+    @example(mode=champ_coder(1), cells=48, past=0, p=0.5, seed=1)
+    @example(mode=compose(champ_coder(2), champ_coder(2)), cells=engine._CHUNK_CELLS, past=1,
+             p=0.5, seed=1)
+    def check(mode, cells, past, p, seed):
+        aut = mode.automaton
         with pytest.MonkeyPatch.context() as mp:
-            # Chunks of a few dozen letters and more, so that the words
-            # around the hand-off cross them, or of the default size, whose
-            # letters amortize the tail's fixed cost as the numpy step's do.
-            mp.setattr(engine, "_CHUNK_CELLS", data.draw(
-                st.integers(48, 400) | st.just(engine._CHUNK_CELLS)))
+            mp.setattr(engine, "_CHUNK_CELLS", cells)
             mp.setattr(engine, "_sweep_cache", {})
             eng = engine._compiled(aut)
             paths.add(swept_by(aut))
@@ -786,9 +793,7 @@ def test_the_hand_off_matches_the_oracle_on_hypothesis_modes():
             hubs = eng.hubs
             if eng.step is engine._step_numpy:
                 dense.update(table[0].name == "dense" for _, _, _, table, _ in hubs.scans if table)
-            n = hubs.lead + hubs.handoff + data.draw(st.integers(-1, 1))
-            word = bernoulli_bits(data.draw(st.floats(0.05, 0.95)), data.draw(st.integers(0, 999)),
-                                  max(n, 1))
+            word = bernoulli_bits(p, seed, max(hubs.lead + hubs.handoff + past, 1))
             expected = sweep_pure_curve(aut, word)
             positions = sorted({*handoff_positions(hubs, len(word)),
                                 *scan_positions(hubs, len(word))})
@@ -975,6 +980,106 @@ def test_hub_keys_cover_large_object_alphabets(forced_step):
         curve = complexity_curve(mode, text, len(text), 1, verify=False)
         assert [k for _, k in curve.samples] == sweep_pure_curve(aut, text)[1:]
     assert swept_by(aut) == forced_step
+
+
+def rejection(aut, word) -> str:
+    """The message with which `check_word`, the reference alphabet check,
+    rejects `word` on the object tape."""
+    with pytest.raises(InputRejected) as rejected:
+        check_word(aut, aut.arity - 1, word)
+    return str(rejected.value)
+
+
+@pytest.mark.parametrize("make,word", [
+    # The last letter of words of three tail chunks of 16,384 letters.
+    (identity_mode, "01" * 19_999 + "12"),
+    (lambda: champ_coder(8), "01" * 19_999 + "12"),
+    # Past a 0, on which unary(3) becomes unreachable: on the closure step,
+    # and on a word that reaches the tail's hand-off.
+    (lambda: unary_compressor(3), "01x"),
+    (lambda: unary_compressor(3), "0" + "1" * 1_000 + "x"),
+    # A lone surrogate; a letter past the Basic Multilingual Plane; a code
+    # point above every letter.
+    (identity_mode, "01\udc00"),
+    (identity_mode, "0\U0001F600"),
+    (identity_mode, "01z"),
+], ids=["identity-chunks", "coder8-chunks", "unreachable-step", "unreachable-tail", "surrogate",
+        "past-bmp", "above"])
+def test_a_symbol_outside_the_alphabet_is_rejected_wherever_it_is(make, word):
+    mode = make()
+    step = 1 if len(word) < 5_000 else 1_000
+    if word[0] == "0" and mode.name == "unary(3)":
+        assert complexity(mode, word[:-1]) == UNREACHABLE
+    for sweep in (lambda: complexity(mode, word),
+                  lambda: complexity_curve(mode, word, len(word), step, verify=False)):
+        with pytest.raises(InputRejected) as got:
+            sweep()
+        assert str(got.value) == rejection(mode.automaton, word)
+
+
+def test_letters_past_the_basic_multilingual_plane(forced_step):
+    # Hub 0 reads a for a description bit and U+1F600 for none.
+    letters = ("a", "\U0001F600")
+    aut = LabeledAutomaton(2, (BINARY, letters), 1,
+                           ((0, 0, ("1", "a")), (0, 0, (EPSILON, "\U0001F600"))))
+    mode = DescriptionMode(aut, ValuednessCertificate.asserted(1, "test"))
+    word = "a\U0001F600\U0001F600a" * 30
+    assert complexity(mode, word) == 60
+    curve = complexity_curve(mode, word, len(word), 1, verify=False)
+    assert [k for _, k in curve.samples] == sweep_pure_curve(aut, word)[1:]
+    for text in (word + "\U0001F601", "\U0001F601" + word, word + "b"):
+        with pytest.raises(InputRejected) as got:
+            complexity(mode, text)
+        assert str(got.value) == rejection(aut, text)
+    assert_swept_by(aut, forced_step)
+
+
+@pytest.mark.parametrize("size", [255, 256, 300])
+def test_words_over_alphabets_of_a_byte_and_more(forced_step, size):
+    # Hub 0 spells each pair (i, i+1) of the letters from "!" on for one
+    # description bit.  The ranks of 255 letters and the one past them fit
+    # a byte, of 256 or 300 two bytes; the window codes of two letters fit
+    # two bytes at 255 and 256 letters (65,025 and 65,536 codes) and four
+    # at 300.
+    letters = tuple(a for a in map(chr, range(0x21, 0x200)) if a not in "-#" and not a.isspace())
+    letters = letters[:size]
+    edges = []
+    for i in range(size):
+        edges += [(0, 1 + i, ("1", letters[i])),
+                  (1 + i, 0, (EPSILON, letters[(i + 1) % size]))]
+    aut = LabeledAutomaton(2, (BINARY, letters), size + 1, tuple(edges))
+    mode = DescriptionMode(aut, ValuednessCertificate.asserted(1, "test"))
+    word = "".join(letters[i] + letters[(i + 1) % size] for i in (size - 1, 0, size - 2, 7))
+    for text in (word, word + letters[5], word[:-1] + letters[5]):
+        curve = complexity_curve(mode, text, len(text), 1, verify=False)
+        assert [k for _, k in curve.samples] == sweep_pure_curve(aut, text)[1:]
+    for bad in (chr(ord(letters[-1]) + 1), chr(0x10FFFF), "\ud800", "\x01"):
+        for text in (bad + word, word + bad):
+            with pytest.raises(InputRejected) as got:
+                complexity(mode, text)
+            assert str(got.value) == rejection(aut, text)
+    assert_swept_by(aut, forced_step)
+
+
+@pytest.mark.parametrize("base,span,width", [
+    (2, 8, 1), (4, 4, 1), (16, 2, 1), (3, 5, 1),                     # up to 2**8 codes
+    (257, 1, 2), (17, 2, 2), (7, 3, 2),                              # past 2**8
+    (2, 16, 2), (4, 8, 2), (16, 4, 2), (256, 2, 2),                  # 2**16
+    (65_537, 1, 4), (257, 2, 4), (17, 4, 4), (3, 11, 4)])            # past 2**16
+@pytest.mark.parametrize("windows", [20, 2_000])
+@pytest.mark.parametrize("doubling", [0, 1 << 30])
+def test_window_codes_match_a_convolution_at_the_dtype_bounds(monkeypatch, base, span, width,
+                                                               windows, doubling):
+    # The codes of |alphabet|**span = 2**8, 2**8 + 1, 2**16 and 2**16 + 1
+    # and next to them, in the narrowest dtype that holds them, by doubling
+    # or by the correlation that short chunks take, against np.convolve.
+    monkeypatch.setattr(engine, "_DOUBLING_WINDOWS", doubling)
+    assert np.min_scalar_type(base ** span - 1).itemsize == width
+    ranks = np.random.default_rng(base * span).integers(0, base, windows + span - 1)
+    ranks[:span + 3] = base - 1                          # the largest code, and its neighbours
+    expected = np.convolve(ranks, base ** np.arange(span), "valid")
+    codes = engine._windows(ranks.astype(np.min_scalar_type(base)), base, span)
+    assert codes.dtype == np.intp and codes.tolist() == expected.tolist()
 
 
 def test_compiled_sweep_is_freed_with_its_automaton(monkeypatch):
@@ -1348,15 +1453,19 @@ def functional_modes(draw):
 def test_functional_scans_match_the_oracle():
     kinds = set()
 
+    # The examples reach each kind that the last assertion asks for.
     @settings(derandomize=True, database=None, max_examples=150, deadline=None)
-    @given(data=st.data())
-    def check(data):
-        aut = data.draw(functional_modes()).automaton
-        word = bernoulli_bits(data.draw(st.floats(0.05, 0.95)), data.draw(st.integers(0, 999)),
-                              data.draw(st.integers(1, 120)))
+    @given(mode=functional_modes(), p=st.floats(0.05, 0.95), seed=st.integers(0, 999),
+           length=st.integers(1, 120), cells=st.integers(1, 400))
+    @example(mode=reverse_mode(champ_coder(2)), p=0.5, seed=1, length=60, cells=40)
+    @example(mode=compose(champ_coder(3), champ_coder(3)), p=0.5, seed=1, length=60, cells=40)
+    @example(mode=compose(champ_coder(2), champ_coder(2)), p=0.5, seed=1, length=60, cells=40)
+    def check(mode, p, seed, length, cells):
+        aut = mode.automaton
+        word = bernoulli_bits(p, seed, length)
         expected = sweep_pure_curve(aut, word)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(engine, "_CHUNK_CELLS", data.draw(st.integers(1, 400)))
+            mp.setattr(engine, "_CHUNK_CELLS", cells)
             path = force_step(mp, "sums")
             hubs = engine._compiled(aut).hubs
             assume(hubs is not None)
@@ -1593,15 +1702,32 @@ def test_rank_one_components_match_the_oracle():
                 seen.add("gather into another hub")
         sizes.add((costs.shape[0], entering is not None))
 
+    def reversal(weights):
+        return reverse_mode(trie_coder(huffman_code(weights)))
+    three, four = {"11": 1, "01": 8, "10": 1}, {"10": 6, "01": 5, "00": 3, "11": 2}
+    five = {"100": 8, "101": 3, "000": 4, "001": 3, "111": 1}
+
+    # The examples reach every case that the last assertions ask for, one
+    # for each size of component, alone and fed: words over 0.1 bits in
+    # chunks of one letter, and over 0.5 bits in chunks of 40.
     @settings(derandomize=True, database=None, max_examples=300, deadline=None)
-    @given(data=st.data())
-    def check(data):
-        aut = data.draw(rank_one_modes()).automaton
-        word = bernoulli_bits(data.draw(st.floats(0.05, 0.95)), data.draw(st.integers(0, 999)),
-                              data.draw(st.integers(1, 120)))
+    @given(mode=rank_one_modes(), p=st.floats(0.05, 0.95), seed=st.integers(0, 999),
+           length=st.integers(1, 120), cells=st.integers(1, 400))
+    @example(mode=fed(reversal({"0": 3}), "01", 1), p=0.5, seed=1, length=40, cells=40)
+    @example(mode=reversal({"0": 5, "1": 3}), p=0.1, seed=1, length=40, cells=1)
+    @example(mode=fed(reversal({"0": 3, "1": 5}), "110", 2), p=0.1, seed=1, length=40, cells=1)
+    @example(mode=reversal(three), p=0.1, seed=1, length=40, cells=1)
+    @example(mode=fed(reversal(three), "0", 2), p=0.1, seed=1, length=40, cells=1)
+    @example(mode=reversal(four), p=0.1, seed=1, length=40, cells=1)
+    @example(mode=fed(reversal(four), "0", 10), p=0.1, seed=1, length=40, cells=1)
+    @example(mode=reversal(five), p=0.1, seed=1, length=40, cells=1)
+    @example(mode=fed(reversal(five), "0", 15), p=0.1, seed=1, length=40, cells=1)
+    def check(mode, p, seed, length, cells):
+        aut = mode.automaton
+        word = bernoulli_bits(p, seed, length)
         expected = sweep_pure_curve(aut, word)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(engine, "_CHUNK_CELLS", data.draw(st.integers(1, 400)))
+            mp.setattr(engine, "_CHUNK_CELLS", cells)
             mp.setattr(engine._RANK_ONE, "sweep", watched)
             force_step(mp, "sums")
             hubs = engine._compiled(aut).hubs
@@ -2054,7 +2180,7 @@ def reference_walk(aut):
 
 def spelled(hubs, code: int, n: int) -> str:
     """The word of n letters whose code is `code` in a compiled `_Hubs`."""
-    letters = [chr(a) for a in hubs.rank]        # in rank order
+    letters = hubs.alphabet                      # in rank order
     return "".join(letters[code // len(letters) ** i % len(letters)] for i in reversed(range(n)))
 
 
