@@ -20,7 +20,7 @@ from typing import Callable, List
 
 import numpy as np
 
-from .automaton import EPSILON, LabeledAutomaton, components
+from .automaton import LabeledAutomaton, components
 from .errors import BudgetExceeded, ContractError, InputRejected
 from .modes import UNBOUNDED, DescriptionMode, PairDescriptionMode
 
@@ -162,16 +162,7 @@ def _classify_edges(aut: LabeledAutomaton):
     """The edges as int64 arrays (src, dst, letter, weight): letter is the
     object letter's index in the object alphabet (-1 for epsilon), weight
     the count of non-epsilon description components."""
-    obj, count = aut.arity - 1, len(aut.edges)
-    src, dst, labels = zip(*aut.edges) if count else ((), (), ())
-    kinds = {label: i for i, label in enumerate(dict.fromkeys(labels))}
-    index = {a: i for i, a in enumerate(aut.alphabets[obj])}
-    index[EPSILON] = -1
-    letter = np.array([index[label[obj]] for label in kinds], dtype=np.int64)
-    weight = np.array([obj - label[:obj].count(EPSILON) for label in kinds], dtype=np.int64)
-    kind = np.fromiter(map(kinds.__getitem__, labels), np.int64, count)
-    return (np.fromiter(src, np.int64, count), np.fromiter(dst, np.int64, count),
-            letter[kind], weight[kind])
+    return aut.src, aut.dst, aut.letters[-1], np.count_nonzero(aut.letters[:-1] >= 0, axis=0)
 
 
 def _sweep(aut: LabeledAutomaton, word: str, positions: List[int]) -> list:
@@ -186,12 +177,15 @@ def _sweep(aut: LabeledAutomaton, word: str, positions: List[int]) -> list:
     step, one letter at a time (read from the Python step's dict as from
     the numpy step's array).  The tail answers the positions past `lead`
     from those rows, if one is reachable.  The word is read once, into
-    its letters' ranks (`_Ranks`), which is also its alphabet check.
+    its letters' ranks (`_Ranks`), which is also its alphabet check: a
+    cold call makes it before it compiles the mode.
     """
-    eng = _compiled(aut)
-    letters = word.translate(eng.rank)
-    if (bad := letters.find(eng.rank.other)) >= 0:
+    eng = _sweep_cache.get(id(aut))
+    rank = _Ranks(aut.alphabets[-1]) if eng is None else eng.rank
+    letters = word.translate(rank)
+    if (bad := letters.find(rank.other)) >= 0:
         raise InputRejected(f"symbol {word[bad]!r} not in alphabet of tape {aut.arity - 1}")
+    eng = eng or _compiled(aut)
     if aut.num_states == 0:
         return [UNREACHABLE] * len(positions)
     hubs = eng.hubs

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import operator
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -42,6 +42,9 @@ BINARY = ("0", "1")
 _PROFILE_BUDGET = 4_000_000
 # The `witness` of a valuedness_profile whose caller ran no eps_cycle_check.
 _UNCHECKED = object()
+# eps_cycle_check's trim stops after a round that drops less than 1/_TRIM_STOP
+# of the edges left: a chain loses two a round, k=8 coder chains go in four.
+_TRIM_STOP = 8
 
 
 @dataclass(frozen=True)
@@ -153,9 +156,10 @@ def union(m1: DescriptionMode, m2: DescriptionMode) -> DescriptionMode:
     if a1.alphabets != a2.alphabets:
         raise ContractError("union requires equal alphabets per tape")
     shift = a1.num_states
-    edges = a1.edges + tuple((s + shift, d + shift, lab) for s, d, lab in a2.edges)
-    aut = LabeledAutomaton(arity=2, alphabets=a1.alphabets,
-                           num_states=a1.num_states + a2.num_states, edges=edges)
+    aut = LabeledAutomaton.from_columns(2, a1.alphabets, shift + a2.num_states,
+                                        np.concatenate([a1.src, a2.src + shift]),
+                                        np.concatenate([a1.dst, a2.dst + shift]),
+                                        np.concatenate([a1.letters, a2.letters], axis=1))
     return DescriptionMode(aut, cert, name=f"union({m1.name},{m2.name})")
 
 
@@ -184,10 +188,10 @@ def append_symbol(m: DescriptionMode, s: str) -> DescriptionMode:
     if s not in aut.alphabets[1]:
         raise ContractError(f"symbol {s!r} not in object alphabet")
     sink = aut.num_states
-    new_edges = tuple((v, sink, (EPSILON, s)) for v in range(aut.num_states))
-    out = LabeledAutomaton(arity=2, alphabets=aut.alphabets,
-                           num_states=aut.num_states + 1,
-                           edges=aut.edges + new_edges)
+    out = LabeledAutomaton.from_columns(
+        2, aut.alphabets, sink + 1, np.concatenate([aut.src, np.arange(sink)]),
+        np.concatenate([aut.dst, np.full(sink, sink)]),
+        np.concatenate([aut.letters, np.tile([[-1], [aut.alphabets[1].index(s)]], sink)], axis=1))
     return DescriptionMode(out, cert, name=f"append({m.name},{s})")
 
 
@@ -230,34 +234,30 @@ def layered_concat(m: DescriptionMode, n_layers: int) -> DescriptionMode:
     aut = m.automaton
     if set(aut.alphabets[0]) != set(BINARY):
         raise ContractError("layered concatenation needs a binary description alphabet")
-    n = aut.num_states
-    N = n_layers
-    extra = N + 1  # index of the final copy
-    hub = (N + 2) * n
+    n, N = aut.num_states, n_layers
+    hub = (N + 2) * n          # copy c of state v is c * n + v; copy N + 1 is the final one
     if hub + 1 > MAX_FILE_STATES:
         # No mode file could hold it; refuse before building its edges.
         raise BudgetExceeded(f"layered({m.name}, N={N}) would have {hub + 1} states",
                              MAX_FILE_STATES)
-
-    def state(copy, v):
-        return copy * n + v
-
-    edges = []
-    for s, d, (desc, obj) in aut.edges:
-        if desc is EPSILON:
-            for copy in range(N + 2):
-                edges.append((state(copy, s), state(copy, d), (desc, obj)))
-        else:
-            for layer in range(N):
-                edges.append((state(layer, s), state(layer + 1, d), (desc, obj)))
-            edges.append((state(extra, s), state(extra, d), (desc, obj)))
-    for v in range(n):
-        edges.append((state(N, v), state(0, v), ("0", EPSILON)))
-        edges.append((state(N, v), hub, ("1", EPSILON)))
-        edges.append((hub, state(extra, v), (EPSILON, EPSILON)))
+    # A base edge reading a description bit steps from copy c < N to c + 1,
+    # and inside the final copy; the others stay, in every copy.
+    reads = aut.letters[0] >= 0
+    copies = N + 2 - reads
+    base = np.repeat(np.arange(reads.size), copies)
+    copy = np.arange(base.size) - np.repeat(np.cumsum(copies) - copies, copies)
+    # Then the glue of each state v of copy N: bit 0 back to copy 0, bit 1
+    # into the hub, and the hub's edge to v in the final copy.
+    up, v, hubs = reads[base], np.arange(n), np.full(n, hub)
+    src = np.concatenate([(copy + (up & (copy == N))) * n + aut.src[base],
+                          np.stack([N * n + v, N * n + v, hubs], axis=1).ravel()])
+    dst = np.concatenate([(copy + up) * n + aut.dst[base],
+                          np.stack([v, hubs, (N + 1) * n + v], axis=1).ravel()])
+    bits = [aut.alphabets[0].index("0"), aut.alphabets[0].index("1"), -1]
     # A state-less base keeps an empty relation: no hub then.
-    out = LabeledAutomaton(arity=2, alphabets=aut.alphabets,
-                           num_states=hub + 1 if n else 0, edges=tuple(edges))
+    out = LabeledAutomaton.from_columns(2, aut.alphabets, hub + 1 if n else 0, src, dst,
+                                        np.concatenate([aut.letters[:, base],
+                                                        np.tile([bits, [-1] * 3], n)], axis=1))
     return DescriptionMode(out, cert, name=f"layered({m.name},N={N})")
 
 
@@ -289,44 +289,52 @@ def eps_cycle_check(mode_or_aut):
     so finding one proves the relation is not O(1)-valued.  Returns None
     when no such cycle exists (necessary, not sufficient, for bounded
     valuedness) or the witness cycle as a tuple of edges.
+
+    The silent edges, which consume nothing, are trimmed in rounds first:
+    those whose source has no silent in-edge left or whose target no
+    silent out-edge lie on no cycle.  `components` runs on what is left.
     """
     aut = getattr(mode_or_aut, "automaton", mode_or_aut)
-    obj_tape = aut.arity - 1
-    no_description = (EPSILON,) * obj_tape
-    silent = [e for e in aut.edges if e[2][:obj_tape] == no_description]
-    src = np.array([s for s, _, _ in silent], dtype=np.int64)
-    dst = np.array([d for _, d, _ in silent], dtype=np.int64)
-    writes = np.array([label[obj_tape] is not EPSILON for _, _, label in silent], dtype=bool)
-    comp = components(aut.num_states, src, dst)
-    hits = np.flatnonzero(writes & (comp[src] == comp[dst]))
+    keep = np.flatnonzero((aut.letters[:-1] < 0).all(axis=0))
+    while keep.size:
+        src, dst = aut.src[keep], aut.dst[keep]
+        on = (np.bincount(dst, minlength=aut.num_states) > 0)[src]
+        on &= (np.bincount(src, minlength=aut.num_states) > 0)[dst]
+        before, keep = keep.size, keep[on]
+        if (before - keep.size) * _TRIM_STOP < before:
+            break
+    if not keep.size:
+        return None
+    nodes, ends = np.unique(np.concatenate([aut.src[keep], aut.dst[keep]]), return_inverse=True)
+    comp = components(nodes.size, ends[:keep.size], ends[keep.size:])
+    hits = keep[(aut.letters[-1, keep] >= 0) & (comp[ends[:keep.size]] == comp[ends[keep.size:]])]
     if not hits.size:
         return None
-    edge = silent[hits[0]]
-    return (edge, *_silent_path(aut.num_states, silent, edge[1], edge[0]))
+    edge = aut.edges[hits[0]]
+    return (edge, *_silent_path(aut, keep, edge[1], edge[0]))
 
 
-def _silent_path(num_states, silent_edges, start, goal):
-    """Shortest edge path from start to goal inside the silent subgraph."""
+def _silent_path(aut, keep, start, goal):
+    """Shortest edge path from start to goal through the edges at `keep`,
+    which hold every silent edge on a cycle."""
     if start == goal:
         return []
-    adj = [[] for _ in range(num_states)]
-    for e in silent_edges:
-        adj[e[0]].append(e)
+    src, dst, adj = aut.src[keep].tolist(), aut.dst[keep].tolist(), {}
+    for i, s in enumerate(src):
+        adj.setdefault(s, []).append(i)
     prev = {start: None}
     queue = deque([start])
     while queue:
-        v = queue.popleft()
-        for e in adj[v]:
-            if e[1] not in prev:
-                prev[e[1]] = e
-                if e[1] == goal:
-                    path = []
-                    node = goal
+        for i in adj.get(queue.popleft(), ()):
+            if dst[i] not in prev:
+                prev[dst[i]] = i
+                if dst[i] == goal:
+                    path, node = [], goal
                     while prev[node] is not None:
                         path.append(prev[node])
-                        node = prev[node][0]
-                    return list(reversed(path))
-                queue.append(e[1])
+                        node = src[prev[node]]
+                    return [aut.edges[i] for i in keep[path[::-1]]]
+                queue.append(dst[i])
     raise AssertionError("endpoints were in one SCC but no path found")
 
 
@@ -364,11 +372,7 @@ def valuedness_profile(mode, length_bound: int, witness=_UNCHECKED) -> Valuednes
     obj_cap = (length_bound * desc_tapes + 1) * max(aut.num_states, 1)
     caps = (length_bound,) * desc_tapes + (obj_cap,)
     tuples = enumerate_relation(aut, caps, budget=_PROFILE_BUDGET)
-    fanout = {}
-    for tup in tuples:
-        key = tup[:-1]
-        fanout[key] = fanout.get(key, 0) + 1
-    best = max(fanout.values(), default=0)
+    best = max(Counter(tup[:-1] for tup in tuples).values(), default=0)
     return ValuednessProfile(best,
                              ValuednessCertificate.brute_force(best, length_bound),
                              length_bound)

@@ -41,28 +41,38 @@ class BlockHistogram:
 
 
 def block_histogram(bits: str, n: int, k: int, mode: str) -> BlockHistogram:
-    """Exact k-block counts over the first n bits, one streaming pass."""
+    """Exact k-block counts over the first n bits, from their window codes."""
     if mode not in ("aligned", "sliding"):
         raise ContractError(f"unknown histogram mode {mode!r}")
+    return _histogram(_windows(bits, n, k), n, k, mode)
+
+
+def _windows(bits: str, n: int, k: int):
+    """The code of each k-bit window of the first n bits, as int64."""
     if k < 1 or n < k:
         raise ContractError("need n >= k >= 1")
     if k > _MAX_HISTOGRAM_K:
         raise BudgetExceeded("histogram table would be too large", 1 << _MAX_HISTOGRAM_K)
     if len(bits) < n:
         raise ContractError(f"sequence holds {len(bits)} bits, {n} requested")
-    arr = np.frombuffer(bits[:n].encode("ascii"), dtype=np.uint8) - ord("0")
-    if arr.max(initial=0) > 1:
+    bit = np.frombuffer(bits[:n].encode("ascii"), dtype=np.uint8) - ord("0")
+    if bit.max(initial=0) > 1:
         raise ContractError("sequence must be binary")
-    width = n - k + 1
-    codes = np.zeros(width, dtype=np.int64)
-    for j in range(k):
-        codes = (codes << 1) | arr[j:j + width]
+    codes = bit.astype(np.int64)
+    for j in range(1, k):
+        codes = (codes[:-1] << 1) | bit[j:]
+    return codes
+
+
+def _histogram(codes, n: int, k: int, mode: str) -> BlockHistogram:
+    """The histogram of the first n bits from their sliding window codes:
+    every k-th of them for an aligned one."""
     if mode == "aligned":
         codes = codes[::k][:n // k]
-    binc = np.bincount(codes, minlength=0)
-    counts = {format(v, f"0{k}b"): int(c)
-              for v, c in enumerate(binc) if c > 0}
-    return BlockHistogram(k=k, mode=mode, n=n, counts=counts)
+    count = np.bincount(codes)
+    seen = np.flatnonzero(count)
+    return BlockHistogram(k=k, mode=mode, n=n, counts=dict(zip(
+        map(f"{{:0{k}b}}".format, seen.tolist()), count[seen].tolist())))
 
 
 def discrepancy(h: BlockHistogram) -> float:
@@ -95,8 +105,7 @@ def ps_ratio(h: BlockHistogram) -> float:
 
 def smoothed_counts(h: BlockHistogram) -> Dict[str, int]:
     """Histogram counts with every absent block lifted to count one."""
-    return {format(v, f"0{h.k}b"): max(h.counts.get(format(v, f"0{h.k}b"), 0), 1)
-            for v in range(2 ** h.k)}
+    return {b: max(h.counts.get(b, 0), 1) for b in map(f"{{:0{h.k}b}}".format, range(2 ** h.k))}
 
 
 def huffman_code(counts: Dict[str, int]) -> Dict[str, str]:
@@ -138,43 +147,50 @@ def build_block_coder(h: BlockHistogram) -> DescriptionMode:
     The code trie consumes description bits toward a leaf; the leaf then
     emits its k-block letter by letter on the way back to the root.
     Absent blocks are smoothed to count one so every k-block stays
-    reachable.
+    reachable.  Built as edge columns, block by block in block order:
+    first the trie nodes that the block's codeword is the first to reach,
+    top down, then its k - 1 emission states.  A trie node is known by its
+    codeword prefix read as a binary number after a leading 1.
     """
     if h.mode != "aligned":
         raise ContractError("block coder training needs an aligned histogram")
     if h.k > _MAX_CODER_K:
         raise BudgetExceeded("coder automaton would be too large", 1 << _MAX_CODER_K)
-    counts = smoothed_counts(h)
-    code = huffman_code(counts)
-    edges = []
-    children: Dict[tuple, int] = {}
-    next_state = 1  # 0 is the root
-    for block in sorted(code):
-        word = code[block]
-        node = 0
-        for bit in word:
-            key = (node, bit)
-            child = children.get(key)
-            if child is None:
-                child = next_state
-                next_state += 1
-                children[key] = child
-                edges.append((node, child, (bit, EPSILON)))
-            node = child
-        # Emission chain: k object letters from the leaf back to the root.
-        for i, bit in enumerate(block):
-            target = 0 if i == h.k - 1 else next_state
-            if i < h.k - 1:
-                next_state += 1
-            edges.append((node, target, (EPSILON, bit)))
-            node = target
-    aut = LabeledAutomaton(arity=2, alphabets=(BINARY, BINARY),
-                           num_states=next_state, edges=tuple(edges))
+    k, counts = h.k, smoothed_counts(h)
+    words = list(map(huffman_code(counts).__getitem__, counts))      # in block order
+    size = np.fromiter(map(len, words), np.int64, len(words))
+    blocks, ends = np.arange(size.size), np.cumsum(size)
+    reach = np.arange(size.max()) < size[:, None]          # [block, depth - 1]
+    prefix = np.zeros(reach.shape, np.int64 if size.max() < 62 else object)
+    prefix[reach] = np.frombuffer("".join(words).encode("ascii"), np.uint8) - ord("0")
+    bit = prefix[reach]
+    prefix[:, 0] += 2
+    for d in range(1, prefix.shape[1]):
+        prefix[:, d] += 2 * prefix[:, d - 1]
+    _, first, node = np.unique(prefix[reach], return_index=True, return_inverse=True)
+    new = np.bincount(first, minlength=bit.size) > 0
+    made = np.cumsum(new)                    # trie nodes made up to each codeword bit
+    block = np.repeat(blocks, size)
+    state = ((k - 1) * block + made)[first][node.ravel()]
+    emit = ((k - 1) * blocks + made[ends - 1] + 1)[:, None] + np.arange(k - 1)
+    trie_at = np.arange(bit.size) + k * block            # each block's edges, then the next's
+    chain_at = (ends + k * blocks)[:, None] + np.arange(k)
+    table = np.full((4, bit.size + k * size.size), -1, dtype=np.int64)
+    table[0, trie_at[1:]] = state[:-1]                    # each trie edge from its parent
+    table[0, trie_at[ends - size]] = 0
+    table[1, trie_at], table[2, trie_at] = state, bit
+    table[0, chain_at[:, 0]], table[0, chain_at[:, 1:]] = state[ends - 1], emit
+    table[1, chain_at[:, :-1]], table[1, chain_at[:, -1]] = emit, 0
+    table[3, chain_at] = blocks[:, None] >> np.arange(k - 1, -1, -1) & 1
+    num_states = 1 + (k - 1) * size.size + int(made[-1])
+    keep = np.ones(table.shape[1], dtype=bool)
+    keep[trie_at[~new]] = False
+    src, dst, *letters = table[:, keep]
+    aut = LabeledAutomaton.from_columns(2, (BINARY, BINARY), num_states, src, dst, letters)
     # Fan-out per description: the parse is deterministic per start state
     # and the free end adds at most k+1 truncation points per start.
-    bound = next_state * (h.k + 1)
-    cert = ValuednessCertificate.asserted(bound, "block-coder")
-    return DescriptionMode(aut, cert, name=f"coder(k={h.k})")
+    cert = ValuednessCertificate.asserted(num_states * (k + 1), "block-coder")
+    return DescriptionMode(aut, cert, name=f"coder(k={k})")
 
 
 # --- combined report ----------------------------------------------------------
@@ -194,12 +210,13 @@ def normality_report(bits: str, n: int, k_max: int) -> List[NormalityRow]:
     the first half of the prefix and applied to the whole prefix."""
     if not 1 <= k_max <= _MAX_CODER_K:
         raise ContractError(f"k_max must lie in 1..{_MAX_CODER_K}")
-    rows = []
+    rows, ones, codes = [], _windows(bits, n, 1), np.zeros(n + 1, dtype=np.int64)
     for k in range(1, k_max + 1):
-        h_al = block_histogram(bits, n, k, "aligned")
-        h_sl = block_histogram(bits, n, k, "sliding")
-        train = block_histogram(bits, n // 2, k, "aligned")
-        coder = build_block_coder(train)
+        if n // 2 < k:                      # the training half holds no k-block
+            raise ContractError("need n >= k >= 1")
+        codes = (codes[:-1] << 1) | ones[k - 1:]          # the k-bit window codes
+        h_al, h_sl = _histogram(codes, n, k, "aligned"), _histogram(codes, n, k, "sliding")
+        coder = build_block_coder(_histogram(codes, n // 2, k, "aligned"))
         kx = complexity(coder, bits[:n])
         ratio = math.inf if kx == UNREACHABLE else kx / n
         rows.append(NormalityRow(

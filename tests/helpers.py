@@ -31,6 +31,7 @@ from autokolm.modes import (
     ValuednessCertificate,
     eps_cycle_check,
 )
+from autokolm.normality import BlockHistogram, huffman_code, smoothed_counts
 
 ALPHA = BINARY
 
@@ -836,3 +837,97 @@ def outcome(parse, *args):
         return parse(*args)
     except FormatError as exc:
         return f"FormatError: {exc}"
+
+
+def build_block_coder_reference(h: BlockHistogram) -> DescriptionMode:
+    """The block coder built as a walk: each block in order walks its
+    codeword down the trie, making the nodes it is the first to reach,
+    then makes its emission chain back to the root."""
+    code = huffman_code(smoothed_counts(h))
+    edges = []
+    children = {}
+    next_state = 1  # 0 is the root
+    for block in sorted(code):
+        node = 0
+        for bit in code[block]:
+            child = children.get((node, bit))
+            if child is None:
+                child = children[(node, bit)] = next_state
+                next_state += 1
+                edges.append((node, child, (bit, EPSILON)))
+            node = child
+        for i, bit in enumerate(block):
+            target = 0 if i == h.k - 1 else next_state
+            if i < h.k - 1:
+                next_state += 1
+            edges.append((node, target, (EPSILON, bit)))
+            node = target
+    aut = LabeledAutomaton(arity=2, alphabets=(BINARY, BINARY),
+                           num_states=next_state, edges=tuple(edges))
+    cert = ValuednessCertificate.asserted(next_state * (h.k + 1), "block-coder")
+    return DescriptionMode(aut, cert, name=f"coder(k={h.k})")
+
+
+def eps_cycle_check_reference(aut: LabeledAutomaton):
+    """eps_cycle_check over the whole silent subgraph, edge tuple by edge
+    tuple: the first silent edge that writes an object letter and whose
+    ends share a strongly connected component (by reach sets), then the
+    breadth-first path from its target back to its source."""
+    obj = aut.arity - 1
+    silent = [e for e in aut.edges if e[2][:obj] == (EPSILON,) * obj]
+    comp = components_reference(aut.num_states, [(s, d) for s, d, _ in silent])
+    hits = [e for e in silent if e[2][obj] is not EPSILON and comp[e[0]] == comp[e[1]]]
+    if not hits:
+        return None
+    edge, prev, queue = hits[0], {hits[0][1]: None}, deque([hits[0][1]])
+    while edge[0] not in prev:
+        v = queue.popleft()
+        for e in silent:
+            if e[0] == v and e[1] not in prev:
+                prev[e[1]] = e
+                queue.append(e[1])
+    path, node = [], edge[0]
+    while prev[node] is not None:
+        path.append(prev[node])
+        node = prev[node][0]
+    return (edge, *reversed(path))
+
+
+def chain_reference(a1: LabeledAutomaton, a2: LabeledAutomaton) -> LabeledAutomaton:
+    """automaton.chain edge tuple by edge tuple: a1's epsilon-middle moves
+    in each state of a2, a2's in each state of a1, then each edge of a1
+    fused with the edges of a2 that read its middle letter."""
+    n1, n2 = a1.num_states, a2.num_states
+    pad1, pad2 = (EPSILON,) * (a2.arity - 1), (EPSILON,) * (a1.arity - 1)
+    edges = []
+    for s, d, lab in a1.edges:
+        if lab[-1] is EPSILON:
+            edges += [(s * n2 + l, d * n2 + l, lab[:-1] + pad1) for l in range(n2)]
+    reading = {}
+    for s, d, lab in a2.edges:
+        if lab[0] is EPSILON:
+            edges += [(k * n2 + s, k * n2 + d, pad2 + lab[1:]) for k in range(n1)]
+        else:
+            reading.setdefault(lab[0], []).append((s, d, lab[1:]))
+    for s1, d1, lab1 in a1.edges:
+        for s2, d2, tail in reading.get(lab1[-1], ()):
+            edges.append((s1 * n2 + s2, d1 * n2 + d2, lab1[:-1] + tail))
+    return LabeledAutomaton(a1.arity + a2.arity - 2, a1.alphabets[:-1] + a2.alphabets[1:],
+                            n1 * n2, tuple(edges))
+
+
+def layered_concat_reference(aut: LabeledAutomaton, n_layers: int) -> LabeledAutomaton:
+    """The graph of modes.layered_concat, edge tuple by edge tuple."""
+    n, N = aut.num_states, n_layers
+    hub = (N + 2) * n
+    edges = []
+    for s, d, label in aut.edges:
+        if label[0] is EPSILON:
+            edges += [(c * n + s, c * n + d, label) for c in range(N + 2)]
+        else:
+            edges += [(c * n + s, (c + 1) * n + d, label) for c in range(N)]
+            edges.append(((N + 1) * n + s, (N + 1) * n + d, label))
+    for v in range(n):
+        edges += [(N * n + v, v, ("0", EPSILON)), (N * n + v, hub, ("1", EPSILON)),
+                  (hub, (N + 1) * n + v, (EPSILON, EPSILON))]
+    return LabeledAutomaton(2, aut.alphabets, hub + 1 if n else 0, tuple(edges))

@@ -1,6 +1,8 @@
 import random
+import re
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -266,6 +268,61 @@ def test_automaton_parser_matches_the_line_by_line_reference(case):
     with mock.patch.object(automaton, "MAX_FILE_EDGES", cap):
         got = outcome(parse_automaton_lines, strip_format_lines(text))
     assert got == outcome(parse_automaton_reference, text, automaton.MAX_FILE_STATES, cap)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(case=automaton_texts(), chunk=st.integers(1, 3))
+def test_edge_lines_read_in_chunks_match_the_line_by_line_reference(case, chunk):
+    # A malformed or unusual line in a later chunk sends the whole file
+    # to the line-by-line read, as one in the first chunk does.
+    text, cap = case
+    with mock.patch.object(automaton, "MAX_FILE_EDGES", cap), \
+            mock.patch.object(automaton, "_EDGE_CHUNK", chunk):
+        got = outcome(parse_automaton_lines, strip_format_lines(text))
+    assert got == outcome(parse_automaton_reference, text, automaton.MAX_FILE_STATES, cap)
+
+
+SYMBOLS = ["0", "1", "a", "Z", "~", "\xe9", "\u4e2d", "\U0001d11e"]
+
+
+@st.composite
+def automata(draw):
+    """Automata of arity 1-3 over small alphabets, ASCII or not, with
+    epsilon labels, no edges or no states at all, and endpoints of up to
+    seven digits; with their edge tuples."""
+    arity = draw(st.integers(1, 3))
+    alphabets = tuple(tuple(draw(st.lists(st.sampled_from(SYMBOLS), min_size=1, max_size=3,
+                                          unique=True))) for _ in range(arity))
+    states = draw(st.integers(0, 5) | st.integers(1, automaton.MAX_FILE_STATES))
+    state = st.sampled_from([v for v in (0, 1, 2, 9, 10, 99, 100, states // 7, states - 1)
+                             if v < states])
+    label = st.tuples(*(st.sampled_from([EPSILON, *alpha]) for alpha in alphabets))
+    edges = draw(st.lists(st.tuples(state, state, label), max_size=12)) if states else []
+    return LabeledAutomaton(arity, alphabets, states, tuple(edges)), tuple(edges)
+
+
+@settings(derandomize=True, database=None, max_examples=500, deadline=None)
+@given(case=automata())
+def test_edge_columns_round_trip_through_tuples_and_text(case):
+    aut, edges = case
+    assert aut.edges == edges
+    again = LabeledAutomaton.from_columns(aut.arity, aut.alphabets, aut.num_states,
+                                          aut.src, aut.dst, aut.letters)
+    assert again == aut and hash(again) == hash(aut) and again.edges == edges
+    text = serialize_automaton(aut)
+    assert text == serialize_automaton_reference(aut)
+    back = parse_automaton(text)
+    assert back == aut and back.edges == edges
+    assert serialize_automaton(back) == text
+    if edges:       # an endpoint out of range, in the columns and in the text
+        bad = (*edges[:-1], (edges[-1][0], aut.num_states, edges[-1][2]))
+        message = automaton_error_reference(aut.arity, aut.alphabets, aut.num_states, bad)
+        with pytest.raises(ContractError, match=re.escape(message)):
+            LabeledAutomaton.from_columns(aut.arity, aut.alphabets, aut.num_states, aut.src,
+                                          np.r_[aut.dst[:-1], aut.num_states], aut.letters)
+        bad_text = text[:text.rindex("edge ")] + serialize_automaton_reference(
+            LabeledAutomaton(aut.arity, aut.alphabets, aut.num_states + 1, bad)).splitlines()[-1]
+        assert outcome(parse_automaton, bad_text) == f"FormatError: {message}"
 
 
 @settings(derandomize=True, database=None, max_examples=400, deadline=None)

@@ -1,3 +1,5 @@
+import importlib
+
 import pytest
 
 from autokolm import automaton, modes
@@ -273,6 +275,18 @@ def test_exit_code_on_runtime_error(tmp_path, capsys):
     code, _, err = run(capsys, "stats", "--input", str(bad), "--k", "1",
                        "--n", "4")
     assert code == 1
+
+
+def test_a_bad_symbol_on_an_over_budget_mode_exits_2(tmp_path, capsys, monkeypatch):
+    # The word's alphabet is checked before the mode compiles past its budget.
+    monkeypatch.setattr(importlib.import_module("autokolm.complexity"), "_CLOSURE_BUDGET", 1)
+    ident = tmp_path / "id.aut"
+    assert run(capsys, "mode", "identity", "--out", str(ident))[0] == 0
+    code, out, err = run(capsys, "complexity", "--mode", str(ident), "--word", "01x")
+    assert (code, out) == (2, "")
+    assert err == "error: symbol 'x' not in alphabet of tape 1\n"
+    code, out, err = run(capsys, "complexity", "--mode", str(ident), "--word", "011")
+    assert (code, out) == (1, "") and "budget" in err
 
 
 VALID_MODE = ("arity 2\nalphabet 0 0 1\nalphabet 1 0 1\nstates 1\n"

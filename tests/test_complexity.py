@@ -227,6 +227,36 @@ def test_each_step_matches_oracle_on_curves(forced_step):
     assert unreachable > 0
 
 
+def test_a_bad_symbol_is_rejected_before_the_mode_compiles(monkeypatch):
+    # An over-budget compile would raise BudgetExceeded: the word is checked first.
+    monkeypatch.setattr(engine, "_CLOSURE_BUDGET", 1)
+    monkeypatch.setattr(engine, "_sweep_cache", {})
+    mode = identity_mode()
+    with pytest.raises(InputRejected, match="symbol 'x' not in alphabet of tape 1"):
+        complexity(mode, "01x0")
+    assert engine._sweep_cache == {}
+    with pytest.raises(BudgetExceeded):
+        complexity(mode, "0110")
+
+
+def test_a_warm_call_looks_the_compiled_mode_up_once(monkeypatch):
+    class Counting(dict):
+        gets = 0
+
+        def get(self, key, default=None):
+            Counting.gets += 1
+            return super().get(key, default)
+
+    monkeypatch.setattr(engine, "_sweep_cache", Counting())
+    mode = champ_coder(4)
+    assert complexity(mode, "0110") == complexity(mode, "0110")   # the first call compiles
+    Counting.gets = 0
+    complexity(mode, "0110")
+    with pytest.raises(InputRejected):
+        complexity(mode, "01x0")
+    assert Counting.gets == 2
+
+
 def test_dense_closure_raises_budget_exceeded(monkeypatch):
     monkeypatch.setattr(engine, "_CLOSURE_BUDGET", 1)
     monkeypatch.setattr(engine, "_sweep_cache", {})

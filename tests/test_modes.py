@@ -11,7 +11,10 @@ import autokolm.modes as modes_module
 from autokolm.automaton import (
     EPSILON,
     LabeledAutomaton,
+    chain,
+    components,
     enumerate_relation,
+    serialize_automaton,
 )
 from autokolm.complexity import complexity
 from autokolm.constructions import (
@@ -44,8 +47,11 @@ from autokolm.normality import block_histogram, build_block_coder
 from autokolm.seqgen import champernowne_bits
 
 from helpers import (
+    chain_reference,
     compose_join_oracle,
+    eps_cycle_check_reference,
     layered_concat_quadratic,
+    layered_concat_reference,
     parity_rule,
     random_finite_mode,
     random_word,
@@ -225,6 +231,26 @@ def test_layered_concat_has_linear_size():
         assert eps_cycle_check(lay) is None
 
 
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(data=st.data())
+def test_products_and_layers_match_their_edge_by_edge_references(data):
+    # The same edges in the same order, as the compiled digests rely on.
+    def automaton(arity):
+        n = data.draw(st.integers(0, 4))
+        label = st.tuples(*[st.sampled_from([EPSILON, *BINARY])] * arity)
+        ends = st.integers(0, max(n - 1, 0))
+        return LabeledAutomaton(arity, (BINARY,) * arity, n, tuple(data.draw(
+            st.lists(st.tuples(ends, ends, label), max_size=8 if n else 0))))
+
+    a1, a2 = automaton(data.draw(st.integers(1, 3))), automaton(data.draw(st.integers(1, 3)))
+    if a1.arity + a2.arity > 2:
+        assert chain(a1, a2) == chain_reference(a1, a2)
+    mode = DescriptionMode(automaton(2), ValuednessCertificate.unknown())
+    for n_layers in (1, 2, 3):
+        assert layered_concat(mode, n_layers).automaton == layered_concat_reference(
+            mode.automaton, n_layers)
+
+
 def test_layered_needs_binary_descriptions():
     with pytest.raises(ContractError):
         layered_concat(identity_mode(("a", "b")), 2)
@@ -272,6 +298,46 @@ def test_eps_cycle_check_finds_long_cycles():
     assert witness[0] == (0, 1, (EPSILON, "1"))
     # The witness closes into a cycle.
     assert witness[-1][1] == witness[0][0]
+
+
+@settings(derandomize=True, database=None, max_examples=500, deadline=None)
+@given(data=st.data())
+def test_eps_cycle_check_matches_the_whole_graph_reference(data):
+    # Mostly silent edges, so that trimmed chains, cycles, self-loops and
+    # the paths between them occur; the verdict and the witness must match.
+    arity = data.draw(st.sampled_from([2, 3]))
+    n = data.draw(st.integers(1, 12))
+    state = st.integers(0, n - 1)
+    description = st.one_of(st.just((EPSILON,) * (arity - 1)),
+                            st.tuples(*[st.sampled_from([EPSILON, *BINARY])] * (arity - 1)))
+    label = st.tuples(description, st.sampled_from([EPSILON, *BINARY])).map(lambda p: (*p[0], p[1]))
+    edges = tuple(data.draw(st.lists(st.tuples(state, state, label), max_size=30)))
+    aut = LabeledAutomaton(arity, (BINARY,) * arity, n, edges)
+    assert eps_cycle_check(aut) == eps_cycle_check_reference(aut)
+
+
+def test_eps_cycle_check_stops_trimming_a_long_chain_early(monkeypatch):
+    # A silent chain loses two edges a trim round, so the trim stops after
+    # its first round and `components` takes nearly the whole chain.
+    n = 2 ** 16
+    chain = LabeledAutomaton(2, (BINARY, BINARY), n,
+                             tuple((i, i + 1, (EPSILON, "1")) for i in range(n - 1)))
+    sizes = []
+    monkeypatch.setattr(modes_module, "components",
+                        lambda nodes, *arcs: sizes.append(nodes) or components(nodes, *arcs))
+    assert eps_cycle_check(chain) is None
+    assert sizes == [n - 2]
+
+
+def test_a_long_silent_cycle_refutes_a_finite_certificate():
+    n = 2 ** 16
+    cycle = LabeledAutomaton(2, (BINARY, BINARY), n, tuple(
+        (i, (i + 1) % n, (EPSILON, "1" if i == n - 1 else EPSILON)) for i in range(n)))
+    text = serialize_automaton(cycle)
+    with pytest.raises(FormatError, match="refuted by an output-producing cycle"):
+        parse_mode(text + "certificate 1\n")
+    witness = parse_mode(text + "certificate unbounded\n").certificate.witness
+    assert witness == (cycle.edges[-1], *cycle.edges[:-1])
 
 
 def test_valuedness_profile_identity():
@@ -333,8 +399,8 @@ def test_mode_serialization_round_trip():
 
 def test_chain_file_parse_peak_memory_is_bounded_per_edge_line():
     # 2**16 states on a chain of description-only edges, closed by one
-    # object-writing edge.  Measured peak 222 bytes an edge line (the
-    # line-by-line parser's: 606); bound +25%.
+    # object-writing edge.  Measured peak 162 bytes an edge line (222 with
+    # edge tuples, the line-by-line parser's 606); bound +25%.
     n = 2 ** 16
     text = (f"arity 2\nalphabet 0 0 1\nalphabet 1 0 1\nstates {n}\n"
             + "".join(f"edge {i} {i + 1} 0 -\n" for i in range(n - 1)) + f"edge {n - 1} 0 - 1\n")
@@ -345,7 +411,7 @@ def test_chain_file_parse_peak_memory_is_bounded_per_edge_line():
     finally:
         tracemalloc.stop()
     assert len(mode.automaton.edges) == n
-    assert peak <= 278 * n
+    assert peak <= 203 * n
 
 
 def test_mode_parse_without_certificate_is_unknown():

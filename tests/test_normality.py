@@ -20,9 +20,9 @@ from autokolm.normality import (
     report_to_csv,
     smoothed_counts,
 )
-from autokolm.seqgen import bernoulli_bits, champernowne_bits
+from autokolm.seqgen import bernoulli_bits, champernowne_bits, rational_bits
 
-from helpers import offset_class_counts, random_word
+from helpers import build_block_coder_reference, offset_class_counts, random_word
 
 
 def test_histogram_examples():
@@ -306,3 +306,26 @@ def test_report_k_max_stops_at_the_coder_limit(monkeypatch, k_max):
     monkeypatch.setattr(normality, "build_block_coder", refuse)
     with pytest.raises(ContractError, match=r"1\.\.12"):
         normality_report(champernowne_bits(20_000), 20_000, k_max)
+
+
+@pytest.mark.parametrize("source", [
+    champernowne_bits(24_000), bernoulli_bits(0.9, 5, 24_000), "0" * 24_000,
+    rational_bits(1, 3, 24_000)], ids=["champernowne", "bernoulli", "zeros", "third"])
+def test_block_coder_matches_the_reference_walk(source):
+    # Same states in the same numbering, same edges in the same order.
+    for k in range(1, 13):
+        h = block_histogram(source, len(source), k, "aligned")
+        got, want = build_block_coder(h), build_block_coder_reference(h)
+        assert got.automaton == want.automaton, k
+        assert (got.certificate, got.name) == (want.certificate, want.name)
+
+
+def test_block_coder_matches_the_reference_walk_on_codewords_past_62_bits():
+    # Fibonacci counts make a Huffman code with one codeword per length.
+    fib = [1, 1]
+    while len(fib) < 128:
+        fib.append(fib[-1] + fib[-2])
+    h = BlockHistogram(k=7, mode="aligned", n=7 * sum(fib),
+                       counts={format(v, "07b"): c for v, c in enumerate(fib)})
+    assert max(map(len, huffman_code(smoothed_counts(h)).values())) == 127
+    assert build_block_coder(h).automaton == build_block_coder_reference(h).automaton
