@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import random
+import time
 import weakref
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -178,16 +179,20 @@ def _sweep(aut: LabeledAutomaton, word: str, positions: List[int]) -> list:
     the numpy step's array).  The tail answers the positions past `lead`
     from those rows, if one is reachable.  The word is read once, into
     its letters' ranks (`_Ranks`), which is also its alphabet check: a
-    cold call makes it before it compiles the mode.
+    cold call makes it before it compiles the mode.  Every position past
+    the word's first dead letter (`_CompiledSweep`) is unreachable.
     """
     eng = _sweep_cache.get(id(aut))
     rank = _Ranks(aut.alphabets[-1]) if eng is None else eng.rank
     letters = word.translate(rank)
     if (bad := letters.find(rank.other)) >= 0:
         raise InputRejected(f"symbol {word[bad]!r} not in alphabet of tape {aut.arity - 1}")
-    eng = eng or _compiled(aut)
-    if aut.num_states == 0:
-        return [UNREACHABLE] * len(positions)
+    eng, count = eng or _compiled(aut), len(positions)
+    if eng.dead:
+        end = min((i for i in map(letters.find, eng.dead) if i >= 0), default=len(word))
+        positions = positions[:bisect_right(positions, end)]
+    if not positions or aut.num_states == 0:
+        return [UNREACHABLE] * count
     hubs = eng.hubs
     stops, lead, fill, last = positions, positions[-1], (), None
     if hubs is not None and lead - hubs.lead >= hubs.handoff:
@@ -218,7 +223,7 @@ def _sweep(aut: LabeledAutomaton, word: str, positions: List[int]) -> list:
         letters += letters[:1] * (hubs.period - 1)        # a last chunk's padding
         ranks = np.frombuffer(letters.encode(eng.rank.codec, "surrogatepass"), eng.rank.dtype)
         out += _sweep_sums(hubs, ranks, positions[len(out):], last)
-    return out + [UNREACHABLE] * (len(positions) - len(out))
+    return out + [UNREACHABLE] * (count - len(out))
 
 
 class _CompiledSweep:
@@ -244,27 +249,52 @@ class _CompiledSweep:
     the closure edges' sources or a numpy scatter-min over the closure
     edges, and the hub graph (`_Hubs`) that the prefix sums tail
     (`_sweep_sums`) sweeps past its `lead` from `handoff` letters on, or
-    None; `rank` reads words (`_Ranks`).
+    None; `rank` reads words (`_Ranks`), `dead` holds the ranks, as
+    characters, of the letters that no closure edge reads, and `stages`
+    the seconds of each stage of the compile (`_Stages`).
     """
 
     def __init__(self, aut: LabeledAutomaton):
+        stages = _Stages()
         self.rank = _Ranks(aut.alphabets[-1])
         edges = _classify_edges(aut)
         entries, reach, dominant, relays = _closure_into(aut.num_states, *edges)
+        stages.lap("closure")
         by_letter = _closure_edges(entries, *edges, aut.alphabets[-1])
+        stages.lap("closure edges")
         if dominant[0].size:
             by_letter = {a: _prune(closure, dominant) for a, closure in by_letter.items()}
         if reach[0].size:
             charged = sum(srcs.size for srcs, _, _ in by_letter.values())
             for a, closure in by_letter.items():
-                by_letter[a], charged = _fold_relays(closure, reach, charged)
-        self.step, self.by_letter, self.hubs = _pick_step(aut.num_states, by_letter, relays)
+                by_letter[a], charged = _fold_relays(aut.num_states, closure, reach, charged)
+        stages.lap("prune and fold")
+        # A letter that no closure edge reads ends every word that reaches it.
+        self.dead = [chr(r) for r, (srcs, _, _) in enumerate(by_letter.values()) if not srcs.size]
+        self.step, self.by_letter, self.hubs = _pick_step(aut.num_states, by_letter, relays, stages)
         if self.step is _step_python:
             # The step reads the costs of the closure edges' sources only.
             self.start = dict.fromkeys((s for edges in self.by_letter.values()
                                         for s, _, _ in edges), 0)
         else:
             self.start = np.zeros(aut.num_states, dtype=np.int64)
+        stages.lap("hub graph")
+        self.stages = dict(stages)
+
+
+class _Stages(dict):
+    """Seconds per compile stage; a lap charges those since the last lap to
+    the stage it names.  "hub graph" is `_pick_step` but for its "scans"
+    (`_scans`) and "prologue" (`_prologue`)."""
+
+    def __init__(self):
+        super().__init__(dict.fromkeys(("closure", "closure edges", "prune and fold",
+                                        "hub graph", "scans", "prologue"), 0.0))
+        self.last = time.perf_counter()
+
+    def lap(self, stage: str):
+        now = time.perf_counter()
+        self[stage], self.last = self[stage] + now - self.last, now
 
 
 class _Ranks(dict):
@@ -284,16 +314,26 @@ class _Ranks(dict):
 
 def _ranges(first, count):
     """The indices first[i]:first[i] + count[i] of every i, concatenated."""
-    ends = np.cumsum(count)
-    return np.repeat(first - ends + count, count) + np.arange(ends[-1] if ends.size else 0)
+    ends = count.cumsum()
+    return (first - ends + count).repeat(count) + np.arange(ends[-1] if ends.size else 0)
 
 
-def _matches(keys, probes):
+def _matches(keys, probes, size: int = 0):
     """The indices of the entries equal to each probe in the sorted `keys`,
-    concatenated, and their count per probe."""
-    first = np.searchsorted(keys, probes)
-    count = np.searchsorted(keys, probes, side="right") - first
-    return _ranges(first, count), count
+    concatenated, and their count per probe, read off the offsets of the
+    keys' counts; a probe is below `size` or at most the largest key."""
+    count = np.bincount(keys, minlength=size)
+    first = count.cumsum() - count
+    count = count[probes]
+    return _ranges(first[probes], count), count
+
+
+def _argsort(key, top: int):
+    """An order that sorts the values 0..top of `key`, cast to the
+    narrowest unsigned dtype that holds top: numpy radix-sorts keys of 16
+    bits or less, stably, and wider ones fastest by its quicksort."""
+    key = key.astype(np.min_scalar_type(top))
+    return key.argsort(kind="stable" if key.itemsize <= 2 else None)
 
 
 def _runs(key):
@@ -307,14 +347,17 @@ def _cheapest(*columns):
     """The rows of the columns (nonnegative keys, then a cost) with the
     least cost per distinct key, sorted by key."""
     *keys, cost = columns
-    key = keys[0]
+    if not cost.size:
+        return columns
+    key, top = keys[0], int(keys[0].max(initial=0))
     for k in keys[1:]:
         width = int(k.max(initial=0)) + 1
-        if int(key.max(initial=0)) >= (1 << 62) // width:
+        if top >= (1 << 62) // width:
             key = np.unique(key, return_inverse=True)[1]      # the same order, numbered densely
-        key = key * width + k
-    order = np.argsort(key)
-    first = np.flatnonzero(_runs(key[order]))
+            top = int(key.max(initial=0))
+        key, top = key * width + k, top * width + width - 1
+    order = _argsort(key, top)
+    first = _runs(key[order]).nonzero()[0]
     return (*(k[order[first]] for k in keys), np.minimum.reduceat(cost[order], first))
 
 
@@ -323,27 +366,27 @@ def _closure_edges(entries, src, dst, letter, weight, alphabet):
     arrays: (s, q, c + w) for each entry (s, t, c) of `_closure_into`
     and each advancing edge (t, q, w) reading the letter, in edge order."""
     into, at, paid = entries
-    advance = np.flatnonzero(letter >= 0)
-    advance = advance[np.argsort(letter[advance], kind="stable")]
-    pick, count = _matches(at, src[advance])
-    srcs, dsts = into[pick], np.repeat(dst[advance], count)
-    costs = paid[pick] + np.repeat(weight[advance], count)
-    cut = np.concatenate(([0], np.cumsum(count)))[
-        np.searchsorted(letter[advance], np.arange(len(alphabet) + 1))]
+    advance = (letter >= 0).nonzero()[0]
+    read = letter[advance].astype(np.min_scalar_type(len(alphabet)))
+    order = read.argsort(kind="stable")
+    advance = advance[order]
+    pick, count = _matches(at, src[advance])        # each reading state has an entry
+    srcs, dsts = into[pick], dst[advance].repeat(count)
+    costs = paid[pick] + weight[advance].repeat(count)
+    cut = np.append(0, count.cumsum())[read[order].searchsorted(np.arange(len(alphabet) + 1))]
     return {a: (srcs[i:k], dsts[i:k], costs[i:k])
             for a, i, k in zip(alphabet, cut.tolist(), cut[1:].tolist())}
 
 
-def _fold_relays(edges, reach, charged: int):
+def _fold_relays(num_states: int, edges, reach, charged: int):
     """A letter's closure edges (s, q, c) plus one edge (s, r, the least
     c + d) per relay r that some q reaches at intra cost d (`reach` of
     `_closure_into`), and `charged` plus the edges added, which are
     charged to _CLOSURE_BUDGET."""
     srcs, dsts, costs = edges
     near, relay, far = reach
-    pick, count = _matches(near, dsts)
-    folded = _cheapest(np.repeat(srcs, count), relay[pick],
-                       np.repeat(costs, count) + far[pick])
+    pick, count = _matches(near, dsts, num_states)
+    folded = _cheapest(srcs.repeat(count), relay[pick], costs.repeat(count) + far[pick])
     charged += folded[0].size
     if charged > _CLOSURE_BUDGET:
         raise BudgetExceeded("intra-layer closure is too dense to sweep", _CLOSURE_BUDGET)
@@ -371,10 +414,10 @@ def _prune(edges, dominant):
     n = int(max(dsts.max(initial=0), far.max(initial=0))) + 1
     key, seen = _cheapest(srcs * n + dsts, np.arange(srcs.size))   # where (s, q) comes first
     _, costs = _cheapest(srcs * n + dsts, costs)
-    pick, count = _matches(near, key % n)
-    edge = np.repeat(np.arange(key.size), count)
+    pick, count = _matches(near, key % n, n)
+    edge = np.arange(key.size).repeat(count)
     other = key[edge] - key[edge] % n + far[pick]
-    at = np.minimum(np.searchsorted(key, other), key.size - 1)
+    at = np.minimum(key.searchsorted(other), key.size - 1)
     found = key[at] == other
     edge, at, weight = edge[found], at[found], weight[pick][found]
     covers = costs[at] + weight <= costs[edge]
@@ -388,7 +431,7 @@ def _edge_lists(by_letter):
     return {a: list(zip(*(col.tolist() for col in edges))) for a, edges in by_letter.items()}
 
 
-def _pick_step(num_states: int, by_letter, relays):
+def _pick_step(num_states: int, by_letter, relays, stages):
     """The closure step, the edges it reads per letter, and the hub graph
     (or None) with the `relays` as hubs that the prefix sums tail sweeps.
 
@@ -398,12 +441,13 @@ def _pick_step(num_states: int, by_letter, relays):
     graph where it compiles (`_Hubs.compile`) and the tail is estimated
     cheaper than that step, on the letter with the fewest closure edges
     but at least one (a letter without any ends every word that reads
-    it), from some word length on (`_handoff`), else None.
+    it), from some word length on (`_handoff`), else None.  The hub
+    compile's time goes to `stages` (`_Stages`).
     """
     sizes = [srcs.size for srcs, _, _ in by_letter.values()]
     widest = max(sizes, default=0)
     python = _step_us(True, widest) <= _step_us(False, widest)
-    hubs = _Hubs.compile(num_states, by_letter, relays)
+    hubs = _Hubs.compile(num_states, by_letter, relays, stages)
     if hubs is not None:
         hubs.handoff = _handoff(hubs, _step_us(python, min(filter(None, sizes), default=0)),
                                 0 if python else _US_PER_CALL * _NUMPY_STEP_CALLS)
@@ -560,60 +604,66 @@ class _Hubs:
         self.chunk = max(min(_CHUNK_CELLS // max(widest, 1), _CHUNK_LETTERS), 1)
 
     @classmethod
-    def compile(cls, num_states: int, by_letter, relays):
+    def compile(cls, num_states: int, by_letter, relays, stages=None):
         """The hub graph of the closure edge arrays with the `relays` as
         hubs, or None where it has no window tables (`_scans`) or its
         walk exceeds the compile budget.
 
         All hub out-edges walk their chains at once, one letter per round
-        (`_macro_edges`), each carrying the code of its word.
+        (`_macro_edges`), each carrying the code of its word.  The time of
+        `_scans` and `_prologue` goes to their `stages`.
         """
+        stages = stages or _Stages()
         alphabet = list(by_letter)
         srcs, dst, cost = (np.concatenate(col) for col in zip(*by_letter.values()))
-        letter = np.repeat(np.arange(len(alphabet)), [e[0].size for e in by_letter.values()])
+        letter = np.arange(len(alphabet)).repeat([e[0].size for e in by_letter.values()])
         relay = np.zeros(num_states, dtype=bool)
         relay[np.fromiter(relays, np.int64)] = True
         into = relay[dst]
         # The out-edges of s are first[s]:first[s] + outdeg[s]; its relay
         # exits (edges into relays) follow, xcount[s] of them.
-        order = np.argsort(srcs * 2 + into)
+        order = _argsort(srcs * 2 + into, 2 * num_states)
         dst, cost, letter = dst[order], cost[order], letter[order]
+        xcount = np.bincount(srcs, minlength=num_states)
+        first = xcount.cumsum() - xcount
         outdeg = np.bincount(srcs[~into], minlength=num_states)
-        xcount = np.bincount(srcs[into], minlength=num_states)
-        first = np.cumsum(outdeg + xcount) - outdeg - xcount
-        indeg = np.bincount(dst[~into[order]], minlength=num_states)
+        xcount -= outdeg
+        indeg = np.bincount(dst, minlength=num_states)
         indeg[relay] = dst.size + 1              # relays are never peeled
         live = np.ones(num_states, dtype=bool)
-        frontier = np.flatnonzero(indeg == 0)
+        frontier = (indeg == 0).nonzero()[0]
         depth = 0
         while frontier.size:
             depth += 1
             live[frontier] = False
             ends = dst[_ranges(first[frontier], outdeg[frontier])]
             np.subtract.at(indeg, ends, 1)
-            ends = np.sort(ends[indeg[ends] == 0])
+            ends = ends[indeg[ends] == 0]
+            ends.sort()
             frontier = ends[_runs(ends)]
         hub = live & (outdeg != 1) | relay
         # The out-edge of each single-exit state (past the end for a state without one).
         nxt, nletter, ncost = (np.append(col, 0)[first] for col in (dst, letter, cost))
         hub[_cycle_hubs(live & ~hub, nxt)] = True
-        ids = np.flatnonzero(hub)
+        ids = hub.nonzero()[0]
         index = np.zeros(num_states, dtype=np.int64)
         index[ids] = np.arange(ids.size)
         # A hub's exits are macro-edges of one letter.  The budget is charged
         # for them up to the last hub with out-edges, as a walk of the hubs
         # in turn that checks the budget after each macro-edge would.
-        busy = np.flatnonzero(outdeg[ids])
-        charged = int(xcount[ids[:busy[-1] + 1]].sum()) if busy.size else 0
-        out = _ranges(first[ids], outdeg[ids])
-        exits = _ranges(first[ids] + outdeg[ids], xcount[ids])
+        starts, outs, xouts = first[ids], outdeg[ids], xcount[ids]
+        busy = outs.nonzero()[0]
+        charged = int(xouts[:busy[-1] + 1].sum()) if busy.size else 0
+        out = _ranges(starts, outs)
+        exits = _ranges(starts + outs, xouts)
         tables = _macro_edges(
-            (letter[out], np.repeat(np.arange(ids.size), outdeg[ids]), dst[out], cost[out]),
-            (letter[exits], np.repeat(np.arange(ids.size), xcount[ids]), index[dst[exits]],
-             cost[exits]),
+            (letter[out], np.arange(ids.size).repeat(outs), dst[out], cost[out]),
+            (letter[exits], np.arange(ids.size).repeat(xouts), index[dst[exits]], cost[exits]),
             (hub, index, nxt, nletter, ncost, (letter, dst, cost), first + outdeg, xcount),
             len(alphabet), charged)
+        stages.lap("hub graph")
         scans = tables and _scans(ids.size, tables[0], len(alphabet))
+        stages.lap("scans")
         if scans is None:
             return None
         full, part = tables
@@ -621,8 +671,10 @@ class _Hubs:
         lead, prologue = depth + span - 1, None
         if ids.size == 1 and scans[0][2] and lead and depth <= 1 and not relay.any() and (
                 (span + 2) * base ** span <= _NORMALIZE_BUDGET):     # one hub, one length
+            stages.lap("hub graph")
             prologue = _prologue(span, lead, base, live & ~hub, nxt, nletter, ncost,
                                  (letter, dst, cost))
+            stages.lap("prologue")
         return cls(ids, lead, span, _word_tables(part), alphabet, scans, prologue)
 
 
@@ -641,23 +693,26 @@ def _scans(k: int, full, base: int):
     """
     lengths, code, src, dst, paid = full
     span = int(lengths[-1]) if lengths.size else 1
-    pairs = np.sort(src * k + dst)
-    pairs = pairs[_runs(pairs)]
-    comp = components(k, pairs // k, pairs % k)
-    # The macro-edges by (component of dst, from an earlier component,
-    # length, src): each component's inside rows, then its gathers' rows.
-    target = comp[dst]
-    key = ((target * 2 + (comp[src] != target)) * (span + 1) + lengths) * k + src
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    lengths, code, src, dst, paid = (col[order] for col in full)
-    count = int(comp.max(initial=-1)) + 1
-    blocks = np.searchsorted(key, np.arange(2 * count + 1) * ((span + 1) * k)).tolist()
-    groups = [*np.flatnonzero(_runs(key)).tolist(), key.size]
-    hubs = np.argsort(comp, kind="stable")
+    comp, count, key = np.zeros(k, dtype=np.int64), k, lengths
+    if k > 1:        # one hub's macro-edges are all inside it, in order of length
+        pairs = src * k + dst
+        pairs = pairs[_argsort(pairs, k * k)]
+        pairs = pairs[_runs(pairs)]
+        comp = components(k, pairs // k, pairs % k)
+        count = int(comp.max()) + 1
+        # The macro-edges by (component of dst, from an earlier component,
+        # length, src): each component's inside rows, then its gathers' rows.
+        target = comp[dst]
+        key = ((target * 2 + (comp[src] != target)) * (span + 1) + lengths) * k + src
+        order = _argsort(key, 2 * count * (span + 1) * k)
+        key = key[order]
+        lengths, code, src, dst, paid = (col[order] for col in full)
+    blocks = key.searchsorted(np.arange(2 * count + 1) * ((span + 1) * k)).tolist()
+    groups = [*_runs(key).nonzero()[0].tolist(), key.size]
+    hubs = comp.astype(np.min_scalar_type(count)).argsort(kind="stable")
     size = np.bincount(comp, minlength=count)
     local = np.empty_like(hubs)
-    local[hubs] = np.arange(k) - np.repeat(np.cumsum(size) - size, size)
+    local[hubs] = np.arange(k) - (size.cumsum() - size).repeat(size)
     dsts, srcs, ns = local[dst], src.tolist(), lengths.tolist()
     plan, charged, at = [], 0, 0
     for c, kc in enumerate(size.tolist()):
@@ -696,32 +751,33 @@ def _prologue(span: int, lead: int, base: int, chain, nxt, nletter, ncost, edges
     """
     letter, dst, cost = edges
     at = np.where(chain, nxt, np.arange(chain.size))
-    length, code, paid = (np.where(chain, col, 0) for col in (1, nletter, ncost))
+    # Per state, the code of its chain's word, base**(its length) and its cost.
+    code, scale, paid = nletter * chain, chain * (base - 1) + 1, ncost * chain
     for _ in range((span - 1).bit_length()):            # 2**rounds > span - 1 letters
-        code = code * base ** length[at] + code[at]
-        length, paid, at = length + length[at], paid + paid[at], at[at]
-    top = base ** span
-    costs = np.full((span + 1, top), _INF, dtype=np.int64)     # [t, code of x[:t]]
-    costs[0, 0] = 0                                             # letter 0, at depth 0
-    np.minimum.at(costs.reshape(-1), (length[dst] + 1) * top + letter * base ** length[dst]
-                  + code[dst], cost + paid[dst])
+        step = scale[at]
+        code, scale, paid, at = code * step + code[at], scale * step, paid + paid[at], at[at]
+    # costs[base**t + code of x[:t]], the word's length marked by a leading 1.
+    costs = np.full(base ** (span + 1), _INF, dtype=np.int64)
+    costs[1] = 0                                                # letter 0, at depth 0
+    np.minimum.at(costs, (base + letter) * scale[dst] + code[dst], cost + paid[dst])
     rows = np.arange(lead - span + 1, lead + 1)
-    table = costs[rows, np.arange(base ** lead)[:, None] // base ** (lead - rows)]
+    table = costs[base ** rows + np.arange(base ** lead)[:, None] // base ** (lead - rows)]
     return table[:, :, None], (table < _INF).any(axis=1).tolist()
 
 
 def _cycle_hubs(chain, nxt):
     """For each cycle of the single-exit `chain` states (successor nxt),
     the first state of it on the walk from the lowest state that leads
-    into it, by pointer jumping."""
+    into it, by pointer jumping, which stops once every walk has left the
+    chain states."""
     n = chain.size
     rounds = max(n - 1, 1).bit_length()              # 2**rounds >= n steps
     end = np.where(chain, nxt, np.arange(n))
     for _ in range(rounds):
+        if not chain[end].any():
+            return end[:0]
         end = end[end]
-    lost = np.flatnonzero(chain[end])                # states that never reach a hub
-    if not lost.size:
-        return lost
+    lost = chain[end].nonzero()[0]                   # states that never reach a hub
     on_cycle = np.zeros(n, dtype=bool)
     on_cycle[end[lost]] = True
     entry = np.where(on_cycle | ~chain, np.arange(n), nxt)
@@ -765,11 +821,11 @@ def _macro_edges(rows, ends, graph, base: int, charged: int):
             words, src, at, paid = words[keep], src[keep], at[keep], paid[keep]
         if at.size and base ** (j + 1) > _NORMALIZE_BUDGET:
             return None                          # a macro-edge of j + 1 letters or more
-        part.append((np.full(at.size, j), words, src, paid))
+        part.append((words, src, paid))
         if relaying:
             # A relay exit after j letters is a macro-edge of j + 1.
             exits = _ranges(xfirst[at], xcount[at])
-            walk = np.repeat(np.arange(at.size), xcount[at])
+            walk = np.arange(at.size).repeat(xcount[at])
             charged += (j + 1) * walk.size
         if charged > _NORMALIZE_BUDGET:
             return None
@@ -778,8 +834,9 @@ def _macro_edges(rows, ends, graph, base: int, charged: int):
             table = _cheapest(*map(np.concatenate, zip(*ends)))
             full.append((np.full(table[0].size, j), *table))
         if not at.size:
+            lengths = np.arange(1, j + 1).repeat([words.size for words, _, _ in part])
             return (tuple(map(np.concatenate, zip(*full))),
-                    _cheapest(*map(np.concatenate, zip(*part))))
+                    _cheapest(lengths, *map(np.concatenate, zip(*part))))
         ends = [(words[walk] * base + edges[0][exits], src[walk], index[edges[1][exits]],
                  paid[walk] + edges[2][exits])] if relaying else []
         words, paid, at = words * base + nletter[at], paid + ncost[at], nxt[at]
@@ -792,10 +849,13 @@ def _word_tables(table):
     lengths, words, *cols = table
     entries = list(zip(*(col.tolist() for col in cols)))
     first = _runs(lengths) | _runs(words)            # the first entry of each word
-    cut = [*np.flatnonzero(first).tolist(), words.size]
-    entries = list(map(entries.__getitem__, map(slice, cut, cut[1:])))
+    if first.all():
+        entries = [[entry] for entry in entries]
+    else:
+        cut = [*first.nonzero()[0].tolist(), words.size]
+        entries = list(map(entries.__getitem__, map(slice, cut, cut[1:])))
     lengths, words = lengths[first], words[first]
-    cut = [*np.flatnonzero(_runs(lengths)).tolist(), lengths.size]
+    cut = [*_runs(lengths).nonzero()[0].tolist(), lengths.size]
     return [(n, dict(zip(words[i:k].tolist(), entries[i:k])))
             for n, i, k in zip(lengths[cut[:-1]].tolist(), cut, cut[1:])]
 
@@ -1184,16 +1244,17 @@ def _scan_hubs(maps, costs, then, apply):
 def _relays(outdeg, indeg):
     """The states v whose intra in-degree times out-degree exceeds their
     sum: closing through v would make more closure entries than it saves."""
-    return np.flatnonzero((indeg > 1) & (indeg * outdeg > indeg + outdeg))
+    return ((indeg > 1) & (indeg * outdeg > indeg + outdeg)).nonzero()[0]
 
 
 def _distances(source: int, adj, hops) -> dict:
-    """Dijkstra from `source` over the intra edges adj = (first, out, outdeg):
+    """Dijkstra from `source` over the core edges adj = (first, out, onward):
     the (dst, weight) rows first[v]:first[v + 1] of out leave v, and a state
-    of out-degree 0 is reached but never queued.  Past the source, a relay's
-    edges are its `hops`.  An edge weighs at most the number of description
-    tapes, so the queue is a list of buckets, one per cost."""
-    first, out, outdeg = adj
+    without edges onward is reached but never queued.  Past the source, a
+    relay's edges are its `hops`.  Costs are small integers (an edge weighs
+    at most the number of description tapes, a lifted one that times its
+    tree path), so the queue is a list of buckets, one per cost."""
+    first, out, onward = adj
     dist = {source: 0}
     get = dist.get
     buckets = [[source]]
@@ -1208,7 +1269,7 @@ def _distances(source: int, adj, hops) -> dict:
                          else out[first[v]:first[v + 1]].tolist()):
                 if c + w < get(d, _INF):
                     dist[d] = c + w
-                    if not outdeg[d]:
+                    if not onward[d]:
                         continue
                     while len(buckets) <= c + w:
                         buckets.append([])
@@ -1218,6 +1279,24 @@ def _distances(source: int, adj, hops) -> dict:
     return dist
 
 
+def _trees(stop, src, dst, weight):
+    """(up, paid): each state's nearest ancestor among the `stop` states up
+    the intra edges (src, dst, weight), one into each other state, and the
+    cost of the path down from it, by pointer jumping (Hillis & Steele,
+    1986).  A state below no stop (on or below a cycle) keeps a non-stop."""
+    n = stop.size
+    up, paid = np.arange(n), np.zeros(n, dtype=np.int64)
+    into = ~stop[dst]
+    tree = dst[into]
+    up[tree], paid[tree] = src[into], weight[into]
+    for _ in range(n.bit_length()):              # 2**rounds > n - 1 edges up
+        if stop[up].all():
+            break
+        paid += paid[up]
+        up = up[up]
+    return up, paid
+
+
 def _closure_into(num_states: int, src, dst, letter, weight):
     """(entries, reach, dominant, reached) of the edge arrays of
     `_classify_edges`.
@@ -1225,11 +1304,11 @@ def _closure_into(num_states: int, src, dst, letter, weight):
     entries = (s, t, c) arrays sorted by (t, s): for each state t that
     reads a letter, c is the cost of the cheapest intra path s -> t that
     enters no relay (only s = t if t is a relay); reach = (q, r, c) arrays
-    sorted by q: c is the cost of the cheapest intra path from an entered
-    state q to a relay r != q; dominant = (q, q2, w) arrays sorted by q,
-    one per intra edge q2 -> q != q2 of weight w between two entered
-    states that are not relays (`_prune`); reached, the relays in reach,
-    which the sweep keeps as hubs (`_pick_step`).
+    sorted by (q, r): c is the cost of the cheapest intra path from an
+    entered state q to a relay r != q; dominant = (q, q2, w) arrays sorted
+    by (q, q2), one per intra edge q2 -> q != q2 of weight w between two
+    entered states that are not relays (`_prune`); reached, the relays in
+    reach, which the sweep keeps as hubs (`_pick_step`).
 
     The sweep starts every state at cost 0 and costs are >= 0, so on the
     first letter a path through t is cheapest when it starts at t itself;
@@ -1238,48 +1317,66 @@ def _closure_into(num_states: int, src, dst, letter, weight):
     from one of them, which `_CompiledSweep` folds into the letter's edges.
     So the sources are each reading state itself (cost 0) and the entered
     states and the relays with intra out-edges: a path through relays is
-    cut at its last one.  A source whose intra edges all end at states
-    without one takes that one hop; the others run Dijkstra over the intra
-    edges, not through a relay.  Each entry makes one closure edge per
-    advancing edge out of t; _CLOSURE_BUDGET is charged for those from the
-    entry counts, before any closure edge is made, and after each Dijkstra.
+    cut at its last one.  A path into a tree state, of intra in-degree 1
+    and neither a source nor a relay, passes its stop (`_trees`).  So the
+    sources search the core, the other states, over the intra edges into
+    it, each lifted to leave its source's stop: a source whose core edges
+    all end at states without edges on takes that one hop, the others run
+    Dijkstra, not through a relay.  Each source and each state it reaches
+    then pass their cost on to the reading states of their trees (a relay
+    only as the source), through offsets.  Each entry makes one closure
+    edge per advancing edge out of t; _CLOSURE_BUDGET is charged for those
+    before any entry is made: the hops' at once, then each Dijkstra's.
     """
     intra = letter < 0
-    by_src = np.flatnonzero(intra)[np.argsort(src[intra], kind="stable")]
-    out = np.column_stack((dst[by_src], weight[by_src]))   # (dst, weight) rows by source
-    isrc, (idst, iw) = src[by_src], out.T
-    reads = np.bincount(src[~intra], minlength=num_states)
-    entered = np.zeros(num_states, dtype=bool)
-    entered[dst[~intra]] = True
-    outdeg = np.bincount(isrc, minlength=num_states)
+    isrc, idst, iw = src[intra], dst[intra], weight[intra]
+    advance = ~intra
+    reads = np.bincount(src[advance], minlength=num_states)
+    entered = np.bincount(dst[advance], minlength=num_states) > 0
+    outdeg, indeg = (np.bincount(col, minlength=num_states) for col in (isrc, idst))
     relay = np.zeros(num_states, dtype=bool)
-    relay[np.asarray(_relays(outdeg, np.bincount(idst, minlength=num_states)),
-                     dtype=np.int64)] = True
-    first = isrc.searchsorted(np.arange(num_states + 1))
-    adj = memoryview(first), memoryview(out), memoryview(outdeg)
-    # Past its source, a Dijkstra crosses a relay only by its hops: the
-    # intra paths that end at the next relays.
-    hops = dict.fromkeys(np.flatnonzero(relay).tolist(), ())
-    hops = {r: [(v, c) for v, c in _distances(r, adj, hops).items() if v in hops and v != r]
-            for r in hops}
-    onward = outdeg.copy()                       # intra edges past the source
-    onward[relay] = [len(ends) for ends in hops.values()]
+    relay[np.asarray(_relays(outdeg, indeg), dtype=np.int64)] = True
     sources = (entered | relay) & (outdeg > 0)
-    deep = np.zeros(num_states, dtype=bool)      # some target has onward edges
-    deep[isrc[onward[idst] > 0]] = True
-    hop = sources[isrc] & ~deep[isrc]
-    paths = [_cheapest(isrc[hop], idst[hop], iw[hop])]
-    charge = np.where(relay, 0, reads)           # closure edges per entry into t
-    charged = int(reads.sum() + charge[paths[0][1]].sum())
+    stop = (indeg != 1) | sources | relay
+    up, paid = _trees(stop, isrc, idst, iw)
+    # leaves[first[a]:first[a] + below[a]]: the reading tree states below stop a.
+    leaves = (~stop & stop[up] & (reads > 0)).nonzero()[0]
+    leaves = leaves[_argsort(up[leaves], num_states)]
+    below = np.bincount(up[leaves], minlength=num_states)
+    first = below.cumsum() - below
+    # The closure edges of a path into a state: its trees' (grown) and its own.
+    grown = np.bincount(up[leaves], reads[leaves], num_states).astype(np.int64)
+    charge = (reads + grown) * ~relay
+    # The core edges, by source, and their Dijkstra adjacency (`_distances`).
+    core = (stop[idst] & stop[up[isrc]]).nonzero()[0]
+    core = core[_argsort(up[isrc[core]], num_states)]
+    csrc, cdst, cw = up[isrc[core]], idst[core], paid[isrc[core]] + iw[core]
+    deep, hops = np.zeros(num_states, dtype=bool), {}     # deep: some core edge leads on
+    if cdst.size:
+        onward = np.bincount(csrc, minlength=num_states)
+        adj = (memoryview(np.append(0, onward.cumsum())),
+               memoryview(np.column_stack((cdst, cw))), memoryview(onward))
+        onward[relay] = 0
+        # Past its source, a Dijkstra crosses a relay only by its hops: the
+        # core paths that end at the next relays.
+        hops = dict.fromkeys(relay.nonzero()[0].tolist(), ())
+        hops = {r: [(v, c) for v, c in _distances(r, adj, hops).items() if v in hops and v != r]
+                for r in hops}
+        onward[relay] = [len(ends) for ends in hops.values()]
+        deep[csrc[onward[cdst] > 0]] = True
+    hop = sources[csrc] & ~deep[csrc] & (csrc != cdst)
+    own = (sources & ~deep).nonzero()[0]
+    paths = [_cheapest(csrc[hop], cdst[hop], cw[hop]), (own, own, np.zeros_like(own))]
+    charged = int(reads.sum() + charge[paths[0][1]].sum() + grown[own].sum())
     if charged > _CLOSURE_BUDGET:
         raise BudgetExceeded("intra-layer closure is too dense to sweep", _CLOSURE_BUDGET)
-    # wanted[t]: t is a target that entries (t reads) or reach (t is a relay) keep.
-    charge, wanted = memoryview(charge), ((reads > 0) | relay).tobytes()
+    # wanted[t]: entries (t or its trees read) or reach (t is a relay) keep paths to t.
+    wanted, charge, grown = ((charge > 0) | relay).tobytes(), memoryview(charge), memoryview(grown)
     found = [], [], []
-    for source in np.flatnonzero(sources & deep).tolist():
+    for source in (sources & deep).nonzero()[0].tolist():
         dist = _distances(source, adj, hops)
         kept = list(compress(dist, map(wanted.__getitem__, dist)))
-        charged += sum(map(charge.__getitem__, kept)) - charge[source]
+        charged += sum(map(charge.__getitem__, kept)) - charge[source] + grown[source]
         if charged > _CLOSURE_BUDGET:
             raise BudgetExceeded("intra-layer closure is too dense to sweep", _CLOSURE_BUDGET)
         found[0].extend(repeat(source, len(kept)))
@@ -1287,19 +1384,26 @@ def _closure_into(num_states: int, src, dst, letter, weight):
         found[2].extend(map(dist.__getitem__, kept))
     paths.append(tuple(np.array(col, dtype=np.int64) for col in found))
     s, t, c = map(np.concatenate, zip(*paths))
-    near = (s != t) & ~relay[t] & (reads[t] > 0)
-    trivial = np.flatnonzero(reads)
-    entries = [np.concatenate((col[near], own)) for col, own in
-               zip((s, t, c), (trivial, trivial, np.zeros_like(trivial)))]
-    order = np.lexsort(entries[:2])
-    far = (s != t) & relay[t] & entered[s]
-    order_far = np.argsort(s[far], kind="stable")
-    dom = entered[isrc] & entered[idst] & (isrc != idst) & ~relay[isrc] & ~relay[idst]
-    by_end = np.argsort(idst[dom], kind="stable")
-    return (tuple(col[order] for col in entries),
-            tuple(col[far][order_far] for col in (s, t, c)),
-            tuple(col[dom][by_end] for col in (idst, isrc, iw)),
-            np.flatnonzero(np.bincount(t[far], minlength=num_states)))
+    other, free = s != t, ~relay[t]
+    grow = ~other | free                         # the paths whose trees are entered
+    count = below[t[grow]]
+    pick = leaves[_ranges(first[t[grow]], count)]
+    near = other & free & (reads[t] > 0)
+    trivial = reads.nonzero()[0]
+    entries = [np.concatenate(cols) for cols in (
+        (s[near], s[grow].repeat(count), trivial),
+        (t[near], pick, trivial),
+        (c[near], c[grow].repeat(count) + paid[pick], np.zeros_like(trivial)))]
+    # Both come as runs already in order (the trivial entries, each tree's
+    # leaves, each source's paths), which a stable sort (timsort) merges.
+    order = (entries[1] * num_states + entries[0]).argsort(kind="stable")
+    far = (other & ~free & entered[s]).nonzero()[0]
+    far = far[(s[far] * num_states + t[far]).argsort(kind="stable")]
+    plain = entered & ~relay
+    dom = (plain[isrc] & plain[idst] & (isrc != idst)).nonzero()[0]
+    dom = dom[np.lexsort((isrc[dom], idst[dom]))]
+    return (tuple(col[order] for col in entries), tuple(col[far] for col in (s, t, c)),
+            (idst[dom], isrc[dom], iw[dom]), np.bincount(t[far], minlength=num_states).nonzero()[0])
 
 
 # Compiled sweeps by id(automaton); each entry leaves with its automaton.

@@ -931,3 +931,114 @@ def layered_concat_reference(aut: LabeledAutomaton, n_layers: int) -> LabeledAut
         edges += [(N * n + v, v, ("0", EPSILON)), (N * n + v, hub, ("1", EPSILON)),
                   (hub, (N + 1) * n + v, (EPSILON, EPSILON))]
     return LabeledAutomaton(2, aut.alphabets, hub + 1 if n else 0, tuple(edges))
+
+
+def _cheapest_reference(*columns):
+    """The rows of the columns (keys, then a cost) with the least cost per
+    distinct key, sorted by key, as int64 arrays."""
+    *keys, cost = (col.tolist() for col in columns)
+    best = {}
+    for *key, c in zip(*keys, cost):
+        key = tuple(key)
+        best[key] = min(best.get(key, c), c)
+    rows = sorted((*key, c) for key, c in best.items())
+    return tuple(np.array(col, dtype=np.int64) for col in zip(*rows)) if rows else (
+        (np.zeros(0, dtype=np.int64),) * len(columns))
+
+
+def distances_reference(source: int, adj, hops) -> dict:
+    """Dijkstra from `source` over the intra edges adj = (first, out, outdeg):
+    the (dst, weight) rows first[v]:first[v + 1] of out leave v, and a state
+    of out-degree 0 is reached but never queued.  Past the source, a relay's
+    edges are its `hops`."""
+    first, out, outdeg = adj
+    dist = {source: 0}
+    buckets = [[source]]
+    c = 0
+    while c < len(buckets):
+        bucket = buckets[c]
+        while bucket:
+            v = bucket.pop()
+            if dist[v] != c:
+                continue
+            for d, w in (hops[v] if v in hops and v != source
+                         else out[first[v]:first[v + 1]].tolist()):
+                if c + w < dist.get(d, math.inf):
+                    dist[d] = c + w
+                    if not outdeg[d]:
+                        continue
+                    while len(buckets) <= c + w:
+                        buckets.append([])
+                    buckets[c + w].append(d)
+        c += 1
+    return dist
+
+
+def closure_into_reference(num_states: int, src, dst, letter, weight, relays, budget: int):
+    """(entries, reach, dominant, reached) of `_closure_into` for the given
+    relay states, by a Dijkstra from each source over every intra edge;
+    raises BudgetExceeded once the closure edges that the entries stand
+    for, charged before each is made, pass `budget`.  Entries are sorted
+    by (t, s), reach by q and then in the order each Dijkstra reaches r,
+    dominant by q and then q2, each as int64 arrays."""
+    intra = letter < 0
+    by_src = np.flatnonzero(intra)[np.argsort(src[intra], kind="stable")]
+    out = np.column_stack((dst[by_src], weight[by_src]))
+    isrc, (idst, iw) = src[by_src], out.T
+    reads = np.bincount(src[~intra], minlength=num_states)
+    entered = np.zeros(num_states, dtype=bool)
+    entered[dst[~intra]] = True
+    outdeg = np.bincount(isrc, minlength=num_states)
+    relay = np.zeros(num_states, dtype=bool)
+    relay[np.asarray(relays, dtype=np.int64)] = True
+    first = isrc.searchsorted(np.arange(num_states + 1))
+    adj = memoryview(first), memoryview(out), memoryview(outdeg)
+    hops = dict.fromkeys(np.flatnonzero(relay).tolist(), ())
+    hops = {r: [(v, c) for v, c in distances_reference(r, adj, hops).items()
+                if v in hops and v != r] for r in hops}
+    onward = outdeg.copy()
+    onward[relay] = [len(ends) for ends in hops.values()]
+    sources = (entered | relay) & (outdeg > 0)
+    deep = np.zeros(num_states, dtype=bool)
+    deep[isrc[onward[idst] > 0]] = True
+    hop = sources[isrc] & ~deep[isrc]
+    paths = [_cheapest_reference(isrc[hop], idst[hop], iw[hop])]
+    charge = np.where(relay, 0, reads)
+    charged = int(reads.sum() + charge[paths[0][1]].sum())
+    if charged > budget:
+        raise BudgetExceeded("intra-layer closure is too dense to sweep", budget)
+    wanted = (reads > 0) | relay
+    found = [], [], []
+    for source in np.flatnonzero(sources & deep).tolist():
+        dist = distances_reference(source, adj, hops)
+        kept = [v for v in dist if wanted[v]]
+        charged += int(charge[kept].sum()) - int(charge[source])
+        if charged > budget:
+            raise BudgetExceeded("intra-layer closure is too dense to sweep", budget)
+        found[0].extend([source] * len(kept))
+        found[1].extend(kept)
+        found[2].extend(dist[v] for v in kept)
+    paths.append(tuple(np.array(col, dtype=np.int64) for col in found))
+    s, t, c = map(np.concatenate, zip(*paths))
+    near = (s != t) & ~relay[t] & (reads[t] > 0)
+    trivial = np.flatnonzero(reads)
+    entries = [np.concatenate((col[near], own)) for col, own in
+               zip((s, t, c), (trivial, trivial, np.zeros_like(trivial)))]
+    order = np.lexsort(entries[:2])
+    far = (s != t) & relay[t] & entered[s]
+    order_far = np.argsort(s[far], kind="stable")
+    dom = entered[isrc] & entered[idst] & (isrc != idst) & ~relay[isrc] & ~relay[idst]
+    by_end = np.argsort(idst[dom], kind="stable")
+    return (tuple(col[order] for col in entries),
+            tuple(col[far][order_far] for col in (s, t, c)),
+            tuple(col[dom][by_end] for col in (idst, isrc, iw)),
+            np.flatnonzero(np.bincount(t[far], minlength=num_states)))
+
+
+def matches_reference(keys, probes):
+    """The indices of the entries equal to each probe in the sorted `keys`,
+    concatenated, and their count per probe, by binary search."""
+    first = np.searchsorted(keys, probes)
+    count = np.searchsorted(keys, probes, side="right") - first
+    return np.concatenate([np.arange(f, f + n) for f, n in zip(first.tolist(), count.tolist())]
+                          or [np.zeros(0, dtype=np.int64)]).astype(np.int64), count

@@ -40,8 +40,10 @@ from helpers import (
     all_accepting_rule,
     brute_force_k_table,
     check_word,
+    closure_into_reference,
     hub_tables_reference,
     hub_walk_reference,
+    matches_reference,
     none_accepting_rule,
     parity_rule,
     prune_reference,
@@ -72,9 +74,9 @@ def force_step(monkeypatch, name):
     """
     step, tail = STEPS[name]
 
-    def pick(num_states, by_letter, relays):
+    def pick(num_states, by_letter, relays, stages):
         edges = engine._edge_lists(by_letter) if step is engine._step_python else by_letter
-        return step, edges, tail and engine._Hubs.compile(num_states, by_letter, relays)
+        return step, edges, tail and engine._Hubs.compile(num_states, by_letter, relays, stages)
     monkeypatch.setattr(engine, "_pick_step", pick)
     monkeypatch.setattr(engine, "_sweep_cache", {})
     return step, tail
@@ -334,6 +336,142 @@ def test_prune_settles_ties_as_the_reference(data):
     pruned = engine._prune(tuple(columns), tuple(rows))
     assert sorted(zip(*(col.tolist() for col in pruned))) == sorted(
         prune_reference(edges, dominant))
+
+
+@st.composite
+def silent_graphs(draw):
+    """(num_states, edge arrays as `_classify_edges` makes them, relays or
+    None): silent (epsilon-object) edges that hang trees under several
+    sources on one root path, with states of in-degree 2, zero-weight
+    edges, relays and cycles of in-degree-1 states that no source reaches,
+    and letters read and entered all over.  Relays are forced or, for
+    None, those of `_relays`."""
+    n = draw(st.integers(1, 16))
+    state, weight = st.integers(0, n - 1), st.integers(0, 2)
+    path = draw(st.integers(1, n))               # the root path 0 -> 1 -> ... -> path - 1
+    intra = [(v, v + 1, draw(weight)) for v in range(path - 1)]
+    orphans = []
+    for v in range(path, n):                     # trees: each state below an earlier one
+        if draw(st.booleans()):
+            intra.append((draw(st.integers(0, v - 1)), v, draw(weight)))
+        else:
+            orphans.append(v)
+    cycle = orphans[:draw(st.integers(0, 3))]    # entered only around the cycle
+    intra += [(v, w, draw(weight)) for v, w in zip(cycle, cycle[1:] + cycle[:1])]
+    intra += draw(st.lists(st.tuples(state, state, weight), max_size=5))
+    advance = draw(st.lists(st.tuples(state, state, st.integers(0, 1), st.integers(0, 1)),
+                            max_size=10))
+    # Several sources on the root path, and reading states all along it.
+    advance += [(draw(state), v, draw(st.integers(0, 1)), 0)
+                for v in draw(st.lists(st.integers(0, path - 1), max_size=3))]
+    advance += [(v, draw(state), draw(st.integers(0, 1)), 1)
+                for v in draw(st.lists(state, max_size=6))]
+    rows = [(s, d, -1, w) for s, d, w in intra] + advance
+    edges = tuple(np.array(col, dtype=np.int64) for col in zip(*rows)) if rows else (
+        (np.zeros(0, dtype=np.int64),) * 4)
+    relays = draw(st.none() | st.lists(state, unique=True, max_size=3).map(sorted))
+    return n, edges, relays
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(graph=silent_graphs())
+def test_closure_matches_the_per_source_dijkstra_reference(graph):
+    # The tree pass and the core search give the per-source Dijkstra's
+    # entries, dominant and reached, and its reach up to the order within
+    # a source; and raise BudgetExceeded at the same budgets.
+    num_states, (src, dst, letter, weight), forced = graph
+    intra = letter < 0
+    relays = forced if forced is not None else engine._relays(
+        np.bincount(src[intra], minlength=num_states),
+        np.bincount(dst[intra], minlength=num_states)).tolist()
+    reads = np.bincount(src[~intra], minlength=num_states)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "_relays", lambda outdeg, indeg: relays)
+        entries, reach, dominant, reached = closure_lists(
+            engine._closure_into(num_states, src, dst, letter, weight))
+        expected = closure_lists(closure_into_reference(
+            num_states, src, dst, letter, weight, relays, engine._CLOSURE_BUDGET))
+        assert (entries, dominant, reached) == (expected[0], expected[2], expected[3])
+        assert reach == sorted(reach) == sorted(expected[1])
+        made = sum(reads[t] for _, t, _ in entries)      # the closure edges
+        for budget in (made, made - 1):
+            mp.setattr(engine, "_CLOSURE_BUDGET", budget)
+            assert outcome(engine._closure_into, num_states, src, dst, letter, weight) == (
+                outcome(closure_into_reference, num_states, src, dst, letter, weight, relays,
+                        budget))
+
+
+def outcome(closure_into, *args):
+    """The exception type that a closure raises, or None."""
+    try:
+        closure_into(*args)
+    except BudgetExceeded as error:
+        return type(error)
+    return None
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(data=st.data())
+def test_matches_are_the_binary_search_reference(data):
+    keys = np.array(sorted(data.draw(st.lists(st.integers(0, 9), max_size=12))), dtype=np.int64)
+    probes = np.array(data.draw(st.lists(st.integers(0, 9), max_size=12)), dtype=np.int64)
+    pick, count = engine._matches(keys, probes, 10)
+    expected = matches_reference(keys, probes)
+    assert (pick.tolist(), count.tolist()) == (expected[0].tolist(), expected[1].tolist())
+
+
+def chain_mode(n):
+    """A path of n states over description-only edges, whose last state
+    reads 1 back to the first, every fifth reads 0 back to it, and the
+    last reads 0 into the middle one (a second source)."""
+    readers = np.arange(4, n, 5)
+    src = np.concatenate((np.arange(n - 1), [n - 1, n - 1], readers))
+    dst = np.concatenate((np.arange(1, n), [0, n // 2], np.zeros_like(readers)))
+    tape0 = np.concatenate((np.zeros(n - 1, dtype=np.int64), np.full(2 + readers.size, -1)))
+    tape1 = np.concatenate((np.full(n - 1, -1), [1, 0], np.zeros_like(readers)))
+    aut = LabeledAutomaton.from_columns(2, (BINARY, BINARY), n, src, dst,
+                                        np.stack((tape0, tape1)))
+    return DescriptionMode(aut, ValuednessCertificate.asserted(3, "test"))
+
+
+# States on either side of the 8-, 16- and 32-bit keys that the compile's
+# sorts narrow to: n, 2n and n**2.  The k=12 coder has 53,247 states.
+@pytest.mark.parametrize("make", [lambda: chain_mode(255), lambda: chain_mode(256),
+                                  lambda: chain_mode(65_535), lambda: chain_mode(65_536),
+                                  lambda: champ_coder(12)])
+def test_compiled_tables_at_the_dtype_bounds_match_the_references(make):
+    aut = make().automaton
+    edges = engine._classify_edges(aut)
+    closure = engine._closure_into(aut.num_states, *edges)
+    entries, reach, dominant, reached = closure_lists(closure)
+    relays = engine._relays(np.bincount(edges[0][edges[2] < 0], minlength=aut.num_states),
+                            np.bincount(edges[1][edges[2] < 0], minlength=aut.num_states))
+    expected = closure_lists(closure_into_reference(aut.num_states, *edges, relays,
+                                                    engine._CLOSURE_BUDGET))
+    assert (entries, sorted(reach), dominant, reached) == (
+        expected[0], sorted(expected[1]), expected[2], expected[3])
+    # Each letter's closure edges: every entry into each reading state, on.
+    src, dst, letter, weight = (col.tolist() for col in edges)
+    into = {}
+    for s, t, c in entries:
+        into.setdefault(t, []).append((s, c))
+    made = {a: sorted((s, q, c + w) for t, q, b, w in zip(src, dst, letter, weight) if b == i
+                      for s, c in into[t])
+            for i, a in enumerate(aut.alphabets[-1])}
+    assert {a: sorted(edges) for a, edges in edge_lists(engine._compiled(aut)).items()} == made
+    hubs = engine._compiled(aut).hubs
+    assert hub_tables(hubs) == hub_tables_reference(
+        aut.num_states, {a: tuple(np.array(col, dtype=np.int64).reshape(-1)
+                                  for col in (zip(*rows) if rows else ((), (), ())))
+                         for a, rows in made.items()}, set(reached), engine._NORMALIZE_BUDGET)
+
+
+def test_a_compile_records_the_seconds_of_each_stage():
+    for make in (identity_mode, lambda: champ_coder(8), lambda: layered_concat(champ_coder(3), 2)):
+        stages = engine._CompiledSweep(make().automaton).stages
+        assert set(stages) == {"closure", "closure edges", "prune and fold", "hub graph",
+                               "scans", "prologue"}
+        assert all(type(seconds) is float and seconds >= 0 for seconds in stages.values())
 
 
 def test_a_relay_is_a_state_whose_closure_costs_more_than_it_saves():
@@ -1308,6 +1446,47 @@ def test_forced_relays_match_oracle(name, arity, data):
         values = engine._sweep(aut, word, list(range(len(word) + 1)))
         assert_swept_by(aut, path)
     assert values == sweep_pure_curve(aut, word)
+
+
+@pytest.mark.parametrize("name", sorted(STEPS))
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(data=st.data())
+def test_a_dead_letter_ends_words_as_the_oracle(name, data):
+    # No edge reads the dead letter, which the word holds at its first, a
+    # middle or its last letter: every position from it on is unreachable.
+    aut, relays, word = data.draw(relay_modes(2))
+    dead = data.draw(st.sampled_from("01"))
+    aut = LabeledAutomaton(2, aut.alphabets, aut.num_states,
+                           tuple(edge for edge in aut.edges if edge[2][-1] != dead))
+    at = data.draw(st.sampled_from([0, len(word) // 2, len(word)]))
+    word = word[:at] + dead + word[at:]
+    with pytest.MonkeyPatch.context() as mp:
+        force_step(mp, name)
+        mp.setattr(engine, "_relays", lambda outdeg, indeg: relays)
+        assert chr(BINARY.index(dead)) in engine._compiled(aut).dead
+        values = engine._sweep(aut, word, list(range(len(word) + 1)))
+    assert values == sweep_pure_curve(aut, word)
+
+
+@pytest.mark.parametrize("at", ["first", "middle", "last"])
+def test_unary_words_end_at_their_first_zero(monkeypatch, at):
+    # unary(3) reads only 1s: the closure step never takes a letter past
+    # the word's first 0, and the positions from it on are unreachable.
+    mode = unary_compressor(3)
+    aut = mode.automaton
+    ones = "1" * 60
+    word = {"first": "0" + ones, "middle": ones[:30] + "0" + ones[30:], "last": ones + "0"}[at]
+    eng = engine._compiled(aut)
+    assert eng.dead == [chr(BINARY.index("0"))]
+    stepped = []
+    monkeypatch.setattr(eng, "step", lambda by_letter, dist, letters: stepped.append(
+        len(letters)) or engine._step_python(by_letter, dist, letters))
+    positions = list(range(len(word) + 1))
+    assert engine._sweep(aut, word, positions) == sweep_pure_curve(aut, word)
+    assert sum(stepped) <= word.index("0")
+    assert complexity(mode, word) == UNREACHABLE
+    with pytest.raises(InputRejected):
+        complexity(mode, word + "2")             # a bad symbol past the dead letter
 
 
 @pytest.mark.parametrize("name", sorted(STEPS))
