@@ -263,11 +263,13 @@ class _CompiledSweep:
         by_letter = _closure_edges(entries, *edges, aut.alphabets[-1])
         stages.lap("closure edges")
         if dominant[0].size:
-            by_letter = {a: _prune(closure, dominant) for a, closure in by_letter.items()}
+            near = _offsets(dominant[0], aut.num_states)
+            by_letter = {a: _prune(closure, dominant, near) for a, closure in by_letter.items()}
         if reach[0].size:
+            near = _offsets(reach[0], aut.num_states)
             charged = sum(srcs.size for srcs, _, _ in by_letter.values())
             for a, closure in by_letter.items():
-                by_letter[a], charged = _fold_relays(aut.num_states, closure, reach, charged)
+                by_letter[a], charged = _fold_relays(closure, reach, near, charged)
         stages.lap("prune and fold")
         # A letter that no closure edge reads ends every word that reaches it.
         self.dead = [chr(r) for r, (srcs, _, _) in enumerate(by_letter.values()) if not srcs.size]
@@ -318,12 +320,17 @@ def _ranges(first, count):
     return (first - ends + count).repeat(count) + np.arange(ends[-1] if ends.size else 0)
 
 
-def _matches(keys, probes, size: int = 0):
-    """The indices of the entries equal to each probe in the sorted `keys`,
-    concatenated, and their count per probe, read off the offsets of the
-    keys' counts; a probe is below `size` or at most the largest key."""
+def _offsets(keys, size: int = 0):
+    """(count, first): the entries equal to v in the sorted int `keys` are
+    first[v]:first[v] + count[v], for each v below size or the largest key."""
     count = np.bincount(keys, minlength=size)
-    first = count.cumsum() - count
+    return count, count.cumsum() - count
+
+
+def _matches(offsets, probes):
+    """The indices of the entries equal to each probe in sorted keys of
+    these `_offsets`, concatenated, and their count per probe."""
+    count, first = offsets
     count = count[probes]
     return _ranges(first[probes], count), count
 
@@ -347,7 +354,7 @@ def _cheapest(*columns):
     """The rows of the columns (nonnegative keys, then a cost) with the
     least cost per distinct key, sorted by key."""
     *keys, cost = columns
-    if not cost.size:
+    if not cost.size:                # 9 numpy calls, about 9 us, on nothing
         return columns
     key, top = keys[0], int(keys[0].max(initial=0))
     for k in keys[1:]:
@@ -370,7 +377,7 @@ def _closure_edges(entries, src, dst, letter, weight, alphabet):
     read = letter[advance].astype(np.min_scalar_type(len(alphabet)))
     order = read.argsort(kind="stable")
     advance = advance[order]
-    pick, count = _matches(at, src[advance])        # each reading state has an entry
+    pick, count = _matches(_offsets(at), src[advance])    # each reading state has an entry
     srcs, dsts = into[pick], dst[advance].repeat(count)
     costs = paid[pick] + weight[advance].repeat(count)
     cut = np.append(0, count.cumsum())[read[order].searchsorted(np.arange(len(alphabet) + 1))]
@@ -378,14 +385,14 @@ def _closure_edges(entries, src, dst, letter, weight, alphabet):
             for a, i, k in zip(alphabet, cut.tolist(), cut[1:].tolist())}
 
 
-def _fold_relays(num_states: int, edges, reach, charged: int):
+def _fold_relays(edges, reach, near, charged: int):
     """A letter's closure edges (s, q, c) plus one edge (s, r, the least
     c + d) per relay r that some q reaches at intra cost d (`reach` of
-    `_closure_into`), and `charged` plus the edges added, which are
-    charged to _CLOSURE_BUDGET."""
+    `_closure_into`, `near` the `_offsets` of its q), and `charged` plus
+    the edges added, which are charged to _CLOSURE_BUDGET."""
     srcs, dsts, costs = edges
-    near, relay, far = reach
-    pick, count = _matches(near, dsts, num_states)
+    _, relay, far = reach
+    pick, count = _matches(near, dsts)
     folded = _cheapest(srcs.repeat(count), relay[pick], costs.repeat(count) + far[pick])
     charged += folded[0].size
     if charged > _CLOSURE_BUDGET:
@@ -393,13 +400,14 @@ def _fold_relays(num_states: int, edges, reach, charged: int):
     return tuple(map(np.concatenate, zip(edges, folded))), charged
 
 
-def _prune(edges, dominant):
+def _prune(edges, dominant, near):
     """A letter's closure edge arrays without the dominated edges, and
     without all but the cheapest of parallel edges, sorted by (source,
     target).
 
     (s, q, c) is dominated when the letter also has an edge (s, q2, c2)
-    and `dominant` a row (q, q2, w), an intra edge q2 -> q of weight w,
+    and `dominant` a row (q, q2, w), an intra edge q2 -> q of weight w
+    (`near`: the `_offsets` of its q, over every q of the edges),
     with c2 + w <= c, and either c2 < c or the letter's edges first name
     (s, q2) after (s, q).  Both q2 and q are entered and neither is a
     relay, so the next letter's closure from q2 covers every way on from
@@ -410,11 +418,11 @@ def _prune(edges, dominant):
     other (zero-cost intra edges), the one named last stays.
     """
     srcs, dsts, costs = edges
-    near, far, weight = dominant
+    _, far, weight = dominant
     n = int(max(dsts.max(initial=0), far.max(initial=0))) + 1
     key, seen = _cheapest(srcs * n + dsts, np.arange(srcs.size))   # where (s, q) comes first
     _, costs = _cheapest(srcs * n + dsts, costs)
-    pick, count = _matches(near, key % n, n)
+    pick, count = _matches(near, key % n)
     edge = np.arange(key.size).repeat(count)
     other = key[edge] - key[edge] % n + far[pick]
     at = np.minimum(key.searchsorted(other), key.size - 1)
@@ -604,7 +612,7 @@ class _Hubs:
         self.chunk = max(min(_CHUNK_CELLS // max(widest, 1), _CHUNK_LETTERS), 1)
 
     @classmethod
-    def compile(cls, num_states: int, by_letter, relays, stages=None):
+    def compile(cls, num_states: int, by_letter, relays, stages):
         """The hub graph of the closure edge arrays with the `relays` as
         hubs, or None where it has no window tables (`_scans`) or its
         walk exceeds the compile budget.
@@ -613,7 +621,6 @@ class _Hubs:
         (`_macro_edges`), each carrying the code of its word.  The time of
         `_scans` and `_prologue` goes to their `stages`.
         """
-        stages = stages or _Stages()
         alphabet = list(by_letter)
         srcs, dst, cost = (np.concatenate(col) for col in zip(*by_letter.values()))
         letter = np.arange(len(alphabet)).repeat([e[0].size for e in by_letter.values()])
@@ -624,8 +631,7 @@ class _Hubs:
         # exits (edges into relays) follow, xcount[s] of them.
         order = _argsort(srcs * 2 + into, 2 * num_states)
         dst, cost, letter = dst[order], cost[order], letter[order]
-        xcount = np.bincount(srcs, minlength=num_states)
-        first = xcount.cumsum() - xcount
+        xcount, first = _offsets(srcs, num_states)
         outdeg = np.bincount(srcs[~into], minlength=num_states)
         xcount -= outdeg
         indeg = np.bincount(dst, minlength=num_states)
@@ -751,17 +757,20 @@ def _prologue(span: int, lead: int, base: int, chain, nxt, nletter, ncost, edges
     """
     letter, dst, cost = edges
     at = np.where(chain, nxt, np.arange(chain.size))
-    # Per state, the code of its chain's word, base**(its length) and its cost.
-    code, scale, paid = nletter * chain, chain * (base - 1) + 1, ncost * chain
+    # Per state, its chain's length, the code of its word, base**length and its cost.
+    length, code, scale = chain.astype(np.int64), nletter * chain, chain * (base - 1) + 1
+    paid = ncost * chain
     for _ in range((span - 1).bit_length()):            # 2**rounds > span - 1 letters
         step = scale[at]
-        code, scale, paid, at = code * step + code[at], scale * step, paid + paid[at], at[at]
-    # costs[base**t + code of x[:t]], the word's length marked by a leading 1.
-    costs = np.full(base ** (span + 1), _INF, dtype=np.int64)
-    costs[1] = 0                                                # letter 0, at depth 0
-    np.minimum.at(costs, (base + letter) * scale[dst] + code[dst], cost + paid[dst])
+        code, scale, length = code * step + code[at], scale * step, length + length[at]
+        paid, at = paid + paid[at], at[at]
+    top = base ** span
+    costs = np.full((span + 1) * top, _INF, dtype=np.int64)     # [t * top + code of x[:t]]
+    costs[0] = 0                                                # letter 0, at depth 0
+    cell = (length[dst] + 1) * top + letter * scale[dst] + code[dst]
+    np.minimum.at(costs, cell, cost + paid[dst])
     rows = np.arange(lead - span + 1, lead + 1)
-    table = costs[base ** rows + np.arange(base ** lead)[:, None] // base ** (lead - rows)]
+    table = costs[rows * top + np.arange(base ** lead)[:, None] // base ** (lead - rows)]
     return table[:, :, None], (table < _INF).any(axis=1).tolist()
 
 
@@ -849,7 +858,7 @@ def _word_tables(table):
     lengths, words, *cols = table
     entries = list(zip(*(col.tolist() for col in cols)))
     first = _runs(lengths) | _runs(words)            # the first entry of each word
-    if first.all():
+    if first.all():                                  # a trained coder's, 254 slices fewer
         entries = [[entry] for entry in entries]
     else:
         cut = [*first.nonzero()[0].tolist(), words.size]
@@ -1342,8 +1351,7 @@ def _closure_into(num_states: int, src, dst, letter, weight):
     # leaves[first[a]:first[a] + below[a]]: the reading tree states below stop a.
     leaves = (~stop & stop[up] & (reads > 0)).nonzero()[0]
     leaves = leaves[_argsort(up[leaves], num_states)]
-    below = np.bincount(up[leaves], minlength=num_states)
-    first = below.cumsum() - below
+    below, first = _offsets(up[leaves], num_states)
     # The closure edges of a path into a state: its trees' (grown) and its own.
     grown = np.bincount(up[leaves], reads[leaves], num_states).astype(np.int64)
     charge = (reads + grown) * ~relay

@@ -333,7 +333,7 @@ def test_prune_settles_ties_as_the_reference(data):
         dominant.setdefault(q, []).append((q2, w))
     columns = [np.array(col, dtype=np.int64) for col in zip(*edges)] or [np.zeros(0, np.int64)] * 3
     rows = [np.array(col, dtype=np.int64) for col in zip(*intra)] or [np.zeros(0, np.int64)] * 3
-    pruned = engine._prune(tuple(columns), tuple(rows))
+    pruned = engine._prune(tuple(columns), tuple(rows), engine._offsets(rows[0], 5))
     assert sorted(zip(*(col.tolist() for col in pruned))) == sorted(
         prune_reference(edges, dominant))
 
@@ -415,7 +415,7 @@ def outcome(closure_into, *args):
 def test_matches_are_the_binary_search_reference(data):
     keys = np.array(sorted(data.draw(st.lists(st.integers(0, 9), max_size=12))), dtype=np.int64)
     probes = np.array(data.draw(st.lists(st.integers(0, 9), max_size=12)), dtype=np.int64)
-    pick, count = engine._matches(keys, probes, 10)
+    pick, count = engine._matches(engine._offsets(keys, 10), probes)
     expected = matches_reference(keys, probes)
     assert (pick.tolist(), count.tolist()) == (expected[0].tolist(), expected[1].tolist())
 
@@ -1385,6 +1385,22 @@ def test_prologue_tables_of_one_hub_modes_match_the_oracle():
     assert {(True, None), (True, 1), (True, "lead"), (False, None)} <= seen
 
 
+@pytest.mark.parametrize("span", [1, 2, 5, 40])
+def test_prologue_over_a_one_letter_object_alphabet_matches_the_oracle(span):
+    # Every code over one letter is 0, so only the table's rows tell the
+    # lengths of the words apart.  A cycle of span states, and a state
+    # that leads into it, for depth 1.
+    edges = [(i, (i + 1) % span, (BINARY[i % 2], "a")) for i in range(span)]
+    aut = LabeledAutomaton(2, (BINARY, ("a",)), span + 1, (*edges, (span, 0, (EPSILON, "a"))))
+    word = "a" * (3 * span + 5)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "_sweep_cache", {})
+        hubs = engine._compiled(aut).hubs
+        assert hubs.span == span and hubs.lead == span and hubs.prologue is not None
+        hubs.handoff = 1
+        assert engine._sweep(aut, word, list(range(len(word) + 1))) == sweep_pure_curve(aut, word)
+
+
 @settings(derandomize=True, database=None, max_examples=100, deadline=None)
 @given(data=st.data())
 def test_reversal_oracle_on_hypothesis_modes(data):
@@ -2189,7 +2205,7 @@ def test_pruning_leaves_modes_without_dominance_alone(monkeypatch, name):
     assert closure_lists(engine._closure_into(aut.num_states,
                                               *engine._classify_edges(aut)))[2] == []
     pruned = edge_lists(engine._compiled(aut))
-    monkeypatch.setattr(engine, "_prune", lambda edges, dominant: edges)
+    monkeypatch.setattr(engine, "_prune", lambda edges, dominant, near: edges)
     monkeypatch.setattr(engine, "_sweep_cache", {})
     assert edge_lists(engine._compiled(aut)) == pruned
 
@@ -2214,7 +2230,7 @@ def test_mutual_dominance_keeps_one_of_the_two_states(forced_step, monkeypatch):
     for word, curve in values.items():
         assert curve == sweep_pure_curve(aut, word)
     assert_swept_by(aut, forced_step)
-    monkeypatch.setattr(engine, "_prune", lambda edges, dominant: edges)
+    monkeypatch.setattr(engine, "_prune", lambda edges, dominant, near: edges)
     monkeypatch.setattr(engine, "_sweep_cache", {})
     assert sorted(q for s, q, _ in edge_lists(engine._compiled(aut))["0"] if s == 0) == [1, 2]
     assert all(engine._sweep(aut, word, list(range(len(word) + 1))) == curve
@@ -2296,7 +2312,7 @@ def test_relay_tables_are_charged_to_the_compile_budget(monkeypatch):
     monkeypatch.setattr(engine, "_macro_edges", lambda *args: walks.append(walk(*args)) or walks[-1])
     for budget in (3, 4, 7, 8):
         monkeypatch.setattr(engine, "_NORMALIZE_BUDGET", budget)
-        hubs = engine._Hubs.compile(3, arrays, {2})
+        hubs = engine._Hubs.compile(3, arrays, {2}, engine._Stages())
         assert (walks[-1] is None, hubs is None) == (budget < 4, budget < 8)
     # The macro-edges (length, code, src hub, dst hub, cost): "10" is 2.
     assert [col.tolist() for col in walks[-1][0]] == [[2, 2], [2, 2], [1, 1], [0, 1], [1, 2]]
@@ -2316,7 +2332,8 @@ def test_relay_tables_past_the_budget_fall_back_to_numpy(monkeypatch):
     without_exits = {a: tuple(col[dst != relay] for col in (srcs, dst, cost))
                      for a, (srcs, dst, cost) in arrays.items()}
     monkeypatch.setattr(engine, "_NORMALIZE_BUDGET", 400)
-    assert engine._Hubs.compile(aut.num_states, without_exits, {relay}) is not None
+    stages = engine._Stages()
+    assert engine._Hubs.compile(aut.num_states, without_exits, {relay}, stages) is not None
     monkeypatch.setattr(engine, "_sweep_cache", {})
     assert swept_by(aut) == STEPS["numpy"]
     assert complexity_curve(mode, source, len(source), 100).samples == expected
@@ -2468,6 +2485,6 @@ def test_hub_compile_matches_the_reference_walk(data):
     budget = data.draw(st.sampled_from([engine._NORMALIZE_BUDGET, 2, 5, 9, 14, 20, 30]))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine, "_NORMALIZE_BUDGET", budget)
-        hubs = engine._Hubs.compile(num_states, by_letter, relays)
+        hubs = engine._Hubs.compile(num_states, by_letter, relays, engine._Stages())
     expected = hub_tables_reference(num_states, by_letter, relays, budget)
     assert hub_tables(hubs) == (None if expected is None or expected[-1] is None else expected)
