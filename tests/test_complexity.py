@@ -1401,6 +1401,29 @@ def test_prologue_over_a_one_letter_object_alphabet_matches_the_oracle(span):
         assert engine._sweep(aut, word, list(range(len(word) + 1))) == sweep_pure_curve(aut, word)
 
 
+def test_prologue_table_over_a_large_alphabet_holds_the_cells_it_is_charged():
+    # Five words of two letters over 200 letters: the table's (span + 1)
+    # rows of 200**2 codes are 0.7 MB; 200**3 cells would be 61 MB.
+    letters = tuple(chr(0x100 + i) for i in range(200))
+    rng = random.Random(1)
+    words = ["".join(rng.choices(letters, k=2)) for _ in range(5)]
+    edges = [edge for i, w in enumerate(words, 1)
+             for edge in ((0, i, ("1", w[0])), (i, 0, ("0", w[1])))]
+    aut = LabeledAutomaton(2, (BINARY, letters), len(words) + 1, tuple(edges))
+    text = "".join(rng.choices(words, k=30))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "_sweep_cache", {})
+        tracemalloc.start()
+        try:
+            hubs = engine._compiled(aut).hubs
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert hubs.prologue is not None and peak < 8 << 20
+        hubs.handoff = 1
+        assert engine._sweep(aut, text, list(range(len(text) + 1))) == sweep_pure_curve(aut, text)
+
+
 @settings(derandomize=True, database=None, max_examples=100, deadline=None)
 @given(data=st.data())
 def test_reversal_oracle_on_hypothesis_modes(data):
