@@ -359,9 +359,9 @@ def _cheapest(*columns):
     key, top = keys[0], int(keys[0].max(initial=0))
     for k in keys[1:]:
         width = int(k.max(initial=0)) + 1
-        if top >= (1 << 62) // width:
-            key = np.unique(key, return_inverse=True)[1]      # the same order, numbered densely
-            top = int(key.max(initial=0))
+        if top >= (1 << 62) // width:                 # renumbered densely, in the same order
+            key, k = (np.unique(col, return_inverse=True)[1] for col in (key, k))
+            top, width = int(key.max(initial=0)), int(k.max(initial=0)) + 1
         key, top = key * width + k, top * width + width - 1
     order = _argsort(key, top)
     first = _runs(key[order]).nonzero()[0]
@@ -756,14 +756,11 @@ def _prologue(span: int, lead: int, base: int, chain, nxt, nletter, ncost, edges
     plus its chain's cost over the edges on x[0] whose chain spells x[1:t].
     """
     letter, dst, cost = edges
-    at = np.where(chain, nxt, np.arange(chain.size))
-    # Per state, its chain's length, the code of its word, base**length and its cost.
-    length, code, scale = chain.astype(np.int64), nletter * chain, chain * (base - 1) + 1
-    paid = ncost * chain
-    for _ in range((span - 1).bit_length()):            # 2**rounds > span - 1 letters
-        step = scale[at]
-        code, scale, length = code * step + code[at], scale * step, length + length[at]
-        paid, at = paid + paid[at], at[at]
+    # Per state, its chain's length, cost, word code and base**length, in
+    # rounds enough for its longest chain: 2**rounds > span - 1 letters.
+    _, length, paid, code, scale = _jump(
+        nxt, ~chain, chain.astype(np.int64), ncost * chain, nletter * chain,
+        np.where(chain, base, 1), join=_chain_join, rounds=(span - 1).bit_length())
     top = base ** span
     costs = np.full((span + 1) * top, _INF, dtype=np.int64)     # [t * top + code of x[:t]]
     costs[0] = 0                                                # letter 0, at depth 0
@@ -774,29 +771,45 @@ def _prologue(span: int, lead: int, base: int, chain, nxt, nletter, ncost, edges
     return table[:, :, None], (table < _INF).any(axis=1).tolist()
 
 
+def _jump(at, stop, *carry, join=lambda at, *carry: carry, rounds=None):
+    """Pointer jumping (Hillis & Steele, "Data parallel algorithms", 1986)
+    over the functional graph v -> at[v], each `stop` state pointing at
+    itself: (at, *carry) after `rounds` rounds, or else once every state
+    points at its first stop or has gone as many steps as there are states.
+    A round composes each state's values with those of the state it points
+    at, join(at, *carry) (a stop's are the identity), then jumps them."""
+    at = np.where(stop, np.arange(at.size), at)
+    for _ in range(max(at.size - 1, 1).bit_length() if rounds is None else rounds):
+        if rounds is None and stop[at].all():
+            break
+        carry = join(at, *carry)
+        at = at[at]
+    return (at, *carry)
+
+
+def _chain_join(at, length, paid, code, scale):
+    """`_jump`'s join of a chain's length, cost, word code and
+    base**length with those of the chain of the state it points at."""
+    step = scale[at]
+    return length + length[at], paid + paid[at], code * step + code[at], scale * step
+
+
 def _cycle_hubs(chain, nxt):
     """For each cycle of the single-exit `chain` states (successor nxt),
     the first state of it on the walk from the lowest state that leads
-    into it, by pointer jumping, which stops once every walk has left the
-    chain states."""
+    into it, by pointer jumping (`_jump`), which stops once every walk has
+    left the chain states."""
     n = chain.size
-    rounds = max(n - 1, 1).bit_length()              # 2**rounds >= n steps
-    end = np.where(chain, nxt, np.arange(n))
-    for _ in range(rounds):
-        if not chain[end].any():
-            return end[:0]
-        end = end[end]
+    end = _jump(nxt, ~chain)[0]
     lost = chain[end].nonzero()[0]                   # states that never reach a hub
+    if not lost.size:
+        return lost
     on_cycle = np.zeros(n, dtype=bool)
     on_cycle[end[lost]] = True
-    entry = np.where(on_cycle | ~chain, np.arange(n), nxt)
-    name, step = np.arange(n), np.where(on_cycle, nxt, np.arange(n))
-    for _ in range(rounds):
-        entry = entry[entry]                         # the first cycle state ahead
-        name = np.minimum(name, name[step])          # the lowest state of the cycle
-        step = step[step]
+    _, name = _jump(nxt, ~on_cycle, np.arange(n), rounds=max(n - 1, 1).bit_length(),
+                    join=lambda at, low: (np.minimum(low, low[at]),))    # the lowest on the cycle
     _, lowest = np.unique(name[end[lost]], return_index=True)
-    return entry[lost[lowest]]
+    return _jump(nxt, on_cycle | ~chain)[0][lost[lowest]]      # the first cycle state ahead
 
 
 def _macro_edges(rows, ends, graph, base: int, charged: int):
@@ -1288,24 +1301,6 @@ def _distances(source: int, adj, hops) -> dict:
     return dist
 
 
-def _trees(stop, src, dst, weight):
-    """(up, paid): each state's nearest ancestor among the `stop` states up
-    the intra edges (src, dst, weight), one into each other state, and the
-    cost of the path down from it, by pointer jumping (Hillis & Steele,
-    1986).  A state below no stop (on or below a cycle) keeps a non-stop."""
-    n = stop.size
-    up, paid = np.arange(n), np.zeros(n, dtype=np.int64)
-    into = ~stop[dst]
-    tree = dst[into]
-    up[tree], paid[tree] = src[into], weight[into]
-    for _ in range(n.bit_length()):              # 2**rounds > n - 1 edges up
-        if stop[up].all():
-            break
-        paid += paid[up]
-        up = up[up]
-    return up, paid
-
-
 def _closure_into(num_states: int, src, dst, letter, weight):
     """(entries, reach, dominant, reached) of the edge arrays of
     `_classify_edges`.
@@ -1327,7 +1322,7 @@ def _closure_into(num_states: int, src, dst, letter, weight):
     So the sources are each reading state itself (cost 0) and the entered
     states and the relays with intra out-edges: a path through relays is
     cut at its last one.  A path into a tree state, of intra in-degree 1
-    and neither a source nor a relay, passes its stop (`_trees`).  So the
+    and neither a source nor a relay, passes its stop (`_jump`).  So the
     sources search the core, the other states, over the intra edges into
     it, each lifted to leave its source's stop: a source whose core edges
     all end at states without edges on takes that one hop, the others run
@@ -1347,7 +1342,10 @@ def _closure_into(num_states: int, src, dst, letter, weight):
     relay[np.asarray(_relays(outdeg, indeg), dtype=np.int64)] = True
     sources = (entered | relay) & (outdeg > 0)
     stop = (indeg != 1) | sources | relay
-    up, paid = _trees(stop, isrc, idst, iw)
+    # Each state's nearest stop up the intra edges and the cost down from
+    # it; a state below no stop (on or below a cycle) keeps a non-stop.
+    up, paid = _jump(_table(num_states, 0, idst, isrc), stop,
+                     _table(num_states, 0, idst, iw) * ~stop, join=lambda at, c: (c + c[at],))
     # leaves[first[a]:first[a] + below[a]]: the reading tree states below stop a.
     leaves = (~stop & stop[up] & (reads > 0)).nonzero()[0]
     leaves = leaves[_argsort(up[leaves], num_states)]

@@ -234,13 +234,6 @@ def classify_selection(rule: SelectionRule) -> str:
     return MIXED
 
 
-def selection_trace(rule: SelectionRule, bits: str,
-                    checkpoints: List[int]) -> List[Tuple[int, int]]:
-    """Selected-bit counts after each checkpoint prefix length; a negative
-    checkpoint raises ContractError."""
-    return selected_counts(selection_marks(rule, bits), checkpoints)
-
-
 # --- selection rule text format ----------------------------------------------
 #
 # states N / initial Q / accepting Q1 Q2 ... / trans FROM LETTER TO

@@ -136,11 +136,6 @@ def huffman_code(counts: Dict[str, int]) -> Dict[str, str]:
     return code
 
 
-def average_code_length(code: Dict[str, str], counts: Dict[str, int]) -> float:
-    total = sum(counts.values())
-    return sum(counts[b] * len(w) for b, w in code.items()) / total
-
-
 def build_block_coder(h: BlockHistogram) -> DescriptionMode:
     """Huffman block code as a description mode.
 

@@ -22,7 +22,7 @@ from autokolm.automaton import (
     enumerate_relation,
 )
 from autokolm.complexity import complexity
-from autokolm.constructions import SelectionRule
+from autokolm.constructions import SelectionRule, selected_counts, selection_marks
 from autokolm.errors import BudgetExceeded, ContractError, FormatError, InputRejected
 from autokolm.modes import (
     BINARY,
@@ -301,6 +301,12 @@ def wall_pair_realizable(c: int, x: str, y: str) -> bool:
         if c * X <= lo + 1 and lo <= c * X + c:
             return True
     return False
+
+
+def selection_trace(rule: SelectionRule, bits: str, checkpoints) -> list:
+    """Selected-bit counts after each checkpoint prefix length; a negative
+    checkpoint raises ContractError."""
+    return selected_counts(selection_marks(rule, bits), checkpoints)
 
 
 def random_rule(rng: random.Random, max_states: int = 6) -> SelectionRule:
@@ -837,6 +843,12 @@ def outcome(parse, *args):
         return parse(*args)
     except FormatError as exc:
         return f"FormatError: {exc}"
+
+
+def average_code_length(code: dict, counts: dict) -> float:
+    """The mean codeword length of a block code under block counts."""
+    total = sum(counts.values())
+    return sum(counts[b] * len(w) for b, w in code.items()) / total
 
 
 def build_block_coder_reference(h: BlockHistogram) -> DescriptionMode:

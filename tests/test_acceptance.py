@@ -27,7 +27,6 @@ from autokolm.constructions import (
     classify_selection,
     joint,
     merge,
-    selection_trace,
     splitter_mode,
     wall_mode,
 )
@@ -50,13 +49,13 @@ from autokolm.normality import (
     build_block_coder,
     discrepancy,
     huffman_code,
-    average_code_length,
     smoothed_counts,
 )
 from autokolm.seqgen import bernoulli_bits, champernowne_bits
 
 from helpers import (
     all_accepting_rule,
+    average_code_length,
     branch_rule,
     brute_force_k_table,
     compose_join_oracle,
@@ -69,6 +68,7 @@ from helpers import (
     random_rule,
     random_word,
     read_relation_contains,
+    selection_trace,
     suffix_rule,
     superadditivity_check,
     transient_accept_rule,

@@ -29,6 +29,7 @@ from autokolm.modes import (
     eps_cycle_check,
     identity_mode,
     layered_concat,
+    parse_mode,
     reverse_mode,
     unary_compressor,
     union,
@@ -37,7 +38,9 @@ from autokolm.normality import block_histogram, build_block_coder, huffman_code
 from autokolm.seqgen import bernoulli_bits, champernowne_bits
 
 from helpers import (
+    _cheapest_reference,
     all_accepting_rule,
+    average_code_length,
     brute_force_k_table,
     check_word,
     closure_into_reference,
@@ -420,6 +423,30 @@ def test_matches_are_the_binary_search_reference(data):
     assert (pick.tolist(), count.tolist()) == (expected[0].tolist(), expected[1].tolist())
 
 
+@st.composite
+def wide_key_columns(draw):
+    """Up to four key columns, each below a width of up to 2**62 and often
+    at half of it or its top, and a cost column: the combined key passes
+    2**62 and is renumbered densely, and may still be too wide for the
+    next column after that."""
+    rows = draw(st.integers(0, 12))
+    widths = draw(st.lists(st.sampled_from([1, 2, 5, 1 << 31, 1 << 40, 1 << 61, 1 << 62]),
+                           min_size=1, max_size=4))
+    keys = [draw(st.lists(st.integers(0, w - 1) | st.sampled_from([w // 2, w - 1]),
+                          min_size=rows, max_size=rows)) for w in widths]
+    return keys, draw(st.lists(st.integers(0, 3), min_size=rows, max_size=rows))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@example(columns=([[0, 3, 2 ** 62 - 1], [2 ** 62 - 1, 2, 1], [3, 2 ** 61, 0]], [0, 1, 2]))
+@given(columns=wide_key_columns())
+def test_cheapest_matches_the_reference_on_keys_up_to_2_62_wide(columns):
+    keys, cost = columns
+    columns = [np.array(col, dtype=np.int64) for col in (*keys, cost)]
+    assert [col.tolist() for col in engine._cheapest(*columns)] == [
+        col.tolist() for col in _cheapest_reference(*columns)]
+
+
 def chain_mode(n):
     """A path of n states over description-only edges, whose last state
     reads 1 back to the first, every fifth reads 0 back to it, and the
@@ -570,7 +597,6 @@ def test_curve_contract_errors():
 
 def test_curve_with_trained_coder_on_skewed_stream():
     from autokolm.normality import (
-        average_code_length,
         block_histogram,
         build_block_coder,
         huffman_code,
@@ -1082,6 +1108,26 @@ def test_python_step_start_holds_only_closure_sources(monkeypatch):
     assert eng.step is engine._step_python and eng.start == {0: 0}
     assert retained < n // 8, retained              # 72 bytes a state with a dict of them all
     assert complexity(mode, "0") == 1 and complexity(mode, "00") == UNREACHABLE
+
+
+def test_chain_file_compile_peak_memory_is_bounded_per_state(monkeypatch):
+    # 2**16 states on a chain of description-only edges, closed by one
+    # object-writing edge, as a mode file.  Measured peak 121 bytes a state;
+    # bound +25%.
+    n = 2 ** 16
+    mode = parse_mode(f"arity 2\nalphabet 0 0 1\nalphabet 1 0 1\nstates {n}\n"
+                      + "".join(f"edge {i} {i + 1} 0 -\n" for i in range(n - 1))
+                      + f"edge {n - 1} 0 - 1\n")
+    monkeypatch.setattr(engine, "_sweep_cache", {})
+    gc.collect()
+    tracemalloc.start()
+    try:
+        eng = engine._compiled(mode.automaton)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert eng.hubs is not None and complexity(mode, "11") == n - 1
+    assert peak <= 152 * n, peak / n
 
 
 @pytest.mark.parametrize("make,source", [
@@ -2369,14 +2415,15 @@ def hub_graphs(draw):
     """Closure edge arrays {letter: (srcs, dsts, costs)} of a random hub
     graph, its state count and a set of relays.
 
-    A few hubs send chains of one to four letters to a hub, to a state of
-    an earlier chain (chains merge) or through a path of single-exit
-    states into a new cycle of them, numbered above the path; paths of
-    states that no edge enters lead in (peeled over several rounds);
-    random edges add branching, and random states, some of them on
-    chains, become relays with edges into them.
+    Over an alphabet of one, two or three letters, a few hubs send chains
+    of one to twelve letters to a hub, to a state of an earlier chain
+    (chains merge) or through a path of single-exit states into a new
+    cycle of them, numbered above the path; paths of states that no edge
+    enters lead in (peeled over several rounds); random edges add
+    branching, and random states, some of them on chains, become relays
+    with edges into them.
     """
-    letters = draw(st.sampled_from([BINARY, ("0", "1", "2")]))
+    letters = draw(st.sampled_from([("0",), BINARY, ("0", "1", "2")]))
     edges, states = [], draw(st.integers(1, 3))
     cost = st.integers(0, 2)
 
@@ -2391,7 +2438,7 @@ def hub_graphs(draw):
         kind = draw(st.sampled_from(["hub", "merge", "cycle"]))
         if kind == "cycle":
             # A path of single-exit states, numbered below the cycle, leads in.
-            size, tail = draw(st.integers(1, 4)), draw(st.integers(0, 2))
+            size, tail = draw(st.integers(1, 12)), draw(st.integers(0, 2))
             ring = list(range(states + tail, states + tail + size))
             entry = draw(st.sampled_from(ring))
             walk(start, tail + 1, entry)
@@ -2400,7 +2447,7 @@ def hub_graphs(draw):
                 edges.append((a, b, draw(st.sampled_from(letters)), draw(cost)))
         else:
             end = draw(st.integers(0, states - 1))
-            walk(start, draw(st.integers(1, 4)), end if kind == "merge" else 0)
+            walk(start, draw(st.integers(1, 12)), end if kind == "merge" else 0)
     for _ in range(draw(st.integers(0, 2))):
         states += 1
         walk(states - 1, draw(st.integers(1, 3)), draw(st.integers(0, states - 2)))

@@ -20,7 +20,6 @@ from autokolm.constructions import (
     joint,
     merge,
     parse_rule,
-    selection_trace,
     serialize_rule,
     splitter_mode,
     wall_mode,
@@ -46,6 +45,7 @@ from helpers import (
     random_word,
     reach_sets,
     read_relation_contains,
+    selection_trace,
     suffix_rule,
     wall_oracle,
     wall_pair_realizable,

@@ -9,7 +9,6 @@ from autokolm.errors import BudgetExceeded, ContractError
 from autokolm.modes import eps_cycle_check, valuedness_profile
 from autokolm.normality import (
     BlockHistogram,
-    average_code_length,
     block_histogram,
     build_block_coder,
     discrepancy,
@@ -22,7 +21,12 @@ from autokolm.normality import (
 )
 from autokolm.seqgen import bernoulli_bits, champernowne_bits, rational_bits
 
-from helpers import build_block_coder_reference, offset_class_counts, random_word
+from helpers import (
+    average_code_length,
+    build_block_coder_reference,
+    offset_class_counts,
+    random_word,
+)
 
 
 def test_histogram_examples():
