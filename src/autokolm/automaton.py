@@ -364,17 +364,20 @@ def parse_automaton_lines(lines):
     is_edge = [line.startswith("edge ") or line[:5].rstrip() == "edge" for line in lines]
     # As if read line by line: the first edge line past the cap fails first.
     over = next(islice(compress(count(1), is_edge), MAX_FILE_EDGES, None), None)
-    arity, alphabets, num_states, extra = None, {}, None, []
+    arity, alphabets, num_states, extra, seen = None, {}, None, [], {}
     rest = compress(range(1, over or len(lines) + 1), map(operator.not_, is_edge))
     for lineno, (directive, *args) in ((n, lines[n - 1].split()) for n in rest if lines[n - 1]):
         if directive == "arity":
+            _first_line(seen, "arity line", lineno)
             arity = _parse_int(args, 1, lineno)[0]
         elif directive == "alphabet":
             if len(args) < 2:
                 raise FormatError(f"line {lineno}: alphabet needs tape and symbols")
             tape = _parse_int(args[:1], 1, lineno)[0]
+            _first_line(seen, f"alphabet line for tape {tape}", lineno)
             alphabets[tape] = tuple(args[1:])
         elif directive == "states":
+            _first_line(seen, "states line", lineno)
             num_states = _parse_int(args, 1, lineno)[0]
             if num_states > MAX_FILE_STATES:
                 raise FormatError(f"line {lineno}: state count {num_states} "
@@ -449,6 +452,14 @@ def _edge_table(rows, alphabets):
     digit = np.where(at >= first[:, 1:3, None], codes[at] - ord("0"), 0)
     table[:2] = (digit @ _POW10[at.shape[2] - 1::-1]).T
     return None if (digit > 9).any() else table
+
+
+def _first_line(seen: dict, what: str, lineno: int):
+    """Record line `lineno` as the `what` (a header line that a format file
+    holds once) in `seen`; a second one is a FormatError."""
+    if what in seen:
+        raise FormatError(f"line {lineno}: second {what} (first on line {seen[what]})")
+    seen[what] = lineno
 
 
 def _parse_int(args, n, lineno):

@@ -16,7 +16,7 @@ import time
 import weakref
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import compress, repeat
+from itertools import accumulate, compress, repeat
 from typing import Callable, List
 
 import numpy as np
@@ -83,7 +83,7 @@ _DOUBLING_WINDOWS = 512
 # counts (each entry into t makes one edge per letter-reading edge out of
 # t) before any closure edge is made: the trivial and one-hop entries at
 # once, then each Dijkstra's entries as it ends.  The folded relay edges
-# are charged on top of the edges left after pruning (`_CompiledSweep`),
+# are charged on top of the edges left after pruning (`_fold_relays`),
 # not on top of that first count.  The largest closure any mode in the
 # tests or the benchmark needs is reverse(k=8 coder)'s 67,584;
 # layered(k=8 coder, 2), whose hub is a relay, makes about 13,400 (about
@@ -256,29 +256,33 @@ class _CompiledSweep:
 
     def __init__(self, aut: LabeledAutomaton):
         stages = _Stages()
-        self.rank = _Ranks(aut.alphabets[-1])
+        alphabet = aut.alphabets[-1]
+        self.rank = _Ranks(alphabet)
         edges = _classify_edges(aut)
         entries, reach, dominant, relays = _closure_into(aut.num_states, *edges)
         stages.lap("closure")
-        by_letter = _closure_edges(entries, *edges, aut.alphabets[-1])
+        closure = _closure_edges(entries, *edges, len(alphabet))
         stages.lap("closure edges")
         if dominant[0].size:
-            near = _offsets(dominant[0], aut.num_states)
-            by_letter = {a: _prune(closure, dominant, near) for a, closure in by_letter.items()}
+            closure = _prune(closure, dominant, _offsets(dominant[0], aut.num_states))
         if reach[0].size:
-            near = _offsets(reach[0], aut.num_states)
-            charged = sum(srcs.size for srcs, _, _ in by_letter.values())
-            for a, closure in by_letter.items():
-                by_letter[a], charged = _fold_relays(closure, reach, near, charged)
+            closure = _fold_relays(closure, reach, _offsets(reach[0], aut.num_states))
         stages.lap("prune and fold")
+        sizes = np.bincount(closure[0], minlength=len(alphabet)).tolist()
         # A letter that no closure edge reads ends every word that reaches it.
-        self.dead = [chr(r) for r, (srcs, _, _) in enumerate(by_letter.values()) if not srcs.size]
-        self.step, self.by_letter, self.hubs = _pick_step(aut.num_states, by_letter, relays, stages)
+        self.dead = [chr(r) for r, size in enumerate(sizes) if not size]
+        self.step, self.hubs = _pick_step(aut.num_states, closure, alphabet, sizes, relays, stages)
+        # Each letter's edges are a segment of the table: (s, q, c) lists for
+        # the Python step, which reads the costs of their sources only, and
+        # views of the source, target and cost columns for the numpy step.
+        cut = [0, *accumulate(sizes)]
+        spans = list(zip(alphabet, cut, cut[1:]))
         if self.step is _step_python:
-            # The step reads the costs of the closure edges' sources only.
-            self.start = dict.fromkeys((s for edges in self.by_letter.values()
-                                        for s, _, _ in edges), 0)
+            rows = list(zip(*(col.tolist() for col in closure[1:])))
+            self.by_letter = {a: rows[i:k] for a, i, k in spans}
+            self.start = dict.fromkeys(closure[1].tolist(), 0)
         else:
+            self.by_letter = {a: tuple(closure[1:, i:k]) for a, i, k in spans}
             self.start = np.zeros(aut.num_states, dtype=np.int64)
         stages.lap("hub graph")
         self.stages = dict(stages)
@@ -286,8 +290,8 @@ class _CompiledSweep:
 
 class _Stages(dict):
     """Seconds per compile stage; a lap charges those since the last lap to
-    the stage it names.  "hub graph" is `_pick_step` but for its "scans"
-    (`_scans`) and "prologue" (`_prologue`)."""
+    the stage it names.  "hub graph" is `_pick_step` and the cut into
+    letters, but for its "scans" (`_scans`) and "prologue" (`_prologue`)."""
 
     def __init__(self):
         super().__init__(dict.fromkeys(("closure", "closure edges", "prune and fold",
@@ -335,12 +339,13 @@ def _matches(offsets, probes):
     return _ranges(first[probes], count), count
 
 
-def _argsort(key, top: int):
+def _argsort(key, top: int, stable: bool = False):
     """An order that sorts the values 0..top of `key`, cast to the
     narrowest unsigned dtype that holds top: numpy radix-sorts keys of 16
-    bits or less, stably, and wider ones fastest by its quicksort."""
+    bits or less, stably, and wider ones fastest by its quicksort, or
+    stably by its timsort."""
     key = key.astype(np.min_scalar_type(top))
-    return key.argsort(kind="stable" if key.itemsize <= 2 else None)
+    return key.argsort(kind="stable" if stable or key.itemsize <= 2 else None)
 
 
 def _runs(key):
@@ -350,11 +355,11 @@ def _runs(key):
     return first
 
 
-def _cheapest(*columns):
-    """The rows of the columns (nonnegative keys, then a cost) with the
-    least cost per distinct key, sorted by key."""
-    *keys, cost = columns
-    if not cost.size:                # 9 numpy calls, about 9 us, on nothing
+def _cheapest(*columns, costs: int = 1):
+    """The rows of the columns (nonnegative keys, then `costs` cost
+    columns) with the least of each cost per distinct key, sorted by key."""
+    keys = columns[:-costs]
+    if not columns[-1].size:         # 9 numpy calls, about 9 us, on nothing
         return columns
     key, top = keys[0], int(keys[0].max(initial=0))
     for k in keys[1:]:
@@ -365,83 +370,82 @@ def _cheapest(*columns):
         key, top = key * width + k, top * width + width - 1
     order = _argsort(key, top)
     first = _runs(key[order]).nonzero()[0]
-    return (*(k[order[first]] for k in keys), np.minimum.reduceat(cost[order], first))
+    return (*(k[order[first]] for k in keys),
+            *(np.minimum.reduceat(cost[order], first) for cost in columns[-costs:]))
 
 
-def _closure_edges(entries, src, dst, letter, weight, alphabet):
-    """Each letter's closure edges (sources, targets, costs) as int64
-    arrays: (s, q, c + w) for each entry (s, t, c) of `_closure_into`
-    and each advancing edge (t, q, w) reading the letter, in edge order."""
+def _closure_edges(entries, src, dst, letter, weight, base: int):
+    """The closure edges as one (4, n) int64 table of their letters,
+    sources, targets and costs, sorted by letter: an edge (a, s, q, c + w)
+    for each entry (s, t, c) of `_closure_into` and each advancing edge
+    (t, q, w) reading a, in edge order within a letter."""
     into, at, paid = entries
     advance = (letter >= 0).nonzero()[0]
-    read = letter[advance].astype(np.min_scalar_type(len(alphabet)))
-    order = read.argsort(kind="stable")
-    advance = advance[order]
-    pick, count = _matches(_offsets(at), src[advance])    # each reading state has an entry
-    srcs, dsts = into[pick], dst[advance].repeat(count)
-    costs = paid[pick] + weight[advance].repeat(count)
-    cut = np.append(0, count.cumsum())[read[order].searchsorted(np.arange(len(alphabet) + 1))]
-    return {a: (srcs[i:k], dsts[i:k], costs[i:k])
-            for a, i, k in zip(alphabet, cut.tolist(), cut[1:].tolist())}
+    advance = advance[_argsort(letter[advance], base, stable=True)]
+    table = np.array([col[advance] for col in (letter, src, dst, weight)])
+    pick, count = _matches(_offsets(at), table[1])    # each reading state has an entry
+    # An edge per entry and advancing edge in one gather; the entry's s is its source.
+    table = table.take(np.arange(advance.size).repeat(count), axis=1)
+    into.take(pick, out=table[1])
+    table[3] += paid[pick]
+    return table
 
 
-def _fold_relays(edges, reach, near, charged: int):
-    """A letter's closure edges (s, q, c) plus one edge (s, r, the least
-    c + d) per relay r that some q reaches at intra cost d (`reach` of
-    `_closure_into`, `near` the `_offsets` of its q), and `charged` plus
-    the edges added, which are charged to _CLOSURE_BUDGET."""
-    srcs, dsts, costs = edges
+def _fold_relays(edges, reach, near):
+    """The closure table plus one edge (a, s, r, the least c + d) per relay
+    r that some q of an edge (a, s, q, c) reaches at intra cost d (`reach`
+    of `_closure_into`, `near` the `_offsets` of its q), after the edges of
+    its letter; its edges are charged to _CLOSURE_BUDGET."""
+    letter, srcs, dsts, costs = edges
     _, relay, far = reach
     pick, count = _matches(near, dsts)
-    folded = _cheapest(srcs.repeat(count), relay[pick], costs.repeat(count) + far[pick])
-    charged += folded[0].size
-    if charged > _CLOSURE_BUDGET:
+    folded = _cheapest(letter.repeat(count), srcs.repeat(count), relay[pick],
+                       costs.repeat(count) + far[pick])
+    edges = np.concatenate((edges, folded), axis=1)
+    if edges.shape[1] > _CLOSURE_BUDGET:
         raise BudgetExceeded("intra-layer closure is too dense to sweep", _CLOSURE_BUDGET)
-    return tuple(map(np.concatenate, zip(edges, folded))), charged
+    return edges.take(_argsort(edges[0], int(letter.max(initial=0)), stable=True), axis=1)
 
 
 def _prune(edges, dominant, near):
-    """A letter's closure edge arrays without the dominated edges, and
-    without all but the cheapest of parallel edges, sorted by (source,
-    target).
+    """The closure table without the dominated edges, and without all but
+    the cheapest of parallel edges, sorted by (letter, source, target).
 
-    (s, q, c) is dominated when the letter also has an edge (s, q2, c2)
-    and `dominant` a row (q, q2, w), an intra edge q2 -> q of weight w
-    (`near`: the `_offsets` of its q, over every q of the edges),
-    with c2 + w <= c, and either c2 < c or the letter's edges first name
-    (s, q2) after (s, q).  Both q2 and q are entered and neither is a
-    relay, so the next letter's closure from q2 covers every way on from
-    q at w more (folded relay edges included), and q2 is no dearer an end.
-    Each drop is witnessed by an edge strictly earlier in the order of
-    cost, then of naming from last to first, so every chain of drops ends
-    at a kept edge: of a cycle of equally cheap states that dominate each
-    other (zero-cost intra edges), the one named last stays.
+    (a, s, q, c) is dominated when the table also has an edge (a, s, q2,
+    c2) and `dominant` a row (q, q2, w), an intra edge q2 -> q of weight w
+    (`near`: the `_offsets` of its q, over every q of the edges), with
+    c2 + w <= c, and either c2 < c or the table first names (a, s, q2)
+    after (a, s, q).  Both q2 and q are entered and neither is a relay, so
+    the next letter's closure from q2 covers every way on from q at w more
+    (folded relay edges included), and q2 is no dearer an end.  Each drop
+    is witnessed by an edge strictly earlier in the order of cost, then of
+    naming from last to first, so every chain of drops ends at a kept
+    edge: of a cycle of equally cheap states that dominate each other
+    (zero-cost intra edges), the one named last stays.
     """
-    srcs, dsts, costs = edges
     _, far, weight = dominant
+    # The cheapest edge per (a, s, q), and where the table first names it.
+    letter, srcs, dsts, seen, costs = _cheapest(*edges[:3], np.arange(edges[0].size),
+                                                edges[3], costs=2)
+    # key: (a, s) numbered densely, then q, sorted as the rows are.
     n = int(max(dsts.max(initial=0), far.max(initial=0))) + 1
-    key, seen = _cheapest(srcs * n + dsts, np.arange(srcs.size))   # where (s, q) comes first
-    _, costs = _cheapest(srcs * n + dsts, costs)
-    pick, count = _matches(near, key % n)
+    key = (_runs(letter) | _runs(srcs)).cumsum() * n + dsts
+    pick, count = _matches(near, dsts)
     edge = np.arange(key.size).repeat(count)
-    other = key[edge] - key[edge] % n + far[pick]
+    other = key[edge] - dsts[edge] + far[pick]
     at = np.minimum(key.searchsorted(other), key.size - 1)
     found = key[at] == other
     edge, at, weight = edge[found], at[found], weight[pick][found]
     covers = costs[at] + weight <= costs[edge]
     kept = np.ones(key.size, dtype=bool)
     kept[edge[covers & ((costs[at] < costs[edge]) | (seen[at] > seen[edge]))]] = False
-    return key[kept] // n, key[kept] % n, costs[kept]
+    return np.array((letter, srcs, dsts, costs)).compress(kept, axis=1)
 
 
-def _edge_lists(by_letter):
-    """Closure edge arrays per letter as lists of (s, q, c)."""
-    return {a: list(zip(*(col.tolist() for col in edges))) for a, edges in by_letter.items()}
-
-
-def _pick_step(num_states: int, by_letter, relays, stages):
-    """The closure step, the edges it reads per letter, and the hub graph
-    (or None) with the `relays` as hubs that the prefix sums tail sweeps.
+def _pick_step(num_states: int, edges, alphabet, sizes, relays, stages):
+    """The closure step and the hub graph (or None) of the closure table
+    `edges`, with `sizes` edges per letter of `alphabet`, and with the
+    `relays` as hubs that the prefix sums tail sweeps.
 
     One estimate chooses both: the Python step where it is estimated no
     dearer per letter than numpy's scatter-min on the letter with the
@@ -452,18 +456,15 @@ def _pick_step(num_states: int, by_letter, relays, stages):
     it), from some word length on (`_handoff`), else None.  The hub
     compile's time goes to `stages` (`_Stages`).
     """
-    sizes = [srcs.size for srcs, _, _ in by_letter.values()]
     widest = max(sizes, default=0)
     python = _step_us(True, widest) <= _step_us(False, widest)
-    hubs = _Hubs.compile(num_states, by_letter, relays, stages)
+    hubs = _Hubs.compile(num_states, edges, alphabet, relays, stages)
     if hubs is not None:
         hubs.handoff = _handoff(hubs, _step_us(python, min(filter(None, sizes), default=0)),
                                 0 if python else _US_PER_CALL * _NUMPY_STEP_CALLS)
         if hubs.handoff is None:
             hubs = None
-    if python:
-        return _step_python, _edge_lists(by_letter), hubs
-    return _step_numpy, by_letter, hubs
+    return _step_python if python else _step_numpy, hubs
 
 
 def _step_us(python: bool, edges: int) -> float:
@@ -612,25 +613,22 @@ class _Hubs:
         self.chunk = max(min(_CHUNK_CELLS // max(widest, 1), _CHUNK_LETTERS), 1)
 
     @classmethod
-    def compile(cls, num_states: int, by_letter, relays, stages):
-        """The hub graph of the closure edge arrays with the `relays` as
-        hubs, or None where it has no window tables (`_scans`) or its
-        walk exceeds the compile budget.
+    def compile(cls, num_states: int, edges, alphabet, relays, stages):
+        """The hub graph of the closure table `edges` over `alphabet` with
+        the `relays` as hubs, or None where it has no window tables
+        (`_scans`) or its walk exceeds the compile budget.
 
         All hub out-edges walk their chains at once, one letter per round
         (`_macro_edges`), each carrying the code of its word.  The time of
         `_scans` and `_prologue` goes to their `stages`.
         """
-        alphabet = list(by_letter)
-        srcs, dst, cost = (np.concatenate(col) for col in zip(*by_letter.values()))
-        letter = np.arange(len(alphabet)).repeat([e[0].size for e in by_letter.values()])
+        srcs, base = edges[1], len(alphabet)
         relay = np.zeros(num_states, dtype=bool)
         relay[np.fromiter(relays, np.int64)] = True
-        into = relay[dst]
+        into = relay[edges[2]]
         # The out-edges of s are first[s]:first[s] + outdeg[s]; its relay
         # exits (edges into relays) follow, xcount[s] of them.
-        order = _argsort(srcs * 2 + into, 2 * num_states)
-        dst, cost, letter = dst[order], cost[order], letter[order]
+        letter, _, dst, cost = edges.take(_argsort(srcs * 2 + into, 2 * num_states), axis=1)
         xcount, first = _offsets(srcs, num_states)
         outdeg = np.bincount(srcs[~into], minlength=num_states)
         xcount -= outdeg
@@ -666,14 +664,14 @@ class _Hubs:
             (letter[out], np.arange(ids.size).repeat(outs), dst[out], cost[out]),
             (letter[exits], np.arange(ids.size).repeat(xouts), index[dst[exits]], cost[exits]),
             (hub, index, nxt, nletter, ncost, (letter, dst, cost), first + outdeg, xcount),
-            len(alphabet), charged)
+            base, charged)
         stages.lap("hub graph")
-        scans = tables and _scans(ids.size, tables[0], len(alphabet))
+        scans = tables and _scans(ids.size, tables[0], base)
         stages.lap("scans")
         if scans is None:
             return None
         full, part = tables
-        span, base = int(full[0][-1]) if full[0].size else 1, len(alphabet)
+        span = int(full[0][-1]) if full[0].size else 1
         lead, prologue = depth + span - 1, None
         if ids.size == 1 and scans[0][2] and lead and depth <= 1 and not relay.any() and (
                 (span + 2) * base ** span <= _NORMALIZE_BUDGET):     # one hub, one length
@@ -994,13 +992,13 @@ def _sweep_one_hub(cost, members, table, window, entering, before, span):
         sums = sums.reshape(-1, len(before))
     sums.cumsum(axis=0, out=sums)
     sums += [0 if c >= _INF else c for c in before]
+    # Where every word is a macro-edge, the hub is reached at every letter
+    # (from a state on the chain of some word, at cost 0), so none is dead.
     if missing is not None:
         cut = missing[codes].reshape(sums.shape)
         np.logical_or.accumulate(cut, axis=0, out=cut)   # a window so far had no macro-edge
         cut |= dead
         sums[cut] = _INF
-    elif True in dead:
-        sums.reshape(-1, len(before))[:, dead] = _INF
 
 
 def _sweep_scan(cost, members, table, window, entering, before, span):

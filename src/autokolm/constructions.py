@@ -16,7 +16,15 @@ from dataclasses import dataclass
 from itertools import compress
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from .automaton import EPSILON, LabeledAutomaton, _parse_int, chain, components, strip_format_lines
+from .automaton import (
+    EPSILON,
+    LabeledAutomaton,
+    _first_line,
+    _parse_int,
+    chain,
+    components,
+    strip_format_lines,
+)
 from .errors import ContractError, FormatError
 from .modes import (
     BINARY,
@@ -252,10 +260,14 @@ def parse_rule(text: str) -> SelectionRule:
     initial = None
     accepting = None
     trans: Dict[Tuple[int, int], int] = {}
+    origin: Dict[Tuple[int, int], int] = {}      # the line of each transition
+    seen: Dict[str, int] = {}
     for lineno, line in enumerate(strip_format_lines(text), 1):
         if not line:
             continue
         directive, *args = line.split()
+        if directive in ("states", "initial", "accepting"):
+            _first_line(seen, f"{directive} line", lineno)
         if directive == "states":
             num_states = _parse_int(args, 1, lineno)[0]
         elif directive == "initial":
@@ -272,11 +284,15 @@ def parse_rule(text: str) -> SelectionRule:
             key = (frm, int(letter))
             if key in trans:
                 raise FormatError(f"line {lineno}: duplicate transition {key}")
-            trans[key] = to
+            trans[key], origin[key] = to, lineno
         else:
             raise FormatError(f"line {lineno}: unknown directive {directive!r}")
     if num_states is None or initial is None or accepting is None:
         raise FormatError("missing states, initial or accepting line")
+    for (frm, _), lineno in origin.items():
+        if not 0 <= frm < num_states:
+            raise FormatError(f"line {lineno}: transition from state {frm} "
+                              f"outside the {num_states} states")
     table = []
     for s in range(num_states):
         if (s, 0) not in trans or (s, 1) not in trans:

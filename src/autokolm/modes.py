@@ -21,6 +21,7 @@ from .automaton import (
     EPSILON,
     MAX_FILE_STATES,
     LabeledAutomaton,
+    _first_line,
     _parse_int,
     chain,
     components,
@@ -402,13 +403,11 @@ def parse_mode(text: str):
     [METHOD [ARG]]`.
     """
     aut, extra = parse_automaton_lines(strip_format_lines(text))
-    cert, first = ValuednessCertificate.unknown(), None
+    cert, seen = ValuednessCertificate.unknown(), {}
     for lineno, directive, args in extra:
         if directive != "certificate":
             raise FormatError(f"line {lineno}: unknown directive {directive!r}")
-        if first is not None:
-            raise FormatError(f"line {lineno}: second certificate line (first on line {first})")
-        first = lineno
+        _first_line(seen, "certificate line", lineno)
         if not args:
             raise FormatError(f"line {lineno}: empty certificate")
         bound_tok = args[0]

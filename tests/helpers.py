@@ -647,15 +647,19 @@ def parse_automaton_reference(text: str, max_states: int, max_edges: int):
     num_states = None
     raw_edges = []
     extra = []
+    first = {}                                   # header line -> its line number
     for lineno, directive, args in format_lines_reference(text):
         if directive == "arity":
+            _once_reference(first, "arity line", lineno)
             arity = _parse_int_reference(args, 1, lineno)[0]
         elif directive == "alphabet":
             if len(args) < 2:
                 raise FormatError(f"line {lineno}: alphabet needs tape and symbols")
             tape = _parse_int_reference(args[:1], 1, lineno)[0]
+            _once_reference(first, f"alphabet line for tape {tape}", lineno)
             alphabets[tape] = tuple(args[1:])
         elif directive == "states":
+            _once_reference(first, "states line", lineno)
             num_states = _parse_int_reference(args, 1, lineno)[0]
             if num_states > max_states:
                 raise FormatError(f"line {lineno}: state count {num_states} "
@@ -731,12 +735,17 @@ def parse_rule_reference(text: str) -> SelectionRule:
     initial = None
     accepting = None
     trans = {}
+    froms = []                                   # (line, FROM) of each trans line
+    first = {}
     for lineno, directive, args in format_lines_reference(text):
         if directive == "states":
+            _once_reference(first, "states line", lineno)
             num_states = _parse_int_reference(args, 1, lineno)[0]
         elif directive == "initial":
+            _once_reference(first, "initial line", lineno)
             initial = _parse_int_reference(args, 1, lineno)[0]
         elif directive == "accepting":
+            _once_reference(first, "accepting line", lineno)
             accepting = frozenset(_parse_int_reference(args, len(args), lineno))
         elif directive == "trans":
             if len(args) != 3:
@@ -749,10 +758,15 @@ def parse_rule_reference(text: str) -> SelectionRule:
             if key in trans:
                 raise FormatError(f"line {lineno}: duplicate transition {key}")
             trans[key] = to
+            froms.append((lineno, frm))
         else:
             raise FormatError(f"line {lineno}: unknown directive {directive!r}")
     if num_states is None or initial is None or accepting is None:
         raise FormatError("missing states, initial or accepting line")
+    for lineno, frm in froms:
+        if frm < 0 or frm >= num_states:
+            raise FormatError(f"line {lineno}: transition from state {frm} "
+                              f"outside the {num_states} states")
     table = []
     for s in range(num_states):
         if (s, 0) not in trans or (s, 1) not in trans:
@@ -763,6 +777,12 @@ def parse_rule_reference(text: str) -> SelectionRule:
                              accepting=accepting, transitions=tuple(table))
     except ContractError as exc:
         raise FormatError(str(exc)) from exc
+
+
+def _once_reference(first: dict, what: str, lineno: int):
+    if what in first:
+        raise FormatError(f"line {lineno}: second {what} (first on line {first[what]})")
+    first[what] = lineno
 
 
 def _parse_int_reference(args, n, lineno):

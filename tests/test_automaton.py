@@ -237,6 +237,22 @@ def test_format_errors():
         parse_automaton("arity 1\nalphabet 0 0 1\nstates 1\nfrobnicate\n")
 
 
+@pytest.mark.parametrize("line, message", [
+    ("arity 2", r"line 7: second arity line \(first on line 1\)"),
+    ("states 5", r"line 7: second states line \(first on line 4\)"),
+    ("alphabet 1 0 1 2", r"line 7: second alphabet line for tape 1 \(first on line 3\)"),
+])
+def test_a_repeated_header_line_is_refused(line, message):
+    # The last line used to win: `states 5` parsed as five states.
+    text = serialize_automaton(identity_mode().automaton) + line + "\n"
+    assert text.splitlines()[:4] == ["arity 2", "alphabet 0 0 1", "alphabet 1 0 1", "states 1"]
+    for parse in (parse_automaton, parse_mode):
+        with pytest.raises(FormatError, match=message):
+            parse(text)
+    with pytest.raises(FormatError, match=message):
+        parse_automaton_reference(text, automaton.MAX_FILE_STATES, automaton.MAX_FILE_EDGES)
+
+
 def test_declared_state_count_is_capped():
     text = serialize_automaton(IDENTITY).replace("states 1", "states 4194305")
     with pytest.raises(FormatError):

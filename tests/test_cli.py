@@ -263,6 +263,35 @@ def test_exit_code_on_argument_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["gen", "bernoulli", "--bits", "8"], "bernoulli source needs a probability argument"),
+    (["gen", "rational", "1/x", "--bits", "8"], "invalid literal for int()"),
+    (["mode", "wall"], "wall needs --c"),
+    (["mode", "layered", "{mode}"], "layered needs --layers"),
+    (["mode", "build-coder"], "build-coder needs --k, --train and --n"),
+    (["mode", "reverse", "{mode}", "{mode}"], "this constructor takes one mode file"),
+    (["mode", "union", "{mode}"], "this constructor takes two mode files"),
+    (["complexity", "--mode", "{mode}"], "need --word or --input"),
+    (["complexity", "--mode", "{mode}", "--word", "01", "--curve", "1"], "--curve needs --input"),
+    (["complexity", "--mode", "{mode}", "--input", "{bits}"], None),
+])
+def test_cli_argument_checks_and_the_whole_file_call(tmp_path, capsys, argv, message):
+    # Each check exits 2 with one error line; --input without --n reads the
+    # whole file.
+    mode, bits = tmp_path / "id.aut", tmp_path / "bits.txt"
+    run(capsys, "mode", "identity", "--out", str(mode))
+    run(capsys, "gen", "bernoulli", "0.9", "--bits", "3000", "--out", str(bits))
+    argv = [arg.format(mode=mode, bits=bits) for arg in argv]
+    if argv[0] == "mode":
+        argv += ["--out", str(tmp_path / "out.aut")]
+    code, out, err = run(capsys, *argv)
+    if message is None:
+        assert (code, out, err) == (0, "3000\n", "")      # K of all 3,000 bits under identity
+    else:
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
 def test_exit_code_on_runtime_error(tmp_path, capsys):
     code, _, err = run(capsys, "complexity", "--mode",
                        str(tmp_path / "missing.aut"), "--word", "0")

@@ -77,9 +77,8 @@ def force_step(monkeypatch, name):
     """
     step, tail = STEPS[name]
 
-    def pick(num_states, by_letter, relays, stages):
-        edges = engine._edge_lists(by_letter) if step is engine._step_python else by_letter
-        return step, edges, tail and engine._Hubs.compile(num_states, by_letter, relays, stages)
+    def pick(num_states, edges, alphabet, sizes, relays, stages):
+        return step, tail and engine._Hubs.compile(num_states, edges, alphabet, relays, stages)
     monkeypatch.setattr(engine, "_pick_step", pick)
     monkeypatch.setattr(engine, "_sweep_cache", {})
     return step, tail
@@ -312,8 +311,7 @@ def test_closure_is_charged_exactly_its_closure_edges(arity, data):
         mp.setattr(engine, "_relays", lambda outdeg, indeg: relays)
         edges = engine._classify_edges(aut)
         entries = engine._closure_into(aut.num_states, *edges)[0]
-        made = sum(srcs.size for srcs, _, _ in
-                   engine._closure_edges(entries, *edges, aut.alphabets[-1]).values())
+        made = engine._closure_edges(entries, *edges, len(aut.alphabets[-1])).shape[1]
         mp.setattr(engine, "_CLOSURE_BUDGET", made)
         engine._closure_into(aut.num_states, *edges)
         mp.setattr(engine, "_CLOSURE_BUDGET", made - 1)
@@ -336,8 +334,9 @@ def test_prune_settles_ties_as_the_reference(data):
         dominant.setdefault(q, []).append((q2, w))
     columns = [np.array(col, dtype=np.int64) for col in zip(*edges)] or [np.zeros(0, np.int64)] * 3
     rows = [np.array(col, dtype=np.int64) for col in zip(*intra)] or [np.zeros(0, np.int64)] * 3
-    pruned = engine._prune(tuple(columns), tuple(rows), engine._offsets(rows[0], 5))
-    assert sorted(zip(*(col.tolist() for col in pruned))) == sorted(
+    table = np.array([np.zeros_like(columns[0]), *columns])       # all on one letter
+    pruned = engine._prune(table, tuple(rows), engine._offsets(rows[0], 5))
+    assert sorted(zip(*(col.tolist() for col in pruned[1:]))) == sorted(
         prune_reference(edges, dominant))
 
 
@@ -2247,6 +2246,41 @@ def test_layered_closure_is_linear_in_the_coder_closure():
             assert count <= 8 * base[a], (k, a)
 
 
+def wide_code_mode():
+    """A prefix code of 64 object letters, read from 3, 5 or 7 description
+    bits along a trie (canonical code lengths 2 x 3, 10 x 5 and 52 x 7)."""
+    letters = [chr(ord("0") + i) for i in range(64)]
+    edges, states, code, size = [], 1, 0, 3
+    for i, length in enumerate([3] * 2 + [5] * 10 + [7] * 52):
+        code, size = code << (length - size), length
+        bits, at = format(code, f"0{length}b"), 0
+        for bit in bits[:-1]:
+            step = next((d for s, d, (b, _) in edges if s == at and b == bit), None)
+            if step is None:
+                edges.append((at, states, (bit, EPSILON)))
+                step, states = states, states + 1
+            at = step
+        edges.append((at, 0, (bits[-1], letters[i])))
+        code += 1
+    aut = LabeledAutomaton(2, (BINARY, tuple(letters)), states, edges)
+    return DescriptionMode(aut, ValuednessCertificate.asserted(1, "test"))
+
+
+@pytest.mark.parametrize("name", ["default", *sorted(STEPS)])
+def test_layered_mode_over_a_wide_alphabet_matches_the_reference(monkeypatch, name):
+    # The closure table holds 64 letters' segments, pruned and folded at
+    # once; the default path hands the word to the prefix sums.
+    aut = layered_concat(wide_code_mode(), 2).automaton
+    assert len(aut.alphabets[-1]) == 64
+    path = force_step(monkeypatch, name) if name in STEPS else STEPS["python-sums"]
+    rng = random.Random(64)
+    word = "".join(rng.choice(aut.alphabets[-1][:12] * 5 + aut.alphabets[-1]) for _ in range(80))
+    assert engine._sweep(aut, word, list(range(len(word) + 1))) == sweep_pure_curve(aut, word)
+    assert_swept_by(aut, path)
+    hubs = engine._compiled(aut).hubs
+    assert hubs is None or len(word) - hubs.lead >= hubs.handoff
+
+
 # --- dominance pruning and relay hubs -------------------------------------------
 
 def edge_lists(eng):
@@ -2381,7 +2415,7 @@ def test_relay_tables_are_charged_to_the_compile_budget(monkeypatch):
     monkeypatch.setattr(engine, "_macro_edges", lambda *args: walks.append(walk(*args)) or walks[-1])
     for budget in (3, 4, 7, 8):
         monkeypatch.setattr(engine, "_NORMALIZE_BUDGET", budget)
-        hubs = engine._Hubs.compile(3, arrays, {2}, engine._Stages())
+        hubs = engine._Hubs.compile(3, closure_table(arrays), tuple(arrays), {2}, engine._Stages())
         assert (walks[-1] is None, hubs is None) == (budget < 4, budget < 8)
     # The macro-edges (length, code, src hub, dst hub, cost): "10" is 2.
     assert [col.tolist() for col in walks[-1][0]] == [[2, 2], [2, 2], [1, 1], [0, 1], [1, 2]]
@@ -2402,7 +2436,8 @@ def test_relay_tables_past_the_budget_fall_back_to_numpy(monkeypatch):
                      for a, (srcs, dst, cost) in arrays.items()}
     monkeypatch.setattr(engine, "_NORMALIZE_BUDGET", 400)
     stages = engine._Stages()
-    assert engine._Hubs.compile(aut.num_states, without_exits, {relay}, stages) is not None
+    assert engine._Hubs.compile(aut.num_states, closure_table(without_exits), tuple(arrays),
+                                {relay}, stages) is not None
     monkeypatch.setattr(engine, "_sweep_cache", {})
     assert swept_by(aut) == STEPS["numpy"]
     assert complexity_curve(mode, source, len(source), 100).samples == expected
@@ -2461,6 +2496,13 @@ def hub_graphs(draw):
     by_letter = {a: tuple(np.array([e[i] for e in edges if e[2] == a], dtype=np.int64)
                           for i in (0, 1, 3)) for a in letters}
     return states, by_letter, relays
+
+
+def closure_table(by_letter):
+    """The closure table (letter, source, target, cost) of closure edge
+    arrays {letter: (srcs, dsts, costs)}, sorted by letter as they come."""
+    return np.concatenate([np.array([np.full_like(edges[0], a), *edges])
+                           for a, edges in enumerate(by_letter.values())], axis=1)
 
 
 def reference_walk(aut):
@@ -2555,6 +2597,7 @@ def test_hub_compile_matches_the_reference_walk(data):
     budget = data.draw(st.sampled_from([engine._NORMALIZE_BUDGET, 2, 5, 9, 14, 20, 30]))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine, "_NORMALIZE_BUDGET", budget)
-        hubs = engine._Hubs.compile(num_states, by_letter, relays, engine._Stages())
+        hubs = engine._Hubs.compile(num_states, closure_table(by_letter), tuple(by_letter),
+                                    relays, engine._Stages())
     expected = hub_tables_reference(num_states, by_letter, relays, budget)
     assert hub_tables(hubs) == (None if expected is None or expected[-1] is None else expected)

@@ -365,6 +365,23 @@ def test_rule_parser_matches_the_line_by_line_reference(data):
     assert outcome(parse_rule, text) == outcome(parse_rule_reference, text)
 
 
+@pytest.mark.parametrize("line, message", [
+    ("states 5", r"line 8: second states line \(first on line 1\)"),
+    ("initial 1", r"line 8: second initial line \(first on line 2\)"),
+    ("accepting 1", r"line 8: second accepting line \(first on line 3\)"),
+    ("trans 5 0 0", r"line 8: transition from state 5 outside the 2 states"),
+    ("trans -1 1 0", r"line 8: transition from state -1 outside the 2 states"),
+])
+def test_rule_refuses_repeated_headers_and_transitions_from_outside(line, message):
+    # The last header line used to win, and a transition from a state past
+    # `states` was dropped.
+    text = serialize_rule(parity_rule())
+    assert text.splitlines()[:3] == ["states 2", "initial 0", "accepting 0"]
+    for parse in (parse_rule, parse_rule_reference):
+        with pytest.raises(FormatError, match=message):
+            parse(text + line + "\n")
+
+
 def test_rule_format_errors():
     with pytest.raises(FormatError):
         parse_rule("states 1\ninitial 0\n")          # missing accepting
